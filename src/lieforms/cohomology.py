@@ -30,6 +30,7 @@ from .operators import (
     GradedOperator,
     RelationEntry,
     RelationReport,
+    op_sum,
     vector_to_form,
 )
 from .scalars import ONE, Scalar, ZERO
@@ -291,11 +292,11 @@ def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) ->
     ops = structure_operators(model, pack)
     split = foliation_split(ops.d, model, fol)
     d1 = split.d1
-    out = supercommutator(d1, d1.adjoint().relabel("d1*"))
+    terms = [supercommutator(d1, d1.adjoint().relabel("d1*"))]
     for v in fol.spanning:
-        lie = supercommutator(ops.d, contraction_operator(model.dim, v)).relabel(f"Lie_{v}")
-        out = out - (lie @ lie).relabel(out.label)
-    return out.relabel("Delta_s")
+        lie = supercommutator(ops.d, contraction_operator(model.dim, v))
+        terms.append(-(lie @ lie))
+    return op_sum(terms, "Delta_s")
 
 
 def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
@@ -337,14 +338,9 @@ def _pair(u: Vector, v: Vector) -> Scalar:
 
 def _foliation_pi_hor(model: LieModel, fol: FoliationSpec) -> GradedOperator:
     from .models import bidegree_projectors
-    from .operators import EVEN
 
     pi = bidegree_projectors(model.dim, fol.spanning)
-    out = GradedOperator.zero(model.dim, 0, EVEN)
-    for (h, v), p in pi.items():
-        if v == 0:
-            out = out + p.relabel(out.label)
-    return out.relabel("Pi_hor")
+    return op_sum((p for (h, v), p in pi.items() if v == 0), "Pi_hor")
 
 
 def induced_map(blocks: dict[int, Matrix], src: CochainComplex, tgt: CochainComplex,
@@ -434,10 +430,11 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "pass" if ds.adjoint() == ds else "fail"))
     split = foliation_split(ops.d, model, fol)
     d1 = split.d1
-    psd = supercommutator(d1, d1.adjoint().relabel("d1*"))
+    terms = [supercommutator(d1, d1.adjoint().relabel("d1*"))]
     for v in fol.spanning:
         lie = supercommutator(ops.d, contraction_operator(model.dim, v))
-        psd = psd + (lie @ lie.adjoint()).relabel(psd.label)
+        terms.append(lie @ lie.adjoint())
+    psd = op_sum(terms, "{d1,d1*} + sum Lie_v Lie_v*")
     report.add(RelationEntry("split_laplacian.psd_decomposition",
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))

@@ -63,22 +63,24 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
         return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            [[b if a.is_zero() else a if b.is_zero() else a + b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
         return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            [[-b if a.is_zero() else a if b.is_zero() else a - b for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
-        return self.scale(Scalar.of(-1))
+        return Matrix([[a if a.is_zero() else -a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix([[a * c for a in r] for r in self.rows], self.ncols)
+        return Matrix([[a if a.is_zero() else a * c for a in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -180,11 +182,11 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pv = rows[r][col]
-        rows[r] = [a / pv for a in rows[r]]
+        rows[r] = [a if a.is_zero() else a / pv for a in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][col].is_zero():
                 f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a if b.is_zero() else a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -221,11 +223,6 @@ def solve(mat: Matrix, b: Vector):
         x[pc] = red.rows[ri][mat.ncols]
     return tuple(x)
 
-def column_space_basis(mat: Matrix) -> list[Vector]:
-    """Columns of mat at the pivot positions of its RREF."""
-    _, pivots = rref(mat)
-    return [mat.col(j) for j in pivots]
-
 
 def in_span(vectors: Iterable[Vector], candidate: Vector) -> bool:
     cols = list(vectors)
@@ -247,35 +244,6 @@ def subspace_equal(basis_a: Sequence[Vector], basis_b: Sequence[Vector]) -> bool
     if ra != rb:
         return False
     return rank(ma.hstack(mb)) == ra
-
-
-def subspace_contains(ambient: Sequence[Vector], candidate: Sequence[Vector]) -> bool:
-    """Span(candidate) <= Span(ambient), exactly."""
-    if not candidate:
-        return True
-    dim = len(candidate[0])
-    ma = Matrix.from_cols(list(ambient), dim)
-    return all(in_span(ma.cols(), v) for v in candidate)
-
-
-def intersect(basis_a: Sequence[Vector], basis_b: Sequence[Vector]) -> list[Vector]:
-    """Basis of Span(a) ∩ Span(b)."""
-    if not basis_a or not basis_b:
-        return []
-    dim = len(basis_a[0])
-    ma = Matrix.from_cols(list(basis_a), dim)
-    mb = Matrix.from_cols(list(basis_b), dim)
-    ker = nullspace(ma.hstack(mb.scale(Scalar.of(-1))))
-    out = []
-    for v in ker:
-        coeffs = v[: len(basis_a)]
-        out.append(ma.apply(coeffs))
-    # prune to an independent set
-    keep: list[Vector] = []
-    for v in out:
-        if not in_span(keep, v):
-            keep.append(v)
-    return keep
 
 
 def charpoly(mat: Matrix) -> list[Fraction]:

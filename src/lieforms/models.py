@@ -22,6 +22,7 @@ from .operators import (
     ODD,
     contraction_operator,
     extend_derivation,
+    op_sum,
     supercommutator,
     wedge_operator,
 )
@@ -542,25 +543,12 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
     pi_pq = _pq_projectors(n, W, vertical, n_trans)
 
     # exhaustiveness and orthogonality of the bigrading
-    total = GradedOperator.zero(n, 0, EVEN)
-    for p in pi_pq.values():
-        total = total + p
-    if total != GradedOperator.identity(n):
+    if op_sum(pi_pq.values(), "sum Pi^{p,q}") != GradedOperator.identity(n):
         raise StructureError("J", "bigrading projectors do not resolve the identity")
 
-    I_aut = GradedOperator.zero(n, 0, EVEN)
-    I_inv = GradedOperator.zero(n, 0, EVEN)
-    for (p, q, v), proj in pi_pq.items():
-        I_aut = I_aut + proj.scale(_i_power(p - q)).relabel(I_aut.label)
-        I_inv = I_inv + proj.scale(_i_power(q - p)).relabel(I_inv.label)
-    I_aut = I_aut.relabel("I")
-    I_inv = I_inv.relabel("I^-1")
-
-    pi_hor = GradedOperator.zero(n, 0, EVEN)
-    nh = len(horizontal)
-    for h in range(nh + 1):
-        pi_hor = pi_hor + pi_bi[(h, 0)]
-    pi_hor = pi_hor.relabel("Pi_hor")
+    I_aut = op_sum((proj.scale(_i_power(p - q)) for (p, q, _), proj in pi_pq.items()), "I")
+    I_inv = op_sum((proj.scale(_i_power(q - p)) for (p, q, _), proj in pi_pq.items()), "I^-1")
+    pi_hor = op_sum((pi_bi[(h, 0)] for h in range(len(horizontal) + 1)), "Pi_hor")
 
     e_theta = i_theta = lie_theta = None
     if pack.kind == "vaisman":

@@ -9,9 +9,10 @@ cases.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .forms import FormElement, contract, hodge_star, monomial_basis, wedge
 from .matrices import Matrix, Vector
@@ -114,24 +115,21 @@ class GradedOperator:
     # -- operator algebra ----------------------------------------------
 
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
-        self._compat(other)
-        if self.shift != other.shift or self.parity != other.parity:
-            raise ValueError("can only add operators of equal shift and parity")
-        blocks = tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        return GradedOperator(self.ngen, self.shift, self.parity, blocks,
-                              f"({self.label}+{other.label})")
+        self._check_like(other)
+        return GradedOperator(self.ngen, self.shift, self.parity,
+                              tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
-        return self + other.scale(Scalar.of(-1))
+        self._check_like(other)
+        return GradedOperator(self.ngen, self.shift, self.parity,
+                              tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self) -> "GradedOperator":
-        return self.scale(Scalar.of(-1)).relabel(f"-{self.label}")
+        return GradedOperator(self.ngen, self.shift, self.parity, tuple(-b for b in self.blocks))
 
     def scale(self, c: Scalar) -> "GradedOperator":
-        return GradedOperator(
-            self.ngen, self.shift, self.parity,
-            tuple(b.scale(c) for b in self.blocks), f"({c})*{self.label}",
-        )
+        return GradedOperator(self.ngen, self.shift, self.parity,
+                              tuple(b.scale(c) for b in self.blocks))
 
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other; shifts add, parities add mod 2."""
@@ -210,6 +208,11 @@ class GradedOperator:
         if self.ngen != other.ngen:
             raise ValueError("operators live on different models")
 
+    def _check_like(self, other: "GradedOperator"):
+        self._compat(other)
+        if self.shift != other.shift or self.parity != other.parity:
+            raise ValueError("can only add operators of equal shift and parity")
+
 
 def star_matrix(ngen: int, k: int) -> Matrix:
     """Matrix of the Hodge star from degree k to degree N-k."""
@@ -234,14 +237,19 @@ def contraction_operator(ngen: int, v: int, label: str = "") -> GradedOperator:
     )
 
 
+def op_sum(terms: Iterable[GradedOperator], label: str) -> GradedOperator:
+    """The sum of one or more operators of equal shift and parity, named label.
+
+    Arithmetic leaves results unnamed; a sum gets its name here, once.
+    """
+    return functools.reduce(GradedOperator.__add__, terms).relabel(label)
+
+
 def supercommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
     ab = a @ b
     ba = b @ a
-    if a.parity * b.parity % 2:
-        out = ab + ba.relabel(ab.label)
-    else:
-        out = ab - ba.relabel(ab.label)
+    out = ab + ba if a.parity * b.parity % 2 else ab - ba
     return out.relabel("{%s,%s}" % (a.label, b.label))
 
 
@@ -383,9 +391,6 @@ class RelationReport:
     def passed(self) -> bool:
         return all(e.ok() for e in self.entries)
 
-    def strictly_passed(self) -> bool:
-        return all(e.verdict == "pass" for e in self.entries)
-
     def entry(self, name: str) -> RelationEntry:
         for e in self.entries:
             if e.name == name:
@@ -441,10 +446,7 @@ def super_jacobi_check(
     lhs = supercommutator(a, supercommutator(b, c))
     rhs1 = supercommutator(supercommutator(a, b), c)
     rhs2 = supercommutator(b, supercommutator(a, c))
-    if a.parity * b.parity % 2:
-        rhs = rhs1 - rhs2.relabel(rhs1.label)
-    else:
-        rhs = rhs1 + rhs2.relabel(rhs1.label)
+    rhs = rhs1 - rhs2 if a.parity * b.parity % 2 else rhs1 + rhs2
     name = f"jacobi({a.label},{b.label},{c.label})"
     rhs = rhs.relabel("{{%s,%s},%s}+sgn{%s,{%s,%s}}" % (a.label, b.label, c.label, b.label, a.label, c.label))
     return check_relation(name, lhs, rhs)

@@ -29,13 +29,13 @@ from .models import (
     structure_operators,
 )
 from .operators import (
-    EVEN,
     GradedOperator,
     ODD,
     RelationEntry,
     RelationReport,
     check_relation,
     first_order_reconstruction,
+    op_sum,
     reeb_power,
     star_matrix,
     supercommutator,
@@ -106,16 +106,14 @@ def foliation_split(d: GradedOperator, model: LieModel, fol: FoliationSpec) -> F
     pi = bidegree_projectors(n, fol.spanning)
     comps = []
     for i in range(fol.rank + 2):
-        di = GradedOperator.zero(n, 1, ODD, f"d{i}")
+        # a component can have no bidegree to land in, so the sum starts at 0
+        terms = [GradedOperator.zero(n, 1, ODD)]
         for (h, v), p in pi.items():
             tgt = (h + i, v + 1 - i)
             if tgt in pi:
-                di = di + (pi[tgt] @ d @ p).relabel(di.label)
-        comps.append(di.relabel(f"d{i}"))
-    total = comps[0]
-    for c in comps[1:]:
-        total = total + c.relabel(total.label)
-    if total != d:
+                terms.append(pi[tgt] @ d @ p)
+        comps.append(op_sum(terms, f"d{i}"))
+    if op_sum(comps, "sum d_i") != d:
         raise StructureError("foliation", "bidegree components do not reconstruct d")
     return FoliationSplit(fol, tuple(comps), pi)
 
@@ -131,31 +129,29 @@ def hodge_split_d1(
     alternatives are adjudicated in the relation tables.
     """
     d1 = split.d1
-    n = d1.ngen
-    d1_10 = GradedOperator.zero(n, 1, ODD, "d1^{1,0}")
-    d1_01 = GradedOperator.zero(n, 1, ODD, "d1^{0,1}")
-    for (p, q, v), proj in ops.pi_pq.items():
-        up = ops.pi_pq.get((p + 1, q, v))
-        if up is not None:
-            d1_10 = d1_10 + (up @ d1 @ proj).relabel(d1_10.label)
-        right = ops.pi_pq.get((p, q + 1, v))
-        if right is not None:
-            d1_01 = d1_01 + (right @ d1 @ proj).relabel(d1_01.label)
-    if (d1_10 + d1_01.relabel(d1_10.label)) != d1:
+    pi = ops.pi_pq
+    # with no transversal directions neither sum has a term, so both start at 0
+    terms_10 = [GradedOperator.zero(d1.ngen, 1, ODD)]
+    terms_01 = [GradedOperator.zero(d1.ngen, 1, ODD)]
+    for (p, q, v), proj in pi.items():
+        if (p + 1, q, v) in pi:
+            terms_10.append(pi[(p + 1, q, v)] @ d1 @ proj)
+        if (p, q + 1, v) in pi:
+            terms_01.append(pi[(p, q + 1, v)] @ d1 @ proj)
+    d1_10 = op_sum(terms_10, "d1^{1,0}")
+    d1_01 = op_sum(terms_01, "d1^{0,1}")
+    if d1_10 + d1_01 != d1:
         raise StructureError(
             "hodge", "d1 has components outside bidegrees (1,0) and (0,1): "
             "broken transversal complex structure"
         )
     d1c = (ops.I_aut @ d1 @ ops.I_inv).relabel("d1c")
-    return d1_10.relabel("d1^{1,0}"), d1_01.relabel("d1^{0,1}"), d1c
+    return d1_10, d1_01, d1c
 
 
 def scalar_by_horizontal_degree(pi_bi, ngen: int, n_trans: int, label: str) -> GradedOperator:
     """The diagonal operator (h - n) on horizontal degree h."""
-    out = GradedOperator.zero(ngen, 0, EVEN)
-    for (h, v), p in pi_bi.items():
-        out = out + p.scale(Scalar(Fraction(h - n_trans))).relabel(out.label)
-    return out.relabel(label)
+    return op_sum((p.scale(Scalar(Fraction(h - n_trans))) for (h, v), p in pi_bi.items()), label)
 
 
 def zero_like(op: GradedOperator, label: str = "0") -> GradedOperator:
@@ -178,9 +174,8 @@ def _sl2_entries(report, L, Lam, H, scalar_op):
 
 def _centrality_entries(report, group, center, others):
     for other in others:
-        report.add(
-            check_relation(f"{group}.[{center.label},{other.label}]",
-                           _comm(center, other), zero_like(_comm(center, other))))
+        comm = _comm(center, other)
+        report.add(check_relation(f"{group}.[{center.label},{other.label}]", comm, zero_like(comm)))
 
 
 def _star_adjoint_entry(d: GradedOperator) -> RelationEntry:
@@ -279,11 +274,9 @@ def kahler_relations(model: LieModel, pack: StructurePack) -> RelationReport:
         "pass" if offdiag_bad is None else "fail",
         failure=None if offdiag_bad is None else f"pair {offdiag_bad} nonzero"))
 
-    lsum = zero_like(L, "sum e_a e_b")
-    lami = zero_like(Lam, "sum i_a i_b")
-    for a, b in pack.transversal_pairs():
-        lsum = lsum + (e_ops[a - 1] @ e_ops[b - 1]).relabel(lsum.label)
-        lami = lami + (i_ops[a - 1] @ i_ops[b - 1]).relabel(lami.label)
+    pairs = pack.transversal_pairs()
+    lsum = op_sum((e_ops[a - 1] @ e_ops[b - 1] for a, b in pairs), "sum e_a e_b")
+    lami = op_sum((i_ops[a - 1] @ i_ops[b - 1] for a, b in pairs), "sum i_a i_b")
     report.add(check_relation("aux.L_as_wedge_pairs", L, lsum))
     report.add(check_relation("aux.Lam_as_contraction_pairs", Lam, lami,
                               [("-sum i_a i_b", -lami), ("sum i_b i_a", -lami)]))
@@ -323,7 +316,7 @@ def sasakian_relations(model: LieModel, pack: StructurePack) -> RelationReport:
 
     # structural identities of the splitting
     report.add(check_relation("structure.d_reconstruction",
-                              (d0 + d1.relabel(d0.label) + d2.relabel(d0.label)).relabel("d0+d1+d2"), d))
+                              op_sum((d0, d1, d2), "d0+d1+d2"), d))
     report.add(check_relation("structure.d0_formula", d0, (e_r @ lie_r).relabel("e_r*Lie_r")))
     report.add(check_relation("structure.d2_formula", d2, (L @ i_r).relabel("L*i_r")))
     report.add(check_relation("structure.d0_squared", d0 @ d0, zero_like(d0 @ d0)))
@@ -414,13 +407,13 @@ def sasakian_relations(model: LieModel, pack: StructurePack) -> RelationReport:
                               [("-Lie_r^2", -(lie_r @ lie_r))]))
     report.add(check_relation("aux.d1c_consistency", _comm(W, d1),
                               (ops.I_aut @ d1 @ ops.I_inv).relabel("I d1 I^-1")))
-    diff_hodge = (d1_01 - d1_10.relabel(d1_01.label)).relabel("d1^{0,1}-d1^{1,0}")
+    diff_hodge = (d1_01 - d1_10).relabel("d1^{0,1}-d1^{1,0}")
     report.add(check_relation("aux.d1c_vs_hodge_components", d1c, diff_hodge,
                               [("-(d1^{0,1}-d1^{1,0})", -diff_hodge),
                                ("i(d1^{0,1}-d1^{1,0})", diff_hodge.scale(IUNIT)),
                                ("-i(d1^{0,1}-d1^{1,0})", diff_hodge.scale(-IUNIT))]))
-    halfsum = (d1 + d1c.scale(IUNIT).relabel(d1.label)).scale(HALF).relabel("(d1+i d1c)/2")
-    halfdiff = (d1 + d1c.scale(-IUNIT).relabel(d1.label)).scale(HALF)
+    halfsum = (d1 + d1c.scale(IUNIT)).scale(HALF).relabel("(d1+i d1c)/2")
+    halfdiff = (d1 - d1c.scale(IUNIT)).scale(HALF)
     report.add(check_relation("aux.d1^{1,0}_formula", d1_10, halfsum,
                               [("(d1-i d1c)/2", halfdiff)]))
     report.add(check_relation("aux.adjoint(e_r)=i_r", e_r.adjoint().relabel("e_r*"), i_r))
@@ -487,18 +480,25 @@ def table_operator_pool(model: LieModel, pack: StructurePack) -> list[GradedOper
 
 
 @functools.lru_cache(maxsize=None)
+def pool_commutators(model: LieModel, pack: StructurePack) -> dict[tuple[int, int], GradedOperator]:
+    """{pool[a], pool[b]} for every ordered pair of pool indices, each built
+    from its own two compositions."""
+    pool = table_operator_pool(model, pack)
+    idx = range(len(pool))
+    return {(a, b): supercommutator(pool[a], pool[b]) for a in idx for b in idx}
+
+
+@functools.lru_cache(maxsize=None)
 def antisymmetry_report(model: LieModel, pack: StructurePack) -> RelationEntry:
     """{a,b} = -(-1)^{~a~b}{b,a} over every pool pair, aggregated."""
     pool = table_operator_pool(model, pack)
-    for a in pool:
-        for b in pool:
-            lhs = supercommutator(a, b)
-            rhs = supercommutator(b, a)
-            rhs = rhs if a.parity * b.parity % 2 else -rhs
-            if lhs != rhs.relabel(lhs.label):
-                return RelationEntry("superalgebra.antisymmetry",
-                                     "{a,b}", "-(-1)^{ab}{b,a}", "fail",
-                                     failure=f"pair ({a.label},{b.label})")
+    pairs = pool_commutators(model, pack)
+    for (a, b), lhs in pairs.items():
+        rhs = pairs[b, a] if pool[a].parity * pool[b].parity % 2 else -pairs[b, a]
+        if lhs != rhs:
+            return RelationEntry("superalgebra.antisymmetry",
+                                 "{a,b}", "-(-1)^{ab}{b,a}", "fail",
+                                 failure=f"pair ({pool[a].label},{pool[b].label})")
     return RelationEntry("superalgebra.antisymmetry",
                          f"{{a,b}} over {len(pool)}^2 pool pairs", "-(-1)^{ab}{b,a}", "pass")
 
@@ -508,8 +508,9 @@ def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool,
                   sample_size: int = 60) -> RelationEntry:
     """Super Jacobi identity over pool triples, exhaustive or seeded sample.
 
-    Pairwise supercommutators are computed once and reused across triples;
-    per (relation, degree) pair the comparison is independent of the rest.
+    Pairwise supercommutators come from `pool_commutators` and are shared
+    with the antisymmetry guard; per (relation, degree) pair the comparison
+    is independent of the rest.
     """
     pool = table_operator_pool(model, pack)
     idx = range(len(pool))
@@ -519,16 +520,13 @@ def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool,
         rng = random.Random(0)
         triples = rng.sample(triples, min(sample_size, len(triples)))
         label = f"seeded sample of {len(triples)} pool triples"
-    pairs = {(a, b): supercommutator(pool[a], pool[b]) for a in idx for b in idx}
+    pairs = pool_commutators(model, pack)
     for (a, b, c) in triples:
         lhs = supercommutator(pool[a], pairs[b, c])
         rhs1 = supercommutator(pairs[a, b], pool[c])
         rhs2 = supercommutator(pool[b], pairs[a, c])
-        if pool[a].parity * pool[b].parity % 2:
-            rhs = rhs1 - rhs2.relabel(rhs1.label)
-        else:
-            rhs = rhs1 + rhs2.relabel(rhs1.label)
-        if lhs != rhs.relabel(lhs.label):
+        rhs = rhs1 - rhs2 if pool[a].parity * pool[b].parity % 2 else rhs1 + rhs2
+        if lhs != rhs:
             return RelationEntry(
                 "superalgebra.jacobi",
                 f"triple ({pool[a].label},{pool[b].label},{pool[c].label})",

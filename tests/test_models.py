@@ -209,3 +209,43 @@ def test_default_j_pairs_synthesized():
             "[structure]\nkind = sasakian\nreeb = 3\n")
     _, pack = parse_model(text)
     assert pack.j_pairs == ((1, 2),)
+
+
+# -- dimension 7 ---------------------------------------------------------
+
+_H7_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from lieforms.models import load_model_file, structure_operators
+from lieforms.splitting import foliation_split, hodge_split_d1, reeb_foliation
+model, pack = load_model_file(sys.argv[1])
+ops = structure_operators(model, pack)
+split = foliation_split(ops.d, model, reeb_foliation(pack))
+named = [v for v in vars(ops).values() if hasattr(v, "label")]
+named += [*ops.pi_bidegree.values(), *ops.pi_pq.values(), *split.components,
+          *hodge_split_d1(ops, split)]
+print(json.dumps([op.label for op in named]))
+"""
+
+
+def test_h7_builds_under_one_gib():
+    """The dim-7 contact model builds its operators, foliation split and
+    Hodge split in a child capped at 1 GiB of address space."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lieforms
+
+    src = str(Path(lieforms.__file__).resolve().parent.parent)
+    model = Path(__file__).resolve().parent / "data" / "h7.alg"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    child = subprocess.run([sys.executable, "-c", _H7_CHILD, str(model)],
+                           capture_output=True, text=True, env=env, timeout=300)
+    assert child.returncode == 0, child.stderr[-2000:]
+    labels = json.loads(child.stdout)
+    assert len(labels) > 60
+    assert all(len(label) < 64 for label in labels), max(labels, key=len)[:200]

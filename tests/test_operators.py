@@ -232,3 +232,14 @@ def test_check_relation_shift_mismatch_reported():
     entry = check_relation("planted", ops.e_r, ops.i_r)
     assert entry.verdict == "fail"
     assert "shifts" in entry.failure
+
+
+def test_op_sum_names_the_sum_once():
+    from lieforms.operators import op_sum
+
+    ident = GradedOperator.identity(3)
+    two = op_sum([ident] * 2, "S")
+    forty = op_sum([ident] * 40, "S")
+    assert two.label == forty.label == "S"
+    assert forty == ident.scale(Scalar.of(40))
+    assert (ident + ident).label == (ident - ident).label == ident.scale(Scalar.of(2)).label == ""

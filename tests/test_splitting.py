@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from lieforms.models import StructureError
+from lieforms.models import StructureError, parse_model, structure_operators
 from lieforms.operators import supercommutator
 from lieforms.splitting import (
     FoliationSpec,
@@ -79,6 +79,15 @@ def test_hodge_split_bidegrees():
             ops.I_aut @ split.d1 @ ops.I_inv).relabel("x")
 
 
+def test_hodge_split_without_transversal_directions():
+    model, pack = parse_model("[algebra]\ndim = 1\n[structure]\nkind = sasakian\nreeb = 1\n")
+    ops = structure_operators(model, pack)
+    split = foliation_split(ops.d, model, reeb_foliation(pack))
+    d1_10, d1_01, _ = hodge_split_d1(ops, split)
+    assert d1_10.is_zero() and d1_01.is_zero()
+    assert (d1_10.label, d1_01.label) == ("d1^{1,0}", "d1^{0,1}")
+
+
 def test_kahler_report_passes_with_recorded_variants():
     for name in ("torus2", "torus4"):
         model, pack = model_pack(name)
@@ -92,6 +101,13 @@ def test_kahler_report_passes_with_recorded_variants():
         for e in rep.entries:
             if e.name.startswith("delta.central"):
                 assert e.verdict == "pass"
+
+
+def test_wedge_pair_sums_are_named_once():
+    model, pack = model_pack("torus4")
+    rep = kahler_relations(model, pack)
+    assert rep.entry("aux.L_as_wedge_pairs").rhs == "sum e_a e_b"
+    assert rep.entry("aux.Lam_as_contraction_pairs").rhs == "sum i_a i_b"
 
 
 def test_sasakian_report_passes_on_all_contact_builtins():
