@@ -8,8 +8,6 @@ from .operators import (
     GradedOperator,
     RelationEntry,
     RelationReport,
-    adjoint,
-    compose,
     extend_derivation,
     reeb_power,
     supercommutator,

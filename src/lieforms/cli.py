@@ -31,7 +31,7 @@ from .cones import (
     vaisman_harmonic_check,
 )
 from .models import BUILTIN_NAMES, ModelError, builtin, load_model_file
-from .operators import RelationReport
+from .operators import RelationEntry, RelationReport
 from .splitting import (
     antisymmetry_report,
     jacobi_report,
@@ -65,17 +65,17 @@ class Report:
         self.sections: list[tuple[str, list[dict]]] = []
         self.failed = False
 
+    def _relation_row(self, e: RelationEntry) -> dict:
+        if not e.ok():
+            self.failed = True
+        return {
+            "kind": "relation", "name": e.name, "lhs": e.lhs, "rhs": e.rhs,
+            "verdict": e.verdict, "variant": e.variant,
+            "vacuous": e.vacuous, "detail": e.failure, "line": e.line(),
+        }
+
     def add_relations(self, title: str, rep: RelationReport):
-        rows = []
-        for e in rep.entries:
-            rows.append({
-                "kind": "relation", "name": e.name, "lhs": e.lhs, "rhs": e.rhs,
-                "verdict": e.verdict, "variant": e.variant,
-                "vacuous": e.vacuous, "detail": e.failure, "line": e.line(),
-            })
-            if not e.ok():
-                self.failed = True
-        self.sections.append((title, rows))
+        self.sections.append((title, [self._relation_row(e) for e in rep.entries]))
 
     def add_verdict(self, title: str, v: DecompositionVerdict):
         rows = []
@@ -89,14 +89,7 @@ class Report:
             })
             if not r.ok:
                 self.failed = True
-        for e in v.extras:
-            rows.append({
-                "kind": "relation", "name": e.name, "lhs": e.lhs, "rhs": e.rhs,
-                "verdict": e.verdict, "variant": e.variant,
-                "vacuous": e.vacuous, "detail": e.failure, "line": e.line(),
-            })
-            if not e.ok():
-                self.failed = True
+        rows += [self._relation_row(e) for e in v.extras]
         self.sections.append((title, rows))
 
     def add_table(self, title: str, columns: list[str], rows: list[dict]):

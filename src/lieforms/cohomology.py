@@ -31,10 +31,11 @@ from .operators import (
     RelationEntry,
     RelationReport,
     op_sum,
+    supercommutator,
     vector_to_form,
 )
 from .scalars import ONE, Scalar, ZERO
-from .splitting import FoliationSpec, foliation_split
+from .splitting import FoliationSpec, foliation_split, operator_pool
 
 
 @dataclass
@@ -242,25 +243,23 @@ def cohomology(cx: CochainComplex) -> CohomologyReport:
 
 def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
     """Kernel of the full Laplacian {d, d*} at degree k, as forms."""
-    ops = structure_operators(model, pack)
-    delta = ops.delta
-    vecs = nullspace(delta.blocks[k])
+    vecs = nullspace(operator_pool(model, pack)["Delta"].blocks[k])
     return [vector_to_form(model.dim, k, v) for v in vecs]
 
 
 def basic_subcomplex(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> FormComplex:
     """Forms killed by i_v and Lie_v for every v spanning the foliation."""
-    from .operators import contraction_operator, supercommutator
-
     fol.validate(model)
-    ops = structure_operators(model, pack)
-    constraints = []
-    for v in fol.spanning:
-        iv = contraction_operator(model.dim, v)
-        constraints.append(iv)
-        constraints.append(supercommutator(ops.d, iv))
     label = f"{model.name}:basic{list(fol.spanning)}"
-    return FormComplex.from_constraints(model, ops.d, constraints, label)
+    constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
+    return FormComplex.from_constraints(model, structure_operators(model, pack).d,
+                                        constraints, label)
+
+
+def _contractions(model: LieModel, pack: StructurePack, fol: FoliationSpec):
+    """(i_v, Lie_v = {d, i_v}) for each v spanning the foliation."""
+    pool = operator_pool(model, pack)
+    return [(pool[f"i_{v}"], pool["d", f"i_{v}"]) for v in fol.spanning]
 
 
 def invariant_subcomplex(model: LieModel, pack: StructurePack,
@@ -271,41 +270,34 @@ def invariant_subcomplex(model: LieModel, pack: StructurePack,
     for Vaisman models the cone construction lives inside the invariant
     part of the Lee-basic complex, which is what `extra` provides.
     """
-    from .operators import contraction_operator, supercommutator
-
     ops = structure_operators(model, pack)
     constraints = [ops.lie_r]
     label = f"{model.name}:invariant"
     if extra is not None:
-        for v in extra.spanning:
-            iv = contraction_operator(model.dim, v)
-            constraints.append(iv)
-            constraints.append(supercommutator(ops.d, iv))
+        constraints += [op for pair in _contractions(model, pack, extra) for op in pair]
         label += f"+basic{list(extra.spanning)}"
     return FormComplex.from_constraints(model, ops.d, constraints, label)
 
 
+def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
+    """Delta_s, its {d1, d1*} term, and (i_v, Lie_v) for each spanning v."""
+    d1 = foliation_split(structure_operators(model, pack).d, model, fol).d1
+    box = supercommutator(d1, d1.adjoint().relabel("d1*"))
+    pairs = _contractions(model, pack, fol)
+    return op_sum([box] + [-(lie @ lie) for _, lie in pairs], "Delta_s"), box, pairs
+
+
 def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> GradedOperator:
     """{d1, d1*} - sum_v Lie_v^2 for the foliation's transversal component."""
-    from .operators import contraction_operator, supercommutator
-
-    ops = structure_operators(model, pack)
-    split = foliation_split(ops.d, model, fol)
-    d1 = split.d1
-    terms = [supercommutator(d1, d1.adjoint().relabel("d1*"))]
-    for v in fol.spanning:
-        lie = supercommutator(ops.d, contraction_operator(model.dim, v))
-        terms.append(-(lie @ lie))
-    return op_sum(terms, "Delta_s")
+    return _split_laplacian_parts(model, pack, fol)[0]
 
 
 def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
-    ops = structure_operators(model, pack)
     sub = basic_subcomplex(model, pack, fol)
     report = RelationReport(model.name, f"basic adjoint identity {list(fol.spanning)}")
     pi = _foliation_pi_hor(model, fol)
-    d_star_h = (pi @ ops.d.adjoint()).relabel("Pi_hor d*")
+    d_star_h = (pi @ operator_pool(model, pack)["d*"]).relabel("Pi_hor d*")
     checked = 0
     for k in sub.degrees:
         if k - 1 not in sub.dims:
@@ -343,7 +335,7 @@ def _foliation_pi_hor(model: LieModel, fol: FoliationSpec) -> GradedOperator:
     return op_sum((p for (h, v), p in pi.items() if v == 0), "Pi_hor")
 
 
-def induced_map(blocks: dict[int, Matrix], src: CochainComplex, tgt: CochainComplex,
+def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
                 src_coh: CohomologyReport, tgt_coh: CohomologyReport,
                 degree_offset: int = 0) -> dict[int, Matrix]:
     """Map induced on cohomology by a chain map given in coordinates.
@@ -378,8 +370,6 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     adjoint identity, positivity and commutation of the split Laplacian,
     and the eigenvector-exactness argument at desk scale.
     """
-    from .operators import contraction_operator, supercommutator
-
     ops = structure_operators(model, pack)
     sub = basic_subcomplex(model, pack, fol)
     coh = sub.cohomology()
@@ -395,7 +385,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
             continue
         lk = ops.L.power(e).relabel(f"L^{e}")
         blocks = sub.restrict(lk)
-        ind = induced_map(blocks, sub, sub, coh, coh, degree_offset=2 * e)
+        ind = induced_map(blocks, sub, coh, coh, degree_offset=2 * e)
         m = ind[k]
         bij = rank(m) == coh.betti[k] == coh.betti[2 * n_t - k]
         detail.append(f"L^{e}:H^{k}->H^{2*n_t-k} rank {rank(m)}")
@@ -425,16 +415,11 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         report.add(entry)
 
     # split Laplacian
-    ds = split_laplacian(model, pack, fol)
+    ds, box, pairs = _split_laplacian_parts(model, pack, fol)
     report.add(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
                              "pass" if ds.adjoint() == ds else "fail"))
-    split = foliation_split(ops.d, model, fol)
-    d1 = split.d1
-    terms = [supercommutator(d1, d1.adjoint().relabel("d1*"))]
-    for v in fol.spanning:
-        lie = supercommutator(ops.d, contraction_operator(model.dim, v))
-        terms.append(lie @ lie.adjoint())
-    psd = op_sum(terms, "{d1,d1*} + sum Lie_v Lie_v*")
+    psd = op_sum([box] + [lie @ lie.adjoint() for _, lie in pairs],
+                 "{d1,d1*} + sum Lie_v Lie_v*")
     report.add(RelationEntry("split_laplacian.psd_decomposition",
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))
@@ -455,9 +440,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     lie_ok, iv_ok = True, True
     for k in range(model.dim + 1):
         ker = nullspace(ds.blocks[k])
-        for v in fol.spanning:
-            lie = supercommutator(ops.d, contraction_operator(model.dim, v))
-            iv = contraction_operator(model.dim, v)
+        for iv, lie in pairs:
             for x in ker:
                 if any(c for c in lie.blocks[k].apply(x)):
                     lie_ok = False

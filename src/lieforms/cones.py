@@ -24,8 +24,8 @@ from .cohomology import (
     induced_map,
     invariant_subcomplex,
 )
-from .scalars import Scalar, ZERO
-from .splitting import lee_foliation, reeb_foliation, sigma_foliation
+from .scalars import Scalar
+from .splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
 
 @dataclass
@@ -131,7 +131,7 @@ def long_exact_check(phi: ChainMap, cone: CochainComplex | None = None) -> Decom
         cone = build_cone(phi)
     src, tgt = phi.source, phi.target
     hs, ht, hc = src.cohomology(), tgt.cohomology(), cone.cohomology()
-    phi_star = induced_map(phi.blocks, src, tgt, hs, ht)
+    phi_star = induced_map(phi.blocks, tgt, hs, ht)
 
     # inclusion target -> cone and projection cone -> source[1]
     inc_blocks, proj_blocks = {}, {}
@@ -141,8 +141,8 @@ def long_exact_check(phi: ChainMap, cone: CochainComplex | None = None) -> Decom
         inc_blocks[k] = inc
         proj = Matrix.identity(sdim).hstack(Matrix.zero(sdim, tdim))
         proj_blocks[k] = proj
-    inc_star = _induced_raw(inc_blocks, cone, ht, hc, 0)
-    proj_star = _induced_raw(proj_blocks, src, hc, hs, 1)
+    inc_star = induced_map(inc_blocks, cone, ht, hc)
+    proj_star = induced_map(proj_blocks, src, hc, hs, degree_offset=1)
 
     verdict = DecompositionVerdict(phi.source.label, f"long exact sequence of {phi.label}")
     for k in sorted(hc.betti):
@@ -157,30 +157,6 @@ def long_exact_check(phi: ChainMap, cone: CochainComplex | None = None) -> Decom
             degree=k, claimed=None, proof=None, actual=hc.betti.get(k, 0), ok=ok,
             notes="; ".join(x for x in (note1, note2, note3) if x)))
     return verdict
-
-
-def _induced_raw(blocks, tgt_complex_src, src_coh, tgt_coh, offset):
-    """induced_map wrapper for maps whose source is the cone/cone-like side."""
-    # blocks[k]: complex-of-src_coh degree k -> complex-of-tgt_coh degree k+offset
-    out = {}
-    for k in src_coh.degrees:
-        tk = k + offset
-        if tk not in tgt_coh.betti:
-            continue
-        reps_t = tgt_coh.representatives[tk]
-        dim_t = len(reps_t[0]) if reps_t else tgt_complex_src.dim(tk)
-        cols = []
-        for r in src_coh.representatives[k]:
-            v = blocks[k].apply(r) if k in blocks else tuple([ZERO] * dim_t)
-            sys = Matrix.from_cols(list(reps_t), dim_t)
-            if tk - 1 in tgt_complex_src.dims:
-                sys = sys.hstack(tgt_complex_src.d(tk - 1))
-            x = solve(sys, v)
-            if x is None:
-                raise StructureError("chain_map", "image class not closed")
-            cols.append(tuple(x[: len(reps_t)]))
-        out[k] = Matrix.from_cols(cols, len(reps_t))
-    return out
 
 
 def _exact_at(incoming: Matrix | None, outgoing: Matrix | None, middle_dim: int):
@@ -298,7 +274,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
 def _lefschetz_on_basic_cohomology(model, pack, basic, coh):
     ops = structure_operators(model, pack)
     blocks = basic.restrict(ops.L)
-    return induced_map(blocks, basic, basic, coh, coh, degree_offset=2)
+    return induced_map(blocks, basic, coh, coh, degree_offset=2)
 
 
 def sasakian_decomposition(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
@@ -388,7 +364,7 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
     basic = basic_subcomplex(model, pack, reeb_foliation(pack))
     n = pack.transversal_dim(model.dim)
     verdict = DecompositionVerdict(model.name, "harmonic decomposition")
-    delta = ops.delta
+    delta = operator_pool(model, pack)["Delta"]
 
     for i in range(model.dim + 1):
         b1, b2 = _harmonic_branch_spaces(model, pack, basic, ops, i)
@@ -489,7 +465,7 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
     kah = basic_subcomplex(model, pack, sigma_foliation(pack))
     hsas = basic_subcomplex(model, pack, lee_foliation(pack)).cohomology()
     n = model.dim // 2
-    delta = ops.delta
+    delta = operator_pool(model, pack)["Delta"]
     verdict = DecompositionVerdict(model.name, "harmonic forms along the Lee form")
 
     chosen: dict[int, list[Vector]] = {}

@@ -55,9 +55,6 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
-    def cols(self) -> list[Vector]:
-        return [self.col(j) for j in range(self.ncols)]
-
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -71,7 +68,7 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._shape_check(other)
         return Matrix(
-            [[-b if a.is_zero() else a if b.is_zero() else a - b for a, b in zip(r1, r2)]
+            [[a if b.is_zero() else -b if a.is_zero() else a - b for a, b in zip(r1, r2)]
              for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
         )
@@ -110,12 +107,6 @@ class Matrix:
     def conj_transpose(self) -> "Matrix":
         return Matrix(
             [[self.rows[i][j].conj() for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
         )
 

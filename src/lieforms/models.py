@@ -486,15 +486,9 @@ class StructureOperators:
     pi_bidegree: dict[tuple[int, int], GradedOperator]
     pi_pq: dict[tuple[int, int, int], GradedOperator]
     n_trans: int
-    vertical: tuple[int, ...]
-    horizontal: tuple[int, ...]
     e_theta: GradedOperator | None = None
     i_theta: GradedOperator | None = None
     lie_theta: GradedOperator | None = None
-
-    @property
-    def delta(self) -> GradedOperator:
-        return supercommutator(self.d, self.d.adjoint().relabel("d*")).relabel("Delta")
 
 
 def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
@@ -528,7 +522,8 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
         i_r = contraction_operator(n, pack.reeb_index, "i_r")
         lie_r = supercommutator(d, i_r).relabel("Lie_r")
 
-    L = wedge_operator(pack.omega0, "L")
+    # built at shift 2 even when omega0 = 0 (no transversal directions)
+    L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x), "L")
     Lam = L.adjoint().relabel("Lam")
     H = supercommutator(L, Lam).relabel("H")
 
@@ -559,7 +554,6 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
     return StructureOperators(
         d=d, e_r=e_r, i_r=i_r, lie_r=lie_r, L=L, Lam=Lam, H=H, W=W, I_aut=I_aut,
         I_inv=I_inv, pi_hor=pi_hor, pi_bidegree=pi_bi, pi_pq=pi_pq, n_trans=n_trans,
-        vertical=vertical, horizontal=horizontal,
         e_theta=e_theta, i_theta=i_theta, lie_theta=lie_theta,
     )
 

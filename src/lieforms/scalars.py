@@ -69,7 +69,7 @@ class Scalar:
         )
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return self if self.im == 0 else Scalar(self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0

@@ -10,6 +10,17 @@ identity is evaluated as exact matrices, and when the printed form fails
 the nearest sign/argument/factor variant that passes is recorded instead
 of hard-failing, because the tables being verified contain typos that
 the verifier is meant to adjudicate.
+
+The tables are data.  A row `(name, lhs, rhs, variants)` reads
+"lhs = rhs, or failing that one of the variants".  The lhs is a name in
+the model's `OperatorPool` or a pair `(a, b)` standing for the
+supercommutator {a,b}.  The rhs and each variant is a pool name, a pair,
+a `(text, coefficient, name)` multiple, or the literal 0, which marks an
+identity designed to be zero.  Every string is printed as written.  A
+row that is a check rather than an identity is a callable of the pool
+returning its own `RelationEntry`.  Adding an identity is one line, e.g.
+
+    ("kodaira.[L,d1*]", ("L", "d1*"), ("-d1c", NEG, "d1c"), [("+d1c", ONE, "d1c")]),
 """
 
 from __future__ import annotations
@@ -18,6 +29,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .forms import FormElement, wedge
 from .models import (
@@ -34,13 +46,17 @@ from .operators import (
     RelationEntry,
     RelationReport,
     check_relation,
+    contraction_operator,
     first_order_reconstruction,
     op_sum,
     reeb_power,
     star_matrix,
     supercommutator,
+    wedge_operator,
 )
-from .scalars import HALF, I as IUNIT, Scalar
+from .scalars import HALF, I as IUNIT, ONE, Scalar
+
+NEG, TWO = Scalar.of(-1), Scalar.of(2)
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,6 @@ class FoliationSplit:
 
     fol: FoliationSpec
     components: tuple[GradedOperator, ...]
-    projectors: dict[tuple[int, int], GradedOperator]
 
     @property
     def d0(self) -> GradedOperator:
@@ -115,7 +130,7 @@ def foliation_split(d: GradedOperator, model: LieModel, fol: FoliationSpec) -> F
         comps.append(op_sum(terms, f"d{i}"))
     if op_sum(comps, "sum d_i") != d:
         raise StructureError("foliation", "bidegree components do not reconstruct d")
-    return FoliationSplit(fol, tuple(comps), pi)
+    return FoliationSplit(fol, tuple(comps))
 
 
 def hodge_split_d1(
@@ -149,39 +164,135 @@ def hodge_split_d1(
     return d1_10, d1_01, d1c
 
 
-def scalar_by_horizontal_degree(pi_bi, ngen: int, n_trans: int, label: str) -> GradedOperator:
-    """The diagonal operator (h - n) on horizontal degree h."""
-    return op_sum((p.scale(Scalar(Fraction(h - n_trans))) for (h, v), p in pi_bi.items()), label)
+# -- the named operator pool --------------------------------------------
 
 
-def zero_like(op: GradedOperator, label: str = "0") -> GradedOperator:
-    return GradedOperator.zero(op.ngen, op.shift, op.parity, label)
+_RECIPES = {
+    **{name: attrgetter("ops." + attr) for name, attr in (
+        ("d", "d"), ("L", "L"), ("Lam", "Lam"), ("H", "H"), ("W", "W"),
+        ("e_r", "e_r"), ("i_r", "i_r"), ("Lie_r", "lie_r"),
+        ("e_th", "e_theta"), ("i_th", "i_theta"), ("Lie_th", "lie_theta"))},
+    "Id": lambda p: GradedOperator.identity(p.model.dim),
+    "(p-n)Id": lambda p: op_sum((pr.scale(Scalar(Fraction(h - p.ops.n_trans)))
+                                 for (h, _), pr in p.ops.pi_bidegree.items()), "(p-n)Id"),
+    **{f"{x}*": (lambda p, x=x: p[x].adjoint())
+       for x in ("d", "d*", "dc", "d0", "d1", "d1c", "e_r", "Lie_r", "L")},
+    # Kahler
+    "dc": lambda p: p["W", "d"],
+    "Delta": lambda p: p["d", "d*"],
+    "d*d": lambda p: p["d"] @ p["d"],
+    "sum e_a e_b": lambda p: op_sum((p[f"e_{a}"] @ p[f"e_{b}"]
+                                     for a, b in p.pack.transversal_pairs()), "sum e_a e_b"),
+    "sum i_a i_b": lambda p: op_sum((p[f"i_{a}"] @ p[f"i_{b}"]
+                                     for a, b in p.pack.transversal_pairs()), "sum i_a i_b"),
+    # contact: the Reeb splitting, its Hodge components and Reeb powers
+    "d0": lambda p: p.reeb_split.d0,
+    "d1": lambda p: p.reeb_split.d1,
+    "d2": lambda p: p.reeb_split.d2,
+    "d1^{1,0}": lambda p: p.hodge[0],
+    "d1^{0,1}": lambda p: p.hodge[1],
+    "d1c": lambda p: p.hodge[2],
+    "Delta0": lambda p: p["d0", "d0*"],
+    "Delta1": lambda p: p["d1", "d1*"],
+    **{f"{x}(1)": (lambda p, x=x: reeb_power(p[x], p["Lie_r"], 1))
+       for x in ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")},
+    "d0+d1+d2": lambda p: op_sum((p["d0"], p["d1"], p["d2"]), "d0+d1+d2"),
+    "e_r*Lie_r": lambda p: p["e_r"] @ p["Lie_r"],
+    "L*i_r": lambda p: p["L"] @ p["i_r"],
+    "d0*d0": lambda p: p["d0"] @ p["d0"],
+    "d2*d2": lambda p: p["d2"] @ p["d2"],
+    "Lie_r^2": lambda p: p["Lie_r"] @ p["Lie_r"],
+    "I d1 I^-1": lambda p: p["d1c"],  # d1c is defined as I d1 I^-1
+    "d1^{0,1}-d1^{1,0}": lambda p: p["d1^{0,1}"] - p["d1^{1,0}"],
+    "(d1+i d1c)/2": lambda p: (p["d1"] + p["d1c"].scale(IUNIT)).scale(HALF),
+    "(d1-i d1c)/2": lambda p: (p["d1"] - p["d1c"].scale(IUNIT)).scale(HALF),
+}
 
 
-def _comm(a, b):
-    return supercommutator(a, b)
+class OperatorPool:
+    """The named operators of one model, each built once, on first use.
+
+    `pool[name]` builds an operator from its recipe and names it;
+    `pool[a, b]` is the supercommutator {pool[a], pool[b]}, memoised by
+    name pair.
+    """
+
+    def __init__(self, model: LieModel, pack: StructurePack):
+        self.model, self.pack = model, pack
+        self.ops = structure_operators(model, pack)
+        n = model.dim
+        self._recipes = dict(_RECIPES)
+        for k in range(1, n + 1):
+            self._recipes[f"e_{k}"] = lambda p, k=k: wedge_operator(FormElement.generator(n, k))
+            self._recipes[f"i_{k}"] = lambda p, k=k: contraction_operator(n, k)
+        self._built: dict = {}
+
+    def __getitem__(self, ref) -> GradedOperator:
+        op = self._built.get(ref)
+        if op is None:
+            if isinstance(ref, tuple):
+                op = supercommutator(self[ref[0]], self[ref[1]])
+            else:
+                op = self._recipes[ref](self).relabel(ref)
+            self._built[ref] = op
+        return op
+
+    @functools.cached_property
+    def reeb_split(self) -> FoliationSplit:
+        return foliation_split(self.ops.d, self.model, reeb_foliation(self.pack))
+
+    @functools.cached_property
+    def hodge(self) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
+        return hodge_split_d1(self.ops, self.reeb_split)
 
 
-def _sl2_entries(report, L, Lam, H, scalar_op):
-    two = Scalar(Fraction(2))
-    report.add(check_relation("sl2.[H,L]", _comm(H, L), L.scale(two).relabel("2L"),
-                              [("-2L", L.scale(-two))]))
-    report.add(check_relation("sl2.[H,Lam]", _comm(H, Lam), Lam.scale(two).relabel("2Lam"),
-                              [("-2Lam", Lam.scale(-two))]))
-    report.add(check_relation("sl2.[L,Lam]", _comm(L, Lam), H))
-    report.add(check_relation("sl2.H_scalar", H, scalar_op))
+@functools.lru_cache(maxsize=None)
+def operator_pool(model: LieModel, pack: StructurePack) -> OperatorPool:
+    return OperatorPool(model, pack)
 
 
-def _centrality_entries(report, group, center, others):
-    for other in others:
-        comm = _comm(center, other)
-        report.add(check_relation(f"{group}.[{center.label},{other.label}]", comm, zero_like(comm)))
+# -- the evaluator ----------------------------------------------------------
 
 
-def _star_adjoint_entry(d: GradedOperator) -> RelationEntry:
+def _term(pool: OperatorPool, lhs: GradedOperator, term) -> GradedOperator:
+    """A right side or variant as an operator named by its printed text."""
+    if term == 0:
+        return GradedOperator.zero(lhs.ngen, lhs.shift, lhs.parity)
+    if isinstance(term, tuple) and len(term) == 3:
+        text, coefficient, ref = term
+        return pool[ref].scale(coefficient).relabel(text)
+    return pool[term]
+
+
+def _evaluate(model: LieModel, pack: StructurePack, title: str, table) -> RelationReport:
+    """Decide every row of a relation table over the model's operator pool."""
+    pool = operator_pool(model, pack)
+    report = RelationReport(model.name, title)
+    for row in table:
+        if callable(row):
+            report.add(row(pool))
+            continue
+        name, lhs, rhs, variants = row
+        left = pool[lhs]
+        # variants are built only when the printed form fails
+        tried = (_term(pool, left, v) for v in variants)
+        entry = check_relation(name, left, _term(pool, left, rhs), ((v.label, v) for v in tried))
+        # a literal-zero right side asserts vanishing, so 0 = 0 is the claim
+        # itself rather than a vacuous pass
+        entry.vacuous = entry.vacuous and rhs != 0
+        report.add(entry)
+    return report
+
+
+def central(group: str, centers, others) -> list:
+    """Rows asserting {c, o} = 0 for each center c, then each other o."""
+    return [(f"{group}.[{c},{o}]", (c, o), 0, ()) for c in centers for o in others]
+
+
+def _star_adjoint_entry(pool: OperatorPool) -> RelationEntry:
     """Cross-check the metric adjoint against +-*d* degree by degree."""
+    d, ds = pool["d"], pool["d*"]
     n = d.ngen
-    ds = d.adjoint()
     signs = []
     for k in range(n + 1):
         # *d* : degree k -> N-k -> N-k+1 -> k-1
@@ -197,7 +308,7 @@ def _star_adjoint_entry(d: GradedOperator) -> RelationEntry:
             signs.append(0)
         elif target == sds:
             signs.append(1)
-        elif target == sds.scale(Scalar.of(-1)):
+        elif target == sds.scale(NEG):
             signs.append(-1)
         else:
             return RelationEntry("aux.adjoint_vs_star", "d*", "+-*d*", "fail",
@@ -208,7 +319,10 @@ def _star_adjoint_entry(d: GradedOperator) -> RelationEntry:
                          failure=f"sign pattern per degree: {pattern}")
 
 
-def _first_order_entry(name, op) -> RelationEntry:
+def _first_order_entry(pool: OperatorPool) -> RelationEntry:
+    """{L,d*} is determined by its values on 1 and the coframe generators."""
+    op = pool["L", "d*"]
+    name = "aux.first_order.{L,d*}"
     rec = first_order_reconstruction(op)
     if rec == op or (rec.is_zero() and op.is_zero()):
         return RelationEntry(name, op.label, "first-order reconstruction", "pass",
@@ -217,275 +331,201 @@ def _first_order_entry(name, op) -> RelationEntry:
                          failure="operator is not determined by its generator values")
 
 
+def _heisenberg_offdiagonal(pool: OperatorPool) -> RelationEntry:
+    idx = range(1, pool.model.dim + 1)
+    bad = [(a, b) for a in idx for b in idx
+           if a != b and not pool[f"e_{a}", f"i_{b}"].is_zero()]
+    return RelationEntry("heisenberg.offdiagonal", "{e_a,i_b}, a!=b", "0",
+                         "fail" if bad else "pass",
+                         failure=f"pair {bad[-1]} nonzero" if bad else None)
+
+
+def _vaisman_d_theta(pool: OperatorPool) -> RelationEntry:
+    dtheta = pool["d"].apply(pool.pack.theta)
+    return RelationEntry("vaisman.d_theta", "d(theta)", "0",
+                         "pass" if dtheta.is_zero() else "fail",
+                         failure=None if dtheta.is_zero() else str(dtheta))
+
+
+def _vaisman_structure_equation(pool: OperatorPool) -> RelationEntry:
+    pack = pool.pack
+    lhs = pool["d"].apply(pack.eta)
+    rhs = pack.omega - wedge(pack.theta, pack.eta)
+    eq = lhs == rhs
+    return RelationEntry("vaisman.structure_equation", "d(I theta)",
+                         "omega - theta^(I theta)", "pass" if eq else "fail",
+                         failure=None if eq else f"lhs={lhs}, rhs={rhs}")
+
+
+def _vaisman_omega_decomposition(pool: OperatorPool) -> RelationEntry:
+    pack = pool.pack
+    ok = pack.omega == pack.omega0 + wedge(pack.theta, pack.eta)
+    return RelationEntry("vaisman.omega_decomposition", "omega", "omega0 + theta^eta",
+                         "pass" if ok else "fail")
+
+
+# -- the tables -------------------------------------------------------------
+
+SL2 = [
+    ("sl2.[H,L]", ("H", "L"), ("2L", TWO, "L"), [("-2L", -TWO, "L")]),
+    ("sl2.[H,Lam]", ("H", "Lam"), ("2Lam", TWO, "Lam"), [("-2Lam", -TWO, "Lam")]),
+    ("sl2.[L,Lam]", ("L", "Lam"), "H", ()),
+    ("sl2.H_scalar", "H", "(p-n)Id", ()),
+]
+
+
+def kahler_table(n: int) -> list:
+    """The Kahler-type table; the Heisenberg rows run over the n coframe pairs."""
+    return [
+        *SL2,
+        ("weil.[W,d]", ("W", "d"), "dc", ()),
+        ("weil.[W,dc]", ("W", "dc"), ("-d", NEG, "d"), [("+d", ONE, "d")]),
+        ("weil.[W,d*]", ("W", "d*"), ("-dc*", NEG, "dc*"), [("+dc*", ONE, "dc*")]),
+        ("weil.[W,dc*]", ("W", "dc*"), "d*",
+         [("-d*", NEG, "d*"), ("+d", ONE, "d"), ("-d", NEG, "d")]),
+        ("kodaira.[Lam,d]", ("Lam", "d"), "dc*", [("-dc*", NEG, "dc*")]),
+        ("kodaira.[L,d*]", ("L", "d*"), ("-dc", NEG, "dc"), [("+dc", ONE, "dc")]),
+        ("kodaira.[Lam,dc]", ("Lam", "dc"), ("-d*", NEG, "d*"), [("+d*", ONE, "d*")]),
+        ("kodaira.[L,dc*]", ("L", "dc*"), "d", [("-d", NEG, "d")]),
+        ("odd.{d,dc}", ("d", "dc"), 0, ()),
+        ("odd.{d*,dc*}", ("d*", "dc*"), 0, ()),
+        ("odd.{d,dc*}", ("d", "dc*"), 0, ()),
+        ("odd.{d*,dc}", ("d*", "dc"), 0, ()),
+        ("delta.{d,d*}", ("d", "d*"), "Delta", ()),
+        ("delta.{dc,dc*}", ("dc", "dc*"), "Delta", [("-Delta", NEG, "Delta")]),
+        *central("delta.central", ("Delta",),
+                 ("d", "dc", "d*", "dc*", "L", "Lam", "H", "W", "Delta")),
+        # odd Heisenberg relations of the coframe multiplication/contraction pairs
+        *((f"heisenberg.{{e_{k},i_{k}}}", (f"e_{k}", f"i_{k}"), "Id", ())
+          for k in range(1, n + 1)),
+        _heisenberg_offdiagonal,
+        ("aux.L_as_wedge_pairs", "L", "sum e_a e_b", ()),
+        ("aux.Lam_as_contraction_pairs", "Lam", "sum i_a i_b",
+         [("-sum i_a i_b", NEG, "sum i_a i_b"), ("sum i_b i_a", NEG, "sum i_a i_b")]),
+        ("aux.Lam_is_L_adjoint", "Lam", "L*", ()),
+        ("aux.adjoint_involution", "d**", "d", ()),
+        _star_adjoint_entry,
+        ("aux.d_squared", "d*d", 0, ()),
+    ]
+
+
+SASAKIAN_TABLE = [
+    # structural identities of the splitting
+    ("structure.d_reconstruction", "d0+d1+d2", "d", ()),
+    ("structure.d0_formula", "d0", "e_r*Lie_r", ()),
+    ("structure.d2_formula", "d2", "L*i_r", ()),
+    ("structure.d0_squared", "d0*d0", 0, ()),
+    ("structure.d2_squared", "d2*d2", 0, ()),
+    # d^2 = 0 in horizontal degree 2 gives {d0,d2} = -d1 d1 = -1/2{d1,d1}
+    ("structure.{d0,d2}=-{d1,d1}", ("d0", "d2"), ("-{d1,d1}", NEG, ("d1", "d1")),
+     [("-1/2{d1,d1}", -HALF, ("d1", "d1"))]),
+    *SL2,
+    *central("sl2.central", ("L", "Lam", "H"), ("W", "Delta1", "Delta0", "d0", "d0*")),
+    ("weil.[W,d]", ("W", "d"), "d1c", ()),
+    ("weil.[W,d1]", ("W", "d1"), "d1c", ()),
+    ("weil.[W,d1c]", ("W", "d1c"), ("-d1", NEG, "d1"), [("+d1", ONE, "d1")]),
+    ("weil.[W,d1*]", ("W", "d1*"), ("-d1c*", NEG, "d1c*"), [("+d1c*", ONE, "d1c*")]),
+    ("weil.[W,d1c*]", ("W", "d1c*"), "d1",
+     [("-d1", NEG, "d1"), ("+d1*", ONE, "d1*"), ("-d1*", NEG, "d1*")]),
+    *central("weil.central", ("W",), ("e_r", "i_r", "d0", "d0*", "Delta0", "Delta1")),
+    # {a,a} = 2a^2 for odd a, so d1^2 = -L(1) reads {d1,d1} = -2L(1)
+    ("squares.{d1,d1}", ("d1", "d1"), ("-L(1)", NEG, "L(1)"),
+     [("+L(1)", ONE, "L(1)"), ("-2L(1)", -TWO, "L(1)")]),
+    ("squares.{d1c,d1c}", ("d1c", "d1c"), ("-L(1)", NEG, "L(1)"),
+     [("+L(1)", ONE, "L(1)"), ("-2L(1)", -TWO, "L(1)")]),
+    ("squares.{d1*,d1*}", ("d1*", "d1*"), "Lam(1)",
+     [("-Lam(1)", NEG, "Lam(1)"), ("2Lam(1)", TWO, "Lam(1)")]),
+    ("squares.{d1c*,d1c*}", ("d1c*", "d1c*"), "Lam(1)",
+     [("-Lam(1)", NEG, "Lam(1)"), ("2Lam(1)", TWO, "Lam(1)")]),
+    ("squares.{d1,d1c}", ("d1", "d1c"), 0, ()),
+    ("squares.{d1*,d1c*}", ("d1*", "d1c*"), 0, ()),
+    ("kodaira.[Lam,d1]", ("Lam", "d1"), "d1c*", [("-d1c*", NEG, "d1c*")]),
+    ("kodaira.[L,d1*]", ("L", "d1*"), ("-d1c", NEG, "d1c"), [("+d1c", ONE, "d1c")]),
+    ("kodaira.[Lam,d1c]", ("Lam", "d1c"), ("-d1*", NEG, "d1*"), [("+d1*", ONE, "d1*")]),
+    ("kodaira.[L,d1c*]", ("L", "d1c*"), "d1", [("-d1", NEG, "d1")]),
+    ("mixed.{d1*,d1c}", ("d1*", "d1c"), ("-1/2 H(1)", -HALF, "H(1)"),
+     [("+1/2 H(1)", HALF, "H(1)")]),
+    ("mixed.{d1,d1c*}", ("d1", "d1c*"), ("-1/2 H(1)", -HALF, "H(1)"),
+     [("+1/2 H(1)", HALF, "H(1)")]),
+    ("reeb_pair.{e_r,i_r}", ("e_r", "i_r"), "Id", ()),
+    ("reeb_pair.{e_r,e_r}", ("e_r", "e_r"), 0, ()),
+    ("reeb_pair.{i_r,i_r}", ("i_r", "i_r"), 0, ()),
+    *(row for x in ("d1", "d1*", "d1c", "d1c*", "L", "Lam", "H", "W", "Delta1")
+      for row in central("reeb_pair.central", ("e_r", "i_r"), (x,))),
+    ("laplacian.Delta1_def", "Delta1", ("d1*", "d1c*"), [("d1c", "d1c*"), ("d1", "d1*")]),
+    ("laplacian.Delta1_conjugate", "Delta1", ("d1c", "d1c*"), ()),
+    *central("laplacian.central", ("Delta1",), ("L", "Lam", "H", "W", "e_r", "i_r", "Delta0")),
+    ("laplacian.{d1,Delta1}", ("d1", "Delta1"), ("-1/2 d1c(1)", -HALF, "d1c(1)"),
+     [("+1/2 d1c(1)", HALF, "d1c(1)"), ("-1/2 d1c*(1)", -HALF, "d1c*(1)"),
+      ("+1/2 d1c*(1)", HALF, "d1c*(1)")]),
+    ("laplacian.{d1c,Delta1}", ("d1c", "Delta1"), ("+1/2 d1(1)", HALF, "d1(1)"),
+     [("-1/2 d1(1)", -HALF, "d1(1)")]),
+    ("laplacian.{d1*,Delta1}", ("d1*", "Delta1"), ("-1/2 d1c*(1)", -HALF, "d1c*(1)"),
+     [("+1/2 d1c*(1)", HALF, "d1c*(1)")]),
+    ("laplacian.{d1c*,Delta1}", ("d1c*", "Delta1"), ("+1/2 d1*(1)", HALF, "d1*(1)"),
+     [("-1/2 d1*(1)", -HALF, "d1*(1)")]),
+    # auxiliary adjudications and cross-checks
+    ("aux.d0_is_e_r(1)", "d0", "e_r(1)", ()),
+    ("aux.d0*_vs_i_r(1)", "d0*", "i_r(1)", [("-i_r(1)", NEG, "i_r(1)")]),
+    ("aux.Delta0_vs_Lie^2", "Delta0", "Lie_r^2", [("-Lie_r^2", NEG, "Lie_r^2")]),
+    ("aux.d1c_consistency", ("W", "d1"), "I d1 I^-1", ()),
+    ("aux.d1c_vs_hodge_components", "d1c", "d1^{0,1}-d1^{1,0}",
+     [("-(d1^{0,1}-d1^{1,0})", NEG, "d1^{0,1}-d1^{1,0}"),
+      ("i(d1^{0,1}-d1^{1,0})", IUNIT, "d1^{0,1}-d1^{1,0}"),
+      ("-i(d1^{0,1}-d1^{1,0})", -IUNIT, "d1^{0,1}-d1^{1,0}")]),
+    ("aux.d1^{1,0}_formula", "d1^{1,0}", "(d1+i d1c)/2", ["(d1-i d1c)/2"]),
+    ("aux.adjoint(e_r)=i_r", "e_r*", "i_r", ()),
+    ("aux.Lam_is_L_adjoint", "Lam", "L*", ()),
+    ("aux.lie_r_skew", "Lie_r*", ("-Lie_r", NEG, "Lie_r"), ()),
+    _star_adjoint_entry,
+    _first_order_entry,
+    ("aux.d_squared", "d*d", 0, ()),
+]
+
+VAISMAN_TABLE = [
+    _vaisman_d_theta,
+    _vaisman_structure_equation,
+    _vaisman_omega_decomposition,
+    ("vaisman.lie_theta_zero", "Lie_th", 0, ()),
+    ("vaisman.{e_th,i_th}", ("e_th", "i_th"), "Id", ()),
+    ("aux.lie_r_skew", "Lie_r*", ("-Lie_r", NEG, "Lie_r"), ()),
+    ("aux.d_squared", "d*d", 0, ()),
+    *central("central", ("Lie_r",), ("L", "Lam", "H", "W", "e_r", "i_r", "e_th", "i_th")),
+]
+
+
 @functools.lru_cache(maxsize=None)
 def kahler_relations(model: LieModel, pack: StructurePack) -> RelationReport:
     """The Kahler-type supersymmetry table on the full invariant complex."""
-    ops = structure_operators(model, pack)
-    n = model.dim
-    report = RelationReport(model.name, "kahler supersymmetry table")
-
-    d, L, Lam, H, W = ops.d, ops.L, ops.Lam, ops.H, ops.W
-    dc = _comm(W, d).relabel("dc")
-    ds = d.adjoint().relabel("d*")
-    dcs = dc.adjoint().relabel("dc*")
-    delta = _comm(d, ds).relabel("Delta")
-
-    scalar_op = scalar_by_horizontal_degree(ops.pi_bidegree, n, ops.n_trans, "(p-n)Id")
-    _sl2_entries(report, L, Lam, H, scalar_op)
-
-    report.add(check_relation("weil.[W,d]", _comm(W, d), dc))
-    report.add(check_relation("weil.[W,dc]", _comm(W, dc), (-d).relabel("-d"), [("+d", d)]))
-    report.add(check_relation("weil.[W,d*]", _comm(W, ds), (-dcs).relabel("-dc*"),
-                              [("+dc*", dcs)]))
-    report.add(check_relation("weil.[W,dc*]", _comm(W, dcs), ds,
-                              [("-d*", -ds), ("+d", d), ("-d", -d)]))
-
-    report.add(check_relation("kodaira.[Lam,d]", _comm(Lam, d), dcs, [("-dc*", -dcs)]))
-    report.add(check_relation("kodaira.[L,d*]", _comm(L, ds), (-dc).relabel("-dc"), [("+dc", dc)]))
-    report.add(check_relation("kodaira.[Lam,dc]", _comm(Lam, dc), (-ds).relabel("-d*"), [("+d*", ds)]))
-    report.add(check_relation("kodaira.[L,dc*]", _comm(L, dcs), d, [("-d", -d)]))
-
-    report.add(check_relation("odd.{d,dc}", _comm(d, dc), zero_like(_comm(d, dc))))
-    report.add(check_relation("odd.{d*,dc*}", _comm(ds, dcs), zero_like(_comm(ds, dcs))))
-    report.add(check_relation("odd.{d,dc*}", _comm(d, dcs), zero_like(_comm(d, dcs))))
-    report.add(check_relation("odd.{d*,dc}", _comm(ds, dc), zero_like(_comm(ds, dc))))
-    report.add(check_relation("delta.{d,d*}", _comm(d, ds), delta))
-    report.add(check_relation("delta.{dc,dc*}", _comm(dc, dcs), delta, [("-Delta", -delta)]))
-
-    generators = [d, dc, ds, dcs, L, Lam, H, W, delta]
-    _centrality_entries(report, "delta.central", delta, generators)
-
-    # odd Heisenberg relations of the coframe multiplication/contraction pairs
-    from .operators import contraction_operator, wedge_operator
-
-    e_ops = [wedge_operator(FormElement.generator(n, k), f"e_{k}") for k in range(1, n + 1)]
-    i_ops = [contraction_operator(n, k) for k in range(1, n + 1)]
-    ident = GradedOperator.identity(n)
-    for k in range(n):
-        report.add(check_relation(f"heisenberg.{{e_{k+1},i_{k+1}}}",
-                                  _comm(e_ops[k], i_ops[k]), ident))
-    offdiag_bad = None
-    for a in range(n):
-        for b in range(n):
-            if a != b and not _comm(e_ops[a], i_ops[b]).is_zero():
-                offdiag_bad = (a + 1, b + 1)
-    report.add(RelationEntry(
-        "heisenberg.offdiagonal", "{e_a,i_b}, a!=b", "0",
-        "pass" if offdiag_bad is None else "fail",
-        failure=None if offdiag_bad is None else f"pair {offdiag_bad} nonzero"))
-
-    pairs = pack.transversal_pairs()
-    lsum = op_sum((e_ops[a - 1] @ e_ops[b - 1] for a, b in pairs), "sum e_a e_b")
-    lami = op_sum((i_ops[a - 1] @ i_ops[b - 1] for a, b in pairs), "sum i_a i_b")
-    report.add(check_relation("aux.L_as_wedge_pairs", L, lsum))
-    report.add(check_relation("aux.Lam_as_contraction_pairs", Lam, lami,
-                              [("-sum i_a i_b", -lami), ("sum i_b i_a", -lami)]))
-    report.add(check_relation("aux.Lam_is_L_adjoint", Lam, L.adjoint().relabel("L*")))
-    report.add(check_relation("aux.adjoint_involution", d.adjoint().adjoint().relabel("d**"), d))
-    report.add(_star_adjoint_entry(d))
-    report.add(check_relation("aux.d_squared", d @ d, zero_like(d @ d)))
-    return report
+    return _evaluate(model, pack, "kahler supersymmetry table", kahler_table(model.dim))
 
 
 @functools.lru_cache(maxsize=None)
 def sasakian_relations(model: LieModel, pack: StructurePack) -> RelationReport:
     """The contact-model supersymmetry table for the Reeb foliation."""
-    ops = structure_operators(model, pack)
-    n = model.dim
-    report = RelationReport(model.name, "sasakian supersymmetry table")
-
-    d, L, Lam, H, W = ops.d, ops.L, ops.Lam, ops.H, ops.W
-    e_r, i_r, lie_r = ops.e_r, ops.i_r, ops.lie_r
-    ident = GradedOperator.identity(n)
-
-    split = foliation_split(d, model, reeb_foliation(pack))
-    d0, d1, d2 = split.d0, split.d1, split.d2
-    d1_10, d1_01, d1c = hodge_split_d1(ops, split)
-    d0s = d0.adjoint().relabel("d0*")
-    d1s = d1.adjoint().relabel("d1*")
-    d1cs = d1c.adjoint().relabel("d1c*")
-    ds = d.adjoint().relabel("d*")
-    delta1 = _comm(d1, d1s).relabel("Delta1")
-    delta0 = _comm(d0, d0s).relabel("Delta0")
-
-    def power1(a):
-        return reeb_power(a, lie_r, 1)
-
-    L1, Lam1, H1 = power1(L), power1(Lam), power1(H)
-    ir1 = power1(i_r)
-
-    # structural identities of the splitting
-    report.add(check_relation("structure.d_reconstruction",
-                              op_sum((d0, d1, d2), "d0+d1+d2"), d))
-    report.add(check_relation("structure.d0_formula", d0, (e_r @ lie_r).relabel("e_r*Lie_r")))
-    report.add(check_relation("structure.d2_formula", d2, (L @ i_r).relabel("L*i_r")))
-    report.add(check_relation("structure.d0_squared", d0 @ d0, zero_like(d0 @ d0)))
-    report.add(check_relation("structure.d2_squared", d2 @ d2, zero_like(d2 @ d2)))
-    # d^2 = 0 in horizontal degree 2 gives {d0,d2} = -d1 d1 = -1/2{d1,d1}
-    d1d1 = _comm(d1, d1)
-    report.add(check_relation("structure.{d0,d2}=-{d1,d1}",
-                              _comm(d0, d2), (-d1d1).relabel("-{d1,d1}"),
-                              [("-1/2{d1,d1}", d1d1.scale(-HALF))]))
-
-    scalar_op = scalar_by_horizontal_degree(ops.pi_bidegree, n, ops.n_trans, "(p-n)Id")
-    _sl2_entries(report, L, Lam, H, scalar_op)
-    for center in (L, Lam, H):
-        _centrality_entries(report, "sl2.central", center, [W, delta1, delta0, d0, d0s])
-
-    report.add(check_relation("weil.[W,d]", _comm(W, d), d1c))
-    report.add(check_relation("weil.[W,d1]", _comm(W, d1), d1c))
-    report.add(check_relation("weil.[W,d1c]", _comm(W, d1c), (-d1).relabel("-d1"), [("+d1", d1)]))
-    report.add(check_relation("weil.[W,d1*]", _comm(W, d1s), (-d1cs).relabel("-d1c*"),
-                              [("+d1c*", d1cs)]))
-    report.add(check_relation("weil.[W,d1c*]", _comm(W, d1cs), d1,
-                              [("-d1", -d1), ("+d1*", d1s), ("-d1*", -d1s)]))
-    _centrality_entries(report, "weil.central", W, [e_r, i_r, d0, d0s, delta0, delta1])
-
-    # {a,a} = 2a^2 for odd a, so d1^2 = -L(1) reads {d1,d1} = -2L(1)
-    two = Scalar(Fraction(2))
-    report.add(check_relation("squares.{d1,d1}", d1d1, (-L1).relabel("-L(1)"),
-                              [("+L(1)", L1), ("-2L(1)", L1.scale(-two))]))
-    report.add(check_relation("squares.{d1c,d1c}", _comm(d1c, d1c), (-L1).relabel("-L(1)"),
-                              [("+L(1)", L1), ("-2L(1)", L1.scale(-two))]))
-    report.add(check_relation("squares.{d1*,d1*}", _comm(d1s, d1s), Lam1,
-                              [("-Lam(1)", -Lam1), ("2Lam(1)", Lam1.scale(two))]))
-    report.add(check_relation("squares.{d1c*,d1c*}", _comm(d1cs, d1cs), Lam1,
-                              [("-Lam(1)", -Lam1), ("2Lam(1)", Lam1.scale(two))]))
-    report.add(check_relation("squares.{d1,d1c}", _comm(d1, d1c), zero_like(_comm(d1, d1c))))
-    report.add(check_relation("squares.{d1*,d1c*}", _comm(d1s, d1cs), zero_like(_comm(d1s, d1cs))))
-
-    report.add(check_relation("kodaira.[Lam,d1]", _comm(Lam, d1), d1cs, [("-d1c*", -d1cs)]))
-    report.add(check_relation("kodaira.[L,d1*]", _comm(L, d1s), (-d1c).relabel("-d1c"),
-                              [("+d1c", d1c)]))
-    report.add(check_relation("kodaira.[Lam,d1c]", _comm(Lam, d1c), (-d1s).relabel("-d1*"),
-                              [("+d1*", d1s)]))
-    report.add(check_relation("kodaira.[L,d1c*]", _comm(L, d1cs), d1, [("-d1", -d1)]))
-
-    mh1 = H1.scale(-HALF).relabel("-1/2 H(1)")
-    report.add(check_relation("mixed.{d1*,d1c}", _comm(d1s, d1c), mh1,
-                              [("+1/2 H(1)", H1.scale(HALF))]))
-    report.add(check_relation("mixed.{d1,d1c*}", _comm(d1, d1cs), mh1,
-                              [("+1/2 H(1)", H1.scale(HALF))]))
-
-    report.add(check_relation("reeb_pair.{e_r,i_r}", _comm(e_r, i_r), ident))
-    report.add(check_relation("reeb_pair.{e_r,e_r}", _comm(e_r, e_r), zero_like(_comm(e_r, e_r))))
-    report.add(check_relation("reeb_pair.{i_r,i_r}", _comm(i_r, i_r), zero_like(_comm(i_r, i_r))))
-    for x in (d1, d1s, d1c, d1cs, L, Lam, H, W, delta1):
-        _centrality_entries(report, "reeb_pair.central", e_r, [x])
-        _centrality_entries(report, "reeb_pair.central", i_r, [x])
-
-    report.add(check_relation("laplacian.Delta1_def", delta1,
-                              _comm(d1s, d1cs).relabel("{d1*,d1c*}"),
-                              [("{d1c,d1c*}", _comm(d1c, d1cs)),
-                               ("{d1,d1*}", _comm(d1, d1s))]))
-    report.add(check_relation("laplacian.Delta1_conjugate", delta1,
-                              _comm(d1c, d1cs).relabel("{d1c,d1c*}")))
-    _centrality_entries(report, "laplacian.central", delta1,
-                        [L, Lam, H, W, e_r, i_r, delta0])
-    half = HALF
-    report.add(check_relation("laplacian.{d1,Delta1}", _comm(d1, delta1),
-                              power1(d1c).scale(-half).relabel("-1/2 d1c(1)"),
-                              [("+1/2 d1c(1)", power1(d1c).scale(half)),
-                               ("-1/2 d1c*(1)", power1(d1cs).scale(-half)),
-                               ("+1/2 d1c*(1)", power1(d1cs).scale(half))]))
-    report.add(check_relation("laplacian.{d1c,Delta1}", _comm(d1c, delta1),
-                              power1(d1).scale(half).relabel("+1/2 d1(1)"),
-                              [("-1/2 d1(1)", power1(d1).scale(-half))]))
-    report.add(check_relation("laplacian.{d1*,Delta1}", _comm(d1s, delta1),
-                              power1(d1cs).scale(-half).relabel("-1/2 d1c*(1)"),
-                              [("+1/2 d1c*(1)", power1(d1cs).scale(half))]))
-    report.add(check_relation("laplacian.{d1c*,Delta1}", _comm(d1cs, delta1),
-                              power1(d1s).scale(half).relabel("+1/2 d1*(1)"),
-                              [("-1/2 d1*(1)", power1(d1s).scale(-half))]))
-
-    # auxiliary adjudications and cross-checks
-    report.add(check_relation("aux.d0_is_e_r(1)", d0, power1(e_r).relabel("e_r(1)")))
-    report.add(check_relation("aux.d0*_vs_i_r(1)", d0s, ir1.relabel("i_r(1)"),
-                              [("-i_r(1)", -ir1)]))
-    report.add(check_relation("aux.Delta0_vs_Lie^2", delta0,
-                              (lie_r @ lie_r).relabel("Lie_r^2"),
-                              [("-Lie_r^2", -(lie_r @ lie_r))]))
-    report.add(check_relation("aux.d1c_consistency", _comm(W, d1),
-                              (ops.I_aut @ d1 @ ops.I_inv).relabel("I d1 I^-1")))
-    diff_hodge = (d1_01 - d1_10).relabel("d1^{0,1}-d1^{1,0}")
-    report.add(check_relation("aux.d1c_vs_hodge_components", d1c, diff_hodge,
-                              [("-(d1^{0,1}-d1^{1,0})", -diff_hodge),
-                               ("i(d1^{0,1}-d1^{1,0})", diff_hodge.scale(IUNIT)),
-                               ("-i(d1^{0,1}-d1^{1,0})", diff_hodge.scale(-IUNIT))]))
-    halfsum = (d1 + d1c.scale(IUNIT)).scale(HALF).relabel("(d1+i d1c)/2")
-    halfdiff = (d1 - d1c.scale(IUNIT)).scale(HALF)
-    report.add(check_relation("aux.d1^{1,0}_formula", d1_10, halfsum,
-                              [("(d1-i d1c)/2", halfdiff)]))
-    report.add(check_relation("aux.adjoint(e_r)=i_r", e_r.adjoint().relabel("e_r*"), i_r))
-    report.add(check_relation("aux.Lam_is_L_adjoint", Lam, L.adjoint().relabel("L*")))
-    report.add(check_relation("aux.lie_r_skew", lie_r.adjoint().relabel("Lie_r*"),
-                              (-lie_r).relabel("-Lie_r")))
-    report.add(_star_adjoint_entry(d))
-    report.add(_first_order_entry("aux.first_order.{L,d*}", _comm(L, ds)))
-    report.add(check_relation("aux.d_squared", d @ d, zero_like(d @ d)))
-    return report
+    return _evaluate(model, pack, "sasakian supersymmetry table", SASAKIAN_TABLE)
 
 
 @functools.lru_cache(maxsize=None)
 def vaisman_structure_relations(model: LieModel, pack: StructurePack) -> RelationReport:
     """Pack-level identities of a Vaisman model on the invariant complex."""
-    ops = structure_operators(model, pack)
-    n = model.dim
-    report = RelationReport(model.name, "vaisman structure table")
-    d = ops.d
-
-    dtheta = d.apply(pack.theta)
-    report.add(RelationEntry("vaisman.d_theta", "d(theta)", "0",
-                             "pass" if dtheta.is_zero() else "fail",
-                             failure=None if dtheta.is_zero() else str(dtheta)))
-    lhs = d.apply(pack.eta)
-    rhs = pack.omega - wedge(pack.theta, pack.eta)
-    eq = lhs == rhs
-    report.add(RelationEntry("vaisman.structure_equation", "d(I theta)",
-                             "omega - theta^(I theta)", "pass" if eq else "fail",
-                             failure=None if eq else f"lhs={lhs}, rhs={rhs}"))
-    report.add(RelationEntry("vaisman.omega_decomposition", "omega", "omega0 + theta^eta",
-                             "pass" if pack.omega == pack.omega0 + wedge(pack.theta, pack.eta) else "fail"))
-    report.add(check_relation("vaisman.lie_theta_zero", ops.lie_theta,
-                              zero_like(ops.lie_theta)))
-    report.add(check_relation("vaisman.{e_th,i_th}", _comm(ops.e_theta, ops.i_theta),
-                              GradedOperator.identity(n)))
-    report.add(check_relation("aux.lie_r_skew", ops.lie_r.adjoint().relabel("Lie_r*"),
-                              (-ops.lie_r).relabel("-Lie_r")))
-    report.add(check_relation("aux.d_squared", d @ d, zero_like(d @ d)))
-    # Lie_r centrality against the named operators
-    for x in (ops.L, ops.Lam, ops.H, ops.W, ops.e_r, ops.i_r, ops.e_theta, ops.i_theta):
-        report.add(check_relation(f"central.[Lie_r,{x.label}]", _comm(ops.lie_r, x),
-                                  zero_like(_comm(ops.lie_r, x))))
-    return report
+    return _evaluate(model, pack, "vaisman structure table", VAISMAN_TABLE)
 
 
-@functools.lru_cache(maxsize=None)
 def table_operator_pool(model: LieModel, pack: StructurePack) -> list[GradedOperator]:
     """The generator pool used for antisymmetry and Jacobi guards."""
-    ops = structure_operators(model, pack)
-    n = model.dim
-    pool = [ops.L, ops.Lam, ops.H, ops.W, GradedOperator.identity(n)]
-    if pack.kind == "kahler":
-        d = ops.d
-        dc = _comm(ops.W, d).relabel("dc")
-        pool += [d, d.adjoint().relabel("d*"), dc, dc.adjoint().relabel("dc*")]
-    else:
-        split = foliation_split(ops.d, model, reeb_foliation(pack))
-        _, _, d1c = hodge_split_d1(ops, split)
-        d1 = split.d1
-        pool += [d1, d1.adjoint().relabel("d1*"), d1c, d1c.adjoint().relabel("d1c*"),
-                 ops.e_r, ops.i_r]
-    return pool
+    tail = (("d", "d*", "dc", "dc*") if pack.kind == "kahler"
+            else ("d1", "d1*", "d1c", "d1c*", "e_r", "i_r"))
+    pool = operator_pool(model, pack)
+    return [pool[name] for name in ("L", "Lam", "H", "W", "Id") + tail]
 
 
-@functools.lru_cache(maxsize=None)
 def pool_commutators(model: LieModel, pack: StructurePack) -> dict[tuple[int, int], GradedOperator]:
     """{pool[a], pool[b]} for every ordered pair of pool indices, each built
-    from its own two compositions."""
-    pool = table_operator_pool(model, pack)
-    idx = range(len(pool))
-    return {(a, b): supercommutator(pool[a], pool[b]) for a in idx for b in idx}
+    from its own two compositions and shared with the relation tables."""
+    ops = table_operator_pool(model, pack)
+    pool = operator_pool(model, pack)
+    return {(a, b): pool[x.label, y.label] for a, x in enumerate(ops) for b, y in enumerate(ops)}
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,29 +1,39 @@
-"""Rewrite the golden snapshots of `lieforms all` on every builtin model.
+"""Rewrite the golden snapshots.
 
     PYTHONPATH=src python tests/golden/update.py
 
-`tests/test_golden.py` compares each format's report with its snapshot byte
-for byte.  Rewrite them only for an intended output change, and name that
-change in CHANGES.md.
+The snapshots are `lieforms all` on every builtin model, and `lieforms
+check tests/data/su2_aff.alg`, a model on which many table entries have
+nonzero sides and 18 of them fail.  `tests/test_golden.py` compares each
+format's report with its snapshot byte for byte.  Rewrite them only for
+an intended output change, and name that change in CHANGES.md.
 """
 
+import os
 from pathlib import Path
 
 from lieforms.cli import FORMATS, RunConfig, run
 from lieforms.models import BUILTIN_NAMES
 
 HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+# the report prints a file model's name as given, so it is run by its path
+# from the repository root
+SU2_AFF = "tests/data/su2_aff.alg"
 
 
-def snapshot_path(model: str, fmt: str) -> Path:
-    return HERE / f"{model}.{'txt' if fmt == 'text' else fmt}"
+def snapshot_path(stem: str, fmt: str) -> Path:
+    return HERE / f"{stem}.{'txt' if fmt == 'text' else fmt}"
 
 
 def main():
-    for model in BUILTIN_NAMES:
+    os.chdir(ROOT)
+    runs = [("all", model, model) for model in BUILTIN_NAMES]
+    runs.append(("check", SU2_AFF, "su2_aff.check"))
+    for command, model, stem in runs:
         for fmt in FORMATS:
-            path = snapshot_path(model, fmt)
-            code = run(RunConfig(command="all", model=model, format=fmt, output=str(path)))
+            path = snapshot_path(stem, fmt)
+            code = run(RunConfig(command=command, model=model, format=fmt, output=str(path)))
             print(f"{path.name}: exit {code}")
 
 

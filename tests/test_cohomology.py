@@ -176,3 +176,37 @@ def test_poincare_duality_and_euler_characteristic():
         assert betti == betti[::-1]
         if model.dim % 2:
             assert sum((-1) ** k * b for k, b in enumerate(betti)) == 0
+
+
+# the smallest models the parser accepts have omega0 = 0; L must still
+# have shift 2 there, or Lam, H and every cone and induced map go wrong
+TRANSVERSAL_FREE = {
+    "contact1": ("[algebra]\ndim = 1\n[structure]\nkind = sasakian\nreeb = 1\n",
+                 [("basic", reeb_foliation, (1,))]),
+    "vaisman2": ("[algebra]\ndim = 2\n[structure]\nkind = vaisman\nreeb = 2\nlee = 1\n"
+                 "J: 1 -> 2\n",
+                 [("sas", lee_foliation, (1,)), ("kah", sigma_foliation, (1, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", TRANSVERSAL_FREE)
+def test_models_without_transversal_directions(tmp_path, name):
+    from lieforms.cli import COMMANDS, RunConfig, run
+    from lieforms.models import parse_model
+
+    text, foliations = TRANSVERSAL_FREE[name]
+    path = tmp_path / f"{name}.alg"
+    path.write_text(text)
+    for command in COMMANDS:
+        out = tmp_path / f"{command}.txt"
+        assert run(RunConfig(command=command, model=str(path), output=str(out))) == 0, command
+        assert "FAIL" not in out.read_text(), command
+
+    model, pack = parse_model(text, name)
+    assert model.brackets == ()
+    assert full_complex(model, pack).cohomology().betti_list() == \
+        oracle.betti_table(model.dim, {})
+    for label, folf, span in foliations:
+        want = oracle.basic_betti_table(model.dim, {}, span)
+        got = basic_subcomplex(model, pack, folf(pack)).cohomology().betti_list()
+        assert got[:len(want)] == want and not any(got[len(want):]), label

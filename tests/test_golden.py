@@ -1,5 +1,6 @@
-"""Byte-equality gate: `lieforms all` on every builtin, in every format,
-against the snapshots in tests/golden (rewritten by tests/golden/update.py)."""
+"""Byte-equality gate against the snapshots in tests/golden (rewritten by
+tests/golden/update.py): `lieforms all` on every builtin, and `lieforms
+check` on the su(2)xaff(R) fixture, in every format."""
 
 from pathlib import Path
 
@@ -8,7 +9,9 @@ import pytest
 from lieforms.cli import FORMATS, RunConfig, run
 from lieforms.models import BUILTIN_NAMES
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+EXT = {"text": "txt", "json": "json", "csv": "csv"}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -16,5 +19,16 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_all_matches_snapshot(tmp_path, model, fmt):
     out = tmp_path / "report"
     assert run(RunConfig(command="all", model=model, format=fmt, output=str(out))) == 0
-    snapshot = GOLDEN / f"{model}.{'txt' if fmt == 'text' else fmt}"
-    assert out.read_bytes() == snapshot.read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{model}.{EXT[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_check_matches_snapshot_on_su2_aff(tmp_path, monkeypatch, fmt):
+    # nonzero sides: 13 entries hold only as a variant and 18 fail, so the
+    # variant and mismatch paths of the evaluator are pinned here
+    monkeypatch.chdir(ROOT)  # the report prints the model path as given
+    out = tmp_path / "report"
+    code = run(RunConfig(command="check", model="tests/data/su2_aff.alg", format=fmt,
+                         output=str(out)))
+    assert code == 1
+    assert out.read_bytes() == (GOLDEN / f"su2_aff.check.{EXT[fmt]}").read_bytes()

@@ -254,3 +254,37 @@ def test_antisymmetry_and_jacobi_guards():
         model, pack = model_pack(name)
         assert antisymmetry_report(model, pack).ok()
         assert jacobi_report(model, pack, exhaustive=exhaustive).ok()
+
+
+def test_sasakian_table_builds_each_product_once(monkeypatch):
+    # the table draws every operator from one named pool: no supercommutator
+    # of the same two named operands and no Reeb power is built twice
+    import lieforms.splitting as splitting
+    from lieforms.models import builtin
+
+    model, pack = builtin("h5")
+    structure_operators(model, pack)  # cached, and not part of the table
+    pairs, powers = [], []
+    comm, power = splitting.supercommutator, splitting.reeb_power
+
+    def counted_comm(a, b):
+        pairs.append((a.label, b.label))
+        return comm(a, b)
+
+    def counted_power(a, lie_r, k):
+        powers.append(a.label)
+        return power(a, lie_r, k)
+
+    monkeypatch.setattr(splitting, "supercommutator", counted_comm)
+    monkeypatch.setattr(splitting, "reeb_power", counted_power)
+    splitting.operator_pool.cache_clear()
+    splitting.sasakian_relations.cache_clear()
+    try:
+        rep = splitting.sasakian_relations(model, pack)
+    finally:
+        splitting.operator_pool.cache_clear()
+        splitting.sasakian_relations.cache_clear()
+    assert rep.passed()
+    assert pairs and len(pairs) == len(set(pairs))
+    assert sorted(powers) == sorted(set(powers))
+    assert set(powers) == {"L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*"}
