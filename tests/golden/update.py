@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/golden/update.py
 
-The snapshots are `lieforms all` on every builtin model, and `lieforms
-check tests/data/su2_aff.alg`, a model on which many table entries have
-nonzero sides and 18 of them fail.  `tests/test_golden.py` compares each
+The snapshots are `lieforms all` on every builtin model; `lieforms check`
+and `lieforms all` on `tests/data/su2_aff.alg`, a model on which many
+table entries have nonzero sides and 18 of them fail; and `lieforms all`
+on `tests/data/h5xr.alg`, the dim-6 Vaisman model whose transversal
+Lefschetz sequences reach past degree 1.  `tests/test_golden.py` compares each
 format's report with its snapshot byte for byte.  Rewrite them only for
 an intended output change, and name that change in CHANGES.md.
 """
@@ -20,6 +22,7 @@ ROOT = HERE.parent.parent
 # the report prints a file model's name as given, so it is run by its path
 # from the repository root
 SU2_AFF = "tests/data/su2_aff.alg"
+H5XR = "tests/data/h5xr.alg"
 
 
 def snapshot_path(stem: str, fmt: str) -> Path:
@@ -30,6 +33,8 @@ def main():
     os.chdir(ROOT)
     runs = [("all", model, model) for model in BUILTIN_NAMES]
     runs.append(("check", SU2_AFF, "su2_aff.check"))
+    runs.append(("all", SU2_AFF, "su2_aff.all"))
+    runs.append(("all", H5XR, "h5xr.all"))
     for command, model, stem in runs:
         for fmt in FORMATS:
             path = snapshot_path(stem, fmt)

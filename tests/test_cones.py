@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 from lieforms.cohomology import full_complex
 from lieforms.cones import (
@@ -164,11 +165,7 @@ def test_file_defined_six_dimensional_model_end_to_end():
     # largest supported scale: 2^6 = 64 basis elements, defined from text
     from lieforms.models import parse_model
 
-    text = (
-        "[algebra]\ndim = 6\n[brackets]\n2 3 -> 6 : -1\n4 5 -> 6 : -1\n"
-        "[structure]\nkind = vaisman\nreeb = 6\nlee = 1\n"
-        "J: 2 -> 3\nJ: 4 -> 5\nJ: 1 -> 6\n"
-    )
+    text = (Path(__file__).parent / "data" / "h5xr.alg").read_text(encoding="ascii")
     model, pack = parse_model(text, "h5xr")
     assert full_complex(model, pack).cohomology().betti_list() == [1, 5, 9, 10, 9, 5, 1]
     assert vaisman_decomposition(model, pack).passed()

@@ -1,6 +1,7 @@
 """Byte-equality gate against the snapshots in tests/golden (rewritten by
-tests/golden/update.py): `lieforms all` on every builtin, and `lieforms
-check` on the su(2)xaff(R) fixture, in every format."""
+tests/golden/update.py): `lieforms all` on every builtin, `lieforms check`
+and `lieforms all` on the su(2)xaff(R) fixture, and `lieforms all` on the
+dim-6 h5xR fixture, in every format."""
 
 from pathlib import Path
 
@@ -32,3 +33,15 @@ def test_check_matches_snapshot_on_su2_aff(tmp_path, monkeypatch, fmt):
                          output=str(out)))
     assert code == 1
     assert out.read_bytes() == (GOLDEN / f"su2_aff.check.{EXT[fmt]}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("model, code", [("su2_aff", 1), ("h5xr", 0)])
+def test_all_matches_snapshot_on_file_models(tmp_path, monkeypatch, model, code, fmt):
+    # su2_aff has nonzero cohomology, harmonic and cone sections besides its
+    # failing table; h5xr is the Vaisman model with transversal dimension 2
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report"
+    assert run(RunConfig(command="all", model=f"tests/data/{model}.alg", format=fmt,
+                         output=str(out))) == code
+    assert out.read_bytes() == (GOLDEN / f"{model}.all.{EXT[fmt]}").read_bytes()
