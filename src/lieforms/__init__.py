@@ -41,7 +41,6 @@ from .cohomology import (
     FormComplex,
     basic_adjoint_check,
     basic_subcomplex,
-    cohomology,
     full_complex,
     harmonic_space,
     invariant_subcomplex,

@@ -5,10 +5,17 @@ and a Gram matrix when the basis is not orthonormal (subcomplex bases
 come from nullspace computations, so they rarely are).  Representatives
 are always chosen in ker d orthogonal to im d, which agrees exactly with
 the kernel of the Laplacian.
+
+Each form complex of a (model, pack) is named by its constraint set and
+built once (`full_complex`, `basic_subcomplex`, `invariant_subcomplex`
+are cached), and a complex computes its cohomology and harmonic
+coordinates once.  `contact_complexes` chooses the two complexes behind
+every contact-type check.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,20 +29,22 @@ from .matrices import (
     poly_eval_matrix,
     rank,
     rational_roots,
+    rref,
     solve,
     subspace_equal,
 )
-from .models import LieModel, StructureError, StructurePack, structure_operators
+from .models import LieModel, StructureError, StructurePack, bidegree_projectors, structure_operators
 from .operators import (
     GradedOperator,
     RelationEntry,
     RelationReport,
+    basis_dim,
     op_sum,
     supercommutator,
     vector_to_form,
 )
 from .scalars import ONE, Scalar, ZERO
-from .splitting import FoliationSpec, foliation_split, operator_pool
+from .splitting import FoliationSpec, foliation_split, lee_foliation, operator_pool
 
 
 @dataclass
@@ -47,6 +56,8 @@ class CochainComplex:
     dims: dict[int, int]
     diff: dict[int, Matrix]  # d_k : degree k -> k+1, for k, k+1 in degrees
     gram: dict[int, Matrix] = field(default_factory=dict)
+    # cohomology and harmonic coordinates, each computed once
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k in self.degrees:
@@ -89,21 +100,22 @@ class CochainComplex:
     # -- cohomology --------------------------------------------------------
 
     def cohomology(self) -> "CohomologyReport":
-        betti: dict[int, int] = {}
-        reps: dict[int, list[Vector]] = {}
-        for k in self.degrees:
-            dk = self.d(k)
-            stacked = dk
-            if k - 1 in self.dims:
-                # orthogonality to im d: (d_{k-1})^† G x = 0
-                older = self.d(k - 1).conj_transpose() @ self.gram[k]
-                stacked = stacked.vstack(older)
-            reps[k] = nullspace(stacked)
-            betti[k] = len(reps[k])
-        return CohomologyReport(self.label, self.degrees, betti, reps)
+        if "cohomology" not in self._memo:
+            reps: dict[int, list[Vector]] = {}
+            for k in self.degrees:
+                stacked = self.d(k)
+                if k - 1 in self.dims:
+                    # orthogonality to im d: (d_{k-1})^† G x = 0
+                    stacked = stacked.vstack(self.d(k - 1).conj_transpose() @ self.gram[k])
+                reps[k] = nullspace(stacked)
+            betti = {k: len(v) for k, v in reps.items()}
+            self._memo["cohomology"] = CohomologyReport(self.label, self.degrees, betti, reps)
+        return self._memo["cohomology"]
 
     def harmonic_coords(self, k: int) -> list[Vector]:
-        return nullspace(self.laplacian(k))
+        if ("harmonic", k) not in self._memo:
+            self._memo["harmonic", k] = nullspace(self.laplacian(k))
+        return self._memo["harmonic", k]
 
 
 @dataclass
@@ -127,8 +139,6 @@ def _inverse(m: Matrix) -> Matrix:
     if n == 0:
         return m
     aug = m.hstack(Matrix.identity(n))
-    from .matrices import rref
-
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")
@@ -148,8 +158,6 @@ class FormComplex(CochainComplex):
 
     @staticmethod
     def full(model: LieModel, d: GradedOperator) -> "FormComplex":
-        from .operators import basis_dim
-
         n = model.dim
         degrees = tuple(range(n + 1))
         dims = {k: basis_dim(n, k) for k in degrees}
@@ -168,8 +176,6 @@ class FormComplex(CochainComplex):
 
         Raises StructureError when d fails to preserve the subspace.
         """
-        from .operators import basis_dim
-
         n = model.dim
         degrees = tuple(range(n + 1))
         embed: dict[int, Matrix] = {}
@@ -233,12 +239,9 @@ def _unit_vectors(n: int) -> list[Vector]:
 # -- spec-level operations ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def full_complex(model: LieModel, pack: StructurePack) -> FormComplex:
     return FormComplex.full(model, structure_operators(model, pack).d)
-
-
-def cohomology(cx: CochainComplex) -> CohomologyReport:
-    return cx.cohomology()
 
 
 def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
@@ -247,6 +250,7 @@ def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormEle
     return [vector_to_form(model.dim, k, v) for v in vecs]
 
 
+@functools.lru_cache(maxsize=None)
 def basic_subcomplex(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> FormComplex:
     """Forms killed by i_v and Lie_v for every v spanning the foliation."""
     fol.validate(model)
@@ -262,6 +266,7 @@ def _contractions(model: LieModel, pack: StructurePack, fol: FoliationSpec):
     return [(pool[f"i_{v}"], pool["d", f"i_{v}"]) for v in fol.spanning]
 
 
+@functools.lru_cache(maxsize=None)
 def invariant_subcomplex(model: LieModel, pack: StructurePack,
                          extra: FoliationSpec | None = None) -> FormComplex:
     """Lie_r-invariant forms, optionally also basic for a foliation.
@@ -279,6 +284,28 @@ def invariant_subcomplex(model: LieModel, pack: StructurePack,
     return FormComplex.from_constraints(model, ops.d, constraints, label)
 
 
+def contact_foliation(pack: StructurePack) -> FoliationSpec | None:
+    """The foliation whose basic complex is the contact-level complex C:
+    none for a Sasakian pack (C is the full complex), the Lee foliation for
+    a Vaisman pack."""
+    if pack.kind == "kahler":
+        raise StructureError("cone", "cone package needs a reeb direction")
+    return lee_foliation(pack) if pack.kind == "vaisman" else None
+
+
+def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex, FormComplex]:
+    """(C, B): the two complexes behind every contact-type check.
+
+    C is the contact-level complex: the full complex of a Sasakian pack,
+    the Lee-basic complex of a Vaisman pack, which is itself a complex of
+    Sasakian type (Ornea-Verbitsky 2003).  B is the basic complex of the
+    pack's canonical foliation.
+    """
+    lee = contact_foliation(pack)
+    contact = full_complex(model, pack) if lee is None else basic_subcomplex(model, pack, lee)
+    return contact, basic_subcomplex(model, pack, FoliationSpec(pack.vertical_indices))
+
+
 def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
     """Delta_s, its {d1, d1*} term, and (i_v, Lie_v) for each spanning v."""
     d1 = foliation_split(structure_operators(model, pack).d, model, fol).d1
@@ -294,9 +321,12 @@ def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) ->
 
 def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
-    sub = basic_subcomplex(model, pack, fol)
+    return _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol),
+                          _foliation_pi_hor(model, fol))
+
+
+def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> RelationReport:
     report = RelationReport(model.name, f"basic adjoint identity {list(fol.spanning)}")
-    pi = _foliation_pi_hor(model, fol)
     d_star_h = (pi @ operator_pool(model, pack)["d*"]).relabel("Pi_hor d*")
     checked = 0
     for k in sub.degrees:
@@ -329,8 +359,6 @@ def _pair(u: Vector, v: Vector) -> Scalar:
 
 
 def _foliation_pi_hor(model: LieModel, fol: FoliationSpec) -> GradedOperator:
-    from .models import bidegree_projectors
-
     pi = bidegree_projectors(model.dim, fol.spanning)
     return op_sum((p for (h, v), p in pi.items() if v == 0), "Pi_hor")
 
@@ -411,7 +439,8 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
                              "pass" if stable else "fail"))
 
-    for entry in basic_adjoint_check(model, pack, fol).entries:
+    pi_hor = _foliation_pi_hor(model, fol)
+    for entry in _basic_adjoint(model, pack, fol, sub, pi_hor).entries:
         report.add(entry)
 
     # split Laplacian
@@ -430,7 +459,6 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     report.add(RelationEntry("split_laplacian.diagonal_nonnegative",
                              "<Delta_s a, a> for basis a", ">= 0",
                              "pass" if diag_ok else "fail"))
-    pi_hor = _foliation_pi_hor(model, fol)
     comm = supercommutator(pi_hor, ds)
     report.add(RelationEntry("split_laplacian.commutes_with_Pi_hor",
                              "[Pi_hor, Delta_s]", "0",

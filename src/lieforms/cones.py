@@ -11,21 +11,23 @@ silently correcting either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
-from .forms import FormElement, star_on_subset, wedge
+from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
 from .matrices import Matrix, Vector, in_span, nullspace, rank, solve, subspace_equal
 from .models import LieModel, StructureError, StructurePack, structure_operators
-from .operators import RelationEntry, form_to_vector
+from .operators import RelationEntry, form_to_vector, vector_to_form
 from .cohomology import (
     CochainComplex,
     FormComplex,
-    basic_subcomplex,
+    contact_complexes,
+    contact_foliation,
     full_complex,
     induced_map,
     invariant_subcomplex,
 )
 from .scalars import Scalar
-from .splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
+from .splitting import operator_pool
 
 
 @dataclass
@@ -73,8 +75,7 @@ def build_cone(phi: ChainMap) -> CochainComplex:
         top = gs.hstack(Matrix.zero(gs.nrows, gt.ncols))
         bot = Matrix.zero(gt.nrows, gs.ncols).hstack(gt)
         gram[k] = top.vstack(bot)
-    cone = CochainComplex(f"cone({phi.label})", degrees, dims, diff, gram)
-    return cone
+    return CochainComplex(f"cone({phi.label})", degrees, dims, diff, gram)
 
 
 @dataclass
@@ -192,14 +193,9 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
     sequence must be exact at every node.
     """
     ops = structure_operators(model, pack)
-    if pack.kind == "sasakian":
-        ambient = invariant_subcomplex(model, pack)
-        basic = basic_subcomplex(model, pack, reeb_foliation(pack))
-    elif pack.kind == "vaisman":
-        ambient = invariant_subcomplex(model, pack, extra=lee_foliation(pack))
-        basic = basic_subcomplex(model, pack, sigma_foliation(pack))
-    else:
-        raise StructureError("cone", "cone package needs a reeb direction")
+    # the invariant part of C stands in for C on the cone side
+    ambient = invariant_subcomplex(model, pack, contact_foliation(pack))
+    reference, basic = contact_complexes(model, pack)
 
     src = basic.shift(-1)   # C_i = bas^{i-1}
     tgt = basic.shift(1)    # C'_i = bas^{i+1}
@@ -208,10 +204,9 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
     phi = ChainMap("L", src, tgt, phi_blocks)
     cone = build_cone(phi)
 
-    # iso ambient^i -> cone_{i-1} = bas^i (+) bas^{i+1}... rather:
-    # cone_{i-1} = src_i (+) tgt_{i-1} = bas^{i-1} (+) bas^i, as (beta, alpha)
+    # iso ambient^i -> cone_{i-1} = src_i (+) tgt_{i-1} = bas^{i-1} (+) bas^i,
+    # as (beta, alpha)
     iso_blocks = {}
-    n = model.dim
     for i in ambient.degrees:
         cols = []
         for j in range(ambient.dim(i)):
@@ -250,11 +245,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
 
     # the averaging proxy: invariant subcomplex computes the full cohomology
     amb_coh = ambient.cohomology()
-    if pack.kind == "sasakian":
-        reference = full_complex(model, pack).cohomology()
-    else:
-        reference = basic_subcomplex(model, pack, lee_foliation(pack)).cohomology()
-    proxy_ok = amb_coh.betti_list() == reference.betti_list()
+    proxy_ok = amb_coh.betti_list() == reference.cohomology().betti_list()
     verdict.extras.append(RelationEntry(
         "cone.invariant_proxy", f"H({ambient.label})", f"H({reference.label})",
         "pass" if proxy_ok else "fail"))
@@ -271,47 +262,46 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
 # -- decomposition of cohomology ---------------------------------------
 
 
-def _lefschetz_on_basic_cohomology(model, pack, basic, coh):
-    ops = structure_operators(model, pack)
-    blocks = basic.restrict(ops.L)
-    return induced_map(blocks, basic, coh, coh, degree_offset=2)
+def _lefschetz_sequences(model: LieModel, pack: StructurePack):
+    """The contact-level Betti numbers read off the basic cohomology
+    through L, for i = 0..2n+1 with n = `pack.transversal_dim`.
+
+    Proof-sequence reading (normative): dim H^i(C) = coker(L: H^{i-2}(B)
+    -> H^i(B)) for i <= n and ker(L: H^{i-1}(B) -> H^{i+1}(B)) for i > n.
+    The headline ker/coker phrasing is evaluated alongside.  Returns one
+    row per degree, checked against H(C), and whether L is injective and
+    surjective where the proof sequences need it.
+    """
+    contact, basic = contact_complexes(model, pack)
+    actual, coh = contact.cohomology(), basic.cohomology()
+    lef = induced_map(basic.restrict(structure_operators(model, pack).L),
+                      basic, coh, coh, degree_offset=2)
+    rk = {k: rank(m) for k, m in lef.items()}
+    b = lambda k: coh.betti.get(k, 0)
+    n = pack.transversal_dim(model.dim)
+    rows, inj_ok, surj_ok = [], True, True
+    for i in range(2 * n + 2):
+        if i <= n:
+            proof, claimed = b(i) - rk.get(i - 2, 0), b(i) - rk.get(i, 0)
+            if i - 2 in rk and rk[i - 2] != b(i - 2):
+                inj_ok = False
+        else:
+            proof, claimed = b(i - 1) - rk.get(i - 1, 0), b(i) - rk.get(i - 2, 0)
+            if i - 1 in rk and rk[i - 1] != b(i + 1):
+                surj_ok = False
+        have = actual.betti.get(i, 0)
+        rows.append(DegreeVerdict(
+            degree=i, claimed=claimed, proof=proof, actual=have, ok=proof == have,
+            headline_ok=claimed == have, branch="i<=n" if i <= n else "i>n"))
+    return rows, inj_ok, surj_ok
 
 
 def sasakian_decomposition(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
-    """Full Betti numbers from the basic ones through the Lefschetz map.
-
-    Proof-sequence reading (normative): dim H^i = coker(L: H^{i-2}_bas ->
-    H^i_bas) for i <= n and ker(L: H^{i-1}_bas -> H^{i+1}_bas) for i > n.
-    The headline ker/coker phrasing is evaluated alongside and flagged
-    where it disagrees (it does at degree 0).
-    """
-    basic = basic_subcomplex(model, pack, reeb_foliation(pack))
-    coh = basic.cohomology()
-    full = full_complex(model, pack).cohomology()
-    lef = _lefschetz_on_basic_cohomology(model, pack, basic, coh)
-    n = pack.transversal_dim(model.dim)
-
+    """Full Betti numbers from the basic ones through the Lefschetz map
+    (`_lefschetz_sequences`).  The headline reading is flagged where it
+    disagrees with the proof sequences (it does at degree 0)."""
     verdict = DecompositionVerdict(model.name, "cohomology from the basic complex")
-    inj_ok, surj_ok = True, True
-    for i in range(model.dim + 1):
-        b = lambda k: coh.betti.get(k, 0)
-        rk_into = rank(lef[i - 2]) if i - 2 in lef else 0
-        rk_from = rank(lef[i - 1]) if i - 1 in lef else 0
-        if i <= n:
-            proof = b(i) - rk_into
-            if i - 2 in lef and rk_into != b(i - 2):
-                inj_ok = False
-            claimed = b(i) - (rank(lef[i]) if i in lef else 0)  # ker L on H^i
-        else:
-            proof = b(i - 1) - rk_from
-            if i - 1 in lef and rk_from != b(i + 1):
-                surj_ok = False
-            claimed = b(i) - rk_into  # coker into H^i
-        actual = full.betti.get(i, 0)
-        verdict.rows.append(DegreeVerdict(
-            degree=i, claimed=claimed, proof=proof, actual=actual,
-            ok=proof == actual, headline_ok=claimed == actual,
-            branch="i<=n" if i <= n else "i>n"))
+    verdict.rows, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
     verdict.extras.append(RelationEntry(
         "decomposition.lefschetz_injective", "L: H^{i-2}_bas -> H^i_bas, i <= n",
         "injective", "pass" if inj_ok else "fail"))
@@ -330,10 +320,10 @@ def sasakian_decomposition(model: LieModel, pack: StructurePack) -> Decompositio
     return verdict
 
 
-def _harmonic_branch_spaces(model, pack, basic, ops, degree):
-    """The two candidate spaces: primitive basic-harmonic forms at the
-    degree, and eta ^ (co-primitive basic-harmonic) one degree lower."""
-    n_amb = model.dim
+def _harmonic_branch_spaces(model, pack, basic):
+    """Per degree, the two candidate spaces: primitive basic-harmonic forms
+    at the degree, and eta ^ (co-primitive basic-harmonic) one degree lower."""
+    ops = structure_operators(model, pack)
     harm = {k: basic.ambient_vectors(k, basic.harmonic_coords(k)) for k in basic.degrees}
 
     def cut(vectors, op, k):
@@ -344,30 +334,25 @@ def _harmonic_branch_spaces(model, pack, basic, ops, degree):
         kern = nullspace(blocked)
         return [mat.apply(c) for c in kern]
 
-    b1 = cut(harm.get(degree, []), ops.Lam, degree)
-    prev = cut(harm.get(degree - 1, []), ops.L, degree - 1) if degree >= 1 else []
-    b2 = [form_to_vector(wedge(vector_to_form_amb(model, degree - 1, v), pack.eta), degree)
-          for v in prev]
-    return b1, b2
-
-
-def vector_to_form_amb(model, k, v):
-    from .operators import vector_to_form
-
-    return vector_to_form(model.dim, k, v)
+    out = []
+    for degree in range(model.dim + 1):
+        b1 = cut(harm.get(degree, []), ops.Lam, degree)
+        prev = cut(harm.get(degree - 1, []), ops.L, degree - 1) if degree >= 1 else []
+        b2 = [form_to_vector(wedge(vector_to_form(model.dim, degree - 1, v), pack.eta), degree)
+              for v in prev]
+        out.append((b1, b2))
+    return out
 
 
 def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
     """Harmonic forms are primitive basic-harmonic ones below the middle
     and eta-wedges of co-primitive basic-harmonic ones above it."""
-    ops = structure_operators(model, pack)
-    basic = basic_subcomplex(model, pack, reeb_foliation(pack))
+    basic = contact_complexes(model, pack)[1]
     n = pack.transversal_dim(model.dim)
     verdict = DecompositionVerdict(model.name, "harmonic decomposition")
     delta = operator_pool(model, pack)["Delta"]
 
-    for i in range(model.dim + 1):
-        b1, b2 = _harmonic_branch_spaces(model, pack, basic, ops, i)
+    for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, basic)):
         target = nullspace(delta.blocks[i])
         stated = b1 if i <= n else b2
         other = b2 if i <= n else b1
@@ -380,19 +365,18 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
             degree=i, claimed=len(stated), proof=len(chosen), actual=len(target),
             ok=contained and equal, headline_ok=len(stated) == len(target),
             branch=branch,
-            witnesses=tuple(str(vector_to_form_amb(model, i, v)) for v in chosen)))
+            witnesses=tuple(str(vector_to_form(model.dim, i, v)) for v in chosen)))
 
-    # star duality: *(gamma) = *_bas(gamma) ^ eta for horizontal gamma
+    # star duality: *(gamma) = *_bas(gamma) ^ eta for horizontal gamma, with
+    # the basic star oriented so that vol_bas ^ eta = vol
     hor = tuple(pack.horizontal_indices(model.dim))
+    orient = Scalar.of(perm_sign(hor + (pack.reeb_index,)))
     dual_ok = True
-    from .forms import hodge_star
-    from itertools import combinations
-
     for k in range(len(hor) + 1):
         for m in combinations(hor, k):
             gamma = FormElement.monomial(model.dim, m)
             lhs = hodge_star(gamma)
-            rhs = wedge(star_on_subset(gamma, hor), pack.eta)
+            rhs = wedge(star_on_subset(gamma, hor).scale(orient), pack.eta)
             if lhs != rhs:
                 dual_ok = False
     verdict.extras.append(RelationEntry(
@@ -404,12 +388,8 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
 def vaisman_decomposition(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
     """Splitting of the cohomology along the Lee form, with the
     transversally-Kahler sequences for the Lee-basic cohomology."""
-    sas = basic_subcomplex(model, pack, lee_foliation(pack))
-    kah = basic_subcomplex(model, pack, sigma_foliation(pack))
-    hsas, hkah = sas.cohomology(), kah.cohomology()
+    hsas = contact_complexes(model, pack)[0].cohomology()
     full = full_complex(model, pack).cohomology()
-    lef = _lefschetz_on_basic_cohomology(model, pack, kah, hkah)
-    n = model.dim // 2  # complex dimension of the model
 
     verdict = DecompositionVerdict(model.name, "cohomology along the Lee form")
     for i in range(model.dim + 1):
@@ -419,30 +399,11 @@ def vaisman_decomposition(model: LieModel, pack: StructurePack) -> Decomposition
             degree=i, claimed=None, proof=split_dim, actual=actual,
             ok=split_dim == actual, notes="H^i_sas + theta^H^{i-1}_sas"))
 
-    inj_ok, surj_ok, seq_ok = True, True, True
-    headline_bad = []
-    for i in range(model.dim):
-        b = lambda k: hkah.betti.get(k, 0)
-        rk_into = rank(lef[i - 2]) if i - 2 in lef else 0
-        rk_from = rank(lef[i - 1]) if i - 1 in lef else 0
-        if i <= n - 1:
-            proof = b(i) - rk_into
-            claimed = b(i) - (rank(lef[i]) if i in lef else 0)
-            if i - 2 in lef and rk_into != b(i - 2):
-                inj_ok = False
-        else:
-            proof = b(i - 1) - rk_from
-            claimed = b(i) - rk_into
-            if i - 1 in lef and rk_from != b(i + 1):
-                surj_ok = False
-        actual = hsas.betti.get(i, 0)
-        if proof != actual:
-            seq_ok = False
-        if claimed != actual:
-            headline_bad.append(i)
+    rows, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
+    headline_bad = [r.degree for r in rows if not r.headline_ok]
     verdict.extras.append(RelationEntry(
         "decomposition.sas_from_kah", "H^i_sas", "proof sequences in H^*_kah",
-        "pass" if seq_ok else "fail"))
+        "pass" if all(r.ok for r in rows) else "fail"))
     verdict.extras.append(RelationEntry(
         "decomposition.lefschetz_injective", "L: H^{i-2}_kah -> H^i_kah, i <= n-1",
         "injective", "pass" if inj_ok else "fail"))
@@ -461,16 +422,14 @@ def vaisman_decomposition(model: LieModel, pack: StructurePack) -> Decomposition
 def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
     """Full harmonic space = H* (+) theta ^ H* with H* built from the
     transversal basic-harmonic forms."""
-    ops = structure_operators(model, pack)
-    kah = basic_subcomplex(model, pack, sigma_foliation(pack))
-    hsas = basic_subcomplex(model, pack, lee_foliation(pack)).cohomology()
+    contact, kah = contact_complexes(model, pack)
+    hsas = contact.cohomology()
     n = model.dim // 2
     delta = operator_pool(model, pack)["Delta"]
     verdict = DecompositionVerdict(model.name, "harmonic forms along the Lee form")
 
     chosen: dict[int, list[Vector]] = {}
-    for i in range(model.dim + 1):
-        b1, b2 = _harmonic_branch_spaces(model, pack, kah, ops, i)
+    for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, kah)):
         stated = b1 if i <= n else b2
         other = b2 if i <= n else b1
         target_dim = hsas.betti.get(i, 0)
@@ -483,24 +442,24 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
             degree=i, claimed=len(stated), proof=len(pick), actual=target_dim,
             ok=len(pick) == target_dim, headline_ok=len(stated) == target_dim,
             branch=branch, notes="dim H^i candidates vs dim H^i_sas",
-            witnesses=tuple(str(vector_to_form_amb(model, i, v)) for v in pick)))
+            witnesses=tuple(str(vector_to_form(model.dim, i, v)) for v in pick)))
 
     theta_ok = True
     assemble_ok = True
+    harmonic = [nullspace(delta.blocks[i]) for i in range(model.dim + 1)]
     for i in range(model.dim + 1):
         assembled = list(chosen.get(i, []))
         for v in chosen.get(i - 1, []):
-            f = wedge(pack.theta, vector_to_form_amb(model, i - 1, v))
+            f = wedge(pack.theta, vector_to_form(model.dim, i - 1, v))
             assembled.append(form_to_vector(f, i))
-        target = nullspace(delta.blocks[i])
-        if not subspace_equal(assembled, target):
+        if not subspace_equal(assembled, harmonic[i]):
             assemble_ok = False
         # wedging a full harmonic form with the parallel theta stays harmonic
         if i + 1 <= model.dim:
-            for h in target:
-                f = wedge(pack.theta, vector_to_form_amb(model, i, h))
+            for h in harmonic[i]:
+                f = wedge(pack.theta, vector_to_form(model.dim, i, h))
                 img = form_to_vector(f, i + 1)
-                if not in_span(nullspace(delta.blocks[i + 1]), img):
+                if not in_span(harmonic[i + 1], img):
                     theta_ok = False
     verdict.extras.append(RelationEntry(
         "harmonic.assembly", "H* (+) theta^H*", "ker Delta, degreewise subspace equality",

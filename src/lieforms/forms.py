@@ -117,9 +117,6 @@ class FormElement:
     def homogeneous_part(self, k: int) -> "FormElement":
         return FormElement(self.ngen, {m: c for m, c in self.terms.items() if len(m) == k})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         degs = self.degrees()
         if len(degs) != 1:

@@ -210,3 +210,38 @@ def test_models_without_transversal_directions(tmp_path, name):
         want = oracle.basic_betti_table(model.dim, {}, span)
         got = basic_subcomplex(model, pack, folf(pack)).cohomology().betti_list()
         assert got[:len(want)] == want and not any(got[len(want):]), label
+
+
+def test_cohomology_module_is_not_shadowed():
+    # the package exports no function named after the submodule
+    import lieforms.cohomology as co
+
+    assert co.FormComplex.__name__ == "FormComplex"
+
+
+@pytest.mark.parametrize("name, built, eliminated", [("h5", 2, 6), ("h3xr", 3, 7)])
+def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminated):
+    # h5: basic[5] and the invariant complex; h3xr: basic[1], basic[1, 4] and
+    # invariant+basic[1].  Eliminations: those, the full complex, the cone
+    # and its two shifted basic complexes.
+    import lieforms.cohomology as co
+    from lieforms import cli
+
+    for cached in (co.full_complex, co.basic_subcomplex, co.invariant_subcomplex):
+        cached.cache_clear()
+    counts = {"built": 0, "eliminated": 0}
+    from_constraints, report = co.FormComplex.from_constraints, co.CohomologyReport
+
+    def build(*args):
+        counts["built"] += 1
+        return from_constraints(*args)
+
+    def eliminate(*args):
+        counts["eliminated"] += 1
+        return report(*args)
+
+    monkeypatch.setattr(co.FormComplex, "from_constraints", staticmethod(build))
+    monkeypatch.setattr(co, "CohomologyReport", eliminate)
+    assert cli.main(["all", name]) == 0
+    capsys.readouterr()
+    assert counts == {"built": built, "eliminated": eliminated}

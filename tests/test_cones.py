@@ -1,6 +1,8 @@
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from lieforms.cohomology import full_complex
 from lieforms.cones import (
     ChainMap,
@@ -186,3 +188,36 @@ def test_chain_map_commutation_guard():
 
     with pytest.raises(StructureError):
         ChainMap("broken", cx, cx, blocks)
+
+
+# h5 with e_5 swapped for e_r: the Reeb index sits an odd distance from the
+# top index, so the basic star's orientation differs from index order
+H5_SWAPPED = {
+    2: ("1 5 -> 2 : -1\n3 4 -> 2 : -1\n", "J: 1 -> 5\nJ: 3 -> 4\n"),
+    4: ("1 2 -> 4 : -1\n3 5 -> 4 : -1\n", "J: 1 -> 2\nJ: 3 -> 5\n"),
+}
+
+
+@pytest.mark.parametrize("reeb", sorted(H5_SWAPPED))
+def test_relabelled_h5_passes_all(tmp_path, reeb):
+    import oracle
+    from lieforms.cli import RunConfig, run
+    from lieforms.cohomology import basic_subcomplex
+    from lieforms.models import parse_model
+    from lieforms.splitting import reeb_foliation
+
+    brackets, j_pairs = H5_SWAPPED[reeb]
+    text = (f"[algebra]\ndim = 5\n[brackets]\n{brackets}"
+            f"[structure]\nkind = sasakian\nreeb = {reeb}\n{j_pairs}")
+    path = tmp_path / "h5.alg"
+    path.write_text(text)
+    out = tmp_path / "all.txt"
+    assert run(RunConfig(command="all", model=str(path), output=str(out))) == 0
+    assert "PASS  harmonic.star_duality" in out.read_text()
+
+    model, pack = parse_model(text, "h5")
+    table = {(i, j, k): c.re for i, j, k, c in model.brackets}
+    assert full_complex(model, pack).cohomology().betti_list() == oracle.betti_table(5, table)
+    want = oracle.basic_betti_table(5, table, (reeb,))
+    got = basic_subcomplex(model, pack, reeb_foliation(pack)).cohomology().betti_list()
+    assert got[:len(want)] == want and not any(got[len(want):])
