@@ -6,7 +6,8 @@ The snapshots are `lieforms all` on every builtin model; `lieforms check`
 and `lieforms all` on `tests/data/su2_aff.alg`, a model on which many
 table entries have nonzero sides and 18 of them fail; and `lieforms all`
 on `tests/data/h5xr.alg`, the dim-6 Vaisman model whose transversal
-Lefschetz sequences reach past degree 1.  `tests/test_golden.py` compares each
+Lefschetz sequences reach past degree 1, and on `tests/data/h7.alg`, the
+dim-7 contact model at the dimension frontier.  `tests/test_golden.py` compares each
 format's report with its snapshot byte for byte.  Rewrite them only for
 an intended output change, and name that change in CHANGES.md.
 """
@@ -23,6 +24,7 @@ ROOT = HERE.parent.parent
 # from the repository root
 SU2_AFF = "tests/data/su2_aff.alg"
 H5XR = "tests/data/h5xr.alg"
+H7 = "tests/data/h7.alg"
 
 
 def snapshot_path(stem: str, fmt: str) -> Path:
@@ -35,6 +37,7 @@ def main():
     runs.append(("check", SU2_AFF, "su2_aff.check"))
     runs.append(("all", SU2_AFF, "su2_aff.all"))
     runs.append(("all", H5XR, "h5xr.all"))
+    runs.append(("all", H7, "h7.all"))
     for command, model, stem in runs:
         for fmt in FORMATS:
             path = snapshot_path(stem, fmt)

@@ -245,3 +245,21 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
     assert counts == {"built": built, "eliminated": eliminated}
+
+
+@pytest.mark.parametrize("name", ["su2xr", "h3xr"])
+def test_basic_adjoint_reports_the_first_failing_pair(name):
+    # with 2 Id in place of Pi_hor the left side doubles, so the first basis
+    # pair with a nonzero pairing is reported, in row-major (j, b) order
+    from lieforms.cohomology import _basic_adjoint
+    from lieforms.operators import GradedOperator
+    from lieforms.scalars import Scalar
+
+    model, pack = model_pack(name)
+    fol = lee_foliation(pack)
+    two = GradedOperator.identity(model.dim).scale(Scalar.of(2))
+    report = _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol), two)
+    [entry] = report.entries
+    assert entry.verdict == "fail"
+    assert entry.line().startswith("FAIL  basic_adjoint.pairing: ")
+    assert entry.line().endswith("[degree 2, basis pair (0,2): 2 vs 1]")

@@ -1,7 +1,7 @@
 """Byte-equality gate against the snapshots in tests/golden (rewritten by
 tests/golden/update.py): `lieforms all` on every builtin, `lieforms check`
 and `lieforms all` on the su(2)xaff(R) fixture, and `lieforms all` on the
-dim-6 h5xR fixture, in every format."""
+dim-6 h5xR and dim-7 h7 fixtures, in every format."""
 
 from pathlib import Path
 
@@ -36,10 +36,11 @@ def test_check_matches_snapshot_on_su2_aff(tmp_path, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("model, code", [("su2_aff", 1), ("h5xr", 0)])
+@pytest.mark.parametrize("model, code", [("su2_aff", 1), ("h5xr", 0), ("h7", 0)])
 def test_all_matches_snapshot_on_file_models(tmp_path, monkeypatch, model, code, fmt):
     # su2_aff has nonzero cohomology, harmonic and cone sections besides its
-    # failing table; h5xr is the Vaisman model with transversal dimension 2
+    # failing table; h5xr is the Vaisman model with transversal dimension 2;
+    # h7 is the largest contact model the suite runs
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report"
     assert run(RunConfig(command="all", model=f"tests/data/{model}.alg", format=fmt,
