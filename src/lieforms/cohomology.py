@@ -16,7 +16,7 @@ every contact-type check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .forms import FormElement
@@ -24,12 +24,10 @@ from .matrices import (
     Matrix,
     Vector,
     charpoly,
-    in_span,
     nullspace,
     poly_eval_matrix,
     rank,
     rational_roots,
-    rref,
     solve,
     subspace_equal,
 )
@@ -43,7 +41,7 @@ from .operators import (
     supercommutator,
     vector_to_form,
 )
-from .scalars import ONE, Scalar, ZERO
+from .scalars import ONE, Scalar
 from .splitting import FoliationSpec, foliation_split, lee_foliation, operator_pool
 
 
@@ -80,16 +78,22 @@ class CochainComplex:
         dims = {k - s: v for k, v in self.dims.items()}
         diff = {k - s: m.scale(sign) for k, m in self.diff.items()}
         gram = {k - s: g for k, g in self.gram.items()}
-        return CochainComplex(f"{self.label}[{s}]", degrees, dims, diff, gram)
+        out = CochainComplex(f"{self.label}[{s}]", degrees, dims, diff, gram)
+        # -d has the kernels of d, so the shift keeps this complex's
+        # representatives, with their degrees moved by s
+        coh = self.cohomology()
+        out._memo["cohomology"] = replace(
+            coh, label=out.label, degrees=degrees,
+            betti={k - s: b for k, b in coh.betti.items()},
+            representatives={k - s: v for k, v in coh.representatives.items()})
+        return out
 
     # -- metric structure ------------------------------------------------
 
     def adjoint_d(self, k: int) -> Matrix:
         """Adjoint of d_k w.r.t. the Gram inner products: degree k+1 -> k."""
-        g_src = self.gram[k]
         g_tgt = self.gram.get(k + 1, Matrix.identity(self.dim(k + 1)))
-        ginv = _inverse(g_src)
-        return ginv @ self.d(k).conj_transpose() @ g_tgt
+        return solve(self.gram[k], self.d(k).conj_transpose() @ g_tgt)
 
     def laplacian(self, k: int) -> Matrix:
         out = self.adjoint_d(k) @ self.d(k)
@@ -134,17 +138,6 @@ class CohomologyReport:
         return "(" + ",".join(str(b) for b in self.betti_list()) + ")"
 
 
-def _inverse(m: Matrix) -> Matrix:
-    n = m.nrows
-    if n == 0:
-        return m
-    aug = m.hstack(Matrix.identity(n))
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return Matrix([row[n:] for row in red.rows], n)
-
-
 @dataclass
 class FormComplex(CochainComplex):
     """A cochain complex of actual forms inside an ambient model algebra.
@@ -181,17 +174,10 @@ class FormComplex(CochainComplex):
         embed: dict[int, Matrix] = {}
         dims: dict[int, int] = {}
         for k in degrees:
-            stacked = None
-            for op in constraints:
-                block = op.blocks[k]
-                stacked = block if stacked is None else stacked.vstack(block)
-            if stacked is None:
-                basis = [tuple(Matrix.identity(basis_dim(n, k)).col(j))
-                         for j in range(basis_dim(n, k))]
-            else:
-                basis = nullspace(stacked)
-            embed[k] = Matrix.from_cols(basis, basis_dim(n, k))
-            dims[k] = len(basis)
+            stacked = functools.reduce(Matrix.vstack, [op.blocks[k] for op in constraints],
+                                       Matrix.zero(0, basis_dim(n, k)))
+            embed[k] = Matrix.from_cols(nullspace(stacked), basis_dim(n, k))
+            dims[k] = embed[k].ncols
         diff: dict[int, Matrix] = {}
         for k in range(n):
             diff[k] = _restrict_block(d.blocks[k], embed[k], embed[k + 1],
@@ -199,12 +185,8 @@ class FormComplex(CochainComplex):
         gram = {k: embed[k].conj_transpose() @ embed[k] for k in degrees}
         return FormComplex(label, degrees, dims, diff, gram, n, embed)
 
-    def form_of(self, k: int, coords: Vector) -> FormElement:
-        amb = self.embed[k].apply(coords)
-        return vector_to_form(self.ngen, k, amb)
-
     def basis_forms(self, k: int) -> list[FormElement]:
-        return [self.form_of(k, v) for v in _unit_vectors(self.dim(k))]
+        return [vector_to_form(self.ngen, k, self.embed[k].col(j)) for j in range(self.dim(k))]
 
     def ambient_vectors(self, k: int, coord_vectors) -> list[Vector]:
         return [self.embed[k].apply(v) for v in coord_vectors]
@@ -222,18 +204,10 @@ class FormComplex(CochainComplex):
 
 
 def _restrict_block(block: Matrix, src_embed: Matrix, tgt_embed: Matrix, msg: str) -> Matrix:
-    cols = []
-    for j in range(src_embed.ncols):
-        image = block.apply(src_embed.col(j))
-        x = solve(tgt_embed, image)
-        if x is None:
-            raise StructureError("subcomplex", msg)
-        cols.append(x)
-    return Matrix.from_cols(cols, tgt_embed.ncols)
-
-
-def _unit_vectors(n: int) -> list[Vector]:
-    return [tuple(ONE if i == j else ZERO for i in range(n)) for j in range(n)]
+    x = solve(tgt_embed, block @ src_embed)
+    if x is None:
+        raise StructureError("subcomplex", msg)
+    return x
 
 
 # -- spec-level operations ----------------------------------------------
@@ -246,8 +220,7 @@ def full_complex(model: LieModel, pack: StructurePack) -> FormComplex:
 
 def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
     """Kernel of the full Laplacian {d, d*} at degree k, as forms."""
-    vecs = nullspace(operator_pool(model, pack)["Delta"].blocks[k])
-    return [vector_to_form(model.dim, k, v) for v in vecs]
+    return [vector_to_form(model.dim, k, v) for v in full_complex(model, pack).harmonic_coords(k)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,35 +300,27 @@ def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec
 
 def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> RelationReport:
     report = RelationReport(model.name, f"basic adjoint identity {list(fol.spanning)}")
-    d_star_h = (pi @ operator_pool(model, pack)["d*"]).relabel("Pi_hor d*")
+    d_star = operator_pool(model, pack)["d*"]
     checked = 0
-    for k in sub.degrees:
-        if k - 1 not in sub.dims:
-            continue
-        adj = sub.adjoint_d(k - 1)  # degree k -> k-1 in subcomplex coordinates
-        for j in range(sub.dim(k)):
-            alpha_coords = _unit_vectors(sub.dim(k))[j]
-            alpha_amb = sub.embed[k].col(j)
-            lhs_amb = d_star_h.blocks[k].apply(alpha_amb)
-            rhs_amb = sub.embed[k - 1].apply(adj.apply(alpha_coords))
-            for b in range(sub.dim(k - 1)):
-                beta = sub.embed[k - 1].col(b)
-                lhs = _pair(lhs_amb, beta)
-                rhs = _pair(rhs_amb, beta)
-                checked += 1
-                if lhs != rhs:
-                    report.add(RelationEntry(
-                        "basic_adjoint.pairing", "g(Pi_hor d* a, b)", "g(d*_bas a, b)",
-                        "fail", failure=f"degree {k}, basis pair ({j},{b}): {lhs} vs {rhs}"))
-                    return report
+    for k in sub.degrees[1:]:
+        # entry (j, b) pairs the image of the j-th basic form of degree k
+        # with the b-th basic form of degree k-1
+        beta = sub.embed[k - 1]
+        lhs = (pi.blocks[k - 1] @ d_star.blocks[k] @ sub.embed[k]).conj_transpose() @ beta
+        rhs = (beta @ sub.adjoint_d(k - 1)).conj_transpose() @ beta
+        diff = (lhs - rhs).first_nonzero()
+        if diff is not None:
+            j, b, _ = diff
+            report.add(RelationEntry(
+                "basic_adjoint.pairing", "g(Pi_hor d* a, b)", "g(d*_bas a, b)", "fail",
+                failure=f"degree {k}, basis pair ({j},{b}): "
+                        f"{lhs.entry(j, b)} vs {rhs.entry(j, b)}"))
+            return report
+        checked += lhs.nrows * lhs.ncols
     report.add(RelationEntry("basic_adjoint.pairing",
                              f"g(Pi_hor d* a, b) over {checked} basis pairs",
                              "g(d*_bas a, b)", "pass"))
     return report
-
-
-def _pair(u: Vector, v: Vector) -> Scalar:
-    return sum((a.conj() * b for a, b in zip(u, v)), ZERO)
 
 
 def _foliation_pi_hor(model: LieModel, fol: FoliationSpec) -> GradedOperator:
@@ -376,18 +341,13 @@ def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
         tk = k + degree_offset
         if tk not in tgt_coh.betti:
             continue
-        reps_t = tgt_coh.representatives[tk]
-        cols = []
-        for r in src_coh.representatives[k]:
-            v = blocks[k].apply(r) if k in blocks else tuple([ZERO] * tgt.dim(tk))
-            sys = Matrix.from_cols(list(reps_t), tgt.dim(tk))
-            if tk - 1 in tgt.dims:
-                sys = sys.hstack(tgt.d(tk - 1))
-            x = solve(sys, v)
-            if x is None:
-                raise StructureError("chain_map", f"image class not closed at degree {k}")
-            cols.append(tuple(x[: len(reps_t)]))
-        out[k] = Matrix.from_cols(cols, len(reps_t))
+        reps_s, reps_t = src_coh.representatives[k], tgt_coh.representatives[tk]
+        image = (blocks[k] @ Matrix.from_cols(reps_s, blocks[k].ncols) if k in blocks
+                 else Matrix.zero(tgt.dim(tk), len(reps_s)))
+        x = solve(Matrix.from_cols(reps_t, tgt.dim(tk)).hstack(tgt.d(tk - 1)), image)
+        if x is None:
+            raise StructureError("chain_map", f"image class not closed at degree {k}")
+        out[k] = x.top(len(reps_t))
     return out
 
 
@@ -425,16 +385,10 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # (p,q)-stability of basic harmonic classes
     stable = True
     for k in sub.degrees:
-        harm = sub.ambient_vectors(k, sub.harmonic_coords(k))
-        if not harm:
-            continue
+        harm = sub.embed[k] @ Matrix.from_cols(sub.harmonic_coords(k), sub.dim(k))
         for (p, q, v), proj in ops.pi_pq.items():
-            if p + q + v != k:
-                continue
-            for h in harm:
-                img = proj.blocks[k].apply(h)
-                if not in_span(harm, img):
-                    stable = False
+            if p + q + v == k and solve(harm, proj.blocks[k] @ harm) is None:
+                stable = False
     report.add(RelationEntry("transversal.pq_stability",
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
                              "pass" if stable else "fail"))
@@ -453,7 +407,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))
     diag_ok = all(
-        ds.blocks[k].rows[i][i].im == 0 and ds.blocks[k].rows[i][i].re >= 0
+        ds.blocks[k].entry(i, i).im == 0 and ds.blocks[k].entry(i, i).re >= 0
         for k in range(model.dim + 1) for i in range(ds.blocks[k].nrows)
     )
     report.add(RelationEntry("split_laplacian.diagonal_nonnegative",
@@ -467,13 +421,10 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # kernel conditions: Lie_v always vanishes; i_v is reported per model
     lie_ok, iv_ok = True, True
     for k in range(model.dim + 1):
-        ker = nullspace(ds.blocks[k])
+        ker = Matrix.from_cols(nullspace(ds.blocks[k]), ds.blocks[k].ncols)
         for iv, lie in pairs:
-            for x in ker:
-                if any(c for c in lie.blocks[k].apply(x)):
-                    lie_ok = False
-                if any(c for c in iv.blocks[k].apply(x)):
-                    iv_ok = False
+            lie_ok = lie_ok and (lie.blocks[k] @ ker).is_zero()
+            iv_ok = iv_ok and (iv.blocks[k] @ ker).is_zero()
     report.add(RelationEntry("split_laplacian.kernel_lie_vanishing",
                              "Lie_v on ker Delta_s", "0",
                              "pass" if lie_ok else "fail"))
@@ -518,14 +469,11 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs = coeffs[1:]
         seen += [str(r) for r in rational_roots(coeffs) if r != 0]
-        g = poly_eval_matrix(coeffs, block)
-        kerg = nullspace(g)
-        closed = nullspace(sub.d(k))
-        inter = [v for v in kerg if in_span(closed, v)]
-        exact = [sub.d(k - 1).col(j) for j in range(sub.dim(k - 1))] if k - 1 in sub.dims else []
-        for v in inter:
-            if not in_span(exact, v):
-                eigen_ok = False
+        kerg = nullspace(poly_eval_matrix(coeffs, block))
+        images = sub.d(k) @ Matrix.from_cols(kerg, sub.dim(k))
+        closed = [v for j, v in enumerate(kerg) if not any(images.col(j))]
+        if solve(sub.d(k - 1), Matrix.from_cols(closed, sub.dim(k))) is None:
+            eigen_ok = False
     report.add(RelationEntry("split_laplacian.eigen_exactness",
                              "closed eigenvectors, nonzero eigenvalues "
                              f"(rational spectrum seen: {sorted(set(seen)) or ['none']})",

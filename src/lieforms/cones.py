@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
-from .matrices import Matrix, Vector, in_span, nullspace, rank, solve, subspace_equal
+from .matrices import Matrix, Vector, nullspace, rank, solve, subspace_equal
 from .models import LieModel, StructureError, StructurePack, structure_operators
 from .operators import RelationEntry, form_to_vector, vector_to_form
 from .cohomology import (
@@ -27,7 +27,6 @@ from .cohomology import (
     invariant_subcomplex,
 )
 from .scalars import Scalar
-from .splitting import operator_pool
 
 
 @dataclass
@@ -208,18 +207,17 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
     # as (beta, alpha)
     iso_blocks = {}
     for i in ambient.degrees:
-        cols = []
-        for j in range(ambient.dim(i)):
-            x = ambient.embed[i].col(j)
+        x = ambient.embed[i]
+        if i >= 1:
             # beta = i_r(x); alpha = x - eta ^ beta
-            beta = ops.i_r.blocks[i].apply(x)
-            alpha = tuple(a - b for a, b in zip(x, ops.e_r.blocks[i - 1].apply(beta))) if i >= 1 else x
-            bcoords = solve(basic.embed[i - 1], beta) if i >= 1 else ()
-            acoords = solve(basic.embed[i], alpha)
-            if bcoords is None or acoords is None:
-                raise StructureError("cone", "invariant form is not basic + eta^basic")
-            cols.append(tuple(bcoords) + tuple(acoords))
-        iso_blocks[i] = Matrix.from_cols(cols, cone.dim(i - 1))
+            beta = ops.i_r.blocks[i] @ x
+            bcoords = solve(basic.embed[i - 1], beta)
+            acoords = solve(basic.embed[i], x - ops.e_r.blocks[i - 1] @ beta)
+        else:
+            bcoords, acoords = Matrix.zero(0, x.ncols), solve(basic.embed[i], x)
+        if bcoords is None or acoords is None:
+            raise StructureError("cone", "invariant form is not basic + eta^basic")
+        iso_blocks[i] = bcoords.vstack(acoords)
 
     verdict = DecompositionVerdict(model.name, "cone equivalence")
     intertwines = True
@@ -350,20 +348,18 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
     basic = contact_complexes(model, pack)[1]
     n = pack.transversal_dim(model.dim)
     verdict = DecompositionVerdict(model.name, "harmonic decomposition")
-    delta = operator_pool(model, pack)["Delta"]
+    full = full_complex(model, pack)
 
     for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, basic)):
-        target = nullspace(delta.blocks[i])
+        target = full.harmonic_coords(i)
         stated = b1 if i <= n else b2
         other = b2 if i <= n else b1
         chosen, branch = stated, "stated"
         if not subspace_equal(stated, target) and subspace_equal(other, target):
             chosen, branch = other, "flipped"
-        contained = all(in_span(target, v) for v in chosen)
-        equal = subspace_equal(chosen, target)
         verdict.rows.append(DegreeVerdict(
             degree=i, claimed=len(stated), proof=len(chosen), actual=len(target),
-            ok=contained and equal, headline_ok=len(stated) == len(target),
+            ok=subspace_equal(chosen, target), headline_ok=len(stated) == len(target),
             branch=branch,
             witnesses=tuple(str(vector_to_form(model.dim, i, v)) for v in chosen)))
 
@@ -425,7 +421,6 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
     contact, kah = contact_complexes(model, pack)
     hsas = contact.cohomology()
     n = model.dim // 2
-    delta = operator_pool(model, pack)["Delta"]
     verdict = DecompositionVerdict(model.name, "harmonic forms along the Lee form")
 
     chosen: dict[int, list[Vector]] = {}
@@ -446,21 +441,16 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
 
     theta_ok = True
     assemble_ok = True
-    harmonic = [nullspace(delta.blocks[i]) for i in range(model.dim + 1)]
-    for i in range(model.dim + 1):
-        assembled = list(chosen.get(i, []))
-        for v in chosen.get(i - 1, []):
-            f = wedge(pack.theta, vector_to_form(model.dim, i - 1, v))
-            assembled.append(form_to_vector(f, i))
-        if not subspace_equal(assembled, harmonic[i]):
+    e_theta = structure_operators(model, pack).e_theta
+    full = full_complex(model, pack)
+    harmonic = [Matrix.from_cols(full.harmonic_coords(i), full.dim(i)) for i in full.degrees]
+    for i in full.degrees:
+        assembled = chosen[i] + [e_theta.blocks[i - 1].apply(v) for v in chosen.get(i - 1, [])]
+        if not subspace_equal(assembled, full.harmonic_coords(i)):
             assemble_ok = False
         # wedging a full harmonic form with the parallel theta stays harmonic
-        if i + 1 <= model.dim:
-            for h in harmonic[i]:
-                f = wedge(pack.theta, vector_to_form(model.dim, i, h))
-                img = form_to_vector(f, i + 1)
-                if not in_span(harmonic[i + 1], img):
-                    theta_ok = False
+        if i < model.dim and solve(harmonic[i + 1], e_theta.blocks[i] @ harmonic[i]) is None:
+            theta_ok = False
     verdict.extras.append(RelationEntry(
         "harmonic.assembly", "H* (+) theta^H*", "ker Delta, degreewise subspace equality",
         "pass" if assemble_ok else "fail"))

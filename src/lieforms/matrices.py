@@ -8,7 +8,7 @@ full pivoting-by-first-nonzero, no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .scalars import ONE, Scalar, ZERO
 
@@ -16,13 +16,17 @@ Vector = tuple[Scalar, ...]
 
 
 class Matrix:
-    """Immutable dense matrix; rows of Scalars."""
+    """Immutable dense matrix of Scalars.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    The row storage is private to this module: callers work on whole
+    blocks, and read single entries through `entry`.
+    """
+
+    __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]], ncols: int | None = None):
         rows = tuple(tuple(r) for r in rows)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         if rows:
             widths = {len(r) for r in rows}
@@ -53,7 +57,14 @@ class Matrix:
         return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(m)], len(cols))
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        return tuple(r[j] for r in self._rows)
+
+    def entry(self, i: int, j: int) -> Scalar:
+        return self._rows[i][j]
+
+    def top(self, n: int) -> "Matrix":
+        """The first n rows."""
+        return Matrix(self._rows[:n], self.ncols)
 
     # -- algebra -------------------------------------------------------
 
@@ -61,7 +72,7 @@ class Matrix:
         self._shape_check(other)
         return Matrix(
             [[b if a.is_zero() else a if b.is_zero() else a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)],
+             for r1, r2 in zip(self._rows, other._rows)],
             self.ncols,
         )
 
@@ -69,27 +80,27 @@ class Matrix:
         self._shape_check(other)
         return Matrix(
             [[a if b.is_zero() else -b if a.is_zero() else a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)],
+             for r1, r2 in zip(self._rows, other._rows)],
             self.ncols,
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[a if a.is_zero() else -a for a in r] for r in self.rows], self.ncols)
+        return Matrix([[a if a.is_zero() else -a for a in r] for r in self._rows], self.ncols)
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix([[a if a.is_zero() else a * c for a in r] for r in self.rows], self.ncols)
+        return Matrix([[a if a.is_zero() else a * c for a in r] for r in self._rows], self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         ocols = other.ncols
         out = []
-        for r in self.rows:
+        for r in self._rows:
             row = [ZERO] * ocols
             for k, a in enumerate(r):
                 if a.is_zero():
                     continue
-                orow = other.rows[k]
+                orow = other._rows[k]
                 for j in range(ocols):
                     b = orow[j]
                     if not b.is_zero():
@@ -101,12 +112,12 @@ class Matrix:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(
-            sum((a * x for a, x in zip(r, v) if not a.is_zero()), ZERO) for r in self.rows
+            sum((a * x for a, x in zip(r, v) if not a.is_zero()), ZERO) for r in self._rows
         )
 
     def conj_transpose(self) -> "Matrix":
         return Matrix(
-            [[self.rows[i][j].conj() for i in range(self.nrows)] for j in range(self.ncols)],
+            [[self._rows[i][j].conj() for i in range(self.nrows)] for j in range(self.ncols)],
             self.nrows,
         )
 
@@ -114,25 +125,25 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        return hash((self.shape, self._rows))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for r in self.rows for c in r)
+        return all(c.is_zero() for r in self._rows for c in r)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def trace(self) -> Scalar:
-        return sum((self.rows[i][i] for i in range(min(self.shape))), ZERO)
+        return sum((self._rows[i][i] for i in range(min(self.shape))), ZERO)
 
     def first_nonzero(self):
         """(i, j, value) of the first nonzero entry in row-major order, or None."""
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(self._rows):
             for j, c in enumerate(r):
                 if not c.is_zero():
                     return i, j, c
@@ -142,25 +153,25 @@ class Matrix:
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
         return Matrix(
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols
+            [r1 + r2 for r1, r2 in zip(self._rows, other._rows)], self.ncols + other.ncols
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return Matrix(self.rows + other.rows, self.ncols)
+        return Matrix(self._rows + other._rows, self.ncols)
 
     def _shape_check(self, other: "Matrix"):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
     def __str__(self):
-        return "\n".join("[" + " ".join(str(c) for c in r) + "]" for r in self.rows)
+        return "\n".join("[" + " ".join(str(c) for c in r) + "]" for r in self._rows)
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in mat.rows]
+    rows = [list(r) for r in mat._rows]
     pivots: list[int] = []
     r = 0
     for col in range(mat.ncols):
@@ -198,31 +209,27 @@ def nullspace(mat: Matrix) -> list[Vector]:
         v = [ZERO] * mat.ncols
         v[fc] = ONE
         for ri, pc in enumerate(pivots):
-            v[pc] = -red.rows[ri][fc]
+            v[pc] = -red._rows[ri][fc]
         basis.append(tuple(v))
     return basis
 
 
-def solve(mat: Matrix, b: Vector):
-    """One solution of mat @ x = b, or None when inconsistent."""
-    aug = mat.hstack(Matrix([[x] for x in b], 1))
-    red, pivots = rref(aug)
-    if mat.ncols in pivots:
+def solve(mat: Matrix, rhs: Matrix) -> Matrix | None:
+    """The solution X of mat @ X = rhs with every free variable zero, or
+    None when some column of rhs is inconsistent.
+
+    One elimination of [mat | rhs]: a pivot in an rhs column marks an
+    inconsistent column.  The solution is the unique one with zero free
+    rows, so it equals the column-by-column solutions.
+    """
+    n = mat.ncols
+    red, pivots = rref(mat.hstack(rhs))
+    if pivots and pivots[-1] >= n:
         return None
-    x = [ZERO] * mat.ncols
+    out = [[ZERO] * rhs.ncols for _ in range(n)]
     for ri, pc in enumerate(pivots):
-        x[pc] = red.rows[ri][mat.ncols]
-    return tuple(x)
-
-
-def in_span(vectors: Iterable[Vector], candidate: Vector) -> bool:
-    cols = list(vectors)
-    if not any(not c.is_zero() for c in candidate):
-        return True
-    if not cols:
-        return False
-    m = Matrix.from_cols(cols)
-    return solve(m, candidate) is not None
+        out[pc] = red._rows[ri][n:]
+    return Matrix(out, rhs.ncols)
 
 
 def subspace_equal(basis_a: Sequence[Vector], basis_b: Sequence[Vector]) -> bool:

@@ -578,10 +578,11 @@ def _pq_projectors(ngen, W, vertical, n_trans):
             mv = sum(1 for t in m if t in vert)
             groups.setdefault((len(m) - mv, mv), []).append(idx)
         for (h, v), positions in groups.items():
-            sub = Matrix(
-                [[W.blocks[k].rows[i][j] for j in positions] for i in positions],
-                len(positions),
-            )
+            # sel picks the (h,v) coordinates: a block restricts to them as
+            # sel^† W sel and extends back by zero as sel P sel^†
+            sel = Matrix([[ONE if i == j else ZERO for j in positions]
+                          for i in range(len(basis))], len(positions))
+            sub = sel.conj_transpose() @ W.blocks[k] @ sel
             ps = range(max(0, h - n_trans), min(h, n_trans) + 1)
             svals = [2 * p - h for p in ps]
             for p in ps:
@@ -594,7 +595,7 @@ def _pq_projectors(ngen, W, vertical, n_trans):
                     factor = sub - Matrix.identity(len(positions)).scale(Scalar(Fraction(0), Fraction(t)))
                     proj = proj @ factor.scale(ONE / Scalar(Fraction(0), Fraction(s - t)))
                 key = (p, h - p, v)
-                full = _scatter(ngen, k, positions, proj)
+                full = sel @ proj @ sel.conj_transpose()
                 if key in out:
                     out[key] = _merge_block(out[key], k, full)
                 else:
@@ -602,15 +603,6 @@ def _pq_projectors(ngen, W, vertical, n_trans):
                     blocks[k] = full
                     out[key] = GradedOperator(ngen, 0, EVEN, tuple(blocks), f"Pi^{{{p},{h-p}}}[{v}]")
     return out
-
-
-def _scatter(ngen, k, positions, sub: Matrix) -> Matrix:
-    dim = len(monomial_basis(ngen, k))
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for a, i in enumerate(positions):
-        for b, j in enumerate(positions):
-            rows[i][j] = sub.rows[a][b]
-    return Matrix(rows, dim)
 
 
 def _merge_block(op: GradedOperator, k: int, block: Matrix) -> GradedOperator:

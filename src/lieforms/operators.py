@@ -183,7 +183,7 @@ class GradedOperator:
             diff = (a - b).first_nonzero()
             if diff is not None:
                 i, j, _ = diff
-                return (k, i, j, a.rows[i][j], b.rows[i][j])
+                return (k, i, j, a.entry(i, j), b.entry(i, j))
         return None
 
     def adjoint(self) -> "GradedOperator":

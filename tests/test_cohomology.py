@@ -110,7 +110,7 @@ def test_split_laplacian_properties():
         assert ds.adjoint() == ds
         for k in range(model.dim + 1):
             for i in range(ds.blocks[k].nrows):
-                diag = ds.blocks[k].rows[i][i]
+                diag = ds.blocks[k].entry(i, i)
                 assert diag.im == 0 and diag.re >= 0
 
 
@@ -219,11 +219,11 @@ def test_cohomology_module_is_not_shadowed():
     assert co.FormComplex.__name__ == "FormComplex"
 
 
-@pytest.mark.parametrize("name, built, eliminated", [("h5", 2, 6), ("h3xr", 3, 7)])
+@pytest.mark.parametrize("name, built, eliminated", [("h5", 2, 4), ("h3xr", 3, 5)])
 def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminated):
     # h5: basic[5] and the invariant complex; h3xr: basic[1], basic[1, 4] and
-    # invariant+basic[1].  Eliminations: those, the full complex, the cone
-    # and its two shifted basic complexes.
+    # invariant+basic[1].  Eliminations: those, the full complex and the
+    # cone.  The cone's two shifted basic complexes take the basic report.
     import lieforms.cohomology as co
     from lieforms import cli
 
