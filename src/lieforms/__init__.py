@@ -11,7 +11,6 @@ from .operators import (
     extend_derivation,
     reeb_power,
     supercommutator,
-    super_jacobi_check,
 )
 from .models import (
     BUILTIN_NAMES,

@@ -199,7 +199,7 @@ class FormComplex(CochainComplex):
             if tgt not in self.dims:
                 continue
             out[k] = _restrict_block(op.blocks[k], self.embed[k], self.embed[tgt],
-                                     f"{op.label} fails to preserve the subspace")
+                                     "operator fails to preserve the subspace")
         return out
 
 
@@ -282,9 +282,9 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
 def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
     """Delta_s, its {d1, d1*} term, and (i_v, Lie_v) for each spanning v."""
     d1 = foliation_split(structure_operators(model, pack).d, model, fol).d1
-    box = supercommutator(d1, d1.adjoint().relabel("d1*"))
+    box = supercommutator(d1, d1.adjoint())
     pairs = _contractions(model, pack, fol)
-    return op_sum([box] + [-(lie @ lie) for _, lie in pairs], "Delta_s"), box, pairs
+    return op_sum([box] + [-(lie @ lie) for _, lie in pairs]), box, pairs
 
 
 def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> GradedOperator:
@@ -325,7 +325,7 @@ def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> Re
 
 def _foliation_pi_hor(model: LieModel, fol: FoliationSpec) -> GradedOperator:
     pi = bidegree_projectors(model.dim, fol.spanning)
-    return op_sum((p for (h, v), p in pi.items() if v == 0), "Pi_hor")
+    return op_sum(p for (h, v), p in pi.items() if v == 0)
 
 
 def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
@@ -371,8 +371,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         e = n_t - k
         if e < 0 or 2 * n_t - k > max(sub.degrees):
             continue
-        lk = ops.L.power(e).relabel(f"L^{e}")
-        blocks = sub.restrict(lk)
+        blocks = sub.restrict(ops.L.power(e))
         ind = induced_map(blocks, sub, coh, coh, degree_offset=2 * e)
         m = ind[k]
         bij = rank(m) == coh.betti[k] == coh.betti[2 * n_t - k]
@@ -401,8 +400,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     ds, box, pairs = _split_laplacian_parts(model, pack, fol)
     report.add(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
                              "pass" if ds.adjoint() == ds else "fail"))
-    psd = op_sum([box] + [lie @ lie.adjoint() for _, lie in pairs],
-                 "{d1,d1*} + sum Lie_v Lie_v*")
+    psd = op_sum([box] + [lie @ lie.adjoint() for _, lie in pairs])
     report.add(RelationEntry("split_laplacian.psd_decomposition",
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))

@@ -16,7 +16,7 @@ from itertools import combinations
 from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
 from .matrices import Matrix, Vector, nullspace, rank, solve, subspace_equal
 from .models import LieModel, StructureError, StructurePack, structure_operators
-from .operators import RelationEntry, form_to_vector, vector_to_form
+from .operators import RelationEntry, vector_to_form
 from .cohomology import (
     CochainComplex,
     FormComplex,
@@ -336,8 +336,12 @@ def _harmonic_branch_spaces(model, pack, basic):
     for degree in range(model.dim + 1):
         b1 = cut(harm.get(degree, []), ops.Lam, degree)
         prev = cut(harm.get(degree - 1, []), ops.L, degree - 1) if degree >= 1 else []
-        b2 = [form_to_vector(wedge(vector_to_form(model.dim, degree - 1, v), pack.eta), degree)
-              for v in prev]
+        b2 = []
+        if prev:
+            # v ^ eta = (-1)^deg(v) eta ^ v, so the branch is one e_r block product
+            wedged = ops.e_r.blocks[degree - 1] @ Matrix.from_cols(prev)
+            wedged = -wedged if degree % 2 == 0 else wedged
+            b2 = [wedged.col(j) for j in range(wedged.ncols)]
         out.append((b1, b2))
     return out
 

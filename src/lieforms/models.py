@@ -160,7 +160,7 @@ def ce_differential(model: LieModel) -> GradedOperator:
             if not c.is_zero():
                 val = val + FormElement.monomial(n, (i, j), -c)
         action[k] = val
-    d = extend_derivation(n, ODD, action, label="d", shift=1)
+    d = extend_derivation(n, ODD, action, shift=1)
     if not (d @ d).is_zero():
         raise JacobiError(None, "d^2 != 0 despite Jacobi holding; inconsistent constants")
     return d
@@ -283,47 +283,13 @@ def builtin_models() -> list[tuple[LieModel, StructurePack]]:
 
 
 def builtin(name: str) -> tuple[LieModel, StructurePack]:
-    try:
-        data = _BUILTINS[name]
-    except KeyError:
+    """A shipped model, parsed from its `.alg` file (see `builtin_file_text`)."""
+    if name not in BUILTIN_NAMES:
         raise ModelError(f"unknown builtin model {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
-    model = LieModel(name, data["dim"],
-                     tuple((i, j, k, Scalar(Fraction(v))) for (i, j, k, v) in data["brackets"]))
-    pack = _build_pack(model, data["kind"], data.get("reeb"), data["j"], data.get("lee"))
-    return model, pack
+    return parse_model(builtin_file_text(name), name=name)
 
 
-_BUILTINS = {
-    "torus2": {"dim": 2, "brackets": [], "kind": "kahler", "j": [(1, 2)]},
-    "torus4": {"dim": 4, "brackets": [], "kind": "kahler", "j": [(1, 2), (3, 4)]},
-    "su2": {
-        "dim": 3,
-        "brackets": [(1, 2, 3, -1), (2, 3, 1, -1), (1, 3, 2, 1)],
-        "kind": "sasakian", "reeb": 3, "j": [(1, 2)],
-    },
-    "h3": {
-        "dim": 3,
-        "brackets": [(1, 2, 3, -1)],
-        "kind": "sasakian", "reeb": 3, "j": [(1, 2)],
-    },
-    "h5": {
-        "dim": 5,
-        "brackets": [(1, 2, 5, -1), (3, 4, 5, -1)],
-        "kind": "sasakian", "reeb": 5, "j": [(1, 2), (3, 4)],
-    },
-    "su2xr": {
-        "dim": 4,
-        "brackets": [(2, 3, 4, -1), (3, 4, 2, -1), (2, 4, 3, 1)],
-        "kind": "vaisman", "reeb": 4, "lee": 1, "j": [(2, 3), (1, 4)],
-    },
-    "h3xr": {
-        "dim": 4,
-        "brackets": [(2, 3, 4, -1)],
-        "kind": "vaisman", "reeb": 4, "lee": 1, "j": [(2, 3), (1, 4)],
-    },
-}
-
-BUILTIN_NAMES = tuple(_BUILTINS)
+BUILTIN_NAMES = ("torus2", "torus4", "su2", "h3", "h5", "su2xr", "h3xr")
 
 
 # -- model file parsing ------------------------------------------------
@@ -339,9 +305,9 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
     dim = None
     brackets: dict[tuple[int, int, int], tuple[Scalar, int]] = {}
     kind = None
-    reeb = None
-    lee = None
+    index_of: dict[str, int] = {}  # the reeb and lee indices
     j_pairs: list[tuple[int, int]] = []
+    indices: list[tuple[int, str, int]] = []  # (line, what, index), checked against dim
     section = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -395,7 +361,10 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                     a, b = int(a_text), int(b_text)
                 except ValueError:
                     raise ModelSyntaxError(line_no, f"expected `J: i -> j`, got {line!r}")
+                if a == b:
+                    raise ModelSyntaxError(line_no, f"J pairs generator {a} with itself")
                 j_pairs.append((a, b))
+                indices += [(line_no, "J", a), (line_no, "J", b)]
                 continue
             key, _, value = line.partition("=")
             key, value = key.strip().lower(), value.strip()
@@ -405,10 +374,13 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                 if value not in ("kahler", "sasakian", "vaisman"):
                     raise ModelSyntaxError(line_no, f"unknown kind {value!r}")
                 kind = value
-            elif key == "reeb":
-                reeb = int(value)
-            elif key == "lee":
-                lee = int(value)
+            elif key in ("reeb", "lee"):
+                try:
+                    index = int(value)
+                except ValueError:
+                    raise ModelSyntaxError(line_no, f"bad {key} index {value!r}")
+                index_of[key] = index
+                indices.append((line_no, key, index))
             else:
                 raise ModelSyntaxError(line_no, f"unknown structure key {key!r}")
         else:
@@ -416,6 +388,10 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
 
     if dim is None:
         raise ModelSyntaxError(0, "missing [algebra] section with dim")
+    reeb, lee = index_of.get("reeb"), index_of.get("lee")
+    for line_no, what, index in indices:
+        if not 1 <= index <= dim:
+            raise ModelSyntaxError(line_no, f"{what} index {index} out of range 1..{dim}")
     if kind is None:
         raise ModelSyntaxError(0, "missing [structure] kind")
     if kind in ("sasakian", "vaisman") and reeb is None:
@@ -504,7 +480,7 @@ def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
                 if (len(m) - mv, mv) == (h, v):
                     return x
                 return FormElement.zero(ngen)
-            out[(h, v)] = GradedOperator.from_action(ngen, 0, EVEN, act, f"Pi[{h},{v}]")
+            out[(h, v)] = GradedOperator.from_action(ngen, 0, EVEN, act)
     return out
 
 
@@ -518,38 +494,38 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
 
     e_r = i_r = lie_r = None
     if pack.reeb_index is not None:
-        e_r = wedge_operator(pack.eta, "e_r")
-        i_r = contraction_operator(n, pack.reeb_index, "i_r")
-        lie_r = supercommutator(d, i_r).relabel("Lie_r")
+        e_r = wedge_operator(pack.eta)
+        i_r = contraction_operator(n, pack.reeb_index)
+        lie_r = supercommutator(d, i_r)
 
     # built at shift 2 even when omega0 = 0 (no transversal directions)
-    L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x), "L")
-    Lam = L.adjoint().relabel("Lam")
-    H = supercommutator(L, Lam).relabel("H")
+    L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x))
+    Lam = L.adjoint()
+    H = supercommutator(L, Lam)
 
     # W: even derivation extension of the transversal rotation
     action = {k: FormElement.zero(n) for k in range(1, n + 1)}
     for a, b in pack.transversal_pairs():
         action[a] = FormElement.generator(n, b)
         action[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
-    W = extend_derivation(n, EVEN, action, label="W", shift=0)
+    W = extend_derivation(n, EVEN, action, shift=0)
 
     pi_bi = bidegree_projectors(n, vertical)
     pi_pq = _pq_projectors(n, W, vertical, n_trans)
 
     # exhaustiveness and orthogonality of the bigrading
-    if op_sum(pi_pq.values(), "sum Pi^{p,q}") != GradedOperator.identity(n):
+    if op_sum(pi_pq.values()) != GradedOperator.identity(n):
         raise StructureError("J", "bigrading projectors do not resolve the identity")
 
-    I_aut = op_sum((proj.scale(_i_power(p - q)) for (p, q, _), proj in pi_pq.items()), "I")
-    I_inv = op_sum((proj.scale(_i_power(q - p)) for (p, q, _), proj in pi_pq.items()), "I^-1")
-    pi_hor = op_sum((pi_bi[(h, 0)] for h in range(len(horizontal) + 1)), "Pi_hor")
+    I_aut = op_sum(proj.scale(_i_power(p - q)) for (p, q, _), proj in pi_pq.items())
+    I_inv = op_sum(proj.scale(_i_power(q - p)) for (p, q, _), proj in pi_pq.items())
+    pi_hor = op_sum(pi_bi[(h, 0)] for h in range(len(horizontal) + 1))
 
     e_theta = i_theta = lie_theta = None
     if pack.kind == "vaisman":
-        e_theta = wedge_operator(pack.theta, "e_th")
-        i_theta = contraction_operator(n, pack.lee_index, "i_th")
-        lie_theta = supercommutator(d, i_theta).relabel("Lie_th")
+        e_theta = wedge_operator(pack.theta)
+        i_theta = contraction_operator(n, pack.lee_index)
+        lie_theta = supercommutator(d, i_theta)
 
     return StructureOperators(
         d=d, e_r=e_r, i_r=i_r, lie_r=lie_r, L=L, Lam=Lam, H=H, W=W, I_aut=I_aut,
@@ -601,11 +577,11 @@ def _pq_projectors(ngen, W, vertical, n_trans):
                 else:
                     blocks = [Matrix.zero(len(monomial_basis(ngen, t_)), len(monomial_basis(ngen, t_))) for t_ in range(ngen + 1)]
                     blocks[k] = full
-                    out[key] = GradedOperator(ngen, 0, EVEN, tuple(blocks), f"Pi^{{{p},{h-p}}}[{v}]")
+                    out[key] = GradedOperator(ngen, 0, EVEN, tuple(blocks))
     return out
 
 
 def _merge_block(op: GradedOperator, k: int, block: Matrix) -> GradedOperator:
     blocks = list(op.blocks)
     blocks[k] = blocks[k] + block
-    return GradedOperator(op.ngen, op.shift, op.parity, tuple(blocks), op.label)
+    return GradedOperator(op.ngen, op.shift, op.parity, tuple(blocks))

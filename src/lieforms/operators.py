@@ -10,7 +10,7 @@ cases.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -46,7 +46,6 @@ class GradedOperator:
     shift: int
     parity: int
     blocks: tuple[Matrix, ...]
-    label: str = ""
 
     def __post_init__(self):
         if len(self.blocks) != self.ngen + 1:
@@ -59,21 +58,21 @@ class GradedOperator:
     # -- construction helpers ----------------------------------------
 
     @staticmethod
-    def zero(ngen: int, shift: int, parity: int, label: str = "0") -> "GradedOperator":
+    def zero(ngen: int, shift: int, parity: int) -> "GradedOperator":
         blocks = tuple(
             Matrix.zero(basis_dim(ngen, k + shift), basis_dim(ngen, k))
             for k in range(ngen + 1)
         )
-        return GradedOperator(ngen, shift, parity, blocks, label)
+        return GradedOperator(ngen, shift, parity, blocks)
 
     @staticmethod
-    def identity(ngen: int, label: str = "Id") -> "GradedOperator":
+    def identity(ngen: int) -> "GradedOperator":
         blocks = tuple(Matrix.identity(basis_dim(ngen, k)) for k in range(ngen + 1))
-        return GradedOperator(ngen, 0, EVEN, blocks, label)
+        return GradedOperator(ngen, 0, EVEN, blocks)
 
     @staticmethod
     def from_action(
-        ngen: int, shift: int, parity: int, action: Callable[[FormElement], FormElement], label: str = ""
+        ngen: int, shift: int, parity: int, action: Callable[[FormElement], FormElement]
     ) -> "GradedOperator":
         """Realize a linear map given on basis monomials as matrices."""
         blocks = []
@@ -92,10 +91,7 @@ class GradedOperator:
                         raise ValueError(f"action not homogeneous of shift {shift} on {m}")
                     cols.append(())
             blocks.append(Matrix.from_cols(cols, nrows))
-        return GradedOperator(ngen, shift, parity, tuple(blocks), label)
-
-    def relabel(self, label: str) -> "GradedOperator":
-        return replace(self, label=label)
+        return GradedOperator(ngen, shift, parity, tuple(blocks))
 
     # -- application ---------------------------------------------------
 
@@ -143,10 +139,8 @@ class GradedOperator:
                         basis_dim(self.ngen, k),
                     )
                 )
-        return GradedOperator(
-            self.ngen, self.shift + other.shift, (self.parity + other.parity) % 2,
-            tuple(blocks), f"{self.label}*{other.label}",
-        )
+        return GradedOperator(self.ngen, self.shift + other.shift,
+                              (self.parity + other.parity) % 2, tuple(blocks))
 
     __matmul__ = compose
 
@@ -155,17 +149,6 @@ class GradedOperator:
         for _ in range(k):
             out = out @ self
         return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedOperator)
-            and self.ngen == other.ngen
-            and self.shift == other.shift
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.ngen, self.shift, self.blocks))
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
@@ -198,8 +181,7 @@ class GradedOperator:
                 blocks.append(
                     Matrix.zero(basis_dim(self.ngen, k - self.shift), basis_dim(self.ngen, k))
                 )
-        return GradedOperator(self.ngen, -self.shift, self.parity, tuple(blocks),
-                              f"{self.label}*")
+        return GradedOperator(self.ngen, -self.shift, self.parity, tuple(blocks))
 
     def _compat(self, other: "GradedOperator"):
         if self.ngen != other.ngen:
@@ -220,34 +202,26 @@ def star_matrix(ngen: int, k: int) -> Matrix:
     return Matrix.from_cols(cols, basis_dim(ngen, ngen - k))
 
 
-def wedge_operator(a: FormElement, label: str = "") -> GradedOperator:
+def wedge_operator(a: FormElement) -> GradedOperator:
     """Left exterior multiplication by a homogeneous form."""
     deg = a.degree() if not a.is_zero() else 0
-    return GradedOperator.from_action(
-        a.ngen, deg, deg % 2, lambda x: wedge(a, x), label or f"e({a})"
-    )
+    return GradedOperator.from_action(a.ngen, deg, deg % 2, lambda x: wedge(a, x))
 
 
-def contraction_operator(ngen: int, v: int, label: str = "") -> GradedOperator:
-    return GradedOperator.from_action(
-        ngen, -1, ODD, lambda x: contract(v, x), label or f"i_{v}"
-    )
+def contraction_operator(ngen: int, v: int) -> GradedOperator:
+    return GradedOperator.from_action(ngen, -1, ODD, lambda x: contract(v, x))
 
 
-def op_sum(terms: Iterable[GradedOperator], label: str) -> GradedOperator:
-    """The sum of one or more operators of equal shift and parity, named label.
-
-    Arithmetic leaves results unnamed; a sum gets its name here, once.
-    """
-    return functools.reduce(GradedOperator.__add__, terms).relabel(label)
+def op_sum(terms: Iterable[GradedOperator]) -> GradedOperator:
+    """The sum of one or more operators of equal shift and parity."""
+    return functools.reduce(GradedOperator.__add__, terms)
 
 
 def supercommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
     ab = a @ b
     ba = b @ a
-    out = ab + ba if a.parity * b.parity % 2 else ab - ba
-    return out.relabel("{%s,%s}" % (a.label, b.label))
+    return ab + ba if a.parity * b.parity % 2 else ab - ba
 
 
 def extend_derivation(
@@ -255,7 +229,6 @@ def extend_derivation(
     parity: int,
     action: Mapping[int, FormElement],
     unit_value: FormElement | None = None,
-    label: str = "",
     shift: int | None = None,
 ) -> GradedOperator:
     """Unique first-order operator with the given values on 1 and theta^k.
@@ -276,7 +249,7 @@ def extend_derivation(
     if shift is not None:
         shifts.add(shift)
     if not shifts:
-        return GradedOperator.zero(ngen, 1 if parity else 0, parity, label or "0")
+        return GradedOperator.zero(ngen, 1 if parity else 0, parity)
     if len(shifts) > 1:
         raise ValueError(f"action values have mixed degree shifts {sorted(shifts)}")
     shift = shifts.pop()
@@ -308,7 +281,7 @@ def extend_derivation(
         mono = next(iter(x.terms))
         return wedge(d1, x) + deriv(mono).scale(x.terms[mono])
 
-    return GradedOperator.from_action(ngen, shift, parity, act, label)
+    return GradedOperator.from_action(ngen, shift, parity, act)
 
 
 def first_order_reconstruction(op: GradedOperator) -> GradedOperator:
@@ -320,9 +293,7 @@ def first_order_reconstruction(op: GradedOperator) -> GradedOperator:
     ngen = op.ngen
     unit_value = op.apply(FormElement.unit(ngen))
     action = {k: op.apply(FormElement.generator(ngen, k)) for k in range(1, ngen + 1)}
-    return extend_derivation(
-        ngen, op.parity, action, unit_value, label=f"rec({op.label})", shift=op.shift
-    )
+    return extend_derivation(ngen, op.parity, action, unit_value, shift=op.shift)
 
 
 def reeb_power(a: GradedOperator, lie_r: GradedOperator, k: int) -> GradedOperator:
@@ -332,11 +303,11 @@ def reeb_power(a: GradedOperator, lie_r: GradedOperator, k: int) -> GradedOperat
     """
     a_lie = a @ lie_r
     if a_lie != lie_r @ a:
-        raise ValueError(f"{a.label} does not commute with {lie_r.label}")
+        raise ValueError("operator does not commute with the Reeb Lie derivative")
     out = a_lie if k else a
     for _ in range(k - 1):
         out = out @ lie_r
-    return out.relabel(f"{a.label}({k})" if k else a.label)
+    return out
 
 
 # -- relation reports -------------------------------------------------
@@ -405,36 +376,22 @@ def _describe_difference(lhs: GradedOperator, rhs: GradedOperator) -> str:
 
 def check_relation(
     name: str,
-    lhs: GradedOperator,
-    printed: GradedOperator,
+    lhs: tuple[str, GradedOperator],
+    printed: tuple[str, GradedOperator],
     variants: Iterable[tuple[str, GradedOperator]] = (),
 ) -> RelationEntry:
     """Compare lhs against the printed right-hand side, then against the
     recorded sign/argument variants in order; never hard-fails on a
-    mismatch.  A pass with both sides zero is marked vacuous."""
-    if lhs == printed:
-        return RelationEntry(name, lhs.label, printed.label, "pass", vacuous=lhs.is_zero())
-    for vlabel, vop in variants:
-        if lhs == vop:
+    mismatch.  Each side is a (text, operator) pair and the texts are the
+    entry's printed form.  A pass with both sides zero is marked vacuous."""
+    (ltext, left), (rtext, right) = lhs, printed
+    if left == right:
+        return RelationEntry(name, ltext, rtext, "pass", vacuous=left.is_zero())
+    for vtext, vop in variants:
+        if left == vop:
             return RelationEntry(
-                name, lhs.label, printed.label, "variant",
-                variant=vlabel, vacuous=lhs.is_zero(),
-                failure=_describe_difference(lhs, printed),
+                name, ltext, rtext, "variant",
+                variant=vtext, vacuous=left.is_zero(),
+                failure=_describe_difference(left, right),
             )
-    return RelationEntry(
-        name, lhs.label, printed.label, "fail",
-        failure=_describe_difference(lhs, printed),
-    )
-
-
-def super_jacobi_check(
-    a: GradedOperator, b: GradedOperator, c: GradedOperator
-) -> RelationEntry:
-    """{a,{b,c}} = {{a,b},c} + (-1)^{~a~b} {b,{a,c}}, exactly."""
-    lhs = supercommutator(a, supercommutator(b, c))
-    rhs1 = supercommutator(supercommutator(a, b), c)
-    rhs2 = supercommutator(b, supercommutator(a, c))
-    rhs = rhs1 - rhs2 if a.parity * b.parity % 2 else rhs1 + rhs2
-    name = f"jacobi({a.label},{b.label},{c.label})"
-    rhs = rhs.relabel("{{%s,%s},%s}+sgn{%s,{%s,%s}}" % (a.label, b.label, c.label, b.label, a.label, c.label))
-    return check_relation(name, lhs, rhs)
+    return RelationEntry(name, ltext, rtext, "fail", failure=_describe_difference(left, right))

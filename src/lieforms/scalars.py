@@ -72,7 +72,7 @@ class Scalar:
         return self if self.im == 0 else Scalar(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()

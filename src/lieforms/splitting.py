@@ -127,8 +127,8 @@ def foliation_split(d: GradedOperator, model: LieModel, fol: FoliationSpec) -> F
             tgt = (h + i, v + 1 - i)
             if tgt in pi:
                 terms.append(pi[tgt] @ d @ p)
-        comps.append(op_sum(terms, f"d{i}"))
-    if op_sum(comps, "sum d_i") != d:
+        comps.append(op_sum(terms))
+    if op_sum(comps) != d:
         raise StructureError("foliation", "bidegree components do not reconstruct d")
     return FoliationSplit(fol, tuple(comps))
 
@@ -153,15 +153,14 @@ def hodge_split_d1(
             terms_10.append(pi[(p + 1, q, v)] @ d1 @ proj)
         if (p, q + 1, v) in pi:
             terms_01.append(pi[(p, q + 1, v)] @ d1 @ proj)
-    d1_10 = op_sum(terms_10, "d1^{1,0}")
-    d1_01 = op_sum(terms_01, "d1^{0,1}")
+    d1_10 = op_sum(terms_10)
+    d1_01 = op_sum(terms_01)
     if d1_10 + d1_01 != d1:
         raise StructureError(
             "hodge", "d1 has components outside bidegrees (1,0) and (0,1): "
             "broken transversal complex structure"
         )
-    d1c = (ops.I_aut @ d1 @ ops.I_inv).relabel("d1c")
-    return d1_10, d1_01, d1c
+    return d1_10, d1_01, ops.I_aut @ d1 @ ops.I_inv
 
 
 # -- the named operator pool --------------------------------------------
@@ -173,18 +172,18 @@ _RECIPES = {
         ("e_r", "e_r"), ("i_r", "i_r"), ("Lie_r", "lie_r"),
         ("e_th", "e_theta"), ("i_th", "i_theta"), ("Lie_th", "lie_theta"))},
     "Id": lambda p: GradedOperator.identity(p.model.dim),
-    "(p-n)Id": lambda p: op_sum((pr.scale(Scalar(Fraction(h - p.ops.n_trans)))
-                                 for (h, _), pr in p.ops.pi_bidegree.items()), "(p-n)Id"),
+    "(p-n)Id": lambda p: op_sum(pr.scale(Scalar(Fraction(h - p.ops.n_trans)))
+                                for (h, _), pr in p.ops.pi_bidegree.items()),
     **{f"{x}*": (lambda p, x=x: p[x].adjoint())
        for x in ("d", "d*", "dc", "d0", "d1", "d1c", "e_r", "Lie_r", "L")},
     # Kahler
     "dc": lambda p: p["W", "d"],
     "Delta": lambda p: p["d", "d*"],
     "d*d": lambda p: p["d"] @ p["d"],
-    "sum e_a e_b": lambda p: op_sum((p[f"e_{a}"] @ p[f"e_{b}"]
-                                     for a, b in p.pack.transversal_pairs()), "sum e_a e_b"),
-    "sum i_a i_b": lambda p: op_sum((p[f"i_{a}"] @ p[f"i_{b}"]
-                                     for a, b in p.pack.transversal_pairs()), "sum i_a i_b"),
+    "sum e_a e_b": lambda p: op_sum(p[f"e_{a}"] @ p[f"e_{b}"]
+                                    for a, b in p.pack.transversal_pairs()),
+    "sum i_a i_b": lambda p: op_sum(p[f"i_{a}"] @ p[f"i_{b}"]
+                                    for a, b in p.pack.transversal_pairs()),
     # contact: the Reeb splitting, its Hodge components and Reeb powers
     "d0": lambda p: p.reeb_split.d0,
     "d1": lambda p: p.reeb_split.d1,
@@ -196,7 +195,7 @@ _RECIPES = {
     "Delta1": lambda p: p["d1", "d1*"],
     **{f"{x}(1)": (lambda p, x=x: reeb_power(p[x], p["Lie_r"], 1))
        for x in ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")},
-    "d0+d1+d2": lambda p: op_sum((p["d0"], p["d1"], p["d2"]), "d0+d1+d2"),
+    "d0+d1+d2": lambda p: op_sum((p["d0"], p["d1"], p["d2"])),
     "e_r*Lie_r": lambda p: p["e_r"] @ p["Lie_r"],
     "L*i_r": lambda p: p["L"] @ p["i_r"],
     "d0*d0": lambda p: p["d0"] @ p["d0"],
@@ -212,9 +211,10 @@ _RECIPES = {
 class OperatorPool:
     """The named operators of one model, each built once, on first use.
 
-    `pool[name]` builds an operator from its recipe and names it;
-    `pool[a, b]` is the supercommutator {pool[a], pool[b]}, memoised by
-    name pair.
+    `pool[name]` builds an operator from its recipe; `pool[a, b]` is the
+    supercommutator {pool[a], pool[b]}, memoised by name pair.  The names
+    are the operators' only labels: reports print them, never read them
+    off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
@@ -233,7 +233,7 @@ class OperatorPool:
             if isinstance(ref, tuple):
                 op = supercommutator(self[ref[0]], self[ref[1]])
             else:
-                op = self._recipes[ref](self).relabel(ref)
+                op = self._recipes[ref](self)
             self._built[ref] = op
         return op
 
@@ -254,14 +254,25 @@ def operator_pool(model: LieModel, pack: StructurePack) -> OperatorPool:
 # -- the evaluator ----------------------------------------------------------
 
 
-def _term(pool: OperatorPool, lhs: GradedOperator, term) -> GradedOperator:
-    """A right side or variant as an operator named by its printed text."""
+def _text(term) -> str:
+    """How a table term prints: a pool name as written, {a,b} for a pair,
+    the given text of a multiple, 0 for the literal zero."""
     if term == 0:
-        return GradedOperator.zero(lhs.ngen, lhs.shift, lhs.parity)
-    if isinstance(term, tuple) and len(term) == 3:
-        text, coefficient, ref = term
-        return pool[ref].scale(coefficient).relabel(text)
-    return pool[term]
+        return "0"
+    if isinstance(term, tuple):
+        return term[0] if len(term) == 3 else "{%s,%s}" % term
+    return term
+
+
+def _term(pool: OperatorPool, lhs: GradedOperator, term) -> tuple[str, GradedOperator]:
+    """A table term as its printed text and its operator."""
+    if term == 0:
+        op = GradedOperator.zero(lhs.ngen, lhs.shift, lhs.parity)
+    elif isinstance(term, tuple) and len(term) == 3:
+        op = pool[term[2]].scale(term[1])
+    else:
+        op = pool[term]
+    return _text(term), op
 
 
 def _evaluate(model: LieModel, pack: StructurePack, title: str, table) -> RelationReport:
@@ -275,8 +286,8 @@ def _evaluate(model: LieModel, pack: StructurePack, title: str, table) -> Relati
         name, lhs, rhs, variants = row
         left = pool[lhs]
         # variants are built only when the printed form fails
-        tried = (_term(pool, left, v) for v in variants)
-        entry = check_relation(name, left, _term(pool, left, rhs), ((v.label, v) for v in tried))
+        entry = check_relation(name, (_text(lhs), left), _term(pool, left, rhs),
+                               (_term(pool, left, v) for v in variants))
         # a literal-zero right side asserts vanishing, so 0 = 0 is the claim
         # itself rather than a vacuous pass
         entry.vacuous = entry.vacuous and rhs != 0
@@ -325,9 +336,9 @@ def _first_order_entry(pool: OperatorPool) -> RelationEntry:
     name = "aux.first_order.{L,d*}"
     rec = first_order_reconstruction(op)
     if rec == op or (rec.is_zero() and op.is_zero()):
-        return RelationEntry(name, op.label, "first-order reconstruction", "pass",
+        return RelationEntry(name, "{L,d*}", "first-order reconstruction", "pass",
                              vacuous=op.is_zero())
-    return RelationEntry(name, op.label, "first-order reconstruction", "fail",
+    return RelationEntry(name, "{L,d*}", "first-order reconstruction", "fail",
                          failure="operator is not determined by its generator values")
 
 
@@ -512,63 +523,57 @@ def vaisman_structure_relations(model: LieModel, pack: StructurePack) -> Relatio
     return _evaluate(model, pack, "vaisman structure table", VAISMAN_TABLE)
 
 
-def table_operator_pool(model: LieModel, pack: StructurePack) -> list[GradedOperator]:
-    """The generator pool used for antisymmetry and Jacobi guards."""
+def guard_names(pack: StructurePack) -> tuple[str, ...]:
+    """Pool names of the generators of the antisymmetry and Jacobi guards."""
     tail = (("d", "d*", "dc", "dc*") if pack.kind == "kahler"
             else ("d1", "d1*", "d1c", "d1c*", "e_r", "i_r"))
-    pool = operator_pool(model, pack)
-    return [pool[name] for name in ("L", "Lam", "H", "W", "Id") + tail]
+    return ("L", "Lam", "H", "W", "Id") + tail
 
 
-def pool_commutators(model: LieModel, pack: StructurePack) -> dict[tuple[int, int], GradedOperator]:
-    """{pool[a], pool[b]} for every ordered pair of pool indices, each built
-    from its own two compositions and shared with the relation tables."""
-    ops = table_operator_pool(model, pack)
+def table_operator_pool(model: LieModel, pack: StructurePack) -> list[GradedOperator]:
+    """The generator pool used for antisymmetry and Jacobi guards."""
     pool = operator_pool(model, pack)
-    return {(a, b): pool[x.label, y.label] for a, x in enumerate(ops) for b, y in enumerate(ops)}
+    return [pool[name] for name in guard_names(pack)]
 
 
 @functools.lru_cache(maxsize=None)
 def antisymmetry_report(model: LieModel, pack: StructurePack) -> RelationEntry:
-    """{a,b} = -(-1)^{~a~b}{b,a} over every pool pair, aggregated."""
-    pool = table_operator_pool(model, pack)
-    pairs = pool_commutators(model, pack)
-    for (a, b), lhs in pairs.items():
-        rhs = pairs[b, a] if pool[a].parity * pool[b].parity % 2 else -pairs[b, a]
-        if lhs != rhs:
-            return RelationEntry("superalgebra.antisymmetry",
-                                 "{a,b}", "-(-1)^{ab}{b,a}", "fail",
-                                 failure=f"pair ({pool[a].label},{pool[b].label})")
+    """{a,b} = -(-1)^{~a~b}{b,a} over every pair of guard generators."""
+    names = guard_names(pack)
+    pool = operator_pool(model, pack)
+    for a in names:
+        for b in names:
+            rhs = pool[b, a] if pool[a].parity * pool[b].parity % 2 else -pool[b, a]
+            if pool[a, b] != rhs:
+                return RelationEntry("superalgebra.antisymmetry",
+                                     "{a,b}", "-(-1)^{ab}{b,a}", "fail",
+                                     failure=f"pair ({a},{b})")
     return RelationEntry("superalgebra.antisymmetry",
-                         f"{{a,b}} over {len(pool)}^2 pool pairs", "-(-1)^{ab}{b,a}", "pass")
+                         f"{{a,b}} over {len(names)}^2 pool pairs", "-(-1)^{ab}{b,a}", "pass")
 
 
 @functools.lru_cache(maxsize=None)
 def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool,
                   sample_size: int = 60) -> RelationEntry:
-    """Super Jacobi identity over pool triples, exhaustive or seeded sample.
+    """Super Jacobi identity over guard triples, exhaustive or seeded sample.
 
-    Pairwise supercommutators come from `pool_commutators` and are shared
-    with the antisymmetry guard; per (relation, degree) pair the comparison
-    is independent of the rest.
+    Pairwise supercommutators come from the operator pool and are shared
+    with the antisymmetry guard and the relation tables.
     """
-    pool = table_operator_pool(model, pack)
-    idx = range(len(pool))
-    triples = [(a, b, c) for a in idx for b in idx for c in idx]
-    label = f"exhaustive over {len(pool)}^3 pool triples"
+    names = guard_names(pack)
+    triples = [(a, b, c) for a in names for b in names for c in names]
+    label = f"exhaustive over {len(names)}^3 pool triples"
     if not exhaustive:
         rng = random.Random(0)
         triples = rng.sample(triples, min(sample_size, len(triples)))
         label = f"seeded sample of {len(triples)} pool triples"
-    pairs = pool_commutators(model, pack)
+    pool = operator_pool(model, pack)
     for (a, b, c) in triples:
-        lhs = supercommutator(pool[a], pairs[b, c])
-        rhs1 = supercommutator(pairs[a, b], pool[c])
-        rhs2 = supercommutator(pool[b], pairs[a, c])
+        lhs = supercommutator(pool[a], pool[b, c])
+        rhs1 = supercommutator(pool[a, b], pool[c])
+        rhs2 = supercommutator(pool[b], pool[a, c])
         rhs = rhs1 - rhs2 if pool[a].parity * pool[b].parity % 2 else rhs1 + rhs2
         if lhs != rhs:
-            return RelationEntry(
-                "superalgebra.jacobi",
-                f"triple ({pool[a].label},{pool[b].label},{pool[c].label})",
-                "graded Jacobi identity", "fail")
+            return RelationEntry("superalgebra.jacobi", f"triple ({a},{b},{c})",
+                                 "graded Jacobi identity", "fail")
     return RelationEntry("superalgebra.jacobi", label, "graded Jacobi identity", "pass")

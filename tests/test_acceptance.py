@@ -140,7 +140,7 @@ def test_criterion_3_splitting_identities():
         ops = ops_for(name)
         split = foliation_split(ops.d, model, reeb_foliation(pack))
         d0, d1, d2 = split.d0, split.d1, split.d2
-        if (d0 + d1.relabel(d0.label) + d2.relabel(d0.label)) != ops.d:
+        if (d0 + d1 + d2) != ops.d:
             failures.append((name, "reconstruction"))
         if d0 != ops.e_r @ ops.lie_r:
             failures.append((name, "d0 formula"))

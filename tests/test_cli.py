@@ -51,6 +51,25 @@ def test_broken_file_is_input_error(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, line", [
+    ("[algebra]\ndim = 3\n[structure]\nkind = sasakian\nreeb = x\n", 5),
+    ("[algebra]\ndim = 4\n[structure]\nkind = vaisman\nreeb = 4\nlee = y\n", 6),
+    ("[algebra]\ndim = 2\n[structure]\nkind = kahler\nJ: 1 -> 5\n", 5),
+    ("[algebra]\ndim = 2\n[structure]\nkind = kahler\nJ: 0 -> 2\n", 5),
+    ("[algebra]\ndim = 3\n[structure]\nkind = sasakian\nreeb = 7\n", 5),
+    ("[algebra]\ndim = 2\n[structure]\nkind = kahler\nJ: 1 -> 1\n", 5),
+], ids=["reeb-not-a-number", "lee-not-a-number", "J-above-dim", "J-zero",
+        "reeb-above-dim", "J-self-pair"])
+def test_bad_structure_index_is_input_error(tmp_path, text, line):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    child = subprocess.run([sys.executable, "-m", "lieforms.cli", "check", str(bad)],
+                           capture_output=True, text=True)
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert f"line {line}:" in child.stderr
+
+
 def test_broken_jacobi_file_reports_offending_triple(tmp_path, capsys):
     bad = tmp_path / "nonjacobi.alg"
     bad.write_text("[algebra]\ndim = 3\n[brackets]\n"

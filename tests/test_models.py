@@ -117,7 +117,7 @@ def test_bigrading_projectors_resolve_identity():
         n = ops.d.ngen
         total = GradedOperator.zero(n, 0, 0)
         for p in ops.pi_pq.values():
-            total = total + p.relabel(total.label)
+            total = total + p
             assert p @ p == p  # idempotent
         assert total == GradedOperator.identity(n)
         for k1, p1 in ops.pi_pq.items():
@@ -129,13 +129,13 @@ def test_bigrading_projectors_resolve_identity():
 # -- model file parsing -------------------------------------------------
 
 
-def test_round_trip_against_builtins():
-    for name in BUILTIN_NAMES:
-        m1, p1 = builtin(name)
-        m2, p2 = parse_model(builtin_file_text(name), name=name)
-        assert m1.dim == m2.dim
-        assert m1.brackets == m2.brackets
-        assert p1 == p2
+def test_builtin_names_match_shipped_files():
+    # each builtin is parsed from its shipped .alg file, and every file is a builtin
+    from importlib import resources
+
+    shipped = {f.name[:-len(".alg")] for f in resources.files("lieforms.data").iterdir()
+               if f.name.endswith(".alg")}
+    assert shipped == set(BUILTIN_NAMES)
 
 
 def test_parse_syntax_error_cites_line():
@@ -214,24 +214,24 @@ def test_default_j_pairs_synthesized():
 # -- dimension 7 ---------------------------------------------------------
 
 _H7_CHILD = """
-import json, resource, sys
+import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from lieforms.models import load_model_file, structure_operators
+from lieforms.operators import GradedOperator
 from lieforms.splitting import foliation_split, hodge_split_d1, reeb_foliation
 model, pack = load_model_file(sys.argv[1])
 ops = structure_operators(model, pack)
 split = foliation_split(ops.d, model, reeb_foliation(pack))
-named = [v for v in vars(ops).values() if hasattr(v, "label")]
+named = [v for v in vars(ops).values() if isinstance(v, GradedOperator)]
 named += [*ops.pi_bidegree.values(), *ops.pi_pq.values(), *split.components,
           *hodge_split_d1(ops, split)]
-print(json.dumps([op.label for op in named]))
+print(len(named))
 """
 
 
 def test_h7_builds_under_one_gib():
     """The dim-7 contact model builds its operators, foliation split and
     Hodge split in a child capped at 1 GiB of address space."""
-    import json
     import os
     import subprocess
     import sys
@@ -246,6 +246,4 @@ def test_h7_builds_under_one_gib():
     child = subprocess.run([sys.executable, "-c", _H7_CHILD, str(model)],
                            capture_output=True, text=True, env=env, timeout=300)
     assert child.returncode == 0, child.stderr[-2000:]
-    labels = json.loads(child.stdout)
-    assert len(labels) > 60
-    assert all(len(label) < 64 for label in labels), max(labels, key=len)[:200]
+    assert int(child.stdout) > 60
