@@ -31,7 +31,7 @@ from .matrices import (
     solve,
     subspace_equal,
 )
-from .models import LieModel, StructureError, StructurePack, bidegree_projectors, structure_operators
+from .models import LieModel, StructureError, StructurePack, bidegree_projectors
 from .operators import (
     GradedOperator,
     RelationEntry,
@@ -42,7 +42,7 @@ from .operators import (
     vector_to_form,
 )
 from .scalars import ONE, Scalar
-from .splitting import FoliationSpec, foliation_split, lee_foliation, operator_pool
+from .splitting import FoliationSpec, lee_foliation, operator_pool
 
 
 @dataclass
@@ -215,7 +215,7 @@ def _restrict_block(block: Matrix, src_embed: Matrix, tgt_embed: Matrix, msg: st
 
 @functools.lru_cache(maxsize=None)
 def full_complex(model: LieModel, pack: StructurePack) -> FormComplex:
-    return FormComplex.full(model, structure_operators(model, pack).d)
+    return FormComplex.full(model, operator_pool(model, pack)["d"])
 
 
 def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
@@ -229,7 +229,7 @@ def basic_subcomplex(model: LieModel, pack: StructurePack, fol: FoliationSpec) -
     fol.validate(model)
     label = f"{model.name}:basic{list(fol.spanning)}"
     constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
-    return FormComplex.from_constraints(model, structure_operators(model, pack).d,
+    return FormComplex.from_constraints(model, operator_pool(model, pack)["d"],
                                         constraints, label)
 
 
@@ -248,13 +248,13 @@ def invariant_subcomplex(model: LieModel, pack: StructurePack,
     for Vaisman models the cone construction lives inside the invariant
     part of the Lee-basic complex, which is what `extra` provides.
     """
-    ops = structure_operators(model, pack)
-    constraints = [ops.lie_r]
+    pool = operator_pool(model, pack)
+    constraints = [pool["Lie_r"]]
     label = f"{model.name}:invariant"
     if extra is not None:
         constraints += [op for pair in _contractions(model, pack, extra) for op in pair]
         label += f"+basic{list(extra.spanning)}"
-    return FormComplex.from_constraints(model, ops.d, constraints, label)
+    return FormComplex.from_constraints(model, pool["d"], constraints, label)
 
 
 def contact_foliation(pack: StructurePack) -> FoliationSpec | None:
@@ -281,7 +281,7 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
 
 def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
     """Delta_s, its {d1, d1*} term, and (i_v, Lie_v) for each spanning v."""
-    d1 = foliation_split(structure_operators(model, pack).d, model, fol).d1
+    d1 = operator_pool(model, pack).split(fol).d1
     box = supercommutator(d1, d1.adjoint())
     pairs = _contractions(model, pack, fol)
     return op_sum([box] + [-(lie @ lie) for _, lie in pairs]), box, pairs
@@ -358,7 +358,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     adjoint identity, positivity and commutation of the split Laplacian,
     and the eigenvector-exactness argument at desk scale.
     """
-    ops = structure_operators(model, pack)
+    pool = operator_pool(model, pack)
     sub = basic_subcomplex(model, pack, fol)
     coh = sub.cohomology()
     report = RelationReport(model.name, f"transversal package {list(fol.spanning)}")
@@ -371,7 +371,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         e = n_t - k
         if e < 0 or 2 * n_t - k > max(sub.degrees):
             continue
-        blocks = sub.restrict(ops.L.power(e))
+        blocks = sub.restrict(pool["L"].power(e))
         ind = induced_map(blocks, sub, coh, coh, degree_offset=2 * e)
         m = ind[k]
         bij = rank(m) == coh.betti[k] == coh.betti[2 * n_t - k]
@@ -385,7 +385,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     stable = True
     for k in sub.degrees:
         harm = sub.embed[k] @ Matrix.from_cols(sub.harmonic_coords(k), sub.dim(k))
-        for (p, q, v), proj in ops.pi_pq.items():
+        for (p, q, v), proj in pool.ops.pi_pq.items():
             if p + q + v == k and solve(harm, proj.blocks[k] @ harm) is None:
                 stable = False
     report.add(RelationEntry("transversal.pq_stability",

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
 from .matrices import Matrix, Vector, nullspace, rank, solve, subspace_equal
-from .models import LieModel, StructureError, StructurePack, structure_operators
+from .models import LieModel, StructureError, StructurePack
 from .operators import RelationEntry, vector_to_form
 from .cohomology import (
     CochainComplex,
@@ -27,6 +27,7 @@ from .cohomology import (
     invariant_subcomplex,
 )
 from .scalars import Scalar
+from .splitting import operator_pool
 
 
 @dataclass
@@ -191,14 +192,14 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
     intertwine the differentials exactly, and the induced long exact
     sequence must be exact at every node.
     """
-    ops = structure_operators(model, pack)
+    pool = operator_pool(model, pack)
     # the invariant part of C stands in for C on the cone side
     ambient = invariant_subcomplex(model, pack, contact_foliation(pack))
     reference, basic = contact_complexes(model, pack)
 
     src = basic.shift(-1)   # C_i = bas^{i-1}
     tgt = basic.shift(1)    # C'_i = bas^{i+1}
-    lblocks = basic.restrict(ops.L)
+    lblocks = basic.restrict(pool["L"])
     phi_blocks = {k: lblocks[k - 1] for k in src.degrees if k - 1 in lblocks}
     phi = ChainMap("L", src, tgt, phi_blocks)
     cone = build_cone(phi)
@@ -210,9 +211,9 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
         x = ambient.embed[i]
         if i >= 1:
             # beta = i_r(x); alpha = x - eta ^ beta
-            beta = ops.i_r.blocks[i] @ x
+            beta = pool["i_r"].blocks[i] @ x
             bcoords = solve(basic.embed[i - 1], beta)
-            acoords = solve(basic.embed[i], x - ops.e_r.blocks[i - 1] @ beta)
+            acoords = solve(basic.embed[i], x - pool["e_r"].blocks[i - 1] @ beta)
         else:
             bcoords, acoords = Matrix.zero(0, x.ncols), solve(basic.embed[i], x)
         if bcoords is None or acoords is None:
@@ -272,7 +273,7 @@ def _lefschetz_sequences(model: LieModel, pack: StructurePack):
     """
     contact, basic = contact_complexes(model, pack)
     actual, coh = contact.cohomology(), basic.cohomology()
-    lef = induced_map(basic.restrict(structure_operators(model, pack).L),
+    lef = induced_map(basic.restrict(operator_pool(model, pack)["L"]),
                       basic, coh, coh, degree_offset=2)
     rk = {k: rank(m) for k, m in lef.items()}
     b = lambda k: coh.betti.get(k, 0)
@@ -321,7 +322,7 @@ def sasakian_decomposition(model: LieModel, pack: StructurePack) -> Decompositio
 def _harmonic_branch_spaces(model, pack, basic):
     """Per degree, the two candidate spaces: primitive basic-harmonic forms
     at the degree, and eta ^ (co-primitive basic-harmonic) one degree lower."""
-    ops = structure_operators(model, pack)
+    pool = operator_pool(model, pack)
     harm = {k: basic.ambient_vectors(k, basic.harmonic_coords(k)) for k in basic.degrees}
 
     def cut(vectors, op, k):
@@ -334,12 +335,12 @@ def _harmonic_branch_spaces(model, pack, basic):
 
     out = []
     for degree in range(model.dim + 1):
-        b1 = cut(harm.get(degree, []), ops.Lam, degree)
-        prev = cut(harm.get(degree - 1, []), ops.L, degree - 1) if degree >= 1 else []
+        b1 = cut(harm.get(degree, []), pool["Lam"], degree)
+        prev = cut(harm.get(degree - 1, []), pool["L"], degree - 1) if degree >= 1 else []
         b2 = []
         if prev:
             # v ^ eta = (-1)^deg(v) eta ^ v, so the branch is one e_r block product
-            wedged = ops.e_r.blocks[degree - 1] @ Matrix.from_cols(prev)
+            wedged = pool["e_r"].blocks[degree - 1] @ Matrix.from_cols(prev)
             wedged = -wedged if degree % 2 == 0 else wedged
             b2 = [wedged.col(j) for j in range(wedged.ncols)]
         out.append((b1, b2))
@@ -445,7 +446,7 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
 
     theta_ok = True
     assemble_ok = True
-    e_theta = structure_operators(model, pack).e_theta
+    e_theta = operator_pool(model, pack)["e_th"]
     full = full_complex(model, pack)
     harmonic = [Matrix.from_cols(full.harmonic_coords(i), full.dim(i)) for i in full.degrees]
     for i in full.degrees:

@@ -16,16 +16,7 @@ from itertools import combinations
 
 from .forms import FormElement, contract, inner_product, monomial_basis, wedge
 from .matrices import Matrix
-from .operators import (
-    EVEN,
-    GradedOperator,
-    ODD,
-    contraction_operator,
-    extend_derivation,
-    op_sum,
-    supercommutator,
-    wedge_operator,
-)
+from .operators import EVEN, GradedOperator, ODD, extend_derivation, op_sum
 from .scalars import I, ONE, Scalar, ZERO
 
 
@@ -306,6 +297,7 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
     brackets: dict[tuple[int, int, int], tuple[Scalar, int]] = {}
     kind = None
     index_of: dict[str, int] = {}  # the reeb and lee indices
+    line_of: dict[str, int] = {}
     j_pairs: list[tuple[int, int]] = []
     indices: list[tuple[int, str, int]] = []  # (line, what, index), checked against dim
     section = None
@@ -379,7 +371,7 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                     index = int(value)
                 except ValueError:
                     raise ModelSyntaxError(line_no, f"bad {key} index {value!r}")
-                index_of[key] = index
+                index_of[key], line_of[key] = index, line_no
                 indices.append((line_no, key, index))
             else:
                 raise ModelSyntaxError(line_no, f"unknown structure key {key!r}")
@@ -388,16 +380,22 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
 
     if dim is None:
         raise ModelSyntaxError(0, "missing [algebra] section with dim")
-    reeb, lee = index_of.get("reeb"), index_of.get("lee")
     for line_no, what, index in indices:
         if not 1 <= index <= dim:
             raise ModelSyntaxError(line_no, f"{what} index {index} out of range 1..{dim}")
     if kind is None:
         raise ModelSyntaxError(0, "missing [structure] kind")
-    if kind in ("sasakian", "vaisman") and reeb is None:
-        raise ModelSyntaxError(0, f"kind {kind} needs a reeb index")
-    if kind == "vaisman" and lee is None:
-        raise ModelSyntaxError(0, "kind vaisman needs a lee index")
+    uses = {"kahler": (), "sasakian": ("reeb",), "vaisman": ("reeb", "lee")}[kind]
+    for key in uses:
+        if key not in index_of:
+            raise ModelSyntaxError(0, f"kind {kind} needs a {key} index")
+    # checked once the whole file is read, since `kind` may follow the key
+    for key in index_of:
+        if key not in uses:
+            raise ModelSyntaxError(line_of[key], f"kind {kind} takes no {key} index")
+    reeb, lee = index_of.get("reeb"), index_of.get("lee")
+    if lee is not None and lee == reeb:
+        raise ModelSyntaxError(line_of["lee"], f"lee index {lee} equals the reeb index")
 
     model = LieModel(name, dim, tuple((i, j, k, v) for (i, j, k), (v, _) in sorted(brackets.items())))
 
@@ -446,25 +444,15 @@ def builtin_file_text(name: str) -> str:
 
 @dataclass(frozen=True)
 class StructureOperators:
-    """Every named operator of the pack's canonical foliation."""
+    """The operators built from the pack's data.  Every other named
+    operator is derived from these in `splitting.OperatorPool`."""
 
     d: GradedOperator
-    e_r: GradedOperator | None
-    i_r: GradedOperator | None
-    lie_r: GradedOperator | None
     L: GradedOperator
-    Lam: GradedOperator
-    H: GradedOperator
     W: GradedOperator
     I_aut: GradedOperator
     I_inv: GradedOperator
-    pi_hor: GradedOperator
-    pi_bidegree: dict[tuple[int, int], GradedOperator]
     pi_pq: dict[tuple[int, int, int], GradedOperator]
-    n_trans: int
-    e_theta: GradedOperator | None = None
-    i_theta: GradedOperator | None = None
-    lie_theta: GradedOperator | None = None
 
 
 def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
@@ -488,20 +476,9 @@ def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
 def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperators:
     n = model.dim
     d = ce_differential(model)
-    vertical = pack.vertical_indices
-    horizontal = pack.horizontal_indices(n)
-    n_trans = pack.transversal_dim(n)
-
-    e_r = i_r = lie_r = None
-    if pack.reeb_index is not None:
-        e_r = wedge_operator(pack.eta)
-        i_r = contraction_operator(n, pack.reeb_index)
-        lie_r = supercommutator(d, i_r)
 
     # built at shift 2 even when omega0 = 0 (no transversal directions)
     L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x))
-    Lam = L.adjoint()
-    H = supercommutator(L, Lam)
 
     # W: even derivation extension of the transversal rotation
     action = {k: FormElement.zero(n) for k in range(1, n + 1)}
@@ -510,8 +487,7 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
         action[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
     W = extend_derivation(n, EVEN, action, shift=0)
 
-    pi_bi = bidegree_projectors(n, vertical)
-    pi_pq = _pq_projectors(n, W, vertical, n_trans)
+    pi_pq = _pq_projectors(n, W, pack.vertical_indices, pack.transversal_dim(n))
 
     # exhaustiveness and orthogonality of the bigrading
     if op_sum(pi_pq.values()) != GradedOperator.identity(n):
@@ -519,19 +495,7 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
 
     I_aut = op_sum(proj.scale(_i_power(p - q)) for (p, q, _), proj in pi_pq.items())
     I_inv = op_sum(proj.scale(_i_power(q - p)) for (p, q, _), proj in pi_pq.items())
-    pi_hor = op_sum(pi_bi[(h, 0)] for h in range(len(horizontal) + 1))
-
-    e_theta = i_theta = lie_theta = None
-    if pack.kind == "vaisman":
-        e_theta = wedge_operator(pack.theta)
-        i_theta = contraction_operator(n, pack.lee_index)
-        lie_theta = supercommutator(d, i_theta)
-
-    return StructureOperators(
-        d=d, e_r=e_r, i_r=i_r, lie_r=lie_r, L=L, Lam=Lam, H=H, W=W, I_aut=I_aut,
-        I_inv=I_inv, pi_hor=pi_hor, pi_bidegree=pi_bi, pi_pq=pi_pq, n_trans=n_trans,
-        e_theta=e_theta, i_theta=i_theta, lie_theta=lie_theta,
-    )
+    return StructureOperators(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv, pi_pq=pi_pq)
 
 
 def _i_power(s: int) -> Scalar:

@@ -96,7 +96,6 @@ class Scalar:
 ZERO = Scalar(Fraction(0))
 ONE = Scalar(Fraction(1))
 I = Scalar.i()
-MINUS_ONE = Scalar(Fraction(-1))
 HALF = Scalar(Fraction(1, 2))
 
 

@@ -167,13 +167,20 @@ def hodge_split_d1(
 
 
 _RECIPES = {
-    **{name: attrgetter("ops." + attr) for name, attr in (
-        ("d", "d"), ("L", "L"), ("Lam", "Lam"), ("H", "H"), ("W", "W"),
-        ("e_r", "e_r"), ("i_r", "i_r"), ("Lie_r", "lie_r"),
-        ("e_th", "e_theta"), ("i_th", "i_theta"), ("Lie_th", "lie_theta"))},
+    **{name: attrgetter("ops." + name) for name in ("d", "L", "W")},
+    # the Reeb and Lee operators are the coframe ones at the pack's indices
+    "e_r": lambda p: p[f"e_{p.pack.reeb_index}"],
+    "i_r": lambda p: p[f"i_{p.pack.reeb_index}"],
+    "Lie_r": lambda p: p["d", f"i_{p.pack.reeb_index}"],
+    "e_th": lambda p: p[f"e_{p.pack.lee_index}"],
+    "i_th": lambda p: p[f"i_{p.pack.lee_index}"],
+    "Lie_th": lambda p: p["d", f"i_{p.pack.lee_index}"],
+    "Lam": lambda p: p["L*"],
+    "H": lambda p: p["L", "Lam"],
     "Id": lambda p: GradedOperator.identity(p.model.dim),
-    "(p-n)Id": lambda p: op_sum(pr.scale(Scalar(Fraction(h - p.ops.n_trans)))
-                                for (h, _), pr in p.ops.pi_bidegree.items()),
+    "(p-n)Id": lambda p: op_sum(
+        pr.scale(Scalar(Fraction(h - p.pack.transversal_dim(p.model.dim))))
+        for (h, _), pr in bidegree_projectors(p.model.dim, p.pack.vertical_indices).items()),
     **{f"{x}*": (lambda p, x=x: p[x].adjoint())
        for x in ("d", "d*", "dc", "d0", "d1", "d1c", "e_r", "Lie_r", "L")},
     # Kahler
@@ -185,9 +192,9 @@ _RECIPES = {
     "sum i_a i_b": lambda p: op_sum(p[f"i_{a}"] @ p[f"i_{b}"]
                                     for a, b in p.pack.transversal_pairs()),
     # contact: the Reeb splitting, its Hodge components and Reeb powers
-    "d0": lambda p: p.reeb_split.d0,
-    "d1": lambda p: p.reeb_split.d1,
-    "d2": lambda p: p.reeb_split.d2,
+    "d0": lambda p: p.split(reeb_foliation(p.pack)).d0,
+    "d1": lambda p: p.split(reeb_foliation(p.pack)).d1,
+    "d2": lambda p: p.split(reeb_foliation(p.pack)).d2,
     "d1^{1,0}": lambda p: p.hodge[0],
     "d1^{0,1}": lambda p: p.hodge[1],
     "d1c": lambda p: p.hodge[2],
@@ -212,7 +219,8 @@ class OperatorPool:
     """The named operators of one model, each built once, on first use.
 
     `pool[name]` builds an operator from its recipe; `pool[a, b]` is the
-    supercommutator {pool[a], pool[b]}, memoised by name pair.  The names
+    supercommutator {pool[a], pool[b]}, memoised by name pair; `split(fol)`
+    is the split of d along a foliation, memoised per foliation.  The names
     are the operators' only labels: reports print them, never read them
     off an operator.
     """
@@ -237,13 +245,14 @@ class OperatorPool:
             self._built[ref] = op
         return op
 
-    @functools.cached_property
-    def reeb_split(self) -> FoliationSplit:
-        return foliation_split(self.ops.d, self.model, reeb_foliation(self.pack))
+    def split(self, fol: FoliationSpec) -> FoliationSplit:
+        if fol not in self._built:
+            self._built[fol] = foliation_split(self["d"], self.model, fol)
+        return self._built[fol]
 
     @functools.cached_property
     def hodge(self) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
-        return hodge_split_d1(self.ops, self.reeb_split)
+        return hodge_split_d1(self.ops, self.split(reeb_foliation(self.pack)))
 
 
 @functools.lru_cache(maxsize=None)

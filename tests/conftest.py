@@ -1,6 +1,7 @@
 import functools
 
 from lieforms.models import builtin, structure_operators
+from lieforms.splitting import operator_pool
 
 _CRITERION_LINES: list[str] = []
 
@@ -20,6 +21,10 @@ def model_pack(name: str):
 def ops_for(name: str):
     model, pack = model_pack(name)
     return structure_operators(model, pack)
+
+
+def pool_for(name: str):
+    return operator_pool(*model_pack(name))
 
 
 def pytest_terminal_summary(terminalreporter):

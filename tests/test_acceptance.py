@@ -21,19 +21,20 @@ from lieforms.cones import (
     vaisman_decomposition,
     vaisman_harmonic_check,
 )
-from lieforms.models import load_model_file, structure_operators
+from lieforms.models import load_model_file
 from lieforms.operators import supercommutator
 from lieforms.splitting import (
     antisymmetry_report,
     foliation_split,
     jacobi_report,
     kahler_relations,
+    operator_pool,
     reeb_foliation,
     sasakian_relations,
     sigma_foliation,
 )
 
-from conftest import model_pack, ops_for, record_criterion
+from conftest import model_pack, pool_for, record_criterion
 
 TWISTED_SQUARE_WITNESS = Path(__file__).parent / "data" / "su2_aff.alg"
 SASAKIAN = ("su2", "h3", "h5")
@@ -117,9 +118,9 @@ def test_criterion_2_nonzeroness_clause_as_stated():
     vacuous_on_su2 = (e.verdict, e.vacuous) == ("pass", True)
 
     model, pack = load_model_file(str(TWISTED_SQUARE_WITNESS))
-    ops = structure_operators(model, pack)
-    d1 = foliation_split(ops.d, model, reeb_foliation(pack)).d1
-    L1 = ops.L @ ops.lie_r
+    pool = operator_pool(model, pack)
+    d1 = foliation_split(pool["d"], model, reeb_foliation(pack)).d1
+    L1 = pool["L"] @ pool["Lie_r"]
     both_nonzero = not d1.is_zero() and not L1.is_zero()
     identity_holds = d1 @ d1 == -L1
     e = sasakian_relations(model, pack).entry("squares.{d1,d1}")
@@ -137,14 +138,14 @@ def test_criterion_3_splitting_identities():
     failures = []
     for name in SASAKIAN:
         model, pack = model_pack(name)
-        ops = ops_for(name)
-        split = foliation_split(ops.d, model, reeb_foliation(pack))
+        pool = pool_for(name)
+        split = foliation_split(pool["d"], model, reeb_foliation(pack))
         d0, d1, d2 = split.d0, split.d1, split.d2
-        if (d0 + d1 + d2) != ops.d:
+        if (d0 + d1 + d2) != pool["d"]:
             failures.append((name, "reconstruction"))
-        if d0 != ops.e_r @ ops.lie_r:
+        if d0 != pool["e_r"] @ pool["Lie_r"]:
             failures.append((name, "d0 formula"))
-        if d2 != ops.L @ ops.i_r:
+        if d2 != pool["L"] @ pool["i_r"]:
             failures.append((name, "d2 formula"))
         if not (d0 @ d0).is_zero() or not (d2 @ d2).is_zero():
             failures.append((name, "squares"))

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -58,8 +61,13 @@ def test_broken_file_is_input_error(tmp_path, capsys):
     ("[algebra]\ndim = 2\n[structure]\nkind = kahler\nJ: 0 -> 2\n", 5),
     ("[algebra]\ndim = 3\n[structure]\nkind = sasakian\nreeb = 7\n", 5),
     ("[algebra]\ndim = 2\n[structure]\nkind = kahler\nJ: 1 -> 1\n", 5),
+    ("[algebra]\ndim = 4\n[structure]\nkind = vaisman\nreeb = 4\nlee = 4\n", 6),
+    ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n"
+     "[structure]\nkind = sasakian\nreeb = 3\nlee = 1\n", 8),
+    ("[algebra]\ndim = 2\n[structure]\nreeb = 1\nkind = kahler\n", 4),
 ], ids=["reeb-not-a-number", "lee-not-a-number", "J-above-dim", "J-zero",
-        "reeb-above-dim", "J-self-pair"])
+        "reeb-above-dim", "J-self-pair", "lee-equals-reeb", "lee-in-sasakian",
+        "reeb-in-kahler"])
 def test_bad_structure_index_is_input_error(tmp_path, text, line):
     bad = tmp_path / "bad.alg"
     bad.write_text(text)
@@ -170,3 +178,25 @@ def test_cli_main_entry():
     assert main(["check", "torus2", "--format", "csv", "--output", "/dev/null"]) == 0
     with pytest.raises(SystemExit):
         main(["unknown-command", "su2"])
+
+
+@pytest.mark.parametrize("argv", [["check", "h3"], ["all", "su2xr"]],
+                         ids=["check h3", "all su2xr"])
+def test_traced_worker_report_matches_plain(argv):
+    # the benchmark's traced worker calls engine functions by name, so a
+    # rename of one of them would break only a traced benchmark run
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = {}
+    for mode in ("plain", "traced"):
+        child = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "worker.py"), mode,
+             repr(time.monotonic()), "0", *argv, "--format", "json"],
+            capture_output=True, text=True, env=env, cwd=root, timeout=300)
+        assert child.returncode == 0, child.stderr[-2000:]
+        out[mode] = json.loads(child.stdout)
+    assert out["plain"]["status"] == out["traced"]["status"] == 0
+    assert out["traced"]["report"] == out["plain"]["report"]
+    assert set(out["traced"]["probes"]) == {
+        "splitting.foliation_split_s", "splitting.hodge_split_d1_s",
+        "models.structure_operators_peak_mb"}

@@ -247,6 +247,43 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
     assert counts == {"built": built, "eliminated": eliminated}
 
 
+@pytest.mark.parametrize("name", ["h5", "su2xr"])
+def test_all_builds_each_operator_once(monkeypatch, capsys, name):
+    # the coframe operators e_k, i_k (the Reeb and Lee ones among them) and
+    # the split of d along each foliation are built once, however many
+    # layers read them
+    import collections
+    import importlib
+
+    from lieforms import cli
+
+    modules = [importlib.import_module(f"lieforms.{m}")
+               for m in ("models", "operators", "splitting", "cohomology", "cones", "cli")]
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    builds = collections.Counter()
+    keys = {"contraction_operator": lambda ngen, k: k,
+            "wedge_operator": lambda form: tuple(form.terms),
+            "foliation_split": lambda d, model, fol: fol.spanning}
+
+    def counted(fname, fn):
+        def wrapper(*args):
+            builds[fname, keys[fname](*args)] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in modules:
+        for fname in keys:
+            if fname in vars(module):
+                monkeypatch.setattr(module, fname, counted(fname, vars(module)[fname]))
+    assert cli.main(["all", name]) == 0
+    capsys.readouterr()
+    assert {f for f, _ in builds} == set(keys)
+    assert {key: n for key, n in builds.items() if n > 1} == {}
+
+
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])
 def test_basic_adjoint_reports_the_first_failing_pair(name):
     # with 2 Id in place of Pi_hor the left side doubles, so the first basis

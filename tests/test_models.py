@@ -1,5 +1,6 @@
 import pytest
 
+from lieforms.cohomology import _foliation_pi_hor
 from lieforms.forms import FormElement, wedge
 from lieforms.models import (
     AntisymmetryError,
@@ -9,6 +10,7 @@ from lieforms.models import (
     ModelError,
     ModelSyntaxError,
     StructureError,
+    bidegree_projectors,
     builtin,
     builtin_file_text,
     builtin_models,
@@ -18,8 +20,9 @@ from lieforms.models import (
 )
 from lieforms.operators import GradedOperator, supercommutator
 from lieforms.scalars import I, ONE, Scalar
+from lieforms.splitting import FoliationSpec
 
-from conftest import model_pack, ops_for
+from conftest import model_pack, ops_for, pool_for
 
 
 def t(n, *ix):
@@ -80,35 +83,38 @@ def test_jacobi_defect_detection():
 
 def test_structure_operator_examples():
     for name in ("su2", "h3", "h5"):
-        ops = ops_for(name)
+        pool = pool_for(name)
         _, pack = model_pack(name)
-        assert ops.i_r.apply(pack.eta) == FormElement.unit(ops.d.ngen)
+        assert pool["i_r"].apply(pack.eta) == FormElement.unit(pool["d"].ngen)
     ops = ops_for("h3")
     w10 = t(3, 1) - t(3, 2).scale(I)
     assert ops.W.apply(w10) == w10.scale(I)
     assert ops.I_aut.apply(w10) == w10.scale(I)
-    su2 = ops_for("su2")
-    assert su2.lie_r.apply(t(3, 1)) == t(3, 2).scale(Scalar.of(-1))
-    assert ops_for("h3").lie_r.is_zero()
+    su2 = pool_for("su2")
+    assert su2["Lie_r"].apply(t(3, 1)) == t(3, 2).scale(Scalar.of(-1))
+    assert pool_for("h3")["Lie_r"].is_zero()
 
 
 def test_lie_r_skew_adjoint_and_central():
     for name in ("su2", "h3", "h5", "su2xr", "h3xr"):
-        ops = ops_for(name)
-        assert ops.lie_r.adjoint() == -ops.lie_r
-        named = [ops.L, ops.Lam, ops.H, ops.W, ops.e_r, ops.i_r, ops.I_aut,
-                 ops.I_inv, ops.pi_hor]
-        named += list(ops.pi_pq.values()) + list(ops.pi_bidegree.values())
-        if ops.e_theta is not None:
-            named += [ops.e_theta, ops.i_theta, ops.lie_theta]
+        model, pack = model_pack(name)
+        pool = pool_for(name)
+        lie_r = pool["Lie_r"]
+        assert lie_r.adjoint() == -lie_r
+        named = [pool[x] for x in ("L", "Lam", "H", "W", "e_r", "i_r")]
+        named += [pool.ops.I_aut, pool.ops.I_inv,
+                  _foliation_pi_hor(model, FoliationSpec(pack.vertical_indices))]
+        named += list(pool.ops.pi_pq.values())
+        named += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
+        if pack.kind == "vaisman":
+            named += [pool[x] for x in ("e_th", "i_th", "Lie_th")]
         for op in named:
-            assert supercommutator(ops.lie_r, op).is_zero()
+            assert supercommutator(lie_r, op).is_zero()
 
 
 def test_vaisman_lie_theta_vanishes():
     for name in ("su2xr", "h3xr"):
-        ops = ops_for(name)
-        assert ops.lie_theta.is_zero()
+        assert pool_for(name)["Lie_th"].is_zero()
 
 
 def test_bigrading_projectors_resolve_identity():
@@ -216,15 +222,16 @@ def test_default_j_pairs_synthesized():
 _H7_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from lieforms.models import load_model_file, structure_operators
+from lieforms.models import bidegree_projectors, load_model_file
 from lieforms.operators import GradedOperator
-from lieforms.splitting import foliation_split, hodge_split_d1, reeb_foliation
+from lieforms.splitting import operator_pool, reeb_foliation
 model, pack = load_model_file(sys.argv[1])
-ops = structure_operators(model, pack)
-split = foliation_split(ops.d, model, reeb_foliation(pack))
-named = [v for v in vars(ops).values() if isinstance(v, GradedOperator)]
-named += [*ops.pi_bidegree.values(), *ops.pi_pq.values(), *split.components,
-          *hodge_split_d1(ops, split)]
+pool = operator_pool(model, pack)
+named = [v for v in vars(pool.ops).values() if isinstance(v, GradedOperator)]
+named += [pool[x] for x in ("e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
+named += [*bidegree_projectors(model.dim, pack.vertical_indices).values(),
+          *pool.ops.pi_pq.values(), *pool.split(reeb_foliation(pack)).components,
+          *pool.hodge]
 print(len(named))
 """
 

@@ -17,7 +17,7 @@ from lieforms.operators import (
 )
 from lieforms.scalars import Scalar
 
-from conftest import ops_for
+from conftest import ops_for, pool_for
 
 
 def t(n, *ix):
@@ -112,10 +112,10 @@ def test_adjoint_properties():
 
 
 def test_adjoint_reverses_composition():
-    ops = ops_for("su2")
-    a, b = ops.d, ops.e_r
+    pool = pool_for("su2")
+    a, b = pool["d"], pool["e_r"]
     assert (a @ b).adjoint() == b.adjoint() @ a.adjoint()
-    assert (ops.L @ ops.d).adjoint() == ops.d.adjoint() @ ops.Lam
+    assert (pool["L"] @ pool["d"]).adjoint() == pool["d"].adjoint() @ pool["Lam"]
 
 
 def test_adjoint_vs_star_signs_on_su2():
@@ -129,25 +129,25 @@ def test_adjoint_vs_star_signs_on_su2():
 
 
 def test_reeb_power():
-    ops = ops_for("su2")
-    assert reeb_power(ops.e_r, ops.lie_r, 0) == ops.e_r
-    d0 = ops.e_r @ ops.lie_r
-    assert reeb_power(ops.e_r, ops.lie_r, 1) == d0
+    pool = pool_for("su2")
+    e_r, lie_r = pool["e_r"], pool["Lie_r"]
+    assert reeb_power(e_r, lie_r, 0) == e_r
+    d0 = e_r @ lie_r
+    assert reeb_power(e_r, lie_r, 1) == d0
     # on h3 the reeb direction is central, so every first power vanishes
-    h3 = ops_for("h3")
-    assert reeb_power(h3.L, h3.lie_r, 1).is_zero()
+    h3 = pool_for("h3")
+    assert reeb_power(h3["L"], h3["Lie_r"], 1).is_zero()
 
 
 def test_reeb_power_commutation_guard():
-    ops = ops_for("su2")
     e1 = wedge_operator(t(3, 1))
     with pytest.raises(ValueError):
-        reeb_power(e1, ops.lie_r, 1)
+        reeb_power(e1, pool_for("su2")["Lie_r"], 1)
 
 
 def test_super_jacobi_examples():
-    ops = ops_for("su2")
-    d, i_r = ops.d, ops.i_r
+    pool = pool_for("su2")
+    d, i_r = pool["d"], pool["i_r"]
 
     def jacobi_holds(a, b, c):
         # {a,{b,c}} = {{a,b},c} + (-1)^{~a~b} {b,{a,c}}
@@ -158,7 +158,7 @@ def test_super_jacobi_examples():
 
     assert jacobi_holds(d, d, i_r)
     zero = GradedOperator.zero(3, 0, EVEN)
-    assert jacobi_holds(zero, ops.L, d)
+    assert jacobi_holds(zero, pool["L"], d)
     # odd self-bracket consequence: 2{d,{d,u}} = {{d,d},u}
     lhs = supercommutator(d, supercommutator(d, i_r)).scale(Scalar(Fraction(2)))
     rhs = supercommutator(supercommutator(d, d), i_r)
@@ -220,10 +220,10 @@ def test_blocks_shape_validation():
 def test_check_relation_fail_path_reports_first_mismatch():
     from lieforms.operators import check_relation
 
-    ops = ops_for("su2")
-    wrong = ops.L.scale(Scalar.of(3))
-    entry = check_relation("planted", ("{H,L}", supercommutator(ops.H, ops.L)), ("3L", wrong),
-                           [("5L", ops.L.scale(Scalar.of(5)))])
+    pool = pool_for("su2")
+    wrong = pool["L"].scale(Scalar.of(3))
+    entry = check_relation("planted", ("{H,L}", supercommutator(pool["H"], pool["L"])),
+                           ("3L", wrong), [("5L", pool["L"].scale(Scalar.of(5)))])
     assert entry.verdict == "fail"
     assert "first mismatch at degree" in entry.failure
     assert not entry.ok()
@@ -232,8 +232,8 @@ def test_check_relation_fail_path_reports_first_mismatch():
 def test_check_relation_shift_mismatch_reported():
     from lieforms.operators import check_relation
 
-    ops = ops_for("su2")
-    entry = check_relation("planted", ("e_r", ops.e_r), ("i_r", ops.i_r))
+    pool = pool_for("su2")
+    entry = check_relation("planted", ("e_r", pool["e_r"]), ("i_r", pool["i_r"]))
     assert entry.verdict == "fail"
     assert "shifts" in entry.failure
 

@@ -11,13 +11,14 @@ from lieforms.splitting import (
     hodge_split_d1,
     jacobi_report,
     kahler_relations,
+    operator_pool,
     reeb_foliation,
     sasakian_relations,
     sigma_foliation,
     vaisman_structure_relations,
 )
 
-from conftest import model_pack, ops_for
+from conftest import model_pack, ops_for, pool_for
 
 
 def split_for(name):
@@ -43,9 +44,10 @@ def test_split_reconstructs_d():
 
 def test_split_formulas():
     for name in ("su2", "h3", "h5"):
-        ops, split = split_for(name)
-        assert split.d0 == ops.e_r @ ops.lie_r
-        assert split.d2 == ops.L @ ops.i_r
+        _, split = split_for(name)
+        pool = pool_for(name)
+        assert split.d0 == pool["e_r"] @ pool["Lie_r"]
+        assert split.d2 == pool["L"] @ pool["i_r"]
         assert (split.d0 @ split.d0).is_zero()
         assert (split.d2 @ split.d2).is_zero()
         # the horizontal-degree-2 part of d^2 = 0
@@ -215,13 +217,13 @@ def test_factor_two_adjudications_on_su2_aff_witness():
     # (0,1), with d1 != 0 and Lie_r != 0.  d^2 = 0 gives d1 d1 = -L(1), so
     # the printed twisted squares hold up to a factor of 2.  The rest of
     # the table is deliberately not asserted (see the fixture's comment).
-    from lieforms.models import load_model_file, structure_operators
+    from lieforms.models import load_model_file
 
     model, pack = load_model_file(str(SU2_AFF))
-    ops = structure_operators(model, pack)
-    split = foliation_split(ops.d, model, reeb_foliation(pack))
-    assert split.d0 == ops.e_r @ ops.lie_r
-    assert split.d2 == ops.L @ ops.i_r
+    pool = operator_pool(model, pack)
+    split = foliation_split(pool["d"], model, reeb_foliation(pack))
+    assert split.d0 == pool["e_r"] @ pool["Lie_r"]
+    assert split.d2 == pool["L"] @ pool["i_r"]
     assert supercommutator(split.d0, split.d2) == -(split.d1 @ split.d1)
     assert not (split.d1 @ split.d1).is_zero()
 
