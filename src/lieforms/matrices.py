@@ -1,8 +1,12 @@
-"""Dense exact matrices over the Gaussian rationals.
+"""Sparse exact matrices over the Gaussian rationals.
 
 Everything downstream (ranks, kernels, cohomology, relation checks) runs
 through this module, so it stays small and boring: row reduction with
-full pivoting-by-first-nonzero, no floating point anywhere.
+first-nonzero pivoting, no floating point anywhere.
+
+A block is stored as one dict {column: nonzero Scalar} per row, and no
+zero is ever stored, so every operation walks only the nonzero entries.
+Stored row dicts are never mutated, which lets matrices share rows.
 """
 
 from __future__ import annotations
@@ -13,10 +17,13 @@ from typing import Sequence
 from .scalars import ONE, Scalar, ZERO
 
 Vector = tuple[Scalar, ...]
+Row = dict[int, Scalar]
+
+_MINUS_ONE = -ONE
 
 
 class Matrix:
-    """Immutable dense matrix of Scalars.
+    """Immutable sparse matrix of Scalars.
 
     The row storage is private to this module: callers work on whole
     blocks, and read single entries through `entry`.
@@ -25,16 +32,14 @@ class Matrix:
     __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]], ncols: int | None = None):
-        rows = tuple(tuple(r) for r in rows)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
+        rows = [tuple(r) for r in rows]
         if rows:
             widths = {len(r) for r in rows}
             if len(widths) != 1:
                 raise ValueError("ragged rows")
-            object.__setattr__(self, "ncols", widths.pop())
-        else:
-            object.__setattr__(self, "ncols", 0 if ncols is None else ncols)
+            ncols = widths.pop()
+        _make(tuple({j: a for j, a in enumerate(r) if a} for r in rows),
+              0 if ncols is None else ncols, self)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
@@ -43,83 +48,84 @@ class Matrix:
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[ZERO] * ncols for _ in range(nrows)], ncols)
+        return _make(tuple({} for _ in range(nrows)), ncols)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
+        return _make(tuple({i: ONE} for i in range(n)), n)
 
     @staticmethod
     def from_cols(cols: Sequence[Vector], nrows: int | None = None) -> "Matrix":
         if not cols:
-            return Matrix([], 0) if nrows is None else Matrix.zero(nrows, 0)
-        m = len(cols[0])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(m)], len(cols))
+            return Matrix.zero(0 if nrows is None else nrows, 0)
+        rows: list[Row] = [{} for _ in cols[0]]
+        for j, c in enumerate(cols):
+            for i, a in enumerate(c):
+                if a:
+                    rows[i][j] = a
+        return _make(tuple(rows), len(cols))
+
+    @staticmethod
+    def unit_rows(positions: Sequence[int], ncols: int) -> "Matrix":
+        """The rows e_p of the ncols x ncols identity, for p in positions."""
+        return _make(tuple({p: ONE} for p in positions), ncols)
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._rows)
+        return tuple(r.get(j, ZERO) for r in self._rows)
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self._rows[i][j]
+        return self._rows[i].get(j, ZERO)
 
     def top(self, n: int) -> "Matrix":
         """The first n rows."""
-        return Matrix(self._rows[:n], self.ncols)
+        return _make(self._rows[:n], self.ncols)
 
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            [[b if a.is_zero() else a if b.is_zero() else a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self._rows, other._rows)],
-            self.ncols,
-        )
+        return self._plus(other, ONE)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(
-            [[a if b.is_zero() else -b if a.is_zero() else a - b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self._rows, other._rows)],
-            self.ncols,
-        )
+        return self._plus(other, _MINUS_ONE)
+
+    def _plus(self, other: "Matrix", c: Scalar) -> "Matrix":
+        """self + c*other."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return _make(tuple(_add_into(dict(r1), r2, c) for r1, r2 in zip(self._rows, other._rows)),
+                     self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[a if a.is_zero() else -a for a in r] for r in self._rows], self.ncols)
+        return _make(tuple({j: -a for j, a in r.items()} for r in self._rows), self.ncols)
 
     def scale(self, c: Scalar) -> "Matrix":
-        return Matrix([[a if a.is_zero() else a * c for a in r] for r in self._rows], self.ncols)
+        if not c:
+            return Matrix.zero(*self.shape)
+        return _make(tuple({j: a * c for j, a in r.items()} for r in self._rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        ocols = other.ncols
+        orows = other._rows
         out = []
         for r in self._rows:
-            row = [ZERO] * ocols
-            for k, a in enumerate(r):
-                if a.is_zero():
-                    continue
-                orow = other._rows[k]
-                for j in range(ocols):
-                    b = orow[j]
-                    if not b.is_zero():
-                        row[j] = row[j] + a * b
-            out.append(row)
-        return Matrix(out, ocols)
+            acc: Row = {}
+            for k, a in r.items():
+                _add_into(acc, orows[k], a)
+            out.append(acc)
+        return _make(tuple(out), other.ncols)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * x for a, x in zip(r, v) if not a.is_zero()), ZERO) for r in self._rows
-        )
+        return tuple(sum((a * v[j] for j, a in r.items()), ZERO) for r in self._rows)
 
     def conj_transpose(self) -> "Matrix":
-        return Matrix(
-            [[self._rows[i][j].conj() for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
+        cols: list[Row] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._rows):
+            for j, a in r.items():
+                cols[j][i] = a.conj()
+        return _make(tuple(cols), self.nrows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -129,71 +135,90 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.shape, self._rows))
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self._rows)))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for r in self._rows for c in r)
+        return not any(self._rows)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def trace(self) -> Scalar:
-        return sum((self._rows[i][i] for i in range(min(self.shape))), ZERO)
+        return sum((self._rows[i].get(i, ZERO) for i in range(min(self.shape))), ZERO)
 
     def first_nonzero(self):
         """(i, j, value) of the first nonzero entry in row-major order, or None."""
         for i, r in enumerate(self._rows):
-            for j, c in enumerate(r):
-                if not c.is_zero():
-                    return i, j, c
+            if r:
+                j = min(r)
+                return i, j, r[j]
         return None
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch")
-        return Matrix(
-            [r1 + r2 for r1, r2 in zip(self._rows, other._rows)], self.ncols + other.ncols
+        n = self.ncols
+        return _make(
+            tuple({**r1, **{j + n: a for j, a in r2.items()}} if r2 else r1
+                  for r1, r2 in zip(self._rows, other._rows)),
+            n + other.ncols,
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch")
-        return Matrix(self._rows + other._rows, self.ncols)
+        return _make(self._rows + other._rows, self.ncols)
 
-    def _shape_check(self, other: "Matrix"):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
-    def __str__(self):
-        return "\n".join("[" + " ".join(str(c) for c in r) + "]" for r in self._rows)
+def _make(rows: tuple[Row, ...], ncols: int, m: Matrix | None = None) -> Matrix:
+    """A matrix (m itself, when given) over row dicts that hold no zero and
+    are never mutated."""
+    m = object.__new__(Matrix) if m is None else m
+    object.__setattr__(m, "_rows", rows)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", ncols)
+    return m
+
+
+def _add_into(acc: Row, y: Row, c: Scalar) -> Row:
+    """acc += c*y in place for a nonzero c, dropping the entries that cancel."""
+    for j, b in y.items():
+        if c is not ONE:
+            b = -b if c is _MINUS_ONE else b * c
+        a = acc.get(j)
+        if a is None:
+            acc[j] = b
+        elif (s := a + b):
+            acc[j] = s
+        else:
+            del acc[j]
+    return acc
 
 
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    rows = [list(r) for r in mat._rows]
+    rows = list(mat._rows)
     pivots: list[int] = []
     r = 0
     for col in range(mat.ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(r, len(rows)) if col in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pv = rows[r][col]
-        rows[r] = [a if a.is_zero() else a / pv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a if b.is_zero() else a - f * b for a, b in zip(rows[i], rows[r])]
+        if pv != ONE:
+            rows[r] = {j: a / pv for j, a in rows[r].items()}
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            f = row.get(col)
+            if f is not None and i != r:
+                rows[i] = _add_into(dict(row), prow, -f)
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return Matrix(rows, mat.ncols), pivots
+    return _make(tuple(rows), mat.ncols), pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -209,7 +234,7 @@ def nullspace(mat: Matrix) -> list[Vector]:
         v = [ZERO] * mat.ncols
         v[fc] = ONE
         for ri, pc in enumerate(pivots):
-            v[pc] = -red._rows[ri][fc]
+            v[pc] = -red.entry(ri, fc)
         basis.append(tuple(v))
     return basis
 
@@ -226,10 +251,10 @@ def solve(mat: Matrix, rhs: Matrix) -> Matrix | None:
     red, pivots = rref(mat.hstack(rhs))
     if pivots and pivots[-1] >= n:
         return None
-    out = [[ZERO] * rhs.ncols for _ in range(n)]
+    out: list[Row] = [{} for _ in range(n)]
     for ri, pc in enumerate(pivots):
-        out[pc] = red._rows[ri][n:]
-    return Matrix(out, rhs.ncols)
+        out[pc] = {j - n: a for j, a in red._rows[ri].items() if j >= n}
+    return _make(tuple(out), rhs.ncols)
 
 
 def subspace_equal(basis_a: Sequence[Vector], basis_b: Sequence[Vector]) -> bool:

@@ -455,21 +455,30 @@ class StructureOperators:
     pi_pq: dict[tuple[int, int, int], GradedOperator]
 
 
+@functools.lru_cache(maxsize=None)
 def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
-    """Diagonal projectors onto horizontal-degree h, vertical-degree v."""
+    """Diagonal projectors onto horizontal-degree h, vertical-degree v.
+
+    Memoised per (ngen, vertical): every caller shares the one dict, and
+    none may change it."""
     vert = set(vertical)
-    out: dict[tuple[int, int], GradedOperator] = {}
-    nh = ngen - len(vert)
-    for h in range(nh + 1):
-        for v in range(len(vert) + 1):
-            def act(x, h=h, v=v):
-                m = next(iter(x.terms))
-                mv = sum(1 for k in m if k in vert)
-                if (len(m) - mv, mv) == (h, v):
-                    return x
-                return FormElement.zero(ngen)
-            out[(h, v)] = GradedOperator.from_action(ngen, 0, EVEN, act)
-    return out
+    blocks = {(h, v): [] for h in range(ngen - len(vert) + 1) for v in range(len(vert) + 1)}
+    for k in range(ngen + 1):
+        basis = monomial_basis(ngen, k)
+        groups = _bidegree_groups(basis, vert)
+        for key, out in blocks.items():
+            sel_t = Matrix.unit_rows(groups.get(key, ()), len(basis))
+            out.append(sel_t.conj_transpose() @ sel_t)
+    return {key: GradedOperator(ngen, 0, EVEN, tuple(out)) for key, out in blocks.items()}
+
+
+def _bidegree_groups(basis, vert: set[int]) -> dict[tuple[int, int], list[int]]:
+    """Positions in `basis` of the monomials of each (horizontal, vertical) degree."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for idx, m in enumerate(basis):
+        mv = sum(1 for t in m if t in vert)
+        groups.setdefault((len(m) - mv, mv), []).append(idx)
+    return groups
 
 
 @functools.lru_cache(maxsize=None)
@@ -513,16 +522,12 @@ def _pq_projectors(ngen, W, vertical, n_trans):
     out: dict[tuple[int, int, int], GradedOperator] = {}
     for k in range(ngen + 1):
         basis = monomial_basis(ngen, k)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for idx, m in enumerate(basis):
-            mv = sum(1 for t in m if t in vert)
-            groups.setdefault((len(m) - mv, mv), []).append(idx)
-        for (h, v), positions in groups.items():
-            # sel picks the (h,v) coordinates: a block restricts to them as
+        for (h, v), positions in _bidegree_groups(basis, vert).items():
+            # sel^† picks the (h,v) coordinates: a block restricts to them as
             # sel^† W sel and extends back by zero as sel P sel^†
-            sel = Matrix([[ONE if i == j else ZERO for j in positions]
-                          for i in range(len(basis))], len(positions))
-            sub = sel.conj_transpose() @ W.blocks[k] @ sel
+            sel_t = Matrix.unit_rows(positions, len(basis))
+            sel = sel_t.conj_transpose()
+            sub = sel_t @ W.blocks[k] @ sel
             ps = range(max(0, h - n_trans), min(h, n_trans) + 1)
             svals = [2 * p - h for p in ps]
             for p in ps:
@@ -535,7 +540,7 @@ def _pq_projectors(ngen, W, vertical, n_trans):
                     factor = sub - Matrix.identity(len(positions)).scale(Scalar(Fraction(0), Fraction(t)))
                     proj = proj @ factor.scale(ONE / Scalar(Fraction(0), Fraction(s - t)))
                 key = (p, h - p, v)
-                full = sel @ proj @ sel.conj_transpose()
+                full = sel @ proj @ sel_t
                 if key in out:
                     out[key] = _merge_block(out[key], k, full)
                 else:

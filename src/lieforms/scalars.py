@@ -18,7 +18,9 @@ class Scalar:
 
     def __init__(self, re: Fraction, im: Fraction = _ZERO_FRACTION):
         object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        # a zero imaginary part is always the one shared Fraction, so the
+        # real-only paths below test it by identity
+        object.__setattr__(self, "im", im if im is _ZERO_FRACTION or im else _ZERO_FRACTION)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
@@ -45,21 +47,37 @@ class Scalar:
         return Scalar(Fraction(0), Fraction(1))
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        if self.im is _ZERO_FRACTION and other.im is _ZERO_FRACTION:
+            return Scalar(self.re + other.re)
         return Scalar(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
+        if self.im is _ZERO_FRACTION and other.im is _ZERO_FRACTION:
+            return Scalar(self.re - other.re)
         return Scalar(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "Scalar":
+        if self.im is _ZERO_FRACTION:
+            return Scalar(-self.re)
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        if other.im is _ZERO_FRACTION:
+            if self.im is _ZERO_FRACTION:
+                return Scalar(self.re * other.re)
+            return Scalar(self.re * other.re, self.im * other.re)
+        if self.im is _ZERO_FRACTION:
+            return Scalar(self.re * other.re, self.re * other.im)
         return Scalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
+        if self.im is _ZERO_FRACTION and other.im is _ZERO_FRACTION:
+            if not other.re:
+                raise ZeroDivisionError("division by zero scalar")
+            return Scalar(self.re / other.re)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
@@ -69,13 +87,13 @@ class Scalar:
         )
 
     def conj(self) -> "Scalar":
-        return self if self.im == 0 else Scalar(self.re, -self.im)
+        return self if self.im is _ZERO_FRACTION else Scalar(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return self.im is _ZERO_FRACTION and not self.re
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.im is not _ZERO_FRACTION or bool(self.re)
 
     def __str__(self) -> str:
         if self.im == 0:

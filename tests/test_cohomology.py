@@ -249,9 +249,10 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
 
 @pytest.mark.parametrize("name", ["h5", "su2xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
-    # the coframe operators e_k, i_k (the Reeb and Lee ones among them) and
-    # the split of d along each foliation are built once, however many
-    # layers read them
+    # the coframe operators e_k, i_k (the Reeb and Lee operators among them),
+    # the split of d along each foliation and the bidegree projectors of each
+    # vertical set are built once, however many layers read them; a memoised
+    # result handed out again is the same object, not a second build
     import collections
     import importlib
 
@@ -263,15 +264,17 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    builds = collections.Counter()
+    built = collections.defaultdict(list)
     keys = {"contraction_operator": lambda ngen, k: k,
             "wedge_operator": lambda form: tuple(form.terms),
-            "foliation_split": lambda d, model, fol: fol.spanning}
+            "foliation_split": lambda d, model, fol: fol.spanning,
+            "bidegree_projectors": lambda ngen, vertical: (ngen, vertical)}
 
     def counted(fname, fn):
         def wrapper(*args):
-            builds[fname, keys[fname](*args)] += 1
-            return fn(*args)
+            out = fn(*args)
+            built[fname, keys[fname](*args)].append(out)
+            return out
         return wrapper
 
     for module in modules:
@@ -280,7 +283,9 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
                 monkeypatch.setattr(module, fname, counted(fname, vars(module)[fname]))
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
-    assert {f for f, _ in builds} == set(keys)
+    assert {f for f, _ in built} == set(keys)
+    # `built` holds every result, so no two of them share an id
+    builds = {key: len({id(out) for out in outs}) for key, outs in built.items()}
     assert {key: n for key, n in builds.items() if n > 1} == {}
 
 

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieforms.matrices import Matrix, rref, solve
+from lieforms.matrices import Matrix, rank, rref, solve
 from lieforms.scalars import ONE, Scalar, ZERO
 
 entries = st.integers(min_value=-2, max_value=2).map(Scalar.of)
@@ -67,3 +70,160 @@ def test_solve_inconsistent_column_before_a_consistent_one():
     assert solve(a, column(rhs, 1)) == column(rhs, 1)
     assert solve(a, column(rhs, 0)) is None
     assert solve(a, rhs) is None
+
+
+# -- the sparse store against a dense reference ------------------------------
+#
+# The reference is a list of rows of (re, im) Fraction pairs with its own
+# textbook arithmetic; it takes nothing from the engine but what an engine
+# matrix reads back through `entry`.
+
+def c_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def c_neg(x):
+    return (-x[0], -x[1])
+
+
+def c_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def c_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+C_ZERO = (Fraction(0), Fraction(0))
+
+
+def ref_mul(a, b, ncols):
+    return [[sum_pairs(c_mul(r[k], b[k][j]) for k in range(len(b))) for j in range(ncols)]
+            for r in a]
+
+
+def sum_pairs(terms):
+    out = C_ZERO
+    for t in terms:
+        out = c_add(out, t)
+    return out
+
+
+def ref_rank(a, ncols):
+    rows = [list(r) for r in a]
+    rk = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][col] != C_ZERO), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        for i in range(rk + 1, len(rows)):
+            f = c_div(rows[i][col], rows[rk][col])
+            rows[i] = [c_add(x, c_neg(c_mul(f, y))) for x, y in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
+
+
+def to_scalar(x):
+    return Scalar(x[0], x[1])
+
+
+def engine(a, ncols):
+    return Matrix([[to_scalar(x) for x in r] for r in a], ncols)
+
+
+def dense(m: Matrix):
+    return [[(m.entry(i, j).re, m.entry(i, j).im) for j in range(m.ncols)]
+            for i in range(m.nrows)]
+
+
+# small Gaussian integers, zero about half the time so that blocks are sparse
+gaussian = st.one_of(st.just(C_ZERO), st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda t: (Fraction(t[0]), Fraction(t[1]))))
+
+
+def ref_matrices(nrows, ncols):
+    return st.lists(st.lists(gaussian, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def operands(draw):
+    """(a, b, c, d, e) with a, b m x n, c n x p, d m x p and e p x n."""
+    m, n, p = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    return (draw(ref_matrices(m, n)), draw(ref_matrices(m, n)), draw(ref_matrices(n, p)),
+            draw(ref_matrices(m, p)), draw(ref_matrices(p, n)), (m, n, p))
+
+
+@settings(deadline=None, max_examples=150)
+@given(operands(), gaussian)
+def test_block_operations_match_dense_reference(ops, s):
+    a, b, c, d, e, (m, n, p) = ops
+    A, B, C, D, E = engine(a, n), engine(b, n), engine(c, p), engine(d, p), engine(e, n)
+    assert dense(A @ C) == ref_mul(a, c, p)
+    assert dense(A + B) == [[c_add(x, y) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    assert dense(A - B) == [[c_add(x, c_neg(y)) for x, y in zip(r1, r2)]
+                            for r1, r2 in zip(a, b)]
+    assert dense(A.scale(to_scalar(s))) == [[c_mul(x, s) for x in r] for r in a]
+    assert dense(A.conj_transpose()) == [[(a[i][j][0], -a[i][j][1]) for i in range(m)]
+                                         for j in range(n)]
+    assert dense(A.hstack(D)) == [r1 + r2 for r1, r2 in zip(a, d)]
+    assert dense(A.vstack(E)) == a + e
+    assert rank(A) == ref_rank(a, n)
+    assert A.is_zero() == all(x == C_ZERO for r in a for x in r)
+    nonzero = [(i, j, to_scalar(a[i][j])) for i in range(m) for j in range(n)
+               if a[i][j] != C_ZERO]
+    # B + (A - B) is A with its entries stored in another order
+    for same in (A, B + (A - B)):
+        assert same.first_nonzero() == (nonzero[0] if nonzero else None)
+
+
+@settings(deadline=None, max_examples=80)
+@given(operands())
+def test_difference_with_itself_is_the_zero_matrix(ops):
+    a, *_, (m, n, _) = ops
+    A = engine(a, n)
+    for z in (A - A, A.scale(ZERO), A + (-A)):
+        assert z == Matrix.zero(m, n)
+        assert hash(z) == hash(Matrix.zero(m, n))
+        assert z.first_nonzero() is None
+
+
+@settings(deadline=None, max_examples=80)
+@given(operands())
+def test_one_matrix_built_several_ways_compares_and_hashes_equal(ops):
+    a, b, *_, (m, n, _) = ops
+    rows = engine(a, n)
+    cols = Matrix.from_cols([tuple(to_scalar(r[j]) for r in a) for j in range(n)], m)
+    product = Matrix.identity(m) @ rows
+    # the same entries, inserted in another order
+    detour = engine(b, n) + (rows - engine(b, n))
+    for other in (cols, product, detour):
+        assert other == rows and other.shape == (m, n)
+        assert hash(other) == hash(rows)
+
+
+# real and complex Gaussian rationals: the imaginary part is zero half the time
+parts = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gaussian_rationals = st.tuples(parts, st.one_of(st.just(Fraction(0)), parts))
+
+
+@settings(deadline=None, max_examples=300)
+@given(gaussian_rationals, gaussian_rationals)
+def test_scalar_arithmetic_matches_textbook_formulas(x, y):
+    sx, sy = to_scalar(x), to_scalar(y)
+    expected = {"+": c_add(x, y), "-": c_add(x, c_neg(y)), "*": c_mul(x, y)}
+    got = {"+": sx + sy, "-": sx - sy, "*": sx * sy}
+    if y != C_ZERO:
+        expected["/"] = c_div(x, y)
+        got["/"] = sx / sy
+    else:
+        with pytest.raises(ZeroDivisionError):
+            sx / sy
+    for op, want in expected.items():
+        assert (got[op].re, got[op].im) == want, op
+        assert got[op] == to_scalar(want) and hash(got[op]) == hash(to_scalar(want))
+        assert got[op].is_zero() == (want == C_ZERO) == (not got[op])
+    assert ((-sx).re, (-sx).im) == c_neg(x)
+    assert (sx.conj().re, sx.conj().im) == (x[0], -x[1])
