@@ -42,7 +42,7 @@ from .operators import (
     vector_to_form,
 )
 from .scalars import ONE, Scalar
-from .splitting import FoliationSpec, lee_foliation, operator_pool
+from .splitting import FoliationSpec, lee_foliation, operator_pool, reeb_foliation
 
 
 @dataclass
@@ -281,8 +281,12 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
 
 def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
     """Delta_s, its {d1, d1*} term, and (i_v, Lie_v) for each spanning v."""
-    d1 = operator_pool(model, pack).split(fol).d1
-    box = supercommutator(d1, d1.adjoint())
+    pool = operator_pool(model, pack)
+    if fol == reeb_foliation(pack):
+        box = pool["Delta1"]  # {d1, d1*} of the Reeb split, shared with the tables
+    else:
+        d1 = pool.split(fol).d1
+        box = supercommutator(d1, d1.adjoint())
     pairs = _contractions(model, pack, fol)
     return op_sum([box] + [-(lie @ lie) for _, lie in pairs]), box, pairs
 

@@ -92,6 +92,8 @@ class Matrix:
         """self + c*other."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        if not any(other._rows):
+            return self
         return _make(tuple(_add_into(dict(r1), r2, c) for r1, r2 in zip(self._rows, other._rows)),
                      self.ncols)
 

@@ -530,21 +530,24 @@ def _pq_projectors(ngen, W, vertical, n_trans):
             sub = sel_t @ W.blocks[k] @ sel
             ps = range(max(0, h - n_trans), min(h, n_trans) + 1)
             svals = [2 * p - h for p in ps]
+            ident = Matrix.identity(len(positions))
+            # the Lagrange factors W - i t, shared by every projector of the group
+            factors = {t: sub - ident.scale(Scalar(Fraction(0), Fraction(t))) for t in svals}
             for p in ps:
                 s = 2 * p - h
-                proj = Matrix.identity(len(positions))
+                # prod_t (W - i t) / prod_t (i s - i t), over t != s
+                proj, denom = ident, ONE
                 for t in svals:
-                    if t == s:
-                        continue
-                    # (W - i t) / (i s - i t)
-                    factor = sub - Matrix.identity(len(positions)).scale(Scalar(Fraction(0), Fraction(t)))
-                    proj = proj @ factor.scale(ONE / Scalar(Fraction(0), Fraction(s - t)))
+                    if t != s:
+                        proj = proj @ factors[t]
+                        denom = denom * Scalar(Fraction(0), Fraction(s - t))
+                proj = proj.scale(ONE / denom)
                 key = (p, h - p, v)
                 full = sel @ proj @ sel_t
                 if key in out:
                     out[key] = _merge_block(out[key], k, full)
                 else:
-                    blocks = [Matrix.zero(len(monomial_basis(ngen, t_)), len(monomial_basis(ngen, t_))) for t_ in range(ngen + 1)]
+                    blocks = list(GradedOperator.zero(ngen, 0, EVEN).blocks)
                     blocks[k] = full
                     out[key] = GradedOperator(ngen, 0, EVEN, tuple(blocks))
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from math import comb
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .forms import FormElement, contract, hodge_star, monomial_basis, wedge
@@ -20,9 +21,24 @@ from .scalars import Scalar
 
 EVEN, ODD = 0, 1
 
+_SHAPE = attrgetter("shape")
+
 
 def basis_dim(ngen: int, k: int) -> int:
     return comb(ngen, k) if 0 <= k <= ngen else 0
+
+
+@functools.lru_cache(maxsize=None)
+def _block_shapes(ngen: int, shift: int) -> tuple[tuple[int, int], ...]:
+    """The shape of each block of an operator of the given shift."""
+    return tuple((basis_dim(ngen, k + shift), basis_dim(ngen, k)) for k in range(ngen + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_blocks(ngen: int, shift: int) -> tuple[Matrix, ...]:
+    """The blocks of the zero operator of the given shift, built once and
+    shared, since matrices are immutable."""
+    return tuple(Matrix.zero(*shape) for shape in _block_shapes(ngen, shift))
 
 
 def form_to_vector(a: FormElement, k: int) -> Vector:
@@ -50,20 +66,16 @@ class GradedOperator:
     def __post_init__(self):
         if len(self.blocks) != self.ngen + 1:
             raise ValueError("need one block per source degree 0..N")
-        for k, b in enumerate(self.blocks):
-            want = (basis_dim(self.ngen, k + self.shift), basis_dim(self.ngen, k))
-            if b.shape != want:
-                raise ValueError(f"block {k} has shape {b.shape}, expected {want}")
+        shapes = _block_shapes(self.ngen, self.shift)
+        if tuple(map(_SHAPE, self.blocks)) != shapes:
+            k = next(k for k, b in enumerate(self.blocks) if b.shape != shapes[k])
+            raise ValueError(f"block {k} has shape {self.blocks[k].shape}, expected {shapes[k]}")
 
     # -- construction helpers ----------------------------------------
 
     @staticmethod
     def zero(ngen: int, shift: int, parity: int) -> "GradedOperator":
-        blocks = tuple(
-            Matrix.zero(basis_dim(ngen, k + shift), basis_dim(ngen, k))
-            for k in range(ngen + 1)
-        )
-        return GradedOperator(ngen, shift, parity, blocks)
+        return GradedOperator(ngen, shift, parity, _zero_blocks(ngen, shift))
 
     @staticmethod
     def identity(ngen: int) -> "GradedOperator":
@@ -107,15 +119,28 @@ class GradedOperator:
 
     # -- operator algebra ----------------------------------------------
 
+    # A zero operand costs no block arithmetic: the result reuses the other
+    # operand's blocks (matrices are immutable), but is always a new operator.
+
     def __add__(self, other: "GradedOperator") -> "GradedOperator":
         self._check_like(other)
-        return GradedOperator(self.ngen, self.shift, self.parity,
-                              tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        if other.is_zero():
+            blocks = self.blocks
+        elif self.is_zero():
+            blocks = other.blocks
+        else:
+            blocks = tuple(a + b for a, b in zip(self.blocks, other.blocks))
+        return GradedOperator(self.ngen, self.shift, self.parity, blocks)
 
     def __sub__(self, other: "GradedOperator") -> "GradedOperator":
         self._check_like(other)
-        return GradedOperator(self.ngen, self.shift, self.parity,
-                              tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        if other.is_zero():
+            blocks = self.blocks
+        elif self.is_zero():
+            blocks = tuple(-b for b in other.blocks)
+        else:
+            blocks = tuple(a - b for a, b in zip(self.blocks, other.blocks))
+        return GradedOperator(self.ngen, self.shift, self.parity, blocks)
 
     def __neg__(self) -> "GradedOperator":
         return GradedOperator(self.ngen, self.shift, self.parity, tuple(-b for b in self.blocks))
@@ -127,20 +152,15 @@ class GradedOperator:
     def compose(self, other: "GradedOperator") -> "GradedOperator":
         """self after other; shifts add, parities add mod 2."""
         self._compat(other)
-        blocks = []
-        for k in range(self.ngen + 1):
-            mid = k + other.shift
-            if 0 <= mid <= self.ngen:
-                blocks.append(self.blocks[mid] @ other.blocks[k])
-            else:
-                blocks.append(
-                    Matrix.zero(
-                        basis_dim(self.ngen, k + other.shift + self.shift),
-                        basis_dim(self.ngen, k),
-                    )
-                )
-        return GradedOperator(self.ngen, self.shift + other.shift,
-                              (self.parity + other.parity) % 2, tuple(blocks))
+        n, shift = self.ngen, self.shift + other.shift
+        parity = (self.parity + other.parity) % 2
+        if self.is_zero() or other.is_zero():
+            return GradedOperator.zero(n, shift, parity)
+        zeros = _zero_blocks(n, shift)
+        blocks = tuple(self.blocks[k + other.shift] @ other.blocks[k]
+                       if 0 <= k + other.shift <= n else zeros[k]
+                       for k in range(n + 1))
+        return GradedOperator(n, shift, parity, blocks)
 
     __matmul__ = compose
 
@@ -151,7 +171,8 @@ class GradedOperator:
         return out
 
     def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
+        return (self.blocks is _zero_blocks(self.ngen, self.shift)
+                or all(b.is_zero() for b in self.blocks))
 
     def first_difference(self, other: "GradedOperator"):
         """(degree, row, col, lhs, rhs) of the first differing entry, or None.
@@ -172,16 +193,12 @@ class GradedOperator:
     def adjoint(self) -> "GradedOperator":
         """Metric adjoint: block-wise conjugate transpose in the orthonormal
         monomial basis."""
-        blocks = []
-        for k in range(self.ngen + 1):
-            src = k - self.shift
-            if 0 <= src <= self.ngen:
-                blocks.append(self.blocks[src].conj_transpose())
-            else:
-                blocks.append(
-                    Matrix.zero(basis_dim(self.ngen, k - self.shift), basis_dim(self.ngen, k))
-                )
-        return GradedOperator(self.ngen, -self.shift, self.parity, tuple(blocks))
+        n = self.ngen
+        zeros = _zero_blocks(n, -self.shift)
+        blocks = tuple(self.blocks[k - self.shift].conj_transpose()
+                       if 0 <= k - self.shift <= n else zeros[k]
+                       for k in range(n + 1))
+        return GradedOperator(n, -self.shift, self.parity, blocks)
 
     def _compat(self, other: "GradedOperator"):
         if self.ngen != other.ngen:

@@ -14,7 +14,7 @@ from lieforms.forms import FormElement
 from lieforms.matrices import nullspace, subspace_equal
 from lieforms.models import StructureError
 from lieforms.operators import form_to_vector
-from lieforms.splitting import lee_foliation, reeb_foliation, sigma_foliation
+from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
 from conftest import model_pack, ops_for
 
@@ -250,13 +250,15 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
 @pytest.mark.parametrize("name", ["h5", "su2xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     # the coframe operators e_k, i_k (the Reeb and Lee operators among them),
-    # the split of d along each foliation and the bidegree projectors of each
-    # vertical set are built once, however many layers read them; a memoised
-    # result handed out again is the same object, not a second build
+    # the split of d along each foliation, the bidegree projectors of each
+    # vertical set and d1* of the Reeb split are built once, however many
+    # layers read them; a memoised result handed out again is the same
+    # object, not a second build
     import collections
     import importlib
 
     from lieforms import cli
+    from lieforms.operators import GradedOperator
 
     modules = [importlib.import_module(f"lieforms.{m}")
                for m in ("models", "operators", "splitting", "cohomology", "cones", "cli")]
@@ -281,12 +283,25 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
         for fname in keys:
             if fname in vars(module):
                 monkeypatch.setattr(module, fname, counted(fname, vars(module)[fname]))
+    adjoints = []
+    adjoint = GradedOperator.adjoint
+
+    def counted_adjoint(op):
+        out = adjoint(op)
+        adjoints.append((op, out))
+        return out
+
+    monkeypatch.setattr(GradedOperator, "adjoint", counted_adjoint)
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
     assert {f for f, _ in built} == set(keys)
     # `built` holds every result, so no two of them share an id
     builds = {key: len({id(out) for out in outs}) for key, outs in built.items()}
     assert {key: n for key, n in builds.items() if n > 1} == {}
+    # the transversal package takes {d1,d1*} of the Reeb split from the pool,
+    # so the pool's d1* is the only adjoint ever taken of d1
+    pool = operator_pool(*model_pack(name))
+    assert [id(out) for op, out in adjoints if op is pool["d1"]] == [id(pool["d1*"])]
 
 
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from lieforms.operators import (
     EVEN,
     GradedOperator,
     ODD,
+    basis_dim,
     contraction_operator,
     extend_derivation,
     first_order_reconstruction,
@@ -15,9 +17,11 @@ from lieforms.operators import (
     supercommutator,
     wedge_operator,
 )
-from lieforms.scalars import Scalar
+from lieforms.matrices import Matrix
+from lieforms.scalars import ONE, ZERO, Scalar
+from lieforms.splitting import guard_names
 
-from conftest import ops_for, pool_for
+from conftest import model_pack, ops_for, pool_for
 
 
 def t(n, *ix):
@@ -244,3 +248,86 @@ def test_op_sum_names_the_sum_once():
     ident = GradedOperator.identity(3)
     forty = op_sum([ident] * 40)
     assert forty == ident.scale(Scalar.of(40))
+
+
+# -- zero operands against block-by-block arithmetic -------------------------
+# The references below work entry by entry through `Matrix.entry`, so they
+# share no shortcut with the operator algebra they check.
+
+
+def _entrywise_sum(x, y, c):
+    return Matrix([[x.entry(i, j) + c * y.entry(i, j) for j in range(x.ncols)]
+                   for i in range(x.nrows)], x.ncols)
+
+
+def _entrywise_product(x, y):
+    return Matrix([[sum((x.entry(i, m) * y.entry(m, j) for m in range(x.ncols)), ZERO)
+                    for j in range(y.ncols)] for i in range(x.nrows)], y.ncols)
+
+
+def _blockwise_sum(a, b, c):
+    blocks = tuple(_entrywise_sum(x, y, c) for x, y in zip(a.blocks, b.blocks))
+    return GradedOperator(a.ngen, a.shift, a.parity, blocks)
+
+
+def _blockwise_compose(a, b):
+    n = a.ngen
+    blocks = tuple(_entrywise_product(a.blocks[k + b.shift], b.blocks[k])
+                   if 0 <= k + b.shift <= n
+                   else Matrix.zero(basis_dim(n, k + b.shift + a.shift), basis_dim(n, k))
+                   for k in range(n + 1))
+    return GradedOperator(n, a.shift + b.shift, (a.parity + b.parity) % 2, blocks)
+
+
+@pytest.mark.parametrize("name", ["su2", "torus4"])
+def test_zero_operands_match_blockwise_arithmetic(name):
+    # the guard generators of a builtin, against the zero generators among
+    # them (d1 on su2, d on torus4) and zero operators of every small shift
+    _, pack = model_pack(name)
+    pool = pool_for(name)
+    ops = [pool[x] for x in guard_names(pack)]
+    n = ops[0].ngen
+    zeros = [op for op in ops if op.is_zero()]
+    assert zeros
+    zeros += [GradedOperator.zero(n, s, p) for s in range(-2, 3) for p in (EVEN, ODD)]
+    minus = Scalar.of(-1)
+    for a in ops:
+        for z in zeros:
+            results = [(a @ z, _blockwise_compose(a, z)), (z @ a, _blockwise_compose(z, a))]
+            if (a.shift, a.parity) == (z.shift, z.parity):
+                results += [(a + z, _blockwise_sum(a, z, ONE)), (a - z, _blockwise_sum(a, z, minus)),
+                            (z + a, _blockwise_sum(z, a, ONE)), (z - a, _blockwise_sum(z, a, minus))]
+            else:
+                for op in (operator.add, operator.sub):
+                    with pytest.raises(ValueError):
+                        op(a, z)
+                    with pytest.raises(ValueError):
+                        op(z, a)
+            for out, ref in results:
+                assert out == ref
+                assert out is not a and out is not z
+
+
+def test_zero_operands_still_check_their_partner():
+    # a zero operand skips the block arithmetic, not the compatibility checks
+    zeros = [GradedOperator.zero(3, s, p) for s in (0, 1) for p in (EVEN, ODD)]
+    for y in zeros:
+        for z in zeros:
+            if y is not z:
+                for op in (operator.add, operator.sub):
+                    with pytest.raises(ValueError, match="equal shift and parity"):
+                        op(y, z)
+        other_model = GradedOperator.zero(4, y.shift, y.parity)
+        for op in (operator.add, operator.sub, operator.matmul):
+            with pytest.raises(ValueError, match="different models"):
+                op(y, other_model)
+            with pytest.raises(ValueError, match="different models"):
+                op(other_model, y)
+
+
+def test_zero_operators_share_blocks_not_identity():
+    # matrices are immutable, so zero operators may share blocks; each
+    # operator is still its own object
+    y, z = GradedOperator.zero(3, 1, ODD), GradedOperator.zero(3, 1, ODD)
+    assert y is not z and y == z
+    assert all(a is b for a, b in zip(y.blocks, z.blocks))

@@ -8,6 +8,7 @@ from lieforms.splitting import (
     FoliationSpec,
     antisymmetry_report,
     foliation_split,
+    guard_names,
     hodge_split_d1,
     jacobi_report,
     kahler_relations,
@@ -291,3 +292,43 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
     assert sorted(powers) == sorted(set(powers))
     assert set(powers) == {id(pool[x]) for x in
                            ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")}
+
+
+@pytest.mark.parametrize("name, bound", [("su2", 2000), ("torus2", 1000)], ids=["su2", "torus2"])
+def test_exhaustive_jacobi_skips_zero_products(monkeypatch, name, bound):
+    # d1 = 0 and most guard brackets vanish, so most of the 6 compositions of
+    # each of the 11^3 triples have a zero operand and need no block product
+    from lieforms.matrices import Matrix
+
+    model, pack = model_pack(name)
+    pool = operator_pool(model, pack)
+    names = guard_names(pack)
+    for a in names:
+        for b in names:
+            pool[a, b]
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counted(x, y):
+        products.append(None)
+        return matmul(x, y)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    # past the cache, so the guard runs here
+    entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
+    assert entry.ok()
+    assert 0 < len(products) < bound
+
+
+def test_exhaustive_jacobi_fails_on_a_planted_nonzero_bracket(monkeypatch):
+    # {d1,L} vanishes on su2; planting the nonzero L e_r in its place (same
+    # shift and parity) breaks the identity first at (Lam,d1,L)
+    model, pack = model_pack("su2")
+    pool = operator_pool(model, pack)
+    assert pool["d1", "L"].is_zero()
+    planted = pool["L"] @ pool["e_r"]
+    assert not planted.is_zero()
+    monkeypatch.setitem(pool._built, ("d1", "L"), planted)
+    entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
+    assert entry.verdict == "fail"
+    assert entry.lhs == "triple (Lam,d1,L)"
