@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 from .forms import FormElement
 from .matrices import (
@@ -41,7 +40,7 @@ from .operators import (
     supercommutator,
     vector_to_form,
 )
-from .scalars import ONE, Scalar
+from .scalars import ONE
 from .splitting import FoliationSpec, lee_foliation, operator_pool, reeb_foliation
 
 
@@ -73,7 +72,7 @@ class CochainComplex:
 
     def shift(self, s: int) -> "CochainComplex":
         """Degree shift: C[s]_k = C_{k+s}, differential negated for odd s."""
-        sign = Scalar(Fraction(-1)) if s % 2 else ONE
+        sign = -ONE if s % 2 else ONE
         degrees = tuple(k - s for k in self.degrees)
         dims = {k - s: v for k, v in self.dims.items()}
         diff = {k - s: m.scale(sign) for k, m in self.diff.items()}
@@ -404,7 +403,9 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     ds, box, pairs = _split_laplacian_parts(model, pack, fol)
     report.add(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
                              "pass" if ds.adjoint() == ds else "fail"))
-    psd = op_sum([box] + [lie @ lie.adjoint() for _, lie in pairs])
+    # the Reeb direction's Lie_v* is the pool's Lie_r*, shared with the tables
+    psd = op_sum([box] + [lie @ (pool["Lie_r*"] if v == pack.reeb_index else lie.adjoint())
+                          for v, (_, lie) in zip(fol.spanning, pairs)])
     report.add(RelationEntry("split_laplacian.psd_decomposition",
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))

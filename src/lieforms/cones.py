@@ -66,7 +66,7 @@ def build_cone(phi: ChainMap) -> CochainComplex:
             continue
         a = src.d(k + 1)
         top = a.hstack(Matrix.zero(a.nrows, tgt.dim(k)))
-        bot = phi.block(k + 1).hstack(tgt.d(k).scale(Scalar.of(-1)))
+        bot = phi.block(k + 1).hstack(tgt.d(k).scale(Scalar(-1)))
         diff[k] = top.vstack(bot)
     gram = {}
     for k in degrees:
@@ -371,7 +371,7 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
     # star duality: *(gamma) = *_bas(gamma) ^ eta for horizontal gamma, with
     # the basic star oriented so that vol_bas ^ eta = vol
     hor = tuple(pack.horizontal_indices(model.dim))
-    orient = Scalar.of(perm_sign(hor + (pack.reeb_index,)))
+    orient = Scalar(perm_sign(hor + (pack.reeb_index,)))
     dual_ok = True
     for k in range(len(hor) + 1):
         for m in combinations(hor, k):

@@ -532,7 +532,7 @@ def _pq_projectors(ngen, W, vertical, n_trans):
             svals = [2 * p - h for p in ps]
             ident = Matrix.identity(len(positions))
             # the Lagrange factors W - i t, shared by every projector of the group
-            factors = {t: sub - ident.scale(Scalar(Fraction(0), Fraction(t))) for t in svals}
+            factors = {t: sub - ident.scale(Scalar(0, t)) for t in svals}
             for p in ps:
                 s = 2 * p - h
                 # prod_t (W - i t) / prod_t (i s - i t), over t != s
@@ -540,7 +540,7 @@ def _pq_projectors(ngen, W, vertical, n_trans):
                 for t in svals:
                     if t != s:
                         proj = proj @ factors[t]
-                        denom = denom * Scalar(Fraction(0), Fraction(s - t))
+                        denom = denom * Scalar(0, s - t)
                 proj = proj.scale(ONE / denom)
                 key = (p, h - p, v)
                 full = sel @ proj @ sel_t

@@ -247,12 +247,12 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
     assert counts == {"built": built, "eliminated": eliminated}
 
 
-@pytest.mark.parametrize("name", ["h5", "su2xr"])
+@pytest.mark.parametrize("name", ["h5", "su2", "su2xr", "h3xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     # the coframe operators e_k, i_k (the Reeb and Lee operators among them),
     # the split of d along each foliation, the bidegree projectors of each
-    # vertical set and d1* of the Reeb split are built once, however many
-    # layers read them; a memoised result handed out again is the same
+    # vertical set, d1* of the Reeb split and Lie_r* are built once, however
+    # many layers read them; a memoised result handed out again is the same
     # object, not a second build
     import collections
     import importlib
@@ -302,6 +302,8 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     # so the pool's d1* is the only adjoint ever taken of d1
     pool = operator_pool(*model_pack(name))
     assert [id(out) for op, out in adjoints if op is pool["d1"]] == [id(pool["d1*"])]
+    # the transversal package takes Lie_r* of the Reeb direction from the pool
+    assert [id(out) for op, out in adjoints if op is pool["Lie_r"]] == [id(pool["Lie_r*"])]
 
 
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])

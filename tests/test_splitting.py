@@ -332,3 +332,20 @@ def test_exhaustive_jacobi_fails_on_a_planted_nonzero_bracket(monkeypatch):
     entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
     assert entry.verdict == "fail"
     assert entry.lhs == "triple (Lam,d1,L)"
+
+
+def test_exhaustive_jacobi_builds_only_live_terms(monkeypatch):
+    # on su2 only 8 of the 121 pool pairs are nonzero: a triple whose three
+    # inner pairs vanish passes unbuilt, and {b,{a,c}} reuses the lhs of
+    # triple (b,a,c), where every term of every triple cost 3 * 11^3 = 3993
+    from lieforms import splitting
+
+    model, pack = model_pack("su2")
+    pool = operator_pool(model, pack)
+    names = guard_names(pack)
+    assert sum(not pool[a, b].is_zero() for a in names for b in names) == 8
+    calls = []
+    monkeypatch.setattr(splitting, "supercommutator",
+                        lambda a, b: calls.append(1) or supercommutator(a, b))
+    assert jacobi_report.__wrapped__(model, pack, exhaustive=True).ok()
+    assert len(calls) <= 456
