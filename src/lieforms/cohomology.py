@@ -384,13 +384,17 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "; ".join(detail) or "no middle degrees", "bijective",
                              "pass" if ok else "fail"))
 
-    # (p,q)-stability of basic harmonic classes
+    # (p,q)-stability of basic harmonic classes: W is diagonalisable on each
+    # (h,v) block, so a space is stable under every Pi^{p,q,v} exactly when
+    # it is stable under W and under the bidegree projectors
+    pi = bidegree_projectors(model.dim, pack.vertical_indices)
     stable = True
     for k in sub.degrees:
         harm = sub.embed[k] @ Matrix.from_cols(sub.harmonic_coords(k), sub.dim(k))
-        for (p, q, v), proj in pool.ops.pi_pq.items():
-            if p + q + v == k and solve(harm, proj.blocks[k] @ harm) is None:
-                stable = False
+        images = [op.blocks[k] @ harm for op in
+                  [pool["W"]] + [p for (h, v), p in pi.items() if h + v == k]]
+        if solve(harm, functools.reduce(Matrix.hstack, images)) is None:
+            stable = False
     report.add(RelationEntry("transversal.pq_stability",
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
                              "pass" if stable else "fail"))

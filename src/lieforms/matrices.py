@@ -66,6 +66,15 @@ class Matrix:
         return _make(tuple(rows), len(cols))
 
     @staticmethod
+    def from_entries(nrows: int, ncols: int, entries) -> "Matrix":
+        """The matrix whose nonzero entries are the given (i, j, value), each
+        (i, j) at most once."""
+        rows: list[Row] = [{} for _ in range(nrows)]
+        for i, j, a in entries:
+            rows[i][j] = a
+        return _make(tuple(rows), ncols)
+
+    @staticmethod
     def unit_rows(positions: Sequence[int], ncols: int) -> "Matrix":
         """The rows e_p of the ncols x ncols identity, for p in positions."""
         return _make(tuple({p: ONE} for p in positions), ncols)

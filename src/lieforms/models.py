@@ -12,12 +12,11 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
 
 from .forms import FormElement, contract, inner_product, monomial_basis, wedge
 from .matrices import Matrix
-from .operators import EVEN, GradedOperator, ODD, extend_derivation, op_sum
-from .scalars import I, ONE, Scalar, ZERO
+from .operators import EVEN, GradedOperator, ODD, extend_derivation
+from .scalars import ONE, Scalar, ZERO
 
 
 class ModelError(Exception):
@@ -63,32 +62,40 @@ class LieModel:
             if c.is_zero():
                 raise ModelError(f"explicit zero bracket entry ({i},{j})->{k}")
 
+    @functools.cached_property
+    def _bracket_table(self) -> dict[tuple[int, int], dict[int, Scalar]]:
+        """{(i, j): {k: c^k_ij}} over the stored brackets, in both orders."""
+        table: dict[tuple[int, int], dict[int, Scalar]] = {}
+        for (i, j, k, c) in self.brackets:
+            table.setdefault((i, j), {})[k] = c
+            table.setdefault((j, i), {})[k] = -c
+        return table
+
     def c(self, i: int, j: int, k: int) -> Scalar:
-        if i == j:
-            return ZERO
-        sign = ONE
-        if i > j:
-            i, j, sign = j, i, -ONE
-        for (a, b, m, val) in self.brackets:
-            if (a, b, m) == (i, j, k):
-                return val * sign
-        return ZERO
+        return self._bracket_table.get((i, j), {}).get(k, ZERO)
 
     def bracket(self, i: int, j: int) -> dict[int, Scalar]:
-        return {k: self.c(i, j, k) for k in range(1, self.dim + 1) if self.c(i, j, k)}
+        return dict(self._bracket_table.get((i, j), {}))
 
     def jacobi_defect(self):
-        """First (i,j,k,l) where the Jacobi identity fails, or None."""
-        n = self.dim
-        for i, j, k in combinations(range(1, n + 1), 3):
-            for l in range(1, n + 1):
-                acc = ZERO
-                for m in range(1, n + 1):
-                    acc = acc + self.c(j, k, m) * self.c(i, m, l)
-                    acc = acc + self.c(k, i, m) * self.c(j, m, l)
-                    acc = acc + self.c(i, j, m) * self.c(k, m, l)
-                if not acc.is_zero():
-                    return (i, j, k, l)
+        """First (i,j,k,l) where the Jacobi identity fails, or None.
+
+        Triples run in `combinations` order and l upwards.  Only a triple
+        with a nonzero bracket among its pairs can fail, and each term
+        [e_x, [e_y, e_z]] is summed over the stored brackets only.
+        """
+        table = self._bracket_table
+        live = sorted({tuple(sorted((i, j, k))) for (i, j) in table
+                       for k in range(1, self.dim + 1) if k not in (i, j)})
+        for i, j, k in live:
+            acc: dict[int, Scalar] = {}
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, c1 in table.get((y, z), {}).items():
+                    for l, c2 in table.get((x, m), {}).items():
+                        acc[l] = acc.get(l, ZERO) + c1 * c2
+            bad = [l for l, v in acc.items() if v]
+            if bad:
+                return (i, j, k, min(bad))
         return None
 
 
@@ -143,14 +150,9 @@ def ce_differential(model: LieModel) -> GradedOperator:
     if defect is not None:
         raise JacobiError(defect, f"Jacobi identity fails on triple {defect[:3]} (component {defect[3]})")
     n = model.dim
-    action = {}
-    for k in range(1, n + 1):
-        val = FormElement.zero(n)
-        for i, j in combinations(range(1, n + 1), 2):
-            c = model.c(i, j, k)
-            if not c.is_zero():
-                val = val + FormElement.monomial(n, (i, j), -c)
-        action[k] = val
+    action = {k: FormElement.zero(n) for k in range(1, n + 1)}
+    for (i, j, k, c) in model.brackets:
+        action[k] = action[k] + FormElement.monomial(n, (i, j), -c)
     d = extend_derivation(n, ODD, action, shift=1)
     if not (d @ d).is_zero():
         raise JacobiError(None, "d^2 != 0 despite Jacobi holding; inconsistent constants")
@@ -452,7 +454,6 @@ class StructureOperators:
     W: GradedOperator
     I_aut: GradedOperator
     I_inv: GradedOperator
-    pi_pq: dict[tuple[int, int, int], GradedOperator]
 
 
 @functools.lru_cache(maxsize=None)
@@ -465,20 +466,15 @@ def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
     blocks = {(h, v): [] for h in range(ngen - len(vert) + 1) for v in range(len(vert) + 1)}
     for k in range(ngen + 1):
         basis = monomial_basis(ngen, k)
-        groups = _bidegree_groups(basis, vert)
+        # the positions in `basis` of the monomials of each bidegree
+        groups: dict[tuple[int, int], list[int]] = {}
+        for idx, m in enumerate(basis):
+            mv = sum(1 for t in m if t in vert)
+            groups.setdefault((len(m) - mv, mv), []).append(idx)
         for key, out in blocks.items():
             sel_t = Matrix.unit_rows(groups.get(key, ()), len(basis))
             out.append(sel_t.conj_transpose() @ sel_t)
     return {key: GradedOperator(ngen, 0, EVEN, tuple(out)) for key, out in blocks.items()}
-
-
-def _bidegree_groups(basis, vert: set[int]) -> dict[tuple[int, int], list[int]]:
-    """Positions in `basis` of the monomials of each (horizontal, vertical) degree."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for idx, m in enumerate(basis):
-        mv = sum(1 for t in m if t in vert)
-        groups.setdefault((len(m) - mv, mv), []).append(idx)
-    return groups
 
 
 @functools.lru_cache(maxsize=None)
@@ -489,71 +485,39 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
     # built at shift 2 even when omega0 = 0 (no transversal directions)
     L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x))
 
-    # W: even derivation extension of the transversal rotation
-    action = {k: FormElement.zero(n) for k in range(1, n + 1)}
+    # J on the transversal coframe: theta^a -> theta^b, theta^b -> -theta^a
+    rotation = {}
     for a, b in pack.transversal_pairs():
-        action[a] = FormElement.generator(n, b)
-        action[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
-    W = extend_derivation(n, EVEN, action, shift=0)
+        rotation[a] = FormElement.generator(n, b)
+        rotation[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
+    # W: even derivation extension of the rotation
+    W = extend_derivation(n, EVEN, rotation, shift=0)
+    # I = i^{p-q}: the algebra automorphism extending the rotation and the
+    # identity on the vertical coframe.  It maps each monomial to a signed
+    # monomial, so it is a signed permutation in each degree, and I^-1 is its
+    # transpose.
+    image = {k: rotation.get(k, FormElement.generator(n, k)) for k in range(1, n + 1)}
 
-    pi_pq = _pq_projectors(n, W, pack.vertical_indices, pack.transversal_dim(n))
+    @functools.cache
+    def automorphism(mono: tuple[int, ...]) -> FormElement:
+        return wedge(image[mono[0]], automorphism(mono[1:])) if mono else FormElement.unit(n)
 
-    # exhaustiveness and orthogonality of the bigrading
-    if op_sum(pi_pq.values()) != GradedOperator.identity(n):
-        raise StructureError("J", "bigrading projectors do not resolve the identity")
-
-    I_aut = op_sum(proj.scale(_i_power(p - q)) for (p, q, _), proj in pi_pq.items())
-    I_inv = op_sum(proj.scale(_i_power(q - p)) for (p, q, _), proj in pi_pq.items())
-    return StructureOperators(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv, pi_pq=pi_pq)
-
-
-def _i_power(s: int) -> Scalar:
-    return [ONE, I, -ONE, -I][s % 4]
-
-
-def _pq_projectors(ngen, W, vertical, n_trans):
-    """Pi^{p,q} on each (h,v) block by Lagrange interpolation in W.
-
-    W acts on the (p,q) part of horizontal degree h = p+q as i(p-q); the
-    candidate eigenvalue set is finite, so the spectral projector is an
-    explicit polynomial in W.  Exhaustiveness is asserted by the caller.
-    """
-    vert = set(vertical)
-    out: dict[tuple[int, int, int], GradedOperator] = {}
-    for k in range(ngen + 1):
-        basis = monomial_basis(ngen, k)
-        for (h, v), positions in _bidegree_groups(basis, vert).items():
-            # sel^† picks the (h,v) coordinates: a block restricts to them as
-            # sel^† W sel and extends back by zero as sel P sel^†
-            sel_t = Matrix.unit_rows(positions, len(basis))
-            sel = sel_t.conj_transpose()
-            sub = sel_t @ W.blocks[k] @ sel
-            ps = range(max(0, h - n_trans), min(h, n_trans) + 1)
-            svals = [2 * p - h for p in ps]
-            ident = Matrix.identity(len(positions))
-            # the Lagrange factors W - i t, shared by every projector of the group
-            factors = {t: sub - ident.scale(Scalar(0, t)) for t in svals}
-            for p in ps:
-                s = 2 * p - h
-                # prod_t (W - i t) / prod_t (i s - i t), over t != s
-                proj, denom = ident, ONE
-                for t in svals:
-                    if t != s:
-                        proj = proj @ factors[t]
-                        denom = denom * Scalar(0, s - t)
-                proj = proj.scale(ONE / denom)
-                key = (p, h - p, v)
-                full = sel @ proj @ sel_t
-                if key in out:
-                    out[key] = _merge_block(out[key], k, full)
-                else:
-                    blocks = list(GradedOperator.zero(ngen, 0, EVEN).blocks)
-                    blocks[k] = full
-                    out[key] = GradedOperator(ngen, 0, EVEN, tuple(blocks))
-    return out
+    I_aut = GradedOperator.from_action(n, 0, EVEN, lambda x: automorphism(next(iter(x.terms))))
+    I_inv = I_aut.adjoint()
+    _check_i_against_w(W, I_aut, I_inv, pack.vertical_indices)
+    return StructureOperators(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv)
 
 
-def _merge_block(op: GradedOperator, k: int, block: Matrix) -> GradedOperator:
-    blocks = list(op.blocks)
-    blocks[k] = blocks[k] + block
-    return GradedOperator(op.ngen, op.shift, op.parity, tuple(blocks))
+def _check_i_against_w(W: GradedOperator, I_aut: GradedOperator, I_inv: GradedOperator,
+                      vertical: tuple[int, ...]):
+    """Assert that I is i^{p-q} of the bigrading of W, given that I is an
+    algebra automorphism and W a derivation: I_inv inverts I, and on
+    1-forms, where i^{p-q} is i on (1,0), -i on (0,1) and 1 on vertical
+    forms, I = W + the vertical unit projector."""
+    n = W.ngen
+    if I_inv @ I_aut != GradedOperator.identity(n):
+        raise StructureError("J", "I^-1 I is not the identity")
+    # theta^k is the (k-1)-th basis 1-form
+    sel = Matrix.unit_rows([k - 1 for k in vertical], n)
+    if I_aut.blocks[1] != W.blocks[1] + sel.conj_transpose() @ sel:
+        raise StructureError("J", "I is not W + the vertical projector on 1-forms")

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .forms import FormElement, contract, hodge_star, monomial_basis, wedge
 from .matrices import Matrix, Vector
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 EVEN, ODD = 0, 1
 
@@ -39,6 +39,12 @@ def _zero_blocks(ngen: int, shift: int) -> tuple[Matrix, ...]:
     """The blocks of the zero operator of the given shift, built once and
     shared, since matrices are immutable."""
     return tuple(Matrix.zero(*shape) for shape in _block_shapes(ngen, shift))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(ngen: int, k: int) -> dict[tuple[int, ...], int]:
+    """The position of each degree-k monomial in its basis; empty outside 0..N."""
+    return {m: i for i, m in enumerate(monomial_basis(ngen, k))} if 0 <= k <= ngen else {}
 
 
 def form_to_vector(a: FormElement, k: int) -> Vector:
@@ -86,23 +92,19 @@ class GradedOperator:
     def from_action(
         ngen: int, shift: int, parity: int, action: Callable[[FormElement], FormElement]
     ) -> "GradedOperator":
-        """Realize a linear map given on basis monomials as matrices."""
+        """Realize a linear map given on basis monomials as matrices: the
+        terms of each image are entered straight into the sparse block."""
         blocks = []
         for k in range(ngen + 1):
-            tgt = k + shift
-            nrows = basis_dim(ngen, tgt)
-            cols = []
-            for m in monomial_basis(ngen, k):
-                image = action(FormElement.monomial(ngen, m))
-                if 0 <= tgt <= ngen:
-                    if image != image.homogeneous_part(tgt):
+            position = _positions(ngen, k + shift)
+            entries = []
+            for j, m in enumerate(monomial_basis(ngen, k)):
+                for mono, c in action(FormElement(ngen, {m: ONE})).terms.items():
+                    i = position.get(mono)
+                    if i is None:
                         raise ValueError(f"action not homogeneous of shift {shift} on {m}")
-                    cols.append(form_to_vector(image, tgt))
-                else:
-                    if not image.is_zero():
-                        raise ValueError(f"action not homogeneous of shift {shift} on {m}")
-                    cols.append(())
-            blocks.append(Matrix.from_cols(cols, nrows))
+                    entries.append((i, j, c))
+            blocks.append(Matrix.from_entries(len(position), basis_dim(ngen, k), entries))
         return GradedOperator(ngen, shift, parity, tuple(blocks))
 
     # -- application ---------------------------------------------------

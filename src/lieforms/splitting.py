@@ -135,31 +135,34 @@ def foliation_split(d: GradedOperator, model: LieModel, fol: FoliationSpec) -> F
 def hodge_split_d1(
     ops: StructureOperators, split: FoliationSplit
 ) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
-    """Transversal Hodge components of d_1 and the twisted differential.
+    """Transversal Hodge components of d_1 and the twisted differential
+    d1c := I d1 I^{-1}, whose printed alternatives are adjudicated in the
+    relation tables."""
+    return _hodge_split(ops, split)[:3]
+
+
+def _hodge_split(ops: StructureOperators, split: FoliationSplit) -> tuple[GradedOperator, ...]:
+    """`hodge_split_d1` and the bracket {W, d1} that certifies it.
 
     d1 must have components only in bidegrees (1,0) and (0,1); anything
-    else signals a broken transversal complex structure.  The twisted
-    differential is defined as d1c := I d1 I^{-1}; its printed
-    alternatives are adjudicated in the relation tables.
+    else signals a broken transversal complex structure.  A component
+    moving (p,q) by (a,b) is scaled by i(a-b) under [W, .] and by i^{a-b}
+    under conjugation by I, so {W, d1} = d1c exactly when every component
+    has a - b = +-1.  d1 is a derivation that keeps the Reeb degree, so it
+    moves the vertical degree by c in {-1, 0, 1} (the Lee degree of a
+    Vaisman pack), and a + b + c = 1; a - b odd then forces c = 0 and
+    (a,b) in {(1,0), (0,1)}.  The components are (d1 -+ i d1c)/2.
     """
     d1 = split.d1
-    pi = ops.pi_pq
-    # with no transversal directions neither sum has a term, so both start at 0
-    terms_10 = [GradedOperator.zero(d1.ngen, 1, ODD)]
-    terms_01 = [GradedOperator.zero(d1.ngen, 1, ODD)]
-    for (p, q, v), proj in pi.items():
-        if (p + 1, q, v) in pi:
-            terms_10.append(pi[(p + 1, q, v)] @ d1 @ proj)
-        if (p, q + 1, v) in pi:
-            terms_01.append(pi[(p, q + 1, v)] @ d1 @ proj)
-    d1_10 = op_sum(terms_10)
-    d1_01 = op_sum(terms_01)
-    if d1_10 + d1_01 != d1:
+    d1c = ops.I_aut @ d1 @ ops.I_inv
+    w_d1 = supercommutator(ops.W, d1)
+    if w_d1 != d1c:
         raise StructureError(
             "hodge", "d1 has components outside bidegrees (1,0) and (0,1): "
             "broken transversal complex structure"
         )
-    return d1_10, d1_01, ops.I_aut @ d1 @ ops.I_inv
+    i_d1c = d1c.scale(IUNIT)
+    return (d1 - i_d1c).scale(HALF), (d1 + i_d1c).scale(HALF), d1c, w_d1
 
 
 # -- the named operator pool --------------------------------------------
@@ -197,6 +200,7 @@ _RECIPES = {
     "d1^{1,0}": lambda p: p.hodge[0],
     "d1^{0,1}": lambda p: p.hodge[1],
     "d1c": lambda p: p.hodge[2],
+    ("W", "d1"): lambda p: p.hodge[3],  # built to certify the Hodge split
     "Delta0": lambda p: p["d0", "d0*"],
     "Delta1": lambda p: p["d1", "d1*"],
     **{f"{x}(1)": (lambda p, x=x: reeb_power(p[x], p["Lie_r"], 1))
@@ -218,7 +222,8 @@ class OperatorPool:
     """The named operators of one model, each built once, on first use.
 
     `pool[name]` builds an operator from its recipe; `pool[a, b]` is the
-    supercommutator {pool[a], pool[b]}, memoised by name pair; `split(fol)`
+    supercommutator {pool[a], pool[b]}, memoised by name pair (the pair
+    {W, d1} is the one that certified the Hodge split); `split(fol)`
     is the split of d along a foliation, memoised per foliation.  The names
     are the operators' only labels: reports print them, never read them
     off an operator.
@@ -237,7 +242,7 @@ class OperatorPool:
     def __getitem__(self, ref) -> GradedOperator:
         op = self._built.get(ref)
         if op is None:
-            if isinstance(ref, tuple):
+            if isinstance(ref, tuple) and ref not in self._recipes:
                 op = supercommutator(self[ref[0]], self[ref[1]])
             else:
                 op = self._recipes[ref](self)
@@ -250,8 +255,9 @@ class OperatorPool:
         return self._built[fol]
 
     @functools.cached_property
-    def hodge(self) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
-        return hodge_split_d1(self.ops, self.split(reeb_foliation(self.pack)))
+    def hodge(self) -> tuple[GradedOperator, ...]:
+        """d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split."""
+        return _hodge_split(self.ops, self.split(reeb_foliation(self.pack)))
 
 
 @functools.lru_cache(maxsize=None)

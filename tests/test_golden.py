@@ -1,7 +1,8 @@
 """Byte-equality gate against the snapshots in tests/golden (rewritten by
 tests/golden/update.py): `lieforms all` on every builtin, `lieforms check`
 and `lieforms all` on the su(2)xaff(R) fixture, and `lieforms all` on the
-dim-6 h5xR and dim-7 h7 fixtures, in every format."""
+dim-6 h5xR and dim-7 h7 fixtures, in every format, and on the dim-9 h9
+fixture in json."""
 
 from pathlib import Path
 
@@ -46,3 +47,13 @@ def test_all_matches_snapshot_on_file_models(tmp_path, monkeypatch, model, code,
     assert run(RunConfig(command="all", model=f"tests/data/{model}.alg", format=fmt,
                          output=str(out))) == code
     assert out.read_bytes() == (GOLDEN / f"{model}.all.{EXT[fmt]}").read_bytes()
+
+
+def test_all_matches_json_snapshot_on_h9(tmp_path, monkeypatch):
+    # transversal dimension 4, the only snapshot where a (h,v) group of W has
+    # up to 5 eigenvalues; json only, to keep the suite's time down
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report"
+    assert run(RunConfig(command="all", model="tests/data/h9.alg", format="json",
+                         output=str(out))) == 0
+    assert out.read_bytes() == (GOLDEN / "h9.all.json").read_bytes()

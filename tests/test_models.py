@@ -1,6 +1,11 @@
-import pytest
+from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 
-from lieforms.cohomology import _foliation_pi_hor
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lieforms.cohomology import _foliation_pi_hor, basic_subcomplex, transversal_package
 from lieforms.forms import FormElement, wedge
 from lieforms.models import (
     AntisymmetryError,
@@ -15,14 +20,26 @@ from lieforms.models import (
     builtin_file_text,
     builtin_models,
     ce_differential,
+    load_model_file,
     parse_model,
+    structure_operators,
     validate_pack,
+    _check_i_against_w,
 )
 from lieforms.operators import GradedOperator, supercommutator
 from lieforms.scalars import I, ONE, Scalar
-from lieforms.splitting import FoliationSpec
+from lieforms.splitting import (
+    FoliationSpec,
+    hodge_split_d1,
+    operator_pool,
+    reeb_foliation,
+    sigma_foliation,
+)
 
 from conftest import model_pack, ops_for, pool_for
+from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def t(n, *ix):
@@ -81,6 +98,68 @@ def test_jacobi_defect_detection():
     assert err.value.triple is not None
 
 
+def reference_jacobi_defect(dim, brackets):
+    """The first (i,j,k,l) with a nonzero Jacobi sum, or None, by brute
+    force over every m and l on a plain dict of Fraction constants."""
+    c = {}
+    for i, j, k, v in brackets:
+        c[i, j, k], c[j, i, k] = Fraction(v), -Fraction(v)
+    rng = range(1, dim + 1)
+    for i, j, k in combinations(rng, 3):
+        for l in rng:
+            acc = sum(c.get((j, k, m), 0) * c.get((i, m, l), 0)
+                      + c.get((k, i, m), 0) * c.get((j, m, l), 0)
+                      + c.get((i, j, m), 0) * c.get((k, m, l), 0) for m in rng)
+            if acc:
+                return (i, j, k, l)
+    return None
+
+
+@st.composite
+def planted_brackets(draw):
+    """Small-integer constants: a Lie algebra (the Heisenberg, su(2) or
+    zero bracket) with up to three planted entries that mostly break it."""
+    base = draw(st.sampled_from([
+        (5, [(1, 2, 5, -1), (3, 4, 5, -1)]),
+        (3, [(1, 2, 3, -1), (2, 3, 1, -1), (1, 3, 2, 1)]),
+        (4, []),
+    ]))
+    dim, entries = base
+    table = {(i, j, k): v for i, j, k, v in entries}
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = sorted(draw(st.lists(st.integers(1, dim), min_size=2, max_size=2, unique=True)))
+        k = draw(st.integers(1, dim))
+        value = draw(st.integers(-2, 2))
+        if value:
+            table[i, j, k] = value
+        else:
+            table.pop((i, j, k), None)
+    return dim, [(i, j, k, v) for (i, j, k), v in table.items()]
+
+
+@settings(deadline=None, max_examples=150)
+@given(planted_brackets())
+def test_jacobi_defect_matches_brute_force(case):
+    dim, brackets = case
+    model = LieModel("planted", dim, tuple((i, j, k, Scalar.of(v)) for i, j, k, v in brackets))
+    assert model.jacobi_defect() == reference_jacobi_defect(dim, brackets)
+    stored = {(i, j, k): Fraction(v) for i, j, k, v in brackets}
+    for i, j, k in product(range(1, dim + 1), repeat=3):
+        expected = stored.get((i, j, k), 0) - stored.get((j, i, k), 0)
+        assert model.c(i, j, k) == Scalar(expected)
+
+
+def test_jacobi_defect_finds_a_planted_failure():
+    # h5 passes; planting [e3,e5] = e3 breaks Jacobi first on the triple
+    # (1,2,3), where [e3,[e1,e2]] = -e3, as the brute-force reference says
+    h5 = [(1, 2, 5, -1), (3, 4, 5, -1)]
+    assert reference_jacobi_defect(5, h5) is None
+    assert LieModel("h5", 5, tuple((i, j, k, Scalar.of(v)) for i, j, k, v in h5)).jacobi_defect() is None
+    planted = h5 + [(3, 5, 3, 1)]
+    model = LieModel("planted", 5, tuple((i, j, k, Scalar.of(v)) for i, j, k, v in planted))
+    assert model.jacobi_defect() == reference_jacobi_defect(5, planted) == (1, 2, 3, 3)
+
+
 def test_structure_operator_examples():
     for name in ("su2", "h3", "h5"):
         pool = pool_for(name)
@@ -104,7 +183,7 @@ def test_lie_r_skew_adjoint_and_central():
         named = [pool[x] for x in ("L", "Lam", "H", "W", "e_r", "i_r")]
         named += [pool.ops.I_aut, pool.ops.I_inv,
                   _foliation_pi_hor(model, FoliationSpec(pack.vertical_indices))]
-        named += list(pool.ops.pi_pq.values())
+        named += list(reference_projectors(model, pack).values())
         named += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
         if pack.kind == "vaisman":
             named += [pool[x] for x in ("e_th", "i_th", "Lie_th")]
@@ -118,18 +197,66 @@ def test_vaisman_lie_theta_vanishes():
 
 
 def test_bigrading_projectors_resolve_identity():
+    # on the Lagrange reference (tests/pq_reference.py)
     for name in BUILTIN_NAMES:
-        ops = ops_for(name)
-        n = ops.d.ngen
+        model, pack = model_pack(name)
+        pi = reference_projectors(model, pack)
+        n = model.dim
         total = GradedOperator.zero(n, 0, 0)
-        for p in ops.pi_pq.values():
+        for p in pi.values():
             total = total + p
             assert p @ p == p  # idempotent
         assert total == GradedOperator.identity(n)
-        for k1, p1 in ops.pi_pq.items():
-            for k2, p2 in ops.pi_pq.items():
+        for k1, p1 in pi.items():
+            for k2, p2 in pi.items():
                 if k1 != k2:
                     assert (p1 @ p2).is_zero()
+
+
+REFERENCE_MODELS = [*BUILTIN_NAMES, "su2_aff", "h5xr", "h7"]
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_closed_forms_match_the_lagrange_reference(name):
+    # I and I^-1 as signed permutations, the Hodge components (d1 -+ i d1c)/2
+    # certified by {W, d1} = d1c, and (p,q)-stability decided through W and
+    # the bidegree projectors agree with the spectral projectors of W
+    if name in BUILTIN_NAMES:
+        model, pack = model_pack(name)
+    else:
+        model, pack = load_model_file(str(DATA / f"{name}.alg"))
+    ops = structure_operators(model, pack)
+    pi = reference_projectors(model, pack)
+    assert (ops.I_aut, ops.I_inv) == reference_i(pi)
+    if pack.kind == "kahler":
+        return
+    pool = operator_pool(model, pack)
+    d1 = pool["d1"]
+    d1_10, d1_01 = reference_hodge(pi, d1)
+    assert d1_10 + d1_01 == d1  # the reference's own bidegree check
+    assert hodge_split_d1(ops, pool.split(reeb_foliation(pack)))[:2] == (d1_10, d1_01)
+    fol = reeb_foliation(pack) if pack.kind == "sasakian" else sigma_foliation(pack)
+    stable = reference_pq_stable(pi, basic_subcomplex(model, pack, fol))
+    entry = transversal_package(model, pack, fol).entry("transversal.pq_stability")
+    assert entry.verdict == ("pass" if stable else "fail")
+
+
+def test_i_check_fails_on_a_planted_fault():
+    # structure_operators asserts I^-1 I = Id and, on 1-forms, I = W + the
+    # vertical unit projector; each planted fault breaks one of the two
+    for name in ("torus4", "h5", "su2xr"):
+        _, pack = model_pack(name)
+        ops = ops_for(name)
+        vertical = pack.vertical_indices
+        _check_i_against_w(ops.W, ops.I_aut, ops.I_inv, vertical)
+        planted = [(ops.W, ops.I_aut, ops.I_aut, vertical),  # I for I^-1: I^2 = (-1)^{p-q}
+                   (-ops.W, ops.I_aut, ops.I_inv, vertical)]  # the conjugate structure
+        if vertical:
+            planted.append((ops.W, ops.I_aut, ops.I_inv, ()))  # I moves vertical forms
+        for args in planted:
+            with pytest.raises(StructureError) as err:
+                _check_i_against_w(*args)
+            assert err.value.check == "J"
 
 
 # -- model file parsing -------------------------------------------------
@@ -224,21 +351,23 @@ import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from lieforms.models import bidegree_projectors, load_model_file
 from lieforms.operators import GradedOperator
-from lieforms.splitting import operator_pool, reeb_foliation
+from lieforms.splitting import operator_pool, reeb_foliation, sasakian_relations
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
 named = [v for v in vars(pool.ops).values() if isinstance(v, GradedOperator)]
 named += [pool[x] for x in ("e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
 named += [*bidegree_projectors(model.dim, pack.vertical_indices).values(),
-          *pool.ops.pi_pq.values(), *pool.split(reeb_foliation(pack)).components,
-          *pool.hodge]
+          *pool.split(reeb_foliation(pack)).components, *pool.hodge]
+sasakian_relations(model, pack)  # builds the table's whole pool
+named += [v for v in pool._built.values() if isinstance(v, GradedOperator)]
 print(len(named))
 """
 
 
 def test_h7_builds_under_one_gib():
-    """The dim-7 contact model builds its operators, foliation split and
-    Hodge split in a child capped at 1 GiB of address space."""
+    """The dim-7 contact model builds its operators, foliation split, Hodge
+    split and the Sasakian table's pool in a child capped at 1 GiB of
+    address space."""
     import os
     import subprocess
     import sys

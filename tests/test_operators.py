@@ -2,8 +2,9 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lieforms.forms import FormElement
+from lieforms.forms import FormElement, contract, monomial_basis, wedge
 from lieforms.operators import (
     EVEN,
     GradedOperator,
@@ -331,3 +332,81 @@ def test_zero_operators_share_blocks_not_identity():
     y, z = GradedOperator.zero(3, 1, ODD), GradedOperator.zero(3, 1, ODD)
     assert y is not z and y == z
     assert all(a is b for a, b in zip(y.blocks, z.blocks))
+
+
+# -- sparse from_action against a dense column-by-column reference ----------
+
+
+def dense_blocks(ngen, shift, action):
+    """The blocks of a linear map, one dense coefficient column per basis
+    monomial; every image must lie in the target degree."""
+    blocks = []
+    for k in range(ngen + 1):
+        tgt = monomial_basis(ngen, k + shift) if 0 <= k + shift <= ngen else []
+        cols = []
+        for m in monomial_basis(ngen, k):
+            image = action(FormElement.monomial(ngen, m))
+            assert all(len(mono) == k + shift for mono in image.terms)
+            cols.append(tuple(image.coeff(mono) for mono in tgt))
+        blocks.append(Matrix.from_cols(cols, len(tgt)))
+    return tuple(blocks)
+
+
+def leibniz(ngen, parity, unit_value, values, x):
+    """D(x) = u ^ x + the signed Leibniz sum of D(theta^k) - u ^ theta^k,
+    for x a single monomial: the factor at position pos passes pos 1-forms."""
+    (mono, c), = x.terms.items()
+    out = wedge(unit_value, x)
+    for pos, k in enumerate(mono):
+        value = values[k] - wedge(unit_value, FormElement.generator(ngen, k))
+        term = wedge(wedge(FormElement.monomial(ngen, mono[:pos]), value),
+                     FormElement.monomial(ngen, mono[pos + 1:]))
+        out = out + term.scale(Scalar.of(-1 if parity and pos % 2 else 1))
+    return out.scale(c)
+
+
+gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def homogeneous_forms(draw, ngen, degree):
+    basis = monomial_basis(ngen, degree) if 0 <= degree <= ngen else []
+    coeffs = draw(st.lists(gaussian, min_size=len(basis), max_size=len(basis)))
+    return FormElement(ngen, dict(zip(basis, coeffs)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_wedge_and_contraction_operators_match_dense_reference(data):
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(homogeneous_forms(n, data.draw(st.integers(0, n))))
+    op = wedge_operator(a)
+    assert op.blocks == dense_blocks(n, op.shift, lambda x: wedge(a, x))
+    v = data.draw(st.integers(1, n))
+    assert contraction_operator(n, v).blocks == dense_blocks(n, -1, lambda x: contract(v, x))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_extend_derivation_matches_dense_reference(data):
+    n = data.draw(st.integers(1, 5))
+    shift = data.draw(st.integers(-1, 2))
+    parity = shift % 2
+    values = {k: data.draw(homogeneous_forms(n, shift + 1)) for k in range(1, n + 1)}
+    unit_value = data.draw(homogeneous_forms(n, shift))
+    op = extend_derivation(n, parity, values, unit_value, shift=shift)
+    assert op.blocks == dense_blocks(
+        n, shift, lambda x: leibniz(n, parity, unit_value, values, x))
+
+
+def test_from_action_rejects_non_homogeneous_actions():
+    n = 3
+    e1 = FormElement.generator(n, 1)
+    with pytest.raises(ValueError, match="not homogeneous of shift 1"):
+        GradedOperator.from_action(n, 1, ODD, lambda x: wedge(e1, x) + x)
+    with pytest.raises(ValueError, match="not homogeneous of shift 2"):
+        GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(e1, x))
+    # a nonzero image past the top degree
+    with pytest.raises(ValueError, match=r"not homogeneous of shift 1 on \(1, 2, 3\)"):
+        GradedOperator.from_action(n, 1, ODD, lambda x: x if len(next(iter(x.terms))) == n
+                                   else FormElement.zero(n))

@@ -3,8 +3,9 @@ from pathlib import Path
 import pytest
 
 from lieforms.models import StructureError, parse_model, structure_operators
-from lieforms.operators import supercommutator
+from lieforms.operators import GradedOperator, ODD, op_sum, supercommutator
 from lieforms.splitting import (
+    FoliationSplit,
     FoliationSpec,
     antisymmetry_report,
     foliation_split,
@@ -20,6 +21,7 @@ from lieforms.splitting import (
 )
 
 from conftest import model_pack, ops_for, pool_for
+from pq_reference import reference_projectors
 
 
 def split_for(name):
@@ -79,6 +81,24 @@ def test_hodge_split_bidegrees():
         assert d1_10 + d1_01 == split.d1
         # twisted differential consistency: [W, d1] = I d1 I^{-1}
         assert supercommutator(ops.W, split.d1) == ops.I_aut @ split.d1 @ ops.I_inv
+
+
+def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
+    # e_1 e_3 i_2 moves (p,q) by (2,-1) among others; its (2,-1) part, cut
+    # out with the reference projectors, is added to d1 of h5
+    model, pack = model_pack("h5")
+    ops, split = split_for("h5")
+    pool = pool_for("h5")
+    pi = reference_projectors(model, pack)
+    y = pool["e_1"] @ pool["e_3"] @ pool["i_2"]
+    planted = op_sum([GradedOperator.zero(5, 1, ODD)] + [
+        pi[tgt] @ y @ proj for (p, q, v), proj in pi.items() if (tgt := (p + 2, q - 1, v)) in pi])
+    assert not planted.is_zero()
+    hodge_split_d1(ops, split)
+    bad = FoliationSplit(split.fol, (split.d0, split.d1 + planted, split.d2))
+    with pytest.raises(StructureError) as err:
+        hodge_split_d1(ops, bad)
+    assert err.value.check == "hodge"
 
 
 def test_hodge_split_without_transversal_directions():
