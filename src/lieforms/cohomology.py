@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from .forms import FormElement
 from .matrices import (
     Matrix,
-    Vector,
     charpoly,
     nullspace,
     poly_eval_matrix,
@@ -36,9 +35,9 @@ from .operators import (
     RelationEntry,
     RelationReport,
     basis_dim,
+    column_forms,
     op_sum,
     supercommutator,
-    vector_to_form,
 )
 from .scalars import ONE
 from .splitting import FoliationSpec, lee_foliation, operator_pool, reeb_foliation
@@ -104,18 +103,18 @@ class CochainComplex:
 
     def cohomology(self) -> "CohomologyReport":
         if "cohomology" not in self._memo:
-            reps: dict[int, list[Vector]] = {}
+            reps: dict[int, Matrix] = {}
             for k in self.degrees:
                 stacked = self.d(k)
                 if k - 1 in self.dims:
                     # orthogonality to im d: (d_{k-1})^† G x = 0
                     stacked = stacked.vstack(self.d(k - 1).conj_transpose() @ self.gram[k])
                 reps[k] = nullspace(stacked)
-            betti = {k: len(v) for k, v in reps.items()}
+            betti = {k: v.ncols for k, v in reps.items()}
             self._memo["cohomology"] = CohomologyReport(self.label, self.degrees, betti, reps)
         return self._memo["cohomology"]
 
-    def harmonic_coords(self, k: int) -> list[Vector]:
+    def harmonic_coords(self, k: int) -> Matrix:
         if ("harmonic", k) not in self._memo:
             self._memo["harmonic", k] = nullspace(self.laplacian(k))
         return self._memo["harmonic", k]
@@ -123,12 +122,13 @@ class CochainComplex:
 
 @dataclass
 class CohomologyReport:
-    """Per-degree Betti numbers with harmonic representative bases."""
+    """Per-degree Betti numbers with harmonic representative bases, each
+    basis the columns of a matrix."""
 
     label: str
     degrees: tuple[int, ...]
     betti: dict[int, int]
-    representatives: dict[int, list[Vector]]
+    representatives: dict[int, Matrix]
 
     def betti_list(self) -> list[int]:
         return [self.betti.get(k, 0) for k in self.degrees]
@@ -175,7 +175,7 @@ class FormComplex(CochainComplex):
         for k in degrees:
             stacked = functools.reduce(Matrix.vstack, [op.blocks[k] for op in constraints],
                                        Matrix.zero(0, basis_dim(n, k)))
-            embed[k] = Matrix.from_cols(nullspace(stacked), basis_dim(n, k))
+            embed[k] = nullspace(stacked)
             dims[k] = embed[k].ncols
         diff: dict[int, Matrix] = {}
         for k in range(n):
@@ -185,10 +185,7 @@ class FormComplex(CochainComplex):
         return FormComplex(label, degrees, dims, diff, gram, n, embed)
 
     def basis_forms(self, k: int) -> list[FormElement]:
-        return [vector_to_form(self.ngen, k, self.embed[k].col(j)) for j in range(self.dim(k))]
-
-    def ambient_vectors(self, k: int, coord_vectors) -> list[Vector]:
-        return [self.embed[k].apply(v) for v in coord_vectors]
+        return column_forms(self.ngen, k, self.embed[k])
 
     def restrict(self, op: GradedOperator) -> dict[int, Matrix]:
         """Coordinate blocks of an ambient operator preserving the subcomplex."""
@@ -219,7 +216,7 @@ def full_complex(model: LieModel, pack: StructurePack) -> FormComplex:
 
 def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
     """Kernel of the full Laplacian {d, d*} at degree k, as forms."""
-    return [vector_to_form(model.dim, k, v) for v in full_complex(model, pack).harmonic_coords(k)]
+    return column_forms(model.dim, k, full_complex(model, pack).harmonic_coords(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,12 +342,12 @@ def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
         if tk not in tgt_coh.betti:
             continue
         reps_s, reps_t = src_coh.representatives[k], tgt_coh.representatives[tk]
-        image = (blocks[k] @ Matrix.from_cols(reps_s, blocks[k].ncols) if k in blocks
-                 else Matrix.zero(tgt.dim(tk), len(reps_s)))
-        x = solve(Matrix.from_cols(reps_t, tgt.dim(tk)).hstack(tgt.d(tk - 1)), image)
+        image = (blocks[k] @ reps_s if k in blocks
+                 else Matrix.zero(tgt.dim(tk), reps_s.ncols))
+        x = solve(reps_t.hstack(tgt.d(tk - 1)), image)
         if x is None:
             raise StructureError("chain_map", f"image class not closed at degree {k}")
-        out[k] = x.top(len(reps_t))
+        out[k] = x.top(reps_t.ncols)
     return out
 
 
@@ -384,16 +381,15 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "; ".join(detail) or "no middle degrees", "bijective",
                              "pass" if ok else "fail"))
 
-    # (p,q)-stability of basic harmonic classes: W is diagonalisable on each
-    # (h,v) block, so a space is stable under every Pi^{p,q,v} exactly when
-    # it is stable under W and under the bidegree projectors
-    pi = bidegree_projectors(model.dim, pack.vertical_indices)
+    # (p,q)-stability of basic harmonic classes.  Every caller passes the
+    # pack's canonical foliation, whose basic k-forms are horizontal of
+    # bidegree (h, v) = (k, 0).  There W is diagonalisable with eigenvalue
+    # i(p-q) on the (p,q) part, so each Pi^{p,q} is a polynomial in W, and a
+    # space is stable under every Pi^{p,q} exactly when it is stable under W.
     stable = True
     for k in sub.degrees:
-        harm = sub.embed[k] @ Matrix.from_cols(sub.harmonic_coords(k), sub.dim(k))
-        images = [op.blocks[k] @ harm for op in
-                  [pool["W"]] + [p for (h, v), p in pi.items() if h + v == k]]
-        if solve(harm, functools.reduce(Matrix.hstack, images)) is None:
+        harm = sub.embed[k] @ sub.harmonic_coords(k)
+        if solve(harm, pool["W"].blocks[k] @ harm) is None:
             stable = False
     report.add(RelationEntry("transversal.pq_stability",
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
@@ -428,7 +424,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # kernel conditions: Lie_v always vanishes; i_v is reported per model
     lie_ok, iv_ok = True, True
     for k in range(model.dim + 1):
-        ker = Matrix.from_cols(nullspace(ds.blocks[k]), ds.blocks[k].ncols)
+        ker = nullspace(ds.blocks[k])
         for iv, lie in pairs:
             lie_ok = lie_ok and (lie.blocks[k] @ ker).is_zero()
             iv_ok = iv_ok and (iv.blocks[k] @ ker).is_zero()
@@ -446,9 +442,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # harmonic basic = closed, orthogonal to exact (subspace identity), and
     # its dimension computes basic cohomology
     for k in sub.degrees:
-        harm = sub.harmonic_coords(k)
-        reps = coh.representatives[k]
-        if not subspace_equal(harm, reps):
+        if not subspace_equal(sub.harmonic_coords(k), coh.representatives[k]):
             report.add(RelationEntry("transversal.harmonic_vs_representatives",
                                      f"ker Delta_bas deg {k}", "closed & orthogonal to exact",
                                      "fail"))
@@ -457,7 +451,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         report.add(RelationEntry("transversal.harmonic_vs_representatives",
                                  "ker Delta_bas", "closed & orthogonal to exact, all degrees",
                                  "pass"))
-    hodge_iso = all(len(sub.harmonic_coords(k)) == coh.betti[k] for k in sub.degrees)
+    hodge_iso = all(sub.harmonic_coords(k).ncols == coh.betti[k] for k in sub.degrees)
     report.add(RelationEntry("transversal.hodge_isomorphism",
                              "dim ker Delta_bas", "basic Betti number, all degrees",
                              "pass" if hodge_iso else "fail"))
@@ -477,9 +471,10 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
             coeffs = coeffs[1:]
         seen += [str(r) for r in rational_roots(coeffs) if r != 0]
         kerg = nullspace(poly_eval_matrix(coeffs, block))
-        images = sub.d(k) @ Matrix.from_cols(kerg, sub.dim(k))
-        closed = [v for j, v in enumerate(kerg) if not any(images.col(j))]
-        if solve(sub.d(k - 1), Matrix.from_cols(closed, sub.dim(k))) is None:
+        # the basis vectors of ker g that are closed, selected as columns
+        closed = [j for j, col in enumerate((sub.d(k) @ kerg).columns()) if not col]
+        select = Matrix.unit_rows(closed, kerg.ncols).conj_transpose()
+        if solve(sub.d(k - 1), kerg @ select) is None:
             eigen_ok = False
     report.add(RelationEntry("split_laplacian.eigen_exactness",
                              "closed eigenvectors, nonzero eigenvalues "

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
-from .matrices import Matrix, Vector, nullspace, rank, solve, subspace_equal
+from .matrices import Matrix, nullspace, rank, solve, subspace_equal
 from .models import LieModel, StructureError, StructurePack
-from .operators import RelationEntry, vector_to_form
+from .operators import RelationEntry, column_forms
 from .cohomology import (
     CochainComplex,
     FormComplex,
@@ -320,29 +320,24 @@ def sasakian_decomposition(model: LieModel, pack: StructurePack) -> Decompositio
 
 
 def _harmonic_branch_spaces(model, pack, basic):
-    """Per degree, the two candidate spaces: primitive basic-harmonic forms
-    at the degree, and eta ^ (co-primitive basic-harmonic) one degree lower."""
+    """Per degree, the two candidate spaces as ambient basis matrices:
+    primitive basic-harmonic forms at the degree, and
+    eta ^ (co-primitive basic-harmonic) one degree lower."""
     pool = operator_pool(model, pack)
-    harm = {k: basic.ambient_vectors(k, basic.harmonic_coords(k)) for k in basic.degrees}
+    harm = [basic.embed[k] @ basic.harmonic_coords(k) for k in basic.degrees]
 
-    def cut(vectors, op, k):
-        if not vectors:
-            return []
-        mat = Matrix.from_cols(vectors)
-        blocked = op.blocks[k] @ mat
-        kern = nullspace(blocked)
-        return [mat.apply(c) for c in kern]
+    def cut(mat, op, k):
+        return mat @ nullspace(op.blocks[k] @ mat)
 
     out = []
-    for degree in range(model.dim + 1):
-        b1 = cut(harm.get(degree, []), pool["Lam"], degree)
-        prev = cut(harm.get(degree - 1, []), pool["L"], degree - 1) if degree >= 1 else []
-        b2 = []
-        if prev:
+    for degree in basic.degrees:
+        b1 = cut(harm[degree], pool["Lam"], degree)
+        if degree == 0:
+            b2 = Matrix.zero(b1.nrows, 0)
+        else:
             # v ^ eta = (-1)^deg(v) eta ^ v, so the branch is one e_r block product
-            wedged = pool["e_r"].blocks[degree - 1] @ Matrix.from_cols(prev)
-            wedged = -wedged if degree % 2 == 0 else wedged
-            b2 = [wedged.col(j) for j in range(wedged.ncols)]
+            b2 = pool["e_r"].blocks[degree - 1] @ cut(harm[degree - 1], pool["L"], degree - 1)
+            b2 = -b2 if degree % 2 == 0 else b2
         out.append((b1, b2))
     return out
 
@@ -363,10 +358,10 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
         if not subspace_equal(stated, target) and subspace_equal(other, target):
             chosen, branch = other, "flipped"
         verdict.rows.append(DegreeVerdict(
-            degree=i, claimed=len(stated), proof=len(chosen), actual=len(target),
-            ok=subspace_equal(chosen, target), headline_ok=len(stated) == len(target),
+            degree=i, claimed=stated.ncols, proof=chosen.ncols, actual=target.ncols,
+            ok=subspace_equal(chosen, target), headline_ok=stated.ncols == target.ncols,
             branch=branch,
-            witnesses=tuple(str(vector_to_form(model.dim, i, v)) for v in chosen)))
+            witnesses=tuple(str(f) for f in column_forms(model.dim, i, chosen))))
 
     # star duality: *(gamma) = *_bas(gamma) ^ eta for horizontal gamma, with
     # the basic star oriented so that vol_bas ^ eta = vol
@@ -428,30 +423,30 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
     n = model.dim // 2
     verdict = DecompositionVerdict(model.name, "harmonic forms along the Lee form")
 
-    chosen: dict[int, list[Vector]] = {}
+    chosen: dict[int, Matrix] = {}
     for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, kah)):
         stated = b1 if i <= n else b2
         other = b2 if i <= n else b1
         target_dim = hsas.betti.get(i, 0)
         branch = "stated"
         pick = stated
-        if len(stated) != target_dim and len(other) == target_dim:
+        if stated.ncols != target_dim and other.ncols == target_dim:
             pick, branch = other, "flipped"
         chosen[i] = pick
         verdict.rows.append(DegreeVerdict(
-            degree=i, claimed=len(stated), proof=len(pick), actual=target_dim,
-            ok=len(pick) == target_dim, headline_ok=len(stated) == target_dim,
+            degree=i, claimed=stated.ncols, proof=pick.ncols, actual=target_dim,
+            ok=pick.ncols == target_dim, headline_ok=stated.ncols == target_dim,
             branch=branch, notes="dim H^i candidates vs dim H^i_sas",
-            witnesses=tuple(str(vector_to_form(model.dim, i, v)) for v in pick)))
+            witnesses=tuple(str(f) for f in column_forms(model.dim, i, pick))))
 
     theta_ok = True
     assemble_ok = True
     e_theta = operator_pool(model, pack)["e_th"]
     full = full_complex(model, pack)
-    harmonic = [Matrix.from_cols(full.harmonic_coords(i), full.dim(i)) for i in full.degrees]
+    harmonic = [full.harmonic_coords(i) for i in full.degrees]
     for i in full.degrees:
-        assembled = chosen[i] + [e_theta.blocks[i - 1].apply(v) for v in chosen.get(i - 1, [])]
-        if not subspace_equal(assembled, full.harmonic_coords(i)):
+        assembled = chosen[i] if i == 0 else chosen[i].hstack(e_theta.blocks[i - 1] @ chosen[i - 1])
+        if not subspace_equal(assembled, harmonic[i]):
             assemble_ok = False
         # wedging a full harmonic form with the parallel theta stays harmonic
         if i < model.dim and solve(harmonic[i + 1], e_theta.blocks[i] @ harmonic[i]) is None:

@@ -16,7 +16,6 @@ from typing import Sequence
 
 from .scalars import ONE, Scalar, ZERO
 
-Vector = tuple[Scalar, ...]
 Row = dict[int, Scalar]
 
 _MINUS_ONE = -ONE
@@ -55,17 +54,6 @@ class Matrix:
         return _make(tuple({i: ONE} for i in range(n)), n)
 
     @staticmethod
-    def from_cols(cols: Sequence[Vector], nrows: int | None = None) -> "Matrix":
-        if not cols:
-            return Matrix.zero(0 if nrows is None else nrows, 0)
-        rows: list[Row] = [{} for _ in cols[0]]
-        for j, c in enumerate(cols):
-            for i, a in enumerate(c):
-                if a:
-                    rows[i][j] = a
-        return _make(tuple(rows), len(cols))
-
-    @staticmethod
     def from_entries(nrows: int, ncols: int, entries) -> "Matrix":
         """The matrix whose nonzero entries are the given (i, j, value), each
         (i, j) at most once."""
@@ -79,15 +67,20 @@ class Matrix:
         """The rows e_p of the ncols x ncols identity, for p in positions."""
         return _make(tuple({p: ONE} for p in positions), ncols)
 
-    def col(self, j: int) -> Vector:
-        return tuple(r.get(j, ZERO) for r in self._rows)
-
     def entry(self, i: int, j: int) -> Scalar:
         return self._rows[i].get(j, ZERO)
 
     def top(self, n: int) -> "Matrix":
         """The first n rows."""
         return _make(self._rows[:n], self.ncols)
+
+    def columns(self) -> list[Row]:
+        """Each column as a {row: nonzero entry} dict, rows in increasing order."""
+        cols: list[Row] = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._rows):
+            for j, a in r.items():
+                cols[j][i] = a
+        return cols
 
     # -- algebra -------------------------------------------------------
 
@@ -125,11 +118,6 @@ class Matrix:
                 _add_into(acc, orows[k], a)
             out.append(acc)
         return _make(tuple(out), other.ncols)
-
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((a * v[j] for j, a in r.items()), ZERO) for r in self._rows)
 
     def conj_transpose(self) -> "Matrix":
         cols: list[Row] = [{} for _ in range(self.ncols)]
@@ -236,18 +224,21 @@ def rank(mat: Matrix) -> int:
     return len(rref(mat)[1])
 
 
-def nullspace(mat: Matrix) -> list[Vector]:
-    """Canonical nullspace basis (one vector per free column of the RREF)."""
+def nullspace(mat: Matrix) -> Matrix:
+    """Canonical nullspace basis as the columns of a matrix: one column per
+    free column of the RREF, in order, with a 1 at its free coordinate and
+    0 at the other free coordinates."""
     red, pivots = rref(mat)
-    free = [c for c in range(mat.ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * mat.ncols
-        v[fc] = ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red.entry(ri, fc)
-        basis.append(tuple(v))
-    return basis
+    pivot_set = set(pivots)
+    free = {c: t for t, c in enumerate(c for c in range(mat.ncols) if c not in pivot_set)}
+    rows: list[Row] = [{} for _ in range(mat.ncols)]
+    for c, t in free.items():
+        rows[c] = {t: ONE}
+    # an RREF row is 1 at its pivot and 0 at the other pivots, so its other
+    # entries sit at free columns
+    for ri, pc in enumerate(pivots):
+        rows[pc] = {free[j]: -a for j, a in red._rows[ri].items() if j != pc}
+    return _make(tuple(rows), len(free))
 
 
 def solve(mat: Matrix, rhs: Matrix) -> Matrix | None:
@@ -268,16 +259,10 @@ def solve(mat: Matrix, rhs: Matrix) -> Matrix | None:
     return _make(tuple(out), rhs.ncols)
 
 
-def subspace_equal(basis_a: Sequence[Vector], basis_b: Sequence[Vector]) -> bool:
-    if not basis_a and not basis_b:
-        return True
-    dim = len(basis_a[0]) if basis_a else len(basis_b[0])
-    ma = Matrix.from_cols(list(basis_a), dim)
-    mb = Matrix.from_cols(list(basis_b), dim)
-    ra, rb = rank(ma), rank(mb)
-    if ra != rb:
-        return False
-    return rank(ma.hstack(mb)) == ra
+def subspace_equal(a: Matrix, b: Matrix) -> bool:
+    """Whether the columns of a and of b span the same subspace."""
+    ra = rank(a)
+    return ra == rank(b) and rank(a.hstack(b)) == ra
 
 
 def charpoly(mat: Matrix) -> list[Fraction]:

@@ -13,10 +13,10 @@ import functools
 from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
-from .forms import FormElement, contract, hodge_star, monomial_basis, wedge
-from .matrices import Matrix, Vector
+from .forms import FormElement, contract, monomial_basis, star_monomial, wedge
+from .matrices import Matrix
 from .scalars import ONE, Scalar
 
 EVEN, ODD = 0, 1
@@ -47,17 +47,21 @@ def _positions(ngen: int, k: int) -> dict[tuple[int, ...], int]:
     return {m: i for i, m in enumerate(monomial_basis(ngen, k))} if 0 <= k <= ngen else {}
 
 
-def form_to_vector(a: FormElement, k: int) -> Vector:
+def form_to_column(a: FormElement, k: int) -> Matrix:
+    """The coordinates of a degree-k form, as a one-column matrix."""
     if any(len(m) != k for m in a.terms):
         raise ValueError(f"form has terms outside degree {k}")
-    return tuple(a.coeff(m) for m in monomial_basis(a.ngen, k))
+    position = _positions(a.ngen, k)
+    return Matrix.from_entries(len(position), 1,
+                               ((position[m], 0, c) for m, c in a.terms.items()))
 
 
-def vector_to_form(ngen: int, k: int, v: Sequence[Scalar]) -> FormElement:
+def column_forms(ngen: int, k: int, m: Matrix) -> list[FormElement]:
+    """The degree-k forms whose coordinates are the columns of m."""
     basis = monomial_basis(ngen, k)
-    if len(v) != len(basis):
-        raise ValueError("coordinate vector has wrong length")
-    return FormElement(ngen, dict(zip(basis, v)))
+    if m.nrows != len(basis):
+        raise ValueError("coordinate matrix has wrong row count")
+    return [FormElement(ngen, {basis[i]: c for i, c in col.items()}) for col in m.columns()]
 
 
 @dataclass(frozen=True)
@@ -112,11 +116,10 @@ class GradedOperator:
     def apply(self, a: FormElement) -> FormElement:
         out = FormElement.zero(self.ngen)
         for k in sorted(a.degrees()):
-            v = form_to_vector(a.homogeneous_part(k), k)
             tgt = k + self.shift
-            if not 0 <= tgt <= self.ngen:
-                continue
-            out = out + vector_to_form(self.ngen, tgt, self.blocks[k].apply(v))
+            if 0 <= tgt <= self.ngen:
+                image = self.blocks[k] @ form_to_column(a.homogeneous_part(k), k)
+                out = out + column_forms(self.ngen, tgt, image)[0]
         return out
 
     # -- operator algebra ----------------------------------------------
@@ -213,12 +216,13 @@ class GradedOperator:
 
 
 def star_matrix(ngen: int, k: int) -> Matrix:
-    """Matrix of the Hodge star from degree k to degree N-k."""
-    cols = []
-    for m in monomial_basis(ngen, k):
-        image = hodge_star(FormElement.monomial(ngen, m))
-        cols.append(form_to_vector(image, ngen - k))
-    return Matrix.from_cols(cols, basis_dim(ngen, ngen - k))
+    """Matrix of the Hodge star from degree k to degree N-k: a signed
+    permutation, one signed complementary monomial per column."""
+    position = _positions(ngen, ngen - k)
+    images = (star_monomial(ngen, m) for m in monomial_basis(ngen, k))
+    return Matrix.from_entries(len(position), basis_dim(ngen, k),
+                               ((position[comp], j, ONE if sign > 0 else -ONE)
+                                for j, (comp, sign) in enumerate(images)))
 
 
 def wedge_operator(a: FormElement) -> GradedOperator:

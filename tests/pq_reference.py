@@ -2,7 +2,7 @@
 
 The engine builds I = i^{p-q} in closed form, as the algebra automorphism
 induced by J, and decides the Hodge split of d1 and (p,q)-stability through
-W and the diagonal bidegree projectors.  This module keeps the spectral
+W alone.  This module keeps the spectral
 construction those replaced, as an independent reference: on each
 (horizontal, vertical) degree block W acts on the (p,q) part as i(p-q), the
 candidate eigenvalues are finite, so each Pi^{p,q,v} is an explicit
@@ -79,7 +79,7 @@ def reference_pq_stable(pi, sub) -> bool:
     """Whether the harmonic space of a form complex is stable under every
     Pi^{p,q,v} of its degree."""
     for k in sub.degrees:
-        harm = sub.embed[k] @ Matrix.from_cols(sub.harmonic_coords(k), sub.dim(k))
+        harm = sub.embed[k] @ sub.harmonic_coords(k)
         for (p, q, v), proj in pi.items():
             if p + q + v == k and solve(harm, proj.blocks[k] @ harm) is None:
                 return False

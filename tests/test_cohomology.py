@@ -13,7 +13,7 @@ from lieforms.cohomology import (
 from lieforms.forms import FormElement
 from lieforms.matrices import nullspace, subspace_equal
 from lieforms.models import StructureError
-from lieforms.operators import form_to_vector
+from lieforms.operators import form_to_column
 from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
 from conftest import model_pack, ops_for
@@ -121,14 +121,13 @@ def test_split_laplacian_h3_kernel():
     ds = split_laplacian(model, pack, reeb_foliation(pack))
     assert ds.is_zero()
     ker = nullspace(ds.blocks[1])
-    assert len(ker) == 3
+    assert ker.ncols == 3
 
 
 def test_split_laplacian_su2_kernel_contains_eta():
     model, pack = model_pack("su2")
     ds = split_laplacian(model, pack, reeb_foliation(pack))
-    eta = form_to_vector(pack.eta, 1)
-    assert all(c.is_zero() for c in ds.blocks[1].apply(eta))
+    assert (ds.blocks[1] @ form_to_column(pack.eta, 1)).is_zero()
 
 
 def test_basic_adjoint_identity():
@@ -152,6 +151,27 @@ def test_transversal_package_passes():
         assert rep.entry("split_laplacian.commutes_with_Pi_hor").verdict == "pass"
         # the i_v claim on the kernel is measured, not presumed
         assert rep.entry("split_laplacian.kernel_iv_vanishing").verdict == "noted"
+
+
+def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
+    # a planted W sending theta^1, a basic harmonic 1-form of h5, to
+    # theta^2 + eta moves it out of the basic harmonic space
+    import lieforms.cohomology as co
+
+    model, pack = model_pack("h5")
+    pool = operator_pool(model, pack)
+    planted = pool["W"] + pool[f"e_{pack.reeb_index}"] @ pool["i_1"]
+
+    class PlantedPool:
+        def __getitem__(self, ref):
+            return planted if ref == "W" else pool[ref]
+
+        def __getattr__(self, name):
+            return getattr(pool, name)
+
+    monkeypatch.setattr(co, "operator_pool", lambda *_: PlantedPool())
+    rep = transversal_package(model, pack, reeb_foliation(pack))
+    assert [e.name for e in rep.entries if not e.ok()] == ["transversal.pq_stability"]
 
 
 def test_kernel_iv_claim_fails_where_predicted():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieforms.matrices import Matrix, rank, rref, solve
+import lieforms
+from lieforms.matrices import Matrix, nullspace, rank, rref, solve, subspace_equal
 from lieforms.scalars import ONE, Scalar, ZERO
 
 entries = st.integers(min_value=-2, max_value=2).map(Scalar.of)
@@ -21,8 +23,13 @@ def systems(draw):
     return draw(matrices(m, n)), draw(matrices(n, r))
 
 
+def select(mat: Matrix, js) -> Matrix:
+    """The columns js of mat, in that order."""
+    return mat @ Matrix.unit_rows(list(js), mat.ncols).conj_transpose()
+
+
 def column(mat: Matrix, j: int) -> Matrix:
-    return Matrix.from_cols([mat.col(j)], mat.nrows)
+    return select(mat, [j])
 
 
 @settings(deadline=None, max_examples=80)
@@ -57,10 +64,9 @@ def test_solve_rejects_any_inconsistent_column(system, data):
     # a zero last row makes e_last inconsistent
     a = a.vstack(Matrix.zero(1, a.ncols))
     b = a @ x0
-    bad = tuple(ONE if i == a.nrows - 1 else ZERO for i in range(a.nrows))
+    bad = column(Matrix.identity(a.nrows), a.nrows - 1)
     at = data.draw(st.integers(min_value=0, max_value=b.ncols))
-    cols = [b.col(j) for j in range(b.ncols)]
-    rhs = Matrix.from_cols(cols[:at] + [bad] + cols[at:], a.nrows)
+    rhs = select(b, range(at)).hstack(bad).hstack(select(b, range(at, b.ncols)))
     assert solve(a, rhs) is None
 
 
@@ -195,13 +201,51 @@ def test_difference_with_itself_is_the_zero_matrix(ops):
 def test_one_matrix_built_several_ways_compares_and_hashes_equal(ops):
     a, b, *_, (m, n, _) = ops
     rows = engine(a, n)
-    cols = Matrix.from_cols([tuple(to_scalar(r[j]) for r in a) for j in range(n)], m)
+    # column by column
+    cols = Matrix.from_entries(m, n, ((i, j, to_scalar(a[i][j])) for j in range(n)
+                                      for i in range(m) if a[i][j] != C_ZERO))
     product = Matrix.identity(m) @ rows
     # the same entries, inserted in another order
     detour = engine(b, n) + (rows - engine(b, n))
     for other in (cols, product, detour):
         assert other == rows and other.shape == (m, n)
         assert hash(other) == hash(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(operands(), st.data())
+def test_nullspace_matches_dense_reference(ops, data):
+    a, *_, (m, n, _) = ops
+    A = engine(a, n)
+    N = nullspace(A)
+    assert (A @ N).is_zero()
+    assert N.shape == (n, n - ref_rank(a, n))
+    # column j is free when it does not raise the rank of the columns before it
+    free = [j for j in range(n)
+            if ref_rank([r[:j + 1] for r in a], j + 1) == ref_rank([r[:j] for r in a], j)]
+    assert dense(Matrix.unit_rows(free, n) @ N) == dense(Matrix.identity(len(free)))
+    assert A.columns() == [{i: to_scalar(a[i][j]) for i in range(m) if a[i][j] != C_ZERO}
+                           for j in range(n)]
+    assert all(list(col) == sorted(col) for col in A.columns())
+    # N times an invertible upper-triangular matrix spans the same subspace
+    f = N.ncols
+    nonzero = gaussian.filter(lambda x: x != C_ZERO)
+    upper = [[data.draw(nonzero) if i == j else data.draw(gaussian) if i < j else C_ZERO
+              for j in range(f)] for i in range(f)]
+    mixed = N @ engine(upper, f)
+    assert subspace_equal(N, mixed) and subspace_equal(mixed, N)
+    # the basis columns are independent, so dropping one shrinks the span
+    if f:
+        drop = data.draw(st.integers(0, f - 1))
+        assert not subspace_equal(select(N, [j for j in range(f) if j != drop]), N)
+
+
+def test_only_the_matrix_module_reads_row_storage():
+    # how a block is stored is a decision of matrices.py alone
+    package = Path(lieforms.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if "._rows" in path.read_text())
+    assert readers == ["matrices.py"]
 
 
 # real and complex Gaussian rationals: the imaginary part is zero half the time

@@ -4,15 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieforms.forms import FormElement, contract, monomial_basis, wedge
+from lieforms.forms import FormElement, contract, hodge_star, monomial_basis, wedge
 from lieforms.operators import (
     EVEN,
     GradedOperator,
     ODD,
     basis_dim,
+    column_forms,
     contraction_operator,
     extend_derivation,
     first_order_reconstruction,
+    form_to_column,
     reeb_power,
     star_matrix,
     supercommutator,
@@ -337,19 +339,22 @@ def test_zero_operators_share_blocks_not_identity():
 # -- sparse from_action against a dense column-by-column reference ----------
 
 
+def dense_block(ngen, k, tgt_degree, action):
+    """The block of a linear map from degree k to tgt_degree, one dense
+    coefficient column per basis monomial; every image must lie in
+    tgt_degree."""
+    tgt = monomial_basis(ngen, tgt_degree) if 0 <= tgt_degree <= ngen else []
+    cols = []
+    for m in monomial_basis(ngen, k):
+        image = action(FormElement.monomial(ngen, m))
+        assert all(len(mono) == tgt_degree for mono in image.terms)
+        cols.append([image.coeff(mono) for mono in tgt])
+    return Matrix([[col[i] for col in cols] for i in range(len(tgt))], len(cols))
+
+
 def dense_blocks(ngen, shift, action):
-    """The blocks of a linear map, one dense coefficient column per basis
-    monomial; every image must lie in the target degree."""
-    blocks = []
-    for k in range(ngen + 1):
-        tgt = monomial_basis(ngen, k + shift) if 0 <= k + shift <= ngen else []
-        cols = []
-        for m in monomial_basis(ngen, k):
-            image = action(FormElement.monomial(ngen, m))
-            assert all(len(mono) == k + shift for mono in image.terms)
-            cols.append(tuple(image.coeff(mono) for mono in tgt))
-        blocks.append(Matrix.from_cols(cols, len(tgt)))
-    return tuple(blocks)
+    """The blocks of a linear map of the given shift, each a `dense_block`."""
+    return tuple(dense_block(ngen, k, k + shift, action) for k in range(ngen + 1))
 
 
 def leibniz(ngen, parity, unit_value, values, x):
@@ -397,6 +402,39 @@ def test_extend_derivation_matches_dense_reference(data):
     op = extend_derivation(n, parity, values, unit_value, shift=shift)
     assert op.blocks == dense_blocks(
         n, shift, lambda x: leibniz(n, parity, unit_value, values, x))
+
+
+def test_star_matrix_matches_dense_hodge_star_columns():
+    for n in range(1, 7):
+        for k in range(n + 1):
+            assert star_matrix(n, k) == dense_block(n, k, n - k, hodge_star), (n, k)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_form_to_column_and_column_forms_round_trip(data):
+    n = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(0, n))
+    a = data.draw(homogeneous_forms(n, k))
+    col = form_to_column(a, k)
+    assert col.shape == (basis_dim(n, k), 1)
+    assert column_forms(n, k, col) == [a]
+    forms = data.draw(st.lists(homogeneous_forms(n, k), max_size=3))
+    m = Matrix.zero(basis_dim(n, k), 0)
+    for f in forms:
+        m = m.hstack(form_to_column(f, k))
+    assert column_forms(n, k, m) == forms
+
+
+def test_form_to_column_and_column_forms_reject_wrong_degrees_and_shapes():
+    with pytest.raises(ValueError, match="outside degree 1"):
+        form_to_column(t(3, 1, 2), 1)
+    with pytest.raises(ValueError, match="outside degree 1"):
+        form_to_column(t(3, 1) + t(3, 2, 3), 1)
+    with pytest.raises(ValueError, match="wrong row count"):
+        column_forms(3, 1, Matrix.zero(2, 1))
+    with pytest.raises(ValueError, match="wrong row count"):
+        column_forms(4, 2, form_to_column(t(4, 1), 1))
 
 
 def test_from_action_rejects_non_homogeneous_actions():
