@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .cohomology import basic_subcomplex, full_complex, harmonic_space, transversal_package
 from .cones import (
@@ -47,13 +46,13 @@ COMMANDS = ("check", "cohomology", "harmonic", "cone", "all")
 FORMATS = ("text", "json", "csv")
 
 
-@dataclass
 class RunConfig:
-    command: str
-    model: str
-    degree: int | None = None
-    format: str = "text"
-    output: str | None = None
+    __slots__ = ("command", "model", "degree", "format", "output")
+
+    def __init__(self, command: str, model: str, degree: int | None = None,
+                 format: str = "text", output: str | None = None):
+        self.command, self.model, self.degree = command, model, degree
+        self.format, self.output = format, output
 
 
 class Report:

@@ -16,7 +16,6 @@ every contact-type check.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 
 from .forms import FormElement
 from .matrices import (
@@ -27,6 +26,7 @@ from .matrices import (
     rank,
     rational_roots,
     solve,
+    span_coordinates,
     subspace_equal,
 )
 from .models import LieModel, StructureError, StructurePack, bidegree_projectors
@@ -43,25 +43,26 @@ from .scalars import ONE
 from .splitting import FoliationSpec, lee_foliation, operator_pool, reeb_foliation
 
 
-@dataclass
 class CochainComplex:
-    """Coordinate cochain complex over consecutive degrees."""
+    """Coordinate cochain complex over consecutive degrees.
 
-    label: str
-    degrees: tuple[int, ...]
-    dims: dict[int, int]
-    diff: dict[int, Matrix]  # d_k : degree k -> k+1, for k, k+1 in degrees
-    gram: dict[int, Matrix] = field(default_factory=dict)
-    # cohomology and harmonic coordinates, each computed once
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    diff[k] is d_k : degree k -> k+1, for k, k+1 in degrees; a degree with
+    no Gram matrix gets the identity.
+    """
 
-    def __post_init__(self):
-        for k in self.degrees:
-            self.gram.setdefault(k, Matrix.identity(self.dims[k]))
-        for k in self.degrees:
-            if k in self.diff and k + 1 in self.diff:
-                if not (self.diff[k + 1] @ self.diff[k]).is_zero():
+    __slots__ = ("label", "degrees", "dims", "diff", "gram", "_memo")
+
+    def __init__(self, label: str, degrees: tuple[int, ...], dims: dict[int, int],
+                 diff: dict[int, Matrix], gram: dict[int, Matrix]):
+        for k in degrees:
+            gram.setdefault(k, Matrix.identity(dims[k]))
+        for k in degrees:
+            if k in diff and k + 1 in diff:
+                if not (diff[k + 1] @ diff[k]).is_zero():
                     raise StructureError("complex", f"d^2 != 0 at degree {k}")
+        self.label, self.degrees, self.dims, self.diff, self.gram = label, degrees, dims, diff, gram
+        # cohomology and harmonic coordinates, each computed once
+        self._memo: dict = {}
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
@@ -80,10 +81,9 @@ class CochainComplex:
         # -d has the kernels of d, so the shift keeps this complex's
         # representatives, with their degrees moved by s
         coh = self.cohomology()
-        out._memo["cohomology"] = replace(
-            coh, label=out.label, degrees=degrees,
-            betti={k - s: b for k, b in coh.betti.items()},
-            representatives={k - s: v for k, v in coh.representatives.items()})
+        out._memo["cohomology"] = type(coh)(
+            out.label, degrees, {k - s: b for k, b in coh.betti.items()},
+            {k - s: v for k, v in coh.representatives.items()})
         return out
 
     # -- metric structure ------------------------------------------------
@@ -120,15 +120,16 @@ class CochainComplex:
         return self._memo["harmonic", k]
 
 
-@dataclass
 class CohomologyReport:
     """Per-degree Betti numbers with harmonic representative bases, each
     basis the columns of a matrix."""
 
-    label: str
-    degrees: tuple[int, ...]
-    betti: dict[int, int]
-    representatives: dict[int, Matrix]
+    __slots__ = ("label", "degrees", "betti", "representatives")
+
+    def __init__(self, label: str, degrees: tuple[int, ...], betti: dict[int, int],
+                 representatives: dict[int, Matrix]):
+        self.label, self.degrees, self.betti = label, degrees, betti
+        self.representatives = representatives
 
     def betti_list(self) -> list[int]:
         return [self.betti.get(k, 0) for k in self.degrees]
@@ -137,7 +138,6 @@ class CohomologyReport:
         return "(" + ",".join(str(b) for b in self.betti_list()) + ")"
 
 
-@dataclass
 class FormComplex(CochainComplex):
     """A cochain complex of actual forms inside an ambient model algebra.
 
@@ -145,8 +145,13 @@ class FormComplex(CochainComplex):
     the Gram matrices come from the ambient orthonormal metric.
     """
 
-    ngen: int = 0
-    embed: dict[int, Matrix] = field(default_factory=dict)
+    __slots__ = ("ngen", "embed")
+
+    def __init__(self, label: str, degrees: tuple[int, ...], dims: dict[int, int],
+                 diff: dict[int, Matrix], gram: dict[int, Matrix], ngen: int,
+                 embed: dict[int, Matrix]):
+        super().__init__(label, degrees, dims, diff, gram)
+        self.ngen, self.embed = ngen, embed
 
     @staticmethod
     def full(model: LieModel, d: GradedOperator) -> "FormComplex":
@@ -200,7 +205,9 @@ class FormComplex(CochainComplex):
 
 
 def _restrict_block(block: Matrix, src_embed: Matrix, tgt_embed: Matrix, msg: str) -> Matrix:
-    x = solve(tgt_embed, block @ src_embed)
+    # every embed is an identity or a nullspace basis, so the coordinates of
+    # an image are its entries at the embed's free rows
+    x = span_coordinates(tgt_embed, block @ src_embed)
     if x is None:
         raise StructureError("subcomplex", msg)
     return x

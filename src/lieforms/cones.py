@@ -10,11 +10,10 @@ silently correcting either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
-from .matrices import Matrix, nullspace, rank, solve, subspace_equal
+from .matrices import Matrix, nullspace, rank, solve, span_coordinates, subspace_equal
 from .models import LieModel, StructureError, StructurePack
 from .operators import RelationEntry, column_forms
 from .cohomology import (
@@ -30,24 +29,21 @@ from .scalars import Scalar
 from .splitting import operator_pool
 
 
-@dataclass
 class ChainMap:
     """Degree-preserving map of coordinate complexes, commuting with d."""
 
-    label: str
-    source: CochainComplex
-    target: CochainComplex
-    blocks: dict[int, Matrix]
+    __slots__ = ("label", "source", "target", "blocks")
 
-    def __post_init__(self):
-        for k in self.source.degrees:
-            if k + 1 not in self.source.dims or k + 1 not in self.target.dims:
+    def __init__(self, label: str, source: CochainComplex, target: CochainComplex,
+                 blocks: dict[int, Matrix]):
+        self.label, self.source, self.target, self.blocks = label, source, target, blocks
+        for k in source.degrees:
+            if k + 1 not in source.dims or k + 1 not in target.dims:
                 continue
-            lhs = self.target.d(k) @ self.block(k)
-            rhs = self.block(k + 1) @ self.source.d(k)
+            lhs = target.d(k) @ self.block(k)
+            rhs = self.block(k + 1) @ source.d(k)
             if lhs != rhs:
-                raise StructureError("chain_map",
-                                     f"{self.label} fails to commute with d at degree {k}")
+                raise StructureError("chain_map", f"{label} fails to commute with d at degree {k}")
 
     def block(self, k: int) -> Matrix:
         return self.blocks.get(k, Matrix.zero(self.target.dim(k), self.source.dim(k)))
@@ -78,17 +74,17 @@ def build_cone(phi: ChainMap) -> CochainComplex:
     return CochainComplex(f"cone({phi.label})", degrees, dims, diff, gram)
 
 
-@dataclass
 class DegreeVerdict:
-    degree: int
-    claimed: int | None
-    proof: int | None
-    actual: int
-    ok: bool
-    headline_ok: bool | None = None
-    branch: str | None = None
-    notes: str = ""
-    witnesses: tuple[str, ...] = ()
+    __slots__ = ("degree", "claimed", "proof", "actual", "ok", "headline_ok", "branch",
+                 "notes", "witnesses")
+
+    def __init__(self, degree: int, claimed: int | None, proof: int | None, actual: int,
+                 ok: bool, headline_ok: bool | None = None, branch: str | None = None,
+                 notes: str = "", witnesses: tuple[str, ...] = ()):
+        self.degree, self.claimed, self.proof, self.actual, self.ok = (
+            degree, claimed, proof, actual, ok)
+        self.headline_ok, self.branch, self.notes, self.witnesses = (
+            headline_ok, branch, notes, witnesses)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -105,12 +101,13 @@ class DegreeVerdict:
         return f"{status}  " + "; ".join(bits)
 
 
-@dataclass
 class DecompositionVerdict:
-    model: str
-    theorem: str
-    rows: list[DegreeVerdict] = field(default_factory=list)
-    extras: list[RelationEntry] = field(default_factory=list)
+    __slots__ = ("model", "theorem", "rows", "extras")
+
+    def __init__(self, model: str, theorem: str):
+        self.model, self.theorem = model, theorem
+        self.rows: list[DegreeVerdict] = []
+        self.extras: list[RelationEntry] = []
 
     def passed(self) -> bool:
         return all(r.ok for r in self.rows) and all(e.ok() for e in self.extras)
@@ -175,14 +172,16 @@ def _exact_at(incoming: Matrix | None, outgoing: Matrix | None, middle_dim: int)
 # -- the Lefschetz cone equivalence ------------------------------------
 
 
-@dataclass
 class ConePackage:
-    ambient: FormComplex
-    basic: FormComplex
-    phi: ChainMap
-    cone: CochainComplex
-    iso_blocks: dict[int, Matrix]  # ambient degree i -> cone degree i-1
-    verdict: DecompositionVerdict
+    """iso_blocks[i] maps ambient degree i to cone degree i-1."""
+
+    __slots__ = ("ambient", "basic", "phi", "cone", "iso_blocks", "verdict")
+
+    def __init__(self, ambient: FormComplex, basic: FormComplex, phi: ChainMap,
+                 cone: CochainComplex, iso_blocks: dict[int, Matrix],
+                 verdict: DecompositionVerdict):
+        self.ambient, self.basic, self.phi, self.cone = ambient, basic, phi, cone
+        self.iso_blocks, self.verdict = iso_blocks, verdict
 
 
 def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
@@ -212,10 +211,10 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
         if i >= 1:
             # beta = i_r(x); alpha = x - eta ^ beta
             beta = pool["i_r"].blocks[i] @ x
-            bcoords = solve(basic.embed[i - 1], beta)
-            acoords = solve(basic.embed[i], x - pool["e_r"].blocks[i - 1] @ beta)
+            bcoords = span_coordinates(basic.embed[i - 1], beta)
+            acoords = span_coordinates(basic.embed[i], x - pool["e_r"].blocks[i - 1] @ beta)
         else:
-            bcoords, acoords = Matrix.zero(0, x.ncols), solve(basic.embed[i], x)
+            bcoords, acoords = Matrix.zero(0, x.ncols), span_coordinates(basic.embed[i], x)
         if bcoords is None or acoords is None:
             raise StructureError("cone", "invariant form is not basic + eta^basic")
         iso_blocks[i] = bcoords.vstack(acoords)
@@ -354,12 +353,13 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
         target = full.harmonic_coords(i)
         stated = b1 if i <= n else b2
         other = b2 if i <= n else b1
+        ok = subspace_equal(stated, target)
         chosen, branch = stated, "stated"
-        if not subspace_equal(stated, target) and subspace_equal(other, target):
-            chosen, branch = other, "flipped"
+        if not ok and subspace_equal(other, target):
+            chosen, branch, ok = other, "flipped", True
         verdict.rows.append(DegreeVerdict(
             degree=i, claimed=stated.ncols, proof=chosen.ncols, actual=target.ncols,
-            ok=subspace_equal(chosen, target), headline_ok=stated.ncols == target.ncols,
+            ok=ok, headline_ok=stated.ncols == target.ncols,
             branch=branch,
             witnesses=tuple(str(f) for f in column_forms(model.dim, i, chosen))))
 

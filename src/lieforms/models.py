@@ -9,7 +9,6 @@ d theta^k (e_i, e_j) = -c^k_{ij}.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -45,22 +44,34 @@ class StructureError(ModelError):
         self.check = check
 
 
-@dataclass(frozen=True)
 class LieModel:
-    """Structure constants c^k_{ij} (stored for i<j) on an orthonormal coframe."""
+    """Immutable structure constants c^k_{ij} (stored for i<j) on an
+    orthonormal coframe; equal models compare and hash equal."""
 
-    name: str
-    dim: int
-    brackets: tuple[tuple[int, int, int, Scalar], ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.brackets, key=lambda b: b[:3]))
-        object.__setattr__(self, "brackets", ordered)
+    def __init__(self, name: str, dim: int, brackets: tuple[tuple[int, int, int, Scalar], ...]):
+        ordered = tuple(sorted(brackets, key=lambda b: b[:3]))
         for (i, j, k, c) in ordered:
-            if not (1 <= i < j <= self.dim and 1 <= k <= self.dim):
+            if not (1 <= i < j <= dim and 1 <= k <= dim):
                 raise ModelError(f"bad bracket entry ({i},{j})->{k}")
             if c.is_zero():
                 raise ModelError(f"explicit zero bracket entry ({i},{j})->{k}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "brackets", ordered)
+
+    def __setattr__(self, *_):
+        raise AttributeError("LieModel is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LieModel)
+            and self.name == other.name
+            and self.dim == other.dim
+            and self.brackets == other.brackets
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.dim, self.brackets))
 
     @functools.cached_property
     def _bracket_table(self) -> dict[tuple[int, int], dict[int, Scalar]]:
@@ -99,23 +110,37 @@ class LieModel:
         return None
 
 
-@dataclass(frozen=True)
 class StructurePack:
-    """Contact / Vaisman decorations carried alongside a model.
+    """Immutable contact / Vaisman decorations carried alongside a model;
+    equal packs compare and hash equal.
 
-    j_pairs lists J(e_a) = e_b; for vaisman kind this includes the
-    (lee, reeb) pair, which W and the bigrading ignore.
+    kind is "kahler", "sasakian" or "vaisman".  j_pairs lists J(e_a) = e_b;
+    for vaisman kind this includes the (lee, reeb) pair, which W and the
+    bigrading ignore.
     """
 
-    kind: str  # "kahler" | "sasakian" | "vaisman"
-    reeb_index: int | None
-    eta: FormElement | None
-    omega0: FormElement
-    j_pairs: tuple[tuple[int, int], ...]
-    lee_index: int | None = None
-    theta: FormElement | None = None
-    omega: FormElement | None = None
-    phi: FormElement | None = None
+    __slots__ = ("kind", "reeb_index", "eta", "omega0", "j_pairs",
+                 "lee_index", "theta", "omega", "phi")
+
+    def __init__(self, kind: str, reeb_index: int | None, eta: FormElement | None,
+                 omega0: FormElement, j_pairs: tuple[tuple[int, int], ...],
+                 lee_index: int | None = None, theta: FormElement | None = None,
+                 omega: FormElement | None = None, phi: FormElement | None = None):
+        for name, value in zip(self.__slots__, (kind, reeb_index, eta, omega0, j_pairs,
+                                                lee_index, theta, omega, phi)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):
+        raise AttributeError("StructurePack is immutable")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StructurePack) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def vertical_indices(self) -> tuple[int, ...]:
@@ -444,16 +469,16 @@ def builtin_file_text(name: str) -> str:
 # -- structure operators ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class StructureOperators:
-    """The operators built from the pack's data.  Every other named
-    operator is derived from these in `splitting.OperatorPool`."""
+    """The operators built from the pack's data, immutable.  Every other
+    named operator is derived from these in `splitting.OperatorPool`."""
 
-    d: GradedOperator
-    L: GradedOperator
-    W: GradedOperator
-    I_aut: GradedOperator
-    I_inv: GradedOperator
+    def __init__(self, d: GradedOperator, L: GradedOperator, W: GradedOperator,
+                 I_aut: GradedOperator, I_inv: GradedOperator):
+        vars(self).update(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv)
+
+    def __setattr__(self, *_):
+        raise AttributeError("StructureOperators is immutable")
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ cases.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
@@ -64,22 +63,38 @@ def column_forms(ngen: int, k: int, m: Matrix) -> list[FormElement]:
     return [FormElement(ngen, {basis[i]: c for i, c in col.items()}) for col in m.columns()]
 
 
-@dataclass(frozen=True)
 class GradedOperator:
-    """Degree-shifting parity-tagged linear operator, one block per degree."""
+    """Immutable degree-shifting parity-tagged linear operator, one block
+    per degree."""
 
-    ngen: int
-    shift: int
-    parity: int
-    blocks: tuple[Matrix, ...]
+    __slots__ = ("ngen", "shift", "parity", "blocks")
 
-    def __post_init__(self):
-        if len(self.blocks) != self.ngen + 1:
+    def __init__(self, ngen: int, shift: int, parity: int, blocks: tuple[Matrix, ...]):
+        if len(blocks) != ngen + 1:
             raise ValueError("need one block per source degree 0..N")
-        shapes = _block_shapes(self.ngen, self.shift)
-        if tuple(map(_SHAPE, self.blocks)) != shapes:
-            k = next(k for k, b in enumerate(self.blocks) if b.shape != shapes[k])
-            raise ValueError(f"block {k} has shape {self.blocks[k].shape}, expected {shapes[k]}")
+        shapes = _block_shapes(ngen, shift)
+        if tuple(map(_SHAPE, blocks)) != shapes:
+            k = next(k for k, b in enumerate(blocks) if b.shape != shapes[k])
+            raise ValueError(f"block {k} has shape {blocks[k].shape}, expected {shapes[k]}")
+        object.__setattr__(self, "ngen", ngen)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, *_):
+        raise AttributeError("GradedOperator is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, GradedOperator)
+            and self.ngen == other.ngen
+            and self.shift == other.shift
+            and self.parity == other.parity
+            and self.blocks == other.blocks
+        )
+
+    def __hash__(self):
+        return hash((self.ngen, self.shift, self.parity, self.blocks))
 
     # -- construction helpers ----------------------------------------
 
@@ -336,7 +351,6 @@ def reeb_power(a: GradedOperator, lie_r: GradedOperator, k: int) -> GradedOperat
 # -- relation reports -------------------------------------------------
 
 
-@dataclass
 class RelationEntry:
     """Outcome of one operator identity, with typo-variant adjudication.
 
@@ -345,13 +359,13 @@ class RelationEntry:
     observation that is reported but not enforced).
     """
 
-    name: str
-    lhs: str
-    rhs: str
-    verdict: str
-    variant: str | None = None
-    vacuous: bool = False
-    failure: str | None = None
+    __slots__ = ("name", "lhs", "rhs", "verdict", "variant", "vacuous", "failure")
+
+    def __init__(self, name: str, lhs: str, rhs: str, verdict: str,
+                 variant: str | None = None, vacuous: bool = False,
+                 failure: str | None = None):
+        self.name, self.lhs, self.rhs, self.verdict = name, lhs, rhs, verdict
+        self.variant, self.vacuous, self.failure = variant, vacuous, failure
 
     def ok(self) -> bool:
         return self.verdict in ("pass", "variant", "noted")
@@ -368,11 +382,12 @@ class RelationEntry:
         return f"{status}  {self.name}: {self.lhs} = {self.rhs}{note}"
 
 
-@dataclass
 class RelationReport:
-    model: str
-    title: str
-    entries: list[RelationEntry] = field(default_factory=list)
+    __slots__ = ("model", "title", "entries")
+
+    def __init__(self, model: str, title: str):
+        self.model, self.title = model, title
+        self.entries: list[RelationEntry] = []
 
     def passed(self) -> bool:
         return all(e.ok() for e in self.entries)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .forms import FormElement, wedge
@@ -58,11 +57,23 @@ from .scalars import HALF, I as IUNIT, ONE, Scalar
 NEG, TWO = Scalar.of(-1), Scalar.of(2)
 
 
-@dataclass(frozen=True)
 class FoliationSpec:
-    """Generator indices spanning an integrable distribution."""
+    """Generator indices spanning an integrable distribution; immutable,
+    and equal specs compare and hash equal."""
 
-    spanning: tuple[int, ...]
+    __slots__ = ("spanning",)
+
+    def __init__(self, spanning: tuple[int, ...]):
+        object.__setattr__(self, "spanning", spanning)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FoliationSpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FoliationSpec) and self.spanning == other.spanning
+
+    def __hash__(self):
+        return hash(self.spanning)
 
     def validate(self, model: LieModel):
         span = set(self.spanning)
@@ -93,12 +104,17 @@ def sigma_foliation(pack: StructurePack) -> FoliationSpec:
     return FoliationSpec(tuple(sorted((pack.lee_index, pack.reeb_index))))
 
 
-@dataclass(frozen=True)
 class FoliationSplit:
-    """d = sum of components d_i: (h,v) -> (h+i, v+1-i)."""
+    """d = sum of components d_i: (h,v) -> (h+i, v+1-i); immutable."""
 
-    fol: FoliationSpec
-    components: tuple[GradedOperator, ...]
+    __slots__ = ("fol", "components")
+
+    def __init__(self, fol: FoliationSpec, components: tuple[GradedOperator, ...]):
+        object.__setattr__(self, "fol", fol)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, *_):
+        raise AttributeError("FoliationSplit is immutable")
 
     @property
     def d0(self) -> GradedOperator:

@@ -200,3 +200,17 @@ def test_traced_worker_report_matches_plain(argv):
     assert set(out["traced"]["probes"]) == {
         "splitting.foliation_split_s", "splitting.hodge_split_d1_s",
         "models.structure_operators_peak_mb"}
+
+
+def test_cold_import_loads_no_introspection_modules():
+    # every record of the package is a plain class, so a fresh command-line
+    # process never imports dataclasses and the modules it drags in
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = ("import sys, lieforms.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'tokenize') "
+             "if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=env, cwd=root, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.split() == []

@@ -91,8 +91,30 @@ def test_subcomplex_closure_guard():
     ops = ops_for("su2")
     iv = contraction_operator(3, 3)
     # i_r-kernel alone is not d-stable on su2: d(t1) = t2^t3 has a reeb leg
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="d fails to preserve the subspace") as info:
         FormComplex.from_constraints(model, ops.d, [iv], "broken")
+    assert info.value.check == "subcomplex"
+
+
+def test_restriction_guard_on_an_operator_leaving_the_subcomplex():
+    # e_r wedges the basic 1-form t1 of h3 into t1^t3, which has a reeb leg
+    model, pack = model_pack("h3")
+    sub = basic_subcomplex(model, pack, reeb_foliation(pack))
+    pool = operator_pool(model, pack)
+    assert sub.restrict(pool["L"])  # L = e_{omega0} keeps basic forms basic
+    with pytest.raises(StructureError, match="operator fails to preserve the subspace") as info:
+        sub.restrict(pool["e_r"])
+    assert info.value.check == "subcomplex"
+
+
+def test_equal_reeb_specs_share_one_basic_complex():
+    model, pack = model_pack("h5")
+    first, second = reeb_foliation(pack), reeb_foliation(pack)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    basic_subcomplex.cache_clear()
+    assert basic_subcomplex(model, pack, first) is basic_subcomplex(model, pack, second)
+    assert basic_subcomplex.cache_info().misses == 1
 
 
 def test_invariant_subcomplex_su2():

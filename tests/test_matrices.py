@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lieforms
-from lieforms.matrices import Matrix, nullspace, rank, rref, solve, subspace_equal
+from lieforms.matrices import (
+    Matrix,
+    nullspace,
+    rank,
+    rref,
+    solve,
+    span_coordinates,
+    subspace_equal,
+)
 from lieforms.scalars import ONE, Scalar, ZERO
 
 entries = st.integers(min_value=-2, max_value=2).map(Scalar.of)
@@ -238,6 +246,24 @@ def test_nullspace_matches_dense_reference(ops, data):
     if f:
         drop = data.draw(st.integers(0, f - 1))
         assert not subspace_equal(select(N, [j for j in range(f) if j != drop]), N)
+
+
+@settings(deadline=None, max_examples=80)
+@given(systems(), st.data())
+def test_span_coordinates_match_solve_on_nullspace_bases(system, data):
+    a, _ = system
+    basis = nullspace(a)
+    x0 = data.draw(matrices(basis.ncols, 2))
+    assert span_coordinates(basis, basis @ x0) == x0
+    # a random right-hand side is in the span or not, as solve decides
+    v = data.draw(matrices(a.ncols, 2))
+    assert span_coordinates(basis, v) == solve(basis, v)
+    assert span_coordinates(Matrix.identity(a.ncols), v) == v
+
+
+def test_span_coordinates_refuse_a_basis_without_identity_rows():
+    with pytest.raises(ValueError):
+        span_coordinates(Matrix([[Scalar.of(2)]]), Matrix.identity(1))
 
 
 def test_only_the_matrix_module_reads_row_storage():

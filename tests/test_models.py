@@ -344,6 +344,32 @@ def test_default_j_pairs_synthesized():
     assert pack.j_pairs == ((1, 2),)
 
 
+# -- value semantics ------------------------------------------------------
+
+
+def test_two_loads_give_equal_models_and_packs():
+    # models and packs key the operator caches, so a second load of one file
+    # reaches the operators the first load built
+    path = str(DATA / "h5xr.alg")
+    (m1, p1), (m2, p2) = load_model_file(path), load_model_file(path)
+    assert m1 is not m2 and p1 is not p2
+    assert m1 == m2 and hash(m1) == hash(m2)
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert structure_operators(m1, p1) is structure_operators(m2, p2)
+    assert LieModel("renamed", m1.dim, m1.brackets) != m1
+
+
+def test_frozen_records_refuse_assignment():
+    model, pack = model_pack("h5")
+    op = ops_for("h5").d
+    for record, attr in ((op, "blocks"), (model, "dim"), (pack, "kind"),
+                         (reeb_foliation(pack), "spanning"), (ops_for("h5"), "d")):
+        before = getattr(record, attr)
+        with pytest.raises(AttributeError):
+            setattr(record, attr, before)
+        assert getattr(record, attr) is before
+
+
 # -- dimension 7 ---------------------------------------------------------
 
 _H7_CHILD = """

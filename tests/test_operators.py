@@ -224,6 +224,17 @@ def test_blocks_shape_validation():
         GradedOperator(2, 0, EVEN, (GradedOperator.identity(2).blocks[0],))
 
 
+def test_operators_differing_in_one_entry_compare_unequal():
+    d = ops_for("h3").d
+    same = GradedOperator(d.ngen, d.shift, d.parity, tuple(d.blocks))
+    assert same == d and hash(same) == hash(d)
+    k = 1
+    bump = Matrix.from_entries(*d.blocks[k].shape, [(0, 0, ONE)])
+    blocks = d.blocks[:k] + (d.blocks[k] + bump,) + d.blocks[k + 1:]
+    other = GradedOperator(d.ngen, d.shift, d.parity, blocks)
+    assert other != d and d != other
+
+
 def test_check_relation_fail_path_reports_first_mismatch():
     from lieforms.operators import check_relation
 
