@@ -12,6 +12,7 @@ from .operators import (
     reeb_power,
     supercommutator,
 )
+from .clifford import Clifford
 from .models import (
     BUILTIN_NAMES,
     LieModel,

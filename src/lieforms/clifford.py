@@ -1,0 +1,351 @@
+"""Operators on the exterior algebra as normal-ordered Clifford polynomials.
+
+The exterior algebra on N coframe generators is a fermionic Fock space:
+e_k (wedge with theta^k) creates, i_k (contraction) annihilates, and
+{i_a, e_b} = delta_ab.  The normal-ordered monomials
+
+    e_W i_C = e_{w_1} ... e_{w_p} i_{c_q} ... i_{c_1}
+
+(w_1 < ... < w_p, c_1 < ... < c_q, wedges left of contractions) form a
+basis of End(Lambda), which has dimension 4^N.  So every operator is one
+dict of terms, and two operators are equal exactly when their term dicts
+are.  The contractions run in decreasing order so that the metric adjoint
+of e_W i_C is e_C i_W, and i_C e_C = 1 on the unit.  W and C are stored as
+bitmasks, generator k at bit k - 1.
+
+The operator algebra (sum, scale, product, adjoint) works on the terms;
+`to_blocks` writes the per-degree matrices straight from them, and
+`operators.supercommutator` and `operators.check_relation` take either
+form.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Mapping
+
+from .forms import FormElement, monomial_basis
+from .matrices import Matrix
+from .operators import GradedOperator, basis_dim
+from .scalars import ONE, Scalar
+
+Term = tuple[int, int]  # (W, C) as bitmasks
+
+
+def generator_mask(monomial) -> int:
+    """The bitmask of a set of generator indices."""
+    return sum(1 << (k - 1) for k in monomial)
+
+
+def _monomial(mask: int) -> tuple[int, ...]:
+    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(ngen: int) -> tuple[list[list[int]], dict[int, int]]:
+    """The mask of each basis monomial per degree, in the lexicographic
+    order of `forms.monomial_basis`, and the position of each mask in its
+    degree."""
+    masks = [[generator_mask(m) for m in monomial_basis(ngen, k)] for k in range(ngen + 1)]
+    return masks, {m: i for row in masks for i, m in enumerate(row)}
+
+
+def _inversions(a: int, b: int) -> int:
+    """The parity of the pairs (x in a, y in b) with x > y."""
+    n = 0
+    while b:
+        low = b & -b
+        n += (a & -(low << 1)).bit_count()
+        b ^= low
+    return n & 1
+
+
+@functools.lru_cache(maxsize=None)
+def _product(w1: int, c1: int, w2: int, c2: int) -> tuple[tuple[Term, bool], ...]:
+    """e_W1 i_C1 e_W2 i_C2 in normal order, as (term, negated) pairs.
+
+    Wick reordering of the middle: each contraction of C1, smallest first,
+    either contracts its own letter of W2 (i_c e_W = the form i_c(e_W), a
+    sign (-1)^(letters of W below c)) or passes all of W2 (a sign
+    (-1)^|W|).  A passed letter is larger than those passed before, so it
+    lands in decreasing order with no further sign.
+    """
+    states = [(w2, 0, 0)]
+    c = c1
+    while c:
+        low = c & -c
+        c ^= low
+        nxt = []
+        for w, passed, neg in states:
+            if w & low:
+                nxt.append((w ^ low, passed, neg ^ (w & (low - 1)).bit_count() & 1))
+            nxt.append((w, passed | low, neg ^ w.bit_count() & 1))
+        states = nxt
+    return tuple(((w1 | w, passed | c2), bool(neg ^ _inversions(w1, w) ^ _inversions(c2, passed)))
+                 for w, passed, neg in states if not (w & w1 or passed & c2))
+
+
+def _act(terms: Mapping[Term, Scalar], s: int) -> dict[int, Scalar]:
+    """The image of the basis monomial e_S, as {mask: coefficient}.
+
+    e_W i_C sends e_S, for C inside S and T = S - C outside W, to
+    e_W ^ e_T with the signs of removing C from the front of S and of
+    merging W with T."""
+    out: dict[int, Scalar] = {}
+    for (w, c), v in terms.items():
+        t = s ^ c
+        if c & ~s or w & t:
+            continue
+        x = -v if _inversions(c, t) ^ _inversions(w, t) else v
+        y = out.get(w | t)
+        out[w | t] = x if y is None else y + x
+    return out
+
+
+class Clifford:
+    """Immutable shift-homogeneous operator as a dict of normal-ordered
+    terms {(W, C): nonzero Scalar}, every term with |W| - |C| = shift."""
+
+    __slots__ = ("ngen", "shift", "terms")
+
+    def __init__(self, ngen: int, shift: int, terms: Mapping[Term, Scalar]):
+        clean = {}
+        for (w, c), v in terms.items():
+            if v:
+                if w.bit_count() - c.bit_count() != shift or (w | c) >> ngen:
+                    raise ValueError(f"term {(w, c)} does not fit shift {shift} on {ngen} generators")
+                clean[w, c] = v
+        _init(self, ngen, shift, clean)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Clifford is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Clifford) and self.ngen == other.ngen
+                and self.shift == other.shift and self.terms == other.terms)
+
+    @property
+    def parity(self) -> int:
+        return self.shift & 1
+
+    # -- constructors --------------------------------------------------
+
+    @staticmethod
+    def zero(ngen: int, shift: int) -> "Clifford":
+        return _new(ngen, shift, {})
+
+    @staticmethod
+    def identity(ngen: int) -> "Clifford":
+        return _new(ngen, 0, {(0, 0): ONE})
+
+    @staticmethod
+    def wedge(ngen: int, k: int) -> "Clifford":
+        """e_k."""
+        return Clifford(ngen, 1, {(1 << (k - 1), 0): ONE})
+
+    @staticmethod
+    def contraction(ngen: int, k: int) -> "Clifford":
+        """i_k."""
+        return Clifford(ngen, -1, {(0, 1 << (k - 1)): ONE})
+
+    @staticmethod
+    def multiplication(a: FormElement, degree: int) -> "Clifford":
+        """e_a, left exterior multiplication by a form of the given degree."""
+        return Clifford(a.ngen, degree, {(generator_mask(m), 0): c for m, c in a.terms.items()})
+
+    @staticmethod
+    def derivation(ngen: int, shift: int, values: Mapping[int, FormElement]) -> "Clifford":
+        """The graded derivation D with D(theta^k) = values[k], which is
+        sum_k e_{values[k]} i_k; each value has degree shift + 1."""
+        return Clifford(ngen, shift, {(generator_mask(m), 1 << (k - 1)): c
+                                      for k, a in values.items() for m, c in a.terms.items()})
+
+    @staticmethod
+    def from_operator(op: GradedOperator) -> "Clifford":
+        """The polynomial of an operator given by its blocks.
+
+        On e_S only the terms with C inside S act, and e_W i_S e_S = e_W,
+        so taking S by increasing degree, the terms with C = S are the
+        image of e_S less the action of the terms found before."""
+        n, shift = op.ngen, op.shift
+        masks, _ = _basis(n)
+        terms: dict[Term, Scalar] = {}
+        for k in range(max(0, -shift), min(n, n - shift) + 1):
+            targets = masks[k + shift]
+            for s, col in zip(masks[k], op.blocks[k].columns()):
+                image = {targets[i]: v for i, v in col.items()}
+                for w, v in _act(terms, s).items():
+                    image[w] = image[w] - v if w in image else -v
+                terms.update(((w, s), v) for w, v in image.items() if v)
+        return _new(n, shift, terms)
+
+    # -- operator algebra ----------------------------------------------
+
+    def __add__(self, other: "Clifford") -> "Clifford":
+        return self._plus(other, False)
+
+    def __sub__(self, other: "Clifford") -> "Clifford":
+        return self._plus(other, True)
+
+    def _plus(self, other: "Clifford", negate: bool) -> "Clifford":
+        self._check_like(other)
+        terms = dict(self.terms)
+        for key, v in other.terms.items():
+            if negate:
+                v = -v
+            if key in terms:
+                v = terms[key] + v
+                if not v:
+                    del terms[key]
+                    continue
+            terms[key] = v
+        return _new(self.ngen, self.shift, terms)
+
+    def __neg__(self) -> "Clifford":
+        return _new(self.ngen, self.shift, {key: -v for key, v in self.terms.items()})
+
+    def scale(self, c: Scalar) -> "Clifford":
+        if not c:
+            return Clifford.zero(self.ngen, self.shift)
+        return _new(self.ngen, self.shift, {key: v * c for key, v in self.terms.items()})
+
+    def __matmul__(self, other: "Clifford") -> "Clifford":
+        """self after other, by Wick reordering of each pair of terms."""
+        if self.ngen != other.ngen:
+            raise ValueError("operators live on different models")
+        acc: dict[Term, Scalar] = {}
+        for (w1, c1), x in self.terms.items():
+            for (w2, c2), y in other.terms.items():
+                xy = x * y
+                for key, neg in _product(w1, c1, w2, c2):
+                    v = -xy if neg else xy
+                    if key in acc:
+                        v = acc[key] + v
+                    acc[key] = v
+        return _new(self.ngen, self.shift + other.shift, {k: v for k, v in acc.items() if v})
+
+    def adjoint(self) -> "Clifford":
+        """Metric adjoint: (c e_W i_C)* = conj(c) e_C i_W."""
+        return _new(self.ngen, -self.shift, {(c, w): v.conj() for (w, c), v in self.terms.items()})
+
+    def substitute(self, images: Mapping[int, tuple[int, Scalar]]) -> "Clifford":
+        """The image under the automorphism e_k -> x e_m, i_k -> conj(x) i_m
+        for images[k] = (m, x), a unitary relabelling of the generators
+        (generators not in images stay).  For an algebra automorphism U
+        sending theta^k to x theta^m this is conjugation by U."""
+        perm = {k: images.get(k, (k, ONE)) for k in range(1, self.ngen + 1)}
+
+        def relabel(mask: int, conj: bool) -> tuple[int, Scalar, bool]:
+            seq = [perm[k] for k in _monomial(mask)]
+            factor = ONE
+            for _, x in seq:
+                factor = factor * (x.conj() if conj else x)
+            # the sign of sorting the images (both orders sort alike)
+            neg = sum(a > b for i, (a, _) in enumerate(seq) for b, _ in seq[i + 1:]) & 1
+            return generator_mask([m for m, _ in seq]), factor, bool(neg)
+
+        terms = {}
+        for (w, c), v in self.terms.items():
+            nw, fw, negw = relabel(w, False)
+            nc, fc, negc = relabel(c, True)
+            v = v * fw * fc
+            terms[nw, nc] = -v if negw ^ negc else v
+        return Clifford(self.ngen, self.shift, terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def first_order(self) -> bool:
+        """Whether every term has at most one contraction: the operators
+        that are a derivation plus a multiplication."""
+        return all(not c & (c - 1) for _, c in self.terms)
+
+    # -- matrices --------------------------------------------------------
+
+    def apply(self, a: FormElement) -> FormElement:
+        out: dict[int, Scalar] = {}
+        for m, x in a.terms.items():
+            for key, v in _act(self.terms, generator_mask(m)).items():
+                out[key] = out[key] + v * x if key in out else v * x
+        return FormElement(self.ngen, {_monomial(k): v for k, v in out.items()})
+
+    def _entries(self, only: int | None = None) -> list[dict[tuple[int, int], Scalar]]:
+        """Per source degree, the summed {(row, col): value} of the blocks;
+        with `only`, that source degree alone.
+
+        A term e_W i_C is nonzero exactly on e_S with S = C + T for the
+        T outside W and C, so its entries are enumerated over those T."""
+        n = self.ngen
+        _, position = _basis(n)
+        full = (1 << n) - 1
+        acc: list[dict] = [{} for _ in range(n + 1)]
+        for (w, c), v in self.terms.items():
+            size = None if only is None else only - c.bit_count()
+            if size is not None and size < 0:
+                continue
+            free = full & ~(w | c)
+            t = free
+            while True:
+                if size is None or t.bit_count() == size:
+                    s = c | t
+                    block = acc[s.bit_count()]
+                    key = (position[w | t], position[s])
+                    x = -v if _inversions(c, t) ^ _inversions(w, t) else v
+                    block[key] = block[key] + x if key in block else x
+                if not t:
+                    break
+                t = (t - 1) & free
+        return acc
+
+    def _matrix(self, k: int, entries: dict[tuple[int, int], Scalar]) -> Matrix:
+        return Matrix.from_entries(basis_dim(self.ngen, k + self.shift), basis_dim(self.ngen, k),
+                                   ((i, j, x) for (i, j), x in entries.items() if x))
+
+    def block(self, k: int) -> Matrix:
+        """The matrix from degree k to degree k + shift."""
+        return self._matrix(k, self._entries(k)[k])
+
+    def to_blocks(self) -> GradedOperator:
+        """The per-degree matrices, filled straight from the terms."""
+        if not self.terms:
+            return GradedOperator.zero(self.ngen, self.shift, self.parity)
+        blocks = tuple(self._matrix(k, entries) for k, entries in enumerate(self._entries()))
+        return GradedOperator(self.ngen, self.shift, self.parity, blocks)
+
+    def first_difference(self, other: "Clifford"):
+        """(degree, row, col, lhs, rhs) of the first differing matrix entry,
+        degree by degree as `GradedOperator.first_difference`, or None.
+
+        Only that degree's blocks are built: it is the smallest |C| among
+        the terms of the difference, since a term acts from degree |C| on,
+        and at degree |C| the terms with that C meet distinct entries."""
+        if self.shift != other.shift:
+            return (None, None, None, self.shift, other.shift)
+        diff = self - other
+        if diff.is_zero():
+            return None
+        k = min(c.bit_count() for _, c in diff.terms)
+        a, b = self.block(k), other.block(k)
+        i, j, _ = (a - b).first_nonzero()
+        return (k, i, j, a.entry(i, j), b.entry(i, j))
+
+    def _check_like(self, other: "Clifford"):
+        if self.ngen != other.ngen:
+            raise ValueError("operators live on different models")
+        if self.shift != other.shift:
+            raise ValueError("can only add operators of equal shift and parity")
+
+
+_set_ngen, _set_shift, _set_terms = (getattr(Clifford, f).__set__ for f in Clifford.__slots__)
+
+
+def _init(p: Clifford, ngen: int, shift: int, terms: dict) -> Clifford:
+    _set_ngen(p, ngen)
+    _set_shift(p, shift)
+    _set_terms(p, terms)
+    return p
+
+
+def _new(ngen: int, shift: int, terms: dict) -> Clifford:
+    """A polynomial over a term dict that holds no zero and fits the shift."""
+    return _init(object.__new__(Clifford), ngen, shift, terms)

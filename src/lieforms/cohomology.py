@@ -289,7 +289,7 @@ def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationS
         box = pool["Delta1"]  # {d1, d1*} of the Reeb split, shared with the tables
     else:
         d1 = pool.split(fol).d1
-        box = supercommutator(d1, d1.adjoint())
+        box = supercommutator(d1, d1.adjoint()).to_blocks()
     pairs = _contractions(model, pack, fol)
     return op_sum([box] + [-(lie @ lie) for _, lie in pairs]), box, pairs
 

@@ -174,14 +174,19 @@ def ce_differential(model: LieModel) -> GradedOperator:
     defect = model.jacobi_defect()
     if defect is not None:
         raise JacobiError(defect, f"Jacobi identity fails on triple {defect[:3]} (component {defect[3]})")
-    n = model.dim
-    action = {k: FormElement.zero(n) for k in range(1, n + 1)}
-    for (i, j, k, c) in model.brackets:
-        action[k] = action[k] + FormElement.monomial(n, (i, j), -c)
-    d = extend_derivation(n, ODD, action, shift=1)
+    d = extend_derivation(model.dim, ODD, ce_values(model), shift=1)
     if not (d @ d).is_zero():
         raise JacobiError(None, "d^2 != 0 despite Jacobi holding; inconsistent constants")
     return d
+
+
+def ce_values(model: LieModel) -> dict[int, FormElement]:
+    """d theta^k = -sum_{i<j} c^k_ij theta^i ^ theta^j for each generator k."""
+    n = model.dim
+    values = {k: FormElement.zero(n) for k in range(1, n + 1)}
+    for (i, j, k, c) in model.brackets:
+        values[k] = values[k] + FormElement.monomial(n, (i, j), -c)
+    return values
 
 
 # -- built-in models ---------------------------------------------------
@@ -320,14 +325,19 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
     `i j -> k : a/b`; [structure] with kind/reeb/lee assignments and
     `J: i -> j` lines.  Comments start with #; numbers are rationals.
     """
-    dim = None
     brackets: dict[tuple[int, int, int], tuple[Scalar, int]] = {}
-    kind = None
-    index_of: dict[str, int] = {}  # the reeb and lee indices
-    line_of: dict[str, int] = {}
+    settings: dict[str, tuple[int | str, int]] = {}  # dim, kind, reeb, lee: (value, line)
     j_pairs: list[tuple[int, int]] = []
     indices: list[tuple[int, str, int]] = []  # (line, what, index), checked against dim
     section = None
+
+    def setting(key: str, value, line_no: int):
+        """Record a key; a repeat must agree with the first value."""
+        if key in settings and settings[key][0] != value:
+            prev, prev_line = settings[key]
+            raise ModelSyntaxError(
+                line_no, f"{key} = {value} contradicts line {prev_line} ({key} = {prev})")
+        settings.setdefault(key, (value, line_no))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -343,11 +353,12 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
             if key.strip() != "dim" or not value:
                 raise ModelSyntaxError(line_no, f"expected `dim = N`, got {line!r}")
             try:
-                dim = int(value.strip())
+                value = int(value.strip())
             except ValueError:
                 raise ModelSyntaxError(line_no, f"bad dimension {value.strip()!r}")
-            if dim < 1:
+            if value < 1:
                 raise ModelSyntaxError(line_no, "dimension must be positive")
+            setting("dim", value, line_no)
         elif section == "brackets":
             try:
                 left, coeff_text = line.split(":")
@@ -357,8 +368,9 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                 coeff = Scalar(Fraction(coeff_text.strip()))
             except (ValueError, ZeroDivisionError):
                 raise ModelSyntaxError(line_no, f"expected `i j -> k : a/b`, got {line!r}")
-            if dim is None:
+            if "dim" not in settings:
                 raise ModelSyntaxError(line_no, "[brackets] before [algebra]")
+            dim = settings["dim"][0]
             if not all(1 <= x <= dim for x in (i, j, k)):
                 raise ModelSyntaxError(line_no, f"index out of range 1..{dim}")
             if i == j:
@@ -392,37 +404,39 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
             if key == "kind":
                 if value not in ("kahler", "sasakian", "vaisman"):
                     raise ModelSyntaxError(line_no, f"unknown kind {value!r}")
-                kind = value
+                setting("kind", value, line_no)
             elif key in ("reeb", "lee"):
                 try:
                     index = int(value)
                 except ValueError:
                     raise ModelSyntaxError(line_no, f"bad {key} index {value!r}")
-                index_of[key], line_of[key] = index, line_no
+                setting(key, index, line_no)
                 indices.append((line_no, key, index))
             else:
                 raise ModelSyntaxError(line_no, f"unknown structure key {key!r}")
         else:
             raise ModelSyntaxError(line_no, f"content outside any section: {line!r}")
 
-    if dim is None:
+    if "dim" not in settings:
         raise ModelSyntaxError(0, "missing [algebra] section with dim")
+    dim = settings["dim"][0]
     for line_no, what, index in indices:
         if not 1 <= index <= dim:
             raise ModelSyntaxError(line_no, f"{what} index {index} out of range 1..{dim}")
-    if kind is None:
+    if "kind" not in settings:
         raise ModelSyntaxError(0, "missing [structure] kind")
+    kind = settings["kind"][0]
     uses = {"kahler": (), "sasakian": ("reeb",), "vaisman": ("reeb", "lee")}[kind]
     for key in uses:
-        if key not in index_of:
+        if key not in settings:
             raise ModelSyntaxError(0, f"kind {kind} needs a {key} index")
     # checked once the whole file is read, since `kind` may follow the key
-    for key in index_of:
-        if key not in uses:
-            raise ModelSyntaxError(line_of[key], f"kind {kind} takes no {key} index")
-    reeb, lee = index_of.get("reeb"), index_of.get("lee")
+    for key in ("reeb", "lee"):
+        if key in settings and key not in uses:
+            raise ModelSyntaxError(settings[key][1], f"kind {kind} takes no {key} index")
+    reeb, lee = (settings[key][0] if key in settings else None for key in ("reeb", "lee"))
     if lee is not None and lee == reeb:
-        raise ModelSyntaxError(line_of["lee"], f"lee index {lee} equals the reeb index")
+        raise ModelSyntaxError(settings["lee"][1], f"lee index {lee} equals the reeb index")
 
     model = LieModel(name, dim, tuple((i, j, k, v) for (i, j, k), (v, _) in sorted(brackets.items())))
 
@@ -510,11 +524,7 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
     # built at shift 2 even when omega0 = 0 (no transversal directions)
     L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x))
 
-    # J on the transversal coframe: theta^a -> theta^b, theta^b -> -theta^a
-    rotation = {}
-    for a, b in pack.transversal_pairs():
-        rotation[a] = FormElement.generator(n, b)
-        rotation[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
+    rotation = j_rotation(n, pack)
     # W: even derivation extension of the rotation
     W = extend_derivation(n, EVEN, rotation, shift=0)
     # I = i^{p-q}: the algebra automorphism extending the rotation and the
@@ -531,6 +541,15 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
     I_inv = I_aut.adjoint()
     _check_i_against_w(W, I_aut, I_inv, pack.vertical_indices)
     return StructureOperators(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv)
+
+
+def j_rotation(n: int, pack: StructurePack) -> dict[int, FormElement]:
+    """J on the transversal coframe: theta^a -> theta^b, theta^b -> -theta^a."""
+    rotation = {}
+    for a, b in pack.transversal_pairs():
+        rotation[a] = FormElement.generator(n, b)
+        rotation[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
+    return rotation
 
 
 def _check_i_against_w(W: GradedOperator, I_aut: GradedOperator, I_inv: GradedOperator,

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import functools
 from math import comb
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Callable, Iterable, Mapping
 
-from .forms import FormElement, contract, monomial_basis, star_monomial, wedge
+from .forms import FormElement, monomial_basis, wedge
 from .matrices import Matrix
 from .scalars import ONE, Scalar
 
@@ -230,33 +230,14 @@ class GradedOperator:
             raise ValueError("can only add operators of equal shift and parity")
 
 
-def star_matrix(ngen: int, k: int) -> Matrix:
-    """Matrix of the Hodge star from degree k to degree N-k: a signed
-    permutation, one signed complementary monomial per column."""
-    position = _positions(ngen, ngen - k)
-    images = (star_monomial(ngen, m) for m in monomial_basis(ngen, k))
-    return Matrix.from_entries(len(position), basis_dim(ngen, k),
-                               ((position[comp], j, ONE if sign > 0 else -ONE)
-                                for j, (comp, sign) in enumerate(images)))
-
-
-def wedge_operator(a: FormElement) -> GradedOperator:
-    """Left exterior multiplication by a homogeneous form."""
-    deg = a.degree() if not a.is_zero() else 0
-    return GradedOperator.from_action(a.ngen, deg, deg % 2, lambda x: wedge(a, x))
-
-
-def contraction_operator(ngen: int, v: int) -> GradedOperator:
-    return GradedOperator.from_action(ngen, -1, ODD, lambda x: contract(v, x))
-
-
 def op_sum(terms: Iterable[GradedOperator]) -> GradedOperator:
     """The sum of one or more operators of equal shift and parity."""
-    return functools.reduce(GradedOperator.__add__, terms)
+    return functools.reduce(add, terms)
 
 
 def supercommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
-    """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
+    """{a,b} = ab - (-1)^{parity(a) parity(b)} ba, for two operators of the
+    same form: blocks, or Clifford polynomials (`clifford.py`)."""
     ab = a @ b
     ba = b @ a
     return ab + ba if a.parity * b.parity % 2 else ab - ba
@@ -320,18 +301,6 @@ def extend_derivation(
         return wedge(d1, x) + deriv(mono).scale(x.terms[mono])
 
     return GradedOperator.from_action(ngen, shift, parity, act)
-
-
-def first_order_reconstruction(op: GradedOperator) -> GradedOperator:
-    """Rebuild op from its values on 1 and the coframe generators.
-
-    Equality with op certifies that op is a first-order operator
-    (derivation plus multiplication); used as the determinacy test.
-    """
-    ngen = op.ngen
-    unit_value = op.apply(FormElement.unit(ngen))
-    action = {k: op.apply(FormElement.generator(ngen, k)) for k in range(1, ngen + 1)}
-    return extend_derivation(ngen, op.parity, action, unit_value, shift=op.shift)
 
 
 def reeb_power(a: GradedOperator, lie_r: GradedOperator, k: int) -> GradedOperator:
@@ -421,7 +390,8 @@ def check_relation(
     """Compare lhs against the printed right-hand side, then against the
     recorded sign/argument variants in order; never hard-fails on a
     mismatch.  Each side is a (text, operator) pair and the texts are the
-    entry's printed form.  A pass with both sides zero is marked vacuous."""
+    entry's printed form; the operators are all blocks or all Clifford
+    polynomials.  A pass with both sides zero is marked vacuous."""
     (ltext, left), (rtext, right) = lhs, printed
     if left == right:
         return RelationEntry(name, ltext, rtext, "pass", vacuous=left.is_zero())

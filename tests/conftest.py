@@ -1,4 +1,6 @@
 import functools
+import os
+from pathlib import Path
 
 from lieforms.models import builtin, structure_operators
 from lieforms.splitting import operator_pool
@@ -25,6 +27,15 @@ def ops_for(name: str):
 
 def pool_for(name: str):
     return operator_pool(*model_pack(name))
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child Python process: this checkout's `src`
+    first on PYTHONPATH, so the child imports the lieforms under test
+    whether or not the package is installed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def pytest_terminal_summary(terminalreporter):

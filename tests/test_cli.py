@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import time
@@ -9,6 +8,8 @@ import pytest
 
 from lieforms.cli import RunConfig, run
 from lieforms.models import builtin_file_text
+
+from conftest import child_env
 
 
 def _run_to_file(tmp_path, command, model, fmt="text", degree=None, name="out"):
@@ -72,7 +73,7 @@ def test_bad_structure_index_is_input_error(tmp_path, text, line):
     bad = tmp_path / "bad.alg"
     bad.write_text(text)
     child = subprocess.run([sys.executable, "-m", "lieforms.cli", "check", str(bad)],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=child_env())
     assert child.returncode == 2, child.stderr
     assert "Traceback" not in child.stderr
     assert f"line {line}:" in child.stderr
@@ -113,8 +114,8 @@ def test_byte_determinism(tmp_path):
 
 def test_byte_determinism_across_processes(tmp_path):
     cmd = [sys.executable, "-m", "lieforms.cli", "check", "su2", "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    first = subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, env=child_env()).stdout
     assert first == second
 
 
@@ -186,13 +187,12 @@ def test_traced_worker_report_matches_plain(argv):
     # the benchmark's traced worker calls engine functions by name, so a
     # rename of one of them would break only a traced benchmark run
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     out = {}
     for mode in ("plain", "traced"):
         child = subprocess.run(
             [sys.executable, str(root / "perfbench" / "worker.py"), mode,
              repr(time.monotonic()), "0", *argv, "--format", "json"],
-            capture_output=True, text=True, env=env, cwd=root, timeout=300)
+            capture_output=True, text=True, env=child_env(), cwd=root, timeout=300)
         assert child.returncode == 0, child.stderr[-2000:]
         out[mode] = json.loads(child.stdout)
     assert out["plain"]["status"] == out["traced"]["status"] == 0
@@ -206,11 +206,10 @@ def test_cold_import_loads_no_introspection_modules():
     # every record of the package is a plain class, so a fresh command-line
     # process never imports dataclasses and the modules it drags in
     root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     probe = ("import sys, lieforms.cli; "
              "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'tokenize') "
              "if m in sys.modules))")
     child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                           env=env, cwd=root, timeout=60)
+                           env=child_env(), cwd=root, timeout=60)
     assert child.returncode == 0, child.stderr[-2000:]
     assert child.stdout.split() == []

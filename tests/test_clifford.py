@@ -1,0 +1,182 @@
+"""The normal-ordered Clifford polynomials against the block operators.
+
+The references build each operator as blocks through `GradedOperator`
+alone: a monomial e_W i_C is the product of the letter matrices of
+`forms.wedge` and `forms.contract` in its written order, and the pool's
+guard generators are rebuilt the way the matrix engine built them (d, L,
+W, I from `structure_operators`, adjoints and supercommutators of blocks,
+d1 cut out by the bidegree projectors).
+"""
+
+import functools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lieforms.clifford import Clifford
+from lieforms.forms import FormElement, contract, monomial_basis, wedge
+from lieforms.models import BUILTIN_NAMES, bidegree_projectors, load_model_file
+from lieforms.operators import GradedOperator, ODD, op_sum, supercommutator
+from lieforms.scalars import Scalar
+from lieforms.splitting import _letter_images, guard_names, operator_pool
+
+from conftest import model_pack
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@functools.lru_cache(maxsize=None)
+def letter(ngen: int, k: int, create: bool) -> GradedOperator:
+    gen = FormElement.generator(ngen, k)
+    if create:
+        return GradedOperator.from_action(ngen, 1, ODD, lambda x: wedge(gen, x))
+    return GradedOperator.from_action(ngen, -1, ODD, lambda x: contract(k, x))
+
+
+def bits(mask):
+    return [k + 1 for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def reference_blocks(p: Clifford) -> GradedOperator:
+    """sum c e_{w1} ... e_{wp} i_{cq} ... i_{c1}, as block products."""
+    n = p.ngen
+    out = GradedOperator.zero(n, p.shift, p.parity)
+    for (w, c), v in p.terms.items():
+        mono = GradedOperator.identity(n)
+        for k in bits(w):
+            mono = mono @ letter(n, k, True)
+        for k in reversed(bits(c)):
+            mono = mono @ letter(n, k, False)
+        out = out + GradedOperator(n, p.shift, p.parity, mono.blocks).scale(v)
+    return out
+
+
+gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def polynomials(draw, ngen, shift):
+    """A polynomial of up to four terms of the given shift."""
+    full = range(1 << ngen)
+    keys = [(w, c) for w in full for c in full if w.bit_count() - c.bit_count() == shift]
+    if not keys:
+        return Clifford.zero(ngen, shift)
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=4, unique=True))
+    return Clifford(ngen, shift, {key: draw(gaussian) for key in chosen})
+
+
+@st.composite
+def pairs(draw):
+    """Two polynomials on ngen <= 5 generators, of shifts in -2..2."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(-2, 2))
+    t = draw(st.sampled_from([s, draw(st.integers(-2, 2))]))
+    return draw(polynomials(n, s)), draw(polynomials(n, t))
+
+
+@settings(deadline=None, max_examples=60)
+@given(pairs())
+def test_polynomial_algebra_matches_blocks(pq):
+    p, q = pq
+    a, b = reference_blocks(p), reference_blocks(q)
+    assert p.to_blocks() == a
+    assert all(p.block(k) == a.blocks[k] for k in range(p.ngen + 1))
+    assert (p @ q).to_blocks() == a @ b
+    assert p.adjoint().to_blocks() == a.adjoint()
+    assert supercommutator(p, q).to_blocks() == supercommutator(a, b)
+    assert (-p).to_blocks() == -a and p.scale(Scalar(2, 1)).to_blocks() == a.scale(Scalar(2, 1))
+    # the normal-ordered terms are a basis, so equal dicts are equal operators
+    assert Clifford.from_operator(a) == p
+    assert (p == q) == (a == b)
+    assert p.first_difference(q) == a.first_difference(b)
+    if p.shift == q.shift:
+        assert (p + q).to_blocks() == a + b
+        assert (p - q).to_blocks() == a - b
+    else:
+        with pytest.raises(ValueError):
+            p + q
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_apply_matches_blocks(data):
+    n = data.draw(st.integers(1, 5))
+    p = data.draw(polynomials(n, data.draw(st.integers(-2, 2))))
+    k = data.draw(st.integers(0, n))
+    basis = monomial_basis(n, k)
+    a = FormElement(n, dict(zip(basis, data.draw(st.lists(gaussian, min_size=len(basis),
+                                                           max_size=len(basis))))))
+    assert p.apply(a) == p.to_blocks().apply(a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_letter_relabelling_is_conjugation_by_i(data):
+    # I of each builtin is an algebra automorphism that permutes the coframe
+    # up to sign, so conjugating by it relabels the letters
+    name = data.draw(st.sampled_from(BUILTIN_NAMES))
+    model, pack = model_pack(name)
+    ops = operator_pool(model, pack).ops
+    p = data.draw(polynomials(model.dim, data.draw(st.integers(-1, 1))))
+    assert (p.substitute(_letter_images(ops.I_aut)).to_blocks()
+            == ops.I_aut @ p.to_blocks() @ ops.I_inv)
+
+
+def test_first_order_criterion():
+    n = 3
+    d = Clifford.derivation(n, 1, {3: FormElement.monomial(n, (1, 2))})
+    assert d.first_order() and d.adjoint().first_order() is False
+    # e_1 + e_1 e_2 i_2: a multiplication plus a derivation
+    assert Clifford(n, 1, {(1, 0): Scalar(1), (3, 2): Scalar(1)}).first_order()
+    assert not Clifford(n, 0, {(3, 3): Scalar(1)}).first_order()
+
+
+def test_terms_must_fit_the_shift():
+    with pytest.raises(ValueError, match="does not fit shift 1"):
+        Clifford(3, 1, {(3, 0): Scalar(1)})
+    with pytest.raises(ValueError, match="on 2 generators"):
+        Clifford(2, 1, {(4, 0): Scalar(1)})
+    assert Clifford(3, 1, {(1, 0): Scalar(0)}).is_zero()
+
+
+# -- the pool against the matrix engine ---------------------------------------
+
+REFERENCE_MODELS = [*BUILTIN_NAMES, "su2_aff", "h5xr", "h7"]
+
+
+def _load(name):
+    return model_pack(name) if name in BUILTIN_NAMES else load_model_file(str(DATA / f"{name}.alg"))
+
+
+def matrix_generators(model, pack, ops) -> dict[str, GradedOperator]:
+    """The guard generators as the matrix engine built them."""
+    n = model.dim
+    lam = ops.L.adjoint()
+    out = {"L": ops.L, "Lam": lam, "H": supercommutator(ops.L, lam), "W": ops.W,
+           "Id": GradedOperator.identity(n)}
+    if pack.kind == "kahler":
+        dc = supercommutator(ops.W, ops.d)
+        return {**out, "d": ops.d, "d*": ops.d.adjoint(), "dc": dc, "dc*": dc.adjoint()}
+    r = pack.reeb_index
+    pi = bidegree_projectors(n, (r,))
+    d1 = op_sum([GradedOperator.zero(n, 1, ODD)] + [
+        pi[h + 1, v] @ ops.d @ p for (h, v), p in pi.items() if (h + 1, v) in pi])
+    d1c = ops.I_aut @ d1 @ ops.I_inv
+    return {**out, "d1": d1, "d1*": d1.adjoint(), "d1c": d1c, "d1c*": d1c.adjoint(),
+            "e_r": letter(n, r, True), "i_r": letter(n, r, False)}
+
+
+@pytest.mark.parametrize("name", REFERENCE_MODELS)
+def test_pool_generators_and_brackets_equal_the_matrix_engine(name):
+    model, pack = _load(name)
+    pool = operator_pool(model, pack)
+    reference = matrix_generators(model, pack, pool.ops)
+    names = guard_names(pack)
+    assert set(reference) == set(names)
+    for x in names:
+        assert pool[x] == reference[x], x
+        assert Clifford.from_operator(reference[x]) == pool.poly(x), x
+    for a in names:
+        for b in names:
+            assert pool[a, b] == supercommutator(reference[a], reference[b]), (a, b)

@@ -85,11 +85,11 @@ def test_subcomplex_closure_guard():
     # d does not preserve the span of non-basic constraints; build a fake
     # constraint set by asking for i_r-kernel only on su2 (Lie_r missing)
     from lieforms.cohomology import FormComplex
-    from lieforms.operators import contraction_operator
+    from lieforms.clifford import Clifford
 
     model, pack = model_pack("su2")
     ops = ops_for("su2")
-    iv = contraction_operator(3, 3)
+    iv = Clifford.contraction(3, 3).to_blocks()
     # i_r-kernel alone is not d-stable on su2: d(t1) = t2^t3 has a reeb leg
     with pytest.raises(StructureError, match="d fails to preserve the subspace") as info:
         FormComplex.from_constraints(model, ops.d, [iv], "broken")
@@ -291,15 +291,16 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
 
 @pytest.mark.parametrize("name", ["h5", "su2", "su2xr", "h3xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
-    # the coframe operators e_k, i_k (the Reeb and Lee operators among them),
     # the split of d along each foliation, the bidegree projectors of each
-    # vertical set, d1* of the Reeb split and Lie_r* are built once, however
-    # many layers read them; a memoised result handed out again is the same
-    # object, not a second build
+    # vertical set and the blocks of each pool polynomial (the coframe
+    # operators e_k, i_k and the Reeb and Lee operators among them) are
+    # built once, however many layers read them; a memoised result handed
+    # out again is the same object, not a second build
     import collections
     import importlib
 
     from lieforms import cli
+    from lieforms.clifford import Clifford
     from lieforms.operators import GradedOperator
 
     modules = [importlib.import_module(f"lieforms.{m}")
@@ -309,9 +310,7 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
     built = collections.defaultdict(list)
-    keys = {"contraction_operator": lambda ngen, k: k,
-            "wedge_operator": lambda form: tuple(form.terms),
-            "foliation_split": lambda d, model, fol: fol.spanning,
+    keys = {"foliation_split": lambda d, model, fol: fol.spanning,
             "bidegree_projectors": lambda ngen, vertical: (ngen, vertical)}
 
     def counted(fname, fn):
@@ -325,27 +324,35 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
         for fname in keys:
             if fname in vars(module):
                 monkeypatch.setattr(module, fname, counted(fname, vars(module)[fname]))
-    adjoints = []
-    adjoint = GradedOperator.adjoint
+    # each list holds its operands, so no two of them share an id
+    adjoints, blocks = [], []
+    adjoint, to_blocks = GradedOperator.adjoint, Clifford.to_blocks
 
     def counted_adjoint(op):
         out = adjoint(op)
         adjoints.append((op, out))
         return out
 
+    def counted_to_blocks(poly):
+        blocks.append(poly)
+        return to_blocks(poly)
+
     monkeypatch.setattr(GradedOperator, "adjoint", counted_adjoint)
+    monkeypatch.setattr(Clifford, "to_blocks", counted_to_blocks)
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
     assert {f for f, _ in built} == set(keys)
-    # `built` holds every result, so no two of them share an id
     builds = {key: len({id(out) for out in outs}) for key, outs in built.items()}
     assert {key: n for key, n in builds.items() if n > 1} == {}
-    # the transversal package takes {d1,d1*} of the Reeb split from the pool,
-    # so the pool's d1* is the only adjoint ever taken of d1
     pool = operator_pool(*model_pack(name))
-    assert [id(out) for op, out in adjoints if op is pool["d1"]] == [id(pool["d1*"])]
-    # the transversal package takes Lie_r* of the Reeb direction from the pool
-    assert [id(out) for op, out in adjoints if op is pool["Lie_r"]] == [id(pool["Lie_r*"])]
+    assert blocks and len({id(p) for p in blocks}) == len(blocks)
+    assert pool["i_r"] is pool[f"i_{model_pack(name)[1].reeb_index}"]
+    # d1* and Lie_r* are adjoints of the polynomials, so the transversal
+    # package, which takes {d1,d1*} and Lie_r* of the Reeb direction from the
+    # pool, never takes the adjoint of the blocks of d1 or Lie_r
+    assert [op for op, _ in adjoints if op is pool["d1"] or op is pool["Lie_r"]] == []
+    assert pool["d1*"] == pool["d1"].adjoint()
+    assert pool["Lie_r*"] == pool["Lie_r"].adjoint()
 
 
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])

@@ -123,6 +123,35 @@ def test_sasakian_harmonic_subspace_equality():
             assert row.ok  # subspace equality with ker Delta, not just dims
 
 
+def test_sasakian_harmonic_check_takes_the_flipped_branch(monkeypatch):
+    # with the two candidate spaces of degree 1 swapped on h5, the stated
+    # space (now eta ^ the co-primitive 0-forms, which is empty since
+    # L 1 = omega) misses the four harmonic 1-forms and the other one holds
+    # them: the row passes on the flipped branch, with its witnesses
+    import lieforms.cones as cones
+
+    model, pack = model_pack("h5")
+    before = sasakian_harmonic_check(model, pack)
+    spaces = cones._harmonic_branch_spaces
+
+    def swapped(*args):
+        out = spaces(*args)
+        out[1] = out[1][::-1]
+        return out
+
+    monkeypatch.setattr(cones, "_harmonic_branch_spaces", swapped)
+    after = sasakian_harmonic_check(model, pack)
+    row = after.row(1)
+    assert (row.branch, row.ok, row.headline_ok) == ("flipped", True, False)
+    assert (row.claimed, row.proof, row.actual) == (0, 4, 4)
+    assert row.witnesses == before.row(1).witnesses
+    assert row.witnesses == ("(1)*t1", "(1)*t2", "(1)*t3", "(1)*t4")
+    assert row.line() == ("PASS  degree 1: actual 4; proof-sequence 4; "
+                          "headline 0 (inconsistent); branch flipped")
+    assert [r.line() for r in after.rows if r.degree != 1] == \
+        [r.line() for r in before.rows if r.degree != 1]
+
+
 def test_sasakian_harmonic_star_duality_entry():
     model, pack = model_pack("su2")
     verdict = sasakian_harmonic_check(model, pack)

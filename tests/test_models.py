@@ -30,13 +30,14 @@ from lieforms.operators import GradedOperator, supercommutator
 from lieforms.scalars import I, ONE, Scalar
 from lieforms.splitting import (
     FoliationSpec,
+    foliation_split,
     hodge_split_d1,
     operator_pool,
     reeb_foliation,
     sigma_foliation,
 )
 
-from conftest import model_pack, ops_for, pool_for
+from conftest import child_env, model_pack, ops_for, pool_for
 from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -234,7 +235,10 @@ def test_closed_forms_match_the_lagrange_reference(name):
     d1 = pool["d1"]
     d1_10, d1_01 = reference_hodge(pi, d1)
     assert d1_10 + d1_01 == d1  # the reference's own bidegree check
-    assert hodge_split_d1(ops, pool.split(reeb_foliation(pack)))[:2] == (d1_10, d1_01)
+    split = foliation_split(ops.d, model, reeb_foliation(pack))
+    assert hodge_split_d1(ops, split)[:2] == (d1_10, d1_01)
+    # the pool's polynomials, certified by {W, d1} = I d1 I^-1 on the letters
+    assert (pool["d1^{1,0}"], pool["d1^{0,1}"]) == (d1_10, d1_01)
     fol = reeb_foliation(pack) if pack.kind == "sasakian" else sigma_foliation(pack)
     stable = reference_pq_stable(pi, basic_subcomplex(model, pack, fol))
     entry = transversal_package(model, pack, fol).entry("transversal.pq_stability")
@@ -275,6 +279,33 @@ def test_parse_syntax_error_cites_line():
     with pytest.raises(ModelSyntaxError) as err:
         parse_model("[algebra]\ndim = 3\n[brackets]\nnot a bracket\n")
     assert err.value.line_no == 4
+
+
+@pytest.mark.parametrize("builtin_name, extra, key", [
+    ("h3", "[algebra]\ndim = 2", "dim"),  # a second [algebra] after the brackets
+    ("h3", "kind = kahler", "kind"),
+    ("h3", "reeb = 1", "reeb"),
+    ("h3xr", "lee = 2", "lee"),
+], ids=["dim", "kind", "reeb", "lee"])
+def test_parse_repeated_key_with_another_value_names_both_lines(tmp_path, capsys, builtin_name,
+                                                                extra, key):
+    from lieforms.cli import RunConfig, run
+
+    lines = builtin_file_text(builtin_name).splitlines()
+    first = next(i for i, x in enumerate(lines, 1) if x.startswith(f"{key} = "))
+    text = "\n".join(lines + [extra]) + "\n"
+    line = len(text.splitlines())
+    message = f"line {line}: {extra.splitlines()[-1]} contradicts line {first} ({lines[first - 1]})"
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_model(text)
+    assert (err.value.line_no, str(err.value)) == (line, message)
+    path = tmp_path / "repeated.alg"
+    path.write_text(text)
+    assert run(RunConfig(command="check", model=str(path))) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the same value again is no contradiction
+    same = extra.replace(extra.splitlines()[-1], lines[first - 1])
+    assert parse_model("\n".join(lines + [same]) + "\n", builtin_name) == builtin(builtin_name)
 
 
 def test_parse_antisymmetry_error():
@@ -377,15 +408,16 @@ import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from lieforms.models import bidegree_projectors, load_model_file
 from lieforms.operators import GradedOperator
-from lieforms.splitting import operator_pool, reeb_foliation, sasakian_relations
+from lieforms.splitting import (FoliationSplit, operator_pool, reeb_foliation,
+                                sasakian_relations)
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
 named = [v for v in vars(pool.ops).values() if isinstance(v, GradedOperator)]
 named += [pool[x] for x in ("e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
 named += [*bidegree_projectors(model.dim, pack.vertical_indices).values(),
-          *pool.split(reeb_foliation(pack)).components, *pool.hodge]
+          *(p.to_blocks() for p in (*pool.split(reeb_foliation(pack)).components, *pool.hodge))]
 sasakian_relations(model, pack)  # builds the table's whole pool
-named += [v for v in pool._built.values() if isinstance(v, GradedOperator)]
+named += [p.to_blocks() for p in pool._polys.values() if not isinstance(p, FoliationSplit)]
 print(len(named))
 """
 
@@ -394,18 +426,10 @@ def test_h7_builds_under_one_gib():
     """The dim-7 contact model builds its operators, foliation split, Hodge
     split and the Sasakian table's pool in a child capped at 1 GiB of
     address space."""
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    import lieforms
-
-    src = str(Path(lieforms.__file__).resolve().parent.parent)
-    model = Path(__file__).resolve().parent / "data" / "h7.alg"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    child = subprocess.run([sys.executable, "-c", _H7_CHILD, str(model)],
-                           capture_output=True, text=True, env=env, timeout=300)
+    child = subprocess.run([sys.executable, "-c", _H7_CHILD, str(DATA / "h7.alg")],
+                           capture_output=True, text=True, env=child_env(), timeout=300)
     assert child.returncode == 0, child.stderr[-2000:]
     assert int(child.stdout) > 60

@@ -5,20 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforms.forms import FormElement, contract, hodge_star, monomial_basis, wedge
+from lieforms.clifford import Clifford
 from lieforms.operators import (
     EVEN,
     GradedOperator,
     ODD,
     basis_dim,
     column_forms,
-    contraction_operator,
     extend_derivation,
-    first_order_reconstruction,
     form_to_column,
     reeb_power,
-    star_matrix,
     supercommutator,
-    wedge_operator,
 )
 from lieforms.matrices import Matrix
 from lieforms.scalars import ONE, ZERO, Scalar
@@ -29,6 +26,15 @@ from conftest import model_pack, ops_for, pool_for
 
 def t(n, *ix):
     return FormElement.monomial(n, ix)
+
+
+def wedge_operator(a):
+    """Left exterior multiplication by a homogeneous form, as blocks."""
+    return Clifford.multiplication(a, a.degree() if a.terms else 0).to_blocks()
+
+
+def contraction_operator(n, v):
+    return Clifford.contraction(n, v).to_blocks()
 
 
 def h3_d():
@@ -78,8 +84,12 @@ def test_extend_derivation_first_order_part():
     assert op.apply(FormElement.unit(n)) == t(n, 1)
     # D(t1) = t1^t1 + delta(t1) = t1^t2
     assert op.apply(t(n, 1)) == t(n, 1, 2)
-    # D(t1^t2) = D(1)^t1^t2 + delta-part; top degree kills the unit term
-    assert first_order_reconstruction(op) == op
+    # D(t1^t2) = D(1)^t1^t2 + delta-part; top degree kills the unit term.
+    # First order: every normal-ordered term has at most one contraction,
+    # and here the unit term e_{t1} has none
+    poly = Clifford.from_operator(op)
+    assert poly.first_order()
+    assert poly.terms[1, 0] == ONE
     # it is not a derivation: a derivation kills 1
     assert not op.apply(FormElement.unit(n)).is_zero()
 
@@ -129,10 +139,15 @@ def test_adjoint_vs_star_signs_on_su2():
     d = ops_for("su2").d
     ds = d.adjoint()
     n = 3
+    def star_d_star(x):
+        return hodge_star(d.apply(hodge_star(x)))
+
+    sds = GradedOperator.from_action(n, -1, ODD, star_d_star)
     for k in range(1, n + 1):
-        sds = star_matrix(n, n - k + 1) @ d.blocks[n - k] @ star_matrix(n, k)
+        sds_k = dense_block(n, k, k - 1, star_d_star)
+        assert sds.blocks[k] == sds_k
         target = ds.blocks[k]
-        assert target == sds or target == sds.scale(Scalar.of(-1))
+        assert target == sds_k or target == sds_k.scale(Scalar.of(-1))
 
 
 def test_reeb_power():
@@ -198,7 +213,8 @@ def test_random_derivations_are_determined_by_generator_values():
                 val = val + FormElement.monomial(n, m, Scalar(next(it)))
             action[k] = val
         op = extend_derivation(n, parity, action, shift=shift)
-        assert first_order_reconstruction(op) == op
+        assert Clifford.from_operator(op).first_order()
+        assert Clifford.derivation(n, shift, action).to_blocks() == op
         # signed Leibniz rule on a product of generators
         a, b = t(n, 1), t(n, 2)
         from lieforms.forms import wedge
@@ -211,12 +227,14 @@ def test_random_derivations_are_determined_by_generator_values():
     check()
 
 
-def test_first_order_reconstruction_detects_higher_order():
-    # d* is a second-order operator on su2; reconstruction must not match
+def test_first_order_criterion_detects_higher_order():
+    # d* is a second-order operator on su2: some normal-ordered term of it
+    # has two contractions
     d = ops_for("su2").d
-    ds = d.adjoint()
-    rec = first_order_reconstruction(ds)
-    assert rec != ds
+    assert Clifford.from_operator(d).first_order()
+    ds = Clifford.from_operator(d.adjoint())
+    assert not ds.first_order()
+    assert ds == pool_for("su2").poly("d*")
 
 
 def test_blocks_shape_validation():
@@ -413,12 +431,6 @@ def test_extend_derivation_matches_dense_reference(data):
     op = extend_derivation(n, parity, values, unit_value, shift=shift)
     assert op.blocks == dense_blocks(
         n, shift, lambda x: leibniz(n, parity, unit_value, values, x))
-
-
-def test_star_matrix_matches_dense_hodge_star_columns():
-    for n in range(1, 7):
-        for k in range(n + 1):
-            assert star_matrix(n, k) == dense_block(n, k, n - k, hodge_star), (n, k)
 
 
 @settings(deadline=None, max_examples=60)

@@ -277,10 +277,21 @@ def test_antisymmetry_and_jacobi_guards():
         assert jacobi_report(model, pack, exhaustive=exhaustive).ok()
 
 
+def _count_block_products(monkeypatch) -> list:
+    """A list that gains one entry per `Matrix.__matmul__` call."""
+    from lieforms.matrices import Matrix
+
+    products, matmul = [], Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda x, y: products.append(None) or matmul(x, y))
+    return products
+
+
 def test_sasakian_table_builds_each_product_once(monkeypatch):
-    # the table draws every operator from one named pool: no supercommutator
-    # of the same two operands and no Reeb power is built twice; operands
-    # are told apart by identity, since each pool name is built once
+    # the table and the guards decide on the pool's Clifford polynomials, so
+    # they make no block product; and the table builds no supercommutator of
+    # the same two operands and no Reeb power twice; operands are told apart
+    # by identity, since each pool name is built once
     import lieforms.splitting as splitting
     from lieforms.models import builtin
 
@@ -299,56 +310,67 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
 
     monkeypatch.setattr(splitting, "supercommutator", counted_comm)
     monkeypatch.setattr(splitting, "reeb_power", counted_power)
-    splitting.operator_pool.cache_clear()
-    splitting.sasakian_relations.cache_clear()
+    products = _count_block_products(monkeypatch)
+    cached = (splitting.operator_pool, splitting.sasakian_relations,
+              splitting.antisymmetry_report, splitting.jacobi_report)
+    for fn in cached:
+        fn.cache_clear()
     try:
         rep = splitting.sasakian_relations(model, pack)
+        table_pairs = list(pairs)
+        guards = (splitting.antisymmetry_report(model, pack),
+                  splitting.jacobi_report(model, pack, exhaustive=False))
         pool = splitting.operator_pool(model, pack)
     finally:
-        splitting.operator_pool.cache_clear()
-        splitting.sasakian_relations.cache_clear()
-    assert rep.passed()
-    assert pairs and len(pairs) == len(set(pairs))
+        for fn in cached:
+            fn.cache_clear()
+    assert rep.passed() and all(g.ok() for g in guards)
+    assert products == []
+    assert table_pairs and len(table_pairs) == len(set(table_pairs))
     assert sorted(powers) == sorted(set(powers))
-    assert set(powers) == {id(pool[x]) for x in
+    assert set(powers) == {id(pool.poly(x)) for x in
                            ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")}
 
 
-@pytest.mark.parametrize("name, bound", [("su2", 2000), ("torus2", 1000)], ids=["su2", "torus2"])
+@pytest.mark.parametrize("name, bound", [("su2", 400), ("torus2", 200)], ids=["su2", "torus2"])
 def test_exhaustive_jacobi_skips_zero_products(monkeypatch, name, bound):
     # d1 = 0 and most guard brackets vanish, so most of the 6 compositions of
-    # each of the 11^3 triples have a zero operand and need no block product
-    from lieforms.matrices import Matrix
+    # each of the 11^3 triples have a zero operand and need no polynomial
+    # product; none of them needs a block product
+    from lieforms.clifford import Clifford
 
     model, pack = model_pack(name)
     pool = operator_pool(model, pack)
     names = guard_names(pack)
     for a in names:
         for b in names:
-            pool[a, b]
-    products = []
-    matmul = Matrix.__matmul__
+            pool.poly((a, b))
+    products = _count_block_products(monkeypatch)
+    polynomial_products = []
+    product = Clifford.__matmul__
 
     def counted(x, y):
-        products.append(None)
-        return matmul(x, y)
+        if x.terms and y.terms:
+            polynomial_products.append(None)
+        return product(x, y)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    monkeypatch.setattr(Clifford, "__matmul__", counted)
     # past the cache, so the guard runs here
     entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
     assert entry.ok()
-    assert 0 < len(products) < bound
+    assert products == []
+    assert 0 < len(polynomial_products) < bound
 
 
 def test_exhaustive_jacobi_fails_on_a_planted_nonzero_bracket(monkeypatch):
-    # {d1,L} vanishes on su2; planting the nonzero L e_r in its place (same
-    # shift and parity) breaks the identity first at (Lam,d1,L)
+    # {d1,L} vanishes on su2; planting the nonzero polynomial L e_r in its
+    # place (same shift and parity) breaks the identity first at (Lam,d1,L)
     model, pack = model_pack("su2")
     pool = operator_pool(model, pack)
-    assert pool["d1", "L"].is_zero()
-    planted = pool["L"] @ pool["e_r"]
+    assert pool.poly(("d1", "L")).is_zero()
+    planted = pool.poly("L") @ pool.poly("e_r")
     assert not planted.is_zero()
-    monkeypatch.setitem(pool._built, ("d1", "L"), planted)
+    monkeypatch.setitem(pool._polys, ("d1", "L"), planted)
     entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
     assert entry.verdict == "fail"
     assert entry.lhs == "triple (Lam,d1,L)"
@@ -357,15 +379,18 @@ def test_exhaustive_jacobi_fails_on_a_planted_nonzero_bracket(monkeypatch):
 def test_exhaustive_jacobi_builds_only_live_terms(monkeypatch):
     # on su2 only 8 of the 121 pool pairs are nonzero: a triple whose three
     # inner pairs vanish passes unbuilt, and {b,{a,c}} reuses the lhs of
-    # triple (b,a,c), where every term of every triple cost 3 * 11^3 = 3993
+    # triple (b,a,c), where every term of every triple cost 3 * 11^3 = 3993;
+    # every bracket is a polynomial one, with no block product
     from lieforms import splitting
 
     model, pack = model_pack("su2")
     pool = operator_pool(model, pack)
     names = guard_names(pack)
-    assert sum(not pool[a, b].is_zero() for a in names for b in names) == 8
+    assert sum(not pool.poly((a, b)).is_zero() for a in names for b in names) == 8
     calls = []
     monkeypatch.setattr(splitting, "supercommutator",
                         lambda a, b: calls.append(1) or supercommutator(a, b))
+    products = _count_block_products(monkeypatch)
     assert jacobi_report.__wrapped__(model, pack, exhaustive=True).ok()
     assert len(calls) <= 456
+    assert products == []
