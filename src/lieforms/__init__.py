@@ -8,7 +8,6 @@ from .operators import (
     GradedOperator,
     RelationEntry,
     RelationReport,
-    extend_derivation,
     reeb_power,
     supercommutator,
 )

@@ -301,5 +301,20 @@ def main(argv=None) -> int:
     return run(config)
 
 
+def entry():
+    """The command line's entry point: run `main`, flush the report, and end
+    the process with `os._exit`, skipping interpreter teardown, which frees
+    nothing a finished command needs.  If a flush fails, the process exits
+    the normal way, so the error is reported.  An exception escaping `main`
+    (argparse's SystemExit among them) also takes the normal path."""
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

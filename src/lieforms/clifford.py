@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .forms import FormElement, monomial_basis
 from .matrices import Matrix
-from .operators import GradedOperator, basis_dim
+from .operators import EVEN, GradedOperator, basis_dim
 from .scalars import ONE, Scalar
 
 Term = tuple[int, int]  # (W, C) as bitmasks
@@ -58,6 +58,35 @@ def _inversions(a: int, b: int) -> int:
         n += (a & -(low << 1)).bit_count()
         b ^= low
     return n & 1
+
+
+def _relabel(mask: int, images: Mapping[int, tuple[int, Scalar]]) -> tuple[int, Scalar]:
+    """e_S under theta^k -> x theta^m for images[k] = (m, x) (generators not
+    in images stay): the mask of the image monomial and its coefficient,
+    which carries the sign of sorting the image letters."""
+    out, factor = 0, ONE
+    for k in _monomial(mask):
+        m, x = images.get(k, (k, ONE))
+        # the letter m passes the letters already placed above it
+        factor = -factor * x if (out >> m).bit_count() & 1 else factor * x
+        out |= 1 << (m - 1)
+    return out, factor
+
+
+def automorphism_blocks(ngen: int, images: Mapping[int, tuple[int, Scalar]]) -> GradedOperator:
+    """The algebra automorphism theta^k -> x theta^m for images[k] = (m, x),
+    a signed relabelling of the generators, as blocks.  It sends each basis
+    monomial to a signed basis monomial, so each block is a signed
+    permutation."""
+    masks, position = _basis(ngen)
+    blocks = []
+    for row in masks:
+        entries = []
+        for j, s in enumerate(row):
+            t, x = _relabel(s, images)
+            entries.append((position[t], j, x))
+        blocks.append(Matrix.from_entries(len(row), len(row), entries))
+    return GradedOperator(ngen, 0, EVEN, tuple(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,23 +262,12 @@ class Clifford:
         for images[k] = (m, x), a unitary relabelling of the generators
         (generators not in images stay).  For an algebra automorphism U
         sending theta^k to x theta^m this is conjugation by U."""
-        perm = {k: images.get(k, (k, ONE)) for k in range(1, self.ngen + 1)}
-
-        def relabel(mask: int, conj: bool) -> tuple[int, Scalar, bool]:
-            seq = [perm[k] for k in _monomial(mask)]
-            factor = ONE
-            for _, x in seq:
-                factor = factor * (x.conj() if conj else x)
-            # the sign of sorting the images (both orders sort alike)
-            neg = sum(a > b for i, (a, _) in enumerate(seq) for b, _ in seq[i + 1:]) & 1
-            return generator_mask([m for m, _ in seq]), factor, bool(neg)
-
+        conj = {k: (m, x.conj()) for k, (m, x) in images.items()}
         terms = {}
         for (w, c), v in self.terms.items():
-            nw, fw, negw = relabel(w, False)
-            nc, fc, negc = relabel(c, True)
-            v = v * fw * fc
-            terms[nw, nc] = -v if negw ^ negc else v
+            nw, fw = _relabel(w, images)
+            nc, fc = _relabel(c, conj)
+            terms[nw, nc] = v * fw * fc
         return Clifford(self.ngen, self.shift, terms)
 
     def is_zero(self) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 
-from .forms import FormElement
+from .forms import FormElement, monomial_basis
 from .matrices import (
     Matrix,
     charpoly,
@@ -29,8 +29,9 @@ from .matrices import (
     span_coordinates,
     subspace_equal,
 )
-from .models import LieModel, StructureError, StructurePack, bidegree_projectors
+from .models import LieModel, StructureError, StructurePack
 from .operators import (
+    EVEN,
     GradedOperator,
     RelationEntry,
     RelationReport,
@@ -302,7 +303,7 @@ def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) ->
 def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
     return _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol),
-                          _foliation_pi_hor(model, fol))
+                          horizontal_projector(model.dim, fol.spanning))
 
 
 def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> RelationReport:
@@ -330,9 +331,18 @@ def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> Re
     return report
 
 
-def _foliation_pi_hor(model: LieModel, fol: FoliationSpec) -> GradedOperator:
-    pi = bidegree_projectors(model.dim, fol.spanning)
-    return op_sum(p for (h, v), p in pi.items() if v == 0)
+@functools.lru_cache(maxsize=None)
+def horizontal_projector(ngen: int, spanning: tuple[int, ...]) -> GradedOperator:
+    """Pi_hor, the diagonal projector onto the forms with no spanning index:
+    1 on each such monomial.  Memoised per (ngen, spanning): every caller
+    shares the one operator."""
+    span = set(spanning)
+    blocks = []
+    for k in range(ngen + 1):
+        basis = monomial_basis(ngen, k)
+        blocks.append(Matrix.from_entries(len(basis), len(basis), (
+            (i, i, ONE) for i, m in enumerate(basis) if span.isdisjoint(m))))
+    return GradedOperator(ngen, 0, EVEN, tuple(blocks))
 
 
 def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
@@ -402,7 +412,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
                              "pass" if stable else "fail"))
 
-    pi_hor = _foliation_pi_hor(model, fol)
+    pi_hor = horizontal_projector(model.dim, fol.spanning)
     for entry in _basic_adjoint(model, pack, fol, sub, pi_hor).entries:
         report.add(entry)
 

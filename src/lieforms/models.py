@@ -12,9 +12,10 @@ import functools
 from fractions import Fraction
 from importlib import resources
 
-from .forms import FormElement, contract, inner_product, monomial_basis, wedge
+from .clifford import Clifford, automorphism_blocks
+from .forms import FormElement, contract, inner_product, wedge
 from .matrices import Matrix
-from .operators import EVEN, GradedOperator, ODD, extend_derivation
+from .operators import GradedOperator
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -165,16 +166,18 @@ class StructurePack:
 
 
 @functools.lru_cache(maxsize=None)
-def ce_differential(model: LieModel) -> GradedOperator:
-    """Invariant differential from the structure constants.
+def ce_differential(model: LieModel) -> Clifford:
+    """Invariant differential from the structure constants, as the Clifford
+    polynomial sum_k e_{d theta^k} i_k.
 
     Jacobi is checked first (it is equivalent to d^2 = 0, and both are
-    asserted independently).
+    asserted independently: the normal-ordered monomials are a basis, so
+    d^2 = 0 exactly when the polynomial d @ d has no term).
     """
     defect = model.jacobi_defect()
     if defect is not None:
         raise JacobiError(defect, f"Jacobi identity fails on triple {defect[:3]} (component {defect[3]})")
-    d = extend_derivation(model.dim, ODD, ce_values(model), shift=1)
+    d = Clifford.derivation(model.dim, 1, ce_values(model))
     if not (d @ d).is_zero():
         raise JacobiError(None, "d^2 != 0 despite Jacobi holding; inconsistent constants")
     return d
@@ -484,72 +487,47 @@ def builtin_file_text(name: str) -> str:
 
 
 class StructureOperators:
-    """The operators built from the pack's data, immutable.  Every other
-    named operator is derived from these in `splitting.OperatorPool`."""
+    """The operators built from the pack's data, immutable: d, L and W as
+    Clifford polynomials (`polys`) and as their blocks, I and I^-1 as
+    blocks.  Every other named operator is derived from these in
+    `splitting.OperatorPool`."""
 
-    def __init__(self, d: GradedOperator, L: GradedOperator, W: GradedOperator,
-                 I_aut: GradedOperator, I_inv: GradedOperator):
-        vars(self).update(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv)
+    def __init__(self, polys: dict[str, Clifford], I_aut: GradedOperator, I_inv: GradedOperator):
+        vars(self).update({name: p.to_blocks() for name, p in polys.items()},
+                          polys=polys, I_aut=I_aut, I_inv=I_inv)
 
     def __setattr__(self, *_):
         raise AttributeError("StructureOperators is immutable")
 
 
 @functools.lru_cache(maxsize=None)
-def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
-    """Diagonal projectors onto horizontal-degree h, vertical-degree v.
-
-    Memoised per (ngen, vertical): every caller shares the one dict, and
-    none may change it."""
-    vert = set(vertical)
-    blocks = {(h, v): [] for h in range(ngen - len(vert) + 1) for v in range(len(vert) + 1)}
-    for k in range(ngen + 1):
-        basis = monomial_basis(ngen, k)
-        # the positions in `basis` of the monomials of each bidegree
-        groups: dict[tuple[int, int], list[int]] = {}
-        for idx, m in enumerate(basis):
-            mv = sum(1 for t in m if t in vert)
-            groups.setdefault((len(m) - mv, mv), []).append(idx)
-        for key, out in blocks.items():
-            sel_t = Matrix.unit_rows(groups.get(key, ()), len(basis))
-            out.append(sel_t.conj_transpose() @ sel_t)
-    return {key: GradedOperator(ngen, 0, EVEN, tuple(out)) for key, out in blocks.items()}
-
-
-@functools.lru_cache(maxsize=None)
 def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperators:
     n = model.dim
-    d = ce_differential(model)
-
-    # built at shift 2 even when omega0 = 0 (no transversal directions)
-    L = GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x))
-
-    rotation = j_rotation(n, pack)
-    # W: even derivation extension of the rotation
-    W = extend_derivation(n, EVEN, rotation, shift=0)
-    # I = i^{p-q}: the algebra automorphism extending the rotation and the
-    # identity on the vertical coframe.  It maps each monomial to a signed
-    # monomial, so it is a signed permutation in each degree, and I^-1 is its
-    # transpose.
-    image = {k: rotation.get(k, FormElement.generator(n, k)) for k in range(1, n + 1)}
-
-    @functools.cache
-    def automorphism(mono: tuple[int, ...]) -> FormElement:
-        return wedge(image[mono[0]], automorphism(mono[1:])) if mono else FormElement.unit(n)
-
-    I_aut = GradedOperator.from_action(n, 0, EVEN, lambda x: automorphism(next(iter(x.terms))))
-    I_inv = I_aut.adjoint()
-    _check_i_against_w(W, I_aut, I_inv, pack.vertical_indices)
-    return StructureOperators(d=d, L=L, W=W, I_aut=I_aut, I_inv=I_inv)
+    images = j_images(pack)
+    polys = {
+        "d": ce_differential(model),
+        # built at shift 2 even when omega0 = 0 (no transversal directions)
+        "L": Clifford.multiplication(pack.omega0, 2),
+        # W: the even derivation extending J on the transversal coframe
+        "W": Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x)
+                                        for k, (m, x) in images.items()}),
+    }
+    # I = i^{p-q}: the algebra automorphism extending J and the identity on
+    # the vertical coframe, a signed permutation in each degree; I^-1 is its
+    # transpose
+    I_aut = automorphism_blocks(n, images)
+    ops = StructureOperators(polys, I_aut, I_aut.adjoint())
+    _check_i_against_w(ops.W, ops.I_aut, ops.I_inv, pack.vertical_indices)
+    return ops
 
 
-def j_rotation(n: int, pack: StructurePack) -> dict[int, FormElement]:
-    """J on the transversal coframe: theta^a -> theta^b, theta^b -> -theta^a."""
-    rotation = {}
+def j_images(pack: StructurePack) -> dict[int, tuple[int, Scalar]]:
+    """J on the transversal coframe as a signed relabelling k -> (m, x) of
+    theta^k to x theta^m: theta^a -> theta^b, theta^b -> -theta^a."""
+    images = {}
     for a, b in pack.transversal_pairs():
-        rotation[a] = FormElement.generator(n, b)
-        rotation[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
-    return rotation
+        images[a], images[b] = (b, ONE), (a, -ONE)
+    return images
 
 
 def _check_i_against_w(W: GradedOperator, I_aut: GradedOperator, I_inv: GradedOperator,

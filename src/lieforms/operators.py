@@ -12,11 +12,11 @@ from __future__ import annotations
 import functools
 from math import comb
 from operator import add, attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Iterable
 
-from .forms import FormElement, monomial_basis, wedge
+from .forms import FormElement, monomial_basis
 from .matrices import Matrix
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 
 EVEN, ODD = 0, 1
 
@@ -106,25 +106,6 @@ class GradedOperator:
     def identity(ngen: int) -> "GradedOperator":
         blocks = tuple(Matrix.identity(basis_dim(ngen, k)) for k in range(ngen + 1))
         return GradedOperator(ngen, 0, EVEN, blocks)
-
-    @staticmethod
-    def from_action(
-        ngen: int, shift: int, parity: int, action: Callable[[FormElement], FormElement]
-    ) -> "GradedOperator":
-        """Realize a linear map given on basis monomials as matrices: the
-        terms of each image are entered straight into the sparse block."""
-        blocks = []
-        for k in range(ngen + 1):
-            position = _positions(ngen, k + shift)
-            entries = []
-            for j, m in enumerate(monomial_basis(ngen, k)):
-                for mono, c in action(FormElement(ngen, {m: ONE})).terms.items():
-                    i = position.get(mono)
-                    if i is None:
-                        raise ValueError(f"action not homogeneous of shift {shift} on {m}")
-                    entries.append((i, j, c))
-            blocks.append(Matrix.from_entries(len(position), basis_dim(ngen, k), entries))
-        return GradedOperator(ngen, shift, parity, tuple(blocks))
 
     # -- application ---------------------------------------------------
 
@@ -241,66 +222,6 @@ def supercommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
     ab = a @ b
     ba = b @ a
     return ab + ba if a.parity * b.parity % 2 else ab - ba
-
-
-def extend_derivation(
-    ngen: int,
-    parity: int,
-    action: Mapping[int, FormElement],
-    unit_value: FormElement | None = None,
-    shift: int | None = None,
-) -> GradedOperator:
-    """Unique first-order operator with the given values on 1 and theta^k.
-
-    With unit_value (the value on 1) zero or omitted this is the signed
-    Leibniz extension of a graded derivation; otherwise D = e_{D(1)} + the
-    derivation extending D(theta^k) - D(1)^theta^k.  The common degree
-    shift of the generator values must match the declared parity mod 2.
-    """
-    d1 = unit_value if unit_value is not None else FormElement.zero(ngen)
-    shifts = set()
-    for k in range(1, ngen + 1):
-        val = action.get(k, FormElement.zero(ngen))
-        for deg in val.degrees():
-            shifts.add(deg - 1)
-    if not d1.is_zero():
-        shifts.update(d1.degrees())
-    if shift is not None:
-        shifts.add(shift)
-    if not shifts:
-        return GradedOperator.zero(ngen, 1 if parity else 0, parity)
-    if len(shifts) > 1:
-        raise ValueError(f"action values have mixed degree shifts {sorted(shifts)}")
-    shift = shifts.pop()
-    if shift % 2 != parity % 2:
-        raise ValueError(
-            f"action inconsistent with declared parity: shift {shift} vs parity {parity}"
-        )
-
-    gen_values = {}
-    for k in range(1, ngen + 1):
-        val = action.get(k, FormElement.zero(ngen))
-        gen_values[k] = val - wedge(d1, FormElement.generator(ngen, k))
-
-    memo: dict[tuple[int, ...], FormElement] = {(): FormElement.zero(ngen)}
-
-    def deriv(mono: tuple[int, ...]) -> FormElement:
-        if mono in memo:
-            return memo[mono]
-        head, rest = mono[0], mono[1:]
-        rest_form = FormElement.monomial(ngen, rest)
-        out = wedge(gen_values[head], rest_form)
-        tail = deriv(rest)
-        signed = tail.scale(Scalar.of(-1)) if parity % 2 else tail
-        out = out + wedge(FormElement.generator(ngen, head), signed)
-        memo[mono] = out
-        return out
-
-    def act(x: FormElement) -> FormElement:
-        mono = next(iter(x.terms))
-        return wedge(d1, x) + deriv(mono).scale(x.terms[mono])
-
-    return GradedOperator.from_action(ngen, shift, parity, act)
 
 
 def reeb_power(a: GradedOperator, lie_r: GradedOperator, k: int) -> GradedOperator:

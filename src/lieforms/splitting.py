@@ -30,19 +30,18 @@ import functools
 import random
 
 from .clifford import Clifford, generator_mask
-from .forms import hodge_star, wedge
+from .forms import monomial_basis, star_monomial, wedge
+from .matrices import Matrix
 from .models import (
     LieModel,
     StructureError,
     StructureOperators,
     StructurePack,
-    ce_values,
-    j_rotation,
+    j_images,
     structure_operators,
 )
 from .operators import (
     GradedOperator,
-    ODD,
     RelationEntry,
     RelationReport,
     check_relation,
@@ -185,24 +184,7 @@ def _hodge_split(W, d1, d1c) -> tuple:
     return (d1 - i_d1c).scale(HALF), (d1 + i_d1c).scale(HALF), d1c, w_d1
 
 
-def _letter_images(I_aut: GradedOperator) -> dict:
-    """Conjugation by I as a relabelling of the letters: I is an algebra
-    automorphism and a signed permutation on 1-forms, so it conjugates e_k
-    to e_{I theta^k} and i_k to i_{I theta^k}."""
-    return {j + 1: (i + 1, x) for j, col in enumerate(I_aut.blocks[1].columns())
-            for i, x in col.items()}
-
-
 # -- the named operator pool --------------------------------------------
-
-
-def _certified(p: "OperatorPool", name: str, poly: Clifford) -> Clifford:
-    """A polynomial built from the model, checked once against the matrix
-    `structure_operators` built from the same data; that matrix is its view."""
-    if poly.to_blocks() != getattr(p.ops, name):
-        raise StructureError(name, "the Clifford polynomial disagrees with the matrix")
-    p._views[id(poly)] = getattr(p.ops, name)
-    return poly
 
 
 def _p_minus_n(p: "OperatorPool") -> Clifford:
@@ -215,10 +197,6 @@ def _p_minus_n(p: "OperatorPool") -> Clifford:
 
 
 _RECIPES = {
-    "d": lambda p: _certified(p, "d", Clifford.derivation(p.model.dim, 1, ce_values(p.model))),
-    "L": lambda p: _certified(p, "L", Clifford.multiplication(p.pack.omega0, 2)),
-    "W": lambda p: _certified(p, "W", Clifford.derivation(p.model.dim, 0,
-                                                          j_rotation(p.model.dim, p.pack))),
     # the Reeb and Lee operators are the coframe ones at the pack's indices
     "e_r": lambda p: p.poly(f"e_{p.pack.reeb_index}"),
     "i_r": lambda p: p.poly(f"i_{p.pack.reeb_index}"),
@@ -274,11 +252,10 @@ class OperatorPool:
     certified the Hodge split); `split(fol)` is the split of d along a
     foliation, memoised per foliation.  The relation tables and the guards
     decide on the polynomials.  `pool[name]` is the operator's blocks, for
-    the complexes, built once from the polynomial (d, L and W take the
-    matrices of `structure_operators`, which their polynomials are checked
-    against), and names that share a polynomial share its blocks.  The
-    names are the operators' only labels: reports print them, never read
-    them off an operator.
+    the complexes, built once from the polynomial, and names that share a
+    polynomial share its blocks.  d, L and W, polynomials and blocks, are
+    those of `structure_operators`.  The names are the operators' only
+    labels: reports print them, never read them off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
@@ -289,8 +266,8 @@ class OperatorPool:
         for k in range(1, n + 1):
             self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
-        self._polys: dict = {}
-        self._views: dict = {}
+        self._polys: dict = dict(self.ops.polys)
+        self._views: dict = {id(p): getattr(self.ops, name) for name, p in self.ops.polys.items()}
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
@@ -320,9 +297,11 @@ class OperatorPool:
     @functools.cached_property
     def hodge(self) -> tuple[Clifford, ...]:
         """d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split, with I d1 I^-1
-        taken as a relabelling of d1's letters."""
+        taken as a relabelling of d1's letters: I is the algebra automorphism
+        extending J, so it conjugates e_k to e_{J theta^k} and i_k to
+        i_{J theta^k}."""
         d1 = self.split(reeb_foliation(self.pack)).d1
-        return _hodge_split(self.poly("W"), d1, d1.substitute(_letter_images(self.ops.I_aut)))
+        return _hodge_split(self.poly("W"), d1, d1.substitute(j_images(self.pack)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -379,13 +358,31 @@ def central(group: str, centers, others) -> list:
     return [(f"{group}.[{c},{o}]", (c, o), 0, ()) for c in centers for o in others]
 
 
+def _star_map(ngen: int, k: int) -> list[tuple[int, bool]]:
+    """The Hodge star from degree k to degree N - k as a signed permutation:
+    for each basis monomial, the position of its complement and whether its
+    sign is negative."""
+    position = {m: i for i, m in enumerate(monomial_basis(ngen, ngen - k))}
+    return [(position[comp], sign < 0)
+            for comp, sign in (star_monomial(ngen, m) for m in monomial_basis(ngen, k))]
+
+
 def _star_adjoint_entry(pool: OperatorPool) -> RelationEntry:
     """Cross-check the metric adjoint against +-*d* degree by degree."""
-    d = pool.poly("d")
-    # *d* : degree k -> N-k -> N-k+1 -> k-1
-    sds = GradedOperator.from_action(d.ngen, -1, ODD, lambda x: hodge_star(d.apply(hodge_star(x))))
-    signs = []
-    for k, (target, block) in enumerate(zip(pool["d*"].blocks, sds.blocks)):
+    n, d = pool.model.dim, pool["d"]
+    stars = [_star_map(n, k) for k in range(n + 1)]
+    signs = [0]  # on 0-forms d* and *d* both map to degree -1
+    for k in range(1, n + 1):
+        target = pool["d*"].blocks[k]
+        # *d* : degree k -> N-k -> N-k+1 -> k-1 is d's block from degree
+        # N-k with its columns and rows permuted and signed by the stars
+        cols, back = d.blocks[n - k].columns(), stars[n - k + 1]
+        entries = []
+        for j, (c, neg) in enumerate(stars[k]):
+            for r, v in cols[c].items():
+                t, neg_t = back[r]
+                entries.append((t, j, -v if neg ^ neg_t else v))
+        block = Matrix.from_entries(target.nrows, target.ncols, entries)
         if target.is_zero() and block.is_zero():
             signs.append(0)
         elif target == block:

@@ -1,0 +1,149 @@
+"""Block reference constructions: operators built from their action on forms.
+
+The engine builds d, L and W as normal-ordered Clifford polynomials and
+writes their blocks from the terms; it builds I as a signed permutation
+read off the J pairs by bitmask, and Pi_hor as a diagonal.  This module
+keeps the constructions those replaced, which go through `forms.wedge`
+alone, as an independent reference:
+
+- `from_action` enters the image of each basis monomial into its block;
+- `extend_derivation` is the signed Leibniz extension of generator values;
+- `reference_operators` builds d, L, W, I and I^-1 of a model with them;
+- `bidegree_projectors` are the diagonal projectors onto each
+  (horizontal, vertical) bidegree.
+"""
+
+import functools
+from typing import Callable, Mapping
+
+from lieforms.forms import FormElement, monomial_basis, wedge
+from lieforms.matrices import Matrix
+from lieforms.models import ce_values
+from lieforms.operators import EVEN, GradedOperator, ODD, basis_dim
+from lieforms.scalars import ONE, Scalar
+
+
+def from_action(ngen: int, shift: int, parity: int,
+                action: Callable[[FormElement], FormElement]) -> GradedOperator:
+    """Realize a linear map given on basis monomials as matrices: the terms
+    of each image are entered straight into the sparse block."""
+    blocks = []
+    for k in range(ngen + 1):
+        tgt = monomial_basis(ngen, k + shift) if 0 <= k + shift <= ngen else []
+        position = {m: i for i, m in enumerate(tgt)}
+        entries = []
+        for j, m in enumerate(monomial_basis(ngen, k)):
+            for mono, c in action(FormElement(ngen, {m: ONE})).terms.items():
+                i = position.get(mono)
+                if i is None:
+                    raise ValueError(f"action not homogeneous of shift {shift} on {m}")
+                entries.append((i, j, c))
+        blocks.append(Matrix.from_entries(len(position), basis_dim(ngen, k), entries))
+    return GradedOperator(ngen, shift, parity, tuple(blocks))
+
+
+def extend_derivation(
+    ngen: int,
+    parity: int,
+    action: Mapping[int, FormElement],
+    unit_value: FormElement | None = None,
+    shift: int | None = None,
+) -> GradedOperator:
+    """Unique first-order operator with the given values on 1 and theta^k.
+
+    With unit_value (the value on 1) zero or omitted this is the signed
+    Leibniz extension of a graded derivation; otherwise D = e_{D(1)} + the
+    derivation extending D(theta^k) - D(1)^theta^k.  The common degree
+    shift of the generator values must match the declared parity mod 2.
+    """
+    d1 = unit_value if unit_value is not None else FormElement.zero(ngen)
+    shifts = set()
+    for k in range(1, ngen + 1):
+        val = action.get(k, FormElement.zero(ngen))
+        for deg in val.degrees():
+            shifts.add(deg - 1)
+    if not d1.is_zero():
+        shifts.update(d1.degrees())
+    if shift is not None:
+        shifts.add(shift)
+    if not shifts:
+        return GradedOperator.zero(ngen, 1 if parity else 0, parity)
+    if len(shifts) > 1:
+        raise ValueError(f"action values have mixed degree shifts {sorted(shifts)}")
+    shift = shifts.pop()
+    if shift % 2 != parity % 2:
+        raise ValueError(
+            f"action inconsistent with declared parity: shift {shift} vs parity {parity}"
+        )
+
+    gen_values = {}
+    for k in range(1, ngen + 1):
+        val = action.get(k, FormElement.zero(ngen))
+        gen_values[k] = val - wedge(d1, FormElement.generator(ngen, k))
+
+    memo: dict[tuple[int, ...], FormElement] = {(): FormElement.zero(ngen)}
+
+    def deriv(mono: tuple[int, ...]) -> FormElement:
+        if mono in memo:
+            return memo[mono]
+        head, rest = mono[0], mono[1:]
+        rest_form = FormElement.monomial(ngen, rest)
+        out = wedge(gen_values[head], rest_form)
+        tail = deriv(rest)
+        signed = tail.scale(Scalar.of(-1)) if parity % 2 else tail
+        out = out + wedge(FormElement.generator(ngen, head), signed)
+        memo[mono] = out
+        return out
+
+    def act(x: FormElement) -> FormElement:
+        mono = next(iter(x.terms))
+        return wedge(d1, x) + deriv(mono).scale(x.terms[mono])
+
+    return from_action(ngen, shift, parity, act)
+
+
+def reference_operators(model, pack) -> dict[str, GradedOperator]:
+    """d, L, W, I_aut and I_inv built through FormElement wedges: d and W as
+    Leibniz extensions of their generator values, L as wedge with omega0,
+    and I as the algebra automorphism extending J and the identity on the
+    vertical coframe, one wedge of generator images per monomial."""
+    n = model.dim
+    rotation = {}
+    for a, b in pack.transversal_pairs():
+        rotation[a] = FormElement.generator(n, b)
+        rotation[b] = FormElement.generator(n, a).scale(Scalar.of(-1))
+    image = {k: rotation.get(k, FormElement.generator(n, k)) for k in range(1, n + 1)}
+
+    @functools.cache
+    def automorphism(mono: tuple[int, ...]) -> FormElement:
+        return wedge(image[mono[0]], automorphism(mono[1:])) if mono else FormElement.unit(n)
+
+    I_aut = from_action(n, 0, EVEN, lambda x: automorphism(next(iter(x.terms))))
+    return {
+        "d": extend_derivation(n, ODD, ce_values(model), shift=1),
+        "L": from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x)),
+        "W": extend_derivation(n, EVEN, rotation, shift=0),
+        "I_aut": I_aut,
+        "I_inv": I_aut.adjoint(),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
+    """Diagonal projectors onto horizontal-degree h, vertical-degree v.
+
+    Memoised per (ngen, vertical): every caller shares the one dict, and
+    none may change it."""
+    vert = set(vertical)
+    blocks = {(h, v): [] for h in range(ngen - len(vert) + 1) for v in range(len(vert) + 1)}
+    for k in range(ngen + 1):
+        basis = monomial_basis(ngen, k)
+        # the positions in `basis` of the monomials of each bidegree
+        groups: dict[tuple[int, int], list[int]] = {}
+        for idx, m in enumerate(basis):
+            mv = sum(1 for t in m if t in vert)
+            groups.setdefault((len(m) - mv, mv), []).append(idx)
+        for key, out in blocks.items():
+            sel_t = Matrix.unit_rows(groups.get(key, ()), len(basis))
+            out.append(sel_t.conj_transpose() @ sel_t)
+    return {key: GradedOperator(ngen, 0, EVEN, tuple(out)) for key, out in blocks.items()}

@@ -202,6 +202,84 @@ def test_traced_worker_report_matches_plain(argv):
         "models.structure_operators_peak_mb"}
 
 
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+
+@pytest.mark.parametrize("args, code, snapshot", [
+    (["all", "tests/data/h9.alg", "--format", "json"], 0, "h9.all.json"),
+    (["check", "tests/data/su2_aff.alg"], 1, "su2_aff.check.txt"),
+], ids=["all h9 json", "check su2_aff"])
+def test_command_line_process_delivers_the_whole_report(args, code, snapshot):
+    # the process ends with os._exit after flushing; the h9 report (89 KB)
+    # is larger than a pipe buffer, so it is written in several pieces
+    child = subprocess.run([sys.executable, "-m", "lieforms.cli", *args], capture_output=True,
+                           env=child_env(), cwd=ROOT, timeout=120)
+    assert child.returncode == code, child.stderr[-2000:]
+    assert child.stdout == (GOLDEN / snapshot).read_bytes()
+    assert child.stderr == b""
+
+
+def test_command_line_process_reports_input_errors_and_writes_output_files(tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("[algebra]\ndim = 3\n[brackets]\nwhat\n")
+    child = subprocess.run([sys.executable, "-m", "lieforms.cli", "check", str(bad)],
+                           capture_output=True, text=True, env=child_env(), timeout=60)
+    assert child.returncode == 2
+    assert child.stderr == f"error: line 4: expected `i j -> k : a/b`, got 'what'\n"
+    out = tmp_path / "report.csv"
+    child = subprocess.run([sys.executable, "-m", "lieforms.cli", "all", "h5", "--format", "csv",
+                            "--output", str(out)],
+                           capture_output=True, env=child_env(), timeout=120)
+    assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+    assert out.read_bytes() == (GOLDEN / "h5.csv").read_bytes()
+
+
+class _Exit(Exception):
+    pass
+
+
+def test_entry_flushes_then_ends_without_teardown(monkeypatch):
+    import io
+    import os
+
+    from lieforms import cli
+
+    class Stream(io.StringIO):
+        def __init__(self, fail: bool):
+            super().__init__()
+            self.fail, self.flushed = fail, False
+
+        def flush(self):
+            if self.fail:
+                raise BrokenPipeError
+            self.flushed = True
+
+    def hard_exit(status):
+        raise _Exit(status)
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    monkeypatch.setattr(sys, "argv", ["lieforms", "cohomology", "torus2"])
+    out, err = Stream(False), Stream(False)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    with pytest.raises(_Exit) as ended:
+        cli.entry()
+    assert ended.value.args == (0,) and out.flushed and err.flushed
+    assert out.getvalue().startswith("== cohomology torus2 ==")
+    # a failed flush falls back to a normal exit with the same status
+    monkeypatch.setattr(sys, "stdout", Stream(True))
+    with pytest.raises(SystemExit) as ended:
+        cli.entry()
+    assert ended.value.code == 0
+    # argparse's exit takes the normal path too
+    monkeypatch.setattr(sys, "argv", ["lieforms", "nosuch-command"])
+    with pytest.raises(SystemExit) as ended:
+        cli.entry()
+    assert ended.value.code == 2
+    assert 'lieforms = "lieforms.cli:entry"' in (ROOT / "pyproject.toml").read_text()
+
+
 def test_cold_import_loads_no_introspection_modules():
     # every record of the package is a plain class, so a fresh command-line
     # process never imports dataclasses and the modules it drags in

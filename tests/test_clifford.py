@@ -4,8 +4,8 @@ The references build each operator as blocks through `GradedOperator`
 alone: a monomial e_W i_C is the product of the letter matrices of
 `forms.wedge` and `forms.contract` in its written order, and the pool's
 guard generators are rebuilt the way the matrix engine built them (d, L,
-W, I from `structure_operators`, adjoints and supercommutators of blocks,
-d1 cut out by the bidegree projectors).
+W, I through FormElement wedges, from `block_reference.py`, adjoints and
+supercommutators of blocks, d1 cut out by the bidegree projectors).
 """
 
 import functools
@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from lieforms.clifford import Clifford
 from lieforms.forms import FormElement, contract, monomial_basis, wedge
-from lieforms.models import BUILTIN_NAMES, bidegree_projectors, load_model_file
+from lieforms.models import BUILTIN_NAMES, j_images, load_model_file
 from lieforms.operators import GradedOperator, ODD, op_sum, supercommutator
 from lieforms.scalars import Scalar
-from lieforms.splitting import _letter_images, guard_names, operator_pool
+from lieforms.splitting import guard_names, operator_pool
 
+from block_reference import bidegree_projectors, from_action, reference_operators
 from conftest import model_pack
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -30,8 +31,8 @@ DATA = Path(__file__).resolve().parent / "data"
 def letter(ngen: int, k: int, create: bool) -> GradedOperator:
     gen = FormElement.generator(ngen, k)
     if create:
-        return GradedOperator.from_action(ngen, 1, ODD, lambda x: wedge(gen, x))
-    return GradedOperator.from_action(ngen, -1, ODD, lambda x: contract(k, x))
+        return from_action(ngen, 1, ODD, lambda x: wedge(gen, x))
+    return from_action(ngen, -1, ODD, lambda x: contract(k, x))
 
 
 def bits(mask):
@@ -117,10 +118,10 @@ def test_letter_relabelling_is_conjugation_by_i(data):
     # up to sign, so conjugating by it relabels the letters
     name = data.draw(st.sampled_from(BUILTIN_NAMES))
     model, pack = model_pack(name)
-    ops = operator_pool(model, pack).ops
+    ops = reference_ops(name)
     p = data.draw(polynomials(model.dim, data.draw(st.integers(-1, 1))))
-    assert (p.substitute(_letter_images(ops.I_aut)).to_blocks()
-            == ops.I_aut @ p.to_blocks() @ ops.I_inv)
+    assert (p.substitute(j_images(pack)).to_blocks()
+            == ops["I_aut"] @ p.to_blocks() @ ops["I_inv"])
 
 
 def test_first_order_criterion():
@@ -149,20 +150,27 @@ def _load(name):
     return model_pack(name) if name in BUILTIN_NAMES else load_model_file(str(DATA / f"{name}.alg"))
 
 
+@functools.lru_cache(maxsize=None)
+def reference_ops(name: str) -> dict[str, GradedOperator]:
+    return reference_operators(*_load(name))
+
+
 def matrix_generators(model, pack, ops) -> dict[str, GradedOperator]:
-    """The guard generators as the matrix engine built them."""
+    """The guard generators as the matrix engine built them, from d, L, W
+    and I built through FormElement wedges (`block_reference.py`)."""
     n = model.dim
-    lam = ops.L.adjoint()
-    out = {"L": ops.L, "Lam": lam, "H": supercommutator(ops.L, lam), "W": ops.W,
+    d, L, W = ops["d"], ops["L"], ops["W"]
+    lam = L.adjoint()
+    out = {"L": L, "Lam": lam, "H": supercommutator(L, lam), "W": W,
            "Id": GradedOperator.identity(n)}
     if pack.kind == "kahler":
-        dc = supercommutator(ops.W, ops.d)
-        return {**out, "d": ops.d, "d*": ops.d.adjoint(), "dc": dc, "dc*": dc.adjoint()}
+        dc = supercommutator(W, d)
+        return {**out, "d": d, "d*": d.adjoint(), "dc": dc, "dc*": dc.adjoint()}
     r = pack.reeb_index
     pi = bidegree_projectors(n, (r,))
     d1 = op_sum([GradedOperator.zero(n, 1, ODD)] + [
-        pi[h + 1, v] @ ops.d @ p for (h, v), p in pi.items() if (h + 1, v) in pi])
-    d1c = ops.I_aut @ d1 @ ops.I_inv
+        pi[h + 1, v] @ d @ p for (h, v), p in pi.items() if (h + 1, v) in pi])
+    d1c = ops["I_aut"] @ d1 @ ops["I_inv"]
     return {**out, "d1": d1, "d1*": d1.adjoint(), "d1c": d1c, "d1c*": d1c.adjoint(),
             "e_r": letter(n, r, True), "i_r": letter(n, r, False)}
 
@@ -171,7 +179,7 @@ def matrix_generators(model, pack, ops) -> dict[str, GradedOperator]:
 def test_pool_generators_and_brackets_equal_the_matrix_engine(name):
     model, pack = _load(name)
     pool = operator_pool(model, pack)
-    reference = matrix_generators(model, pack, pool.ops)
+    reference = matrix_generators(model, pack, reference_ops(name))
     names = guard_names(pack)
     assert set(reference) == set(names)
     for x in names:

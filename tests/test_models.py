@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieforms.cohomology import _foliation_pi_hor, basic_subcomplex, transversal_package
+from lieforms.cohomology import basic_subcomplex, horizontal_projector, transversal_package
 from lieforms.forms import FormElement, wedge
 from lieforms.models import (
     AntisymmetryError,
@@ -15,7 +15,6 @@ from lieforms.models import (
     ModelError,
     ModelSyntaxError,
     StructureError,
-    bidegree_projectors,
     builtin,
     builtin_file_text,
     builtin_models,
@@ -29,7 +28,6 @@ from lieforms.models import (
 from lieforms.operators import GradedOperator, supercommutator
 from lieforms.scalars import I, ONE, Scalar
 from lieforms.splitting import (
-    FoliationSpec,
     foliation_split,
     hodge_split_d1,
     operator_pool,
@@ -37,6 +35,7 @@ from lieforms.splitting import (
     sigma_foliation,
 )
 
+from block_reference import bidegree_projectors, reference_operators
 from conftest import child_env, model_pack, ops_for, pool_for
 from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
 
@@ -68,6 +67,19 @@ def test_ce_differential_examples():
     su2, _ = model_pack("su2")
     dsu2 = ce_differential(su2)
     assert (dsu2 @ dsu2).is_zero()
+
+
+def test_polynomial_d_squared_is_checked_apart_from_jacobi(monkeypatch):
+    # with the Jacobi check silenced, the cyclic constants of
+    # test_jacobi_defect_detection are still refused, by d @ d != 0 on the
+    # Clifford polynomial
+    monkeypatch.setattr(LieModel, "jacobi_defect", lambda self: None)
+    bad = LieModel("d-squared", 3, ((1, 2, 1, ONE), (2, 3, 2, ONE), (1, 3, 3, -ONE)))
+    with pytest.raises(JacobiError, match="d\\^2 != 0 despite Jacobi holding") as err:
+        ce_differential(bad)
+    assert err.value.triple is None
+    good = LieModel("d-squared", 3, ((1, 2, 3, -ONE),))
+    assert (ce_differential(good) @ ce_differential(good)).is_zero()
 
 
 def test_su2_bracket_normalization():
@@ -183,7 +195,7 @@ def test_lie_r_skew_adjoint_and_central():
         assert lie_r.adjoint() == -lie_r
         named = [pool[x] for x in ("L", "Lam", "H", "W", "e_r", "i_r")]
         named += [pool.ops.I_aut, pool.ops.I_inv,
-                  _foliation_pi_hor(model, FoliationSpec(pack.vertical_indices))]
+                  horizontal_projector(model.dim, pack.vertical_indices)]
         named += list(reference_projectors(model, pack).values())
         named += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
         if pack.kind == "vaisman":
@@ -243,6 +255,24 @@ def test_closed_forms_match_the_lagrange_reference(name):
     stable = reference_pq_stable(pi, basic_subcomplex(model, pack, fol))
     entry = transversal_package(model, pack, fol).entry("transversal.pq_stability")
     assert entry.verdict == ("pass" if stable else "fail")
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, *(p.stem for p in sorted(DATA.glob("*.alg")))])
+def test_structure_operators_match_the_block_reference(name):
+    # d, L and W are the blocks of Clifford polynomials and I a signed
+    # permutation read off the J pairs; the reference builds each through
+    # FormElement wedges (tests/block_reference.py)
+    if name in BUILTIN_NAMES:
+        model, pack = model_pack(name)
+    else:
+        model, pack = load_model_file(str(DATA / f"{name}.alg"))
+    ops = structure_operators(model, pack)
+    reference = reference_operators(model, pack)
+    for key, op in reference.items():
+        assert getattr(ops, key) == op, key
+    for key, poly in ops.polys.items():
+        assert poly.to_blocks() == reference[key], key
+    assert operator_pool(model, pack).poly("d") is ops.polys["d"] is ce_differential(model)
 
 
 def test_i_check_fails_on_a_planted_fault():
@@ -406,7 +436,8 @@ def test_frozen_records_refuse_assignment():
 _H7_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from lieforms.models import bidegree_projectors, load_model_file
+from lieforms.cohomology import horizontal_projector
+from lieforms.models import load_model_file
 from lieforms.operators import GradedOperator
 from lieforms.splitting import (FoliationSplit, operator_pool, reeb_foliation,
                                 sasakian_relations)
@@ -414,7 +445,7 @@ model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
 named = [v for v in vars(pool.ops).values() if isinstance(v, GradedOperator)]
 named += [pool[x] for x in ("e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
-named += [*bidegree_projectors(model.dim, pack.vertical_indices).values(),
+named += [horizontal_projector(model.dim, pack.vertical_indices),
           *(p.to_blocks() for p in (*pool.split(reeb_foliation(pack)).components, *pool.hodge))]
 sasakian_relations(model, pack)  # builds the table's whole pool
 named += [p.to_blocks() for p in pool._polys.values() if not isinstance(p, FoliationSplit)]
@@ -433,3 +464,36 @@ def test_h7_builds_under_one_gib():
                            capture_output=True, text=True, env=child_env(), timeout=300)
     assert child.returncode == 0, child.stderr[-2000:]
     assert int(child.stdout) > 60
+
+
+_H21_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from lieforms.models import parse_model
+model, pack = parse_model(sys.stdin.read(), name="h21")
+print(model.dim, pack.kind)
+"""
+
+
+def heisenberg_text(n: int) -> str:
+    """The contact Heisenberg model h_{2n+1}: [e_a, e_{a+1}] = -e_{2n+1} and
+    J pairs a -> a+1 for odd a, with the Reeb direction 2n+1."""
+    r = 2 * n + 1
+    return "\n".join(["[algebra]", f"dim = {r}", "[brackets]",
+                      *(f"{a} {a + 1} -> {r} : -1" for a in range(1, r - 1, 2)),
+                      "[structure]", "kind = sasakian", f"reeb = {r}",
+                      *(f"J: {a} -> {a + 1}" for a in range(1, r - 1, 2))]) + "\n"
+
+
+def test_h21_loads_under_one_gib():
+    """Loading checks Jacobi, d^2 = 0 and every pack invariant on the
+    polynomial d and builds no block, so the dim-21 contact model loads in a
+    child capped at 1 GiB of address space; its blocks would hold 2^21
+    columns."""
+    import subprocess
+    import sys
+
+    child = subprocess.run([sys.executable, "-c", _H21_CHILD], input=heisenberg_text(10),
+                           capture_output=True, text=True, env=child_env(), timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    assert child.stdout.split() == ["21", "sasakian"]

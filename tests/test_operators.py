@@ -12,7 +12,6 @@ from lieforms.operators import (
     ODD,
     basis_dim,
     column_forms,
-    extend_derivation,
     form_to_column,
     reeb_power,
     supercommutator,
@@ -21,6 +20,7 @@ from lieforms.matrices import Matrix
 from lieforms.scalars import ONE, ZERO, Scalar
 from lieforms.splitting import guard_names
 
+from block_reference import extend_derivation, from_action
 from conftest import model_pack, ops_for, pool_for
 
 
@@ -142,7 +142,7 @@ def test_adjoint_vs_star_signs_on_su2():
     def star_d_star(x):
         return hodge_star(d.apply(hodge_star(x)))
 
-    sds = GradedOperator.from_action(n, -1, ODD, star_d_star)
+    sds = from_action(n, -1, ODD, star_d_star)
     for k in range(1, n + 1):
         sds_k = dense_block(n, k, k - 1, star_d_star)
         assert sds.blocks[k] == sds_k
@@ -464,10 +464,10 @@ def test_from_action_rejects_non_homogeneous_actions():
     n = 3
     e1 = FormElement.generator(n, 1)
     with pytest.raises(ValueError, match="not homogeneous of shift 1"):
-        GradedOperator.from_action(n, 1, ODD, lambda x: wedge(e1, x) + x)
+        from_action(n, 1, ODD, lambda x: wedge(e1, x) + x)
     with pytest.raises(ValueError, match="not homogeneous of shift 2"):
-        GradedOperator.from_action(n, 2, EVEN, lambda x: wedge(e1, x))
+        from_action(n, 2, EVEN, lambda x: wedge(e1, x))
     # a nonzero image past the top degree
     with pytest.raises(ValueError, match=r"not homogeneous of shift 1 on \(1, 2, 3\)"):
-        GradedOperator.from_action(n, 1, ODD, lambda x: x if len(next(iter(x.terms))) == n
-                                   else FormElement.zero(n))
+        from_action(n, 1, ODD, lambda x: x if len(next(iter(x.terms))) == n
+                    else FormElement.zero(n))
