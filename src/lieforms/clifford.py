@@ -13,10 +13,9 @@ are.  The contractions run in decreasing order so that the metric adjoint
 of e_W i_C is e_C i_W, and i_C e_C = 1 on the unit.  W and C are stored as
 bitmasks, generator k at bit k - 1.
 
-The operator algebra (sum, scale, product, adjoint) works on the terms;
-`to_blocks` writes the per-degree matrices straight from them, and
-`operators.supercommutator` and `operators.check_relation` take either
-form.
+This is the engine's one operator algebra (sum, scale, product,
+adjoint), and it works on the terms; `to_blocks` writes the per-degree
+matrices that the complexes consume straight from them.
 """
 
 from __future__ import annotations
@@ -189,25 +188,6 @@ class Clifford:
         return Clifford(ngen, shift, {(generator_mask(m), 1 << (k - 1)): c
                                       for k, a in values.items() for m, c in a.terms.items()})
 
-    @staticmethod
-    def from_operator(op: GradedOperator) -> "Clifford":
-        """The polynomial of an operator given by its blocks.
-
-        On e_S only the terms with C inside S act, and e_W i_S e_S = e_W,
-        so taking S by increasing degree, the terms with C = S are the
-        image of e_S less the action of the terms found before."""
-        n, shift = op.ngen, op.shift
-        masks, _ = _basis(n)
-        terms: dict[Term, Scalar] = {}
-        for k in range(max(0, -shift), min(n, n - shift) + 1):
-            targets = masks[k + shift]
-            for s, col in zip(masks[k], op.blocks[k].columns()):
-                image = {targets[i]: v for i, v in col.items()}
-                for w, v in _act(terms, s).items():
-                    image[w] = image[w] - v if w in image else -v
-                terms.update(((w, s), v) for w, v in image.items() if v)
-        return _new(n, shift, terms)
-
     # -- operator algebra ----------------------------------------------
 
     def __add__(self, other: "Clifford") -> "Clifford":
@@ -332,7 +312,8 @@ class Clifford:
 
     def first_difference(self, other: "Clifford"):
         """(degree, row, col, lhs, rhs) of the first differing matrix entry,
-        degree by degree as `GradedOperator.first_difference`, or None.
+        in degree order and row-major within a block, or None; a shift
+        mismatch is reported as degree None.
 
         Only that degree's blocks are built: it is the smallest |C| among
         the terms of the difference, since a term acts from degree |C| on,

@@ -16,8 +16,10 @@ every contact-type check.
 from __future__ import annotations
 
 import functools
+from operator import matmul
 
-from .forms import FormElement, monomial_basis
+from .clifford import Clifford
+from .forms import FormElement
 from .matrices import (
     Matrix,
     charpoly,
@@ -31,7 +33,6 @@ from .matrices import (
 )
 from .models import LieModel, StructureError, StructurePack
 from .operators import (
-    EVEN,
     GradedOperator,
     RelationEntry,
     RelationReport,
@@ -284,37 +285,41 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
 
 
 def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
-    """Delta_s, its {d1, d1*} term, and (i_v, Lie_v) for each spanning v."""
+    """Delta_s, its {d1, d1*} term, Lie_v = {d, i_v} for each spanning v,
+    and Pi_hor = prod_v i_v e_v, as polynomials."""
     pool = operator_pool(model, pack)
     if fol == reeb_foliation(pack):
-        box = pool["Delta1"]  # {d1, d1*} of the Reeb split, shared with the tables
+        box = pool.poly("Delta1")  # {d1, d1*} of the Reeb split, shared with the tables
     else:
         d1 = pool.split(fol).d1
-        box = supercommutator(d1, d1.adjoint()).to_blocks()
-    pairs = _contractions(model, pack, fol)
-    return op_sum([box] + [-(lie @ lie) for _, lie in pairs]), box, pairs
+        box = supercommutator(d1, d1.adjoint())
+    lies = [pool.poly(("d", f"i_{v}")) for v in fol.spanning]
+    pi_hor = functools.reduce(matmul, (pool.poly(f"i_{v}") @ pool.poly(f"e_{v}")
+                                       for v in fol.spanning), pool.poly("Id"))
+    return op_sum([box] + [-(lie @ lie) for lie in lies]), box, lies, pi_hor
 
 
-def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> GradedOperator:
+def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> Clifford:
     """{d1, d1*} - sum_v Lie_v^2 for the foliation's transversal component."""
     return _split_laplacian_parts(model, pack, fol)[0]
 
 
 def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
-    return _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol),
-                          horizontal_projector(model.dim, fol.spanning))
+    return _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol))
 
 
-def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> RelationReport:
+def _basic_adjoint(model, pack, fol, sub: FormComplex) -> RelationReport:
     report = RelationReport(model.name, f"basic adjoint identity {list(fol.spanning)}")
     d_star = operator_pool(model, pack)["d*"]
     checked = 0
     for k in sub.degrees[1:]:
         # entry (j, b) pairs the image of the j-th basic form of degree k
-        # with the b-th basic form of degree k-1
+        # with the b-th basic form of degree k-1.  The printed side keeps
+        # Pi_hor, but basic forms are horizontal and Pi_hor is self-adjoint,
+        # so g(Pi_hor x, b) = g(x, b) and d* is paired directly
         beta = sub.embed[k - 1]
-        lhs = (pi.blocks[k - 1] @ d_star.blocks[k] @ sub.embed[k]).conj_transpose() @ beta
+        lhs = (d_star.blocks[k] @ sub.embed[k]).conj_transpose() @ beta
         rhs = (beta @ sub.adjoint_d(k - 1)).conj_transpose() @ beta
         diff = (lhs - rhs).first_nonzero()
         if diff is not None:
@@ -329,20 +334,6 @@ def _basic_adjoint(model, pack, fol, sub: FormComplex, pi: GradedOperator) -> Re
                              f"g(Pi_hor d* a, b) over {checked} basis pairs",
                              "g(d*_bas a, b)", "pass"))
     return report
-
-
-@functools.lru_cache(maxsize=None)
-def horizontal_projector(ngen: int, spanning: tuple[int, ...]) -> GradedOperator:
-    """Pi_hor, the diagonal projector onto the forms with no spanning index:
-    1 on each such monomial.  Memoised per (ngen, spanning): every caller
-    shares the one operator."""
-    span = set(spanning)
-    blocks = []
-    for k in range(ngen + 1):
-        basis = monomial_basis(ngen, k)
-        blocks.append(Matrix.from_entries(len(basis), len(basis), (
-            (i, i, ONE) for i, m in enumerate(basis) if span.isdisjoint(m))))
-    return GradedOperator(ngen, 0, EVEN, tuple(blocks))
 
 
 def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
@@ -382,13 +373,14 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     n_t = (model.dim - len(fol.spanning)) // 2
 
     # hard Lefschetz via the induced map of L^(n-k)
+    L = pool.poly("L")
     ok = True
     detail = []
     for k in sub.degrees:
         e = n_t - k
         if e < 0 or 2 * n_t - k > max(sub.degrees):
             continue
-        blocks = sub.restrict(pool["L"].power(e))
+        blocks = sub.restrict(functools.reduce(matmul, [L] * e, pool.poly("Id")).to_blocks())
         ind = induced_map(blocks, sub, coh, coh, degree_offset=2 * e)
         m = ind[k]
         bij = rank(m) == coh.betti[k] == coh.betti[2 * n_t - k]
@@ -412,36 +404,34 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
                              "pass" if stable else "fail"))
 
-    pi_hor = horizontal_projector(model.dim, fol.spanning)
-    for entry in _basic_adjoint(model, pack, fol, sub, pi_hor).entries:
+    for entry in _basic_adjoint(model, pack, fol, sub).entries:
         report.add(entry)
 
-    # split Laplacian
-    ds, box, pairs = _split_laplacian_parts(model, pack, fol)
+    # split Laplacian, decided on polynomials
+    ds, box, lies, pi_hor = _split_laplacian_parts(model, pack, fol)
     report.add(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
                              "pass" if ds.adjoint() == ds else "fail"))
-    # the Reeb direction's Lie_v* is the pool's Lie_r*, shared with the tables
-    psd = op_sum([box] + [lie @ (pool["Lie_r*"] if v == pack.reeb_index else lie.adjoint())
-                          for v, (_, lie) in zip(fol.spanning, pairs)])
+    psd = op_sum([box] + [lie @ lie.adjoint() for lie in lies])
     report.add(RelationEntry("split_laplacian.psd_decomposition",
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))
+    ds_view = ds.to_blocks()  # for the diagonal, the kernels and the restriction
     diag_ok = all(
-        ds.blocks[k].entry(i, i).im == 0 and ds.blocks[k].entry(i, i).re >= 0
-        for k in range(model.dim + 1) for i in range(ds.blocks[k].nrows)
+        block.entry(i, i).im == 0 and block.entry(i, i).re >= 0
+        for block in ds_view.blocks for i in range(block.nrows)
     )
     report.add(RelationEntry("split_laplacian.diagonal_nonnegative",
                              "<Delta_s a, a> for basis a", ">= 0",
                              "pass" if diag_ok else "fail"))
-    comm = supercommutator(pi_hor, ds)
     report.add(RelationEntry("split_laplacian.commutes_with_Pi_hor",
                              "[Pi_hor, Delta_s]", "0",
-                             "pass" if comm.is_zero() else "fail"))
+                             "pass" if supercommutator(pi_hor, ds).is_zero() else "fail"))
 
     # kernel conditions: Lie_v always vanishes; i_v is reported per model
     lie_ok, iv_ok = True, True
-    for k in range(model.dim + 1):
-        ker = nullspace(ds.blocks[k])
+    pairs = _contractions(model, pack, fol)
+    for k, block in enumerate(ds_view.blocks):
+        ker = nullspace(block)
         for iv, lie in pairs:
             lie_ok = lie_ok and (lie.blocks[k] @ ker).is_zero()
             iv_ok = iv_ok and (iv.blocks[k] @ ker).is_zero()
@@ -476,7 +466,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # closed eigenvectors of Delta_s (restricted to the basic complex) for
     # nonzero eigenvalues are exact; checked via ker g(Delta_s) with g the
     # characteristic polynomial with all factors of x removed
-    ds_sub = sub.restrict(ds)
+    ds_sub = sub.restrict(ds_view)
     eigen_ok = True
     seen = []
     for k in sub.degrees:

@@ -15,7 +15,7 @@ from importlib import resources
 from .clifford import Clifford, automorphism_blocks
 from .forms import FormElement, contract, inner_product, wedge
 from .matrices import Matrix
-from .operators import GradedOperator
+from .operators import EVEN, GradedOperator
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -488,13 +488,13 @@ def builtin_file_text(name: str) -> str:
 
 class StructureOperators:
     """The operators built from the pack's data, immutable: d, L and W as
-    Clifford polynomials (`polys`) and as their blocks, I and I^-1 as
-    blocks.  Every other named operator is derived from these in
-    `splitting.OperatorPool`."""
+    Clifford polynomials, J as the signed relabelling of the coframe that
+    W and I are built from (`j_images`), and I and I^-1 as blocks.  Every
+    other named operator is derived from these in `splitting.OperatorPool`."""
 
-    def __init__(self, polys: dict[str, Clifford], I_aut: GradedOperator, I_inv: GradedOperator):
-        vars(self).update({name: p.to_blocks() for name, p in polys.items()},
-                          polys=polys, I_aut=I_aut, I_inv=I_inv)
+    def __init__(self, d: Clifford, L: Clifford, W: Clifford, J: dict[int, tuple[int, Scalar]],
+                 I_aut: GradedOperator, I_inv: GradedOperator):
+        vars(self).update(d=d, L=L, W=W, J=J, I_aut=I_aut, I_inv=I_inv)
 
     def __setattr__(self, *_):
         raise AttributeError("StructureOperators is immutable")
@@ -503,20 +503,19 @@ class StructureOperators:
 @functools.lru_cache(maxsize=None)
 def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperators:
     n = model.dim
-    images = j_images(pack)
-    polys = {
-        "d": ce_differential(model),
-        # built at shift 2 even when omega0 = 0 (no transversal directions)
-        "L": Clifford.multiplication(pack.omega0, 2),
-        # W: the even derivation extending J on the transversal coframe
-        "W": Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x)
-                                        for k, (m, x) in images.items()}),
-    }
+    J = j_images(pack)
     # I = i^{p-q}: the algebra automorphism extending J and the identity on
     # the vertical coframe, a signed permutation in each degree; I^-1 is its
     # transpose
-    I_aut = automorphism_blocks(n, images)
-    ops = StructureOperators(polys, I_aut, I_aut.adjoint())
+    I_aut = automorphism_blocks(n, J)
+    I_inv = GradedOperator(n, 0, EVEN, tuple(b.conj_transpose() for b in I_aut.blocks))
+    ops = StructureOperators(
+        ce_differential(model),
+        # built at shift 2 even when omega0 = 0 (no transversal directions)
+        Clifford.multiplication(pack.omega0, 2),
+        # W: the even derivation extending J on the transversal coframe
+        Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()}),
+        J, I_aut, I_inv)
     _check_i_against_w(ops.W, ops.I_aut, ops.I_inv, pack.vertical_indices)
     return ops
 
@@ -530,16 +529,15 @@ def j_images(pack: StructurePack) -> dict[int, tuple[int, Scalar]]:
     return images
 
 
-def _check_i_against_w(W: GradedOperator, I_aut: GradedOperator, I_inv: GradedOperator,
+def _check_i_against_w(W: Clifford, I_aut: GradedOperator, I_inv: GradedOperator,
                       vertical: tuple[int, ...]):
     """Assert that I is i^{p-q} of the bigrading of W, given that I is an
-    algebra automorphism and W a derivation: I_inv inverts I, and on
-    1-forms, where i^{p-q} is i on (1,0), -i on (0,1) and 1 on vertical
-    forms, I = W + the vertical unit projector."""
-    n = W.ngen
-    if I_inv @ I_aut != GradedOperator.identity(n):
+    algebra automorphism and W a derivation: I_inv inverts I in every
+    degree, and on 1-forms, where i^{p-q} is i on (1,0), -i on (0,1) and 1
+    on vertical forms, I = W + the vertical unit projector."""
+    if any(inv @ aut != Matrix.identity(aut.ncols) for inv, aut in zip(I_inv.blocks, I_aut.blocks)):
         raise StructureError("J", "I^-1 I is not the identity")
     # theta^k is the (k-1)-th basis 1-form
-    sel = Matrix.unit_rows([k - 1 for k in vertical], n)
-    if I_aut.blocks[1] != W.blocks[1] + sel.conj_transpose() @ sel:
+    sel = Matrix.unit_rows([k - 1 for k in vertical], W.ngen)
+    if I_aut.blocks[1] != W.block(1) + sel.conj_transpose() @ sel:
         raise StructureError("J", "I is not W + the vertical projector on 1-forms")

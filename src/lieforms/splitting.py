@@ -37,7 +37,6 @@ from .models import (
     StructureError,
     StructureOperators,
     StructurePack,
-    j_images,
     structure_operators,
 )
 from .operators import (
@@ -106,7 +105,7 @@ class FoliationSplit:
 
     __slots__ = ("fol", "components")
 
-    def __init__(self, fol: FoliationSpec, components: tuple[GradedOperator, ...]):
+    def __init__(self, fol: FoliationSpec, components: tuple[Clifford, ...]):
         object.__setattr__(self, "fol", fol)
         object.__setattr__(self, "components", components)
 
@@ -114,67 +113,60 @@ class FoliationSplit:
         raise AttributeError("FoliationSplit is immutable")
 
     @property
-    def d0(self) -> GradedOperator:
+    def d0(self) -> Clifford:
         return self.components[0]
 
     @property
-    def d1(self) -> GradedOperator:
+    def d1(self) -> Clifford:
         return self.components[1]
 
     @property
-    def d2(self) -> GradedOperator:
+    def d2(self) -> Clifford:
         return self.components[2]
 
 
-def foliation_split(d: Clifford | GradedOperator, model: LieModel,
-                    fol: FoliationSpec) -> FoliationSplit:
-    """Split d by bidegree.
+def foliation_split(d: Clifford, model: LieModel, fol: FoliationSpec) -> FoliationSplit:
+    """Split the polynomial d by bidegree.
 
     A term e_W i_C moves the horizontal degree by |W_hor| - |C_hor|, so
     d_i is the sum of the terms of d that move it by i; a term that fits no
-    component means the components cannot reconstruct d.  d is a Clifford
-    polynomial or its blocks, and the components come back in the same
-    form.
+    component means the components cannot reconstruct d.
     """
     fol.validate(model)
-    poly = d if isinstance(d, Clifford) else Clifford.from_operator(d)
     hor = ~generator_mask(fol.spanning)
     parts = [{} for _ in range(fol.rank + 2)]
-    for (w, c), v in poly.terms.items():
+    for (w, c), v in d.terms.items():
         i = (w & hor).bit_count() - (c & hor).bit_count()
         if not 0 <= i < len(parts):
             raise StructureError("foliation", "bidegree components do not reconstruct d")
         parts[i][w, c] = v
-    comps = tuple(Clifford(poly.ngen, poly.shift, terms) for terms in parts)
-    if poly is not d:
-        comps = tuple(c.to_blocks() for c in comps)
-    return FoliationSplit(fol, comps)
+    return FoliationSplit(fol, tuple(Clifford(d.ngen, d.shift, terms) for terms in parts))
 
 
-def hodge_split_d1(
-    ops: StructureOperators, split: FoliationSplit
-) -> tuple[GradedOperator, GradedOperator, GradedOperator]:
-    """Transversal Hodge components of d_1 (given as blocks) and the
-    twisted differential d1c := I d1 I^{-1}, whose printed alternatives are
-    adjudicated in the relation tables."""
-    d1 = split.d1
-    return _hodge_split(ops.W, d1, ops.I_aut @ d1 @ ops.I_inv)[:3]
+def hodge_split_d1(ops: StructureOperators,
+                   split: FoliationSplit) -> tuple[Clifford, Clifford, Clifford]:
+    """Transversal Hodge components of d_1 and the twisted differential
+    d1c := I d1 I^{-1}, whose printed alternatives are adjudicated in the
+    relation tables."""
+    return _hodge_split(ops, split.d1)[:3]
 
 
-def _hodge_split(W, d1, d1c) -> tuple:
-    """The Hodge components of d1, d1c and the bracket {W, d1} that
-    certifies them, for operators in either form.
+def _hodge_split(ops: StructureOperators, d1: Clifford) -> tuple[Clifford, ...]:
+    """d1^{1,0}, d1^{0,1}, d1c and the bracket {W, d1} that certifies them.
 
-    d1 must have components only in bidegrees (1,0) and (0,1); anything
-    else signals a broken transversal complex structure.  A component
-    moving (p,q) by (a,b) is scaled by i(a-b) under [W, .] and by i^{a-b}
-    under conjugation by I, so {W, d1} = d1c exactly when every component
-    has a - b = +-1.  d1 is a derivation that keeps the Reeb degree, so it
-    moves the vertical degree by c in {-1, 0, 1} (the Lee degree of a
-    Vaisman pack), and a + b + c = 1; a - b odd then forces c = 0 and
-    (a,b) in {(1,0), (0,1)}.  The components are (d1 -+ i d1c)/2.
+    I d1 I^-1 is a relabelling of d1's letters: I is the algebra
+    automorphism extending J, so it conjugates e_k to e_{J theta^k} and i_k
+    to i_{J theta^k}.  d1 must have components only in bidegrees (1,0) and
+    (0,1); anything else signals a broken transversal complex structure.
+    A component moving (p,q) by (a,b) is scaled by i(a-b) under [W, .] and
+    by i^{a-b} under conjugation by I, so {W, d1} = d1c exactly when every
+    component has a - b = +-1.  d1 is a derivation that keeps the Reeb
+    degree, so it moves the vertical degree by c in {-1, 0, 1} (the Lee
+    degree of a Vaisman pack), and a + b + c = 1; a - b odd then forces
+    c = 0 and (a,b) in {(1,0), (0,1)}.  The components are (d1 -+ i d1c)/2.
     """
-    w_d1 = supercommutator(W, d1)
+    d1c = d1.substitute(ops.J)
+    w_d1 = supercommutator(ops.W, d1)
     if w_d1 != d1c:
         raise StructureError(
             "hodge", "d1 has components outside bidegrees (1,0) and (0,1): "
@@ -252,10 +244,10 @@ class OperatorPool:
     certified the Hodge split); `split(fol)` is the split of d along a
     foliation, memoised per foliation.  The relation tables and the guards
     decide on the polynomials.  `pool[name]` is the operator's blocks, for
-    the complexes, built once from the polynomial, and names that share a
-    polynomial share its blocks.  d, L and W, polynomials and blocks, are
-    those of `structure_operators`.  The names are the operators' only
-    labels: reports print them, never read them off an operator.
+    the complexes, built from the polynomial on first use, and names that
+    share a polynomial share its blocks.  d, L and W are the polynomials of
+    `structure_operators`.  The names are the operators' only labels:
+    reports print them, never read them off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
@@ -266,8 +258,8 @@ class OperatorPool:
         for k in range(1, n + 1):
             self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
-        self._polys: dict = dict(self.ops.polys)
-        self._views: dict = {id(p): getattr(self.ops, name) for name, p in self.ops.polys.items()}
+        self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
+        self._views: dict = {}
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
@@ -296,12 +288,8 @@ class OperatorPool:
 
     @functools.cached_property
     def hodge(self) -> tuple[Clifford, ...]:
-        """d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split, with I d1 I^-1
-        taken as a relabelling of d1's letters: I is the algebra automorphism
-        extending J, so it conjugates e_k to e_{J theta^k} and i_k to
-        i_{J theta^k}."""
-        d1 = self.split(reeb_foliation(self.pack)).d1
-        return _hodge_split(self.poly("W"), d1, d1.substitute(j_images(self.pack)))
+        """d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split."""
+        return _hodge_split(self.ops, self.split(reeb_foliation(self.pack)).d1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,15 @@
 """Block reference constructions: operators built from their action on forms.
 
-The engine builds d, L and W as normal-ordered Clifford polynomials and
-writes their blocks from the terms; it builds I as a signed permutation
-read off the J pairs by bitmask, and Pi_hor as a diagonal.  This module
-keeps the constructions those replaced, which go through `forms.wedge`
-alone, as an independent reference:
+The engine decides every operator identity on normal-ordered Clifford
+polynomials and writes blocks straight from their terms; it builds I as a
+signed permutation read off the J pairs by bitmask.  This module keeps
+the constructions and the block arithmetic those replaced, which go
+through `forms.wedge` and matrix products alone, as an independent
+reference:
+
+- `identity`, `add`, `scale`, `compose`, `power`, `adjoint`,
+  `supercommutator`, `apply` and `first_difference` are the operator
+  algebra on blocks, as plain functions of `GradedOperator` values;
 
 - `from_action` enters the image of each basis monomial into its block;
 - `extend_derivation` is the signed Leibniz extension of generator values;
@@ -19,8 +24,93 @@ from typing import Callable, Mapping
 from lieforms.forms import FormElement, monomial_basis, wedge
 from lieforms.matrices import Matrix
 from lieforms.models import ce_values
-from lieforms.operators import EVEN, GradedOperator, ODD, basis_dim
+from lieforms.operators import EVEN, GradedOperator, ODD, basis_dim, column_forms
 from lieforms.scalars import ONE, Scalar
+
+
+def identity(ngen: int) -> GradedOperator:
+    return GradedOperator(ngen, 0, EVEN, tuple(Matrix.identity(basis_dim(ngen, k))
+                                               for k in range(ngen + 1)))
+
+
+def add(a: GradedOperator, *others: GradedOperator) -> GradedOperator:
+    """The sum of operators of equal shift and parity."""
+    for b in others:
+        if (b.ngen, b.shift, b.parity) != (a.ngen, a.shift, a.parity):
+            raise ValueError("can only add operators of equal shift and parity")
+        a = GradedOperator(a.ngen, a.shift, a.parity,
+                           tuple(x + y for x, y in zip(a.blocks, b.blocks)))
+    return a
+
+
+def scale(a: GradedOperator, c: Scalar) -> GradedOperator:
+    return GradedOperator(a.ngen, a.shift, a.parity, tuple(b.scale(c) for b in a.blocks))
+
+
+def compose(a: GradedOperator, *others: GradedOperator) -> GradedOperator:
+    """a after each of the others in turn, right to left: shifts add,
+    parities add mod 2."""
+    for b in others:
+        n, shift = a.ngen, a.shift + b.shift
+        blocks = tuple(a.blocks[k + b.shift] @ b.blocks[k] if 0 <= k + b.shift <= n
+                       else Matrix.zero(basis_dim(n, k + shift), basis_dim(n, k))
+                       for k in range(n + 1))
+        a = GradedOperator(n, shift, (a.parity + b.parity) % 2, blocks)
+    return a
+
+
+def power(a: GradedOperator, e: int) -> GradedOperator:
+    return compose(identity(a.ngen), *[a] * e)
+
+
+def adjoint(a: GradedOperator) -> GradedOperator:
+    """Metric adjoint: block-wise conjugate transpose in the orthonormal
+    monomial basis."""
+    n = a.ngen
+    blocks = tuple(a.blocks[k - a.shift].conj_transpose() if 0 <= k - a.shift <= n
+                   else Matrix.zero(basis_dim(n, k - a.shift), basis_dim(n, k))
+                   for k in range(n + 1))
+    return GradedOperator(n, -a.shift, a.parity, blocks)
+
+
+def supercommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
+    """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
+    return add(compose(a, b), scale(compose(b, a), Scalar.of(1 if a.parity * b.parity % 2 else -1)))
+
+
+def d1_reference(d: GradedOperator, vertical: tuple[int, ...]) -> GradedOperator:
+    """The component of d that raises the horizontal degree by 1 for the
+    given vertical indices, cut out by the bidegree projectors."""
+    n = d.ngen
+    pi = bidegree_projectors(n, vertical)
+    return add(GradedOperator.zero(n, 1, ODD), *(
+        compose(pi[h + 1, v], d, p) for (h, v), p in pi.items() if (h + 1, v) in pi))
+
+
+def is_zero(a: GradedOperator) -> bool:
+    return all(b.is_zero() for b in a.blocks)
+
+
+def apply(a: GradedOperator, x: FormElement) -> FormElement:
+    out = FormElement.zero(a.ngen)
+    for k in sorted(x.degrees()):
+        if 0 <= k + a.shift <= a.ngen:
+            column = Matrix([[x.coeff(m)] for m in monomial_basis(a.ngen, k)], 1)
+            out = out + column_forms(a.ngen, k + a.shift, a.blocks[k] @ column)[0]
+    return out
+
+
+def first_difference(a: GradedOperator, b: GradedOperator):
+    """(degree, row, col, lhs, rhs) of the first differing entry, or None;
+    a shift mismatch is reported as degree None."""
+    if a.shift != b.shift:
+        return (None, None, None, a.shift, b.shift)
+    for k, (x, y) in enumerate(zip(a.blocks, b.blocks)):
+        diff = (x - y).first_nonzero()
+        if diff is not None:
+            i, j, _ = diff
+            return (k, i, j, x.entry(i, j), y.entry(i, j))
+    return None
 
 
 def from_action(ngen: int, shift: int, parity: int,
@@ -124,7 +214,7 @@ def reference_operators(model, pack) -> dict[str, GradedOperator]:
         "L": from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x)),
         "W": extend_derivation(n, EVEN, rotation, shift=0),
         "I_aut": I_aut,
-        "I_inv": I_aut.adjoint(),
+        "I_inv": adjoint(I_aut),
     }
 
 

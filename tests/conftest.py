@@ -2,8 +2,10 @@ import functools
 import os
 from pathlib import Path
 
-from lieforms.models import builtin, structure_operators
+from lieforms.models import BUILTIN_NAMES, builtin, load_model_file, structure_operators
 from lieforms.splitting import operator_pool
+
+DATA = Path(__file__).resolve().parent / "data"
 
 _CRITERION_LINES: list[str] = []
 
@@ -17,6 +19,11 @@ def record_criterion(number: int, description: str, passed: bool):
 @functools.lru_cache(maxsize=None)
 def model_pack(name: str):
     return builtin(name)
+
+
+def load(name: str):
+    """A builtin by name, or a model of tests/data by its file stem."""
+    return model_pack(name) if name in BUILTIN_NAMES else load_model_file(str(DATA / f"{name}.alg"))
 
 
 @functools.lru_cache(maxsize=None)

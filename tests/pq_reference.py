@@ -13,8 +13,10 @@ are then read off the projectors.
 from lieforms.forms import monomial_basis
 from lieforms.matrices import Matrix, solve
 from lieforms.models import structure_operators
-from lieforms.operators import EVEN, GradedOperator, ODD, op_sum
+from lieforms.operators import EVEN, GradedOperator, ODD
 from lieforms.scalars import I, ONE, Scalar
+
+from block_reference import add, compose, scale
 
 
 def pq_projectors(ngen, W, vertical, n_trans) -> dict[tuple[int, int, int], GradedOperator]:
@@ -52,7 +54,7 @@ def pq_projectors(ngen, W, vertical, n_trans) -> dict[tuple[int, int, int], Grad
 
 def reference_projectors(model, pack):
     ops = structure_operators(model, pack)
-    return pq_projectors(model.dim, ops.W, pack.vertical_indices, pack.transversal_dim(model.dim))
+    return pq_projectors(model.dim, ops.W.to_blocks(), pack.vertical_indices, pack.transversal_dim(model.dim))
 
 
 def i_power(s: int) -> Scalar:
@@ -61,8 +63,8 @@ def i_power(s: int) -> Scalar:
 
 def reference_i(pi) -> tuple[GradedOperator, GradedOperator]:
     """(I, I^-1) as sum_{p,q,v} i^{+-(p-q)} Pi^{p,q,v}."""
-    return (op_sum(proj.scale(i_power(p - q)) for (p, q, _), proj in pi.items()),
-            op_sum(proj.scale(i_power(q - p)) for (p, q, _), proj in pi.items()))
+    return (add(*(scale(proj, i_power(p - q)) for (p, q, _), proj in pi.items())),
+            add(*(scale(proj, i_power(q - p)) for (p, q, _), proj in pi.items())))
 
 
 def reference_hodge(pi, d1) -> tuple[GradedOperator, GradedOperator]:
@@ -70,8 +72,8 @@ def reference_hodge(pi, d1) -> tuple[GradedOperator, GradedOperator]:
     Pi^{p,q+1,v} d1 Pi^{p,q,v}; they add up to d1 exactly when d1 has no
     other bidegree component."""
     zero = GradedOperator.zero(d1.ngen, 1, ODD)
-    return tuple(op_sum([zero] + [pi[tgt] @ d1 @ proj for (p, q, v), proj in pi.items()
-                                  if (tgt := (p + a, q + 1 - a, v)) in pi])
+    return tuple(add(zero, *(compose(pi[tgt], d1, proj) for (p, q, v), proj in pi.items()
+                              if (tgt := (p + a, q + 1 - a, v)) in pi))
                  for a in (1, 0))
 
 

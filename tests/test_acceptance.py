@@ -118,9 +118,9 @@ def test_criterion_2_nonzeroness_clause_as_stated():
     vacuous_on_su2 = (e.verdict, e.vacuous) == ("pass", True)
 
     model, pack = load_model_file(str(TWISTED_SQUARE_WITNESS))
-    pool = operator_pool(model, pack)
-    d1 = foliation_split(pool["d"], model, reeb_foliation(pack)).d1
-    L1 = pool["L"] @ pool["Lie_r"]
+    poly = operator_pool(model, pack).poly
+    d1 = foliation_split(poly("d"), model, reeb_foliation(pack)).d1
+    L1 = poly("L") @ poly("Lie_r")
     both_nonzero = not d1.is_zero() and not L1.is_zero()
     identity_holds = d1 @ d1 == -L1
     e = sasakian_relations(model, pack).entry("squares.{d1,d1}")
@@ -138,14 +138,14 @@ def test_criterion_3_splitting_identities():
     failures = []
     for name in SASAKIAN:
         model, pack = model_pack(name)
-        pool = pool_for(name)
-        split = foliation_split(pool["d"], model, reeb_foliation(pack))
+        poly = pool_for(name).poly
+        split = foliation_split(poly("d"), model, reeb_foliation(pack))
         d0, d1, d2 = split.d0, split.d1, split.d2
-        if (d0 + d1 + d2) != pool["d"]:
+        if (d0 + d1 + d2) != poly("d"):
             failures.append((name, "reconstruction"))
-        if d0 != pool["e_r"] @ pool["Lie_r"]:
+        if d0 != poly("e_r") @ poly("Lie_r"):
             failures.append((name, "d0 formula"))
-        if d2 != pool["L"] @ pool["i_r"]:
+        if d2 != poly("L") @ poly("i_r"):
             failures.append((name, "d2 formula"))
         if not (d0 @ d0).is_zero() or not (d2 @ d2).is_zero():
             failures.append((name, "squares"))

@@ -1,31 +1,28 @@
 """The normal-ordered Clifford polynomials against the block operators.
 
-The references build each operator as blocks through `GradedOperator`
-alone: a monomial e_W i_C is the product of the letter matrices of
-`forms.wedge` and `forms.contract` in its written order, and the pool's
-guard generators are rebuilt the way the matrix engine built them (d, L,
-W, I through FormElement wedges, from `block_reference.py`, adjoints and
+The references build each operator as blocks with the block arithmetic of
+`block_reference.py` alone: a monomial e_W i_C is the product of the
+letter matrices of `forms.wedge` and `forms.contract` in its written
+order, and the pool's guard generators are rebuilt the way the matrix
+engine built them (d, L, W, I through FormElement wedges, adjoints and
 supercommutators of blocks, d1 cut out by the bidegree projectors).
 """
 
 import functools
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforms.clifford import Clifford
 from lieforms.forms import FormElement, contract, monomial_basis, wedge
-from lieforms.models import BUILTIN_NAMES, j_images, load_model_file
-from lieforms.operators import GradedOperator, ODD, op_sum, supercommutator
+from lieforms.models import BUILTIN_NAMES, j_images
+from lieforms.operators import GradedOperator, ODD, supercommutator
 from lieforms.scalars import Scalar
 from lieforms.splitting import guard_names, operator_pool
 
-from block_reference import bidegree_projectors, from_action, reference_operators
-from conftest import model_pack
-
-DATA = Path(__file__).resolve().parent / "data"
-
+import block_reference as ref
+from block_reference import from_action, reference_operators
+from conftest import load, model_pack
 
 @functools.lru_cache(maxsize=None)
 def letter(ngen: int, k: int, create: bool) -> GradedOperator:
@@ -44,12 +41,9 @@ def reference_blocks(p: Clifford) -> GradedOperator:
     n = p.ngen
     out = GradedOperator.zero(n, p.shift, p.parity)
     for (w, c), v in p.terms.items():
-        mono = GradedOperator.identity(n)
-        for k in bits(w):
-            mono = mono @ letter(n, k, True)
-        for k in reversed(bits(c)):
-            mono = mono @ letter(n, k, False)
-        out = out + GradedOperator(n, p.shift, p.parity, mono.blocks).scale(v)
+        mono = ref.compose(ref.identity(n), *(letter(n, k, True) for k in bits(w)),
+                           *(letter(n, k, False) for k in reversed(bits(c))))
+        out = ref.add(out, ref.scale(GradedOperator(n, p.shift, p.parity, mono.blocks), v))
     return out
 
 
@@ -83,17 +77,17 @@ def test_polynomial_algebra_matches_blocks(pq):
     a, b = reference_blocks(p), reference_blocks(q)
     assert p.to_blocks() == a
     assert all(p.block(k) == a.blocks[k] for k in range(p.ngen + 1))
-    assert (p @ q).to_blocks() == a @ b
-    assert p.adjoint().to_blocks() == a.adjoint()
-    assert supercommutator(p, q).to_blocks() == supercommutator(a, b)
-    assert (-p).to_blocks() == -a and p.scale(Scalar(2, 1)).to_blocks() == a.scale(Scalar(2, 1))
+    assert (p @ q).to_blocks() == ref.compose(a, b)
+    assert p.adjoint().to_blocks() == ref.adjoint(a)
+    assert supercommutator(p, q).to_blocks() == ref.supercommutator(a, b)
+    assert (-p).to_blocks() == ref.scale(a, Scalar(-1))
+    assert p.scale(Scalar(2, 1)).to_blocks() == ref.scale(a, Scalar(2, 1))
     # the normal-ordered terms are a basis, so equal dicts are equal operators
-    assert Clifford.from_operator(a) == p
     assert (p == q) == (a == b)
-    assert p.first_difference(q) == a.first_difference(b)
+    assert p.first_difference(q) == ref.first_difference(a, b)
     if p.shift == q.shift:
-        assert (p + q).to_blocks() == a + b
-        assert (p - q).to_blocks() == a - b
+        assert (p + q).to_blocks() == ref.add(a, b)
+        assert (p - q).to_blocks() == ref.add(a, ref.scale(b, Scalar(-1)))
     else:
         with pytest.raises(ValueError):
             p + q
@@ -108,7 +102,7 @@ def test_apply_matches_blocks(data):
     basis = monomial_basis(n, k)
     a = FormElement(n, dict(zip(basis, data.draw(st.lists(gaussian, min_size=len(basis),
                                                            max_size=len(basis))))))
-    assert p.apply(a) == p.to_blocks().apply(a)
+    assert p.apply(a) == ref.apply(p.to_blocks(), a)
 
 
 @settings(deadline=None, max_examples=30)
@@ -121,7 +115,7 @@ def test_letter_relabelling_is_conjugation_by_i(data):
     ops = reference_ops(name)
     p = data.draw(polynomials(model.dim, data.draw(st.integers(-1, 1))))
     assert (p.substitute(j_images(pack)).to_blocks()
-            == ops["I_aut"] @ p.to_blocks() @ ops["I_inv"])
+            == ref.compose(ops["I_aut"], p.to_blocks(), ops["I_inv"]))
 
 
 def test_first_order_criterion():
@@ -146,13 +140,9 @@ def test_terms_must_fit_the_shift():
 REFERENCE_MODELS = [*BUILTIN_NAMES, "su2_aff", "h5xr", "h7"]
 
 
-def _load(name):
-    return model_pack(name) if name in BUILTIN_NAMES else load_model_file(str(DATA / f"{name}.alg"))
-
-
 @functools.lru_cache(maxsize=None)
 def reference_ops(name: str) -> dict[str, GradedOperator]:
-    return reference_operators(*_load(name))
+    return reference_operators(*load(name))
 
 
 def matrix_generators(model, pack, ops) -> dict[str, GradedOperator]:
@@ -160,31 +150,29 @@ def matrix_generators(model, pack, ops) -> dict[str, GradedOperator]:
     and I built through FormElement wedges (`block_reference.py`)."""
     n = model.dim
     d, L, W = ops["d"], ops["L"], ops["W"]
-    lam = L.adjoint()
-    out = {"L": L, "Lam": lam, "H": supercommutator(L, lam), "W": W,
-           "Id": GradedOperator.identity(n)}
+    lam = ref.adjoint(L)
+    out = {"L": L, "Lam": lam, "H": ref.supercommutator(L, lam), "W": W,
+           "Id": ref.identity(n)}
     if pack.kind == "kahler":
-        dc = supercommutator(W, d)
-        return {**out, "d": d, "d*": d.adjoint(), "dc": dc, "dc*": dc.adjoint()}
+        dc = ref.supercommutator(W, d)
+        return {**out, "d": d, "d*": ref.adjoint(d), "dc": dc, "dc*": ref.adjoint(dc)}
     r = pack.reeb_index
-    pi = bidegree_projectors(n, (r,))
-    d1 = op_sum([GradedOperator.zero(n, 1, ODD)] + [
-        pi[h + 1, v] @ d @ p for (h, v), p in pi.items() if (h + 1, v) in pi])
-    d1c = ops["I_aut"] @ d1 @ ops["I_inv"]
-    return {**out, "d1": d1, "d1*": d1.adjoint(), "d1c": d1c, "d1c*": d1c.adjoint(),
+    d1 = ref.d1_reference(d, (r,))
+    d1c = ref.compose(ops["I_aut"], d1, ops["I_inv"])
+    return {**out, "d1": d1, "d1*": ref.adjoint(d1), "d1c": d1c, "d1c*": ref.adjoint(d1c),
             "e_r": letter(n, r, True), "i_r": letter(n, r, False)}
+
 
 
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
 def test_pool_generators_and_brackets_equal_the_matrix_engine(name):
-    model, pack = _load(name)
+    model, pack = load(name)
     pool = operator_pool(model, pack)
     reference = matrix_generators(model, pack, reference_ops(name))
     names = guard_names(pack)
     assert set(reference) == set(names)
     for x in names:
         assert pool[x] == reference[x], x
-        assert Clifford.from_operator(reference[x]) == pool.poly(x), x
     for a in names:
         for b in names:
-            assert pool[a, b] == supercommutator(reference[a], reference[b]), (a, b)
+            assert pool[a, b] == ref.supercommutator(reference[a], reference[b]), (a, b)

@@ -1,7 +1,9 @@
 import pytest
 
+import block_reference as ref
 import oracle
 from lieforms.cohomology import (
+    FormComplex,
     basic_adjoint_check,
     basic_subcomplex,
     full_complex,
@@ -10,13 +12,14 @@ from lieforms.cohomology import (
     split_laplacian,
     transversal_package,
 )
-from lieforms.forms import FormElement
+from lieforms.forms import FormElement, contract
 from lieforms.matrices import nullspace, subspace_equal
-from lieforms.models import StructureError
-from lieforms.operators import form_to_column
+from lieforms.models import BUILTIN_NAMES, StructureError
+from lieforms.operators import ODD
+from lieforms.scalars import Scalar
 from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
-from conftest import model_pack, ops_for
+from conftest import DATA, load, model_pack, ops_for
 
 ORACLE_MODELS = {
     "torus2": oracle.TORUS2, "torus4": oracle.TORUS4, "su2": oracle.SU2,
@@ -84,7 +87,6 @@ def test_basic_subcomplex_h3_contents():
 def test_subcomplex_closure_guard():
     # d does not preserve the span of non-basic constraints; build a fake
     # constraint set by asking for i_r-kernel only on su2 (Lie_r missing)
-    from lieforms.cohomology import FormComplex
     from lieforms.clifford import Clifford
 
     model, pack = model_pack("su2")
@@ -92,7 +94,7 @@ def test_subcomplex_closure_guard():
     iv = Clifford.contraction(3, 3).to_blocks()
     # i_r-kernel alone is not d-stable on su2: d(t1) = t2^t3 has a reeb leg
     with pytest.raises(StructureError, match="d fails to preserve the subspace") as info:
-        FormComplex.from_constraints(model, ops.d, [iv], "broken")
+        FormComplex.from_constraints(model, ops.d.to_blocks(), [iv], "broken")
     assert info.value.check == "subcomplex"
 
 
@@ -130,9 +132,9 @@ def test_split_laplacian_properties():
         model, pack = model_pack(name)
         ds = split_laplacian(model, pack, folf(pack))
         assert ds.adjoint() == ds
-        for k in range(model.dim + 1):
-            for i in range(ds.blocks[k].nrows):
-                diag = ds.blocks[k].entry(i, i)
+        for block in ds.to_blocks().blocks:
+            for i in range(block.nrows):
+                diag = block.entry(i, i)
                 assert diag.im == 0 and diag.re >= 0
 
 
@@ -142,14 +144,14 @@ def test_split_laplacian_h3_kernel():
     model, pack = model_pack("h3")
     ds = split_laplacian(model, pack, reeb_foliation(pack))
     assert ds.is_zero()
-    ker = nullspace(ds.blocks[1])
+    ker = nullspace(ds.block(1))
     assert ker.ncols == 3
 
 
 def test_split_laplacian_su2_kernel_contains_eta():
     model, pack = model_pack("su2")
     ds = split_laplacian(model, pack, reeb_foliation(pack))
-    assert (ds.blocks[1] @ form_to_column(pack.eta, 1)).is_zero()
+    assert ds.apply(pack.eta).is_zero()
 
 
 def test_basic_adjoint_identity():
@@ -175,23 +177,30 @@ def test_transversal_package_passes():
         assert rep.entry("split_laplacian.kernel_iv_vanishing").verdict == "noted"
 
 
-def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
-    # a planted W sending theta^1, a basic harmonic 1-form of h5, to
-    # theta^2 + eta moves it out of the basic harmonic space
+def plant(monkeypatch, model, pack, name, blocks):
+    """Make the cohomology layer's pool hand out the given blocks for one
+    name and the true pool's for every other."""
     import lieforms.cohomology as co
 
-    model, pack = model_pack("h5")
     pool = operator_pool(model, pack)
-    planted = pool["W"] + pool[f"e_{pack.reeb_index}"] @ pool["i_1"]
 
     class PlantedPool:
         def __getitem__(self, ref):
-            return planted if ref == "W" else pool[ref]
+            return blocks if ref == name else pool[ref]
 
-        def __getattr__(self, name):
-            return getattr(pool, name)
+        def __getattr__(self, attr):
+            return getattr(pool, attr)
 
     monkeypatch.setattr(co, "operator_pool", lambda *_: PlantedPool())
+
+
+def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
+    # a planted W sending theta^1, a basic harmonic 1-form of h5, to
+    # theta^2 + eta moves it out of the basic harmonic space
+    model, pack = model_pack("h5")
+    poly = operator_pool(model, pack).poly
+    plant(monkeypatch, model, pack, "W",
+          (poly("W") + poly(f"e_{pack.reeb_index}") @ poly("i_1")).to_blocks())
     rep = transversal_package(model, pack, reeb_foliation(pack))
     assert [e.name for e in rep.entries if not e.ok()] == ["transversal.pq_stability"]
 
@@ -291,17 +300,16 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
 
 @pytest.mark.parametrize("name", ["h5", "su2", "su2xr", "h3xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
-    # the split of d along each foliation, the horizontal projector of each
-    # spanning set and the blocks of each pool polynomial (the coframe
-    # operators e_k, i_k and the Reeb and Lee operators among them) are
-    # built once, however many layers read them; a memoised result handed
-    # out again is the same object, not a second build
+    # the split of d along each foliation and the blocks of each polynomial
+    # (the pool's, the coframe operators e_k, i_k and the Reeb and Lee
+    # operators among them, and Delta_s and L^e of the transversal package)
+    # are built once, however many layers read them; a memoised result
+    # handed out again is the same object, not a second build
     import collections
     import importlib
 
     from lieforms import cli
     from lieforms.clifford import Clifford
-    from lieforms.operators import GradedOperator
 
     modules = [importlib.import_module(f"lieforms.{m}")
                for m in ("models", "operators", "splitting", "cohomology", "cones", "cli")]
@@ -309,80 +317,93 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
-    built = collections.defaultdict(list)
-    keys = {"foliation_split": lambda d, model, fol: fol.spanning,
-            "horizontal_projector": lambda ngen, spanning: (ngen, spanning)}
+    splits = collections.defaultdict(list)
+    foliation_split = vars(modules[2])["foliation_split"]
 
-    def counted(fname, fn):
-        def wrapper(*args):
-            out = fn(*args)
-            built[fname, keys[fname](*args)].append(out)
-            return out
-        return wrapper
-
-    for module in modules:
-        for fname in keys:
-            if fname in vars(module):
-                monkeypatch.setattr(module, fname, counted(fname, vars(module)[fname]))
-    # each list holds its operands, so no two of them share an id
-    adjoints, blocks = [], []
-    adjoint, to_blocks = GradedOperator.adjoint, Clifford.to_blocks
-
-    def counted_adjoint(op):
-        out = adjoint(op)
-        adjoints.append((op, out))
+    def counted_split(d, model, fol):
+        out = foliation_split(d, model, fol)
+        splits[fol.spanning].append(out)
         return out
+
+    monkeypatch.setattr(modules[2], "foliation_split", counted_split)
+    # the list holds its operands, so no two of them share an id
+    blocks, to_blocks = [], Clifford.to_blocks
 
     def counted_to_blocks(poly):
         blocks.append(poly)
         return to_blocks(poly)
 
-    monkeypatch.setattr(GradedOperator, "adjoint", counted_adjoint)
     monkeypatch.setattr(Clifford, "to_blocks", counted_to_blocks)
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
-    assert {f for f, _ in built} == set(keys)
-    builds = {key: len({id(out) for out in outs}) for key, outs in built.items()}
-    assert {key: n for key, n in builds.items() if n > 1} == {}
-    pool = operator_pool(*model_pack(name))
+    assert splits and all(len({id(out) for out in outs}) == 1 for outs in splits.values())
     assert blocks and len({id(p) for p in blocks}) == len(blocks)
+    pool = operator_pool(*model_pack(name))
     assert pool["i_r"] is pool[f"i_{model_pack(name)[1].reeb_index}"]
-    # d1* and Lie_r* are adjoints of the polynomials, so the transversal
-    # package, which takes {d1,d1*} and Lie_r* of the Reeb direction from the
-    # pool, never takes the adjoint of the blocks of d1 or Lie_r
-    assert [op for op, _ in adjoints if op is pool["d1"] or op is pool["Lie_r"]] == []
-    assert pool["d1*"] == pool["d1"].adjoint()
-    assert pool["Lie_r*"] == pool["Lie_r"].adjoint()
+
+
+# the contact models: the Kahler builtins have no foliation
+CONTACT_MODELS = [*BUILTIN_NAMES[2:], *(p.stem for p in sorted(DATA.glob("*.alg")))]
+
+
+def foliations(pack):
+    """The Reeb foliation, and the Lee and sigma foliations of a Vaisman pack."""
+    fols = [reeb_foliation]
+    if pack.kind == "vaisman":
+        fols += [lee_foliation, sigma_foliation]
+    return [fol(pack) for fol in fols]
 
 
 def test_horizontal_projector_is_the_vertical_degree_zero_projector():
-    # the diagonal written directly against the sum of the reference
-    # bidegree projectors with vertical degree 0; the basic adjoint check
-    # pairs with basic (hence horizontal) forms, so no verdict depends on it
-    from lieforms.cohomology import horizontal_projector
-    from lieforms.operators import op_sum
+    # Pi_hor = prod_v i_v e_v of the transversal package against the sum of
+    # the reference bidegree projectors with vertical degree 0
+    from lieforms.cohomology import _split_laplacian_parts
 
-    from block_reference import bidegree_projectors
+    for name in CONTACT_MODELS:
+        model, pack = load(name)
+        for fol in foliations(pack):
+            pi = ref.bidegree_projectors(model.dim, fol.spanning)
+            expected = ref.add(*(p for (h, v), p in pi.items() if v == 0))
+            pi_hor = _split_laplacian_parts(model, pack, fol)[3]
+            assert pi_hor.to_blocks() == expected, (name, fol.spanning)
 
-    for ngen, spanning in ((3, (3,)), (5, (5,)), (4, (1, 3)), (6, (5, 6)), (4, ())):
-        pi = bidegree_projectors(ngen, spanning)
-        expected = op_sum(p for (h, v), p in pi.items() if v == 0)
-        assert horizontal_projector(ngen, spanning) == expected, (ngen, spanning)
+
+@pytest.mark.parametrize("name", CONTACT_MODELS)
+def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
+    # Delta_s = {d1, d1*} - sum_v Lie_v^2, with d1 cut out of the reference d
+    # by the bidegree projectors and Lie_v = {d, i_v}, and the powers L^e that
+    # hard Lefschetz restricts to the basic complex, against block arithmetic
+    model, pack = load(name)
+    reference = ref.reference_operators(model, pack)
+    d, n = reference["d"], model.dim
+    restricted, restrict = [], FormComplex.restrict
+    monkeypatch.setattr(FormComplex, "restrict",
+                        lambda sub, op: restricted.append(op) or restrict(sub, op))
+    for fol in foliations(pack):
+        d1 = ref.d1_reference(d, fol.spanning)
+        lies = [ref.supercommutator(d, ref.from_action(n, -1, ODD, lambda x, v=v: contract(v, x)))
+                for v in fol.spanning]
+        ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
+                     *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
+        assert split_laplacian(model, pack, fol).to_blocks() == ds, fol.spanning
+        restricted.clear()
+        transversal_package(model, pack, fol)
+        degrees = basic_subcomplex(model, pack, fol).degrees
+        n_t = (n - fol.rank) // 2
+        powers = [ref.power(reference["L"], n_t - k) for k in degrees
+                  if k <= n_t and 2 * n_t - k <= max(degrees)]
+        assert restricted == powers + [ds], fol.spanning
 
 
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])
-def test_basic_adjoint_reports_the_first_failing_pair(name):
-    # with 2 Id in place of Pi_hor the left side doubles, so the first basis
+def test_basic_adjoint_reports_the_first_failing_pair(monkeypatch, name):
+    # with d* doubled in the pool the left side doubles, so the first basis
     # pair with a nonzero pairing is reported, in row-major (j, b) order
-    from lieforms.cohomology import _basic_adjoint
-    from lieforms.operators import GradedOperator
-    from lieforms.scalars import Scalar
-
     model, pack = model_pack(name)
     fol = lee_foliation(pack)
-    two = GradedOperator.identity(model.dim).scale(Scalar.of(2))
-    report = _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol), two)
-    [entry] = report.entries
+    plant(monkeypatch, model, pack, "d*",
+          ref.scale(operator_pool(model, pack)["d*"], Scalar.of(2)))
+    [entry] = basic_adjoint_check(model, pack, fol).entries
     assert entry.verdict == "fail"
     assert entry.line().startswith("FAIL  basic_adjoint.pairing: ")
     assert entry.line().endswith("[degree 2, basis pair (0,2): 2 vs 1]")

@@ -73,8 +73,8 @@ def test_long_exact_for_lefschetz_on_tori():
         model, pack = model_pack(name)
         cx = full_complex(model, pack)
         src, tgt = cx.shift(-1), cx.shift(1)
-        ops = ops_for(name)
-        blocks = {k: ops.L.blocks[k - 1] for k in src.degrees
+        L = ops_for(name).L
+        blocks = {k: L.block(k - 1) for k in src.degrees
                   if 0 <= k - 1 <= model.dim}
         phi = ChainMap("L", src, tgt, blocks)
         assert long_exact_check(phi).passed(), name

@@ -1,11 +1,10 @@
 from fractions import Fraction
 from itertools import combinations, product
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieforms.cohomology import basic_subcomplex, horizontal_projector, transversal_package
+from lieforms.cohomology import basic_subcomplex, transversal_package
 from lieforms.forms import FormElement, wedge
 from lieforms.models import (
     AntisymmetryError,
@@ -25,7 +24,7 @@ from lieforms.models import (
     validate_pack,
     _check_i_against_w,
 )
-from lieforms.operators import GradedOperator, supercommutator
+from lieforms.operators import supercommutator
 from lieforms.scalars import I, ONE, Scalar
 from lieforms.splitting import (
     foliation_split,
@@ -35,12 +34,10 @@ from lieforms.splitting import (
     sigma_foliation,
 )
 
+import block_reference as ref
 from block_reference import bidegree_projectors, reference_operators
-from conftest import child_env, model_pack, ops_for, pool_for
+from conftest import DATA, child_env, load, model_pack, ops_for, pool_for
 from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
-
-DATA = Path(__file__).resolve().parent / "data"
-
 
 def t(n, *ix):
     return FormElement.monomial(n, ix)
@@ -176,37 +173,38 @@ def test_jacobi_defect_finds_a_planted_failure():
 def test_structure_operator_examples():
     for name in ("su2", "h3", "h5"):
         pool = pool_for(name)
-        _, pack = model_pack(name)
-        assert pool["i_r"].apply(pack.eta) == FormElement.unit(pool["d"].ngen)
+        model, pack = model_pack(name)
+        assert pool.poly("i_r").apply(pack.eta) == FormElement.unit(model.dim)
     ops = ops_for("h3")
     w10 = t(3, 1) - t(3, 2).scale(I)
     assert ops.W.apply(w10) == w10.scale(I)
-    assert ops.I_aut.apply(w10) == w10.scale(I)
+    assert ref.apply(ops.I_aut, w10) == w10.scale(I)
     su2 = pool_for("su2")
-    assert su2["Lie_r"].apply(t(3, 1)) == t(3, 2).scale(Scalar.of(-1))
-    assert pool_for("h3")["Lie_r"].is_zero()
+    assert su2.poly("Lie_r").apply(t(3, 1)) == t(3, 2).scale(Scalar.of(-1))
+    assert pool_for("h3").poly("Lie_r").is_zero()
 
 
 def test_lie_r_skew_adjoint_and_central():
     for name in ("su2", "h3", "h5", "su2xr", "h3xr"):
         model, pack = model_pack(name)
         pool = pool_for(name)
-        lie_r = pool["Lie_r"]
+        lie_r = pool.poly("Lie_r")
         assert lie_r.adjoint() == -lie_r
-        named = [pool[x] for x in ("L", "Lam", "H", "W", "e_r", "i_r")]
-        named += [pool.ops.I_aut, pool.ops.I_inv,
-                  horizontal_projector(model.dim, pack.vertical_indices)]
-        named += list(reference_projectors(model, pack).values())
-        named += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
+        polys = [pool.poly(x) for x in ("L", "Lam", "H", "W", "e_r", "i_r")]
         if pack.kind == "vaisman":
-            named += [pool[x] for x in ("e_th", "i_th", "Lie_th")]
-        for op in named:
+            polys += [pool.poly(x) for x in ("e_th", "i_th", "Lie_th")]
+        for op in polys:
             assert supercommutator(lie_r, op).is_zero()
+        blocks = [pool.ops.I_aut, pool.ops.I_inv]
+        blocks += list(reference_projectors(model, pack).values())
+        blocks += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
+        for op in blocks:
+            assert ref.is_zero(ref.supercommutator(pool["Lie_r"], op))
 
 
 def test_vaisman_lie_theta_vanishes():
     for name in ("su2xr", "h3xr"):
-        assert pool_for(name)["Lie_th"].is_zero()
+        assert pool_for(name).poly("Lie_th").is_zero()
 
 
 def test_bigrading_projectors_resolve_identity():
@@ -215,15 +213,13 @@ def test_bigrading_projectors_resolve_identity():
         model, pack = model_pack(name)
         pi = reference_projectors(model, pack)
         n = model.dim
-        total = GradedOperator.zero(n, 0, 0)
         for p in pi.values():
-            total = total + p
-            assert p @ p == p  # idempotent
-        assert total == GradedOperator.identity(n)
+            assert ref.compose(p, p) == p  # idempotent
+        assert ref.add(*pi.values()) == ref.identity(n)
         for k1, p1 in pi.items():
             for k2, p2 in pi.items():
                 if k1 != k2:
-                    assert (p1 @ p2).is_zero()
+                    assert ref.is_zero(ref.compose(p1, p2))
 
 
 REFERENCE_MODELS = [*BUILTIN_NAMES, "su2_aff", "h5xr", "h7"]
@@ -234,10 +230,7 @@ def test_closed_forms_match_the_lagrange_reference(name):
     # I and I^-1 as signed permutations, the Hodge components (d1 -+ i d1c)/2
     # certified by {W, d1} = d1c, and (p,q)-stability decided through W and
     # the bidegree projectors agree with the spectral projectors of W
-    if name in BUILTIN_NAMES:
-        model, pack = model_pack(name)
-    else:
-        model, pack = load_model_file(str(DATA / f"{name}.alg"))
+    model, pack = load(name)
     ops = structure_operators(model, pack)
     pi = reference_projectors(model, pack)
     assert (ops.I_aut, ops.I_inv) == reference_i(pi)
@@ -246,9 +239,9 @@ def test_closed_forms_match_the_lagrange_reference(name):
     pool = operator_pool(model, pack)
     d1 = pool["d1"]
     d1_10, d1_01 = reference_hodge(pi, d1)
-    assert d1_10 + d1_01 == d1  # the reference's own bidegree check
+    assert ref.add(d1_10, d1_01) == d1  # the reference's own bidegree check
     split = foliation_split(ops.d, model, reeb_foliation(pack))
-    assert hodge_split_d1(ops, split)[:2] == (d1_10, d1_01)
+    assert tuple(p.to_blocks() for p in hodge_split_d1(ops, split)[:2]) == (d1_10, d1_01)
     # the pool's polynomials, certified by {W, d1} = I d1 I^-1 on the letters
     assert (pool["d1^{1,0}"], pool["d1^{0,1}"]) == (d1_10, d1_01)
     fol = reeb_foliation(pack) if pack.kind == "sasakian" else sigma_foliation(pack)
@@ -262,17 +255,32 @@ def test_structure_operators_match_the_block_reference(name):
     # d, L and W are the blocks of Clifford polynomials and I a signed
     # permutation read off the J pairs; the reference builds each through
     # FormElement wedges (tests/block_reference.py)
-    if name in BUILTIN_NAMES:
-        model, pack = model_pack(name)
-    else:
-        model, pack = load_model_file(str(DATA / f"{name}.alg"))
+    model, pack = load(name)
     ops = structure_operators(model, pack)
     reference = reference_operators(model, pack)
-    for key, op in reference.items():
-        assert getattr(ops, key) == op, key
-    for key, poly in ops.polys.items():
-        assert poly.to_blocks() == reference[key], key
-    assert operator_pool(model, pack).poly("d") is ops.polys["d"] is ce_differential(model)
+    for key in ("d", "L", "W"):
+        assert getattr(ops, key).to_blocks() == reference[key], key
+    assert (ops.I_aut, ops.I_inv) == (reference["I_aut"], reference["I_inv"])
+    assert operator_pool(model, pack).poly("d") is ops.d is ce_differential(model)
+
+
+@pytest.mark.parametrize("name", ["h5xr", "h9"])
+def test_loading_builds_no_block(monkeypatch, name):
+    # d, L and W stay polynomials until a matrix consumer asks the pool for
+    # their blocks; the split and the Hodge components of the probes are
+    # those of the pool
+    from lieforms.clifford import Clifford
+
+    calls = []
+    to_blocks = Clifford.to_blocks
+    monkeypatch.setattr(Clifford, "to_blocks", lambda p: calls.append(p) or to_blocks(p))
+    model, pack = load(name)
+    structure_operators.cache_clear()
+    ops = structure_operators(model, pack)
+    assert calls == []
+    split = foliation_split(ops.d, model, reeb_foliation(pack))
+    assert split.components == operator_pool(model, pack).split(reeb_foliation(pack)).components
+    assert hodge_split_d1(ops, split) == operator_pool(model, pack).hodge[:3]
 
 
 def test_i_check_fails_on_a_planted_fault():
@@ -422,8 +430,7 @@ def test_two_loads_give_equal_models_and_packs():
 
 def test_frozen_records_refuse_assignment():
     model, pack = model_pack("h5")
-    op = ops_for("h5").d
-    for record, attr in ((op, "blocks"), (model, "dim"), (pack, "kind"),
+    for record, attr in ((pool_for("h5")["d"], "blocks"), (ops_for("h5").d, "terms"), (model, "dim"), (pack, "kind"),
                          (reeb_foliation(pack), "spanning"), (ops_for("h5"), "d")):
         before = getattr(record, attr)
         with pytest.raises(AttributeError):
@@ -436,16 +443,13 @@ def test_frozen_records_refuse_assignment():
 _H7_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from lieforms.cohomology import horizontal_projector
 from lieforms.models import load_model_file
-from lieforms.operators import GradedOperator
 from lieforms.splitting import (FoliationSplit, operator_pool, reeb_foliation,
                                 sasakian_relations)
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
-named = [v for v in vars(pool.ops).values() if isinstance(v, GradedOperator)]
-named += [pool[x] for x in ("e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
-named += [horizontal_projector(model.dim, pack.vertical_indices),
+named = [pool[x] for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
+named += [pool.ops.I_aut, pool.ops.I_inv,
           *(p.to_blocks() for p in (*pool.split(reeb_foliation(pack)).components, *pool.hodge))]
 sasakian_relations(model, pack)  # builds the table's whole pool
 named += [p.to_blocks() for p in pool._polys.values() if not isinstance(p, FoliationSplit)]

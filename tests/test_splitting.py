@@ -3,7 +3,8 @@ from pathlib import Path
 import pytest
 
 from lieforms.models import StructureError, parse_model, structure_operators
-from lieforms.operators import GradedOperator, ODD, op_sum, supercommutator
+from lieforms.operators import supercommutator
+from lieforms.scalars import ONE, Scalar
 from lieforms.splitting import (
     FoliationSplit,
     FoliationSpec,
@@ -20,6 +21,7 @@ from lieforms.splitting import (
     vaisman_structure_relations,
 )
 
+import block_reference as ref
 from conftest import model_pack, ops_for, pool_for
 from pq_reference import reference_projectors
 
@@ -48,9 +50,9 @@ def test_split_reconstructs_d():
 def test_split_formulas():
     for name in ("su2", "h3", "h5"):
         _, split = split_for(name)
-        pool = pool_for(name)
-        assert split.d0 == pool["e_r"] @ pool["Lie_r"]
-        assert split.d2 == pool["L"] @ pool["i_r"]
+        poly = pool_for(name).poly
+        assert split.d0 == poly("e_r") @ poly("Lie_r")
+        assert split.d2 == poly("L") @ poly("i_r")
         assert (split.d0 @ split.d0).is_zero()
         assert (split.d2 @ split.d2).is_zero()
         # the horizontal-degree-2 part of d^2 = 0
@@ -80,7 +82,8 @@ def test_hodge_split_bidegrees():
         d1_10, d1_01, d1c = hodge_split_d1(ops, split)
         assert d1_10 + d1_01 == split.d1
         # twisted differential consistency: [W, d1] = I d1 I^{-1}
-        assert supercommutator(ops.W, split.d1) == ops.I_aut @ split.d1 @ ops.I_inv
+        assert (supercommutator(ops.W, split.d1).to_blocks()
+                == ref.compose(ops.I_aut, split.d1.to_blocks(), ops.I_inv))
 
 
 def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
@@ -88,12 +91,19 @@ def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
     # out with the reference projectors, is added to d1 of h5
     model, pack = model_pack("h5")
     ops, split = split_for("h5")
-    pool = pool_for("h5")
-    pi = reference_projectors(model, pack)
-    y = pool["e_1"] @ pool["e_3"] @ pool["i_2"]
-    planted = op_sum([GradedOperator.zero(5, 1, ODD)] + [
-        pi[tgt] @ y @ proj for (p, q, v), proj in pi.items() if (tgt := (p + 2, q - 1, v)) in pi])
+    poly = pool_for("h5").poly
+    y = poly("e_1") @ poly("e_3") @ poly("i_2")
+    # [W, .] acts as i(a-b) on the part moving (p,q) by (a,b), so the
+    # (2,-1) part is y times prod over t of ([W, .] - it) / i(3-t)
+    planted = y
+    for t in (1, -1, -3):
+        planted = (supercommutator(poly("W"), planted)
+                   - planted.scale(Scalar(0, t))).scale(ONE / Scalar(0, 3 - t))
     assert not planted.is_zero()
+    pi = reference_projectors(model, pack)
+    assert planted.to_blocks() == ref.add(*(
+        ref.compose(pi[tgt], y.to_blocks(), proj) for (p, q, v), proj in pi.items()
+        if (tgt := (p + 2, q - 1, v)) in pi))
     hodge_split_d1(ops, split)
     bad = FoliationSplit(split.fol, (split.d0, split.d1 + planted, split.d2))
     with pytest.raises(StructureError) as err:
@@ -241,10 +251,10 @@ def test_factor_two_adjudications_on_su2_aff_witness():
     from lieforms.models import load_model_file
 
     model, pack = load_model_file(str(SU2_AFF))
-    pool = operator_pool(model, pack)
-    split = foliation_split(pool["d"], model, reeb_foliation(pack))
-    assert split.d0 == pool["e_r"] @ pool["Lie_r"]
-    assert split.d2 == pool["L"] @ pool["i_r"]
+    poly = operator_pool(model, pack).poly
+    split = foliation_split(poly("d"), model, reeb_foliation(pack))
+    assert split.d0 == poly("e_r") @ poly("Lie_r")
+    assert split.d2 == poly("L") @ poly("i_r")
     assert supercommutator(split.d0, split.d2) == -(split.d1 @ split.d1)
     assert not (split.d1 @ split.d1).is_zero()
 
