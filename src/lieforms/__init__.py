@@ -5,7 +5,6 @@ from .scalars import Scalar, parse_scalar
 from .forms import FormElement, contract, hodge_star, inner_product, wedge
 from .matrices import Matrix
 from .operators import (
-    GradedOperator,
     RelationEntry,
     RelationReport,
     reeb_power,

@@ -14,18 +14,20 @@ of e_W i_C is e_C i_W, and i_C e_C = 1 on the unit.  W and C are stored as
 bitmasks, generator k at bit k - 1.
 
 This is the engine's one operator algebra (sum, scale, product,
-adjoint), and it works on the terms; `to_blocks` writes the per-degree
-matrices that the complexes consume straight from them.
+adjoint), and it works on the terms.  A polynomial is also the operator
+that the complexes consume: `block(k)` writes its matrix from degree k
+straight from the terms, once.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import combinations
 from typing import Mapping
 
 from .forms import FormElement, monomial_basis
 from .matrices import Matrix
-from .operators import EVEN, GradedOperator, basis_dim
+from .operators import basis_dim
 from .scalars import ONE, Scalar
 
 Term = tuple[int, int]  # (W, C) as bitmasks
@@ -41,12 +43,11 @@ def _monomial(mask: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _basis(ngen: int) -> tuple[list[list[int]], dict[int, int]]:
-    """The mask of each basis monomial per degree, in the lexicographic
-    order of `forms.monomial_basis`, and the position of each mask in its
-    degree."""
-    masks = [[generator_mask(m) for m in monomial_basis(ngen, k)] for k in range(ngen + 1)]
-    return masks, {m: i for row in masks for i, m in enumerate(row)}
+def _positions(ngen: int) -> dict[int, int]:
+    """The position of each basis monomial's mask in its degree, in the
+    lexicographic order of `forms.monomial_basis`."""
+    return {generator_mask(m): i for k in range(ngen + 1)
+            for i, m in enumerate(monomial_basis(ngen, k))}
 
 
 def _inversions(a: int, b: int) -> int:
@@ -70,22 +71,6 @@ def _relabel(mask: int, images: Mapping[int, tuple[int, Scalar]]) -> tuple[int, 
         factor = -factor * x if (out >> m).bit_count() & 1 else factor * x
         out |= 1 << (m - 1)
     return out, factor
-
-
-def automorphism_blocks(ngen: int, images: Mapping[int, tuple[int, Scalar]]) -> GradedOperator:
-    """The algebra automorphism theta^k -> x theta^m for images[k] = (m, x),
-    a signed relabelling of the generators, as blocks.  It sends each basis
-    monomial to a signed basis monomial, so each block is a signed
-    permutation."""
-    masks, position = _basis(ngen)
-    blocks = []
-    for row in masks:
-        entries = []
-        for j, s in enumerate(row):
-            t, x = _relabel(s, images)
-            entries.append((position[t], j, x))
-        blocks.append(Matrix.from_entries(len(row), len(row), entries))
-    return GradedOperator(ngen, 0, EVEN, tuple(blocks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,7 +119,7 @@ class Clifford:
     """Immutable shift-homogeneous operator as a dict of normal-ordered
     terms {(W, C): nonzero Scalar}, every term with |W| - |C| = shift."""
 
-    __slots__ = ("ngen", "shift", "terms")
+    __slots__ = ("ngen", "shift", "terms", "_blocks")
 
     def __init__(self, ngen: int, shift: int, terms: Mapping[Term, Scalar]):
         clean = {}
@@ -267,48 +252,37 @@ class Clifford:
                 out[key] = out[key] + v * x if key in out else v * x
         return FormElement(self.ngen, {_monomial(k): v for k, v in out.items()})
 
-    def _entries(self, only: int | None = None) -> list[dict[tuple[int, int], Scalar]]:
-        """Per source degree, the summed {(row, col): value} of the blocks;
-        with `only`, that source degree alone.
+    def _entries(self, k: int):
+        """The nonzero (row, col, value) entries of the block from degree k.
 
         A term e_W i_C is nonzero exactly on e_S with S = C + T for the
-        T outside W and C, so its entries are enumerated over those T."""
-        n = self.ngen
-        _, position = _basis(n)
-        full = (1 << n) - 1
-        acc: list[dict] = [{} for _ in range(n + 1)]
+        T outside W and C, so at degree k its entries are enumerated over
+        the T of size k - |C|, largest mask first."""
+        position = _positions(self.ngen)
+        full = (1 << self.ngen) - 1
+        acc: dict[tuple[int, int], Scalar] = {}
         for (w, c), v in self.terms.items():
-            size = None if only is None else only - c.bit_count()
-            if size is not None and size < 0:
+            size = k - c.bit_count()
+            if size < 0:
                 continue
             free = full & ~(w | c)
-            t = free
-            while True:
-                if size is None or t.bit_count() == size:
-                    s = c | t
-                    block = acc[s.bit_count()]
-                    key = (position[w | t], position[s])
-                    x = -v if _inversions(c, t) ^ _inversions(w, t) else v
-                    block[key] = block[key] + x if key in block else x
-                if not t:
-                    break
-                t = (t - 1) & free
-        return acc
-
-    def _matrix(self, k: int, entries: dict[tuple[int, int], Scalar]) -> Matrix:
-        return Matrix.from_entries(basis_dim(self.ngen, k + self.shift), basis_dim(self.ngen, k),
-                                   ((i, j, x) for (i, j), x in entries.items() if x))
+            for letters in combinations([1 << b for b in reversed(range(free.bit_length()))
+                                         if free >> b & 1], size):
+                t = sum(letters)
+                key = (position[w | t], position[c | t])
+                x = -v if _inversions(c, t) ^ _inversions(w, t) else v
+                acc[key] = acc[key] + x if key in acc else x
+        return ((i, j, x) for (i, j), x in acc.items() if x)
 
     def block(self, k: int) -> Matrix:
-        """The matrix from degree k to degree k + shift."""
-        return self._matrix(k, self._entries(k)[k])
-
-    def to_blocks(self) -> GradedOperator:
-        """The per-degree matrices, filled straight from the terms."""
-        if not self.terms:
-            return GradedOperator.zero(self.ngen, self.shift, self.parity)
-        blocks = tuple(self._matrix(k, entries) for k, entries in enumerate(self._entries()))
-        return GradedOperator(self.ngen, self.shift, self.parity, blocks)
+        """The matrix from degree k to degree k + shift, written once and
+        kept on the polynomial, so names that share a polynomial share its
+        blocks."""
+        m = self._blocks.get(k)
+        if m is None:
+            m = self._blocks[k] = Matrix.from_entries(
+                basis_dim(self.ngen, k + self.shift), basis_dim(self.ngen, k), self._entries(k))
+        return m
 
     def first_difference(self, other: "Clifford"):
         """(degree, row, col, lhs, rhs) of the first differing matrix entry,
@@ -335,13 +309,15 @@ class Clifford:
             raise ValueError("can only add operators of equal shift and parity")
 
 
-_set_ngen, _set_shift, _set_terms = (getattr(Clifford, f).__set__ for f in Clifford.__slots__)
+_set_ngen, _set_shift, _set_terms, _set_blocks = (getattr(Clifford, f).__set__
+                                                   for f in Clifford.__slots__)
 
 
 def _init(p: Clifford, ngen: int, shift: int, terms: dict) -> Clifford:
     _set_ngen(p, ngen)
     _set_shift(p, shift)
     _set_terms(p, terms)
+    _set_blocks(p, {})
     return p
 
 

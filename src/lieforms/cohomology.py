@@ -33,7 +33,6 @@ from .matrices import (
 )
 from .models import LieModel, StructureError, StructurePack
 from .operators import (
-    GradedOperator,
     RelationEntry,
     RelationReport,
     basis_dim,
@@ -147,28 +146,27 @@ class FormComplex(CochainComplex):
     the Gram matrices come from the ambient orthonormal metric.
     """
 
-    __slots__ = ("ngen", "embed")
+    __slots__ = ("embed",)
 
     def __init__(self, label: str, degrees: tuple[int, ...], dims: dict[int, int],
-                 diff: dict[int, Matrix], gram: dict[int, Matrix], ngen: int,
-                 embed: dict[int, Matrix]):
+                 diff: dict[int, Matrix], gram: dict[int, Matrix], embed: dict[int, Matrix]):
         super().__init__(label, degrees, dims, diff, gram)
-        self.ngen, self.embed = ngen, embed
+        self.embed = embed
 
     @staticmethod
-    def full(model: LieModel, d: GradedOperator) -> "FormComplex":
+    def full(model: LieModel, d: Clifford) -> "FormComplex":
         n = model.dim
         degrees = tuple(range(n + 1))
         dims = {k: basis_dim(n, k) for k in degrees}
-        diff = {k: d.blocks[k] for k in range(n)}
+        diff = {k: d.block(k) for k in range(n)}
         embed = {k: Matrix.identity(dims[k]) for k in degrees}
-        return FormComplex(model.name, degrees, dims, diff, {}, n, embed)
+        return FormComplex(model.name, degrees, dims, diff, {}, embed)
 
     @staticmethod
     def from_constraints(
         model: LieModel,
-        d: GradedOperator,
-        constraints: list[GradedOperator],
+        d: Clifford,
+        constraints: list[Clifford],
         label: str,
     ) -> "FormComplex":
         """Common kernel of the constraint operators, with d restricted.
@@ -180,28 +178,25 @@ class FormComplex(CochainComplex):
         embed: dict[int, Matrix] = {}
         dims: dict[int, int] = {}
         for k in degrees:
-            stacked = functools.reduce(Matrix.vstack, [op.blocks[k] for op in constraints],
+            stacked = functools.reduce(Matrix.vstack, [op.block(k) for op in constraints],
                                        Matrix.zero(0, basis_dim(n, k)))
             embed[k] = nullspace(stacked)
             dims[k] = embed[k].ncols
         diff: dict[int, Matrix] = {}
         for k in range(n):
-            diff[k] = _restrict_block(d.blocks[k], embed[k], embed[k + 1],
+            diff[k] = _restrict_block(d.block(k), embed[k], embed[k + 1],
                                       "d fails to preserve the subspace")
         gram = {k: embed[k].conj_transpose() @ embed[k] for k in degrees}
-        return FormComplex(label, degrees, dims, diff, gram, n, embed)
+        return FormComplex(label, degrees, dims, diff, gram, embed)
 
-    def basis_forms(self, k: int) -> list[FormElement]:
-        return column_forms(self.ngen, k, self.embed[k])
-
-    def restrict(self, op: GradedOperator) -> dict[int, Matrix]:
+    def restrict(self, op: Clifford) -> dict[int, Matrix]:
         """Coordinate blocks of an ambient operator preserving the subcomplex."""
         out = {}
         for k in self.degrees:
             tgt = k + op.shift
             if tgt not in self.dims:
                 continue
-            out[k] = _restrict_block(op.blocks[k], self.embed[k], self.embed[tgt],
+            out[k] = _restrict_block(op.block(k), self.embed[k], self.embed[tgt],
                                      "operator fails to preserve the subspace")
         return out
 
@@ -220,7 +215,7 @@ def _restrict_block(block: Matrix, src_embed: Matrix, tgt_embed: Matrix, msg: st
 
 @functools.lru_cache(maxsize=None)
 def full_complex(model: LieModel, pack: StructurePack) -> FormComplex:
-    return FormComplex.full(model, operator_pool(model, pack)["d"])
+    return FormComplex.full(model, operator_pool(model, pack).poly("d"))
 
 
 def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
@@ -234,14 +229,14 @@ def basic_subcomplex(model: LieModel, pack: StructurePack, fol: FoliationSpec) -
     fol.validate(model)
     label = f"{model.name}:basic{list(fol.spanning)}"
     constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
-    return FormComplex.from_constraints(model, operator_pool(model, pack)["d"],
+    return FormComplex.from_constraints(model, operator_pool(model, pack).poly("d"),
                                         constraints, label)
 
 
 def _contractions(model: LieModel, pack: StructurePack, fol: FoliationSpec):
     """(i_v, Lie_v = {d, i_v}) for each v spanning the foliation."""
     pool = operator_pool(model, pack)
-    return [(pool[f"i_{v}"], pool["d", f"i_{v}"]) for v in fol.spanning]
+    return [(pool.poly(f"i_{v}"), pool.poly(("d", f"i_{v}"))) for v in fol.spanning]
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,12 +249,12 @@ def invariant_subcomplex(model: LieModel, pack: StructurePack,
     part of the Lee-basic complex, which is what `extra` provides.
     """
     pool = operator_pool(model, pack)
-    constraints = [pool["Lie_r"]]
+    constraints = [pool.poly("Lie_r")]
     label = f"{model.name}:invariant"
     if extra is not None:
         constraints += [op for pair in _contractions(model, pack, extra) for op in pair]
         label += f"+basic{list(extra.spanning)}"
-    return FormComplex.from_constraints(model, pool["d"], constraints, label)
+    return FormComplex.from_constraints(model, pool.poly("d"), constraints, label)
 
 
 def contact_foliation(pack: StructurePack) -> FoliationSpec | None:
@@ -311,7 +306,7 @@ def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec
 
 def _basic_adjoint(model, pack, fol, sub: FormComplex) -> RelationReport:
     report = RelationReport(model.name, f"basic adjoint identity {list(fol.spanning)}")
-    d_star = operator_pool(model, pack)["d*"]
+    d_star = operator_pool(model, pack).poly("d*")
     checked = 0
     for k in sub.degrees[1:]:
         # entry (j, b) pairs the image of the j-th basic form of degree k
@@ -319,7 +314,7 @@ def _basic_adjoint(model, pack, fol, sub: FormComplex) -> RelationReport:
         # Pi_hor, but basic forms are horizontal and Pi_hor is self-adjoint,
         # so g(Pi_hor x, b) = g(x, b) and d* is paired directly
         beta = sub.embed[k - 1]
-        lhs = (d_star.blocks[k] @ sub.embed[k]).conj_transpose() @ beta
+        lhs = (d_star.block(k) @ sub.embed[k]).conj_transpose() @ beta
         rhs = (beta @ sub.adjoint_d(k - 1)).conj_transpose() @ beta
         diff = (lhs - rhs).first_nonzero()
         if diff is not None:
@@ -380,7 +375,8 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         e = n_t - k
         if e < 0 or 2 * n_t - k > max(sub.degrees):
             continue
-        blocks = sub.restrict(functools.reduce(matmul, [L] * e, pool.poly("Id")).to_blocks())
+        # L^1 is L itself, so its blocks are the pool's
+        blocks = sub.restrict(functools.reduce(matmul, [L] * e) if e else pool.poly("Id"))
         ind = induced_map(blocks, sub, coh, coh, degree_offset=2 * e)
         m = ind[k]
         bij = rank(m) == coh.betti[k] == coh.betti[2 * n_t - k]
@@ -398,7 +394,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     stable = True
     for k in sub.degrees:
         harm = sub.embed[k] @ sub.harmonic_coords(k)
-        if solve(harm, pool["W"].blocks[k] @ harm) is None:
+        if solve(harm, pool.poly("W").block(k) @ harm) is None:
             stable = False
     report.add(RelationEntry("transversal.pq_stability",
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
@@ -415,10 +411,10 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     report.add(RelationEntry("split_laplacian.psd_decomposition",
                              "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
                              "pass" if psd == ds else "fail"))
-    ds_view = ds.to_blocks()  # for the diagonal, the kernels and the restriction
+    ds_blocks = [ds.block(k) for k in range(model.dim + 1)]
     diag_ok = all(
         block.entry(i, i).im == 0 and block.entry(i, i).re >= 0
-        for block in ds_view.blocks for i in range(block.nrows)
+        for block in ds_blocks for i in range(block.nrows)
     )
     report.add(RelationEntry("split_laplacian.diagonal_nonnegative",
                              "<Delta_s a, a> for basis a", ">= 0",
@@ -430,11 +426,11 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # kernel conditions: Lie_v always vanishes; i_v is reported per model
     lie_ok, iv_ok = True, True
     pairs = _contractions(model, pack, fol)
-    for k, block in enumerate(ds_view.blocks):
+    for k, block in enumerate(ds_blocks):
         ker = nullspace(block)
         for iv, lie in pairs:
-            lie_ok = lie_ok and (lie.blocks[k] @ ker).is_zero()
-            iv_ok = iv_ok and (iv.blocks[k] @ ker).is_zero()
+            lie_ok = lie_ok and (lie.block(k) @ ker).is_zero()
+            iv_ok = iv_ok and (iv.block(k) @ ker).is_zero()
     report.add(RelationEntry("split_laplacian.kernel_lie_vanishing",
                              "Lie_v on ker Delta_s", "0",
                              "pass" if lie_ok else "fail"))
@@ -466,7 +462,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     # closed eigenvectors of Delta_s (restricted to the basic complex) for
     # nonzero eigenvalues are exact; checked via ker g(Delta_s) with g the
     # characteristic polynomial with all factors of x removed
-    ds_sub = sub.restrict(ds_view)
+    ds_sub = sub.restrict(ds)
     eigen_ok = True
     seen = []
     for k in sub.degrees:

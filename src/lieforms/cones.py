@@ -198,7 +198,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
 
     src = basic.shift(-1)   # C_i = bas^{i-1}
     tgt = basic.shift(1)    # C'_i = bas^{i+1}
-    lblocks = basic.restrict(pool["L"])
+    lblocks = basic.restrict(pool.poly("L"))
     phi_blocks = {k: lblocks[k - 1] for k in src.degrees if k - 1 in lblocks}
     phi = ChainMap("L", src, tgt, phi_blocks)
     cone = build_cone(phi)
@@ -210,9 +210,9 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> ConePackage:
         x = ambient.embed[i]
         if i >= 1:
             # beta = i_r(x); alpha = x - eta ^ beta
-            beta = pool["i_r"].blocks[i] @ x
+            beta = pool.poly("i_r").block(i) @ x
             bcoords = span_coordinates(basic.embed[i - 1], beta)
-            acoords = span_coordinates(basic.embed[i], x - pool["e_r"].blocks[i - 1] @ beta)
+            acoords = span_coordinates(basic.embed[i], x - pool.poly("e_r").block(i - 1) @ beta)
         else:
             bcoords, acoords = Matrix.zero(0, x.ncols), span_coordinates(basic.embed[i], x)
         if bcoords is None or acoords is None:
@@ -272,7 +272,7 @@ def _lefschetz_sequences(model: LieModel, pack: StructurePack):
     """
     contact, basic = contact_complexes(model, pack)
     actual, coh = contact.cohomology(), basic.cohomology()
-    lef = induced_map(basic.restrict(operator_pool(model, pack)["L"]),
+    lef = induced_map(basic.restrict(operator_pool(model, pack).poly("L")),
                       basic, coh, coh, degree_offset=2)
     rk = {k: rank(m) for k, m in lef.items()}
     b = lambda k: coh.betti.get(k, 0)
@@ -326,16 +326,17 @@ def _harmonic_branch_spaces(model, pack, basic):
     harm = [basic.embed[k] @ basic.harmonic_coords(k) for k in basic.degrees]
 
     def cut(mat, op, k):
-        return mat @ nullspace(op.blocks[k] @ mat)
+        return mat @ nullspace(op.block(k) @ mat)
 
     out = []
     for degree in basic.degrees:
-        b1 = cut(harm[degree], pool["Lam"], degree)
+        b1 = cut(harm[degree], pool.poly("Lam"), degree)
         if degree == 0:
             b2 = Matrix.zero(b1.nrows, 0)
         else:
             # v ^ eta = (-1)^deg(v) eta ^ v, so the branch is one e_r block product
-            b2 = pool["e_r"].blocks[degree - 1] @ cut(harm[degree - 1], pool["L"], degree - 1)
+            b2 = pool.poly("e_r").block(degree - 1) @ cut(harm[degree - 1], pool.poly("L"),
+                                                           degree - 1)
             b2 = -b2 if degree % 2 == 0 else b2
         out.append((b1, b2))
     return out
@@ -441,15 +442,15 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
 
     theta_ok = True
     assemble_ok = True
-    e_theta = operator_pool(model, pack)["e_th"]
+    e_theta = operator_pool(model, pack).poly("e_th")
     full = full_complex(model, pack)
     harmonic = [full.harmonic_coords(i) for i in full.degrees]
     for i in full.degrees:
-        assembled = chosen[i] if i == 0 else chosen[i].hstack(e_theta.blocks[i - 1] @ chosen[i - 1])
+        assembled = chosen[i] if i == 0 else chosen[i].hstack(e_theta.block(i - 1) @ chosen[i - 1])
         if not subspace_equal(assembled, harmonic[i]):
             assemble_ok = False
         # wedging a full harmonic form with the parallel theta stays harmonic
-        if i < model.dim and solve(harmonic[i + 1], e_theta.blocks[i] @ harmonic[i]) is None:
+        if i < model.dim and solve(harmonic[i + 1], e_theta.block(i) @ harmonic[i]) is None:
             theta_ok = False
     verdict.extras.append(RelationEntry(
         "harmonic.assembly", "H* (+) theta^H*", "ker Delta, degreewise subspace equality",

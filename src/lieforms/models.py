@@ -12,10 +12,9 @@ import functools
 from fractions import Fraction
 from importlib import resources
 
-from .clifford import Clifford, automorphism_blocks
+from .clifford import Clifford
 from .forms import FormElement, contract, inner_product, wedge
-from .matrices import Matrix
-from .operators import EVEN, GradedOperator
+from .operators import supercommutator
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -488,13 +487,14 @@ def builtin_file_text(name: str) -> str:
 
 class StructureOperators:
     """The operators built from the pack's data, immutable: d, L and W as
-    Clifford polynomials, J as the signed relabelling of the coframe that
-    W and I are built from (`j_images`), and I and I^-1 as blocks.  Every
-    other named operator is derived from these in `splitting.OperatorPool`."""
+    Clifford polynomials, and J, the signed relabelling of the coframe
+    that W is built from (`j_images`).  I = i^{p-q} is the algebra
+    automorphism extending J and the identity on the vertical coframe, so
+    conjugation by I is `substitute(J)` and I is never built.  Every other
+    named operator is derived from these in `splitting.OperatorPool`."""
 
-    def __init__(self, d: Clifford, L: Clifford, W: Clifford, J: dict[int, tuple[int, Scalar]],
-                 I_aut: GradedOperator, I_inv: GradedOperator):
-        vars(self).update(d=d, L=L, W=W, J=J, I_aut=I_aut, I_inv=I_inv)
+    def __init__(self, d: Clifford, L: Clifford, W: Clifford, J: dict[int, tuple[int, Scalar]]):
+        vars(self).update(d=d, L=L, W=W, J=J)
 
     def __setattr__(self, *_):
         raise AttributeError("StructureOperators is immutable")
@@ -504,19 +504,14 @@ class StructureOperators:
 def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperators:
     n = model.dim
     J = j_images(pack)
-    # I = i^{p-q}: the algebra automorphism extending J and the identity on
-    # the vertical coframe, a signed permutation in each degree; I^-1 is its
-    # transpose
-    I_aut = automorphism_blocks(n, J)
-    I_inv = GradedOperator(n, 0, EVEN, tuple(b.conj_transpose() for b in I_aut.blocks))
     ops = StructureOperators(
         ce_differential(model),
         # built at shift 2 even when omega0 = 0 (no transversal directions)
         Clifford.multiplication(pack.omega0, 2),
         # W: the even derivation extending J on the transversal coframe
         Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()}),
-        J, I_aut, I_inv)
-    _check_i_against_w(ops.W, ops.I_aut, ops.I_inv, pack.vertical_indices)
+        J)
+    _check_i_against_w(ops.W, J, pack.vertical_indices)
     return ops
 
 
@@ -529,15 +524,27 @@ def j_images(pack: StructurePack) -> dict[int, tuple[int, Scalar]]:
     return images
 
 
-def _check_i_against_w(W: Clifford, I_aut: GradedOperator, I_inv: GradedOperator,
-                      vertical: tuple[int, ...]):
-    """Assert that I is i^{p-q} of the bigrading of W, given that I is an
-    algebra automorphism and W a derivation: I_inv inverts I in every
-    degree, and on 1-forms, where i^{p-q} is i on (1,0), -i on (0,1) and 1
-    on vertical forms, I = W + the vertical unit projector."""
-    if any(inv @ aut != Matrix.identity(aut.ncols) for inv, aut in zip(I_inv.blocks, I_aut.blocks)):
-        raise StructureError("J", "I^-1 I is not the identity")
-    # theta^k is the (k-1)-th basis 1-form
-    sel = Matrix.unit_rows([k - 1 for k in vertical], W.ngen)
-    if I_aut.blocks[1] != W.block(1) + sel.conj_transpose() @ sel:
-        raise StructureError("J", "I is not W + the vertical projector on 1-forms")
+def _check_i_against_w(W: Clifford, J: dict[int, tuple[int, Scalar]], vertical: tuple[int, ...]):
+    """Assert, on the letters, that conjugation by I (the relabelling J) is
+    i^{p-q} of the bigrading of W.  I is an algebra automorphism and W a
+    derivation, so each is determined by its values on the coframe, where
+    I = W + the vertical identity: I e_k I^-1 = e_{I theta^k} must be
+    {W, e_k} = e_{W theta^k} on the transversal coframe, and e_k with
+    {W, e_k} = 0 on the vertical one.  The relabelled letters must keep
+    {i_a, e_b} = delta_ab, so that I is unitary and I^-1 is its adjoint."""
+    n = W.ngen
+    images = [Clifford.wedge(n, k).substitute(J) for k in range(1, n + 1)]
+    for k, image in enumerate(images, start=1):
+        e_k = Clifford.wedge(n, k)
+        w_e = supercommutator(W, e_k)
+        if k in vertical:
+            if image != e_k or not w_e.is_zero():
+                raise StructureError("J", f"I or W moves the vertical generator theta^{k}")
+        elif image != w_e:
+            raise StructureError("J", f"I e_{k} I^-1 is not {{W, e_{k}}}")
+    identity, zero = Clifford.identity(n), Clifford.zero(n, 0)
+    for a in range(1, n + 1):
+        i_a = Clifford.contraction(n, a).substitute(J)
+        for b, image in enumerate(images, start=1):
+            if supercommutator(i_a, image) != (identity if a == b else zero):
+                raise StructureError("J", f"I does not keep {{i_{a}, e_{b}}}: it is not unitary")

@@ -1,47 +1,29 @@
-"""Operator views, the operator algebra helpers, and relation reports.
+"""The operator algebra helpers and relation reports.
 
-Every operator identity is decided on normal-ordered Clifford polynomials
-(`clifford.py`).  A `GradedOperator` is the per-degree view of one that a
-matrix consumer (a complex, a restriction, a kernel) asks for: its block
-for source degree k is a dim(k+s) x dim(k) matrix in the lexicographic
-monomial bases, for an operator of shift s.  Blocks whose source or
-target degree falls outside 0..N are the appropriate 0-row/0-column
-matrices.  A view has no arithmetic.
+Every operator is a normal-ordered Clifford polynomial (`clifford.py`),
+and every operator identity is decided on polynomials.  A matrix consumer
+(a complex, a restriction, a kernel) asks a polynomial for its block from
+degree k, a dim(k+s) x dim(k) matrix in the lexicographic monomial bases
+for an operator of shift s; a target degree outside 0..N gives a 0-row
+matrix.
 """
 
 from __future__ import annotations
 
 import functools
 from math import comb
-from operator import add, attrgetter
+from operator import add
 from typing import TYPE_CHECKING, Iterable
 
 from .forms import FormElement, monomial_basis
-from .matrices import Matrix
 
 if TYPE_CHECKING:
     from .clifford import Clifford
-
-EVEN, ODD = 0, 1
-
-_SHAPE = attrgetter("shape")
+    from .matrices import Matrix
 
 
 def basis_dim(ngen: int, k: int) -> int:
     return comb(ngen, k) if 0 <= k <= ngen else 0
-
-
-@functools.lru_cache(maxsize=None)
-def _block_shapes(ngen: int, shift: int) -> tuple[tuple[int, int], ...]:
-    """The shape of each block of an operator of the given shift."""
-    return tuple((basis_dim(ngen, k + shift), basis_dim(ngen, k)) for k in range(ngen + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _zero_blocks(ngen: int, shift: int) -> tuple[Matrix, ...]:
-    """The blocks of the zero operator of the given shift, built once and
-    shared, since matrices are immutable."""
-    return tuple(Matrix.zero(*shape) for shape in _block_shapes(ngen, shift))
 
 
 def column_forms(ngen: int, k: int, m: Matrix) -> list[FormElement]:
@@ -50,44 +32,6 @@ def column_forms(ngen: int, k: int, m: Matrix) -> list[FormElement]:
     if m.nrows != len(basis):
         raise ValueError("coordinate matrix has wrong row count")
     return [FormElement(ngen, {basis[i]: c for i, c in col.items()}) for col in m.columns()]
-
-
-class GradedOperator:
-    """Immutable per-degree view of a degree-shifting, parity-tagged
-    operator: one block per source degree, and no arithmetic."""
-
-    __slots__ = ("ngen", "shift", "parity", "blocks")
-
-    def __init__(self, ngen: int, shift: int, parity: int, blocks: tuple[Matrix, ...]):
-        if len(blocks) != ngen + 1:
-            raise ValueError("need one block per source degree 0..N")
-        shapes = _block_shapes(ngen, shift)
-        if tuple(map(_SHAPE, blocks)) != shapes:
-            k = next(k for k, b in enumerate(blocks) if b.shape != shapes[k])
-            raise ValueError(f"block {k} has shape {blocks[k].shape}, expected {shapes[k]}")
-        object.__setattr__(self, "ngen", ngen)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GradedOperator is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedOperator)
-            and self.ngen == other.ngen
-            and self.shift == other.shift
-            and self.parity == other.parity
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.ngen, self.shift, self.parity, self.blocks))
-
-    @staticmethod
-    def zero(ngen: int, shift: int, parity: int) -> "GradedOperator":
-        return GradedOperator(ngen, shift, parity, _zero_blocks(ngen, shift))
 
 
 def op_sum(terms: Iterable[Clifford]) -> Clifford:

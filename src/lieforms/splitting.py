@@ -40,7 +40,6 @@ from .models import (
     structure_operators,
 )
 from .operators import (
-    GradedOperator,
     RelationEntry,
     RelationReport,
     check_relation,
@@ -243,11 +242,11 @@ class OperatorPool:
     {a, b}, memoised by name pair (the pair {W, d1} is the one that
     certified the Hodge split); `split(fol)` is the split of d along a
     foliation, memoised per foliation.  The relation tables and the guards
-    decide on the polynomials.  `pool[name]` is the operator's blocks, for
-    the complexes, built from the polynomial on first use, and names that
-    share a polynomial share its blocks.  d, L and W are the polynomials of
-    `structure_operators`.  The names are the operators' only labels:
-    reports print them, never read them off an operator.
+    decide on the polynomials, and the complexes ask a polynomial for its
+    blocks (`Clifford.block`), so names that share a polynomial share its
+    blocks.  d, L and W are the polynomials of `structure_operators`.  The
+    names are the operators' only labels: reports print them, never read
+    them off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
@@ -259,7 +258,6 @@ class OperatorPool:
             self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
-        self._views: dict = {}
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
@@ -270,15 +268,6 @@ class OperatorPool:
                 op = self._recipes[ref](self)
             self._polys[ref] = op
         return op
-
-    def __getitem__(self, ref) -> GradedOperator:
-        # keyed by the polynomial, which names that share one (e_r and its
-        # e_k, Lam and L*) share; every polynomial is held in _polys
-        poly = self.poly(ref)
-        view = self._views.get(id(poly))
-        if view is None:
-            view = self._views[id(poly)] = poly.to_blocks()
-        return view
 
     def split(self, fol: FoliationSpec) -> FoliationSplit:
         """The split of d's polynomial along a foliation."""
@@ -357,14 +346,14 @@ def _star_map(ngen: int, k: int) -> list[tuple[int, bool]]:
 
 def _star_adjoint_entry(pool: OperatorPool) -> RelationEntry:
     """Cross-check the metric adjoint against +-*d* degree by degree."""
-    n, d = pool.model.dim, pool["d"]
+    n, d, d_star = pool.model.dim, pool.poly("d"), pool.poly("d*")
     stars = [_star_map(n, k) for k in range(n + 1)]
     signs = [0]  # on 0-forms d* and *d* both map to degree -1
     for k in range(1, n + 1):
-        target = pool["d*"].blocks[k]
+        target = d_star.block(k)
         # *d* : degree k -> N-k -> N-k+1 -> k-1 is d's block from degree
         # N-k with its columns and rows permuted and signed by the stars
-        cols, back = d.blocks[n - k].columns(), stars[n - k + 1]
+        cols, back = d.block(n - k).columns(), stars[n - k + 1]
         entries = []
         for j, (c, neg) in enumerate(stars[k]):
             for r, v in cols[c].items():

@@ -1,15 +1,16 @@
 """Block reference constructions: operators built from their action on forms.
 
 The engine decides every operator identity on normal-ordered Clifford
-polynomials and writes blocks straight from their terms; it builds I as a
-signed permutation read off the J pairs by bitmask.  This module keeps
-the constructions and the block arithmetic those replaced, which go
-through `forms.wedge` and matrix products alone, as an independent
-reference:
+polynomials, writes a polynomial's blocks straight from its terms, and
+conjugates by I as a relabelling of the letters.  This module keeps the
+constructions and the block arithmetic those replaced, which go through
+`forms.wedge` and matrix products alone, as an independent reference:
 
+- `Blocks` holds one matrix per source degree, and `blocks(p)` reads a
+  polynomial's blocks into one;
 - `identity`, `add`, `scale`, `compose`, `power`, `adjoint`,
   `supercommutator`, `apply` and `first_difference` are the operator
-  algebra on blocks, as plain functions of `GradedOperator` values;
+  algebra on blocks, as plain functions of `Blocks` values;
 
 - `from_action` enters the image of each basis monomial into its block;
 - `extend_derivation` is the signed Leibniz extension of generator values;
@@ -24,30 +25,59 @@ from typing import Callable, Mapping
 from lieforms.forms import FormElement, monomial_basis, wedge
 from lieforms.matrices import Matrix
 from lieforms.models import ce_values
-from lieforms.operators import EVEN, GradedOperator, ODD, basis_dim, column_forms
+from lieforms.operators import basis_dim, column_forms
 from lieforms.scalars import ONE, Scalar
 
-
-def identity(ngen: int) -> GradedOperator:
-    return GradedOperator(ngen, 0, EVEN, tuple(Matrix.identity(basis_dim(ngen, k))
-                                               for k in range(ngen + 1)))
+EVEN, ODD = 0, 1
 
 
-def add(a: GradedOperator, *others: GradedOperator) -> GradedOperator:
+class Blocks:
+    """An operator of the given shift and parity as one block per source
+    degree 0..N; equal when all four agree."""
+
+    __slots__ = ("ngen", "shift", "parity", "blocks")
+
+    def __init__(self, ngen: int, shift: int, parity: int, blocks: tuple[Matrix, ...]):
+        shapes = tuple((basis_dim(ngen, k + shift), basis_dim(ngen, k)) for k in range(ngen + 1))
+        if tuple(b.shape for b in blocks) != shapes:
+            raise ValueError(f"blocks of shapes {[b.shape for b in blocks]}, expected {shapes}")
+        self.ngen, self.shift, self.parity, self.blocks = ngen, shift, parity, blocks
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Blocks) and (self.ngen, self.shift, self.parity, self.blocks)
+                == (other.ngen, other.shift, other.parity, other.blocks))
+
+    @staticmethod
+    def zero(ngen: int, shift: int, parity: int) -> "Blocks":
+        return Blocks(ngen, shift, parity, tuple(Matrix.zero(basis_dim(ngen, k + shift),
+                                                             basis_dim(ngen, k))
+                                                 for k in range(ngen + 1)))
+
+
+def blocks(p) -> Blocks:
+    """The blocks of a Clifford polynomial, each read through `block(k)`."""
+    return Blocks(p.ngen, p.shift, p.parity, tuple(p.block(k) for k in range(p.ngen + 1)))
+
+
+def identity(ngen: int) -> Blocks:
+    return Blocks(ngen, 0, EVEN, tuple(Matrix.identity(basis_dim(ngen, k))
+                                       for k in range(ngen + 1)))
+
+
+def add(a: Blocks, *others: Blocks) -> Blocks:
     """The sum of operators of equal shift and parity."""
     for b in others:
         if (b.ngen, b.shift, b.parity) != (a.ngen, a.shift, a.parity):
             raise ValueError("can only add operators of equal shift and parity")
-        a = GradedOperator(a.ngen, a.shift, a.parity,
-                           tuple(x + y for x, y in zip(a.blocks, b.blocks)))
+        a = Blocks(a.ngen, a.shift, a.parity, tuple(x + y for x, y in zip(a.blocks, b.blocks)))
     return a
 
 
-def scale(a: GradedOperator, c: Scalar) -> GradedOperator:
-    return GradedOperator(a.ngen, a.shift, a.parity, tuple(b.scale(c) for b in a.blocks))
+def scale(a: Blocks, c: Scalar) -> Blocks:
+    return Blocks(a.ngen, a.shift, a.parity, tuple(b.scale(c) for b in a.blocks))
 
 
-def compose(a: GradedOperator, *others: GradedOperator) -> GradedOperator:
+def compose(a: Blocks, *others: Blocks) -> Blocks:
     """a after each of the others in turn, right to left: shifts add,
     parities add mod 2."""
     for b in others:
@@ -55,43 +85,43 @@ def compose(a: GradedOperator, *others: GradedOperator) -> GradedOperator:
         blocks = tuple(a.blocks[k + b.shift] @ b.blocks[k] if 0 <= k + b.shift <= n
                        else Matrix.zero(basis_dim(n, k + shift), basis_dim(n, k))
                        for k in range(n + 1))
-        a = GradedOperator(n, shift, (a.parity + b.parity) % 2, blocks)
+        a = Blocks(n, shift, (a.parity + b.parity) % 2, blocks)
     return a
 
 
-def power(a: GradedOperator, e: int) -> GradedOperator:
+def power(a: Blocks, e: int) -> Blocks:
     return compose(identity(a.ngen), *[a] * e)
 
 
-def adjoint(a: GradedOperator) -> GradedOperator:
+def adjoint(a: Blocks) -> Blocks:
     """Metric adjoint: block-wise conjugate transpose in the orthonormal
     monomial basis."""
     n = a.ngen
     blocks = tuple(a.blocks[k - a.shift].conj_transpose() if 0 <= k - a.shift <= n
                    else Matrix.zero(basis_dim(n, k - a.shift), basis_dim(n, k))
                    for k in range(n + 1))
-    return GradedOperator(n, -a.shift, a.parity, blocks)
+    return Blocks(n, -a.shift, a.parity, blocks)
 
 
-def supercommutator(a: GradedOperator, b: GradedOperator) -> GradedOperator:
+def supercommutator(a: Blocks, b: Blocks) -> Blocks:
     """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
     return add(compose(a, b), scale(compose(b, a), Scalar.of(1 if a.parity * b.parity % 2 else -1)))
 
 
-def d1_reference(d: GradedOperator, vertical: tuple[int, ...]) -> GradedOperator:
+def d1_reference(d: Blocks, vertical: tuple[int, ...]) -> Blocks:
     """The component of d that raises the horizontal degree by 1 for the
     given vertical indices, cut out by the bidegree projectors."""
     n = d.ngen
     pi = bidegree_projectors(n, vertical)
-    return add(GradedOperator.zero(n, 1, ODD), *(
+    return add(Blocks.zero(n, 1, ODD), *(
         compose(pi[h + 1, v], d, p) for (h, v), p in pi.items() if (h + 1, v) in pi))
 
 
-def is_zero(a: GradedOperator) -> bool:
+def is_zero(a: Blocks) -> bool:
     return all(b.is_zero() for b in a.blocks)
 
 
-def apply(a: GradedOperator, x: FormElement) -> FormElement:
+def apply(a: Blocks, x: FormElement) -> FormElement:
     out = FormElement.zero(a.ngen)
     for k in sorted(x.degrees()):
         if 0 <= k + a.shift <= a.ngen:
@@ -100,7 +130,7 @@ def apply(a: GradedOperator, x: FormElement) -> FormElement:
     return out
 
 
-def first_difference(a: GradedOperator, b: GradedOperator):
+def first_difference(a: Blocks, b: Blocks):
     """(degree, row, col, lhs, rhs) of the first differing entry, or None;
     a shift mismatch is reported as degree None."""
     if a.shift != b.shift:
@@ -114,7 +144,7 @@ def first_difference(a: GradedOperator, b: GradedOperator):
 
 
 def from_action(ngen: int, shift: int, parity: int,
-                action: Callable[[FormElement], FormElement]) -> GradedOperator:
+                action: Callable[[FormElement], FormElement]) -> Blocks:
     """Realize a linear map given on basis monomials as matrices: the terms
     of each image are entered straight into the sparse block."""
     blocks = []
@@ -129,7 +159,7 @@ def from_action(ngen: int, shift: int, parity: int,
                     raise ValueError(f"action not homogeneous of shift {shift} on {m}")
                 entries.append((i, j, c))
         blocks.append(Matrix.from_entries(len(position), basis_dim(ngen, k), entries))
-    return GradedOperator(ngen, shift, parity, tuple(blocks))
+    return Blocks(ngen, shift, parity, tuple(blocks))
 
 
 def extend_derivation(
@@ -138,7 +168,7 @@ def extend_derivation(
     action: Mapping[int, FormElement],
     unit_value: FormElement | None = None,
     shift: int | None = None,
-) -> GradedOperator:
+) -> Blocks:
     """Unique first-order operator with the given values on 1 and theta^k.
 
     With unit_value (the value on 1) zero or omitted this is the signed
@@ -157,7 +187,7 @@ def extend_derivation(
     if shift is not None:
         shifts.add(shift)
     if not shifts:
-        return GradedOperator.zero(ngen, 1 if parity else 0, parity)
+        return Blocks.zero(ngen, 1 if parity else 0, parity)
     if len(shifts) > 1:
         raise ValueError(f"action values have mixed degree shifts {sorted(shifts)}")
     shift = shifts.pop()
@@ -192,7 +222,7 @@ def extend_derivation(
     return from_action(ngen, shift, parity, act)
 
 
-def reference_operators(model, pack) -> dict[str, GradedOperator]:
+def reference_operators(model, pack) -> dict[str, Blocks]:
     """d, L, W, I_aut and I_inv built through FormElement wedges: d and W as
     Leibniz extensions of their generator values, L as wedge with omega0,
     and I as the algebra automorphism extending J and the identity on the
@@ -236,4 +266,4 @@ def bidegree_projectors(ngen: int, vertical: tuple[int, ...]):
         for key, out in blocks.items():
             sel_t = Matrix.unit_rows(groups.get(key, ()), len(basis))
             out.append(sel_t.conj_transpose() @ sel_t)
-    return {key: GradedOperator(ngen, 0, EVEN, tuple(out)) for key, out in blocks.items()}
+    return {key: Blocks(ngen, 0, EVEN, tuple(out)) for key, out in blocks.items()}

@@ -1,8 +1,8 @@
 """Reference (p,q) bigrading by Lagrange interpolation in W.
 
-The engine builds I = i^{p-q} in closed form, as the algebra automorphism
-induced by J, and decides the Hodge split of d1 and (p,q)-stability through
-W alone.  This module keeps the spectral
+The engine conjugates by I = i^{p-q}, the algebra automorphism induced by
+J, as a relabelling of the letters, and decides the Hodge split of d1 and
+(p,q)-stability through W alone.  This module keeps the spectral
 construction those replaced, as an independent reference: on each
 (horizontal, vertical) degree block W acts on the (p,q) part as i(p-q), the
 candidate eigenvalues are finite, so each Pi^{p,q,v} is an explicit
@@ -13,16 +13,15 @@ are then read off the projectors.
 from lieforms.forms import monomial_basis
 from lieforms.matrices import Matrix, solve
 from lieforms.models import structure_operators
-from lieforms.operators import EVEN, GradedOperator, ODD
 from lieforms.scalars import I, ONE, Scalar
 
-from block_reference import add, compose, scale
+from block_reference import EVEN, ODD, Blocks, add, blocks, compose, scale
 
 
-def pq_projectors(ngen, W, vertical, n_trans) -> dict[tuple[int, int, int], GradedOperator]:
+def pq_projectors(ngen, W, vertical, n_trans) -> dict[tuple[int, int, int], Blocks]:
     """{(p, q, v): Pi^{p,q,v}}, each a Lagrange polynomial in W on its block."""
     vert = set(vertical)
-    blocks: dict[tuple[int, int, int], dict[int, Matrix]] = {}
+    parts: dict[tuple[int, int, int], dict[int, Matrix]] = {}
     for k in range(ngen + 1):
         basis = monomial_basis(ngen, k)
         groups: dict[tuple[int, int], list[int]] = {}
@@ -45,33 +44,33 @@ def pq_projectors(ngen, W, vertical, n_trans) -> dict[tuple[int, int, int], Grad
                         proj = proj @ (sub - ident.scale(Scalar(0, t)))
                         denom = denom * Scalar(0, s - t)
                 p = (h + s) // 2
-                blocks.setdefault((p, h - p, v), {})[k] = sel @ proj.scale(ONE / denom) @ sel_t
-    zero = GradedOperator.zero(ngen, 0, EVEN).blocks
-    return {key: GradedOperator(ngen, 0, EVEN,
-                                tuple(bk.get(k, zero[k]) for k in range(ngen + 1)))
-            for key, bk in blocks.items()}
+                parts.setdefault((p, h - p, v), {})[k] = sel @ proj.scale(ONE / denom) @ sel_t
+    zero = Blocks.zero(ngen, 0, EVEN).blocks
+    return {key: Blocks(ngen, 0, EVEN, tuple(bk.get(k, zero[k]) for k in range(ngen + 1)))
+            for key, bk in parts.items()}
 
 
 def reference_projectors(model, pack):
     ops = structure_operators(model, pack)
-    return pq_projectors(model.dim, ops.W.to_blocks(), pack.vertical_indices, pack.transversal_dim(model.dim))
+    return pq_projectors(model.dim, blocks(ops.W), pack.vertical_indices,
+                         pack.transversal_dim(model.dim))
 
 
 def i_power(s: int) -> Scalar:
     return [ONE, I, -ONE, -I][s % 4]
 
 
-def reference_i(pi) -> tuple[GradedOperator, GradedOperator]:
+def reference_i(pi) -> tuple[Blocks, Blocks]:
     """(I, I^-1) as sum_{p,q,v} i^{+-(p-q)} Pi^{p,q,v}."""
     return (add(*(scale(proj, i_power(p - q)) for (p, q, _), proj in pi.items())),
             add(*(scale(proj, i_power(q - p)) for (p, q, _), proj in pi.items())))
 
 
-def reference_hodge(pi, d1) -> tuple[GradedOperator, GradedOperator]:
+def reference_hodge(pi, d1) -> tuple[Blocks, Blocks]:
     """(d1^{1,0}, d1^{0,1}) as sums of Pi^{p+1,q,v} d1 Pi^{p,q,v} and
     Pi^{p,q+1,v} d1 Pi^{p,q,v}; they add up to d1 exactly when d1 has no
     other bidegree component."""
-    zero = GradedOperator.zero(d1.ngen, 1, ODD)
+    zero = Blocks.zero(d1.ngen, 1, ODD)
     return tuple(add(zero, *(compose(pi[tgt], d1, proj) for (p, q, v), proj in pi.items()
                               if (tgt := (p + a, q + 1 - a, v)) in pi))
                  for a in (1, 0))

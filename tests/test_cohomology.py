@@ -15,10 +15,11 @@ from lieforms.cohomology import (
 from lieforms.forms import FormElement, contract
 from lieforms.matrices import nullspace, subspace_equal
 from lieforms.models import BUILTIN_NAMES, StructureError
-from lieforms.operators import ODD
+from lieforms.operators import column_forms
 from lieforms.scalars import Scalar
 from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
+from block_reference import ODD
 from conftest import DATA, load, model_pack, ops_for
 
 ORACLE_MODELS = {
@@ -80,7 +81,7 @@ def test_basic_subcomplex_h3_contents():
     model, pack = model_pack("h3")
     sub = basic_subcomplex(model, pack, reeb_foliation(pack))
     assert [sub.dim(k) for k in range(4)] == [1, 2, 1, 0]
-    assert sub.basis_forms(1) == [t(3, 1), t(3, 2)]
+    assert column_forms(3, 1, sub.embed[1]) == [t(3, 1), t(3, 2)]
     assert all(m.is_zero() for m in sub.diff.values())
 
 
@@ -91,10 +92,10 @@ def test_subcomplex_closure_guard():
 
     model, pack = model_pack("su2")
     ops = ops_for("su2")
-    iv = Clifford.contraction(3, 3).to_blocks()
+    iv = Clifford.contraction(3, 3)
     # i_r-kernel alone is not d-stable on su2: d(t1) = t2^t3 has a reeb leg
     with pytest.raises(StructureError, match="d fails to preserve the subspace") as info:
-        FormComplex.from_constraints(model, ops.d.to_blocks(), [iv], "broken")
+        FormComplex.from_constraints(model, ops.d, [iv], "broken")
     assert info.value.check == "subcomplex"
 
 
@@ -103,9 +104,9 @@ def test_restriction_guard_on_an_operator_leaving_the_subcomplex():
     model, pack = model_pack("h3")
     sub = basic_subcomplex(model, pack, reeb_foliation(pack))
     pool = operator_pool(model, pack)
-    assert sub.restrict(pool["L"])  # L = e_{omega0} keeps basic forms basic
+    assert sub.restrict(pool.poly("L"))  # L = e_{omega0} keeps basic forms basic
     with pytest.raises(StructureError, match="operator fails to preserve the subspace") as info:
-        sub.restrict(pool["e_r"])
+        sub.restrict(pool.poly("e_r"))
     assert info.value.check == "subcomplex"
 
 
@@ -132,7 +133,7 @@ def test_split_laplacian_properties():
         model, pack = model_pack(name)
         ds = split_laplacian(model, pack, folf(pack))
         assert ds.adjoint() == ds
-        for block in ds.to_blocks().blocks:
+        for block in ref.blocks(ds).blocks:
             for i in range(block.nrows):
                 diag = block.entry(i, i)
                 assert diag.im == 0 and diag.re >= 0
@@ -177,16 +178,16 @@ def test_transversal_package_passes():
         assert rep.entry("split_laplacian.kernel_iv_vanishing").verdict == "noted"
 
 
-def plant(monkeypatch, model, pack, name, blocks):
-    """Make the cohomology layer's pool hand out the given blocks for one
-    name and the true pool's for every other."""
+def plant(monkeypatch, model, pack, name, poly):
+    """Make the cohomology layer's pool hand out the given polynomial for
+    one name and the true pool's for every other."""
     import lieforms.cohomology as co
 
     pool = operator_pool(model, pack)
 
     class PlantedPool:
-        def __getitem__(self, ref):
-            return blocks if ref == name else pool[ref]
+        def poly(self, ref):
+            return poly if ref == name else pool.poly(ref)
 
         def __getattr__(self, attr):
             return getattr(pool, attr)
@@ -200,7 +201,7 @@ def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
     model, pack = model_pack("h5")
     poly = operator_pool(model, pack).poly
     plant(monkeypatch, model, pack, "W",
-          (poly("W") + poly(f"e_{pack.reeb_index}") @ poly("i_1")).to_blocks())
+          poly("W") + poly(f"e_{pack.reeb_index}") @ poly("i_1"))
     rep = transversal_package(model, pack, reeb_foliation(pack))
     assert [e.name for e in rep.entries if not e.ok()] == ["transversal.pq_stability"]
 
@@ -300,7 +301,7 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
 
 @pytest.mark.parametrize("name", ["h5", "su2", "su2xr", "h3xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
-    # the split of d along each foliation and the blocks of each polynomial
+    # the split of d along each foliation and each block of each polynomial
     # (the pool's, the coframe operators e_k, i_k and the Reeb and Lee
     # operators among them, and Delta_s and L^e of the transversal package)
     # are built once, however many layers read them; a memoised result
@@ -326,20 +327,21 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
         return out
 
     monkeypatch.setattr(modules[2], "foliation_split", counted_split)
-    # the list holds its operands, so no two of them share an id
-    blocks, to_blocks = [], Clifford.to_blocks
+    # each written block as (polynomial, degree); the list holds the
+    # polynomials, so no two of them share an id
+    written, entries = [], Clifford._entries
 
-    def counted_to_blocks(poly):
-        blocks.append(poly)
-        return to_blocks(poly)
+    def counted_entries(poly, k):
+        written.append((poly, k))
+        return entries(poly, k)
 
-    monkeypatch.setattr(Clifford, "to_blocks", counted_to_blocks)
+    monkeypatch.setattr(Clifford, "_entries", counted_entries)
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
     assert splits and all(len({id(out) for out in outs}) == 1 for outs in splits.values())
-    assert blocks and len({id(p) for p in blocks}) == len(blocks)
+    assert written and len({(id(p), k) for p, k in written}) == len(written)
     pool = operator_pool(*model_pack(name))
-    assert pool["i_r"] is pool[f"i_{model_pack(name)[1].reeb_index}"]
+    assert pool.poly("i_r") is pool.poly(f"i_{model_pack(name)[1].reeb_index}")
 
 
 # the contact models: the Kahler builtins have no foliation
@@ -365,7 +367,7 @@ def test_horizontal_projector_is_the_vertical_degree_zero_projector():
             pi = ref.bidegree_projectors(model.dim, fol.spanning)
             expected = ref.add(*(p for (h, v), p in pi.items() if v == 0))
             pi_hor = _split_laplacian_parts(model, pack, fol)[3]
-            assert pi_hor.to_blocks() == expected, (name, fol.spanning)
+            assert ref.blocks(pi_hor) == expected, (name, fol.spanning)
 
 
 @pytest.mark.parametrize("name", CONTACT_MODELS)
@@ -385,14 +387,14 @@ def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
                 for v in fol.spanning]
         ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
                      *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
-        assert split_laplacian(model, pack, fol).to_blocks() == ds, fol.spanning
+        assert ref.blocks(split_laplacian(model, pack, fol)) == ds, fol.spanning
         restricted.clear()
         transversal_package(model, pack, fol)
         degrees = basic_subcomplex(model, pack, fol).degrees
         n_t = (n - fol.rank) // 2
         powers = [ref.power(reference["L"], n_t - k) for k in degrees
                   if k <= n_t and 2 * n_t - k <= max(degrees)]
-        assert restricted == powers + [ds], fol.spanning
+        assert [ref.blocks(op) for op in restricted] == powers + [ds], fol.spanning
 
 
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])
@@ -402,7 +404,7 @@ def test_basic_adjoint_reports_the_first_failing_pair(monkeypatch, name):
     model, pack = model_pack(name)
     fol = lee_foliation(pack)
     plant(monkeypatch, model, pack, "d*",
-          ref.scale(operator_pool(model, pack)["d*"], Scalar.of(2)))
+          operator_pool(model, pack).poly("d*").scale(Scalar.of(2)))
     [entry] = basic_adjoint_check(model, pack, fol).entries
     assert entry.verdict == "fail"
     assert entry.line().startswith("FAIL  basic_adjoint.pairing: ")

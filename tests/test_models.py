@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforms.cohomology import basic_subcomplex, transversal_package
+from lieforms.clifford import Clifford
 from lieforms.forms import FormElement, wedge
 from lieforms.models import (
     AntisymmetryError,
@@ -178,7 +179,9 @@ def test_structure_operator_examples():
     ops = ops_for("h3")
     w10 = t(3, 1) - t(3, 2).scale(I)
     assert ops.W.apply(w10) == w10.scale(I)
-    assert ref.apply(ops.I_aut, w10) == w10.scale(I)
+    # I e_w I^-1 = e_{I w}, and I w = i w on the (1,0)-form w
+    e_w10 = Clifford.multiplication(w10, 1)
+    assert e_w10.substitute(ops.J) == e_w10.scale(I)
     su2 = pool_for("su2")
     assert su2.poly("Lie_r").apply(t(3, 1)) == t(3, 2).scale(Scalar.of(-1))
     assert pool_for("h3").poly("Lie_r").is_zero()
@@ -195,11 +198,12 @@ def test_lie_r_skew_adjoint_and_central():
             polys += [pool.poly(x) for x in ("e_th", "i_th", "Lie_th")]
         for op in polys:
             assert supercommutator(lie_r, op).is_zero()
-        blocks = [pool.ops.I_aut, pool.ops.I_inv]
-        blocks += list(reference_projectors(model, pack).values())
+        # Lie_r commutes with I: conjugation by I fixes it
+        assert lie_r.substitute(pool.ops.J) == lie_r
+        blocks = list(reference_projectors(model, pack).values())
         blocks += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
         for op in blocks:
-            assert ref.is_zero(ref.supercommutator(pool["Lie_r"], op))
+            assert ref.is_zero(ref.supercommutator(ref.blocks(lie_r), op))
 
 
 def test_vaisman_lie_theta_vanishes():
@@ -225,25 +229,35 @@ def test_bigrading_projectors_resolve_identity():
 REFERENCE_MODELS = [*BUILTIN_NAMES, "su2_aff", "h5xr", "h7"]
 
 
+def assert_relabelling_conjugates_by(J, I_aut, I_inv):
+    """p.substitute(J) is I p I^-1 on every letter e_k and i_k, and the
+    letters generate every operator."""
+    n = I_aut.ngen
+    for k in range(1, n + 1):
+        for p in (Clifford.wedge(n, k), Clifford.contraction(n, k)):
+            assert ref.blocks(p.substitute(J)) == ref.compose(I_aut, ref.blocks(p), I_inv), k
+
+
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
 def test_closed_forms_match_the_lagrange_reference(name):
-    # I and I^-1 as signed permutations, the Hodge components (d1 -+ i d1c)/2
-    # certified by {W, d1} = d1c, and (p,q)-stability decided through W and
-    # the bidegree projectors agree with the spectral projectors of W
+    # conjugation by I as the relabelling J, the Hodge components
+    # (d1 -+ i d1c)/2 certified by {W, d1} = d1c, and (p,q)-stability decided
+    # through W and the bidegree projectors agree with the spectral
+    # projectors of W
     model, pack = load(name)
     ops = structure_operators(model, pack)
     pi = reference_projectors(model, pack)
-    assert (ops.I_aut, ops.I_inv) == reference_i(pi)
+    assert_relabelling_conjugates_by(ops.J, *reference_i(pi))
     if pack.kind == "kahler":
         return
     pool = operator_pool(model, pack)
-    d1 = pool["d1"]
+    d1 = ref.blocks(pool.poly("d1"))
     d1_10, d1_01 = reference_hodge(pi, d1)
     assert ref.add(d1_10, d1_01) == d1  # the reference's own bidegree check
     split = foliation_split(ops.d, model, reeb_foliation(pack))
-    assert tuple(p.to_blocks() for p in hodge_split_d1(ops, split)[:2]) == (d1_10, d1_01)
+    assert tuple(ref.blocks(p) for p in hodge_split_d1(ops, split)[:2]) == (d1_10, d1_01)
     # the pool's polynomials, certified by {W, d1} = I d1 I^-1 on the letters
-    assert (pool["d1^{1,0}"], pool["d1^{0,1}"]) == (d1_10, d1_01)
+    assert (ref.blocks(pool.poly("d1^{1,0}")), ref.blocks(pool.poly("d1^{0,1}"))) == (d1_10, d1_01)
     fol = reeb_foliation(pack) if pack.kind == "sasakian" else sigma_foliation(pack)
     stable = reference_pq_stable(pi, basic_subcomplex(model, pack, fol))
     entry = transversal_package(model, pack, fol).entry("transversal.pq_stability")
@@ -252,52 +266,72 @@ def test_closed_forms_match_the_lagrange_reference(name):
 
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, *(p.stem for p in sorted(DATA.glob("*.alg")))])
 def test_structure_operators_match_the_block_reference(name):
-    # d, L and W are the blocks of Clifford polynomials and I a signed
-    # permutation read off the J pairs; the reference builds each through
-    # FormElement wedges (tests/block_reference.py)
+    # d, L and W are Clifford polynomials and conjugation by I the
+    # relabelling J of the letters; the reference builds d, L, W and I
+    # through FormElement wedges (tests/block_reference.py)
     model, pack = load(name)
     ops = structure_operators(model, pack)
     reference = reference_operators(model, pack)
     for key in ("d", "L", "W"):
-        assert getattr(ops, key).to_blocks() == reference[key], key
-    assert (ops.I_aut, ops.I_inv) == (reference["I_aut"], reference["I_inv"])
+        assert ref.blocks(getattr(ops, key)) == reference[key], key
+    assert_relabelling_conjugates_by(ops.J, reference["I_aut"], reference["I_inv"])
     assert operator_pool(model, pack).poly("d") is ops.d is ce_differential(model)
 
 
-@pytest.mark.parametrize("name", ["h5xr", "h9"])
-def test_loading_builds_no_block(monkeypatch, name):
-    # d, L and W stay polynomials until a matrix consumer asks the pool for
-    # their blocks; the split and the Hodge components of the probes are
-    # those of the pool
-    from lieforms.clifford import Clifford
+@pytest.mark.parametrize("name", ["h5xr", "h9", "h21"])
+def test_loading_builds_no_block(monkeypatch, tmp_path, name):
+    # loading and structure_operators build no matrix at all: d, L and W stay
+    # polynomials until a matrix consumer asks for their blocks, and I is
+    # checked on the letters; the split and the Hodge components of the
+    # probes are those of the pool
+    import lieforms.matrices
 
-    calls = []
-    to_blocks = Clifford.to_blocks
-    monkeypatch.setattr(Clifford, "to_blocks", lambda p: calls.append(p) or to_blocks(p))
-    model, pack = load(name)
+    def no_matrix(*_):
+        raise AssertionError("a matrix was built")
+
+    if name == "h21":
+        path = tmp_path / "h21.alg"
+        path.write_text(heisenberg_text(10))
+    else:
+        path = DATA / f"{name}.alg"
+    monkeypatch.setattr(lieforms.matrices, "_make", no_matrix)
+    model, pack = load_model_file(str(path))
     structure_operators.cache_clear()
     ops = structure_operators(model, pack)
-    assert calls == []
     split = foliation_split(ops.d, model, reeb_foliation(pack))
     assert split.components == operator_pool(model, pack).split(reeb_foliation(pack)).components
     assert hodge_split_d1(ops, split) == operator_pool(model, pack).hodge[:3]
 
 
+def w_of(n, J):
+    """The even derivation extending the relabelling J, as structure_operators
+    builds W."""
+    return Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()})
+
+
 def test_i_check_fails_on_a_planted_fault():
-    # structure_operators asserts I^-1 I = Id and, on 1-forms, I = W + the
-    # vertical unit projector; each planted fault breaks one of the two
+    # structure_operators asserts, on the letters, that conjugation by I is
+    # {W, .} on the transversal coframe and the identity on the vertical one,
+    # which W fixes, and that it keeps {i_a, e_b} = delta_ab; each planted
+    # fault breaks one
     for name in ("torus4", "h5", "su2xr"):
-        _, pack = model_pack(name)
-        ops = ops_for(name)
+        model, pack = model_pack(name)
+        ops, n = ops_for(name), model.dim
         vertical = pack.vertical_indices
-        _check_i_against_w(ops.W, ops.I_aut, ops.I_inv, vertical)
-        planted = [(ops.W, ops.I_aut, ops.I_aut, vertical),  # I for I^-1: I^2 = (-1)^{p-q}
-                   (-ops.W, ops.I_aut, ops.I_inv, vertical)]  # the conjugate structure
-        if vertical:
-            planted.append((ops.W, ops.I_aut, ops.I_inv, ()))  # I moves vertical forms
-        for args in planted:
-            with pytest.raises(StructureError) as err:
-                _check_i_against_w(*args)
+        assert w_of(n, ops.J) == ops.W
+        _check_i_against_w(ops.W, ops.J, vertical)
+        a, (b, _) = next(iter(ops.J.items()))
+        planted = [(-ops.W, ops.J, "is not {W"),  # the conjugate structure
+                   *((w_of(n, J), J, "not unitary") for J in (
+                       {**ops.J, a: (b, Scalar.of(2))},  # theta^a -> 2 theta^b
+                       {**ops.J, b: (b, ONE)}))]  # theta^a and theta^b -> theta^b
+        for r in vertical[:1]:
+            planted += [(ops.W, {**ops.J, r: (r, -ONE)}, "moves the vertical"),  # I moves eta
+                        (ops.W + Clifford.wedge(n, a) @ Clifford.contraction(n, r), ops.J,
+                         "moves the vertical")]  # W moves eta
+        for W, J, message in planted:
+            with pytest.raises(StructureError, match=message) as err:
+                _check_i_against_w(W, J, vertical)
             assert err.value.check == "J"
 
 
@@ -430,7 +464,7 @@ def test_two_loads_give_equal_models_and_packs():
 
 def test_frozen_records_refuse_assignment():
     model, pack = model_pack("h5")
-    for record, attr in ((pool_for("h5")["d"], "blocks"), (ops_for("h5").d, "terms"), (model, "dim"), (pack, "kind"),
+    for record, attr in ((ops_for("h5").d, "terms"), (model, "dim"), (pack, "kind"),
                          (reeb_foliation(pack), "spanning"), (ops_for("h5"), "d")):
         before = getattr(record, attr)
         with pytest.raises(AttributeError):
@@ -448,11 +482,11 @@ from lieforms.splitting import (FoliationSplit, operator_pool, reeb_foliation,
                                 sasakian_relations)
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
-named = [pool[x] for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
-named += [pool.ops.I_aut, pool.ops.I_inv,
-          *(p.to_blocks() for p in (*pool.split(reeb_foliation(pack)).components, *pool.hodge))]
+named = [pool.poly(x) for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
+named += [*pool.split(reeb_foliation(pack)).components, *pool.hodge]
 sasakian_relations(model, pack)  # builds the table's whole pool
-named += [p.to_blocks() for p in pool._polys.values() if not isinstance(p, FoliationSplit)]
+named += [p for p in pool._polys.values() if not isinstance(p, FoliationSplit)]
+blocks = [p.block(k) for p in named for k in range(model.dim + 1)]
 print(len(named))
 """
 

@@ -5,19 +5,22 @@ from hypothesis import given, settings, strategies as st
 
 from lieforms.forms import FormElement, contract, hodge_star, monomial_basis, wedge
 from lieforms.clifford import Clifford
-from lieforms.operators import (
-    EVEN,
-    GradedOperator,
-    ODD,
-    basis_dim,
-    column_forms,
-    reeb_power,
-    supercommutator,
-)
+from lieforms.operators import basis_dim, column_forms, reeb_power, supercommutator
 from lieforms.matrices import Matrix
 from lieforms.scalars import ONE, Scalar
 
-from block_reference import adjoint, apply, compose, extend_derivation, from_action, identity, is_zero
+from block_reference import (
+    EVEN,
+    ODD,
+    adjoint,
+    apply,
+    blocks,
+    compose,
+    extend_derivation,
+    from_action,
+    identity,
+    is_zero,
+)
 from conftest import ops_for, pool_for
 
 
@@ -27,11 +30,11 @@ def t(n, *ix):
 
 def wedge_operator(a):
     """Left exterior multiplication by a homogeneous form, as blocks."""
-    return Clifford.multiplication(a, a.degree() if a.terms else 0).to_blocks()
+    return blocks(Clifford.multiplication(a, a.degree() if a.terms else 0))
 
 
 def contraction_operator(n, v):
-    return Clifford.contraction(n, v).to_blocks()
+    return blocks(Clifford.contraction(n, v))
 
 
 def h3_d():
@@ -85,7 +88,7 @@ def test_extend_derivation_first_order_part():
     # First order: every normal-ordered term has at most one contraction;
     # here D = e_1 + e_1 e_2 i_1, whose unit term e_{t1} has none
     poly = Clifford(n, 1, {(1, 0): ONE, (3, 1): ONE})
-    assert poly.first_order() and poly.to_blocks() == op
+    assert poly.first_order() and blocks(poly) == op
     # it is not a derivation: a derivation kills 1
     assert not apply(op, FormElement.unit(n)).is_zero()
 
@@ -205,7 +208,7 @@ def test_random_derivations_are_determined_by_generator_values():
             action[k] = val
         op = extend_derivation(n, parity, action, shift=shift)
         poly = Clifford.derivation(n, shift, action)
-        assert poly.first_order() and poly.to_blocks() == op
+        assert poly.first_order() and blocks(poly) == op
         # signed Leibniz rule on a product of generators
         a, b = t(n, 1), t(n, 2)
         from lieforms.forms import wedge
@@ -226,23 +229,7 @@ def test_first_order_criterion_detects_higher_order():
     ds = d.adjoint()
     assert not ds.first_order()
     assert ds == pool_for("su2").poly("d*")
-    assert ds.to_blocks() == adjoint(d.to_blocks())
-
-
-def test_blocks_shape_validation():
-    with pytest.raises(ValueError):
-        GradedOperator(2, 0, EVEN, (identity(2).blocks[0],))
-
-
-def test_operators_differing_in_one_entry_compare_unequal():
-    d = pool_for("h3")["d"]
-    same = GradedOperator(d.ngen, d.shift, d.parity, tuple(d.blocks))
-    assert same == d and hash(same) == hash(d)
-    k = 1
-    bump = Matrix.from_entries(*d.blocks[k].shape, [(0, 0, ONE)])
-    blocks = d.blocks[:k] + (d.blocks[k] + bump,) + d.blocks[k + 1:]
-    other = GradedOperator(d.ngen, d.shift, d.parity, blocks)
-    assert other != d and d != other
+    assert blocks(ds) == adjoint(blocks(d))
 
 
 def test_check_relation_fail_path_reports_first_mismatch():
@@ -272,14 +259,6 @@ def test_op_sum_names_the_sum_once():
     ident = Clifford.identity(3)
     forty = op_sum([ident] * 40)
     assert forty == ident.scale(Scalar.of(40))
-
-
-def test_zero_operators_share_blocks_not_identity():
-    # matrices are immutable, so zero operators may share blocks; each
-    # operator is still its own object
-    y, z = GradedOperator.zero(3, 1, ODD), GradedOperator.zero(3, 1, ODD)
-    assert y is not z and y == z
-    assert all(a is b for a, b in zip(y.blocks, z.blocks))
 
 
 # -- sparse from_action against a dense column-by-column reference ----------

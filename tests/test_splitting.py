@@ -23,7 +23,7 @@ from lieforms.splitting import (
 
 import block_reference as ref
 from conftest import model_pack, ops_for, pool_for
-from pq_reference import reference_projectors
+from pq_reference import reference_i, reference_projectors
 
 
 def split_for(name):
@@ -81,9 +81,12 @@ def test_hodge_split_bidegrees():
         ops, split = split_for(name)
         d1_10, d1_01, d1c = hodge_split_d1(ops, split)
         assert d1_10 + d1_01 == split.d1
-        # twisted differential consistency: [W, d1] = I d1 I^{-1}
-        assert (supercommutator(ops.W, split.d1).to_blocks()
-                == ref.compose(ops.I_aut, split.d1.to_blocks(), ops.I_inv))
+        # twisted differential consistency: [W, d1] = I d1 I^{-1}, with I the
+        # Lagrange reference's and I d1 I^{-1} the relabelling J of d1
+        i_aut, i_inv = reference_i(reference_projectors(*model_pack(name)))
+        assert (ref.blocks(supercommutator(ops.W, split.d1))
+                == ref.blocks(split.d1.substitute(ops.J))
+                == ref.compose(i_aut, ref.blocks(split.d1), i_inv))
 
 
 def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
@@ -101,8 +104,8 @@ def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
                    - planted.scale(Scalar(0, t))).scale(ONE / Scalar(0, 3 - t))
     assert not planted.is_zero()
     pi = reference_projectors(model, pack)
-    assert planted.to_blocks() == ref.add(*(
-        ref.compose(pi[tgt], y.to_blocks(), proj) for (p, q, v), proj in pi.items()
+    assert ref.blocks(planted) == ref.add(*(
+        ref.compose(pi[tgt], ref.blocks(y), proj) for (p, q, v), proj in pi.items()
         if (tgt := (p + 2, q - 1, v)) in pi))
     hodge_split_d1(ops, split)
     bad = FoliationSplit(split.fol, (split.d0, split.d1 + planted, split.d2))
