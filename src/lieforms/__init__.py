@@ -2,7 +2,6 @@
 Lie-algebra models, over the Gaussian rationals."""
 
 from .scalars import Scalar, parse_scalar
-from .forms import FormElement, contract, hodge_star, inner_product, wedge
 from .matrices import Matrix
 from .operators import (
     RelationEntry,

@@ -29,6 +29,7 @@ from .cones import (
     vaisman_decomposition,
     vaisman_harmonic_check,
 )
+from .forms import form_text
 from .models import BUILTIN_NAMES, ModelError, builtin, load_model_file
 from .operators import RelationEntry, RelationReport
 from .splitting import (
@@ -219,8 +220,9 @@ def _run_harmonic(report: Report, model, pack, degree):
     rows = []
     for k in degrees:
         basis = harmonic_space(model, pack, k)
-        for j, f in enumerate(basis):
-            rows.append({"kind": "basis", "degree": k, "index": j, "form": str(f)})
+        for j, col in enumerate(basis.columns()):
+            rows.append({"kind": "basis", "degree": k, "index": j,
+                         "form": form_text(model.dim, k, col)})
     report.add_basis("harmonic bases", rows)
     if pack.kind == "sasakian":
         report.add_verdict("harmonic decomposition", sasakian_harmonic_check(model, pack))

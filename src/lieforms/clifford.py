@@ -16,7 +16,10 @@ bitmasks, generator k at bit k - 1.
 This is the engine's one operator algebra (sum, scale, product,
 adjoint), and it works on the terms.  A polynomial is also the operator
 that the complexes consume: `block(k)` writes its matrix from degree k
-straight from the terms, once.
+straight from the terms, once.  It is also the engine's one form
+algebra: a form a is its multiplication e_a, whose terms have C empty,
+so {d, e_a} = e_{da} and e_a's block from degree 0 is a's coordinate
+column.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import functools
 from itertools import combinations
 from typing import Mapping
 
-from .forms import FormElement, monomial_basis
+from .forms import monomial_basis
 from .matrices import Matrix
 from .operators import basis_dim
 from .scalars import ONE, Scalar
@@ -98,23 +101,6 @@ def _product(w1: int, c1: int, w2: int, c2: int) -> tuple[tuple[Term, bool], ...
                  for w, passed, neg in states if not (w & w1 or passed & c2))
 
 
-def _act(terms: Mapping[Term, Scalar], s: int) -> dict[int, Scalar]:
-    """The image of the basis monomial e_S, as {mask: coefficient}.
-
-    e_W i_C sends e_S, for C inside S and T = S - C outside W, to
-    e_W ^ e_T with the signs of removing C from the front of S and of
-    merging W with T."""
-    out: dict[int, Scalar] = {}
-    for (w, c), v in terms.items():
-        t = s ^ c
-        if c & ~s or w & t:
-            continue
-        x = -v if _inversions(c, t) ^ _inversions(w, t) else v
-        y = out.get(w | t)
-        out[w | t] = x if y is None else y + x
-    return out
-
-
 class Clifford:
     """Immutable shift-homogeneous operator as a dict of normal-ordered
     terms {(W, C): nonzero Scalar}, every term with |W| - |C| = shift."""
@@ -160,18 +146,6 @@ class Clifford:
     def contraction(ngen: int, k: int) -> "Clifford":
         """i_k."""
         return Clifford(ngen, -1, {(0, 1 << (k - 1)): ONE})
-
-    @staticmethod
-    def multiplication(a: FormElement, degree: int) -> "Clifford":
-        """e_a, left exterior multiplication by a form of the given degree."""
-        return Clifford(a.ngen, degree, {(generator_mask(m), 0): c for m, c in a.terms.items()})
-
-    @staticmethod
-    def derivation(ngen: int, shift: int, values: Mapping[int, FormElement]) -> "Clifford":
-        """The graded derivation D with D(theta^k) = values[k], which is
-        sum_k e_{values[k]} i_k; each value has degree shift + 1."""
-        return Clifford(ngen, shift, {(generator_mask(m), 1 << (k - 1)): c
-                                      for k, a in values.items() for m, c in a.terms.items()})
 
     # -- operator algebra ----------------------------------------------
 
@@ -244,13 +218,6 @@ class Clifford:
         return all(not c & (c - 1) for _, c in self.terms)
 
     # -- matrices --------------------------------------------------------
-
-    def apply(self, a: FormElement) -> FormElement:
-        out: dict[int, Scalar] = {}
-        for m, x in a.terms.items():
-            for key, v in _act(self.terms, generator_mask(m)).items():
-                out[key] = out[key] + v * x if key in out else v * x
-        return FormElement(self.ngen, {_monomial(k): v for k, v in out.items()})
 
     def _entries(self, k: int):
         """The nonzero (row, col, value) entries of the block from degree k.

@@ -19,7 +19,6 @@ import functools
 from operator import matmul
 
 from .clifford import Clifford
-from .forms import FormElement
 from .matrices import (
     Matrix,
     charpoly,
@@ -36,7 +35,6 @@ from .operators import (
     RelationEntry,
     RelationReport,
     basis_dim,
-    column_forms,
     op_sum,
     supercommutator,
 )
@@ -48,15 +46,13 @@ class CochainComplex:
     """Coordinate cochain complex over consecutive degrees.
 
     diff[k] is d_k : degree k -> k+1, for k, k+1 in degrees; a degree with
-    no Gram matrix gets the identity.
+    no Gram matrix has an orthonormal basis.
     """
 
     __slots__ = ("label", "degrees", "dims", "diff", "gram", "_memo")
 
     def __init__(self, label: str, degrees: tuple[int, ...], dims: dict[int, int],
                  diff: dict[int, Matrix], gram: dict[int, Matrix]):
-        for k in degrees:
-            gram.setdefault(k, Matrix.identity(dims[k]))
         for k in degrees:
             if k in diff and k + 1 in diff:
                 if not (diff[k + 1] @ diff[k]).is_zero():
@@ -90,9 +86,14 @@ class CochainComplex:
     # -- metric structure ------------------------------------------------
 
     def adjoint_d(self, k: int) -> Matrix:
-        """Adjoint of d_k w.r.t. the Gram inner products: degree k+1 -> k."""
-        g_tgt = self.gram.get(k + 1, Matrix.identity(self.dim(k + 1)))
-        return solve(self.gram[k], self.d(k).conj_transpose() @ g_tgt)
+        """Adjoint of d_k w.r.t. the Gram inner products, G_k^-1 d_k^+ G_{k+1}:
+        degree k+1 -> k.  Between orthonormal degrees it is d_k^+."""
+        out = self._times_gram(self.d(k).conj_transpose(), k + 1)
+        return solve(self.gram[k], out) if k in self.gram else out
+
+    def _times_gram(self, m: Matrix, k: int) -> Matrix:
+        """m G_k, which is m itself when degree k is orthonormal."""
+        return m @ self.gram[k] if k in self.gram else m
 
     def laplacian(self, k: int) -> Matrix:
         out = self.adjoint_d(k) @ self.d(k)
@@ -109,7 +110,7 @@ class CochainComplex:
                 stacked = self.d(k)
                 if k - 1 in self.dims:
                     # orthogonality to im d: (d_{k-1})^† G x = 0
-                    stacked = stacked.vstack(self.d(k - 1).conj_transpose() @ self.gram[k])
+                    stacked = stacked.vstack(self._times_gram(self.d(k - 1).conj_transpose(), k))
                 reps[k] = nullspace(stacked)
             betti = {k: v.ncols for k, v in reps.items()}
             self._memo["cohomology"] = CohomologyReport(self.label, self.degrees, betti, reps)
@@ -190,15 +191,24 @@ class FormComplex(CochainComplex):
         return FormComplex(label, degrees, dims, diff, gram, embed)
 
     def restrict(self, op: Clifford) -> dict[int, Matrix]:
-        """Coordinate blocks of an ambient operator preserving the subcomplex."""
-        out = {}
-        for k in self.degrees:
-            tgt = k + op.shift
-            if tgt not in self.dims:
-                continue
-            out[k] = _restrict_block(op.block(k), self.embed[k], self.embed[tgt],
-                                     "operator fails to preserve the subspace")
-        return out
+        """Coordinate blocks of an ambient operator preserving the subcomplex,
+        computed once per polynomial.  `Clifford` has no hash, so the memo is
+        keyed by the polynomial's id and keeps the polynomial alive."""
+        key = ("restrict", id(op))
+        if key not in self._memo:
+            self._memo[key] = (op, self._restrict(op))
+        return self._memo[key][1]
+
+    def _restrict(self, op: Clifford) -> dict[int, Matrix]:
+        pairs = [(k, k + op.shift) for k in self.degrees if k + op.shift in self.dims]
+        # the identity and zero restrict to identity and zero blocks, with no product
+        if op.is_zero():
+            return {k: Matrix.zero(self.dim(t), self.dim(k)) for k, t in pairs}
+        if op == Clifford.identity(op.ngen):
+            return {k: Matrix.identity(self.dim(k)) for k, _ in pairs}
+        return {k: _restrict_block(op.block(k), self.embed[k], self.embed[t],
+                                   "operator fails to preserve the subspace")
+                for k, t in pairs}
 
 
 def _restrict_block(block: Matrix, src_embed: Matrix, tgt_embed: Matrix, msg: str) -> Matrix:
@@ -218,9 +228,10 @@ def full_complex(model: LieModel, pack: StructurePack) -> FormComplex:
     return FormComplex.full(model, operator_pool(model, pack).poly("d"))
 
 
-def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> list[FormElement]:
-    """Kernel of the full Laplacian {d, d*} at degree k, as forms."""
-    return column_forms(model.dim, k, full_complex(model, pack).harmonic_coords(k))
+def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> Matrix:
+    """Kernel of the full Laplacian {d, d*} at degree k, a basis of forms as
+    the columns of a coordinate matrix."""
+    return full_complex(model, pack).harmonic_coords(k)
 
 
 @functools.lru_cache(maxsize=None)

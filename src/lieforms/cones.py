@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .forms import FormElement, hodge_star, perm_sign, star_on_subset, wedge
+from .forms import form_text, perm_sign, star
 from .matrices import Matrix, nullspace, rank, solve, span_coordinates, subspace_equal
 from .models import LieModel, StructureError, StructurePack
-from .operators import RelationEntry, column_forms
+from .operators import RelationEntry
 from .cohomology import (
     CochainComplex,
     FormComplex,
@@ -362,19 +362,19 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
             degree=i, claimed=stated.ncols, proof=chosen.ncols, actual=target.ncols,
             ok=ok, headline_ok=stated.ncols == target.ncols,
             branch=branch,
-            witnesses=tuple(str(f) for f in column_forms(model.dim, i, chosen))))
+            witnesses=tuple(form_text(model.dim, i, col) for col in chosen.columns())))
 
-    # star duality: *(gamma) = *_bas(gamma) ^ eta for horizontal gamma, with
-    # the basic star oriented so that vol_bas ^ eta = vol
-    hor = tuple(pack.horizontal_indices(model.dim))
-    orient = Scalar(perm_sign(hor + (pack.reeb_index,)))
+    # star duality: *(gamma) = *_bas(gamma) ^ eta for each horizontal
+    # monomial gamma, with the basic star oriented so that vol_bas ^ eta = vol
+    hor, r = pack.horizontal_indices(model.dim), pack.reeb_index
+    frame, orient = tuple(range(1, model.dim + 1)), perm_sign(hor + (r,))
     dual_ok = True
     for k in range(len(hor) + 1):
         for m in combinations(hor, k):
-            gamma = FormElement.monomial(model.dim, m)
-            lhs = hodge_star(gamma)
-            rhs = wedge(star_on_subset(gamma, hor).scale(orient), pack.eta)
-            if lhs != rhs:
+            comp, sign = star(hor, m)
+            # wedging with eta sorts theta^r into the complement
+            rhs = tuple(sorted(comp + (r,))), orient * sign * perm_sign(comp + (r,))
+            if star(frame, m) != rhs:
                 dual_ok = False
     verdict.extras.append(RelationEntry(
         "harmonic.star_duality", "*(gamma)", "*_bas(gamma) ^ eta",
@@ -438,7 +438,7 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
             degree=i, claimed=stated.ncols, proof=pick.ncols, actual=target_dim,
             ok=pick.ncols == target_dim, headline_ok=stated.ncols == target_dim,
             branch=branch, notes="dim H^i candidates vs dim H^i_sas",
-            witnesses=tuple(str(f) for f in column_forms(model.dim, i, pick))))
+            witnesses=tuple(form_text(model.dim, i, col) for col in pick.columns())))
 
     theta_ok = True
     assemble_ok = True

@@ -1,181 +1,22 @@
-"""The finite exterior algebra on N orthonormal coframe generators.
+"""Monomials of the exterior algebra on N orthonormal coframe generators.
 
 A monomial is a strictly increasing tuple of generator indices from
-1..N; a FormElement is a finite Q(i)-linear combination of monomials.
-The coframe order theta^1 ^ ... ^ theta^N is the declared orientation,
-which pins every Hodge-star sign.
+1..N, and every coordinate column and matrix in the package uses the
+lexicographic degree-k basis of `monomial_basis`.  A form is the Clifford
+polynomial e_a of its multiplication (`clifford.py`) or a coordinate
+column; this module only names the basis, stars monomials and prints a
+column.  The coframe order theta^1 ^ ... ^ theta^N is the declared
+orientation, which pins every Hodge-star sign.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import Scalar
 
 Monomial = tuple[int, ...]
-
-
-def merge_monomials(m1: Monomial, m2: Monomial):
-    """Concatenate-and-sort two increasing monomials with the Koszul sign.
-
-    Returns (monomial, sign) or None when an index repeats.
-    """
-    out = []
-    sign = 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a == b:
-            return None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            # b jumps over the remaining len(m1) - i factors of m1
-            if (len(m1) - i) % 2:
-                sign = -sign
-            out.append(b)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out), sign
-
-
-class FormElement:
-    """Immutable exact linear combination of wedge monomials."""
-
-    __slots__ = ("ngen", "terms")
-
-    def __init__(self, ngen: int, terms: Mapping[Monomial, Scalar] = ()):
-        object.__setattr__(self, "ngen", ngen)
-        clean = {m: c for m, c in dict(terms).items() if not c.is_zero()}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FormElement is immutable")
-
-    # -- constructors ------------------------------------------------
-
-    @staticmethod
-    def zero(ngen: int) -> "FormElement":
-        return FormElement(ngen)
-
-    @staticmethod
-    def unit(ngen: int) -> "FormElement":
-        return FormElement(ngen, {(): ONE})
-
-    @staticmethod
-    def generator(ngen: int, k: int) -> "FormElement":
-        if not 1 <= k <= ngen:
-            raise IndexError(f"generator index {k} out of range 1..{ngen}")
-        return FormElement(ngen, {(k,): ONE})
-
-    @staticmethod
-    def monomial(ngen: int, indices: Iterable[int], coeff: Scalar = ONE) -> "FormElement":
-        idx = tuple(indices)
-        if any(not 1 <= k <= ngen for k in idx):
-            raise IndexError(f"monomial {idx} out of range 1..{ngen}")
-        if list(idx) != sorted(set(idx)):
-            raise ValueError(f"monomial indices must be strictly increasing: {idx}")
-        return FormElement(ngen, {idx: coeff})
-
-    # -- linear structure --------------------------------------------
-
-    def __add__(self, other: "FormElement") -> "FormElement":
-        self._same_algebra(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
-        return FormElement(self.ngen, terms)
-
-    def __sub__(self, other: "FormElement") -> "FormElement":
-        return self + other.scale(Scalar.of(-1))
-
-    def scale(self, c: Scalar) -> "FormElement":
-        return FormElement(self.ngen, {m: x * c for m, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FormElement)
-            and self.ngen == other.ngen
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ngen, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, mono: Monomial) -> Scalar:
-        return self.terms.get(tuple(mono), ZERO)
-
-    def degrees(self) -> set[int]:
-        return {len(m) for m in self.terms}
-
-    def homogeneous_part(self, k: int) -> "FormElement":
-        return FormElement(self.ngen, {m: c for m, c in self.terms.items() if len(m) == k})
-
-    def degree(self) -> int:
-        degs = self.degrees()
-        if len(degs) != 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    def conj(self) -> "FormElement":
-        return FormElement(self.ngen, {m: c.conj() for m, c in self.terms.items()})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[m]
-            name = "1" if not m else "^".join(f"t{k}" for k in m)
-            bits.append(f"({c})*{name}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-    def _same_algebra(self, other: "FormElement"):
-        if self.ngen != other.ngen:
-            raise ValueError(
-                f"mismatched generator-set dimension: {self.ngen} vs {other.ngen}"
-            )
-
-
-def wedge(a: FormElement, b: FormElement) -> FormElement:
-    """Graded-commutative product; repeated generators annihilate."""
-    a._same_algebra(b)
-    terms: dict[Monomial, Scalar] = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            merged = merge_monomials(m1, m2)
-            if merged is None:
-                continue
-            mono, sign = merged
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            terms[mono] = terms.get(mono, ZERO) + c
-    return FormElement(a.ngen, terms)
-
-
-def contract(v: int, a: FormElement) -> FormElement:
-    """Interior product with the v-th (unit) coframe vector: odd, squares to zero."""
-    if not 1 <= v <= a.ngen:
-        raise IndexError(f"contraction index {v} out of range 1..{a.ngen}")
-    terms: dict[Monomial, Scalar] = {}
-    for m, c in a.terms.items():
-        if v not in m:
-            continue
-        t = m.index(v)
-        rest = m[:t] + m[t + 1 :]
-        if t % 2:
-            c = -c
-        terms[rest] = terms.get(rest, ZERO) + c
-    return FormElement(a.ngen, terms)
 
 
 def monomial_basis(ngen: int, k: int) -> list[Monomial]:
@@ -194,50 +35,20 @@ def perm_sign(seq) -> int:
     return sign
 
 
-def star_monomial(ngen: int, m: Monomial):
-    """Hodge star of a monomial: signed complementary monomial."""
-    comp = tuple(k for k in range(1, ngen + 1) if k not in m)
-    return comp, perm_sign(m + comp)
+def star(frame: tuple[int, ...], m: Monomial) -> tuple[Monomial, int]:
+    """Hodge star of a monomial of the exterior algebra on an oriented
+    coframe tuple: the complement of m in frame order, and the sign that
+    makes m ^ *m the frame's volume form."""
+    comp = tuple(k for k in frame if k not in m)
+    position = {k: i for i, k in enumerate(frame)}
+    return comp, perm_sign([position[k] for k in m + comp])
 
 
-def hodge_star(a: FormElement, ngen: int | None = None) -> FormElement:
-    """Hodge star for the orthonormal coframe, orientation theta^1..theta^N."""
-    n = a.ngen if ngen is None else ngen
-    if n != a.ngen:
-        raise ValueError(f"mismatched generator-set dimension: {a.ngen} vs {n}")
-    terms: dict[Monomial, Scalar] = {}
-    for m, c in a.terms.items():
-        comp, sign = star_monomial(n, m)
-        terms[comp] = terms.get(comp, ZERO) + (c if sign > 0 else -c)
-    return FormElement(n, terms)
-
-
-def star_on_subset(a: FormElement, subset: tuple[int, ...]) -> FormElement:
-    """Hodge star of the exterior algebra on a coframe subset.
-
-    Orientation is increasing order of subset; monomials outside it are
-    rejected.  Used for the transversal (horizontal) star.
-    """
-    sub = tuple(sorted(subset))
-    terms: dict[Monomial, Scalar] = {}
-    for m, c in a.terms.items():
-        if any(k not in sub for k in m):
-            raise ValueError(f"monomial {m} not contained in coframe subset {sub}")
-        comp = tuple(k for k in sub if k not in m)
-        sign = perm_sign([sub.index(k) for k in m + comp])
-        terms[comp] = terms.get(comp, ZERO) + (c if sign > 0 else -c)
-    return FormElement(a.ngen, terms)
-
-
-def inner_product(a: FormElement, b: FormElement) -> Scalar:
-    """Hermitian inner product making the monomial basis orthonormal.
-
-    Conjugate-linear in the first argument.
-    """
-    a._same_algebra(b)
-    acc = ZERO
-    for m, c in a.terms.items():
-        other = b.terms.get(m)
-        if other is not None:
-            acc = acc + c.conj() * other
-    return acc
+def form_text(ngen: int, k: int, column: Mapping[int, Scalar]) -> str:
+    """The degree-k form with the given coordinates, as `(c)*t1^t2 + ...`
+    in basis order, or 0."""
+    if not column:
+        return "0"
+    basis = monomial_basis(ngen, k)
+    return " + ".join(f"({column[i]})*{'^'.join(f't{j}' for j in basis[i]) or '1'}"
+                      for i in sorted(column))

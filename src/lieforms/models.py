@@ -13,7 +13,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .clifford import Clifford
-from .forms import FormElement, contract, inner_product, wedge
+from .forms import form_text
 from .operators import supercommutator
 from .scalars import ONE, Scalar, ZERO
 
@@ -116,18 +116,15 @@ class StructurePack:
 
     kind is "kahler", "sasakian" or "vaisman".  j_pairs lists J(e_a) = e_b;
     for vaisman kind this includes the (lee, reeb) pair, which W and the
-    bigrading ignore.
+    bigrading ignore.  The forms of the pack are operators of the model's
+    pool: eta is e_r, theta is e_th and omega0 is L.
     """
 
-    __slots__ = ("kind", "reeb_index", "eta", "omega0", "j_pairs",
-                 "lee_index", "theta", "omega", "phi")
+    __slots__ = ("kind", "reeb_index", "lee_index", "j_pairs")
 
-    def __init__(self, kind: str, reeb_index: int | None, eta: FormElement | None,
-                 omega0: FormElement, j_pairs: tuple[tuple[int, int], ...],
-                 lee_index: int | None = None, theta: FormElement | None = None,
-                 omega: FormElement | None = None, phi: FormElement | None = None):
-        for name, value in zip(self.__slots__, (kind, reeb_index, eta, omega0, j_pairs,
-                                                lee_index, theta, omega, phi)):
+    def __init__(self, kind: str, reeb_index: int | None, lee_index: int | None,
+                 j_pairs: tuple[tuple[int, int], ...]):
+        for name, value in zip(self.__slots__, (kind, reeb_index, lee_index, j_pairs)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -167,7 +164,8 @@ class StructurePack:
 @functools.lru_cache(maxsize=None)
 def ce_differential(model: LieModel) -> Clifford:
     """Invariant differential from the structure constants, as the Clifford
-    polynomial sum_k e_{d theta^k} i_k.
+    polynomial sum_k e_{d theta^k} i_k with
+    d theta^k = -sum_{i<j} c^k_ij theta^i ^ theta^j.
 
     Jacobi is checked first (it is equivalent to d^2 = 0, and both are
     asserted independently: the normal-ordered monomials are a basis, so
@@ -176,127 +174,67 @@ def ce_differential(model: LieModel) -> Clifford:
     defect = model.jacobi_defect()
     if defect is not None:
         raise JacobiError(defect, f"Jacobi identity fails on triple {defect[:3]} (component {defect[3]})")
-    d = Clifford.derivation(model.dim, 1, ce_values(model))
+    d = Clifford(model.dim, 1, {(1 << (i - 1) | 1 << (j - 1), 1 << (k - 1)): -c
+                                for (i, j, k, c) in model.brackets})
     if not (d @ d).is_zero():
         raise JacobiError(None, "d^2 != 0 despite Jacobi holding; inconsistent constants")
     return d
 
 
-def ce_values(model: LieModel) -> dict[int, FormElement]:
-    """d theta^k = -sum_{i<j} c^k_ij theta^i ^ theta^j for each generator k."""
-    n = model.dim
-    values = {k: FormElement.zero(n) for k in range(1, n + 1)}
-    for (i, j, k, c) in model.brackets:
-        values[k] = values[k] + FormElement.monomial(n, (i, j), -c)
-    return values
-
-
-# -- built-in models ---------------------------------------------------
-
-
-def _mono(n, *ix):
-    return FormElement.monomial(n, ix)
-
-
-def _build_pack(model: LieModel, kind: str, reeb: int | None, j_pairs,
-                lee: int | None = None) -> StructurePack:
-    n = model.dim
-    if kind == "kahler":
-        omega0 = FormElement.zero(n)
-        for a, b in j_pairs:
-            omega0 = omega0 + _mono(n, a, b)
-        pack = StructurePack(kind, None, None, omega0, tuple(j_pairs),
-                             phi=FormElement.unit(n))
-    else:
-        d = ce_differential(model)
-        eta = _mono(n, reeb)
-        omega0 = d.apply(eta)
-        if kind == "sasakian":
-            pack = StructurePack(kind, reeb, eta, omega0, tuple(j_pairs), phi=eta)
-        else:
-            theta = _mono(n, lee)
-            omega = omega0 + wedge(theta, eta)
-            pack = StructurePack(kind, reeb, eta, omega0, tuple(j_pairs),
-                                 lee_index=lee, theta=theta, omega=omega,
-                                 phi=wedge(theta, eta))
-    validate_pack(model, pack)
-    return pack
+def fundamental_form(ngen: int, pack: StructurePack) -> Clifford:
+    """L = sum of e_a e_b over the transversal J pairs a -> b (a < b), the
+    multiplication by omega0; built at shift 2 even when there are no
+    pairs."""
+    return Clifford(ngen, 2, {(1 << (a - 1) | 1 << (b - 1), 0): ONE
+                              for a, b in pack.transversal_pairs()})
 
 
 def validate_pack(model: LieModel, pack: StructurePack):
-    """Assert every pack invariant exactly; raise StructureError otherwise."""
+    """Assert the pack invariants that a model file can break, each an
+    identity of polynomials; raise StructureError otherwise.
+
+    A form a is its multiplication e_a, so da = 0 reads {d, e_a} = 0 and
+    d(eta) = omega0 reads {d, e_r} = L.  What holds by construction is not
+    checked: eta and theta are unit coframe generators, omega is
+    omega0 + theta ^ eta, L is built from the J pairs, `parse_model` has
+    checked the indices, sorted each pair and paired lee with reeb, and
+    d(eta) = omega0 with d(theta) = 0 leaves the leafwise volume closed.
+    """
     n = model.dim
     d = ce_differential(model)
 
     used = [k for p in pack.j_pairs for k in p]
     if len(used) != len(set(used)):
         raise StructureError("J", f"J pairs overlap: {pack.j_pairs}")
-
-    expected_omega0 = FormElement.zero(n)
-    for a, b in pack.transversal_pairs():
-        if a >= b:
-            raise StructureError("J", f"pair {a}->{b} not increasing")
-        expected_omega0 = expected_omega0 + _mono(n, a, b)
+    L = fundamental_form(n, pack)
 
     if pack.kind == "kahler":
         if n % 2:
             raise StructureError("J", "kahler kind needs even dimension")
         if set(used) != set(range(1, n + 1)):
             raise StructureError("J", "J pairs must cover every generator")
-        if not d.apply(pack.omega0).is_zero():
+        if not supercommutator(d, L).is_zero():
             raise StructureError("deta", "fundamental form is not closed")
-        if pack.omega0 != expected_omega0:
-            raise StructureError("deta", "fundamental form incompatible with J pairs")
         return
 
     r = pack.reeb_index
-    if not 1 <= r <= n:
-        raise StructureError("reeb", f"reeb index {r} out of range")
-    if contract(r, pack.eta) != FormElement.unit(n):
-        raise StructureError("contact", "i_r eta != 1")
-    if not contract(r, d.apply(pack.eta)).is_zero():
+    deta = supercommutator(d, Clifford.wedge(n, r))
+    if not supercommutator(Clifford.contraction(n, r), deta).is_zero():
         raise StructureError("contact", "i_r d eta != 0")
-    if d.apply(pack.eta) != pack.omega0:
-        raise StructureError("deta", "omega0 is not d(eta)")
-    if pack.omega0 != expected_omega0:
-        raise StructureError(
-            "deta", f"d(eta) = {pack.omega0} incompatible with J pairs {pack.j_pairs}"
-        )
+    if deta != L:
+        # e_{d eta}'s block from degree 0 is d(eta)'s coordinate column
+        text = form_text(n, 2, deta.block(0).columns()[0])
+        raise StructureError("deta", f"d(eta) = {text} incompatible with J pairs {pack.j_pairs}")
     hor = pack.horizontal_indices(n)
     if set(k for p in pack.transversal_pairs() for k in p) != set(hor):
         raise StructureError("J", "J pairs must cover the horizontal coframe")
 
-    if pack.kind == "vaisman":
-        lee = pack.lee_index
-        if lee is None or not 1 <= lee <= n or lee == r:
-            raise StructureError("lee", f"bad lee index {lee}")
-        if (lee, r) not in pack.j_pairs and (r, lee) not in pack.j_pairs:
-            raise StructureError("J", "vaisman J must pair the lee and reeb directions")
-        theta = pack.theta
-        if not d.apply(theta).is_zero():
-            raise StructureError("vaisman", "lee form is not closed")
-        if inner_product(theta, theta) != ONE:
-            raise StructureError("vaisman", "|theta| != 1")
-        # d(I theta) = omega - theta ^ (I theta), with I theta = eta
-        lhs = d.apply(pack.eta)
-        rhs = pack.omega - wedge(theta, pack.eta)
-        if lhs != rhs:
-            raise StructureError("vaisman", "structure equation d(I theta) = omega - theta^(I theta) fails")
-        if pack.omega != pack.omega0 + wedge(theta, pack.eta):
-            raise StructureError("vaisman", "omega != omega0 + theta^eta")
-
-    # leafwise volume: d(phi) must have no component of top vertical degree
-    vert = pack.vertical_indices
-    rank = len(vert)
-    dphi = d.apply(pack.phi)
-    top = _vertical_component(dphi, vert, rank)
-    if not top.is_zero():
-        raise StructureError("phi", "d(phi) has a top vertical-degree component")
+    lee = pack.lee_index
+    if pack.kind == "vaisman" and not supercommutator(d, Clifford.wedge(n, lee)).is_zero():
+        raise StructureError("vaisman", "lee form is not closed")
 
 
-def _vertical_component(a: FormElement, vert: tuple[int, ...], v: int) -> FormElement:
-    terms = {m: c for m, c in a.terms.items() if sum(1 for k in m if k in vert) == v}
-    return FormElement(a.ngen, terms)
+# -- built-in models ---------------------------------------------------
 
 
 def builtin_models() -> list[tuple[LieModel, StructurePack]]:
@@ -448,7 +386,8 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
         j_pairs = list(j_pairs) + [(min(lee, reeb), max(lee, reeb))]
     j_pairs = [tuple(sorted(p)) for p in j_pairs]
 
-    pack = _build_pack(model, kind, reeb, j_pairs, lee)
+    pack = StructurePack(kind, reeb, lee, tuple(j_pairs))
+    validate_pack(model, pack)
     return model, pack
 
 
@@ -505,11 +444,10 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
     n = model.dim
     J = j_images(pack)
     ops = StructureOperators(
-        ce_differential(model),
-        # built at shift 2 even when omega0 = 0 (no transversal directions)
-        Clifford.multiplication(pack.omega0, 2),
-        # W: the even derivation extending J on the transversal coframe
-        Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()}),
+        ce_differential(model), fundamental_form(n, pack),
+        # W = sum_k e_{J theta^k} i_k, the even derivation extending J on
+        # the transversal coframe
+        Clifford(n, 0, {(1 << (m - 1), 1 << (k - 1)): x for k, (m, x) in J.items()}),
         J)
     _check_i_against_w(ops.W, J, pack.vertical_indices)
     return ops

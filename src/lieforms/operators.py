@@ -15,23 +15,12 @@ from math import comb
 from operator import add
 from typing import TYPE_CHECKING, Iterable
 
-from .forms import FormElement, monomial_basis
-
 if TYPE_CHECKING:
     from .clifford import Clifford
-    from .matrices import Matrix
 
 
 def basis_dim(ngen: int, k: int) -> int:
     return comb(ngen, k) if 0 <= k <= ngen else 0
-
-
-def column_forms(ngen: int, k: int, m: Matrix) -> list[FormElement]:
-    """The degree-k forms whose coordinates are the columns of m."""
-    basis = monomial_basis(ngen, k)
-    if m.nrows != len(basis):
-        raise ValueError("coordinate matrix has wrong row count")
-    return [FormElement(ngen, {basis[i]: c for i, c in col.items()}) for col in m.columns()]
 
 
 def op_sum(terms: Iterable[Clifford]) -> Clifford:

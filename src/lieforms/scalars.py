@@ -127,14 +127,6 @@ class Scalar:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-    def json_str(self) -> str:
-        """Strict a/b or a/b+c/di encoding used by machine-readable output."""
-        re = f"{self.re.numerator}/{self.re.denominator}"
-        if self.im is _ZERO:
-            return re
-        sign = "+" if self.im > 0 else "-"
-        return f"{re}{sign}{abs(self.im.numerator)}/{self.im.denominator}i"
-
 
 _new = object.__new__
 _set_re = Scalar.re.__set__
@@ -164,7 +156,7 @@ HALF = Scalar(Fraction(1, 2))
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Inverse of json_str/__str__ (accepts both)."""
+    """Inverse of __str__: reads "a", "a/b" and "a/b+c/di" back into a Scalar."""
     s = text.strip()
     if s.endswith("i"):
         body = s[:-1]

@@ -30,7 +30,7 @@ import functools
 import random
 
 from .clifford import Clifford, generator_mask
-from .forms import monomial_basis, star_monomial, wedge
+from .forms import monomial_basis, star
 from .matrices import Matrix
 from .models import (
     LieModel,
@@ -231,6 +231,14 @@ _RECIPES = {
     "d1^{0,1}-d1^{1,0}": lambda p: p.poly("d1^{0,1}") - p.poly("d1^{1,0}"),
     "(d1+i d1c)/2": lambda p: (p.poly("d1") + p.poly("d1c").scale(IUNIT)).scale(HALF),
     "(d1-i d1c)/2": lambda p: (p.poly("d1") - p.poly("d1c").scale(IUNIT)).scale(HALF),
+    # Vaisman forms as multiplications, with I theta = eta: d(theta) is
+    # {d, e_th}, and omega is omega0 + theta ^ eta with omega0 the J-pair form L
+    "d(theta)": lambda p: p.poly(("d", "e_th")),
+    "d(I theta)": lambda p: p.poly(("d", "e_r")),
+    "theta^eta": lambda p: p.poly("e_th") @ p.poly("e_r"),
+    "omega": lambda p: p.poly("L") + p.poly("theta^eta"),
+    "omega - theta^(I theta)": lambda p: p.poly("omega") - p.poly("theta^eta"),
+    "omega0 + theta^eta": lambda p: p.poly("d(I theta)") + p.poly("theta^eta"),
 }
 
 
@@ -339,9 +347,10 @@ def _star_map(ngen: int, k: int) -> list[tuple[int, bool]]:
     """The Hodge star from degree k to degree N - k as a signed permutation:
     for each basis monomial, the position of its complement and whether its
     sign is negative."""
+    frame = tuple(range(1, ngen + 1))
     position = {m: i for i, m in enumerate(monomial_basis(ngen, ngen - k))}
     return [(position[comp], sign < 0)
-            for comp, sign in (star_monomial(ngen, m) for m in monomial_basis(ngen, k))]
+            for comp, sign in (star(frame, m) for m in monomial_basis(ngen, k))]
 
 
 def _star_adjoint_entry(pool: OperatorPool) -> RelationEntry:
@@ -394,30 +403,6 @@ def _heisenberg_offdiagonal(pool: OperatorPool) -> RelationEntry:
     return RelationEntry("heisenberg.offdiagonal", "{e_a,i_b}, a!=b", "0",
                          "fail" if bad else "pass",
                          failure=f"pair {bad[-1]} nonzero" if bad else None)
-
-
-def _vaisman_d_theta(pool: OperatorPool) -> RelationEntry:
-    dtheta = pool.poly("d").apply(pool.pack.theta)
-    return RelationEntry("vaisman.d_theta", "d(theta)", "0",
-                         "pass" if dtheta.is_zero() else "fail",
-                         failure=None if dtheta.is_zero() else str(dtheta))
-
-
-def _vaisman_structure_equation(pool: OperatorPool) -> RelationEntry:
-    pack = pool.pack
-    lhs = pool.poly("d").apply(pack.eta)
-    rhs = pack.omega - wedge(pack.theta, pack.eta)
-    eq = lhs == rhs
-    return RelationEntry("vaisman.structure_equation", "d(I theta)",
-                         "omega - theta^(I theta)", "pass" if eq else "fail",
-                         failure=None if eq else f"lhs={lhs}, rhs={rhs}")
-
-
-def _vaisman_omega_decomposition(pool: OperatorPool) -> RelationEntry:
-    pack = pool.pack
-    ok = pack.omega == pack.omega0 + wedge(pack.theta, pack.eta)
-    return RelationEntry("vaisman.omega_decomposition", "omega", "omega0 + theta^eta",
-                         "pass" if ok else "fail")
 
 
 # -- the tables -------------------------------------------------------------
@@ -539,9 +524,9 @@ SASAKIAN_TABLE = [
 ]
 
 VAISMAN_TABLE = [
-    _vaisman_d_theta,
-    _vaisman_structure_equation,
-    _vaisman_omega_decomposition,
+    ("vaisman.d_theta", "d(theta)", 0, ()),
+    ("vaisman.structure_equation", "d(I theta)", "omega - theta^(I theta)", ()),
+    ("vaisman.omega_decomposition", "omega", "omega0 + theta^eta", ()),
     ("vaisman.lie_theta_zero", "Lie_th", 0, ()),
     ("vaisman.{e_th,i_th}", ("e_th", "i_th"), "Id", ()),
     ("aux.lie_r_skew", "Lie_r*", ("-Lie_r", NEG, "Lie_r"), ()),

@@ -4,7 +4,8 @@ The engine decides every operator identity on normal-ordered Clifford
 polynomials, writes a polynomial's blocks straight from its terms, and
 conjugates by I as a relabelling of the letters.  This module keeps the
 constructions and the block arithmetic those replaced, which go through
-`forms.wedge` and matrix products alone, as an independent reference:
+`form_reference.wedge` and matrix products alone, as an independent
+reference:
 
 - `Blocks` holds one matrix per source degree, and `blocks(p)` reads a
   polynomial's blocks into one;
@@ -22,11 +23,12 @@ constructions and the block arithmetic those replaced, which go through
 import functools
 from typing import Callable, Mapping
 
-from lieforms.forms import FormElement, monomial_basis, wedge
+from lieforms.forms import monomial_basis
 from lieforms.matrices import Matrix
-from lieforms.models import ce_values
-from lieforms.operators import basis_dim, column_forms
+from lieforms.operators import basis_dim
 from lieforms.scalars import ONE, Scalar
+
+from form_reference import FormElement, column_forms, wedge
 
 EVEN, ODD = 0, 1
 
@@ -222,12 +224,30 @@ def extend_derivation(
     return from_action(ngen, shift, parity, act)
 
 
+def ce_values(model) -> dict[int, FormElement]:
+    """d theta^k = -sum_{i<j} c^k_ij theta^i ^ theta^j for each generator k."""
+    n = model.dim
+    values = {k: FormElement.zero(n) for k in range(1, n + 1)}
+    for (i, j, k, c) in model.brackets:
+        values[k] = values[k] + FormElement.monomial(n, (i, j), -c)
+    return values
+
+
 def reference_operators(model, pack) -> dict[str, Blocks]:
     """d, L, W, I_aut and I_inv built through FormElement wedges: d and W as
-    Leibniz extensions of their generator values, L as wedge with omega0,
-    and I as the algebra automorphism extending J and the identity on the
-    vertical coframe, one wedge of generator images per monomial."""
+    Leibniz extensions of their generator values, L as wedge with omega0
+    (d eta on a contact pack, the sum of theta^a ^ theta^b over the J pairs
+    on a Kahler one), and I as the algebra automorphism extending J and the
+    identity on the vertical coframe, one wedge of generator images per
+    monomial."""
     n = model.dim
+    values = ce_values(model)
+    if pack.kind == "kahler":
+        omega0 = FormElement.zero(n)
+        for a, b in pack.j_pairs:
+            omega0 = omega0 + FormElement.monomial(n, (a, b))
+    else:
+        omega0 = values[pack.reeb_index]
     rotation = {}
     for a, b in pack.transversal_pairs():
         rotation[a] = FormElement.generator(n, b)
@@ -240,8 +260,8 @@ def reference_operators(model, pack) -> dict[str, Blocks]:
 
     I_aut = from_action(n, 0, EVEN, lambda x: automorphism(next(iter(x.terms))))
     return {
-        "d": extend_derivation(n, ODD, ce_values(model), shift=1),
-        "L": from_action(n, 2, EVEN, lambda x: wedge(pack.omega0, x)),
+        "d": extend_derivation(n, ODD, values, shift=1),
+        "L": from_action(n, 2, EVEN, lambda x: wedge(omega0, x)),
         "W": extend_derivation(n, EVEN, rotation, shift=0),
         "I_aut": I_aut,
         "I_inv": adjoint(I_aut),

@@ -2,9 +2,9 @@
 
 The references build each operator as blocks with the block arithmetic of
 `block_reference.py` alone: a monomial e_W i_C is the product of the
-letter matrices of `forms.wedge` and `forms.contract` in its written
-order, and the pool's guard generators are rebuilt the way the matrix
-engine built them (d, L, W, I through FormElement wedges, adjoints and
+letter matrices of `form_reference.wedge` and `form_reference.contract`
+in its written order, and the pool's guard generators are rebuilt the
+way the matrix engine built them (d, L, W, I through FormElement wedges, adjoints and
 supercommutators of blocks, d1 cut out by the bidegree projectors).
 """
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforms.clifford import Clifford
-from lieforms.forms import FormElement, contract, monomial_basis, wedge
+from lieforms.forms import monomial_basis
 from lieforms.models import BUILTIN_NAMES, j_images
 from lieforms.operators import supercommutator
 from lieforms.scalars import Scalar
@@ -23,6 +23,7 @@ from lieforms.splitting import guard_names, operator_pool
 import block_reference as ref
 from block_reference import ODD, Blocks, from_action, reference_operators
 from conftest import load, model_pack
+from form_reference import FormElement, contract, derivation, multiplication, wedge
 
 @functools.lru_cache(maxsize=None)
 def letter(ngen: int, k: int, create: bool) -> Blocks:
@@ -103,7 +104,14 @@ def test_apply_matches_blocks(data):
     basis = monomial_basis(n, k)
     a = FormElement(n, dict(zip(basis, data.draw(st.lists(gaussian, min_size=len(basis),
                                                            max_size=len(basis))))))
-    assert p.apply(a) == ref.apply(ref.blocks(p), a)
+    # a form a is its multiplication e_a, so p(a) = (p e_a)(1) is the column
+    # of p @ e_a's block from degree 0; the reference applies p's letter
+    # products to the FormElement a
+    j = k + p.shift
+    target = monomial_basis(n, j) if 0 <= j <= n else []
+    column, = (p @ multiplication(a, k)).block(0).columns()
+    assert (FormElement(n, {target[i]: c for i, c in column.items()})
+            == ref.apply(reference_blocks(p), a))
 
 
 @settings(deadline=None, max_examples=30)
@@ -121,7 +129,7 @@ def test_letter_relabelling_is_conjugation_by_i(data):
 
 def test_first_order_criterion():
     n = 3
-    d = Clifford.derivation(n, 1, {3: FormElement.monomial(n, (1, 2))})
+    d = derivation(n, 1, {3: FormElement.monomial(n, (1, 2))})
     assert d.first_order() and d.adjoint().first_order() is False
     # e_1 + e_1 e_2 i_2: a multiplication plus a derivation
     assert Clifford(n, 1, {(1, 0): Scalar(1), (3, 2): Scalar(1)}).first_order()

@@ -12,15 +12,20 @@ from lieforms.cohomology import (
     split_laplacian,
     transversal_package,
 )
-from lieforms.forms import FormElement, contract
 from lieforms.matrices import nullspace, subspace_equal
 from lieforms.models import BUILTIN_NAMES, StructureError
-from lieforms.operators import column_forms
 from lieforms.scalars import Scalar
-from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
+from lieforms.splitting import (
+    FoliationSpec,
+    lee_foliation,
+    operator_pool,
+    reeb_foliation,
+    sigma_foliation,
+)
 
 from block_reference import ODD
 from conftest import DATA, load, model_pack, ops_for
+from form_reference import FormElement, column_forms, contract
 
 ORACLE_MODELS = {
     "torus2": oracle.TORUS2, "torus4": oracle.TORUS4, "su2": oracle.SU2,
@@ -60,21 +65,21 @@ def test_basic_betti_match_oracle():
 
 def test_harmonic_spaces():
     model, pack = model_pack("su2")
-    assert harmonic_space(model, pack, 3) == [t(3, 1, 2, 3)]
-    assert harmonic_space(model, pack, 0) == [FormElement.unit(3)]
+    assert column_forms(3, 3, harmonic_space(model, pack, 3)) == [t(3, 1, 2, 3)]
+    assert column_forms(3, 0, harmonic_space(model, pack, 0)) == [FormElement.unit(3)]
     model, pack = model_pack("h3")
-    assert harmonic_space(model, pack, 1) == [t(3, 1), t(3, 2)]
+    assert column_forms(3, 1, harmonic_space(model, pack, 1)) == [t(3, 1), t(3, 2)]
     # dimension equals the Betti number everywhere; elements closed and coclosed
     for name in ORACLE_MODELS:
         model, pack = model_pack(name)
         coh = full_complex(model, pack).cohomology()
-        d = ops_for(name).d
-        ds = d.adjoint()
+        d = ref.blocks(ops_for(name).d)
+        ds = ref.adjoint(d)
         for k in range(model.dim + 1):
-            basis = harmonic_space(model, pack, k)
+            basis = column_forms(model.dim, k, harmonic_space(model, pack, k))
             assert len(basis) == coh.betti[k]
             for f in basis:
-                assert d.apply(f).is_zero() and ds.apply(f).is_zero()
+                assert ref.apply(d, f).is_zero() and ref.apply(ds, f).is_zero()
 
 
 def test_basic_subcomplex_h3_contents():
@@ -152,7 +157,7 @@ def test_split_laplacian_h3_kernel():
 def test_split_laplacian_su2_kernel_contains_eta():
     model, pack = model_pack("su2")
     ds = split_laplacian(model, pack, reeb_foliation(pack))
-    assert ds.apply(pack.eta).is_zero()
+    assert ref.apply(ref.blocks(ds), t(3, pack.reeb_index)).is_zero()
 
 
 def test_basic_adjoint_identity():
@@ -304,7 +309,9 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     # the split of d along each foliation and each block of each polynomial
     # (the pool's, the coframe operators e_k, i_k and the Reeb and Lee
     # operators among them, and Delta_s and L^e of the transversal package)
-    # are built once, however many layers read them; a memoised result
+    # are built once, however many layers read them, and each polynomial is
+    # restricted to each complex once (L to the basic complex is read by hard
+    # Lefschetz, the cone and the Lefschetz sequences); a memoised result
     # handed out again is the same object, not a second build
     import collections
     import importlib
@@ -336,10 +343,19 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
         return entries(poly, k)
 
     monkeypatch.setattr(Clifford, "_entries", counted_entries)
+    # each restriction as (complex, polynomial), both held by the list
+    restricted, restrict = [], FormComplex._restrict
+
+    def counted_restrict(sub, op):
+        restricted.append((sub, op))
+        return restrict(sub, op)
+
+    monkeypatch.setattr(FormComplex, "_restrict", counted_restrict)
     assert cli.main(["all", name]) == 0
     capsys.readouterr()
     assert splits and all(len({id(out) for out in outs}) == 1 for outs in splits.values())
     assert written and len({(id(p), k) for p, k in written}) == len(written)
+    assert restricted and len({(id(c), id(p)) for c, p in restricted}) == len(restricted)
     pool = operator_pool(*model_pack(name))
     assert pool.poly("i_r") is pool.poly(f"i_{model_pack(name)[1].reeb_index}")
 
@@ -409,3 +425,26 @@ def test_basic_adjoint_reports_the_first_failing_pair(monkeypatch, name):
     assert entry.verdict == "fail"
     assert entry.line().startswith("FAIL  basic_adjoint.pairing: ")
     assert entry.line().endswith("[degree 2, basis pair (0,2): 2 vs 1]")
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_orthonormal_degrees_take_the_adjoint_without_elimination(name):
+    # a degree with no Gram matrix is orthonormal, so adjoint_d is the
+    # conjugate transpose; with the Gram matrices written out it is the
+    # solution of G_k x = d_k^+ G_{k+1}.  The builtins' basic bases are
+    # orthonormal too, so a copy of the full complex with G_2 = 2 Id puts a
+    # non-orthonormal degree next to orthonormal ones
+    from lieforms.cohomology import CochainComplex
+    from lieforms.matrices import Matrix, solve
+
+    model, pack = model_pack(name)
+    full = full_complex(model, pack)
+    assert not full.gram
+    complexes = [full, CochainComplex("G_2 = 2 Id", full.degrees, full.dims, full.diff,
+                                      {2: Matrix.identity(full.dim(2)).scale(Scalar.of(2))})]
+    if pack.kind != "kahler":
+        complexes.append(basic_subcomplex(model, pack, FoliationSpec(pack.vertical_indices)))
+    for cx in complexes:
+        for k in cx.degrees[:-1]:
+            gram = [cx.gram.get(j, Matrix.identity(cx.dim(j))) for j in (k, k + 1)]
+            assert cx.adjoint_d(k) == solve(gram[0], cx.d(k).conj_transpose() @ gram[1])

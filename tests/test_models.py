@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from lieforms.cohomology import basic_subcomplex, transversal_package
 from lieforms.clifford import Clifford
-from lieforms.forms import FormElement, wedge
 from lieforms.models import (
     AntisymmetryError,
     BUILTIN_NAMES,
@@ -38,6 +37,7 @@ from lieforms.splitting import (
 import block_reference as ref
 from block_reference import bidegree_projectors, reference_operators
 from conftest import DATA, child_env, load, model_pack, ops_for, pool_for
+from form_reference import FormElement, derivation, multiplication, wedge
 from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
 
 def t(n, *ix):
@@ -56,10 +56,11 @@ def test_packs_validate_on_construction():
 
 
 def test_ce_differential_examples():
+    # a form a is its multiplication e_a, and {d, e_a} = e_{da}
     model, _ = model_pack("h3")
     d = ce_differential(model)
-    assert d.apply(t(3, 3)) == t(3, 1, 2)
-    assert d.apply(t(3, 1)).is_zero()
+    assert supercommutator(d, Clifford.wedge(3, 3)) == multiplication(t(3, 1, 2), 2)
+    assert supercommutator(d, Clifford.wedge(3, 1)).is_zero()
     torus, _ = model_pack("torus4")
     assert ce_differential(torus).is_zero()
     su2, _ = model_pack("su2")
@@ -85,16 +86,20 @@ def test_su2_bracket_normalization():
     assert model.bracket(1, 2) == {3: -ONE}
     assert model.bracket(2, 3) == {1: -ONE}
     assert model.bracket(3, 1) == {2: -ONE}
-    assert pack.eta == t(3, 3)
-    assert pack.omega0 == t(3, 1, 2)
+    # eta = theta^3 and omega0 = d eta = theta^1 ^ theta^2, as multiplications
+    poly = pool_for("su2").poly
+    assert poly("e_r") == Clifford.wedge(3, 3)
+    assert poly(("d", "e_r")) == poly("L") == multiplication(t(3, 1, 2), 2)
 
 
 def test_h3xr_vaisman_equation():
+    # d(I theta) = omega - theta ^ (I theta), with I theta = eta, on the
+    # pool's multiplications and against the reference d applied to eta
     model, pack = model_pack("h3xr")
-    d = ce_differential(model)
-    lhs = d.apply(pack.eta)  # d(I theta) with I theta = eta
-    rhs = pack.omega - wedge(pack.theta, pack.eta)
-    assert lhs == rhs
+    poly = pool_for("h3xr").poly
+    assert poly("d(I theta)") == poly("omega - theta^(I theta)")
+    d_eta = ref.apply(reference_operators(model, pack)["d"], t(4, pack.reeb_index))
+    assert multiplication(d_eta, 2) == poly("d(I theta)")
 
 
 def test_jacobi_defect_detection():
@@ -173,17 +178,18 @@ def test_jacobi_defect_finds_a_planted_failure():
 
 def test_structure_operator_examples():
     for name in ("su2", "h3", "h5"):
+        # i_r eta = 1: {i_r, e_r} = e_{i_r eta} is the identity
         pool = pool_for(name)
-        model, pack = model_pack(name)
-        assert pool.poly("i_r").apply(pack.eta) == FormElement.unit(model.dim)
+        assert supercommutator(pool.poly("i_r"), pool.poly("e_r")) == pool.poly("Id")
     ops = ops_for("h3")
     w10 = t(3, 1) - t(3, 2).scale(I)
-    assert ops.W.apply(w10) == w10.scale(I)
+    # W and Lie_r are even derivations, so [D, e_a] = e_{Da}
+    e_w10 = multiplication(w10, 1)
+    assert supercommutator(ops.W, e_w10) == e_w10.scale(I)
     # I e_w I^-1 = e_{I w}, and I w = i w on the (1,0)-form w
-    e_w10 = Clifford.multiplication(w10, 1)
     assert e_w10.substitute(ops.J) == e_w10.scale(I)
     su2 = pool_for("su2")
-    assert su2.poly("Lie_r").apply(t(3, 1)) == t(3, 2).scale(Scalar.of(-1))
+    assert supercommutator(su2.poly("Lie_r"), Clifford.wedge(3, 1)) == -Clifford.wedge(3, 2)
     assert pool_for("h3").poly("Lie_r").is_zero()
 
 
@@ -306,7 +312,7 @@ def test_loading_builds_no_block(monkeypatch, tmp_path, name):
 def w_of(n, J):
     """The even derivation extending the relabelling J, as structure_operators
     builds W."""
-    return Clifford.derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()})
+    return derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()})
 
 
 def test_i_check_fails_on_a_planted_fault():
@@ -396,20 +402,37 @@ def test_parse_jacobi_error():
 
 
 def test_parse_deta_mismatch_error():
-    # dividing the bracket by 2 breaks d(eta) = omega0 for the unit coframe
-    text = ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1/2\n"
-            "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\n")
-    with pytest.raises(StructureError) as err:
-        parse_model(text)
-    assert err.value.check == "deta"
+    # dividing the bracket by 2 breaks d(eta) = omega0 for the unit coframe,
+    # decided as {d, e_r} = L; a Kahler form with {d, L} != 0 is not closed
+    cases = [
+        ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1/2\n"
+         "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\n",
+         "deta: d(eta) = (1/2)*t1^t2 incompatible with J pairs ((1, 2),)"),
+        ("[algebra]\ndim = 4\n[brackets]\n1 2 -> 4 : -1\n1 3 -> 4 : 1\n"
+         "[structure]\nkind = kahler\n",
+         "deta: fundamental form is not closed"),
+    ]
+    for text, message in cases:
+        with pytest.raises(StructureError) as err:
+            parse_model(text)
+        assert err.value.check == "deta" and str(err.value) == message
 
 
 def test_parse_j_pair_error():
-    text = ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n"
-            "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\nJ: 2 -> 1\n")
-    with pytest.raises(StructureError) as err:
-        parse_model(text)
-    assert err.value.check == "J"
+    # overlapping pairs, and pairs that leave horizontal generators 3 and 4
+    # uncovered although d(eta) = theta^1 ^ theta^2 matches them
+    cases = [
+        ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n"
+         "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\nJ: 2 -> 1\n",
+         "J: J pairs overlap: ((1, 2), (1, 2))"),
+        ("[algebra]\ndim = 5\n[brackets]\n1 2 -> 5 : -1\n"
+         "[structure]\nkind = sasakian\nreeb = 5\nJ: 1 -> 2\n",
+         "J: J pairs must cover the horizontal coframe"),
+    ]
+    for text, message in cases:
+        with pytest.raises(StructureError) as err:
+            parse_model(text)
+        assert err.value.check == "J" and str(err.value) == message
 
 
 def test_parse_vaisman_equation_failure():
@@ -418,12 +441,21 @@ def test_parse_vaisman_equation_failure():
             "[structure]\nkind = vaisman\nreeb = 4\nlee = 2\nJ: 3 -> 1\n")
     with pytest.raises(StructureError):
         parse_model(text)
+    # d(eta) = omega0 holds, but {d, e_th} != 0: d theta = theta^2 ^ theta^3
+    text = ("[algebra]\ndim = 4\n[brackets]\n2 3 -> 4 : -1\n2 3 -> 1 : -1\n"
+            "[structure]\nkind = vaisman\nreeb = 4\nlee = 1\n")
+    with pytest.raises(StructureError) as err:
+        parse_model(text)
+    assert err.value.check == "vaisman" and str(err.value) == "vaisman: lee form is not closed"
 
 
 def test_parse_vaisman_synthesizes_omega():
-    # omega is never declared in the format; it is synthesized and checked
-    _, pack = parse_model(builtin_file_text("su2xr"), name="su2xr")
-    assert pack.omega == pack.omega0 + wedge(pack.theta, pack.eta)
+    # omega is never declared in the format; the pool builds it from the J
+    # pairs with J theta = eta, and it is omega0 + theta ^ eta with omega0 = d eta
+    model, pack = parse_model(builtin_file_text("su2xr"), name="su2xr")
+    poly = operator_pool(model, pack).poly
+    omega = t(4, 2, 3) + wedge(t(4, pack.lee_index), t(4, pack.reeb_index))
+    assert poly("omega") == multiplication(omega, 2) == poly("omega0 + theta^eta")
 
 
 def test_unknown_builtin_message():

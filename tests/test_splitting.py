@@ -186,6 +186,25 @@ def test_vaisman_structure_report():
         assert rep.entry("vaisman.d_theta").verdict == "pass"
 
 
+def test_vaisman_structure_equation_is_vacuous_in_dimension_2(tmp_path):
+    # with no transversal directions d(eta) = 0 = omega - theta ^ eta, and the
+    # structure equation, a table row on the pool's multiplications, says so;
+    # d(theta) = 0 asserts vanishing, and omega = theta ^ eta is nonzero
+    from lieforms.cli import RunConfig, run
+
+    path = tmp_path / "vaisman2.alg"
+    path.write_text("[algebra]\ndim = 2\n[structure]\nkind = vaisman\nreeb = 2\nlee = 1\n")
+    out = tmp_path / "check.txt"
+    assert run(RunConfig(command="check", model=str(path), output=str(out))) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2:5] == [
+        "  PASS  vaisman.d_theta: d(theta) = 0",
+        "  PASS  vaisman.structure_equation: d(I theta) = omega - theta^(I theta)"
+        "  (both sides zero)",
+        "  PASS  vaisman.omega_decomposition: omega = omega0 + theta^eta",
+    ]
+
+
 def test_relation_table_on_deformed_round_model():
     # one-parameter bracket deformation of the round model (parameter 2):
     # optional family check, the table should hold at every parameter
