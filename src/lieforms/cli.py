@@ -231,8 +231,8 @@ def _run_harmonic(report: Report, model, pack, degree):
 
 
 def _run_cone(report: Report, model, pack):
-    package = lefschetz_cone_package(model, pack)
-    report.add_verdict("cone equivalence and long exact sequence", package.verdict)
+    report.add_verdict("cone equivalence and long exact sequence",
+                       lefschetz_cone_package(model, pack))
 
 
 def run(config: RunConfig) -> int:

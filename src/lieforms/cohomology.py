@@ -1,16 +1,16 @@
 """Exact cohomology, harmonic spaces and the transversal Hodge package.
 
 Complexes are held in coordinates: per-degree dimensions, differentials,
-and a Gram matrix when the basis is not orthonormal (subcomplex bases
-come from nullspace computations, so they rarely are).  Representatives
-are always chosen in ker d orthogonal to im d, which agrees exactly with
-the kernel of the Laplacian.
+and a Gram matrix only where the basis is not orthonormal (a nullspace
+basis of a coordinate subspace is orthonormal).  Representatives are
+always chosen in ker d orthogonal to im d, which agrees exactly with the
+kernel of the Laplacian.
 
 Each form complex of a (model, pack) is named by its constraint set and
 built once (`full_complex`, `basic_subcomplex`, `invariant_subcomplex`
-are cached), and a complex computes its cohomology and harmonic
-coordinates once.  `contact_complexes` chooses the two complexes behind
-every contact-type check.
+are cached), and a complex computes its cohomology, the adjoint of each
+d_k and its harmonic coordinates once.  `contact_complexes` chooses the
+two complexes behind every contact-type check.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .operators import (
     op_sum,
     supercommutator,
 )
-from .scalars import ONE
 from .splitting import FoliationSpec, lee_foliation, operator_pool, reeb_foliation
 
 
@@ -67,29 +66,15 @@ class CochainComplex:
     def d(self, k: int) -> Matrix:
         return self.diff.get(k, Matrix.zero(self.dim(k + 1), self.dim(k)))
 
-    def shift(self, s: int) -> "CochainComplex":
-        """Degree shift: C[s]_k = C_{k+s}, differential negated for odd s."""
-        sign = -ONE if s % 2 else ONE
-        degrees = tuple(k - s for k in self.degrees)
-        dims = {k - s: v for k, v in self.dims.items()}
-        diff = {k - s: m.scale(sign) for k, m in self.diff.items()}
-        gram = {k - s: g for k, g in self.gram.items()}
-        out = CochainComplex(f"{self.label}[{s}]", degrees, dims, diff, gram)
-        # -d has the kernels of d, so the shift keeps this complex's
-        # representatives, with their degrees moved by s
-        coh = self.cohomology()
-        out._memo["cohomology"] = type(coh)(
-            out.label, degrees, {k - s: b for k, b in coh.betti.items()},
-            {k - s: v for k, v in coh.representatives.items()})
-        return out
-
     # -- metric structure ------------------------------------------------
 
     def adjoint_d(self, k: int) -> Matrix:
         """Adjoint of d_k w.r.t. the Gram inner products, G_k^-1 d_k^+ G_{k+1}:
-        degree k+1 -> k.  Between orthonormal degrees it is d_k^+."""
-        out = self._times_gram(self.d(k).conj_transpose(), k + 1)
-        return solve(self.gram[k], out) if k in self.gram else out
+        degree k+1 -> k, computed once.  Between orthonormal degrees it is d_k^+."""
+        if ("adjoint", k) not in self._memo:
+            out = self._times_gram(self.d(k).conj_transpose(), k + 1)
+            self._memo["adjoint", k] = solve(self.gram[k], out) if k in self.gram else out
+        return self._memo["adjoint", k]
 
     def _times_gram(self, m: Matrix, k: int) -> Matrix:
         """m G_k, which is m itself when degree k is orthonormal."""
@@ -187,7 +172,9 @@ class FormComplex(CochainComplex):
         for k in range(n):
             diff[k] = _restrict_block(d.block(k), embed[k], embed[k + 1],
                                       "d fails to preserve the subspace")
-        gram = {k: embed[k].conj_transpose() @ embed[k] for k in degrees}
+        # a degree spanning a coordinate subspace has an orthonormal basis
+        gram = {k: g for k in degrees
+                if (g := embed[k].conj_transpose() @ embed[k]) != Matrix.identity(dims[k])}
         return FormComplex(label, degrees, dims, diff, gram, embed)
 
     def restrict(self, op: Clifford) -> dict[int, Matrix]:
@@ -305,11 +292,6 @@ def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationS
     return op_sum([box] + [-(lie @ lie) for lie in lies]), box, lies, pi_hor
 
 
-def split_laplacian(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> Clifford:
-    """{d1, d1*} - sum_v Lie_v^2 for the foliation's transversal component."""
-    return _split_laplacian_parts(model, pack, fol)[0]
-
-
 def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
     return _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol))
@@ -389,10 +371,9 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         # L^1 is L itself, so its blocks are the pool's
         blocks = sub.restrict(functools.reduce(matmul, [L] * e) if e else pool.poly("Id"))
         ind = induced_map(blocks, sub, coh, coh, degree_offset=2 * e)
-        m = ind[k]
-        bij = rank(m) == coh.betti[k] == coh.betti[2 * n_t - k]
-        detail.append(f"L^{e}:H^{k}->H^{2*n_t-k} rank {rank(m)}")
-        ok = ok and bij
+        rk = rank(ind[k])
+        detail.append(f"L^{e}:H^{k}->H^{2*n_t-k} rank {rk}")
+        ok = ok and rk == coh.betti[k] == coh.betti[2 * n_t - k]
     report.add(RelationEntry("transversal.hard_lefschetz",
                              "; ".join(detail) or "no middle degrees", "bijective",
                              "pass" if ok else "fail"))
@@ -483,7 +464,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
         coeffs = charpoly(block)
         while len(coeffs) > 1 and coeffs[0] == 0:
             coeffs = coeffs[1:]
-        seen += [str(r) for r in rational_roots(coeffs) if r != 0]
+        seen += [str(r) for r in rational_roots(coeffs, block) if r != 0]
         kerg = nullspace(poly_eval_matrix(coeffs, block))
         # the basis vectors of ker g that are closed, selected as columns
         closed = [j for j, col in enumerate((sub.d(k) @ kerg).columns()) if not col]

@@ -12,6 +12,7 @@ Stored row dicts are never mutated, which lets matrices share rows.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor, lcm
 from typing import Sequence
 
 from .scalars import ONE, Scalar, ZERO
@@ -316,41 +317,28 @@ def poly_eval_matrix(coeffs: Sequence[Fraction], mat: Matrix) -> Matrix:
     return acc
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Rational roots of the polynomial with the given coefficients."""
-    # clear denominators -> integer polynomial
-    from math import gcd
+def rational_roots(coeffs: Sequence[Fraction], block: Matrix) -> list[Fraction]:
+    """The rational roots, in increasing order, of sum coeffs[k] x^k, a
+    factor of the characteristic polynomial of the square block.
 
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if not ints:
-        return []
-    lo = 0
-    while ints[lo] == 0:
-        lo += 1
-    a0, an = abs(ints[lo]), abs(ints[-1])
-
-    def divisors(m):
-        out = set()
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.add(d)
-                out.add(m // d)
-            d += 1
-        return out
-
+    With D the common denominator of the block's entries, D * block has
+    entries in Z[i], so each rational eigenvalue of it is an integer, and
+    at most the largest absolute row sum (Gershgorin).  Each integer m in
+    that range is tested by Horner's rule, and a root is m / D: the work
+    grows with the row sum, not with the bit length of coeffs[0].
+    """
+    den = lcm(1, *(p.denominator for r in block._rows for a in r.values() for p in (a.re, a.im)))
+    bound = floor(den * max((sum(abs(a.re) + abs(a.im) for a in r.values())
+                             for r in block._rows), default=0))
+    cden = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * cden) for c in coeffs]
     roots = []
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                val = Fraction(0)
-                for c in reversed(ints):
-                    val = val * cand + c
-                if val == 0 and cand not in roots:
-                    roots.append(cand)
-    return sorted(roots)
+    for m in range(-bound, bound + 1):
+        # D^n p(m / D) in integers, for p of degree n
+        val, power = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            power *= den
+            val = val * m + c * power
+        if val == 0:
+            roots.append(Fraction(m, den))
+    return roots

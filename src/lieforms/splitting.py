@@ -582,9 +582,12 @@ def antisymmetry_report(model: LieModel, pack: StructurePack) -> RelationEntry:
                          f"{{a,b}} over {len(names)}^2 pool pairs", "-(-1)^{ab}{b,a}", "pass")
 
 
+# the number of triples a seeded Jacobi sample draws
+JACOBI_SAMPLE = 60
+
+
 @functools.lru_cache(maxsize=None)
-def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool,
-                  sample_size: int = 60) -> RelationEntry:
+def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool) -> RelationEntry:
     """Super Jacobi identity over guard triples, exhaustive or seeded sample.
 
     Pairwise supercommutators come from the operator pool and are shared
@@ -598,7 +601,7 @@ def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool,
     label = f"exhaustive over {len(names)}^3 pool triples"
     if not exhaustive:
         rng = random.Random(0)
-        triples = rng.sample(triples, min(sample_size, len(triples)))
+        triples = rng.sample(triples, min(JACOBI_SAMPLE, len(triples)))
         label = f"seeded sample of {len(triples)} pool triples"
     poly = operator_pool(model, pack).poly
 

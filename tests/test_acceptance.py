@@ -162,10 +162,10 @@ def test_criterion_4_cone_equivalence():
     failures = []
     for name in SASAKIAN:
         model, pack = model_pack(name)
-        package = lefschetz_cone_package(model, pack)
-        if not package.verdict.passed():
-            failures.append((name, [r.line() for r in package.verdict.rows if not r.ok]
-                             + [e.line() for e in package.verdict.extras if not e.ok()]))
+        verdict = lefschetz_cone_package(model, pack)
+        if not verdict.passed():
+            failures.append((name, [r.line() for r in verdict.rows if not r.ok]
+                             + [e.line() for e in verdict.extras if not e.ok()]))
     ok = record_criterion(4, "cone identification exact and long exact sequence "
                              "exact at every node, on every contact builtin",
                           not failures)

@@ -4,12 +4,12 @@ import block_reference as ref
 import oracle
 from lieforms.cohomology import (
     FormComplex,
+    _split_laplacian_parts,
     basic_adjoint_check,
     basic_subcomplex,
     full_complex,
     harmonic_space,
     invariant_subcomplex,
-    split_laplacian,
     transversal_package,
 )
 from lieforms.matrices import nullspace, subspace_equal
@@ -136,7 +136,7 @@ def test_split_laplacian_properties():
     for name, folf in (("su2", reeb_foliation), ("h3", reeb_foliation),
                        ("su2xr", sigma_foliation)):
         model, pack = model_pack(name)
-        ds = split_laplacian(model, pack, folf(pack))
+        ds = _split_laplacian_parts(model, pack, folf(pack))[0]
         assert ds.adjoint() == ds
         for block in ref.blocks(ds).blocks:
             for i in range(block.nrows):
@@ -148,7 +148,7 @@ def test_split_laplacian_h3_kernel():
     # d1 = 0 and Lie_r = 0 on the Heisenberg model, so Delta_s vanishes and
     # its degree-1 kernel is everything, including the vertical covector
     model, pack = model_pack("h3")
-    ds = split_laplacian(model, pack, reeb_foliation(pack))
+    ds = _split_laplacian_parts(model, pack, reeb_foliation(pack))[0]
     assert ds.is_zero()
     ker = nullspace(ds.block(1))
     assert ker.ncols == 3
@@ -156,7 +156,7 @@ def test_split_laplacian_h3_kernel():
 
 def test_split_laplacian_su2_kernel_contains_eta():
     model, pack = model_pack("su2")
-    ds = split_laplacian(model, pack, reeb_foliation(pack))
+    ds = _split_laplacian_parts(model, pack, reeb_foliation(pack))[0]
     assert ref.apply(ref.blocks(ds), t(3, pack.reeb_index)).is_zero()
 
 
@@ -280,7 +280,7 @@ def test_cohomology_module_is_not_shadowed():
 def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminated):
     # h5: basic[5] and the invariant complex; h3xr: basic[1], basic[1, 4] and
     # invariant+basic[1].  Eliminations: those, the full complex and the
-    # cone.  The cone's two shifted basic complexes take the basic report.
+    # cone of L on the basic complex.
     import lieforms.cohomology as co
     from lieforms import cli
 
@@ -375,8 +375,6 @@ def foliations(pack):
 def test_horizontal_projector_is_the_vertical_degree_zero_projector():
     # Pi_hor = prod_v i_v e_v of the transversal package against the sum of
     # the reference bidegree projectors with vertical degree 0
-    from lieforms.cohomology import _split_laplacian_parts
-
     for name in CONTACT_MODELS:
         model, pack = load(name)
         for fol in foliations(pack):
@@ -403,7 +401,7 @@ def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
                 for v in fol.spanning]
         ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
                      *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
-        assert ref.blocks(split_laplacian(model, pack, fol)) == ds, fol.spanning
+        assert ref.blocks(_split_laplacian_parts(model, pack, fol)[0]) == ds, fol.spanning
         restricted.clear()
         transversal_package(model, pack, fol)
         degrees = basic_subcomplex(model, pack, fol).degrees
@@ -448,3 +446,27 @@ def test_orthonormal_degrees_take_the_adjoint_without_elimination(name):
         for k in cx.degrees[:-1]:
             gram = [cx.gram.get(j, Matrix.identity(cx.dim(j))) for j in (k, k + 1)]
             assert cx.adjoint_d(k) == solve(gram[0], cx.d(k).conj_transpose() @ gram[1])
+
+
+def test_gram_matrix_is_kept_only_off_coordinate_subspaces():
+    # the builtins' basic and invariant bases span coordinate subspaces and
+    # store no Gram matrix.  i_1 - i_4 commutes with d on h3xr (e1 and e4 are
+    # central), and its kernel holds e1 + e4, which no coordinate subspace
+    # does: there the Gram matrix is kept, and adjoint_d, computed once, is
+    # the solution of G_k x = d_k^+ G_{k+1}
+    from lieforms.matrices import Matrix, solve
+
+    for name in BUILTIN_NAMES[2:]:
+        model, pack = model_pack(name)
+        basic = basic_subcomplex(model, pack, FoliationSpec(pack.vertical_indices))
+        assert not basic.gram and not invariant_subcomplex(model, pack).gram, name
+    model, pack = model_pack("h3xr")
+    pool = operator_pool(model, pack)
+    cx = FormComplex.from_constraints(model, pool.poly("d"),
+                                      [pool.poly("i_1") - pool.poly("i_4")], "planted")
+    assert sorted(cx.gram) == [1, 2, 3]
+    assert not cx.d(1).is_zero()
+    for k in cx.degrees[:-1]:
+        gram = [cx.gram.get(j, Matrix.identity(cx.dim(j))) for j in (k, k + 1)]
+        assert cx.adjoint_d(k) == solve(gram[0], cx.d(k).conj_transpose() @ gram[1])
+        assert cx.adjoint_d(k) is cx.adjoint_d(k)

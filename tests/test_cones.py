@@ -1,47 +1,26 @@
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lieforms.cohomology import full_complex
 from lieforms.cones import (
-    ChainMap,
-    build_cone,
+    lefschetz_cone,
     lefschetz_cone_package,
-    long_exact_check,
+    lefschetz_long_exact,
     sasakian_decomposition,
     sasakian_harmonic_check,
     vaisman_decomposition,
     vaisman_harmonic_check,
 )
-from lieforms.matrices import Matrix
 from lieforms.scalars import Scalar
 
-from conftest import model_pack
-
-
-def _identity_chain_map(cx):
-    blocks = {k: Matrix.identity(cx.dim(k)) for k in cx.degrees}
-    return ChainMap("id", cx, cx, blocks)
-
-
-def _zero_chain_map(cx):
-    blocks = {k: Matrix.zero(cx.dim(k), cx.dim(k)) for k in cx.degrees}
-    return ChainMap("0", cx, cx, blocks)
-
-
-def test_cone_of_identity_is_acyclic():
-    model, pack = model_pack("h3")
-    cx = full_complex(model, pack)
-    cone = build_cone(_identity_chain_map(cx))
-    coh = cone.cohomology()
-    assert all(b == 0 for b in coh.betti.values())
+from conftest import model_pack, ops_for
 
 
 def test_cone_of_zero_map_splits():
     model, pack = model_pack("h3")
     cx = full_complex(model, pack)
-    cone = build_cone(_zero_chain_map(cx))
+    cone = lefschetz_cone(cx, {})
     coh = cone.cohomology()
     base = cx.cohomology()
     for k in cone.degrees:
@@ -49,42 +28,35 @@ def test_cone_of_zero_map_splits():
         assert coh.betti[k] == want
 
 
-def test_long_exact_for_identity_and_zero():
+def test_long_exact_for_zero_map():
     model, pack = model_pack("h3")
     cx = full_complex(model, pack)
-    for phi in (_identity_chain_map(cx), _zero_chain_map(cx)):
-        verdict = long_exact_check(phi)
-        assert verdict.passed()
+    rows = lefschetz_long_exact(cx, {}, lefschetz_cone(cx, {}))
+    assert rows and all(r.ok for r in rows)
 
 
 def test_long_exact_for_lefschetz_on_basic_complexes():
     for name in ("h3", "su2", "h5"):
         model, pack = model_pack(name)
-        package = lefschetz_cone_package(model, pack)
-        assert all(r.ok for r in package.verdict.rows), name
+        verdict = lefschetz_cone_package(model, pack)
+        assert all(r.ok for r in verdict.rows), name
 
 
 def test_long_exact_for_lefschetz_on_tori():
     # the trivial foliation makes the basic complex the full one; the
     # Lefschetz cone sequence must still be exact at every node
-    from conftest import ops_for
-
     for name in ("torus2", "torus4"):
         model, pack = model_pack(name)
         cx = full_complex(model, pack)
-        src, tgt = cx.shift(-1), cx.shift(1)
-        L = ops_for(name).L
-        blocks = {k: L.block(k - 1) for k in src.degrees
-                  if 0 <= k - 1 <= model.dim}
-        phi = ChainMap("L", src, tgt, blocks)
-        assert long_exact_check(phi).passed(), name
+        lblocks = cx.restrict(ops_for(name).L)
+        rows = lefschetz_long_exact(cx, lblocks, lefschetz_cone(cx, lblocks))
+        assert rows and all(r.ok for r in rows), name
 
 
 def test_cone_identification_is_exact_isomorphism():
     for name in ("su2", "h3", "h5", "su2xr", "h3xr"):
         model, pack = model_pack(name)
-        package = lefschetz_cone_package(model, pack)
-        verdict = package.verdict
+        verdict = lefschetz_cone_package(model, pack)
         assert verdict.passed(), (name, [e.line() for e in verdict.extras])
         for key in ("cone.isomorphism", "cone.bijective", "cone.invariant_proxy",
                     "cone.cohomology_match"):
@@ -207,16 +179,17 @@ def test_file_defined_six_dimensional_model_end_to_end():
 
 
 def test_chain_map_commutation_guard():
-    model, pack = model_pack("h3")
-    cx = full_complex(model, pack)
-    blocks = {k: Matrix.identity(cx.dim(k)) for k in cx.degrees}
-    # break commutation at degree 1 by scaling
-    blocks[1] = blocks[1].scale(Scalar(Fraction(2)))
-    import pytest
+    # d^2 on the cone is (0, d L c - L d c): with L's degree-1 block doubled
+    # on the full complex of h5, d L eta = 2 L omega0 but L d eta = L omega0
     from lieforms.models import StructureError
 
-    with pytest.raises(StructureError):
-        ChainMap("broken", cx, cx, blocks)
+    model, pack = model_pack("h5")
+    cx = full_complex(model, pack)
+    lblocks = dict(cx.restrict(ops_for("h5").L))
+    lefschetz_cone(cx, lblocks)
+    lblocks[1] = lblocks[1].scale(Scalar.of(2))
+    with pytest.raises(StructureError, match=r"d\^2 != 0 at degree 1"):
+        lefschetz_cone(cx, lblocks)
 
 
 # h5 with e_5 swapped for e_r: the Reeb index sits an odd distance from the

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 import lieforms
 from lieforms.matrices import (
     Matrix,
+    charpoly,
     nullspace,
     rank,
+    rational_roots,
     rref,
     solve,
     span_coordinates,
@@ -264,6 +267,60 @@ def test_span_coordinates_match_solve_on_nullspace_bases(system, data):
 def test_span_coordinates_refuse_a_basis_without_identity_rows():
     with pytest.raises(ValueError):
         span_coordinates(Matrix([[Scalar.of(2)]]), Matrix.identity(1))
+
+
+def divisor_roots(coeffs):
+    """The nonzero rational roots p/q of a polynomial, from the divisors p of
+    its lowest nonzero coefficient and q of its leading one, once its
+    denominators are cleared: the textbook enumeration, exponential in the
+    bit length of the coefficients."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    low = next(c for c in ints if c)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    candidates = {sign * Fraction(p, q) for p in divisors(low) for q in divisors(ints[-1])
+                  for sign in (1, -1)}
+    return sorted(r for r in candidates if sum(c * r ** k for k, c in enumerate(ints)) == 0)
+
+
+@st.composite
+def spectral_blocks(draw):
+    """A real block: upper triangular with small rational diagonal entries,
+    next to the companion matrix of x^2 + bx + c, whose roots may be
+    irrational."""
+    diag = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                         min_size=0, max_size=4))
+    b, c = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    n = len(diag)
+    entries = [(i, i, Scalar.of(x)) for i, x in enumerate(diag)]
+    entries += [(i, j, Scalar.of(draw(st.integers(-2, 2))))
+                for i in range(n) for j in range(i + 1, n)]
+    entries += [(n, n + 1, ONE), (n + 1, n, Scalar.of(-c)), (n + 1, n + 1, Scalar.of(-b))]
+    return Matrix.from_entries(n + 2, n + 2, [e for e in entries if e[2]])
+
+
+@settings(deadline=None, max_examples=150)
+@given(spectral_blocks())
+def test_rational_roots_match_the_divisor_enumeration(block):
+    # the eigen-exactness check passes the characteristic polynomial with its
+    # factors of x removed; a root of 0 is not a root of that
+    coeffs = charpoly(block)
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    assert rational_roots(coeffs, block) == divisor_roots(coeffs)
+
+
+def test_rational_roots_of_a_block_with_a_wide_constant_term():
+    # c_0 = 2^20 3^20 has 441 divisors up to 3.7e15: the Gershgorin bound of
+    # the block leaves the seven integers in [-3, 3]
+    block = Matrix.from_entries(40, 40, [(i, i, Scalar.of(2 if i < 20 else 3))
+                                         for i in range(40)])
+    coeffs = charpoly(block)
+    assert coeffs[0] == 2 ** 20 * 3 ** 20
+    assert rational_roots(coeffs, block) == [2, 3]
 
 
 def test_only_the_matrix_module_reads_row_storage():
