@@ -91,13 +91,14 @@ class DecompositionVerdict:
         raise KeyError(degree)
 
 
-def lefschetz_long_exact(basic: CochainComplex, lblocks: dict[int, Matrix],
+def lefschetz_long_exact(basic: CochainComplex, lef: dict[int, tuple[Matrix, int]],
                          cone: CochainComplex) -> list[DegreeVerdict]:
     """Exactness of ... -> H^{k-1}(B) -L-> H^{k+1}(B) -inc-> H^k(cone)
     -proj-> H^k(B) -L-> H^{k+2}(B) -> ... at every node, one row per cone
     degree k, via exact rank bookkeeping: consecutive maps compose to zero
-    and rank(in) + rank(out) = dim(middle).  inc is (0, 1) and proj is
-    (1, 0) on Cone_k = B_k (+) B_{k+1}.
+    and rank(in) + rank(out) = dim(middle).  lef is L on H(B) with its
+    ranks, as `FormComplex.induced` gives it (a degree it lacks is a zero
+    map); inc is (0, 1) and proj is (1, 0) on Cone_k = B_k (+) B_{k+1}.
     """
     hb, hc = basic.cohomology(), cone.cohomology()
     inc_blocks = {j: Matrix.zero(basic.dim(j - 1), basic.dim(j)).vstack(
@@ -106,8 +107,7 @@ def lefschetz_long_exact(basic: CochainComplex, lblocks: dict[int, Matrix],
         Matrix.zero(basic.dim(k), basic.dim(k + 1))) for k in basic.degrees}
     # each induced map with its rank, as it is the outgoing map of one node
     # and the incoming map of the next
-    lef, inc, proj = ({k: (m, rank(m)) for k, m in maps.items()} for maps in (
-        induced_map(lblocks, basic, hb, hb, degree_offset=2),
+    inc, proj = ({k: (m, rank(m)) for k, m in maps.items()} for maps in (
         induced_map(inc_blocks, cone, hb, hc, degree_offset=-1),
         induced_map(proj_blocks, basic, hc, hb)))
     rows = []
@@ -148,8 +148,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> Decompositio
     # the invariant part of C stands in for C on the cone side
     ambient = invariant_subcomplex(model, pack, contact_foliation(pack))
     reference, basic = contact_complexes(model, pack)
-    lblocks = basic.restrict(pool.poly("L"))
-    cone = lefschetz_cone(basic, lblocks)
+    cone = lefschetz_cone(basic, basic.restrict(pool.poly("L")))
 
     # iso ambient^i -> cone_{i-1} = bas^{i-1} (+) bas^i, as (beta, alpha)
     iso_blocks = {}
@@ -185,7 +184,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> Decompositio
     verdict.extras.append(RelationEntry(
         "cone.bijective", "identification", "degreewise bijection",
         "pass" if bijective else "fail"))
-    verdict.rows.extend(lefschetz_long_exact(basic, lblocks, cone))
+    verdict.rows.extend(lefschetz_long_exact(basic, basic.induced(pool.poly("L")), cone))
 
     # the averaging proxy: invariant subcomplex computes the full cohomology
     amb_coh = ambient.cohomology()
@@ -218,9 +217,7 @@ def _lefschetz_sequences(model: LieModel, pack: StructurePack):
     """
     contact, basic = contact_complexes(model, pack)
     actual, coh = contact.cohomology(), basic.cohomology()
-    lef = induced_map(basic.restrict(operator_pool(model, pack).poly("L")),
-                      basic, coh, coh, degree_offset=2)
-    rk = {k: rank(m) for k, m in lef.items()}
+    rk = {k: r for k, (_, r) in basic.induced(operator_pool(model, pack).poly("L")).items()}
     b = lambda k: coh.betti.get(k, 0)
     n = pack.transversal_dim(model.dim)
     rows, inj_ok, surj_ok = [], True, True

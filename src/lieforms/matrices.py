@@ -144,9 +144,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def trace(self) -> Scalar:
-        return sum((self._rows[i].get(i, ZERO) for i in range(min(self.shape))), ZERO)
-
     def first_nonzero(self):
         """(i, j, value) of the first nonzero entry in row-major order, or None."""
         for i, r in enumerate(self._rows):
@@ -286,59 +283,20 @@ def subspace_equal(a: Matrix, b: Matrix) -> bool:
     return ra == rank(b) and rank(a.hstack(b)) == ra
 
 
-def charpoly(mat: Matrix) -> list[Fraction]:
-    """Characteristic polynomial coefficients [c_0, ..., c_n], monic, via
-    the Faddeev-LeVerrier recursion.  Requires real entries (all uses here
-    are self-adjoint real operators)."""
-    n = mat.nrows
-    if mat.ncols != n:
-        raise ValueError("charpoly needs a square matrix")
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = Matrix.identity(n)
-    a = mat
-    for k in range(1, n + 1):
-        am = a @ m
-        t = am.trace()
-        if t.im != 0:
-            raise ValueError("charpoly restricted to real matrices")
-        c = Fraction(-t.re, k)
-        coeffs[n - k] = c
-        m = am + Matrix.identity(n).scale(Scalar(c))
-    return coeffs
-
-
-def poly_eval_matrix(coeffs: Sequence[Fraction], mat: Matrix) -> Matrix:
-    """Evaluate sum coeffs[k] * mat^k (Horner)."""
-    n = mat.nrows
-    acc = Matrix.zero(n, n)
-    for c in reversed(list(coeffs)):
-        acc = acc @ mat + Matrix.identity(n).scale(Scalar(c))
-    return acc
-
-
-def rational_roots(coeffs: Sequence[Fraction], block: Matrix) -> list[Fraction]:
-    """The rational roots, in increasing order, of sum coeffs[k] x^k, a
-    factor of the characteristic polynomial of the square block.
+def rational_eigenvalues(block: Matrix) -> list[Fraction]:
+    """The rational eigenvalues of a square block, in increasing order.
 
     With D the common denominator of the block's entries, D * block has
     entries in Z[i], so each rational eigenvalue of it is an integer, and
-    at most the largest absolute row sum (Gershgorin).  Each integer m in
-    that range is tested by Horner's rule, and a root is m / D: the work
-    grows with the row sum, not with the bit length of coeffs[0].
+    at most the largest absolute row sum (Gershgorin).  An integer m in
+    that range gives the eigenvalue m / D exactly when block - (m / D) I is
+    singular: the work grows with the row sum, not with the bit length of
+    any polynomial coefficient.
     """
+    n = block.nrows
     den = lcm(1, *(p.denominator for r in block._rows for a in r.values() for p in (a.re, a.im)))
     bound = floor(den * max((sum(abs(a.re) + abs(a.im) for a in r.values())
                              for r in block._rows), default=0))
-    cden = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * cden) for c in coeffs]
-    roots = []
-    for m in range(-bound, bound + 1):
-        # D^n p(m / D) in integers, for p of degree n
-        val, power = ints[-1], 1
-        for c in reversed(ints[:-1]):
-            power *= den
-            val = val * m + c * power
-        if val == 0:
-            roots.append(Fraction(m, den))
-    return roots
+    eye = Matrix.identity(n)
+    return [Fraction(m, den) for m in range(-bound, bound + 1)
+            if rank(block - eye.scale(Scalar(Fraction(m, den)))) < n]

@@ -9,7 +9,8 @@ on `tests/data/h5xr.alg`, the dim-6 Vaisman model whose transversal
 Lefschetz sequences reach past degree 1, and on `tests/data/h7.alg`, the
 dim-7 contact model at the dimension frontier; and `lieforms all --format
 json` on `tests/data/h9.alg`, the dim-9 contact model with transversal
-dimension 4.  `tests/test_golden.py` compares each
+dimension 4, and on `tests/data/e9.alg`, the dim-9 contact model whose
+split Laplacian has a nonzero spectrum.  `tests/test_golden.py` compares each
 format's report with its snapshot byte for byte.  Rewrite them only for
 an intended output change, and name that change in CHANGES.md.
 """
@@ -28,6 +29,7 @@ SU2_AFF = "tests/data/su2_aff.alg"
 H5XR = "tests/data/h5xr.alg"
 H7 = "tests/data/h7.alg"
 H9 = "tests/data/h9.alg"
+E9 = "tests/data/e9.alg"
 
 
 def snapshot_path(stem: str, fmt: str) -> Path:
@@ -46,9 +48,10 @@ def main():
             path = snapshot_path(stem, fmt)
             code = run(RunConfig(command=command, model=model, format=fmt, output=str(path)))
             print(f"{path.name}: exit {code}")
-    path = snapshot_path("h9.all", "json")
-    code = run(RunConfig(command="all", model=H9, format="json", output=str(path)))
-    print(f"{path.name}: exit {code}")
+    for model, stem in ((H9, "h9.all"), (E9, "e9.all")):
+        path = snapshot_path(stem, "json")
+        code = run(RunConfig(command="all", model=model, format="json", output=str(path)))
+        print(f"{path.name}: exit {code}")
 
 
 if __name__ == "__main__":

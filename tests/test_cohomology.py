@@ -304,6 +304,30 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
     assert counts == {"built": built, "eliminated": eliminated}
 
 
+@pytest.mark.parametrize("name", ["h5", "h3xr"])
+def test_all_induces_each_map_once(monkeypatch, capsys, name):
+    # L on the basic cohomology, read by hard Lefschetz, the cone's long
+    # exact sequence and the Lefschetz sequences, and the cone's inclusion
+    # and projection
+    import lieforms.cohomology as co
+    import lieforms.cones as cones
+    from lieforms import cli
+
+    for cached in (co.full_complex, co.basic_subcomplex, co.invariant_subcomplex):
+        cached.cache_clear()
+    calls, induced_map = [], co.induced_map
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].label)
+        return induced_map(*args, **kwargs)
+
+    monkeypatch.setattr(co, "induced_map", counted)
+    monkeypatch.setattr(cones, "induced_map", counted)
+    assert cli.main(["all", name]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3 and calls.count("cone(L)") == 1, calls
+
+
 @pytest.mark.parametrize("name", ["h5", "su2", "su2xr", "h3xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     # the split of d along each foliation and each block of each polynomial
@@ -387,8 +411,9 @@ def test_horizontal_projector_is_the_vertical_degree_zero_projector():
 @pytest.mark.parametrize("name", CONTACT_MODELS)
 def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
     # Delta_s = {d1, d1*} - sum_v Lie_v^2, with d1 cut out of the reference d
-    # by the bidegree projectors and Lie_v = {d, i_v}, and the powers L^e that
-    # hard Lefschetz restricts to the basic complex, against block arithmetic
+    # by the bidegree projectors and Lie_v = {d, i_v}, against block
+    # arithmetic; the package restricts only L (hard Lefschetz composes the
+    # map L induces on basic cohomology) and Delta_s to the basic complex
     model, pack = load(name)
     reference = ref.reference_operators(model, pack)
     d, n = reference["d"], model.dim
@@ -402,13 +427,48 @@ def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
         ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
                      *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
         assert ref.blocks(_split_laplacian_parts(model, pack, fol)[0]) == ds, fol.spanning
+        # a fresh basic complex, so that L's induced map is not already memoised
+        basic_subcomplex.cache_clear()
         restricted.clear()
         transversal_package(model, pack, fol)
-        degrees = basic_subcomplex(model, pack, fol).degrees
-        n_t = (n - fol.rank) // 2
-        powers = [ref.power(reference["L"], n_t - k) for k in degrees
-                  if k <= n_t and 2 * n_t - k <= max(degrees)]
-        assert [ref.blocks(op) for op in restricted] == powers + [ds], fol.spanning
+        assert [ref.blocks(op) for op in restricted] == [reference["L"], ds], fol.spanning
+
+
+def planted_complex():
+    """dims (1, 2, 1) with d_0 = 0 and d_1 = [1 1]: no degree-1 form is
+    exact, and the closed ones are the multiples of (-1, 1)."""
+    from lieforms.cohomology import CochainComplex
+    from lieforms.matrices import Matrix
+
+    return CochainComplex("planted", (0, 1, 2), {0: 1, 1: 2, 2: 1},
+                          {0: Matrix.zero(2, 1), 1: Matrix([[Scalar.of(1), Scalar.of(1)]])}, {})
+
+
+def test_eigen_exactness_tests_closed_combinations_of_eigenvectors():
+    # with Delta = Id in degree 1 every vector is an eigenvector for 1, and
+    # no basis vector is closed, but their closed combination (-1, 1) is not
+    # exact; the restricted blocks are the complex's own, the identity
+    from lieforms.cohomology import _eigen_exactness
+    from lieforms.matrices import Matrix
+
+    entry = _eigen_exactness(planted_complex(), {1: Matrix.identity(2)})
+    assert entry.verdict == "fail"
+    assert "(rational spectrum seen: ['1'])" in entry.lhs
+
+
+def test_eigen_exactness_takes_generalised_eigenvectors():
+    # Delta = [[1, 1], [0, 1]] is one Jordan block for 1, so every vector is
+    # a generalised eigenvector and (-1, 1) must be tested.  Delta =
+    # [[-1, -1], [1, 1]] is nilpotent with image the span of (-1, 1), so no
+    # vector is, and the check passes: im Delta^2 = 0, not im Delta
+    from lieforms.cohomology import _eigen_exactness
+    from lieforms.matrices import Matrix
+
+    one, zero = Scalar.of(1), Scalar.of(0)
+    jordan = _eigen_exactness(planted_complex(), {1: Matrix([[one, one], [zero, one]])})
+    nilpotent = _eigen_exactness(planted_complex(), {1: Matrix([[-one, -one], [one, one]])})
+    assert (jordan.verdict, nilpotent.verdict) == ("fail", "pass")
+    assert "['none']" in nilpotent.lhs
 
 
 @pytest.mark.parametrize("name", ["su2xr", "h3xr"])

@@ -2,7 +2,7 @@
 tests/golden/update.py): `lieforms all` on every builtin, `lieforms check`
 and `lieforms all` on the su(2)xaff(R) fixture, and `lieforms all` on the
 dim-6 h5xR and dim-7 h7 fixtures, in every format, and on the dim-9 h9
-fixture in json."""
+and e9 fixtures in json."""
 
 from pathlib import Path
 
@@ -57,3 +57,13 @@ def test_all_matches_json_snapshot_on_h9(tmp_path, monkeypatch):
     assert run(RunConfig(command="all", model="tests/data/h9.alg", format="json",
                          output=str(out))) == 0
     assert out.read_bytes() == (GOLDEN / "h9.all.json").read_bytes()
+
+
+def test_all_matches_json_snapshot_on_e9(tmp_path, monkeypatch):
+    # d1 != 0 on a unimodular contact model: the restricted Delta_s has the
+    # nonzero spectrum {1, 2}, where every Heisenberg model has none
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report"
+    assert run(RunConfig(command="all", model="tests/data/e9.alg", format="json",
+                         output=str(out))) == 0
+    assert out.read_bytes() == (GOLDEN / "e9.all.json").read_bytes()

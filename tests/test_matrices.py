@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
@@ -8,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 import lieforms
 from lieforms.matrices import (
     Matrix,
-    charpoly,
     nullspace,
     rank,
-    rational_roots,
+    rational_eigenvalues,
     rref,
     solve,
     span_coordinates,
@@ -269,23 +267,6 @@ def test_span_coordinates_refuse_a_basis_without_identity_rows():
         span_coordinates(Matrix([[Scalar.of(2)]]), Matrix.identity(1))
 
 
-def divisor_roots(coeffs):
-    """The nonzero rational roots p/q of a polynomial, from the divisors p of
-    its lowest nonzero coefficient and q of its leading one, once its
-    denominators are cleared: the textbook enumeration, exponential in the
-    bit length of the coefficients."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    low = next(c for c in ints if c)
-
-    def divisors(n):
-        return [d for d in range(1, abs(n) + 1) if n % d == 0]
-
-    candidates = {sign * Fraction(p, q) for p in divisors(low) for q in divisors(ints[-1])
-                  for sign in (1, -1)}
-    return sorted(r for r in candidates if sum(c * r ** k for k, c in enumerate(ints)) == 0)
-
-
 @st.composite
 def spectral_blocks(draw):
     """A real block: upper triangular with small rational diagonal entries,
@@ -302,25 +283,31 @@ def spectral_blocks(draw):
     return Matrix.from_entries(n + 2, n + 2, [e for e in entries if e[2]])
 
 
+def quadratic_integer_roots(b: int, c: int) -> set[int]:
+    """The integer roots of x^2 + bx + c, each at most 1 + |b| + |c| in size."""
+    bound = 1 + abs(b) + abs(c)
+    return {m for m in range(-bound, bound + 1) if m * m + b * m + c == 0}
+
+
 @settings(deadline=None, max_examples=150)
 @given(spectral_blocks())
-def test_rational_roots_match_the_divisor_enumeration(block):
-    # the eigen-exactness check passes the characteristic polynomial with its
-    # factors of x removed; a root of 0 is not a root of that
-    coeffs = charpoly(block)
-    while coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    assert rational_roots(coeffs, block) == divisor_roots(coeffs)
+def test_rational_eigenvalues_are_the_diagonal_and_the_quadratic_roots(block):
+    # the eigenvalues of a block-triangular block are those of its diagonal
+    # blocks: the diagonal entries, and the roots of x^2 + bx + c, which are
+    # rational exactly when they are integers
+    n = block.nrows - 2
+    b, c = -block.entry(n + 1, n + 1), -block.entry(n + 1, n)
+    want = {block.entry(i, i).re for i in range(n)} | quadratic_integer_roots(b.re, c.re)
+    assert rational_eigenvalues(block) == sorted(want)
 
 
-def test_rational_roots_of_a_block_with_a_wide_constant_term():
-    # c_0 = 2^20 3^20 has 441 divisors up to 3.7e15: the Gershgorin bound of
-    # the block leaves the seven integers in [-3, 3]
+def test_rational_eigenvalues_of_a_block_with_a_wide_constant_term():
+    # the characteristic polynomial's c_0 = 2^20 3^20 has 441 divisors up to
+    # 3.7e15: the Gershgorin bound of the block leaves the seven integers in
+    # [-3, 3]
     block = Matrix.from_entries(40, 40, [(i, i, Scalar.of(2 if i < 20 else 3))
                                          for i in range(40)])
-    coeffs = charpoly(block)
-    assert coeffs[0] == 2 ** 20 * 3 ** 20
-    assert rational_roots(coeffs, block) == [2, 3]
+    assert rational_eigenvalues(block) == [2, 3]
 
 
 def test_only_the_matrix_module_reads_row_storage():
