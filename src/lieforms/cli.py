@@ -13,10 +13,7 @@ Gaussian part is present).
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
-import json
 import os
 import sys
 
@@ -54,6 +51,87 @@ class RunConfig:
                  format: str = "text", output: str | None = None):
         self.command, self.model, self.degree = command, model, degree
         self.format, self.output = format, output
+
+
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                 "\b": "\\b", "\f": "\\f"}
+
+
+def _json_string(s: str) -> str:
+    """s as a JSON string literal, escaped as `json.dumps` does with
+    `ensure_ascii`: printable ASCII stays, everything else is `\\uXXXX`
+    (a surrogate pair above U+FFFF)."""
+    if s.isascii() and s.isprintable():
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    out = []
+    for ch in s:
+        c = ord(ch)
+        if ch in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[ch])
+        elif 0x20 <= c < 0x7F:
+            out.append(ch)
+        elif c < 0x10000:
+            out.append(f"\\u{c:04x}")
+        else:
+            c -= 0x10000
+            out.append(f"\\u{0xD800 | c >> 10:04x}\\u{0xDC00 | c & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json_parts(value, indent: str, out: list[str], keys: dict[str, str]):
+    # exact type tests: the report's rows are plain str, int, bool, None,
+    # list and dict, and a str value inside a dict (most of them) is
+    # written with its key in one piece; `keys` keeps each key's literal
+    t = type(value)
+    if t is str:
+        out.append(_json_string(value))
+    elif t is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, x in value.items():
+            key = keys.get(k)
+            if key is None:
+                if type(k) is not str:
+                    raise TypeError(f"JSON object key {k!r} is not a str")
+                key = keys[k] = _json_string(k) + ": "
+            if type(x) is str:
+                out.append(sep + key + _json_string(x))
+            else:
+                out.append(sep + key)
+                _json_parts(x, inner, out, keys)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif t is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for x in value:
+            out.append(sep)
+            _json_parts(x, inner, out, keys)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif value is None:
+        out.append("null")
+    elif t is bool:
+        out.append("true" if value else "false")
+    elif t is int:
+        out.append(repr(value))
+    else:
+        raise TypeError(f"{t.__name__} is not one of the JSON value types of a report")
+
+
+def json_text(value) -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for the values a report
+    holds: str, int, bool, None, and lists and str-keyed dicts of them.
+    Any other type, a subclass of these included, raises TypeError."""
+    out: list[str] = []
+    _json_parts(value, "", out, {})
+    return "".join(out)
 
 
 class Report:
@@ -131,9 +209,11 @@ class Report:
                 for title, rows in self.sections
             ],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json_text(doc) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "kind", "key", "value", "verdict", "detail"])
@@ -277,30 +357,86 @@ def run(config: RunConfig) -> int:
     return 1 if report.failed else 0
 
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lieforms",
-        description="exact operator-relation and cohomology verdicts on Lie-algebra models",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        p = sub.add_parser(cmd)
-        p.add_argument("model", help=f"builtin ({'|'.join(BUILTIN_NAMES)}) or .alg file path")
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.add_argument("--output", default=None, help="write the report to a file")
-        if cmd in ("harmonic", "all"):
-            p.add_argument("--degree", type=int, default=None)
-    return parser
+USAGE = ("usage: lieforms {check,cohomology,harmonic,cone,all} MODEL "
+         "[--format text|json|csv] [--output PATH] [--degree K]\n")
+HELP = USAGE + f"""
+exact operator-relation and cohomology verdicts on Lie-algebra models
+
+MODEL is a builtin ({'|'.join(BUILTIN_NAMES)}) or the path of a .alg file.
+Options may come before or after MODEL, as --flag VALUE or --flag=VALUE;
+the last occurrence of a flag wins.
+
+  --format text|json|csv  report format (default text)
+  --output PATH           write the report to PATH instead of stdout
+  --degree K              harmonic and all only: harmonic bases of degree K
+
+exit status: 0 every check passed, 1 some check failed, 2 unusable input
+"""
+
+
+def _help():
+    sys.stdout.write(HELP)
+    raise SystemExit(0)
+
+
+def _usage_error(reason: str):
+    sys.stderr.write(f"{USAGE}lieforms: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _is_flag(arg: str) -> bool:
+    # as with argparse, "-" and negative numbers are values, not flags
+    return arg.startswith("-") and arg != "-" and not arg[1:].isdecimal()
+
+
+def parse_args(argv: list[str]) -> RunConfig:
+    """The command line `<command> <model> [--format F] [--output PATH]
+    [--degree K]` as a RunConfig; `-h`/`--help` prints the help and exits
+    0, and any other input exits 2 after a usage error on stderr."""
+    if not argv:
+        _usage_error("no command given")
+    if argv[0] in ("-h", "--help"):
+        _help()
+    command, rest = argv[0], iter(argv[1:])
+    if command not in COMMANDS:
+        _usage_error(f"invalid command {command!r} (choose from {', '.join(COMMANDS)})")
+    flags = ("--format", "--output", "--degree")
+    options: dict[str, str | int] = {}
+    models: list[str] = []
+    for arg in rest:
+        if arg == "--":  # every later argument is a model
+            models += rest
+        elif not _is_flag(arg):
+            models.append(arg)
+        elif arg in ("-h", "--help"):
+            _help()
+        else:
+            flag, eq, value = arg.partition("=")
+            if flag not in flags:
+                _usage_error(f"unrecognized option {arg!r}")
+            if flag == "--degree" and command not in ("harmonic", "all"):
+                _usage_error(f"--degree applies to harmonic and all, not to {command}")
+            if not eq:
+                value = next(rest, None)
+                if value is None or _is_flag(value):
+                    _usage_error(f"{flag} expects a value")
+            if flag == "--format" and value not in FORMATS:
+                _usage_error(f"invalid --format {value!r} (choose from {', '.join(FORMATS)})")
+            if flag == "--degree":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _usage_error(f"--degree expects an integer, got {value!r}")
+            options[flag] = value
+    if len(models) != 1:
+        _usage_error("no model given" if not models
+                     else f"one model expected, got {' '.join(models)}")
+    return RunConfig(command, models[0], options.get("--degree"),
+                     options.get("--format", "text"), options.get("--output"))
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command, model=args.model,
-        degree=getattr(args, "degree", None),
-        format=args.format, output=args.output,
-    )
-    return run(config)
+    return run(parse_args(sys.argv[1:] if argv is None else argv))
 
 
 def entry():
@@ -308,7 +444,7 @@ def entry():
     the process with `os._exit`, skipping interpreter teardown, which frees
     nothing a finished command needs.  If a flush fails, the process exits
     the normal way, so the error is reported.  An exception escaping `main`
-    (argparse's SystemExit among them) also takes the normal path."""
+    (a usage error's SystemExit among them) also takes the normal path."""
     status = main()
     try:
         sys.stdout.flush()

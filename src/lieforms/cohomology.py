@@ -476,7 +476,7 @@ def _eigen_exactness(sub: CochainComplex, ds_blocks: dict[int, Matrix]) -> Relat
     ok = True
     seen = set()
     for k, block in ds_blocks.items():
-        seen.update(str(r) for r in rational_eigenvalues(block) if r)
+        seen.update(r for r in rational_eigenvalues(block) if r)
         power = block
         while rank(power @ block) != rank(power):
             power = power @ block
@@ -485,5 +485,5 @@ def _eigen_exactness(sub: CochainComplex, ds_blocks: dict[int, Matrix]) -> Relat
             ok = False
     return RelationEntry("split_laplacian.eigen_exactness",
                          "closed eigenvectors, nonzero eigenvalues "
-                         f"(rational spectrum seen: {sorted(seen) or ['none']})",
+                         f"(rational spectrum seen: {[str(r) for r in sorted(seen)] or ['none']})",
                          "exact", "pass" if ok else "fail")

@@ -12,7 +12,7 @@ Stored row dicts are never mutated, which lets matrices share rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 from typing import Sequence
 
 from .scalars import ONE, Scalar, ZERO
@@ -286,17 +286,22 @@ def subspace_equal(a: Matrix, b: Matrix) -> bool:
 def rational_eigenvalues(block: Matrix) -> list[Fraction]:
     """The rational eigenvalues of a square block, in increasing order.
 
-    With D the common denominator of the block's entries, D * block has
-    entries in Z[i], so each rational eigenvalue of it is an integer, and
-    at most the largest absolute row sum (Gershgorin).  An integer m in
-    that range gives the eigenvalue m / D exactly when block - (m / D) I is
-    singular: the work grows with the row sum, not with the bit length of
-    any polynomial coefficient.
+    With D the common denominator of the block's entries, M = D * block has
+    entries in Z[i], so each rational eigenvalue of M is an integer.  It
+    lies in a Gershgorin interval [Re m_ii - R_i, Re m_ii + R_i], R_i the
+    sum of |Re| + |Im| over the off-diagonal entries of row i, and both
+    ends are integers.  An integer m in one of them gives the eigenvalue
+    m / D exactly when block - (m / D) I is singular: the work grows with
+    the intervals' lengths, not with the bit length of any polynomial
+    coefficient.
     """
     n = block.nrows
     den = lcm(1, *(p.denominator for r in block._rows for a in r.values() for p in (a.re, a.im)))
-    bound = floor(den * max((sum(abs(a.re) + abs(a.im) for a in r.values())
-                             for r in block._rows), default=0))
+    candidates = set()
+    for i, r in enumerate(block._rows):
+        centre = int(den * r[i].re) if i in r else 0
+        radius = int(den * sum(abs(a.re) + abs(a.im) for j, a in r.items() if j != i))
+        candidates.update(range(centre - radius, centre + radius + 1))
     eye = Matrix.identity(n)
-    return [Fraction(m, den) for m in range(-bound, bound + 1)
+    return [Fraction(m, den) for m in sorted(candidates)
             if rank(block - eye.scale(Scalar(Fraction(m, den)))) < n]

@@ -5,8 +5,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lieforms.cli import RunConfig, run
+from lieforms.cli import RunConfig, json_text, parse_args, run
 from lieforms.models import builtin_file_text
 
 from conftest import child_env
@@ -272,7 +273,7 @@ def test_entry_flushes_then_ends_without_teardown(monkeypatch):
     with pytest.raises(SystemExit) as ended:
         cli.entry()
     assert ended.value.code == 0
-    # argparse's exit takes the normal path too
+    # a usage error's exit takes the normal path too
     monkeypatch.setattr(sys, "argv", ["lieforms", "nosuch-command"])
     with pytest.raises(SystemExit) as ended:
         cli.entry()
@@ -282,12 +283,127 @@ def test_entry_flushes_then_ends_without_teardown(monkeypatch):
 
 def test_cold_import_loads_no_introspection_modules():
     # every record of the package is a plain class, so a fresh command-line
-    # process never imports dataclasses and the modules it drags in
+    # process never imports dataclasses and the modules it drags in; the
+    # command line is parsed and the json report written by hand, so a
+    # whole command loads no argparse (nor the gettext and locale its
+    # messages pull in), csv or json beyond what the bare interpreter holds
     root = Path(__file__).resolve().parent.parent
-    probe = ("import sys, lieforms.cli; "
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+                          capture_output=True, text=True, env=child_env(), cwd=root, timeout=60)
+    probe = ("import io, sys, lieforms.cli; "
              "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'tokenize') "
-             "if m in sys.modules))")
+             "if m in sys.modules)); "
+             "out, sys.stdout = sys.stdout, io.StringIO(); "
+             "status = lieforms.cli.main(['all', 'h5', '--format', 'json']); "
+             "report, sys.stdout = sys.stdout.getvalue(), out; "
+             "print(status, report.startswith('{'), ' '.join(sys.modules))")
     child = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                            env=child_env(), cwd=root, timeout=60)
     assert child.returncode == 0, child.stderr[-2000:]
-    assert child.stdout.split() == []
+    imported, ran = child.stdout.splitlines()
+    assert imported.split() == []
+    status, is_json, *modules = ran.split()
+    assert (status, is_json) == ("0", "True")
+    new = set(modules) - set(bare.stdout.split())
+    assert sorted(m for m in new if m.split(".")[0] in
+                  ("argparse", "gettext", "locale", "csv", "json")) == []
+
+
+# argv -> (command, model, degree, format, output) as the argparse parser
+# of earlier versions produced it; the hand-written parser must agree
+ACCEPTED = [
+    (["check", "h3"], ("check", "h3", None, "text", None)),
+    (["cohomology", "su2", "--format", "json"], ("cohomology", "su2", None, "json", None)),
+    (["harmonic", "su2", "--degree", "2"], ("harmonic", "su2", 2, "text", None)),
+    (["harmonic", "su2", "--degree=2"], ("harmonic", "su2", 2, "text", None)),
+    (["all", "h5", "--format=csv", "--output", "out.csv"], ("all", "h5", None, "csv", "out.csv")),
+    (["all", "--format", "json", "h5"], ("all", "h5", None, "json", None)),
+    (["cone", "--output", "report.txt", "--format", "text", "su2xr"],
+     ("cone", "su2xr", None, "text", "report.txt")),
+    (["all", "h5", "--format", "text", "--format", "json"], ("all", "h5", None, "json", None)),
+    (["harmonic", "su2", "--degree", "1", "--degree", "3"], ("harmonic", "su2", 3, "text", None)),
+    (["harmonic", "su2", "--degree", "-1"], ("harmonic", "su2", -1, "text", None)),
+    (["harmonic", "su2", "--degree=+3"], ("harmonic", "su2", 3, "text", None)),
+    (["all", "--degree", "0", "h3"], ("all", "h3", 0, "text", None)),
+    (["check", "tests/data/h7.alg", "--output=-"], ("check", "tests/data/h7.alg", None, "text", "-")),
+    (["check", "h3", "--output="], ("check", "h3", None, "text", "")),
+    (["cone", "h3xr", "--format=json", "--output", "a=b"], ("cone", "h3xr", None, "json", "a=b")),
+    (["check", "h3", "--output", "a", "--output", "b"], ("check", "h3", None, "text", "b")),
+    (["check", "h3", "--output", "-"], ("check", "h3", None, "text", "-")),
+    (["check", "--", "h3"], ("check", "h3", None, "text", None)),
+    (["check", "h3", "--"], ("check", "h3", None, "text", None)),
+    (["cohomology", "--format", "csv", "--", "-odd.alg"],
+     ("cohomology", "-odd.alg", None, "csv", None)),
+]
+
+REJECTED = [
+    [], ["nosuch", "h3"], ["CHECK", "h3"], ["check"], ["check", "h3", "h5"],
+    ["check", "h3", "--format"], ["check", "h3", "--format", "xml"], ["check", "h3", "--format="],
+    ["check", "h3", "--degree", "2"], ["cohomology", "h3", "--degree=2"],
+    ["cone", "--degree", "1", "h3xr"], ["harmonic", "su2", "--degree", "two"],
+    ["harmonic", "su2", "--degree", "1.5"], ["harmonic", "su2", "--degree"],
+    ["harmonic", "su2", "--degree="], ["check", "h3", "--output", "--format", "json"],
+    ["check", "h3", "--output"], ["check", "h3", "-x"], ["check", "h3", "--verbose"],
+    ["--format", "json", "check", "h3"], ["check", "-f", "json", "h3"],
+    ["check", "--format", "json"], ["check", "-odd.alg"], ["nosuch", "--help"],
+    ["check", "h3", "-"],
+    # argparse's prefix abbreviations are not accepted
+    ["check", "h3", "--form", "json"], ["harmonic", "su2", "--deg", "2"],
+    ["check", "h3", "--out", "x"], ["--he"],
+]
+
+
+@pytest.mark.parametrize("argv, want", ACCEPTED, ids=[" ".join(a) for a, _ in ACCEPTED])
+def test_parser_reads_the_command_line_as_argparse_did(argv, want):
+    c = parse_args(argv)
+    assert (c.command, c.model, c.degree, c.format, c.output) == want
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=[" ".join(a) or "(empty)" for a in REJECTED])
+def test_parser_rejects_with_usage_and_status_2(argv, capsys):
+    with pytest.raises(SystemExit) as ended:
+        parse_args(argv)
+    out, err = capsys.readouterr()
+    assert ended.value.code == 2
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: lieforms ") and error.startswith("lieforms: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "-h"], ["all", "h5", "--help"],
+                                  ["harmonic", "--help"], ["cone", "--format", "json", "-h"]])
+def test_help_prints_usage_and_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as ended:
+        parse_args(argv)
+    out, err = capsys.readouterr()
+    assert ended.value.code == 0 and err == ""
+    assert out.startswith("usage: lieforms ") and "--degree K" in out
+
+
+# report-like values: str (non-ASCII, control, astral and lone surrogate code points
+# included), int, bool, None, and lists and str-keyed dicts of them
+json_strings = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF,
+                                     blacklist_categories=()), max_size=8)
+json_values = st.recursive(
+    st.one_of(json_strings, st.integers(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(deadline=None, max_examples=300)
+@given(json_values)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "a"}, [b"x"], {"a": {"b": Path("p")}}])
+def test_json_text_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        json_text(bad)
+
+
+@pytest.mark.parametrize("snapshot", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_json_text_rerenders_every_golden_snapshot(snapshot):
+    text = (GOLDEN / snapshot).read_text(encoding="utf-8")
+    assert json_text(json.loads(text)) + "\n" == text

@@ -530,3 +530,21 @@ def test_gram_matrix_is_kept_only_off_coordinate_subspaces():
         gram = [cx.gram.get(j, Matrix.identity(cx.dim(j))) for j in (k, k + 1)]
         assert cx.adjoint_d(k) == solve(gram[0], cx.d(k).conj_transpose() @ gram[1])
         assert cx.adjoint_d(k) is cx.adjoint_d(k)
+
+
+def test_eigen_exactness_prints_the_spectrum_in_numeric_order():
+    # e9 with its rotations scaled by 3 has the nonzero spectrum {9, 18};
+    # the model is built here, not in tests/data, where every file joins
+    # the contact-model tests
+    from lieforms.models import parse_model
+
+    text = (DATA / "e9.alg").read_text()
+    for a, b in (("1 3 -> 4 : 1", "1 3 -> 4 : 3"), ("1 4 -> 3 : -1", "1 4 -> 3 : -3"),
+                 ("5 7 -> 8 : 1", "5 7 -> 8 : 3"), ("5 8 -> 7 : -1", "5 8 -> 7 : -3")):
+        assert a in text
+        text = text.replace(a, b)
+    model, pack = parse_model(text, "e9_rotation_3")
+    entries = transversal_package(model, pack, reeb_foliation(pack)).entries
+    [entry] = [e for e in entries if e.name == "split_laplacian.eigen_exactness"]
+    assert entry.verdict == "pass"
+    assert entry.lhs.endswith("(rational spectrum seen: ['9', '18'])")

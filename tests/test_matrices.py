@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,51 @@ def test_rational_eigenvalues_of_a_block_with_a_wide_constant_term():
     block = Matrix.from_entries(40, 40, [(i, i, Scalar.of(2 if i < 20 else 3))
                                          for i in range(40)])
     assert rational_eigenvalues(block) == [2, 3]
+
+
+def full_range_eigenvalues(block: Matrix) -> list[Fraction]:
+    """Every integer m up to D times the largest absolute row sum, tested
+    by singularity of block - (m/D) I: the scan the Gershgorin intervals
+    replace."""
+    n = block.nrows
+    den = lcm(1, *(Fraction(p).denominator for i in range(n) for j in range(n)
+                   for p in (block.entry(i, j).re, block.entry(i, j).im)))
+    bound = max((sum(abs(block.entry(i, j).re) + abs(block.entry(i, j).im) for j in range(n))
+                 for i in range(n)), default=0)
+    top = int(den * bound)
+    return sorted({Fraction(m, den) for m in range(-top, top + 1)
+                   if rank(block - Matrix.identity(n).scale(Scalar(Fraction(m, den)))) < n})
+
+
+@st.composite
+def gaussian_blocks(draw):
+    """A small square block of Gaussian rationals, some entries zero, made
+    Hermitian (so every eigenvalue is real) half the time, and shifted by a
+    diagonal so that some of its eigenvalues sit away from 0."""
+    n = draw(st.integers(0, 4))
+    part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    entries = [(i, j, Scalar(draw(part), draw(st.one_of(st.just(Fraction(0)), part))))
+               for i in range(n) for j in range(n) if draw(st.booleans())]
+    block = Matrix.from_entries(n, n, [e for e in entries if e[2]])
+    if draw(st.booleans()):
+        block = block + block.conj_transpose()
+    return block + Matrix.identity(n).scale(Scalar.of(draw(st.integers(-3, 3))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(spectral_blocks(), gaussian_blocks()))
+def test_rational_eigenvalues_match_the_full_range_scan(block):
+    # every real eigenvalue lies in one row's Gershgorin interval, so
+    # testing only the integers in their union loses no root
+    assert rational_eigenvalues(block) == full_range_eigenvalues(block)
+
+
+def test_rational_eigenvalues_of_a_block_with_imaginary_off_diagonal_entries():
+    # [[0, i], [-i, 0]] has the eigenvalues -1 and 1: its Gershgorin radius
+    # counts the imaginary parts
+    i = Scalar(0, 1)
+    block = Matrix.from_entries(2, 2, [(0, 1, i), (1, 0, -i)])
+    assert rational_eigenvalues(block) == [-1, 1]
 
 
 def test_only_the_matrix_module_reads_row_storage():

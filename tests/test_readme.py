@@ -75,3 +75,35 @@ def test_library_layout_names_resolve():
         modules = [importlib.import_module(m) for m in module_names]
         missing += [(module_names, n) for n in names if n not in ALLOWED and not resolves(modules, n)]
     assert not missing, missing
+
+
+MEASURED = re.compile(r"\d(?: ?(?:ms|s|MB|GB)\b)")
+CITED_CHANGE = re.compile(r'CHANGES\.md, "([^"]+)"')
+CITED_BENCH = re.compile(r"BENCH_\d+\.json")
+
+
+def test_measured_numbers_cite_their_source():
+    # a paragraph that states a time or a memory size names the CHANGES.md
+    # entry (by its opening words) or the BENCH file it was measured in, so
+    # a reader can find how it was measured; a table belongs to the
+    # paragraph before it
+    root = README.parent
+    entries = [line[2:] for line in (root / "CHANGES.md").read_text(encoding="utf-8").splitlines()
+               if line.startswith("- ")]
+    paragraphs: list[str] = []
+    for block in README.read_text(encoding="utf-8").split("\n\n"):
+        if block.startswith("|") and paragraphs:
+            paragraphs[-1] += "\n" + block
+        else:
+            paragraphs.append(block)
+    uncited = []
+    for text in paragraphs:
+        flat = " ".join(text.split())
+        changes, benches = CITED_CHANGE.findall(flat), CITED_BENCH.findall(flat)
+        if MEASURED.search(flat) and not (changes or benches):
+            uncited.append(flat[:80])
+        for opening in changes:
+            assert any(e.startswith(opening) for e in entries), opening
+        for bench in benches:
+            assert (root / bench).is_file(), bench
+    assert uncited == []
