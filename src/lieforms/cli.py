@@ -269,7 +269,7 @@ def _run_check(report: Report, model, pack):
         from .cohomology import basic_adjoint_check
         report.add_relations("basic adjoint identity (lee foliation)",
                              basic_adjoint_check(model, pack, lee_foliation(pack)))
-    guards = RelationReport(model.name, "superalgebra guards")
+    guards = RelationReport()
     guards.add(antisymmetry_report(model, pack))
     guards.add(jacobi_report(model, pack, exhaustive=model.dim <= 3))
     report.add_relations("superalgebra guards", guards)

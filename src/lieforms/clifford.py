@@ -25,8 +25,8 @@ column.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from itertools import combinations
-from typing import Mapping
 
 from .forms import monomial_basis
 from .matrices import Matrix

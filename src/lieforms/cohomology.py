@@ -6,10 +6,10 @@ basis of a coordinate subspace is orthonormal).  Representatives are
 always chosen in ker d orthogonal to im d, which agrees exactly with the
 kernel of the Laplacian.
 
-Each form complex of a (model, pack) is named by its constraint set and
-built once (`full_complex`, `basic_subcomplex`, `invariant_subcomplex`
-are cached), and a complex computes its cohomology, the adjoint of each
-d_k and its harmonic coordinates once.  `contact_complexes` chooses the
+Each form complex of a (model, pack) is named by its constraint set
+(`full_complex` and `basic_subcomplex` are cached), and a complex
+computes its cohomology, the adjoint of each d_k and its harmonic
+coordinates once.  `contact_complexes` chooses the
 two complexes behind every contact-type check.
 """
 
@@ -36,7 +36,7 @@ from .operators import (
     op_sum,
     supercommutator,
 )
-from .splitting import FoliationSpec, lee_foliation, operator_pool, reeb_foliation
+from .splitting import Foliation, check_integrable, lee_foliation, operator_pool, reeb_foliation
 
 
 class CochainComplex:
@@ -118,9 +118,6 @@ class CohomologyReport:
 
     def betti_list(self) -> list[int]:
         return [self.betti.get(k, 0) for k in self.degrees]
-
-    def table(self) -> str:
-        return "(" + ",".join(str(b) for b in self.betti_list()) + ")"
 
 
 class FormComplex(CochainComplex):
@@ -229,24 +226,23 @@ def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> Matrix:
 
 
 @functools.lru_cache(maxsize=None)
-def basic_subcomplex(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> FormComplex:
+def basic_subcomplex(model: LieModel, pack: StructurePack, fol: Foliation) -> FormComplex:
     """Forms killed by i_v and Lie_v for every v spanning the foliation."""
-    fol.validate(model)
-    label = f"{model.name}:basic{list(fol.spanning)}"
+    check_integrable(model, fol)
+    label = f"{model.name}:basic{list(fol)}"
     constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
     return FormComplex.from_constraints(model, operator_pool(model, pack).poly("d"),
                                         constraints, label)
 
 
-def _contractions(model: LieModel, pack: StructurePack, fol: FoliationSpec):
+def _contractions(model: LieModel, pack: StructurePack, fol: Foliation):
     """(i_v, Lie_v = {d, i_v}) for each v spanning the foliation."""
     pool = operator_pool(model, pack)
-    return [(pool.poly(f"i_{v}"), pool.poly(("d", f"i_{v}"))) for v in fol.spanning]
+    return [(pool.poly(f"i_{v}"), pool.poly(("d", f"i_{v}"))) for v in fol]
 
 
-@functools.lru_cache(maxsize=None)
 def invariant_subcomplex(model: LieModel, pack: StructurePack,
-                         extra: FoliationSpec | None = None) -> FormComplex:
+                         extra: Foliation | None = None) -> FormComplex:
     """Lie_r-invariant forms, optionally also basic for a foliation.
 
     The plain invariant complex is the cone-side stand-in for the model;
@@ -258,11 +254,11 @@ def invariant_subcomplex(model: LieModel, pack: StructurePack,
     label = f"{model.name}:invariant"
     if extra is not None:
         constraints += [op for pair in _contractions(model, pack, extra) for op in pair]
-        label += f"+basic{list(extra.spanning)}"
+        label += f"+basic{list(extra)}"
     return FormComplex.from_constraints(model, pool.poly("d"), constraints, label)
 
 
-def contact_foliation(pack: StructurePack) -> FoliationSpec | None:
+def contact_foliation(pack: StructurePack) -> Foliation | None:
     """The foliation whose basic complex is the contact-level complex C:
     none for a Sasakian pack (C is the full complex), the Lee foliation for
     a Vaisman pack."""
@@ -281,31 +277,31 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
     """
     lee = contact_foliation(pack)
     contact = full_complex(model, pack) if lee is None else basic_subcomplex(model, pack, lee)
-    return contact, basic_subcomplex(model, pack, FoliationSpec(pack.vertical_indices))
+    return contact, basic_subcomplex(model, pack, pack.vertical_indices)
 
 
-def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: FoliationSpec):
+def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: Foliation):
     """Delta_s, its {d1, d1*} term, Lie_v = {d, i_v} for each spanning v,
     and Pi_hor = prod_v i_v e_v, as polynomials."""
     pool = operator_pool(model, pack)
     if fol == reeb_foliation(pack):
         box = pool.poly("Delta1")  # {d1, d1*} of the Reeb split, shared with the tables
     else:
-        d1 = pool.split(fol).d1
+        d1 = pool.split(fol)[1]
         box = supercommutator(d1, d1.adjoint())
-    lies = [pool.poly(("d", f"i_{v}")) for v in fol.spanning]
+    lies = [pool.poly(("d", f"i_{v}")) for v in fol]
     pi_hor = functools.reduce(matmul, (pool.poly(f"i_{v}") @ pool.poly(f"e_{v}")
-                                       for v in fol.spanning), pool.poly("Id"))
+                                       for v in fol), pool.poly("Id"))
     return op_sum([box] + [-(lie @ lie) for lie in lies]), box, lies, pi_hor
 
 
-def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
+def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: Foliation) -> RelationReport:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
-    return _basic_adjoint(model, pack, fol, basic_subcomplex(model, pack, fol))
+    return _basic_adjoint(model, pack, basic_subcomplex(model, pack, fol))
 
 
-def _basic_adjoint(model, pack, fol, sub: FormComplex) -> RelationReport:
-    report = RelationReport(model.name, f"basic adjoint identity {list(fol.spanning)}")
+def _basic_adjoint(model, pack, sub: FormComplex) -> RelationReport:
+    report = RelationReport()
     d_star = operator_pool(model, pack).poly("d*")
     checked = 0
     for k in sub.degrees[1:]:
@@ -354,7 +350,7 @@ def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
     return out
 
 
-def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec) -> RelationReport:
+def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) -> RelationReport:
     """Transversal Hodge package on the basic complex of a foliation.
 
     Hard Lefschetz, bigraded stability of harmonic classes, the basic
@@ -364,8 +360,8 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
     pool = operator_pool(model, pack)
     sub = basic_subcomplex(model, pack, fol)
     coh = sub.cohomology()
-    report = RelationReport(model.name, f"transversal package {list(fol.spanning)}")
-    n_t = (model.dim - len(fol.spanning)) // 2
+    report = RelationReport()
+    n_t = (model.dim - len(fol)) // 2
 
     # hard Lefschetz: (L^e)_* = (L_*)^e, so L^(n-k) on H^k composes the
     # map L induces on basic cohomology
@@ -400,7 +396,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: FoliationSpec
                              "Pi^{p,q} (basic harmonic)", "basic harmonic",
                              "pass" if stable else "fail"))
 
-    for entry in _basic_adjoint(model, pack, fol, sub).entries:
+    for entry in _basic_adjoint(model, pack, sub).entries:
         report.add(entry)
 
     # split Laplacian, decided on polynomials

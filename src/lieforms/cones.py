@@ -74,10 +74,9 @@ class DegreeVerdict:
 
 
 class DecompositionVerdict:
-    __slots__ = ("model", "theorem", "rows", "extras")
+    __slots__ = ("rows", "extras")
 
-    def __init__(self, model: str, theorem: str):
-        self.model, self.theorem = model, theorem
+    def __init__(self):
         self.rows: list[DegreeVerdict] = []
         self.extras: list[RelationEntry] = []
 
@@ -165,7 +164,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> Decompositio
             raise StructureError("cone", "invariant form is not basic + eta^basic")
         iso_blocks[i] = bcoords.vstack(acoords)
 
-    verdict = DecompositionVerdict(model.name, "cone equivalence")
+    verdict = DecompositionVerdict()
     intertwines = True
     bijective = True
     for i in ambient.degrees:
@@ -241,7 +240,7 @@ def sasakian_decomposition(model: LieModel, pack: StructurePack) -> Decompositio
     """Full Betti numbers from the basic ones through the Lefschetz map
     (`_lefschetz_sequences`).  The headline reading is flagged where it
     disagrees with the proof sequences (it does at degree 0)."""
-    verdict = DecompositionVerdict(model.name, "cohomology from the basic complex")
+    verdict = DecompositionVerdict()
     verdict.rows, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
     verdict.extras.append(RelationEntry(
         "decomposition.lefschetz_injective", "L: H^{i-2}_bas -> H^i_bas, i <= n",
@@ -290,7 +289,7 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
     and eta-wedges of co-primitive basic-harmonic ones above it."""
     basic = contact_complexes(model, pack)[1]
     n = pack.transversal_dim(model.dim)
-    verdict = DecompositionVerdict(model.name, "harmonic decomposition")
+    verdict = DecompositionVerdict()
     full = full_complex(model, pack)
 
     for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, basic)):
@@ -331,7 +330,7 @@ def vaisman_decomposition(model: LieModel, pack: StructurePack) -> Decomposition
     hsas = contact_complexes(model, pack)[0].cohomology()
     full = full_complex(model, pack).cohomology()
 
-    verdict = DecompositionVerdict(model.name, "cohomology along the Lee form")
+    verdict = DecompositionVerdict()
     for i in range(model.dim + 1):
         split_dim = hsas.betti.get(i, 0) + hsas.betti.get(i - 1, 0)
         actual = full.betti.get(i, 0)
@@ -365,7 +364,7 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
     contact, kah = contact_complexes(model, pack)
     hsas = contact.cohomology()
     n = model.dim // 2
-    verdict = DecompositionVerdict(model.name, "harmonic forms along the Lee form")
+    verdict = DecompositionVerdict()
 
     chosen: dict[int, Matrix] = {}
     for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, kah)):

@@ -11,8 +11,8 @@ orientation, which pins every Hodge-star sign.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import combinations
-from typing import Mapping
 
 from .scalars import Scalar
 

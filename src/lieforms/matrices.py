@@ -11,9 +11,9 @@ Stored row dicts are never mutated, which lets matrices share rows.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .scalars import ONE, Scalar, ZERO
 

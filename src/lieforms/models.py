@@ -9,8 +9,8 @@ d theta^k (e_i, e_j) = -c^k_{ij}.
 from __future__ import annotations
 
 import functools
+import os
 from fractions import Fraction
-from importlib import resources
 
 from .clifford import Clifford
 from .forms import form_text
@@ -417,8 +417,11 @@ def load_model_file(path: str) -> tuple[LieModel, StructurePack]:
 
 
 def builtin_file_text(name: str) -> str:
-    """The shipped .alg source for a builtin model."""
-    return resources.files("lieforms.data").joinpath(f"{name}.alg").read_text()
+    """The shipped .alg source for a builtin model, read from the package's
+    `data` directory."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.alg")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 # -- structure operators ----------------------------------------------

@@ -11,10 +11,11 @@ matrix.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from math import comb
 from operator import add
-from typing import TYPE_CHECKING, Iterable
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from .clifford import Clifford
 
@@ -35,18 +36,15 @@ def supercommutator(a: Clifford, b: Clifford) -> Clifford:
     return ab + ba if a.parity * b.parity % 2 else ab - ba
 
 
-def reeb_power(a: Clifford, lie_r: Clifford, k: int) -> Clifford:
-    """a composed with the k-th power of the Reeb Lie derivative.
+def reeb_power(a: Clifford, lie_r: Clifford) -> Clifford:
+    """a composed with the Reeb Lie derivative, the a(1) of the tables.
 
     Requires [a, lie_r] = 0 (all tabulated operators commute with it).
     """
     a_lie = a @ lie_r
     if a_lie != lie_r @ a:
         raise ValueError("operator does not commute with the Reeb Lie derivative")
-    out = a_lie if k else a
-    for _ in range(k - 1):
-        out = out @ lie_r
-    return out
+    return a_lie
 
 
 # -- relation reports -------------------------------------------------
@@ -84,10 +82,9 @@ class RelationEntry:
 
 
 class RelationReport:
-    __slots__ = ("model", "title", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, model: str, title: str):
-        self.model, self.title = model, title
+    def __init__(self):
         self.entries: list[RelationEntry] = []
 
     def passed(self) -> bool:

@@ -51,103 +51,59 @@ from .scalars import HALF, I as IUNIT, ONE, Scalar
 
 NEG, TWO = Scalar.of(-1), Scalar.of(2)
 
-
-class FoliationSpec:
-    """Generator indices spanning an integrable distribution; immutable,
-    and equal specs compare and hash equal."""
-
-    __slots__ = ("spanning",)
-
-    def __init__(self, spanning: tuple[int, ...]):
-        object.__setattr__(self, "spanning", spanning)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FoliationSpec is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FoliationSpec) and self.spanning == other.spanning
-
-    def __hash__(self):
-        return hash(self.spanning)
-
-    def validate(self, model: LieModel):
-        span = set(self.spanning)
-        for i in span:
-            for j in span:
-                if i < j:
-                    for k, c in model.bracket(i, j).items():
-                        if k not in span and not c.is_zero():
-                            raise StructureError(
-                                "foliation",
-                                f"[e_{i},e_{j}] has component e_{k} outside the span",
-                            )
-
-    @property
-    def rank(self) -> int:
-        return len(self.spanning)
+# a foliation is the sorted tuple of the generator indices spanning it
+Foliation = tuple[int, ...]
 
 
-def reeb_foliation(pack: StructurePack) -> FoliationSpec:
-    return FoliationSpec((pack.reeb_index,))
+def check_integrable(model: LieModel, fol: Foliation):
+    """Refuse a span that is not closed under the bracket."""
+    span = set(fol)
+    for i in span:
+        for j in span:
+            if i < j:
+                for k, c in model.bracket(i, j).items():
+                    if k not in span and not c.is_zero():
+                        raise StructureError(
+                            "foliation", f"[e_{i},e_{j}] has component e_{k} outside the span")
 
 
-def lee_foliation(pack: StructurePack) -> FoliationSpec:
-    return FoliationSpec((pack.lee_index,))
+def reeb_foliation(pack: StructurePack) -> Foliation:
+    return (pack.reeb_index,)
 
 
-def sigma_foliation(pack: StructurePack) -> FoliationSpec:
-    return FoliationSpec(tuple(sorted((pack.lee_index, pack.reeb_index))))
+def lee_foliation(pack: StructurePack) -> Foliation:
+    return (pack.lee_index,)
 
 
-class FoliationSplit:
-    """d = sum of components d_i: (h,v) -> (h+i, v+1-i); immutable."""
-
-    __slots__ = ("fol", "components")
-
-    def __init__(self, fol: FoliationSpec, components: tuple[Clifford, ...]):
-        object.__setattr__(self, "fol", fol)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, *_):
-        raise AttributeError("FoliationSplit is immutable")
-
-    @property
-    def d0(self) -> Clifford:
-        return self.components[0]
-
-    @property
-    def d1(self) -> Clifford:
-        return self.components[1]
-
-    @property
-    def d2(self) -> Clifford:
-        return self.components[2]
+def sigma_foliation(pack: StructurePack) -> Foliation:
+    return tuple(sorted((pack.lee_index, pack.reeb_index)))
 
 
-def foliation_split(d: Clifford, model: LieModel, fol: FoliationSpec) -> FoliationSplit:
-    """Split the polynomial d by bidegree.
+def foliation_split(d: Clifford, model: LieModel, fol: Foliation) -> tuple[Clifford, ...]:
+    """Split the polynomial d by bidegree into d_0, ..., d_{r+1} for a rank-r
+    foliation, d_i : (h, v) -> (h+i, v+1-i).
 
     A term e_W i_C moves the horizontal degree by |W_hor| - |C_hor|, so
     d_i is the sum of the terms of d that move it by i; a term that fits no
     component means the components cannot reconstruct d.
     """
-    fol.validate(model)
-    hor = ~generator_mask(fol.spanning)
-    parts = [{} for _ in range(fol.rank + 2)]
+    check_integrable(model, fol)
+    hor = ~generator_mask(fol)
+    parts = [{} for _ in range(len(fol) + 2)]
     for (w, c), v in d.terms.items():
         i = (w & hor).bit_count() - (c & hor).bit_count()
         if not 0 <= i < len(parts):
             raise StructureError("foliation", "bidegree components do not reconstruct d")
         parts[i][w, c] = v
-    return FoliationSplit(fol, tuple(Clifford(d.ngen, d.shift, terms) for terms in parts))
+    return tuple(Clifford(d.ngen, d.shift, terms) for terms in parts)
 
 
 def hodge_split_d1(ops: StructureOperators,
-                   split: FoliationSplit) -> tuple[Clifford, Clifford, Clifford]:
+                   split: tuple[Clifford, ...]) -> tuple[Clifford, Clifford, Clifford]:
     """Transversal Hodge components of d_1 and the twisted differential
     d1c := I d1 I^{-1}, whose printed alternatives are adjudicated in the
     relation tables."""
-    return _hodge_split(ops, split.d1)[:3]
+    return _hodge_split(ops, split[1])[:3]
 
 
 def _hodge_split(ops: StructureOperators, d1: Clifford) -> tuple[Clifford, ...]:
@@ -210,16 +166,14 @@ _RECIPES = {
     "sum i_a i_b": lambda p: op_sum(p.poly(f"i_{a}") @ p.poly(f"i_{b}")
                                     for a, b in p.pack.transversal_pairs()),
     # contact: the Reeb splitting, its Hodge components and Reeb powers
-    "d0": lambda p: p.split(reeb_foliation(p.pack)).d0,
-    "d1": lambda p: p.split(reeb_foliation(p.pack)).d1,
-    "d2": lambda p: p.split(reeb_foliation(p.pack)).d2,
+    **{f"d{i}": (lambda p, i=i: p.split(reeb_foliation(p.pack))[i]) for i in range(3)},
     "d1^{1,0}": lambda p: p.hodge[0],
     "d1^{0,1}": lambda p: p.hodge[1],
     "d1c": lambda p: p.hodge[2],
     ("W", "d1"): lambda p: p.hodge[3],  # built to certify the Hodge split
     "Delta0": lambda p: p.poly(("d0", "d0*")),
     "Delta1": lambda p: p.poly(("d1", "d1*")),
-    **{f"{x}(1)": (lambda p, x=x: reeb_power(p.poly(x), p.poly("Lie_r"), 1))
+    **{f"{x}(1)": (lambda p, x=x: reeb_power(p.poly(x), p.poly("Lie_r")))
        for x in ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")},
     "d0+d1+d2": lambda p: op_sum((p.poly("d0"), p.poly("d1"), p.poly("d2"))),
     "e_r*Lie_r": lambda p: p.poly("e_r") @ p.poly("Lie_r"),
@@ -266,6 +220,7 @@ class OperatorPool:
             self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
+        self._splits: dict[Foliation, tuple[Clifford, ...]] = {}
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
@@ -277,16 +232,16 @@ class OperatorPool:
             self._polys[ref] = op
         return op
 
-    def split(self, fol: FoliationSpec) -> FoliationSplit:
+    def split(self, fol: Foliation) -> tuple[Clifford, ...]:
         """The split of d's polynomial along a foliation."""
-        if fol not in self._polys:
-            self._polys[fol] = foliation_split(self.poly("d"), self.model, fol)
-        return self._polys[fol]
+        if fol not in self._splits:
+            self._splits[fol] = foliation_split(self.poly("d"), self.model, fol)
+        return self._splits[fol]
 
     @functools.cached_property
     def hodge(self) -> tuple[Clifford, ...]:
         """d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split."""
-        return _hodge_split(self.ops, self.split(reeb_foliation(self.pack)).d1)
+        return _hodge_split(self.ops, self.split(reeb_foliation(self.pack))[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,10 +273,10 @@ def _term(pool: OperatorPool, lhs: Clifford, term) -> tuple[str, Clifford]:
     return _text(term), op
 
 
-def _evaluate(model: LieModel, pack: StructurePack, title: str, table) -> RelationReport:
+def _evaluate(model: LieModel, pack: StructurePack, table) -> RelationReport:
     """Decide every row of a relation table over the model's operator pool."""
     pool = operator_pool(model, pack)
-    report = RelationReport(model.name, title)
+    report = RelationReport()
     for row in table:
         if callable(row):
             report.add(row(pool))
@@ -535,22 +490,19 @@ VAISMAN_TABLE = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
 def kahler_relations(model: LieModel, pack: StructurePack) -> RelationReport:
     """The Kahler-type supersymmetry table on the full invariant complex."""
-    return _evaluate(model, pack, "kahler supersymmetry table", kahler_table(model.dim))
+    return _evaluate(model, pack, kahler_table(model.dim))
 
 
-@functools.lru_cache(maxsize=None)
 def sasakian_relations(model: LieModel, pack: StructurePack) -> RelationReport:
     """The contact-model supersymmetry table for the Reeb foliation."""
-    return _evaluate(model, pack, "sasakian supersymmetry table", SASAKIAN_TABLE)
+    return _evaluate(model, pack, SASAKIAN_TABLE)
 
 
-@functools.lru_cache(maxsize=None)
 def vaisman_structure_relations(model: LieModel, pack: StructurePack) -> RelationReport:
     """Pack-level identities of a Vaisman model on the invariant complex."""
-    return _evaluate(model, pack, "vaisman structure table", VAISMAN_TABLE)
+    return _evaluate(model, pack, VAISMAN_TABLE)
 
 
 def guard_names(pack: StructurePack) -> tuple[str, ...]:
@@ -566,7 +518,6 @@ def table_operator_pool(model: LieModel, pack: StructurePack) -> list[Clifford]:
     return [pool.poly(name) for name in guard_names(pack)]
 
 
-@functools.lru_cache(maxsize=None)
 def antisymmetry_report(model: LieModel, pack: StructurePack) -> RelationEntry:
     """{a,b} = -(-1)^{~a~b}{b,a} over every pair of guard generators."""
     names = guard_names(pack)
@@ -586,7 +537,6 @@ def antisymmetry_report(model: LieModel, pack: StructurePack) -> RelationEntry:
 JACOBI_SAMPLE = 60
 
 
-@functools.lru_cache(maxsize=None)
 def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool) -> RelationEntry:
     """Super Jacobi identity over guard triples, exhaustive or seeded sample.
 

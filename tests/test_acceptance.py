@@ -119,7 +119,7 @@ def test_criterion_2_nonzeroness_clause_as_stated():
 
     model, pack = load_model_file(str(TWISTED_SQUARE_WITNESS))
     poly = operator_pool(model, pack).poly
-    d1 = foliation_split(poly("d"), model, reeb_foliation(pack)).d1
+    d1 = foliation_split(poly("d"), model, reeb_foliation(pack))[1]
     L1 = poly("L") @ poly("Lie_r")
     both_nonzero = not d1.is_zero() and not L1.is_zero()
     identity_holds = d1 @ d1 == -L1
@@ -139,8 +139,7 @@ def test_criterion_3_splitting_identities():
     for name in SASAKIAN:
         model, pack = model_pack(name)
         poly = pool_for(name).poly
-        split = foliation_split(poly("d"), model, reeb_foliation(pack))
-        d0, d1, d2 = split.d0, split.d1, split.d2
+        d0, d1, d2 = foliation_split(poly("d"), model, reeb_foliation(pack))
         if (d0 + d1 + d2) != poly("d"):
             failures.append((name, "reconstruction"))
         if d0 != poly("e_r") @ poly("Lie_r"):

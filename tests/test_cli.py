@@ -281,7 +281,7 @@ def test_entry_flushes_then_ends_without_teardown(monkeypatch):
     assert 'lieforms = "lieforms.cli:entry"' in (ROOT / "pyproject.toml").read_text()
 
 
-def test_cold_import_loads_no_introspection_modules():
+def test_cold_import_loads_no_introspection_modules(tmp_path):
     # every record of the package is a plain class, so a fresh command-line
     # process never imports dataclasses and the modules it drags in; the
     # command line is parsed and the json report written by hand, so a
@@ -307,6 +307,18 @@ def test_cold_import_loads_no_introspection_modules():
     new = set(modules) - set(bare.stdout.split())
     assert sorted(m for m in new if m.split(".")[0] in
                   ("argparse", "gettext", "locale", "csv", "json")) == []
+    # without site, which may preload them, the same command imports neither
+    # typing (annotation names are never evaluated) nor importlib.resources
+    # (the builtin models are read from the package's own directory), and
+    # writes the same report
+    probe = ("import sys, lieforms.cli; "
+             "status = lieforms.cli.main(['all', 'h5', '--format', 'json']); "
+             "print(status, *(m for m in ('typing', 'importlib.resources') if m in sys.modules))")
+    child = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                           env=child_env(), cwd=root, timeout=60)
+    assert child.returncode == 0, child.stderr[-2000:]
+    _, report = _run_to_file(tmp_path, "all", "h5", "json")
+    assert child.stdout == report.decode() + "0\n"
 
 
 # argv -> (command, model, degree, format, output) as the argparse parser

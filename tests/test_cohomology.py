@@ -15,13 +15,7 @@ from lieforms.cohomology import (
 from lieforms.matrices import nullspace, subspace_equal
 from lieforms.models import BUILTIN_NAMES, StructureError
 from lieforms.scalars import Scalar
-from lieforms.splitting import (
-    FoliationSpec,
-    lee_foliation,
-    operator_pool,
-    reeb_foliation,
-    sigma_foliation,
-)
+from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
 from block_reference import ODD
 from conftest import DATA, load, model_pack, ops_for
@@ -117,9 +111,9 @@ def test_restriction_guard_on_an_operator_leaving_the_subcomplex():
 
 def test_equal_reeb_specs_share_one_basic_complex():
     model, pack = model_pack("h5")
-    first, second = reeb_foliation(pack), reeb_foliation(pack)
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
+    # a foliation is its index tuple, so equal tuples name one complex
+    first, second = reeb_foliation(pack), pack.vertical_indices
+    assert first is not second and first == second
     basic_subcomplex.cache_clear()
     assert basic_subcomplex(model, pack, first) is basic_subcomplex(model, pack, second)
     assert basic_subcomplex.cache_info().misses == 1
@@ -284,7 +278,7 @@ def test_all_builds_each_complex_once(monkeypatch, capsys, name, built, eliminat
     import lieforms.cohomology as co
     from lieforms import cli
 
-    for cached in (co.full_complex, co.basic_subcomplex, co.invariant_subcomplex):
+    for cached in (co.full_complex, co.basic_subcomplex):
         cached.cache_clear()
     counts = {"built": 0, "eliminated": 0}
     from_constraints, report = co.FormComplex.from_constraints, co.CohomologyReport
@@ -313,7 +307,7 @@ def test_all_induces_each_map_once(monkeypatch, capsys, name):
     import lieforms.cones as cones
     from lieforms import cli
 
-    for cached in (co.full_complex, co.basic_subcomplex, co.invariant_subcomplex):
+    for cached in (co.full_complex, co.basic_subcomplex):
         cached.cache_clear()
     calls, induced_map = [], co.induced_map
 
@@ -354,7 +348,7 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
 
     def counted_split(d, model, fol):
         out = foliation_split(d, model, fol)
-        splits[fol.spanning].append(out)
+        splits[fol].append(out)
         return out
 
     monkeypatch.setattr(modules[2], "foliation_split", counted_split)
@@ -402,10 +396,10 @@ def test_horizontal_projector_is_the_vertical_degree_zero_projector():
     for name in CONTACT_MODELS:
         model, pack = load(name)
         for fol in foliations(pack):
-            pi = ref.bidegree_projectors(model.dim, fol.spanning)
+            pi = ref.bidegree_projectors(model.dim, fol)
             expected = ref.add(*(p for (h, v), p in pi.items() if v == 0))
             pi_hor = _split_laplacian_parts(model, pack, fol)[3]
-            assert ref.blocks(pi_hor) == expected, (name, fol.spanning)
+            assert ref.blocks(pi_hor) == expected, (name, fol)
 
 
 @pytest.mark.parametrize("name", CONTACT_MODELS)
@@ -421,17 +415,17 @@ def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
     monkeypatch.setattr(FormComplex, "restrict",
                         lambda sub, op: restricted.append(op) or restrict(sub, op))
     for fol in foliations(pack):
-        d1 = ref.d1_reference(d, fol.spanning)
+        d1 = ref.d1_reference(d, fol)
         lies = [ref.supercommutator(d, ref.from_action(n, -1, ODD, lambda x, v=v: contract(v, x)))
-                for v in fol.spanning]
+                for v in fol]
         ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
                      *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
-        assert ref.blocks(_split_laplacian_parts(model, pack, fol)[0]) == ds, fol.spanning
+        assert ref.blocks(_split_laplacian_parts(model, pack, fol)[0]) == ds, fol
         # a fresh basic complex, so that L's induced map is not already memoised
         basic_subcomplex.cache_clear()
         restricted.clear()
         transversal_package(model, pack, fol)
-        assert [ref.blocks(op) for op in restricted] == [reference["L"], ds], fol.spanning
+        assert [ref.blocks(op) for op in restricted] == [reference["L"], ds], fol
 
 
 def planted_complex():
@@ -501,7 +495,7 @@ def test_orthonormal_degrees_take_the_adjoint_without_elimination(name):
     complexes = [full, CochainComplex("G_2 = 2 Id", full.degrees, full.dims, full.diff,
                                       {2: Matrix.identity(full.dim(2)).scale(Scalar.of(2))})]
     if pack.kind != "kahler":
-        complexes.append(basic_subcomplex(model, pack, FoliationSpec(pack.vertical_indices)))
+        complexes.append(basic_subcomplex(model, pack, pack.vertical_indices))
     for cx in complexes:
         for k in cx.degrees[:-1]:
             gram = [cx.gram.get(j, Matrix.identity(cx.dim(j))) for j in (k, k + 1)]
@@ -518,7 +512,7 @@ def test_gram_matrix_is_kept_only_off_coordinate_subspaces():
 
     for name in BUILTIN_NAMES[2:]:
         model, pack = model_pack(name)
-        basic = basic_subcomplex(model, pack, FoliationSpec(pack.vertical_indices))
+        basic = basic_subcomplex(model, pack, pack.vertical_indices)
         assert not basic.gram and not invariant_subcomplex(model, pack).gram, name
     model, pack = model_pack("h3xr")
     pool = operator_pool(model, pack)

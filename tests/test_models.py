@@ -305,7 +305,7 @@ def test_loading_builds_no_block(monkeypatch, tmp_path, name):
     structure_operators.cache_clear()
     ops = structure_operators(model, pack)
     split = foliation_split(ops.d, model, reeb_foliation(pack))
-    assert split.components == operator_pool(model, pack).split(reeb_foliation(pack)).components
+    assert split == operator_pool(model, pack).split(reeb_foliation(pack))
     assert hodge_split_d1(ops, split) == operator_pool(model, pack).hodge[:3]
 
 
@@ -497,7 +497,7 @@ def test_two_loads_give_equal_models_and_packs():
 def test_frozen_records_refuse_assignment():
     model, pack = model_pack("h5")
     for record, attr in ((ops_for("h5").d, "terms"), (model, "dim"), (pack, "kind"),
-                         (reeb_foliation(pack), "spanning"), (ops_for("h5"), "d")):
+                         (ops_for("h5"), "d")):
         before = getattr(record, attr)
         with pytest.raises(AttributeError):
             setattr(record, attr, before)
@@ -510,14 +510,13 @@ _H7_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from lieforms.models import load_model_file
-from lieforms.splitting import (FoliationSplit, operator_pool, reeb_foliation,
-                                sasakian_relations)
+from lieforms.splitting import operator_pool, reeb_foliation, sasakian_relations
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
 named = [pool.poly(x) for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
-named += [*pool.split(reeb_foliation(pack)).components, *pool.hodge]
+named += [*pool.split(reeb_foliation(pack)), *pool.hodge]
 sasakian_relations(model, pack)  # builds the table's whole pool
-named += [p for p in pool._polys.values() if not isinstance(p, FoliationSplit)]
+named += pool._polys.values()
 blocks = [p.block(k) for p in named for k in range(model.dim + 1)]
 print(len(named))
 """

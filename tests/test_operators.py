@@ -158,17 +158,15 @@ def test_adjoint_vs_star_signs_on_su2():
 def test_reeb_power():
     poly = pool_for("su2").poly
     e_r, lie_r = poly("e_r"), poly("Lie_r")
-    assert reeb_power(e_r, lie_r, 0) == e_r
-    d0 = e_r @ lie_r
-    assert reeb_power(e_r, lie_r, 1) == d0
+    assert reeb_power(e_r, lie_r) == e_r @ lie_r
     # on h3 the reeb direction is central, so every first power vanishes
     h3 = pool_for("h3").poly
-    assert reeb_power(h3("L"), h3("Lie_r"), 1).is_zero()
+    assert reeb_power(h3("L"), h3("Lie_r")).is_zero()
 
 
 def test_reeb_power_commutation_guard():
     with pytest.raises(ValueError):
-        reeb_power(Clifford.wedge(3, 1), pool_for("su2").poly("Lie_r"), 1)
+        reeb_power(Clifford.wedge(3, 1), pool_for("su2").poly("Lie_r"))
 
 
 def test_super_jacobi_examples():

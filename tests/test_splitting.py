@@ -6,9 +6,8 @@ from lieforms.models import StructureError, parse_model, structure_operators
 from lieforms.operators import supercommutator
 from lieforms.scalars import ONE, Scalar
 from lieforms.splitting import (
-    FoliationSplit,
-    FoliationSpec,
     antisymmetry_report,
+    check_integrable,
     foliation_split,
     guard_names,
     hodge_split_d1,
@@ -35,43 +34,42 @@ def split_for(name):
 def test_foliation_integrability_guard():
     model, _ = model_pack("su2")
     with pytest.raises(StructureError):
-        FoliationSpec((1, 2)).validate(model)  # [e1,e2] = -e3 leaves the span
-    FoliationSpec((3,)).validate(model)
-    FoliationSpec((1,)).validate(model)  # rank-1 spans are always integrable
+        check_integrable(model, (1, 2))  # [e1,e2] = -e3 leaves the span
+    check_integrable(model, (3,))
+    check_integrable(model, (1,))  # rank-1 spans are always integrable
 
 
 def test_split_reconstructs_d():
     for name in ("su2", "h3", "h5"):
-        ops, split = split_for(name)
-        total = split.d0 + split.d1 + split.d2
-        assert total == ops.d
+        ops, (d0, d1, d2) = split_for(name)
+        assert d0 + d1 + d2 == ops.d
 
 
 def test_split_formulas():
     for name in ("su2", "h3", "h5"):
-        _, split = split_for(name)
+        _, (d0, d1, d2) = split_for(name)
         poly = pool_for(name).poly
-        assert split.d0 == poly("e_r") @ poly("Lie_r")
-        assert split.d2 == poly("L") @ poly("i_r")
-        assert (split.d0 @ split.d0).is_zero()
-        assert (split.d2 @ split.d2).is_zero()
+        assert d0 == poly("e_r") @ poly("Lie_r")
+        assert d2 == poly("L") @ poly("i_r")
+        assert (d0 @ d0).is_zero()
+        assert (d2 @ d2).is_zero()
         # the horizontal-degree-2 part of d^2 = 0
-        assert supercommutator(split.d0, split.d2) == -(split.d1 @ split.d1)
+        assert supercommutator(d0, d2) == -(d1 @ d1)
 
 
 def test_h3_central_reeb_kills_d0():
-    _, split = split_for("h3")
-    assert split.d0.is_zero()
-    assert not split.d2.is_zero()
+    _, (d0, _, d2) = split_for("h3")
+    assert d0.is_zero()
+    assert not d2.is_zero()
 
 
 def test_rank2_split_has_four_components():
     model, pack = model_pack("su2xr")
     ops = ops_for("su2xr")
     split = foliation_split(ops.d, model, sigma_foliation(pack))
-    assert len(split.components) == 4
-    total = split.components[0]
-    for c in split.components[1:]:
+    assert len(split) == 4
+    total = split[0]
+    for c in split[1:]:
         total = total + c
     assert total == ops.d
 
@@ -79,14 +77,15 @@ def test_rank2_split_has_four_components():
 def test_hodge_split_bidegrees():
     for name in ("su2", "h3", "h5"):
         ops, split = split_for(name)
+        d1 = split[1]
         d1_10, d1_01, d1c = hodge_split_d1(ops, split)
-        assert d1_10 + d1_01 == split.d1
+        assert d1_10 + d1_01 == d1
         # twisted differential consistency: [W, d1] = I d1 I^{-1}, with I the
         # Lagrange reference's and I d1 I^{-1} the relabelling J of d1
         i_aut, i_inv = reference_i(reference_projectors(*model_pack(name)))
-        assert (ref.blocks(supercommutator(ops.W, split.d1))
-                == ref.blocks(split.d1.substitute(ops.J))
-                == ref.compose(i_aut, ref.blocks(split.d1), i_inv))
+        assert (ref.blocks(supercommutator(ops.W, d1))
+                == ref.blocks(d1.substitute(ops.J))
+                == ref.compose(i_aut, ref.blocks(d1), i_inv))
 
 
 def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
@@ -108,7 +107,7 @@ def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
         ref.compose(pi[tgt], ref.blocks(y), proj) for (p, q, v), proj in pi.items()
         if (tgt := (p + 2, q - 1, v)) in pi))
     hodge_split_d1(ops, split)
-    bad = FoliationSplit(split.fol, (split.d0, split.d1 + planted, split.d2))
+    bad = (split[0], split[1] + planted, split[2])
     with pytest.raises(StructureError) as err:
         hodge_split_d1(ops, bad)
     assert err.value.check == "hodge"
@@ -240,8 +239,7 @@ def test_verifier_detects_non_integrable_transversal_structure():
 
     model, pack = parse_model(NON_INTEGRABLE_PROBE, "probe")
     ops = structure_operators(model, pack)
-    split = foliation_split(ops.d, model, reeb_foliation(pack))
-    assert not split.d1.is_zero()
+    assert not foliation_split(ops.d, model, reeb_foliation(pack))[1].is_zero()
 
     rep = sasakian_relations(model, pack)
     assert not rep.passed()
@@ -274,11 +272,11 @@ def test_factor_two_adjudications_on_su2_aff_witness():
 
     model, pack = load_model_file(str(SU2_AFF))
     poly = operator_pool(model, pack).poly
-    split = foliation_split(poly("d"), model, reeb_foliation(pack))
-    assert split.d0 == poly("e_r") @ poly("Lie_r")
-    assert split.d2 == poly("L") @ poly("i_r")
-    assert supercommutator(split.d0, split.d2) == -(split.d1 @ split.d1)
-    assert not (split.d1 @ split.d1).is_zero()
+    d0, d1, d2 = foliation_split(poly("d"), model, reeb_foliation(pack))
+    assert d0 == poly("e_r") @ poly("Lie_r")
+    assert d2 == poly("L") @ poly("i_r")
+    assert supercommutator(d0, d2) == -(d1 @ d1)
+    assert not (d1 @ d1).is_zero()
 
     rep = sasakian_relations(model, pack)
     for key, variant in (("squares.{d1,d1}", "-2L(1)"),
@@ -336,17 +334,14 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
         pairs.append((id(a), id(b)))
         return comm(a, b)
 
-    def counted_power(a, lie_r, k):
+    def counted_power(a, lie_r):
         powers.append(id(a))
-        return power(a, lie_r, k)
+        return power(a, lie_r)
 
     monkeypatch.setattr(splitting, "supercommutator", counted_comm)
     monkeypatch.setattr(splitting, "reeb_power", counted_power)
     products = _count_block_products(monkeypatch)
-    cached = (splitting.operator_pool, splitting.sasakian_relations,
-              splitting.antisymmetry_report, splitting.jacobi_report)
-    for fn in cached:
-        fn.cache_clear()
+    splitting.operator_pool.cache_clear()
     try:
         rep = splitting.sasakian_relations(model, pack)
         table_pairs = list(pairs)
@@ -354,14 +349,27 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
                   splitting.jacobi_report(model, pack, exhaustive=False))
         pool = splitting.operator_pool(model, pack)
     finally:
-        for fn in cached:
-            fn.cache_clear()
+        splitting.operator_pool.cache_clear()
     assert rep.passed() and all(g.ok() for g in guards)
     assert products == []
     assert table_pairs and len(table_pairs) == len(set(table_pairs))
     assert sorted(powers) == sorted(set(powers))
     assert set(powers) == {id(pool.poly(x)) for x in
                            ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")}
+
+
+def test_pool_holds_polynomials_and_memoises_splits_by_index_tuple():
+    # splits live apart from the named polynomials, keyed by the foliation's
+    # index tuple, so a tuple written out finds the split the tables built
+    from lieforms.clifford import Clifford
+
+    model, pack = model_pack("h5")
+    sasakian_relations(model, pack)
+    pool = operator_pool(model, pack)
+    assert pool._polys and all(isinstance(p, Clifford) for p in pool._polys.values())
+    split = pool.split((pack.reeb_index,))
+    assert split is pool.split(reeb_foliation(pack))
+    assert split[1] is pool.poly("d1")
 
 
 @pytest.mark.parametrize("name, bound", [("su2", 400), ("torus2", 200)], ids=["su2", "torus2"])
@@ -387,8 +395,7 @@ def test_exhaustive_jacobi_skips_zero_products(monkeypatch, name, bound):
         return product(x, y)
 
     monkeypatch.setattr(Clifford, "__matmul__", counted)
-    # past the cache, so the guard runs here
-    entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
+    entry = jacobi_report(model, pack, exhaustive=True)
     assert entry.ok()
     assert products == []
     assert 0 < len(polynomial_products) < bound
@@ -403,7 +410,7 @@ def test_exhaustive_jacobi_fails_on_a_planted_nonzero_bracket(monkeypatch):
     planted = pool.poly("L") @ pool.poly("e_r")
     assert not planted.is_zero()
     monkeypatch.setitem(pool._polys, ("d1", "L"), planted)
-    entry = jacobi_report.__wrapped__(model, pack, exhaustive=True)
+    entry = jacobi_report(model, pack, exhaustive=True)
     assert entry.verdict == "fail"
     assert entry.lhs == "triple (Lam,d1,L)"
 
@@ -423,6 +430,6 @@ def test_exhaustive_jacobi_builds_only_live_terms(monkeypatch):
     monkeypatch.setattr(splitting, "supercommutator",
                         lambda a, b: calls.append(1) or supercommutator(a, b))
     products = _count_block_products(monkeypatch)
-    assert jacobi_report.__wrapped__(model, pack, exhaustive=True).ok()
+    assert jacobi_report(model, pack, exhaustive=True).ok()
     assert len(calls) <= 456
     assert products == []
