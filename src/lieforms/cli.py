@@ -19,7 +19,6 @@ import sys
 
 from .cohomology import basic_subcomplex, full_complex, harmonic_space, transversal_package
 from .cones import (
-    DecompositionVerdict,
     lefschetz_cone_package,
     sasakian_decomposition,
     sasakian_harmonic_check,
@@ -28,7 +27,6 @@ from .cones import (
 )
 from .forms import form_text
 from .models import BUILTIN_NAMES, ModelError, builtin, load_model_file
-from .operators import RelationEntry, RelationReport
 from .splitting import (
     antisymmetry_report,
     jacobi_report,
@@ -143,32 +141,12 @@ class Report:
         self.sections: list[tuple[str, list[dict]]] = []
         self.failed = False
 
-    def _relation_row(self, e: RelationEntry) -> dict:
-        if not e.ok():
+    def add_checks(self, title: str, records: list):
+        """A section of check outcomes (`verdicts.py` records), each printed
+        as its own row; one that did not pass fails the report."""
+        self.sections.append((title, [r.row() for r in records]))
+        if not all(r.ok for r in records):
             self.failed = True
-        return {
-            "kind": "relation", "name": e.name, "lhs": e.lhs, "rhs": e.rhs,
-            "verdict": e.verdict, "variant": e.variant,
-            "vacuous": e.vacuous, "detail": e.failure, "line": e.line(),
-        }
-
-    def add_relations(self, title: str, rep: RelationReport):
-        self.sections.append((title, [self._relation_row(e) for e in rep.entries]))
-
-    def add_verdict(self, title: str, v: DecompositionVerdict):
-        rows = []
-        for r in v.rows:
-            rows.append({
-                "kind": "degree", "degree": r.degree, "actual": r.actual,
-                "proof": r.proof, "headline": r.claimed,
-                "headline_consistent": r.headline_ok, "branch": r.branch,
-                "ok": r.ok, "notes": r.notes, "witnesses": list(r.witnesses),
-                "line": r.line(),
-            })
-            if not r.ok:
-                self.failed = True
-        rows += [self._relation_row(e) for e in v.extras]
-        self.sections.append((title, rows))
 
     def add_table(self, title: str, columns: list[str], rows: list[dict]):
         for r in rows:
@@ -257,22 +235,21 @@ def _betti_rows(label, coh):
 
 def _run_check(report: Report, model, pack):
     if pack.kind == "kahler":
-        report.add_relations("relation table", kahler_relations(model, pack))
+        report.add_checks("relation table", kahler_relations(model, pack))
     elif pack.kind == "sasakian":
-        report.add_relations("relation table", sasakian_relations(model, pack))
-        report.add_relations("transversal package (reeb foliation)",
-                             transversal_package(model, pack, reeb_foliation(pack)))
+        report.add_checks("relation table", sasakian_relations(model, pack))
+        report.add_checks("transversal package (reeb foliation)",
+                          transversal_package(model, pack, reeb_foliation(pack)))
     else:
-        report.add_relations("structure table", vaisman_structure_relations(model, pack))
-        report.add_relations("transversal package (canonical foliation)",
-                             transversal_package(model, pack, sigma_foliation(pack)))
+        report.add_checks("structure table", vaisman_structure_relations(model, pack))
+        report.add_checks("transversal package (canonical foliation)",
+                          transversal_package(model, pack, sigma_foliation(pack)))
         from .cohomology import basic_adjoint_check
-        report.add_relations("basic adjoint identity (lee foliation)",
-                             basic_adjoint_check(model, pack, lee_foliation(pack)))
-    guards = RelationReport()
-    guards.add(antisymmetry_report(model, pack))
-    guards.add(jacobi_report(model, pack, exhaustive=model.dim <= 3))
-    report.add_relations("superalgebra guards", guards)
+        report.add_checks("basic adjoint identity (lee foliation)",
+                          basic_adjoint_check(model, pack, lee_foliation(pack)))
+    report.add_checks("superalgebra guards", [
+        antisymmetry_report(model, pack),
+        jacobi_report(model, pack, exhaustive=model.dim <= 3)])
 
 
 def _run_cohomology(report: Report, model, pack):
@@ -290,9 +267,9 @@ def _run_cohomology(report: Report, model, pack):
                          "betti": f"{hsas.betti.get(k, 0)}+{hsas.betti.get(k - 1, 0)}"})
     report.add_table("betti numbers", ["complex", "degree", "betti"], rows)
     if pack.kind == "sasakian":
-        report.add_verdict("cohomology decomposition", sasakian_decomposition(model, pack))
+        report.add_checks("cohomology decomposition", sasakian_decomposition(model, pack))
     elif pack.kind == "vaisman":
-        report.add_verdict("cohomology decomposition", vaisman_decomposition(model, pack))
+        report.add_checks("cohomology decomposition", vaisman_decomposition(model, pack))
 
 
 def _run_harmonic(report: Report, model, pack, degree):
@@ -305,14 +282,14 @@ def _run_harmonic(report: Report, model, pack, degree):
                          "form": form_text(model.dim, k, col)})
     report.add_basis("harmonic bases", rows)
     if pack.kind == "sasakian":
-        report.add_verdict("harmonic decomposition", sasakian_harmonic_check(model, pack))
+        report.add_checks("harmonic decomposition", sasakian_harmonic_check(model, pack))
     elif pack.kind == "vaisman":
-        report.add_verdict("harmonic decomposition", vaisman_harmonic_check(model, pack))
+        report.add_checks("harmonic decomposition", vaisman_harmonic_check(model, pack))
 
 
 def _run_cone(report: Report, model, pack):
-    report.add_verdict("cone equivalence and long exact sequence",
-                       lefschetz_cone_package(model, pack))
+    report.add_checks("cone equivalence and long exact sequence",
+                      lefschetz_cone_package(model, pack))
 
 
 def run(config: RunConfig) -> int:

@@ -14,7 +14,8 @@ of e_W i_C is e_C i_W, and i_C e_C = 1 on the unit.  W and C are stored as
 bitmasks, generator k at bit k - 1.
 
 This is the engine's one operator algebra (sum, scale, product,
-adjoint), and it works on the terms.  A polynomial is also the operator
+adjoint, and on top of them `op_sum`, `supercommutator` and `reeb_power`),
+and it works on the terms.  A polynomial is also the operator
 that the complexes consume: `block(k)` writes its matrix from degree k
 straight from the terms, once.  It is also the engine's one form
 algebra: a form a is its multiplication e_a, whose terms have C empty,
@@ -25,15 +26,21 @@ column.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from itertools import combinations
+from math import comb
+from operator import add
 
 from .forms import monomial_basis
 from .matrices import Matrix
-from .operators import basis_dim
 from .scalars import ONE, Scalar
 
 Term = tuple[int, int]  # (W, C) as bitmasks
+
+
+def basis_dim(ngen: int, k: int) -> int:
+    """The size of the monomial basis of degree k; 0 outside 0..ngen."""
+    return comb(ngen, k) if 0 <= k <= ngen else 0
 
 
 def generator_mask(monomial) -> int:
@@ -291,3 +298,26 @@ def _init(p: Clifford, ngen: int, shift: int, terms: dict) -> Clifford:
 def _new(ngen: int, shift: int, terms: dict) -> Clifford:
     """A polynomial over a term dict that holds no zero and fits the shift."""
     return _init(object.__new__(Clifford), ngen, shift, terms)
+
+
+def op_sum(terms: Iterable[Clifford]) -> Clifford:
+    """The sum of one or more polynomials of equal shift."""
+    return functools.reduce(add, terms)
+
+
+def supercommutator(a: Clifford, b: Clifford) -> Clifford:
+    """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
+    ab = a @ b
+    ba = b @ a
+    return ab + ba if a.parity * b.parity % 2 else ab - ba
+
+
+def reeb_power(a: Clifford, lie_r: Clifford) -> Clifford:
+    """a composed with the Reeb Lie derivative, the a(1) of the tables.
+
+    Requires [a, lie_r] = 0 (all tabulated operators commute with it).
+    """
+    a_lie = a @ lie_r
+    if a_lie != lie_r @ a:
+        raise ValueError("operator does not commute with the Reeb Lie derivative")
+    return a_lie

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 from operator import matmul
 
-from .clifford import Clifford
+from .clifford import Clifford, basis_dim, op_sum, supercommutator
 from .matrices import (
     Matrix,
     nullspace,
@@ -29,14 +29,8 @@ from .matrices import (
     subspace_equal,
 )
 from .models import LieModel, StructureError, StructurePack
-from .operators import (
-    RelationEntry,
-    RelationReport,
-    basis_dim,
-    op_sum,
-    supercommutator,
-)
 from .splitting import Foliation, check_integrable, lee_foliation, operator_pool, reeb_foliation
+from .verdicts import RelationEntry
 
 
 class CochainComplex:
@@ -295,13 +289,13 @@ def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: Foliation)
     return op_sum([box] + [-(lie @ lie) for lie in lies]), box, lies, pi_hor
 
 
-def basic_adjoint_check(model: LieModel, pack: StructurePack, fol: Foliation) -> RelationReport:
+def basic_adjoint_check(model: LieModel, pack: StructurePack,
+                        fol: Foliation) -> list[RelationEntry]:
     """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
-    return _basic_adjoint(model, pack, basic_subcomplex(model, pack, fol))
+    return [_basic_adjoint(model, pack, basic_subcomplex(model, pack, fol))]
 
 
-def _basic_adjoint(model, pack, sub: FormComplex) -> RelationReport:
-    report = RelationReport()
+def _basic_adjoint(model, pack, sub: FormComplex) -> RelationEntry:
     d_star = operator_pool(model, pack).poly("d*")
     checked = 0
     for k in sub.degrees[1:]:
@@ -315,16 +309,14 @@ def _basic_adjoint(model, pack, sub: FormComplex) -> RelationReport:
         diff = (lhs - rhs).first_nonzero()
         if diff is not None:
             j, b, _ = diff
-            report.add(RelationEntry(
+            return RelationEntry(
                 "basic_adjoint.pairing", "g(Pi_hor d* a, b)", "g(d*_bas a, b)", "fail",
                 failure=f"degree {k}, basis pair ({j},{b}): "
-                        f"{lhs.entry(j, b)} vs {rhs.entry(j, b)}"))
-            return report
+                        f"{lhs.entry(j, b)} vs {rhs.entry(j, b)}")
         checked += lhs.nrows * lhs.ncols
-    report.add(RelationEntry("basic_adjoint.pairing",
-                             f"g(Pi_hor d* a, b) over {checked} basis pairs",
-                             "g(d*_bas a, b)", "pass"))
-    return report
+    return RelationEntry("basic_adjoint.pairing",
+                         f"g(Pi_hor d* a, b) over {checked} basis pairs",
+                         "g(d*_bas a, b)", "pass")
 
 
 def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
@@ -350,7 +342,8 @@ def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
     return out
 
 
-def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) -> RelationReport:
+def transversal_package(model: LieModel, pack: StructurePack,
+                        fol: Foliation) -> list[RelationEntry]:
     """Transversal Hodge package on the basic complex of a foliation.
 
     Hard Lefschetz, bigraded stability of harmonic classes, the basic
@@ -360,7 +353,7 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) ->
     pool = operator_pool(model, pack)
     sub = basic_subcomplex(model, pack, fol)
     coh = sub.cohomology()
-    report = RelationReport()
+    report = []
     n_t = (model.dim - len(fol)) // 2
 
     # hard Lefschetz: (L^e)_* = (L_*)^e, so L^(n-k) on H^k composes the
@@ -378,9 +371,9 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) ->
         rk = rank(power)
         detail.append(f"L^{e}:H^{k}->H^{2*n_t-k} rank {rk}")
         ok = ok and rk == coh.betti[k] == coh.betti[2 * n_t - k]
-    report.add(RelationEntry("transversal.hard_lefschetz",
-                             "; ".join(detail) or "no middle degrees", "bijective",
-                             "pass" if ok else "fail"))
+    report.append(RelationEntry("transversal.hard_lefschetz",
+                                "; ".join(detail) or "no middle degrees", "bijective",
+                                "pass" if ok else "fail"))
 
     # (p,q)-stability of basic harmonic classes.  Every caller passes the
     # pack's canonical foliation, whose basic k-forms are horizontal of
@@ -392,32 +385,31 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) ->
         harm = sub.embed[k] @ sub.harmonic_coords(k)
         if solve(harm, pool.poly("W").block(k) @ harm) is None:
             stable = False
-    report.add(RelationEntry("transversal.pq_stability",
-                             "Pi^{p,q} (basic harmonic)", "basic harmonic",
-                             "pass" if stable else "fail"))
+    report.append(RelationEntry("transversal.pq_stability",
+                                "Pi^{p,q} (basic harmonic)", "basic harmonic",
+                                "pass" if stable else "fail"))
 
-    for entry in _basic_adjoint(model, pack, sub).entries:
-        report.add(entry)
+    report.append(_basic_adjoint(model, pack, sub))
 
     # split Laplacian, decided on polynomials
     ds, box, lies, pi_hor = _split_laplacian_parts(model, pack, fol)
-    report.add(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
-                             "pass" if ds.adjoint() == ds else "fail"))
+    report.append(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
+                                "pass" if ds.adjoint() == ds else "fail"))
     psd = op_sum([box] + [lie @ lie.adjoint() for lie in lies])
-    report.add(RelationEntry("split_laplacian.psd_decomposition",
-                             "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
-                             "pass" if psd == ds else "fail"))
+    report.append(RelationEntry("split_laplacian.psd_decomposition",
+                                "Delta_s", "{d1,d1*} + sum Lie_v Lie_v*",
+                                "pass" if psd == ds else "fail"))
     ds_blocks = [ds.block(k) for k in range(model.dim + 1)]
     diag_ok = all(
         block.entry(i, i).im == 0 and block.entry(i, i).re >= 0
         for block in ds_blocks for i in range(block.nrows)
     )
-    report.add(RelationEntry("split_laplacian.diagonal_nonnegative",
-                             "<Delta_s a, a> for basis a", ">= 0",
-                             "pass" if diag_ok else "fail"))
-    report.add(RelationEntry("split_laplacian.commutes_with_Pi_hor",
-                             "[Pi_hor, Delta_s]", "0",
-                             "pass" if supercommutator(pi_hor, ds).is_zero() else "fail"))
+    report.append(RelationEntry("split_laplacian.diagonal_nonnegative",
+                                "<Delta_s a, a> for basis a", ">= 0",
+                                "pass" if diag_ok else "fail"))
+    report.append(RelationEntry("split_laplacian.commutes_with_Pi_hor",
+                                "[Pi_hor, Delta_s]", "0",
+                                "pass" if supercommutator(pi_hor, ds).is_zero() else "fail"))
 
     # kernel conditions: Lie_v always vanishes; i_v is reported per model
     lie_ok, iv_ok = True, True
@@ -427,12 +419,12 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) ->
         for iv, lie in pairs:
             lie_ok = lie_ok and (lie.block(k) @ ker).is_zero()
             iv_ok = iv_ok and (iv.block(k) @ ker).is_zero()
-    report.add(RelationEntry("split_laplacian.kernel_lie_vanishing",
-                             "Lie_v on ker Delta_s", "0",
-                             "pass" if lie_ok else "fail"))
+    report.append(RelationEntry("split_laplacian.kernel_lie_vanishing",
+                                "Lie_v on ker Delta_s", "0",
+                                "pass" if lie_ok else "fail"))
     # the i_v condition does not follow from the positivity identity (which
     # has no i_v term) and genuinely fails here: eta lies in ker Delta_s
-    report.add(RelationEntry(
+    report.append(RelationEntry(
         "split_laplacian.kernel_iv_vanishing", "i_v on ker Delta_s", "0",
         "noted",
         failure="holds" if iv_ok else
@@ -442,20 +434,20 @@ def transversal_package(model: LieModel, pack: StructurePack, fol: Foliation) ->
     # its dimension computes basic cohomology
     for k in sub.degrees:
         if not subspace_equal(sub.harmonic_coords(k), coh.representatives[k]):
-            report.add(RelationEntry("transversal.harmonic_vs_representatives",
-                                     f"ker Delta_bas deg {k}", "closed & orthogonal to exact",
-                                     "fail"))
+            report.append(RelationEntry("transversal.harmonic_vs_representatives",
+                                        f"ker Delta_bas deg {k}", "closed & orthogonal to exact",
+                                        "fail"))
             break
     else:
-        report.add(RelationEntry("transversal.harmonic_vs_representatives",
-                                 "ker Delta_bas", "closed & orthogonal to exact, all degrees",
-                                 "pass"))
+        report.append(RelationEntry("transversal.harmonic_vs_representatives",
+                                    "ker Delta_bas", "closed & orthogonal to exact, all degrees",
+                                    "pass"))
     hodge_iso = all(sub.harmonic_coords(k).ncols == coh.betti[k] for k in sub.degrees)
-    report.add(RelationEntry("transversal.hodge_isomorphism",
-                             "dim ker Delta_bas", "basic Betti number, all degrees",
-                             "pass" if hodge_iso else "fail"))
+    report.append(RelationEntry("transversal.hodge_isomorphism",
+                                "dim ker Delta_bas", "basic Betti number, all degrees",
+                                "pass" if hodge_iso else "fail"))
 
-    report.add(_eigen_exactness(sub, sub.restrict(ds)))
+    report.append(_eigen_exactness(sub, sub.restrict(ds)))
     return report
 
 

@@ -15,7 +15,6 @@ from itertools import combinations
 from .forms import form_text, perm_sign, star
 from .matrices import Matrix, nullspace, rank, solve, span_coordinates, subspace_equal
 from .models import LieModel, StructureError, StructurePack
-from .operators import RelationEntry
 from .cohomology import (
     CochainComplex,
     contact_complexes,
@@ -25,6 +24,7 @@ from .cohomology import (
     invariant_subcomplex,
 )
 from .splitting import operator_pool
+from .verdicts import DegreeVerdict, RelationEntry
 
 
 def lefschetz_cone(basic: CochainComplex, lblocks: dict[int, Matrix]) -> CochainComplex:
@@ -44,50 +44,6 @@ def lefschetz_cone(basic: CochainComplex, lblocks: dict[int, Matrix]) -> Cochain
         lk = lblocks.get(k, Matrix.zero(basic.dim(k + 2), basic.dim(k)))
         diff[k] = (-d0).hstack(Matrix.zero(d0.nrows, d1.ncols)).vstack(lk.hstack(d1))
     return CochainComplex("cone(L)", degrees, dims, diff, {})
-
-
-class DegreeVerdict:
-    __slots__ = ("degree", "claimed", "proof", "actual", "ok", "headline_ok", "branch",
-                 "notes", "witnesses")
-
-    def __init__(self, degree: int, claimed: int | None, proof: int | None, actual: int,
-                 ok: bool, headline_ok: bool | None = None, branch: str | None = None,
-                 notes: str = "", witnesses: tuple[str, ...] = ()):
-        self.degree, self.claimed, self.proof, self.actual, self.ok = (
-            degree, claimed, proof, actual, ok)
-        self.headline_ok, self.branch, self.notes, self.witnesses = (
-            headline_ok, branch, notes, witnesses)
-
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        bits = [f"degree {self.degree}: actual {self.actual}"]
-        if self.proof is not None:
-            bits.append(f"proof-sequence {self.proof}")
-        if self.claimed is not None:
-            bits.append(f"headline {self.claimed}" +
-                        (" (inconsistent)" if self.headline_ok is False else ""))
-        if self.branch:
-            bits.append(f"branch {self.branch}")
-        if self.notes:
-            bits.append(self.notes)
-        return f"{status}  " + "; ".join(bits)
-
-
-class DecompositionVerdict:
-    __slots__ = ("rows", "extras")
-
-    def __init__(self):
-        self.rows: list[DegreeVerdict] = []
-        self.extras: list[RelationEntry] = []
-
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows) and all(e.ok() for e in self.extras)
-
-    def row(self, degree: int) -> DegreeVerdict:
-        for r in self.rows:
-            if r.degree == degree:
-                return r
-        raise KeyError(degree)
 
 
 def lefschetz_long_exact(basic: CochainComplex, lef: dict[int, tuple[Matrix, int]],
@@ -136,7 +92,8 @@ def _exact_at(incoming, outgoing, middle_dim: int) -> str | None:
 # -- the Lefschetz cone equivalence ------------------------------------
 
 
-def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
+def lefschetz_cone_package(model: LieModel,
+                           pack: StructurePack) -> list[DegreeVerdict | RelationEntry]:
     """Identify the invariant complex with the shifted cone of L on B.
 
     The isomorphism sends alpha + eta^beta to (beta, alpha); it must
@@ -164,7 +121,7 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> Decompositio
             raise StructureError("cone", "invariant form is not basic + eta^basic")
         iso_blocks[i] = bcoords.vstack(acoords)
 
-    verdict = DecompositionVerdict()
+    verdict = lefschetz_long_exact(basic, basic.induced(pool.poly("L")), cone)
     intertwines = True
     bijective = True
     for i in ambient.degrees:
@@ -176,26 +133,25 @@ def lefschetz_cone_package(model: LieModel, pack: StructurePack) -> Decompositio
         m = iso_blocks[i]
         if m.nrows != m.ncols or rank(m) != m.nrows:
             bijective = False
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "cone.isomorphism", "alpha + eta^beta -> (beta, alpha)",
         "intertwines d with the cone differential",
         "pass" if intertwines else "fail"))
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "cone.bijective", "identification", "degreewise bijection",
         "pass" if bijective else "fail"))
-    verdict.rows.extend(lefschetz_long_exact(basic, basic.induced(pool.poly("L")), cone))
 
     # the averaging proxy: invariant subcomplex computes the full cohomology
     amb_coh = ambient.cohomology()
     proxy_ok = amb_coh.betti_list() == reference.cohomology().betti_list()
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "cone.invariant_proxy", f"H({ambient.label})", f"H({reference.label})",
         "pass" if proxy_ok else "fail"))
 
     # H^i(cone) must reproduce H^{i+1} of the ambient complex
     hc = cone.cohomology()
     match = all(hc.betti.get(i - 1, 0) == amb_coh.betti.get(i, 0) for i in ambient.degrees)
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "cone.cohomology_match", "H^{i-1}(cone)", "H^i(invariant complex)",
         "pass" if match else "fail"))
     return verdict
@@ -236,20 +192,20 @@ def _lefschetz_sequences(model: LieModel, pack: StructurePack):
     return rows, inj_ok, surj_ok
 
 
-def sasakian_decomposition(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
+def sasakian_decomposition(model: LieModel,
+                           pack: StructurePack) -> list[DegreeVerdict | RelationEntry]:
     """Full Betti numbers from the basic ones through the Lefschetz map
     (`_lefschetz_sequences`).  The headline reading is flagged where it
     disagrees with the proof sequences (it does at degree 0)."""
-    verdict = DecompositionVerdict()
-    verdict.rows, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
-    verdict.extras.append(RelationEntry(
+    verdict, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
+    headline_disagrees = [r.degree for r in verdict if not r.headline_ok]
+    verdict.append(RelationEntry(
         "decomposition.lefschetz_injective", "L: H^{i-2}_bas -> H^i_bas, i <= n",
         "injective", "pass" if inj_ok else "fail"))
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "decomposition.lefschetz_surjective", "L: H^{i-1}_bas -> H^{i+1}_bas, i > n",
         "surjective", "pass" if surj_ok else "fail"))
-    headline_disagrees = [r.degree for r in verdict.rows if not r.headline_ok]
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "decomposition.headline_vs_proof",
         "headline ker/coker placement",
         "proof-sequence placement",
@@ -284,12 +240,13 @@ def _harmonic_branch_spaces(model, pack, basic):
     return out
 
 
-def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
+def sasakian_harmonic_check(model: LieModel,
+                            pack: StructurePack) -> list[DegreeVerdict | RelationEntry]:
     """Harmonic forms are primitive basic-harmonic ones below the middle
     and eta-wedges of co-primitive basic-harmonic ones above it."""
     basic = contact_complexes(model, pack)[1]
     n = pack.transversal_dim(model.dim)
-    verdict = DecompositionVerdict()
+    verdict = []
     full = full_complex(model, pack)
 
     for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, basic)):
@@ -300,7 +257,7 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
         chosen, branch = stated, "stated"
         if not ok and subspace_equal(other, target):
             chosen, branch, ok = other, "flipped", True
-        verdict.rows.append(DegreeVerdict(
+        verdict.append(DegreeVerdict(
             degree=i, claimed=stated.ncols, proof=chosen.ncols, actual=target.ncols,
             ok=ok, headline_ok=stated.ncols == target.ncols,
             branch=branch,
@@ -318,38 +275,39 @@ def sasakian_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositi
             rhs = tuple(sorted(comp + (r,))), orient * sign * perm_sign(comp + (r,))
             if star(frame, m) != rhs:
                 dual_ok = False
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "harmonic.star_duality", "*(gamma)", "*_bas(gamma) ^ eta",
         "pass" if dual_ok else "fail"))
     return verdict
 
 
-def vaisman_decomposition(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
+def vaisman_decomposition(model: LieModel,
+                          pack: StructurePack) -> list[DegreeVerdict | RelationEntry]:
     """Splitting of the cohomology along the Lee form, with the
     transversally-Kahler sequences for the Lee-basic cohomology."""
     hsas = contact_complexes(model, pack)[0].cohomology()
     full = full_complex(model, pack).cohomology()
 
-    verdict = DecompositionVerdict()
+    verdict = []
     for i in range(model.dim + 1):
         split_dim = hsas.betti.get(i, 0) + hsas.betti.get(i - 1, 0)
         actual = full.betti.get(i, 0)
-        verdict.rows.append(DegreeVerdict(
+        verdict.append(DegreeVerdict(
             degree=i, claimed=None, proof=split_dim, actual=actual,
             ok=split_dim == actual, notes="H^i_sas + theta^H^{i-1}_sas"))
 
     rows, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
     headline_bad = [r.degree for r in rows if not r.headline_ok]
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "decomposition.sas_from_kah", "H^i_sas", "proof sequences in H^*_kah",
         "pass" if all(r.ok for r in rows) else "fail"))
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "decomposition.lefschetz_injective", "L: H^{i-2}_kah -> H^i_kah, i <= n-1",
         "injective", "pass" if inj_ok else "fail"))
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "decomposition.lefschetz_surjective", "L: H^{i-1}_kah -> H^{i+1}_kah, i > n-1",
         "surjective", "pass" if surj_ok else "fail"))
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "decomposition.headline_vs_proof", "headline ker/coker placement",
         "proof-sequence placement", "noted",
         failure=(f"headline reading disagrees at degrees {headline_bad}; "
@@ -358,13 +316,14 @@ def vaisman_decomposition(model: LieModel, pack: StructurePack) -> Decomposition
     return verdict
 
 
-def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> DecompositionVerdict:
+def vaisman_harmonic_check(model: LieModel,
+                           pack: StructurePack) -> list[DegreeVerdict | RelationEntry]:
     """Full harmonic space = H* (+) theta ^ H* with H* built from the
     transversal basic-harmonic forms."""
     contact, kah = contact_complexes(model, pack)
     hsas = contact.cohomology()
     n = model.dim // 2
-    verdict = DecompositionVerdict()
+    verdict = []
 
     chosen: dict[int, Matrix] = {}
     for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, kah)):
@@ -376,7 +335,7 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
         if stated.ncols != target_dim and other.ncols == target_dim:
             pick, branch = other, "flipped"
         chosen[i] = pick
-        verdict.rows.append(DegreeVerdict(
+        verdict.append(DegreeVerdict(
             degree=i, claimed=stated.ncols, proof=pick.ncols, actual=target_dim,
             ok=pick.ncols == target_dim, headline_ok=stated.ncols == target_dim,
             branch=branch, notes="dim H^i candidates vs dim H^i_sas",
@@ -394,10 +353,10 @@ def vaisman_harmonic_check(model: LieModel, pack: StructurePack) -> Decompositio
         # wedging a full harmonic form with the parallel theta stays harmonic
         if i < model.dim and solve(harmonic[i + 1], e_theta.block(i) @ harmonic[i]) is None:
             theta_ok = False
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "harmonic.assembly", "H* (+) theta^H*", "ker Delta, degreewise subspace equality",
         "pass" if assemble_ok else "fail"))
-    verdict.extras.append(RelationEntry(
+    verdict.append(RelationEntry(
         "harmonic.theta_wedge", "theta ^ (ker Delta)", "ker Delta",
         "pass" if theta_ok else "fail"))
     return verdict

@@ -12,9 +12,8 @@ import functools
 import os
 from fractions import Fraction
 
-from .clifford import Clifford
+from .clifford import Clifford, supercommutator
 from .forms import form_text
-from .operators import supercommutator
 from .scalars import ONE, Scalar, ZERO
 
 
@@ -81,9 +80,6 @@ class LieModel:
             table.setdefault((i, j), {})[k] = c
             table.setdefault((j, i), {})[k] = -c
         return table
-
-    def c(self, i: int, j: int, k: int) -> Scalar:
-        return self._bracket_table.get((i, j), {}).get(k, ZERO)
 
     def bracket(self, i: int, j: int) -> dict[int, Scalar]:
         return dict(self._bracket_table.get((i, j), {}))

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import random
 
-from .clifford import Clifford, generator_mask
+from .clifford import Clifford, generator_mask, op_sum, reeb_power, supercommutator
 from .forms import monomial_basis, star
 from .matrices import Matrix
 from .models import (
@@ -39,15 +39,8 @@ from .models import (
     StructurePack,
     structure_operators,
 )
-from .operators import (
-    RelationEntry,
-    RelationReport,
-    check_relation,
-    op_sum,
-    reeb_power,
-    supercommutator,
-)
 from .scalars import HALF, I as IUNIT, ONE, Scalar
+from .verdicts import RelationEntry, check_relation
 
 NEG, TWO = Scalar.of(-1), Scalar.of(2)
 
@@ -273,13 +266,13 @@ def _term(pool: OperatorPool, lhs: Clifford, term) -> tuple[str, Clifford]:
     return _text(term), op
 
 
-def _evaluate(model: LieModel, pack: StructurePack, table) -> RelationReport:
+def _evaluate(model: LieModel, pack: StructurePack, table) -> list[RelationEntry]:
     """Decide every row of a relation table over the model's operator pool."""
     pool = operator_pool(model, pack)
-    report = RelationReport()
+    report = []
     for row in table:
         if callable(row):
-            report.add(row(pool))
+            report.append(row(pool))
             continue
         name, lhs, rhs, variants = row
         left = pool.poly(lhs)
@@ -289,7 +282,7 @@ def _evaluate(model: LieModel, pack: StructurePack, table) -> RelationReport:
         # a literal-zero right side asserts vanishing, so 0 = 0 is the claim
         # itself rather than a vacuous pass
         entry.vacuous = entry.vacuous and rhs != 0
-        report.add(entry)
+        report.append(entry)
     return report
 
 
@@ -490,17 +483,17 @@ VAISMAN_TABLE = [
 ]
 
 
-def kahler_relations(model: LieModel, pack: StructurePack) -> RelationReport:
+def kahler_relations(model: LieModel, pack: StructurePack) -> list[RelationEntry]:
     """The Kahler-type supersymmetry table on the full invariant complex."""
     return _evaluate(model, pack, kahler_table(model.dim))
 
 
-def sasakian_relations(model: LieModel, pack: StructurePack) -> RelationReport:
+def sasakian_relations(model: LieModel, pack: StructurePack) -> list[RelationEntry]:
     """The contact-model supersymmetry table for the Reeb foliation."""
     return _evaluate(model, pack, SASAKIAN_TABLE)
 
 
-def vaisman_structure_relations(model: LieModel, pack: StructurePack) -> RelationReport:
+def vaisman_structure_relations(model: LieModel, pack: StructurePack) -> list[RelationEntry]:
     """Pack-level identities of a Vaisman model on the invariant complex."""
     return _evaluate(model, pack, VAISMAN_TABLE)
 

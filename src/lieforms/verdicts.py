@@ -1,53 +1,20 @@
-"""The operator algebra helpers and relation reports.
+"""The outcome of a check, as a record and as the report row it prints.
 
-Every operator is a normal-ordered Clifford polynomial (`clifford.py`),
-and every operator identity is decided on polynomials.  A matrix consumer
-(a complex, a restriction, a kernel) asks a polynomial for its block from
-degree k, a dim(k+s) x dim(k) matrix in the lexicographic monomial bases
-for an operator of shift s; a target degree outside 0..N gives a 0-row
-matrix.
+A check returns a plain list of records: `RelationEntry` for an operator
+identity or a named property, `DegreeVerdict` for one degree of a
+decomposition or a long exact sequence.  Each record says whether it
+passed (`ok`) and gives its own report row (`row()`), whose `line` is the
+text report's line.  `check_relation` decides one identity on Clifford
+polynomials, with sign/argument variant adjudication.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable
-from math import comb
-from operator import add
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
     from .clifford import Clifford
-
-
-def basis_dim(ngen: int, k: int) -> int:
-    return comb(ngen, k) if 0 <= k <= ngen else 0
-
-
-def op_sum(terms: Iterable[Clifford]) -> Clifford:
-    """The sum of one or more polynomials of equal shift."""
-    return functools.reduce(add, terms)
-
-
-def supercommutator(a: Clifford, b: Clifford) -> Clifford:
-    """{a,b} = ab - (-1)^{parity(a) parity(b)} ba."""
-    ab = a @ b
-    ba = b @ a
-    return ab + ba if a.parity * b.parity % 2 else ab - ba
-
-
-def reeb_power(a: Clifford, lie_r: Clifford) -> Clifford:
-    """a composed with the Reeb Lie derivative, the a(1) of the tables.
-
-    Requires [a, lie_r] = 0 (all tabulated operators commute with it).
-    """
-    a_lie = a @ lie_r
-    if a_lie != lie_r @ a:
-        raise ValueError("operator does not commute with the Reeb Lie derivative")
-    return a_lie
-
-
-# -- relation reports -------------------------------------------------
 
 
 class RelationEntry:
@@ -66,8 +33,9 @@ class RelationEntry:
         self.name, self.lhs, self.rhs, self.verdict = name, lhs, rhs, verdict
         self.variant, self.vacuous, self.failure = variant, vacuous, failure
 
+    @property
     def ok(self) -> bool:
-        return self.verdict in ("pass", "variant", "noted")
+        return self.verdict != "fail"
 
     def line(self) -> str:
         status = {"pass": "PASS", "variant": "PASS", "fail": "FAIL", "noted": "NOTE"}[self.verdict]
@@ -80,24 +48,51 @@ class RelationEntry:
             note += "  (both sides zero)"
         return f"{status}  {self.name}: {self.lhs} = {self.rhs}{note}"
 
+    def row(self) -> dict:
+        return {
+            "kind": "relation", "name": self.name, "lhs": self.lhs, "rhs": self.rhs,
+            "verdict": self.verdict, "variant": self.variant,
+            "vacuous": self.vacuous, "detail": self.failure, "line": self.line(),
+        }
 
-class RelationReport:
-    __slots__ = ("entries",)
 
-    def __init__(self):
-        self.entries: list[RelationEntry] = []
+class DegreeVerdict:
+    """Outcome at one degree: the actual dimension against the
+    proof-sequence and headline readings, with the witnesses behind it."""
 
-    def passed(self) -> bool:
-        return all(e.ok() for e in self.entries)
+    __slots__ = ("degree", "claimed", "proof", "actual", "ok", "headline_ok", "branch",
+                 "notes", "witnesses")
 
-    def entry(self, name: str) -> RelationEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
+    def __init__(self, degree: int, claimed: int | None, proof: int | None, actual: int,
+                 ok: bool, headline_ok: bool | None = None, branch: str | None = None,
+                 notes: str = "", witnesses: tuple[str, ...] = ()):
+        self.degree, self.claimed, self.proof, self.actual, self.ok = (
+            degree, claimed, proof, actual, ok)
+        self.headline_ok, self.branch, self.notes, self.witnesses = (
+            headline_ok, branch, notes, witnesses)
 
-    def add(self, entry: RelationEntry):
-        self.entries.append(entry)
+    def line(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        bits = [f"degree {self.degree}: actual {self.actual}"]
+        if self.proof is not None:
+            bits.append(f"proof-sequence {self.proof}")
+        if self.claimed is not None:
+            bits.append(f"headline {self.claimed}" +
+                        (" (inconsistent)" if self.headline_ok is False else ""))
+        if self.branch:
+            bits.append(f"branch {self.branch}")
+        if self.notes:
+            bits.append(self.notes)
+        return f"{status}  " + "; ".join(bits)
+
+    def row(self) -> dict:
+        return {
+            "kind": "degree", "degree": self.degree, "actual": self.actual,
+            "proof": self.proof, "headline": self.claimed,
+            "headline_consistent": self.headline_ok, "branch": self.branch,
+            "ok": self.ok, "notes": self.notes, "witnesses": list(self.witnesses),
+            "line": self.line(),
+        }
 
 
 def _describe_difference(lhs: Clifford, rhs: Clifford) -> str:

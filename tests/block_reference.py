@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 from lieforms.forms import monomial_basis
 from lieforms.matrices import Matrix
-from lieforms.operators import basis_dim
+from lieforms.clifford import basis_dim
 from lieforms.scalars import ONE, Scalar
 
 from form_reference import FormElement, column_forms, wedge

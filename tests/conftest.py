@@ -36,6 +36,16 @@ def pool_for(name: str):
     return operator_pool(*model_pack(name))
 
 
+def record(records: list, key):
+    """The record of a check's list with this relation name (a str) or this
+    degree (an int)."""
+    field = "degree" if isinstance(key, int) else "name"
+    for r in records:
+        if getattr(r, field, None) == key:
+            return r
+    raise KeyError(key)
+
+
 def child_env() -> dict[str, str]:
     """The environment of a child Python process: this checkout's `src`
     first on PYTHONPATH, so the child imports the lieforms under test

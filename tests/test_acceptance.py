@@ -13,6 +13,7 @@ from pathlib import Path
 
 import oracle
 from lieforms.cli import RunConfig, run
+from lieforms.clifford import supercommutator
 from lieforms.cohomology import basic_subcomplex, full_complex, transversal_package
 from lieforms.cones import (
     lefschetz_cone_package,
@@ -22,7 +23,6 @@ from lieforms.cones import (
     vaisman_harmonic_check,
 )
 from lieforms.models import load_model_file
-from lieforms.operators import supercommutator
 from lieforms.splitting import (
     antisymmetry_report,
     foliation_split,
@@ -34,7 +34,7 @@ from lieforms.splitting import (
     sigma_foliation,
 )
 
-from conftest import model_pack, pool_for, record_criterion
+from conftest import model_pack, pool_for, record, record_criterion
 
 TWISTED_SQUARE_WITNESS = Path(__file__).parent / "data" / "su2_aff.alg"
 SASAKIAN = ("su2", "h3", "h5")
@@ -46,19 +46,19 @@ def test_criterion_1_kahler_susy_table():
     for name in ("torus2", "torus4"):
         model, pack = model_pack(name)
         rep = kahler_relations(model, pack)
-        for e in rep.entries:
-            if not e.ok():
+        for e in rep:
+            if not e.ok:
                 failures.append((name, e.line()))
         # the sl(2) weight of the lowering operator is -2; the printed +2
         # is the one typo in the table and must be adjudicated, not ignored
-        if rep.entry("sl2.[H,Lam]").variant != "-2Lam":
+        if record(rep, "sl2.[H,Lam]").variant != "-2Lam":
             failures.append((name, "missing [H,Lam] adjudication"))
-        if rep.entry("sl2.H_scalar").verdict != "pass":
+        if record(rep, "sl2.H_scalar").verdict != "pass":
             failures.append((name, "H is not (p-n)Id"))
         for key in ("delta.{d,d*}", "delta.{dc,dc*}"):
-            if not rep.entry(key).ok():
+            if not record(rep, key).ok:
                 failures.append((name, key))
-        for e in rep.entries:
+        for e in rep:
             if e.name.startswith("delta.central") and e.verdict != "pass":
                 failures.append((name, e.name))
     ok = record_criterion(1, "Kahler supersymmetry table exact on torus2/torus4",
@@ -72,24 +72,24 @@ def test_criterion_2_sasakian_susy_table():
     for name in SASAKIAN:
         model, pack = model_pack(name)
         rep = sasakian_relations(model, pack)
-        for e in rep.entries:
+        for e in rep:
             if any(e.name.startswith(g) for g in as_printed_groups):
                 if e.verdict != "pass":
                     failures.append((name, e.line()))
             elif e.name.startswith(("sl2.", "weil.", "laplacian.")):
-                if not e.ok():
+                if not e.ok:
                     failures.append((name, e.line()))
         # the sl(2) relations hold in their usual form, with the one
         # printed sign typo named by the report
-        hl = rep.entry("sl2.[H,Lam]")
+        hl = record(rep, "sl2.[H,Lam]")
         if not (hl.verdict == "pass" or hl.variant == "-2Lam"):
             failures.append((name, "sl2.[H,Lam] unresolved"))
         # the report must name the variant wherever a printed form fails
         for key in ("weil.[W,d1c*]", "laplacian.Delta1_def"):
-            e = rep.entry(key)
+            e = record(rep, key)
             if e.verdict != "variant" or not e.variant:
                 failures.append((name, f"{key} missing variant adjudication"))
-        if rep.entry("squares.{d1,d1}").verdict != "pass":
+        if record(rep, "squares.{d1,d1}").verdict != "pass":
             failures.append((name, "twisted square identity"))
     ok = record_criterion(
         2, "sasakian supersymmetry table on su2/h3/h5 (variants named)", not failures)
@@ -114,7 +114,7 @@ def test_criterion_2_nonzeroness_clause_as_stated():
     variant -2L(1).
     """
     model, pack = model_pack("su2")
-    e = sasakian_relations(model, pack).entry("squares.{d1,d1}")
+    e = record(sasakian_relations(model, pack), "squares.{d1,d1}")
     vacuous_on_su2 = (e.verdict, e.vacuous) == ("pass", True)
 
     model, pack = load_model_file(str(TWISTED_SQUARE_WITNESS))
@@ -123,7 +123,7 @@ def test_criterion_2_nonzeroness_clause_as_stated():
     L1 = poly("L") @ poly("Lie_r")
     both_nonzero = not d1.is_zero() and not L1.is_zero()
     identity_holds = d1 @ d1 == -L1
-    e = sasakian_relations(model, pack).entry("squares.{d1,d1}")
+    e = record(sasakian_relations(model, pack), "squares.{d1,d1}")
     adjudicated = (e.verdict, e.variant, e.vacuous) == ("variant", "-2L(1)", False)
     record_criterion(
         2, "twisted square {d1,d1} = -2L(1) with nonzero sides on su(2)xaff(R); "
@@ -162,9 +162,8 @@ def test_criterion_4_cone_equivalence():
     for name in SASAKIAN:
         model, pack = model_pack(name)
         verdict = lefschetz_cone_package(model, pack)
-        if not verdict.passed():
-            failures.append((name, [r.line() for r in verdict.rows if not r.ok]
-                             + [e.line() for e in verdict.extras if not e.ok()]))
+        if not all(r.ok for r in verdict):
+            failures.append((name, [r.line() for r in verdict if not r.ok]))
     ok = record_criterion(4, "cone identification exact and long exact sequence "
                              "exact at every node, on every contact builtin",
                           not failures)
@@ -217,18 +216,18 @@ def test_criterion_6_sasakian_decomposition():
     for name in SASAKIAN:
         model, pack = model_pack(name)
         verdict = sasakian_decomposition(model, pack)
-        if not verdict.passed():
+        if not all(r.ok for r in verdict):
             failures.append((name, "sequences"))
     model, pack = model_pack("su2")
     verdict = sasakian_decomposition(model, pack)
-    row0 = verdict.row(0)
+    row0 = record(verdict, 0)
     if not (row0.actual == 1 and row0.claimed == 0 and row0.headline_ok is False):
         failures.append(("su2", "headline discrepancy at degree 0 not detected"))
-    note = [e for e in verdict.extras if e.name == "decomposition.headline_vs_proof"]
+    note = record(verdict, "decomposition.headline_vs_proof")
     import ast
 
-    reported = (ast.literal_eval(note[0].failure.split("degrees ")[1].split(";")[0])
-                if note and "disagrees" in note[0].failure else [])
+    reported = (ast.literal_eval(note.failure.split("degrees ")[1].split(";")[0])
+                if "disagrees" in note.failure else [])
     if 0 not in reported:
         failures.append(("su2", "discrepancy not reported"))
     ok = record_criterion(6, "proof sequences reproduce the full Betti numbers; "
@@ -242,7 +241,7 @@ def test_criterion_7_sasakian_harmonic_forms():
     for name in ("su2", "h3"):
         model, pack = model_pack(name)
         verdict = sasakian_harmonic_check(model, pack)
-        for row in verdict.rows:
+        for row in verdict:
             if not row.ok:
                 failures.append((name, row.line()))
     ok = record_criterion(7, "constructed harmonic spaces equal ker Delta "
@@ -255,13 +254,12 @@ def test_criterion_8_vaisman_theorems():
     for name in VAISMAN:
         model, pack = model_pack(name)
         dec = vaisman_decomposition(model, pack)
-        if not dec.passed():
+        if not all(r.ok for r in dec):
             failures.append((name, "theta splitting"))
         harm = vaisman_harmonic_check(model, pack)
-        if not harm.passed():
+        if not all(r.ok for r in harm):
             failures.append((name, "harmonic assembly"))
-        if not any(e.name == "harmonic.assembly" and e.verdict == "pass"
-                   for e in harm.extras):
+        if record(harm, "harmonic.assembly").verdict != "pass":
             failures.append((name, "assembly entry"))
     ok = record_criterion(8, "Lee-form splitting of cohomology and harmonic "
                              "spaces on both Vaisman builtins", not failures)
@@ -281,7 +279,7 @@ def test_criterion_9_transversal_hodge_package():
                     "split_laplacian.diagonal_nonnegative",
                     "split_laplacian.commutes_with_Pi_hor",
                     "split_laplacian.eigen_exactness"):
-            if rep.entry(key).verdict != "pass":
+            if record(rep, key).verdict != "pass":
                 failures.append((name, key))
     ok = record_criterion(9, "transversal package: hard Lefschetz, bigraded "
                              "stability, basic adjoint, split-Laplacian "
@@ -293,13 +291,13 @@ def test_criterion_10_structural_guards(tmp_path):
     failures = []
     for name in ("su2", "h3"):
         model, pack = model_pack(name)
-        if not jacobi_report(model, pack, exhaustive=True).ok():
+        if not jacobi_report(model, pack, exhaustive=True).ok:
             failures.append((name, "jacobi"))
-        if not antisymmetry_report(model, pack).ok():
+        if not antisymmetry_report(model, pack).ok:
             failures.append((name, "antisymmetry"))
     for name in ("h5", "su2xr", "h3xr"):
         model, pack = model_pack(name)
-        if not jacobi_report(model, pack, exhaustive=False).ok():
+        if not jacobi_report(model, pack, exhaustive=False).ok:
             failures.append((name, "jacobi sample"))
     for name in ("su2", "h3", "h5"):
         model, pack = model_pack(name)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lieforms.clifford import Clifford
 from lieforms.forms import monomial_basis
 from lieforms.models import BUILTIN_NAMES, j_images
-from lieforms.operators import supercommutator
+from lieforms.clifford import supercommutator
 from lieforms.scalars import Scalar
 from lieforms.splitting import guard_names, operator_pool
 

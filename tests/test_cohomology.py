@@ -18,7 +18,7 @@ from lieforms.scalars import Scalar
 from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
 from block_reference import ODD
-from conftest import DATA, load, model_pack, ops_for
+from conftest import DATA, load, model_pack, ops_for, record
 from form_reference import FormElement, column_forms, contract
 
 ORACLE_MODELS = {
@@ -160,7 +160,7 @@ def test_basic_adjoint_identity():
                        ("su2xr", lee_foliation), ("h3xr", lee_foliation)):
         model, pack = model_pack(name)
         rep = basic_adjoint_check(model, pack, folf(pack))
-        assert rep.passed(), (name, [e.line() for e in rep.entries])
+        assert all(r.ok for r in rep), (name, [e.line() for e in rep])
 
 
 def test_transversal_package_passes():
@@ -169,12 +169,12 @@ def test_transversal_package_passes():
                        ("h3xr", sigma_foliation)):
         model, pack = model_pack(name)
         rep = transversal_package(model, pack, folf(pack))
-        assert rep.passed(), (name, [e.line() for e in rep.entries if not e.ok()])
-        assert rep.entry("transversal.hard_lefschetz").verdict == "pass"
-        assert rep.entry("transversal.pq_stability").verdict == "pass"
-        assert rep.entry("split_laplacian.commutes_with_Pi_hor").verdict == "pass"
+        assert all(r.ok for r in rep), (name, [e.line() for e in rep if not e.ok])
+        assert record(rep, "transversal.hard_lefschetz").verdict == "pass"
+        assert record(rep, "transversal.pq_stability").verdict == "pass"
+        assert record(rep, "split_laplacian.commutes_with_Pi_hor").verdict == "pass"
         # the i_v claim on the kernel is measured, not presumed
-        assert rep.entry("split_laplacian.kernel_iv_vanishing").verdict == "noted"
+        assert record(rep, "split_laplacian.kernel_iv_vanishing").verdict == "noted"
 
 
 def plant(monkeypatch, model, pack, name, poly):
@@ -202,13 +202,13 @@ def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
     plant(monkeypatch, model, pack, "W",
           poly("W") + poly(f"e_{pack.reeb_index}") @ poly("i_1"))
     rep = transversal_package(model, pack, reeb_foliation(pack))
-    assert [e.name for e in rep.entries if not e.ok()] == ["transversal.pq_stability"]
+    assert [e.name for e in rep if not e.ok] == ["transversal.pq_stability"]
 
 
 def test_kernel_iv_claim_fails_where_predicted():
     model, pack = model_pack("su2")
     rep = transversal_package(model, pack, reeb_foliation(pack))
-    assert "fails" in rep.entry("split_laplacian.kernel_iv_vanishing").failure
+    assert "fails" in record(rep, "split_laplacian.kernel_iv_vanishing").failure
 
 
 def test_harmonic_representatives_equal_kernel_of_laplacian():
@@ -338,7 +338,7 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     from lieforms.clifford import Clifford
 
     modules = [importlib.import_module(f"lieforms.{m}")
-               for m in ("models", "operators", "splitting", "cohomology", "cones", "cli")]
+               for m in ("models", "verdicts", "splitting", "cohomology", "cones", "cli")]
     for module in modules:
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
@@ -473,7 +473,7 @@ def test_basic_adjoint_reports_the_first_failing_pair(monkeypatch, name):
     fol = lee_foliation(pack)
     plant(monkeypatch, model, pack, "d*",
           operator_pool(model, pack).poly("d*").scale(Scalar.of(2)))
-    [entry] = basic_adjoint_check(model, pack, fol).entries
+    [entry] = basic_adjoint_check(model, pack, fol)
     assert entry.verdict == "fail"
     assert entry.line().startswith("FAIL  basic_adjoint.pairing: ")
     assert entry.line().endswith("[degree 2, basis pair (0,2): 2 vs 1]")
@@ -538,7 +538,7 @@ def test_eigen_exactness_prints_the_spectrum_in_numeric_order():
         assert a in text
         text = text.replace(a, b)
     model, pack = parse_model(text, "e9_rotation_3")
-    entries = transversal_package(model, pack, reeb_foliation(pack)).entries
-    [entry] = [e for e in entries if e.name == "split_laplacian.eigen_exactness"]
+    entry = record(transversal_package(model, pack, reeb_foliation(pack)),
+                   "split_laplacian.eigen_exactness")
     assert entry.verdict == "pass"
     assert entry.lhs.endswith("(rational spectrum seen: ['9', '18'])")

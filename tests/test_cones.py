@@ -13,8 +13,13 @@ from lieforms.cones import (
     vaisman_harmonic_check,
 )
 from lieforms.scalars import Scalar
+from lieforms.verdicts import DegreeVerdict
 
-from conftest import model_pack, ops_for
+from conftest import model_pack, ops_for, record
+
+
+def degree_rows(verdict):
+    return [r for r in verdict if isinstance(r, DegreeVerdict)]
 
 
 def test_cone_of_zero_map_splits():
@@ -40,7 +45,7 @@ def test_long_exact_for_lefschetz_on_basic_complexes():
     for name in ("h3", "su2", "h5"):
         model, pack = model_pack(name)
         verdict = lefschetz_cone_package(model, pack)
-        assert all(r.ok for r in verdict.rows), name
+        assert all(r.ok for r in degree_rows(verdict)), name
 
 
 def test_long_exact_for_lefschetz_on_tori():
@@ -58,41 +63,41 @@ def test_cone_identification_is_exact_isomorphism():
     for name in ("su2", "h3", "h5", "su2xr", "h3xr"):
         model, pack = model_pack(name)
         verdict = lefschetz_cone_package(model, pack)
-        assert verdict.passed(), (name, [e.line() for e in verdict.extras])
+        assert all(r.ok for r in verdict), (name, [r.line() for r in verdict])
         for key in ("cone.isomorphism", "cone.bijective", "cone.invariant_proxy",
                     "cone.cohomology_match"):
-            assert any(e.name == key and e.verdict == "pass" for e in verdict.extras), key
+            assert record(verdict, key).verdict == "pass", key
 
 
 def test_sasakian_decomposition_dimensions():
     for name in ("su2", "h3", "h5"):
         model, pack = model_pack(name)
         verdict = sasakian_decomposition(model, pack)
-        assert verdict.passed(), name
+        assert all(r.ok for r in verdict), name
         full = full_complex(model, pack).cohomology()
-        for row in verdict.rows:
+        for row in degree_rows(verdict):
             assert row.proof == full.betti[row.degree]
 
 
 def test_sasakian_decomposition_flags_headline_at_degree_zero():
     model, pack = model_pack("su2")
     verdict = sasakian_decomposition(model, pack)
-    row0 = verdict.row(0)
+    row0 = record(verdict, 0)
     # actual H^0 = 1 while the headline reading (ker of the Lefschetz map
     # on degree-0 basic cohomology) gives 0
     assert row0.actual == 1 and row0.proof == 1
     assert row0.claimed == 0 and row0.headline_ok is False
-    note = [e for e in verdict.extras if e.name == "decomposition.headline_vs_proof"]
-    assert note and note[0].verdict == "noted"
-    assert "disagrees" in note[0].failure
+    note = record(verdict, "decomposition.headline_vs_proof")
+    assert note.verdict == "noted"
+    assert "disagrees" in note.failure
 
 
 def test_sasakian_harmonic_subspace_equality():
     for name in ("su2", "h3", "h5"):
         model, pack = model_pack(name)
         verdict = sasakian_harmonic_check(model, pack)
-        assert verdict.passed(), name
-        for row in verdict.rows:
+        assert all(r.ok for r in verdict), name
+        for row in degree_rows(verdict):
             assert row.ok  # subspace equality with ker Delta, not just dims
 
 
@@ -114,31 +119,30 @@ def test_sasakian_harmonic_check_takes_the_flipped_branch(monkeypatch):
 
     monkeypatch.setattr(cones, "_harmonic_branch_spaces", swapped)
     after = sasakian_harmonic_check(model, pack)
-    row = after.row(1)
+    row = record(after, 1)
     assert (row.branch, row.ok, row.headline_ok) == ("flipped", True, False)
     assert (row.claimed, row.proof, row.actual) == (0, 4, 4)
-    assert row.witnesses == before.row(1).witnesses
+    assert row.witnesses == record(before, 1).witnesses
     assert row.witnesses == ("(1)*t1", "(1)*t2", "(1)*t3", "(1)*t4")
     assert row.line() == ("PASS  degree 1: actual 4; proof-sequence 4; "
                           "headline 0 (inconsistent); branch flipped")
-    assert [r.line() for r in after.rows if r.degree != 1] == \
-        [r.line() for r in before.rows if r.degree != 1]
+    assert [r.line() for r in degree_rows(after) if r.degree != 1] == \
+        [r.line() for r in degree_rows(before) if r.degree != 1]
 
 
 def test_sasakian_harmonic_star_duality_entry():
     model, pack = model_pack("su2")
     verdict = sasakian_harmonic_check(model, pack)
-    assert any(e.name == "harmonic.star_duality" and e.verdict == "pass"
-               for e in verdict.extras)
+    assert record(verdict, "harmonic.star_duality").verdict == "pass"
 
 
 def test_vaisman_decomposition():
     for name, sas_expected in (("su2xr", [1, 0, 0, 1, 0]), ("h3xr", [1, 2, 2, 1, 0])):
         model, pack = model_pack(name)
         verdict = vaisman_decomposition(model, pack)
-        assert verdict.passed(), (name, [r.line() for r in verdict.rows if not r.ok])
+        assert all(r.ok for r in verdict), (name, [r.line() for r in verdict if not r.ok])
         full = full_complex(model, pack).cohomology()
-        for row in verdict.rows:
+        for row in degree_rows(verdict):
             assert row.proof == full.betti[row.degree]
 
 
@@ -146,11 +150,9 @@ def test_vaisman_harmonic_assembly():
     for name in ("su2xr", "h3xr"):
         model, pack = model_pack(name)
         verdict = vaisman_harmonic_check(model, pack)
-        assert verdict.passed(), (name, [e.line() for e in verdict.extras])
-        assert any(e.name == "harmonic.assembly" and e.verdict == "pass"
-                   for e in verdict.extras)
-        assert any(e.name == "harmonic.theta_wedge" and e.verdict == "pass"
-                   for e in verdict.extras)
+        assert all(r.ok for r in verdict), (name, [r.line() for r in verdict])
+        assert record(verdict, "harmonic.assembly").verdict == "pass"
+        assert record(verdict, "harmonic.theta_wedge").verdict == "pass"
 
 
 def test_vaisman_harmonic_boundary_branch_is_resolved_empirically():
@@ -158,11 +160,11 @@ def test_vaisman_harmonic_boundary_branch_is_resolved_empirically():
     # dimension on the Kodaira-surface model; the verdict flips and says so
     model, pack = model_pack("h3xr")
     verdict = vaisman_harmonic_check(model, pack)
-    row2 = verdict.row(2)
+    row2 = record(verdict, 2)
     assert row2.branch == "flipped" and row2.ok
     model, pack = model_pack("su2xr")
     verdict = vaisman_harmonic_check(model, pack)
-    assert all(r.branch == "stated" for r in verdict.rows)
+    assert all(r.branch == "stated" for r in degree_rows(verdict))
 
 
 def test_file_defined_six_dimensional_model_end_to_end():
@@ -172,11 +174,11 @@ def test_file_defined_six_dimensional_model_end_to_end():
     text = (Path(__file__).parent / "data" / "h5xr.alg").read_text(encoding="ascii")
     model, pack = parse_model(text, "h5xr")
     assert full_complex(model, pack).cohomology().betti_list() == [1, 5, 9, 10, 9, 5, 1]
-    assert vaisman_decomposition(model, pack).passed()
+    assert all(r.ok for r in vaisman_decomposition(model, pack))
     verdict = vaisman_harmonic_check(model, pack)
-    assert verdict.passed()
+    assert all(r.ok for r in verdict)
     # the middle-degree branch resolution recurs at the complex dimension
-    assert verdict.row(3).branch == "flipped"
+    assert record(verdict, 3).branch == "flipped"
 
 
 def test_chain_map_commutation_guard():

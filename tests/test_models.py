@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieforms.cohomology import basic_subcomplex, transversal_package
-from lieforms.clifford import Clifford
+from lieforms.clifford import Clifford, supercommutator
 from lieforms.models import (
     AntisymmetryError,
     BUILTIN_NAMES,
@@ -24,8 +24,7 @@ from lieforms.models import (
     validate_pack,
     _check_i_against_w,
 )
-from lieforms.operators import supercommutator
-from lieforms.scalars import I, ONE, Scalar
+from lieforms.scalars import I, ONE, Scalar, ZERO
 from lieforms.splitting import (
     foliation_split,
     hodge_split_d1,
@@ -36,7 +35,7 @@ from lieforms.splitting import (
 
 import block_reference as ref
 from block_reference import bidegree_projectors, reference_operators
-from conftest import DATA, child_env, load, model_pack, ops_for, pool_for
+from conftest import DATA, child_env, load, model_pack, ops_for, pool_for, record
 from form_reference import FormElement, derivation, multiplication, wedge
 from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
 
@@ -162,7 +161,7 @@ def test_jacobi_defect_matches_brute_force(case):
     stored = {(i, j, k): Fraction(v) for i, j, k, v in brackets}
     for i, j, k in product(range(1, dim + 1), repeat=3):
         expected = stored.get((i, j, k), 0) - stored.get((j, i, k), 0)
-        assert model.c(i, j, k) == Scalar(expected)
+        assert model.bracket(i, j).get(k, ZERO) == Scalar(expected)
 
 
 def test_jacobi_defect_finds_a_planted_failure():
@@ -266,7 +265,7 @@ def test_closed_forms_match_the_lagrange_reference(name):
     assert (ref.blocks(pool.poly("d1^{1,0}")), ref.blocks(pool.poly("d1^{0,1}"))) == (d1_10, d1_01)
     fol = reeb_foliation(pack) if pack.kind == "sasakian" else sigma_foliation(pack)
     stable = reference_pq_stable(pi, basic_subcomplex(model, pack, fol))
-    entry = transversal_package(model, pack, fol).entry("transversal.pq_stability")
+    entry = record(transversal_package(model, pack, fol), "transversal.pq_stability")
     assert entry.verdict == ("pass" if stable else "fail")
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from lieforms.models import StructureError, parse_model, structure_operators
-from lieforms.operators import supercommutator
+from lieforms.clifford import supercommutator
 from lieforms.scalars import ONE, Scalar
 from lieforms.splitting import (
     antisymmetry_report,
@@ -21,7 +21,7 @@ from lieforms.splitting import (
 )
 
 import block_reference as ref
-from conftest import model_pack, ops_for, pool_for
+from conftest import model_pack, ops_for, pool_for, record
 from pq_reference import reference_i, reference_projectors
 
 
@@ -125,13 +125,13 @@ def test_kahler_report_passes_with_recorded_variants():
     for name in ("torus2", "torus4"):
         model, pack = model_pack(name)
         rep = kahler_relations(model, pack)
-        assert rep.passed()
-        assert rep.entry("sl2.[H,Lam]").verdict == "variant"
-        assert rep.entry("sl2.[H,Lam]").variant == "-2Lam"
-        assert rep.entry("sl2.[H,L]").verdict == "pass"
-        assert rep.entry("sl2.H_scalar").verdict == "pass"
-        assert rep.entry("delta.{dc,dc*}").ok()
-        for e in rep.entries:
+        assert all(r.ok for r in rep)
+        assert record(rep, "sl2.[H,Lam]").verdict == "variant"
+        assert record(rep, "sl2.[H,Lam]").variant == "-2Lam"
+        assert record(rep, "sl2.[H,L]").verdict == "pass"
+        assert record(rep, "sl2.H_scalar").verdict == "pass"
+        assert record(rep, "delta.{dc,dc*}").ok
+        for e in rep:
             if e.name.startswith("delta.central"):
                 assert e.verdict == "pass"
 
@@ -139,39 +139,39 @@ def test_kahler_report_passes_with_recorded_variants():
 def test_wedge_pair_sums_are_named_once():
     model, pack = model_pack("torus4")
     rep = kahler_relations(model, pack)
-    assert rep.entry("aux.L_as_wedge_pairs").rhs == "sum e_a e_b"
-    assert rep.entry("aux.Lam_as_contraction_pairs").rhs == "sum i_a i_b"
+    assert record(rep, "aux.L_as_wedge_pairs").rhs == "sum e_a e_b"
+    assert record(rep, "aux.Lam_as_contraction_pairs").rhs == "sum i_a i_b"
 
 
 def test_sasakian_report_passes_on_all_contact_builtins():
     for name in ("su2", "h3", "h5"):
         model, pack = model_pack(name)
         rep = sasakian_relations(model, pack)
-        assert rep.passed(), [e.line() for e in rep.entries if not e.ok()]
+        assert all(r.ok for r in rep), [e.line() for e in rep if not e.ok]
 
 
 def test_sasakian_report_variant_details_su2():
     model, pack = model_pack("su2")
     rep = sasakian_relations(model, pack)
     # printed sign typos adjudicated on a model where both sides are nonzero
-    assert rep.entry("aux.d0*_vs_i_r(1)").verdict == "variant"
-    assert rep.entry("aux.d0*_vs_i_r(1)").variant == "-i_r(1)"
-    assert rep.entry("aux.Delta0_vs_Lie^2").verdict == "variant"
-    assert rep.entry("aux.Delta0_vs_Lie^2").variant == "-Lie_r^2"
+    assert record(rep, "aux.d0*_vs_i_r(1)").verdict == "variant"
+    assert record(rep, "aux.d0*_vs_i_r(1)").variant == "-i_r(1)"
+    assert record(rep, "aux.Delta0_vs_Lie^2").verdict == "variant"
+    assert record(rep, "aux.Delta0_vs_Lie^2").variant == "-Lie_r^2"
     # degree-shift type errors in the printed table, resolved by variant
-    assert rep.entry("weil.[W,d1c*]").verdict == "variant"
-    assert rep.entry("laplacian.Delta1_def").verdict == "variant"
-    assert "shift" in rep.entry("laplacian.Delta1_def").failure
+    assert record(rep, "weil.[W,d1c*]").verdict == "variant"
+    assert record(rep, "laplacian.Delta1_def").verdict == "variant"
+    assert "shift" in record(rep, "laplacian.Delta1_def").failure
     # the structural formulas hold with nonzero operators
-    assert rep.entry("structure.d0_formula").verdict == "pass"
-    assert not rep.entry("structure.d0_formula").vacuous
-    assert rep.entry("structure.d2_formula").verdict == "pass"
+    assert record(rep, "structure.d0_formula").verdict == "pass"
+    assert not record(rep, "structure.d0_formula").vacuous
+    assert record(rep, "structure.d2_formula").verdict == "pass"
 
 
 def test_sasakian_first_order_determinacy_entry():
     model, pack = model_pack("su2")
     rep = sasakian_relations(model, pack)
-    entry = rep.entry("aux.first_order.{L,d*}")
+    entry = record(rep, "aux.first_order.{L,d*}")
     assert entry.verdict == "pass"
     assert not entry.vacuous
 
@@ -180,9 +180,9 @@ def test_vaisman_structure_report():
     for name in ("su2xr", "h3xr"):
         model, pack = model_pack(name)
         rep = vaisman_structure_relations(model, pack)
-        assert rep.passed(), [e.line() for e in rep.entries if not e.ok()]
-        assert rep.entry("vaisman.structure_equation").verdict == "pass"
-        assert rep.entry("vaisman.d_theta").verdict == "pass"
+        assert all(r.ok for r in rep), [e.line() for e in rep if not e.ok]
+        assert record(rep, "vaisman.structure_equation").verdict == "pass"
+        assert record(rep, "vaisman.d_theta").verdict == "pass"
 
 
 def test_vaisman_structure_equation_is_vacuous_in_dimension_2(tmp_path):
@@ -216,10 +216,10 @@ def test_relation_table_on_deformed_round_model():
     )
     model, pack = parse_model(text, "deformed")
     rep = sasakian_relations(model, pack)
-    assert rep.passed()
+    assert all(r.ok for r in rep)
     # same adjudications as on the round model itself
-    assert rep.entry("aux.d0*_vs_i_r(1)").variant == "-i_r(1)"
-    assert rep.entry("aux.Delta0_vs_Lie^2").variant == "-Lie_r^2"
+    assert record(rep, "aux.d0*_vs_i_r(1)").variant == "-i_r(1)"
+    assert record(rep, "aux.Delta0_vs_Lie^2").variant == "-Lie_r^2"
 
 
 SU2_AFF = Path(__file__).parent / "data" / "su2_aff.alg"
@@ -242,25 +242,25 @@ def test_verifier_detects_non_integrable_transversal_structure():
     assert not foliation_split(ops.d, model, reeb_foliation(pack))[1].is_zero()
 
     rep = sasakian_relations(model, pack)
-    assert not rep.passed()
-    failing = {e.name for e in rep.entries if not e.ok()}
+    assert not all(r.ok for r in rep)
+    failing = {e.name for e in rep if not e.ok}
     # the failures localize in the Kahler-identity sector
     assert {"kodaira.[Lam,d1]", "kodaira.[L,d1*]", "kodaira.[Lam,d1c]",
             "kodaira.[L,d1c*]", "mixed.{d1*,d1c}", "mixed.{d1,d1c*}",
             "laplacian.Delta1_conjugate"} <= failing
     # while the pointwise-algebraic sector still holds, now non-vacuously,
     # pinning the sign typos that the builtins could only witness as 0 = 0
-    e = rep.entry("weil.[W,d1*]")
+    e = record(rep, "weil.[W,d1*]")
     assert (e.verdict, e.variant, e.vacuous) == ("variant", "+d1c*", False)
-    e = rep.entry("weil.[W,d1c*]")
+    e = record(rep, "weil.[W,d1c*]")
     assert (e.verdict, e.variant, e.vacuous) == ("variant", "-d1*", False)
-    e = rep.entry("weil.[W,d1c]")
+    e = record(rep, "weil.[W,d1c]")
     assert (e.verdict, e.vacuous) == ("pass", False)
-    e = rep.entry("aux.d1c_vs_hodge_components")
+    e = record(rep, "aux.d1c_vs_hodge_components")
     assert (e.variant, e.vacuous) == ("-i(d1^{0,1}-d1^{1,0})", False)
-    e = rep.entry("aux.d1^{1,0}_formula")
+    e = record(rep, "aux.d1^{1,0}_formula")
     assert (e.variant, e.vacuous) == ("(d1-i d1c)/2", False)
-    assert rep.entry("aux.d1c_consistency").verdict == "pass"
+    assert record(rep, "aux.d1c_consistency").verdict == "pass"
 
 
 def test_factor_two_adjudications_on_su2_aff_witness():
@@ -284,7 +284,7 @@ def test_factor_two_adjudications_on_su2_aff_witness():
                          ("squares.{d1*,d1*}", "2Lam(1)"),
                          ("squares.{d1c*,d1c*}", "2Lam(1)"),
                          ("structure.{d0,d2}=-{d1,d1}", "-1/2{d1,d1}")):
-        e = rep.entry(key)
+        e = record(rep, key)
         assert (e.verdict, e.variant, e.vacuous) == ("variant", variant, False), e.line()
 
 
@@ -303,8 +303,8 @@ def test_antisymmetry_and_jacobi_guards():
                              ("torus4", False), ("h5", False),
                              ("su2xr", False), ("h3xr", False)):
         model, pack = model_pack(name)
-        assert antisymmetry_report(model, pack).ok()
-        assert jacobi_report(model, pack, exhaustive=exhaustive).ok()
+        assert antisymmetry_report(model, pack).ok
+        assert jacobi_report(model, pack, exhaustive=exhaustive).ok
 
 
 def _count_block_products(monkeypatch) -> list:
@@ -350,7 +350,7 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
         pool = splitting.operator_pool(model, pack)
     finally:
         splitting.operator_pool.cache_clear()
-    assert rep.passed() and all(g.ok() for g in guards)
+    assert all(r.ok for r in rep) and all(g.ok for g in guards)
     assert products == []
     assert table_pairs and len(table_pairs) == len(set(table_pairs))
     assert sorted(powers) == sorted(set(powers))
@@ -396,7 +396,7 @@ def test_exhaustive_jacobi_skips_zero_products(monkeypatch, name, bound):
 
     monkeypatch.setattr(Clifford, "__matmul__", counted)
     entry = jacobi_report(model, pack, exhaustive=True)
-    assert entry.ok()
+    assert entry.ok
     assert products == []
     assert 0 < len(polynomial_products) < bound
 
@@ -430,6 +430,6 @@ def test_exhaustive_jacobi_builds_only_live_terms(monkeypatch):
     monkeypatch.setattr(splitting, "supercommutator",
                         lambda a, b: calls.append(1) or supercommutator(a, b))
     products = _count_block_products(monkeypatch)
-    assert jacobi_report(model, pack, exhaustive=True).ok()
+    assert jacobi_report(model, pack, exhaustive=True).ok
     assert len(calls) <= 456
     assert products == []
