@@ -133,28 +133,34 @@ def json_text(value) -> str:
 
 
 class Report:
-    """Ordered sections, rendered to text, json or csv deterministically."""
+    """Ordered sections of rows, rendered to text, json or csv
+    deterministically.  A row is made once in all three forms: the triple
+    (text line, JSON object, CSV fields after the section title, or None
+    for a row the CSV leaves out)."""
 
     def __init__(self, command: str, model_name: str):
         self.command = command
         self.model_name = model_name
-        self.sections: list[tuple[str, list[dict]]] = []
+        self.sections: list[tuple[str, list[tuple[str, dict, list | None]]]] = []
         self.failed = False
 
     def add_checks(self, title: str, records: list):
         """A section of check outcomes (`verdicts.py` records), each printed
         as its own row; one that did not pass fails the report."""
-        self.sections.append((title, [r.row() for r in records]))
+        self.sections.append((title, [(r.line(), r.row(), r.csv()) for r in records]))
         if not all(r.ok for r in records):
             self.failed = True
 
-    def add_table(self, title: str, columns: list[str], rows: list[dict]):
-        for r in rows:
-            r.setdefault("kind", "table")
-        self.sections.append((title, [{"kind": "header", "columns": columns}] + rows))
-
-    def add_basis(self, title: str, rows: list[dict]):
-        self.sections.append((title, rows))
+    def add_table(self, title: str, columns: list[str], rows: list[list]):
+        """A header row, then a row per list of column values; the CSV keys
+        a row by its first value and lists the others as column=value."""
+        section = [(" | ".join(columns), {"kind": "header", "columns": columns}, None)]
+        for values in rows:
+            rest = ";".join(f"{c}={v}" for c, v in zip(columns[1:], values[1:]))
+            section.append((" | ".join(map(str, values)),
+                            {**dict(zip(columns, values)), "kind": "table"},
+                            ["table", str(values[0]), rest, "", ""]))
+        self.sections.append((title, section))
 
     # -- renderers -----------------------------------------------------
 
@@ -162,16 +168,7 @@ class Report:
         out = [f"== {self.command} {self.model_name} =="]
         for title, rows in self.sections:
             out.append(f"-- {title}")
-            for r in rows:
-                if r["kind"] == "header":
-                    out.append("  " + " | ".join(r["columns"]))
-                elif r["kind"] == "table":
-                    cols = [c for c in r if c not in ("kind",)]
-                    out.append("  " + " | ".join(str(r[c]) for c in cols))
-                elif r["kind"] == "basis":
-                    out.append(f"  degree {r['degree']} [{r['index']}]: {r['form']}")
-                else:
-                    out.append("  " + r["line"])
+            out += ["  " + line for line, _, _ in rows]
         out.append(f"result: {'FAIL' if self.failed else 'OK'}")
         return "\n".join(out) + "\n"
 
@@ -180,12 +177,8 @@ class Report:
             "command": self.command,
             "model": self.model_name,
             "passed": not self.failed,
-            "sections": [
-                {"title": title, "rows": [
-                    {k: v for k, v in r.items() if k != "line"} for r in rows
-                ]}
-                for title, rows in self.sections
-            ],
+            "sections": [{"title": title, "rows": [obj for _, obj, _ in rows]}
+                         for title, rows in self.sections],
         }
         return json_text(doc) + "\n"
 
@@ -196,22 +189,7 @@ class Report:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "kind", "key", "value", "verdict", "detail"])
         for title, rows in self.sections:
-            for r in rows:
-                if r["kind"] == "header":
-                    continue
-                if r["kind"] == "table":
-                    key = str(r.get("complex", r.get("degree", "")))
-                    rest = {k: v for k, v in r.items() if k not in ("kind", "complex")}
-                    writer.writerow([title, "table", key,
-                                     ";".join(f"{k}={v}" for k, v in rest.items()), "", ""])
-                elif r["kind"] == "basis":
-                    writer.writerow([title, "basis", r["degree"], r["form"], "", str(r["index"])])
-                elif r["kind"] == "degree":
-                    writer.writerow([title, "degree", r["degree"], r["actual"],
-                                     "ok" if r["ok"] else "fail", r.get("notes") or ""])
-                else:
-                    writer.writerow([title, "relation", r["name"], r["rhs"],
-                                     r["verdict"], r.get("variant") or r.get("detail") or ""])
+            writer.writerows([title, *fields] for _, _, fields in rows if fields is not None)
         return buf.getvalue()
 
     def render(self, fmt: str) -> str:
@@ -228,9 +206,8 @@ def _load(name: str):
         "and no such file")
 
 
-def _betti_rows(label, coh):
-    return [{"complex": label, "degree": k, "betti": coh.betti.get(k, 0)}
-            for k in coh.degrees]
+def _betti_rows(name, cx):
+    return [[name, k, cx.betti(k)] for k in cx.degrees]
 
 
 def _run_check(report: Report, model, pack):
@@ -253,18 +230,16 @@ def _run_check(report: Report, model, pack):
 
 
 def _run_cohomology(report: Report, model, pack):
-    full = full_complex(model, pack).cohomology()
+    full = full_complex(model, pack)
     rows = _betti_rows("full", full)
     if pack.kind == "sasakian":
-        rows += _betti_rows("basic", basic_subcomplex(model, pack, reeb_foliation(pack)).cohomology())
+        rows += _betti_rows("basic", basic_subcomplex(model, pack, reeb_foliation(pack)))
     elif pack.kind == "vaisman":
-        hsas = basic_subcomplex(model, pack, lee_foliation(pack)).cohomology()
-        hkah = basic_subcomplex(model, pack, sigma_foliation(pack)).cohomology()
-        rows += _betti_rows("sas", hsas)
-        rows += _betti_rows("kah", hkah)
-        for k in full.degrees:
-            rows.append({"complex": "theta-splitting", "degree": k,
-                         "betti": f"{hsas.betti.get(k, 0)}+{hsas.betti.get(k - 1, 0)}"})
+        sas = basic_subcomplex(model, pack, lee_foliation(pack))
+        rows += _betti_rows("sas", sas)
+        rows += _betti_rows("kah", basic_subcomplex(model, pack, sigma_foliation(pack)))
+        rows += [["theta-splitting", k, f"{sas.betti(k)}+{sas.betti(k - 1)}"]
+                 for k in full.degrees]
     report.add_table("betti numbers", ["complex", "degree", "betti"], rows)
     if pack.kind == "sasakian":
         report.add_checks("cohomology decomposition", sasakian_decomposition(model, pack))
@@ -276,11 +251,12 @@ def _run_harmonic(report: Report, model, pack, degree):
     degrees = range(model.dim + 1) if degree is None else [degree]
     rows = []
     for k in degrees:
-        basis = harmonic_space(model, pack, k)
-        for j, col in enumerate(basis.columns()):
-            rows.append({"kind": "basis", "degree": k, "index": j,
-                         "form": form_text(model.dim, k, col)})
-    report.add_basis("harmonic bases", rows)
+        for j, col in enumerate(harmonic_space(model, pack, k).columns()):
+            form = form_text(model.dim, k, col)
+            rows.append((f"degree {k} [{j}]: {form}",
+                         {"kind": "basis", "degree": k, "index": j, "form": form},
+                         ["basis", k, form, "", str(j)]))
+    report.sections.append(("harmonic bases", rows))
     if pack.kind == "sasakian":
         report.add_checks("harmonic decomposition", sasakian_harmonic_check(model, pack))
     elif pack.kind == "vaisman":

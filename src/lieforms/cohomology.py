@@ -40,15 +40,15 @@ class CochainComplex:
     no Gram matrix has an orthonormal basis.
     """
 
-    __slots__ = ("label", "degrees", "dims", "diff", "gram", "_memo")
+    __slots__ = ("degrees", "dims", "diff", "gram", "_memo")
 
-    def __init__(self, label: str, degrees: tuple[int, ...], dims: dict[int, int],
+    def __init__(self, degrees: tuple[int, ...], dims: dict[int, int],
                  diff: dict[int, Matrix], gram: dict[int, Matrix]):
         for k in degrees:
             if k in diff and k + 1 in diff:
                 if not (diff[k + 1] @ diff[k]).is_zero():
                     raise StructureError("complex", f"d^2 != 0 at degree {k}")
-        self.label, self.degrees, self.dims, self.diff, self.gram = label, degrees, dims, diff, gram
+        self.degrees, self.dims, self.diff, self.gram = degrees, dims, diff, gram
         # cohomology and harmonic coordinates, each computed once
         self._memo: dict = {}
 
@@ -80,7 +80,9 @@ class CochainComplex:
 
     # -- cohomology --------------------------------------------------------
 
-    def cohomology(self) -> "CohomologyReport":
+    def cohomology(self) -> dict[int, Matrix]:
+        """Per degree, a basis of harmonic representatives as the columns
+        of a matrix; computed once."""
         if "cohomology" not in self._memo:
             reps: dict[int, Matrix] = {}
             for k in self.degrees:
@@ -89,29 +91,21 @@ class CochainComplex:
                     # orthogonality to im d: (d_{k-1})^† G x = 0
                     stacked = stacked.vstack(self._times_gram(self.d(k - 1).conj_transpose(), k))
                 reps[k] = nullspace(stacked)
-            betti = {k: v.ncols for k, v in reps.items()}
-            self._memo["cohomology"] = CohomologyReport(self.label, self.degrees, betti, reps)
+            self._memo["cohomology"] = reps
         return self._memo["cohomology"]
+
+    def betti(self, k: int) -> int:
+        """dim H^k, which is 0 outside the complex's degrees."""
+        reps = self.cohomology()
+        return reps[k].ncols if k in reps else 0
+
+    def betti_list(self) -> list[int]:
+        return [reps.ncols for reps in self.cohomology().values()]
 
     def harmonic_coords(self, k: int) -> Matrix:
         if ("harmonic", k) not in self._memo:
             self._memo["harmonic", k] = nullspace(self.laplacian(k))
         return self._memo["harmonic", k]
-
-
-class CohomologyReport:
-    """Per-degree Betti numbers with harmonic representative bases, each
-    basis the columns of a matrix."""
-
-    __slots__ = ("label", "degrees", "betti", "representatives")
-
-    def __init__(self, label: str, degrees: tuple[int, ...], betti: dict[int, int],
-                 representatives: dict[int, Matrix]):
-        self.label, self.degrees, self.betti = label, degrees, betti
-        self.representatives = representatives
-
-    def betti_list(self) -> list[int]:
-        return [self.betti.get(k, 0) for k in self.degrees]
 
 
 class FormComplex(CochainComplex):
@@ -123,9 +117,9 @@ class FormComplex(CochainComplex):
 
     __slots__ = ("embed",)
 
-    def __init__(self, label: str, degrees: tuple[int, ...], dims: dict[int, int],
+    def __init__(self, degrees: tuple[int, ...], dims: dict[int, int],
                  diff: dict[int, Matrix], gram: dict[int, Matrix], embed: dict[int, Matrix]):
-        super().__init__(label, degrees, dims, diff, gram)
+        super().__init__(degrees, dims, diff, gram)
         self.embed = embed
 
     @staticmethod
@@ -135,14 +129,13 @@ class FormComplex(CochainComplex):
         dims = {k: basis_dim(n, k) for k in degrees}
         diff = {k: d.block(k) for k in range(n)}
         embed = {k: Matrix.identity(dims[k]) for k in degrees}
-        return FormComplex(model.name, degrees, dims, diff, {}, embed)
+        return FormComplex(degrees, dims, diff, {}, embed)
 
     @staticmethod
     def from_constraints(
         model: LieModel,
         d: Clifford,
         constraints: list[Clifford],
-        label: str,
     ) -> "FormComplex":
         """Common kernel of the constraint operators, with d restricted.
 
@@ -164,7 +157,7 @@ class FormComplex(CochainComplex):
         # a degree spanning a coordinate subspace has an orthonormal basis
         gram = {k: g for k in degrees
                 if (g := embed[k].conj_transpose() @ embed[k]) != Matrix.identity(dims[k])}
-        return FormComplex(label, degrees, dims, diff, gram, embed)
+        return FormComplex(degrees, dims, diff, gram, embed)
 
     def restrict(self, op: Clifford) -> dict[int, Matrix]:
         """Coordinate blocks of an ambient operator preserving the subcomplex,
@@ -181,8 +174,7 @@ class FormComplex(CochainComplex):
         degree; computed once per polynomial, like `restrict`."""
         key = ("induced", id(op))
         if key not in self._memo:
-            coh = self.cohomology()
-            maps = induced_map(self.restrict(op), self, coh, coh, degree_offset=op.shift)
+            maps = induced_map(self.restrict(op), self, self, degree_offset=op.shift)
             self._memo[key] = (op, {k: (m, rank(m)) for k, m in maps.items()})
         return self._memo[key][1]
 
@@ -223,10 +215,8 @@ def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> Matrix:
 def basic_subcomplex(model: LieModel, pack: StructurePack, fol: Foliation) -> FormComplex:
     """Forms killed by i_v and Lie_v for every v spanning the foliation."""
     check_integrable(model, fol)
-    label = f"{model.name}:basic{list(fol)}"
     constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
-    return FormComplex.from_constraints(model, operator_pool(model, pack).poly("d"),
-                                        constraints, label)
+    return FormComplex.from_constraints(model, operator_pool(model, pack).poly("d"), constraints)
 
 
 def _contractions(model: LieModel, pack: StructurePack, fol: Foliation):
@@ -235,21 +225,16 @@ def _contractions(model: LieModel, pack: StructurePack, fol: Foliation):
     return [(pool.poly(f"i_{v}"), pool.poly(("d", f"i_{v}"))) for v in fol]
 
 
-def invariant_subcomplex(model: LieModel, pack: StructurePack,
-                         extra: Foliation | None = None) -> FormComplex:
-    """Lie_r-invariant forms, optionally also basic for a foliation.
-
-    The plain invariant complex is the cone-side stand-in for the model;
-    for Vaisman models the cone construction lives inside the invariant
-    part of the Lee-basic complex, which is what `extra` provides.
-    """
+def invariant_subcomplex(model: LieModel, pack: StructurePack) -> FormComplex:
+    """The Lie_r-invariant part of the contact-level complex C, the
+    cone-side stand-in for C: Lie_r-invariant forms, which for a Vaisman
+    pack are also basic for the Lee foliation (`contact_foliation`)."""
     pool = operator_pool(model, pack)
     constraints = [pool.poly("Lie_r")]
-    label = f"{model.name}:invariant"
-    if extra is not None:
-        constraints += [op for pair in _contractions(model, pack, extra) for op in pair]
-        label += f"+basic{list(extra)}"
-    return FormComplex.from_constraints(model, pool.poly("d"), constraints, label)
+    lee = contact_foliation(pack)
+    if lee is not None:
+        constraints += [op for pair in _contractions(model, pack, lee) for op in pair]
+    return FormComplex.from_constraints(model, pool.poly("d"), constraints)
 
 
 def contact_foliation(pack: StructurePack) -> Foliation | None:
@@ -319,20 +304,20 @@ def _basic_adjoint(model, pack, sub: FormComplex) -> RelationEntry:
                          "g(d*_bas a, b)", "pass")
 
 
-def induced_map(blocks: dict[int, Matrix], tgt: CochainComplex,
-                src_coh: CohomologyReport, tgt_coh: CohomologyReport,
+def induced_map(blocks: dict[int, Matrix], src: CochainComplex, tgt: CochainComplex,
                 degree_offset: int = 0) -> dict[int, Matrix]:
     """Map induced on cohomology by a chain map given in coordinates.
 
     blocks[k]: src degree k -> tgt degree k + degree_offset.  Classes are
     expressed in the representative bases by solving modulo exact vectors.
     """
+    tgt_reps = tgt.cohomology()
     out = {}
-    for k in src_coh.degrees:
+    for k, reps_s in src.cohomology().items():
         tk = k + degree_offset
-        if tk not in tgt_coh.betti:
+        if tk not in tgt_reps:
             continue
-        reps_s, reps_t = src_coh.representatives[k], tgt_coh.representatives[tk]
+        reps_t = tgt_reps[tk]
         image = (blocks[k] @ reps_s if k in blocks
                  else Matrix.zero(tgt.dim(tk), reps_s.ncols))
         x = solve(reps_t.hstack(tgt.d(tk - 1)), image)
@@ -352,7 +337,6 @@ def transversal_package(model: LieModel, pack: StructurePack,
     """
     pool = operator_pool(model, pack)
     sub = basic_subcomplex(model, pack, fol)
-    coh = sub.cohomology()
     report = []
     n_t = (model.dim - len(fol)) // 2
 
@@ -365,12 +349,12 @@ def transversal_package(model: LieModel, pack: StructurePack,
         e = n_t - k
         if e < 0 or 2 * n_t - k > max(sub.degrees):
             continue
-        power = Matrix.identity(coh.betti[k])
+        power = Matrix.identity(sub.betti(k))
         for j in range(k, k + 2 * e, 2):
             power = lef[j][0] @ power
         rk = rank(power)
         detail.append(f"L^{e}:H^{k}->H^{2*n_t-k} rank {rk}")
-        ok = ok and rk == coh.betti[k] == coh.betti[2 * n_t - k]
+        ok = ok and rk == sub.betti(k) == sub.betti(2 * n_t - k)
     report.append(RelationEntry("transversal.hard_lefschetz",
                                 "; ".join(detail) or "no middle degrees", "bijective",
                                 "pass" if ok else "fail"))
@@ -433,7 +417,7 @@ def transversal_package(model: LieModel, pack: StructurePack,
     # harmonic basic = closed, orthogonal to exact (subspace identity), and
     # its dimension computes basic cohomology
     for k in sub.degrees:
-        if not subspace_equal(sub.harmonic_coords(k), coh.representatives[k]):
+        if not subspace_equal(sub.harmonic_coords(k), sub.cohomology()[k]):
             report.append(RelationEntry("transversal.harmonic_vs_representatives",
                                         f"ker Delta_bas deg {k}", "closed & orthogonal to exact",
                                         "fail"))
@@ -442,7 +426,7 @@ def transversal_package(model: LieModel, pack: StructurePack,
         report.append(RelationEntry("transversal.harmonic_vs_representatives",
                                     "ker Delta_bas", "closed & orthogonal to exact, all degrees",
                                     "pass"))
-    hodge_iso = all(sub.harmonic_coords(k).ncols == coh.betti[k] for k in sub.degrees)
+    hodge_iso = all(sub.harmonic_coords(k).ncols == sub.betti(k) for k in sub.degrees)
     report.append(RelationEntry("transversal.hodge_isomorphism",
                                 "dim ker Delta_bas", "basic Betti number, all degrees",
                                 "pass" if hodge_iso else "fail"))

@@ -233,14 +233,6 @@ def validate_pack(model: LieModel, pack: StructurePack):
 # -- built-in models ---------------------------------------------------
 
 
-def builtin_models() -> list[tuple[LieModel, StructurePack]]:
-    """The seven shipped models, packs validated on construction."""
-    out = []
-    for name in BUILTIN_NAMES:
-        out.append(builtin(name))
-    return out
-
-
 def builtin(name: str) -> tuple[LieModel, StructurePack]:
     """A shipped model, parsed from its `.alg` file (see `builtin_file_text`)."""
     if name not in BUILTIN_NAMES:
@@ -301,7 +293,12 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                 pair, target = left.split("->")
                 i_text, j_text = pair.split()
                 i, j, k = int(i_text), int(j_text), int(target)
-                coeff = Scalar(Fraction(coeff_text.strip()))
+                coeff_text = coeff_text.strip()
+                # an exponent (1e999999999) would have Fraction build a huge integer
+                if "e" in coeff_text or "E" in coeff_text:
+                    raise ModelSyntaxError(
+                        line_no, f"coefficient {coeff_text!r} has an exponent; write it as a/b")
+                coeff = Scalar(Fraction(coeff_text))
             except (ValueError, ZeroDivisionError):
                 raise ModelSyntaxError(line_no, f"expected `i j -> k : a/b`, got {line!r}")
             if "dim" not in settings:

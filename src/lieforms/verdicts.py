@@ -1,11 +1,12 @@
-"""The outcome of a check, as a record and as the report row it prints.
+"""The outcome of a check, as a record and as the report rows it prints.
 
 A check returns a plain list of records: `RelationEntry` for an operator
 identity or a named property, `DegreeVerdict` for one degree of a
 decomposition or a long exact sequence.  Each record says whether it
-passed (`ok`) and gives its own report row (`row()`), whose `line` is the
-text report's line.  `check_relation` decides one identity on Clifford
-polynomials, with sign/argument variant adjudication.
+passed (`ok`) and gives its own row in each report format: its text line
+(`line()`), its JSON object (`row()`) and its CSV fields after the
+section title (`csv()`).  `check_relation` decides one identity on
+Clifford polynomials, with sign/argument variant adjudication.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ class RelationEntry:
         return {
             "kind": "relation", "name": self.name, "lhs": self.lhs, "rhs": self.rhs,
             "verdict": self.verdict, "variant": self.variant,
-            "vacuous": self.vacuous, "detail": self.failure, "line": self.line(),
+            "vacuous": self.vacuous, "detail": self.failure,
         }
+
+    def csv(self) -> list:
+        return ["relation", self.name, self.rhs, self.verdict, self.variant or self.failure or ""]
 
 
 class DegreeVerdict:
@@ -91,8 +95,10 @@ class DegreeVerdict:
             "proof": self.proof, "headline": self.claimed,
             "headline_consistent": self.headline_ok, "branch": self.branch,
             "ok": self.ok, "notes": self.notes, "witnesses": list(self.witnesses),
-            "line": self.line(),
         }
+
+    def csv(self) -> list:
+        return ["degree", self.degree, self.actual, "ok" if self.ok else "fail", self.notes]
 
 
 def _describe_difference(lhs: Clifford, rhs: Clifford) -> str:

@@ -194,14 +194,14 @@ def test_criterion_5_betti_tables_against_oracle():
     failures = []
     for name, want in EXPECTED_BETTI.items():
         model, pack = model_pack(name)
-        got = full_complex(model, pack).cohomology().betti_list()
+        got = full_complex(model, pack).betti_list()
         oracle_says = oracle.betti_table(*ORACLE_MODELS[name])
         if not (got == want == oracle_says):
             failures.append((name, got, want, oracle_says))
     for (name, span), want in EXPECTED_BASIC.items():
         model, pack = model_pack(name)
         fol = (sigma_foliation(pack) if len(span) == 2 else reeb_foliation(pack))
-        got = basic_subcomplex(model, pack, fol).cohomology().betti_list()
+        got = basic_subcomplex(model, pack, fol).betti_list()
         oracle_says = oracle.basic_betti_table(*ORACLE_MODELS[name], span)
         top = len(want)
         if not (got[:top] == want == oracle_says and all(b == 0 for b in got[top:])):
@@ -301,7 +301,7 @@ def test_criterion_10_structural_guards(tmp_path):
             failures.append((name, "jacobi sample"))
     for name in ("su2", "h3", "h5"):
         model, pack = model_pack(name)
-        betti = full_complex(model, pack).cohomology().betti_list()
+        betti = full_complex(model, pack).betti_list()
         if betti != betti[::-1]:
             failures.append((name, "poincare duality"))
         if sum((-1) ** k * b for k, b in enumerate(betti)) != 0:

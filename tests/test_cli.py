@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lieforms.cli import RunConfig, json_text, parse_args, run
 from lieforms.models import builtin_file_text
 
-from conftest import child_env
+from conftest import DATA, child_env
 
 
 def _run_to_file(tmp_path, command, model, fmt="text", degree=None, name="out"):
@@ -80,6 +82,19 @@ def test_bad_structure_index_is_input_error(tmp_path, text, line):
     assert f"line {line}:" in child.stderr
 
 
+@pytest.mark.parametrize("coeff", ["1e5000", "1e999999999", "1E5000"])
+def test_exponent_coefficient_is_input_error(tmp_path, capsys, coeff):
+    # an exponent would have Fraction build a huge integer (1e999999999 has
+    # about 3.3 billion bits), so it is refused before that
+    bad = tmp_path / "exponent.alg"
+    bad.write_text(f"[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : {coeff}\n"
+                   "[structure]\nkind = sasakian\nreeb = 3\n")
+    start = time.monotonic()
+    assert run(RunConfig(command="check", model=str(bad))) == 2
+    assert time.monotonic() - start < 5
+    assert f"line 4: coefficient {coeff!r} has an exponent" in capsys.readouterr().err
+
+
 def test_broken_jacobi_file_reports_offending_triple(tmp_path, capsys):
     bad = tmp_path / "nonjacobi.alg"
     bad.write_text("[algebra]\ndim = 3\n[brackets]\n"
@@ -104,6 +119,36 @@ def test_harmonic_degree_flag_restricts_output(tmp_path):
     assert code == 0
     assert "degree 3 [0]: (1)*t1^t2^t3" in text
     assert "degree 0 [0]" not in text
+
+
+def _sections(fmt: str, body: bytes) -> dict[str, list]:
+    """{section title: its rows} of a json or csv report."""
+    if fmt == "json":
+        return {s["title"]: s["rows"] for s in json.loads(body)["sections"]}
+    out: dict[str, list] = {}
+    for row in list(csv.reader(io.StringIO(body.decode())))[1:]:
+        out.setdefault(row[0], []).append(row[1:])
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("model", ["torus4", "h5", "su2xr", str(DATA / "h5xr.alg")],
+                         ids=["torus4", "h5", "su2xr", "h5xr.alg"])
+def test_single_commands_print_the_sections_of_all(tmp_path, model, fmt):
+    # each single command's report is made of the same-titled sections of
+    # `all`, row for row; `harmonic --degree 2` keeps the degree-2 bases
+    whole = _sections(fmt, _run_to_file(tmp_path, "all", model, fmt, name="all")[1])
+    degree_2 = (lambda r: r["degree"] == 2) if fmt == "json" else (lambda r: r[1] == "2")
+    whole["harmonic bases"] = [r for r in whole["harmonic bases"] if degree_2(r)]
+    commands = ["check", "cohomology", "harmonic"]
+    if "cone equivalence and long exact sequence" in whole:
+        commands.append("cone")
+    for command in commands:
+        degree = 2 if command == "harmonic" else None
+        single = _sections(fmt, _run_to_file(tmp_path, command, model, fmt, degree, command)[1])
+        assert single, command
+        for title, rows in single.items():
+            assert rows == whole[title], (command, title)
 
 
 def test_byte_determinism(tmp_path):

@@ -16,7 +16,6 @@ from lieforms.models import (
     StructureError,
     builtin,
     builtin_file_text,
-    builtin_models,
     ce_differential,
     load_model_file,
     parse_model,
@@ -45,7 +44,6 @@ def t(n, *ix):
 
 def test_builtin_list_is_complete():
     assert BUILTIN_NAMES == ("torus2", "torus4", "su2", "h3", "h5", "su2xr", "h3xr")
-    assert len(builtin_models()) == 7
 
 
 def test_packs_validate_on_construction():
