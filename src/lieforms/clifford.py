@@ -32,8 +32,8 @@ from math import comb
 from operator import add
 
 from .forms import monomial_basis
-from .matrices import Matrix
-from .scalars import ONE, Scalar
+from .matrices import Matrix, add_into
+from .scalars import MINUS_ONE, ONE, Scalar
 
 Term = tuple[int, int]  # (W, C) as bitmasks
 
@@ -157,24 +157,15 @@ class Clifford:
     # -- operator algebra ----------------------------------------------
 
     def __add__(self, other: "Clifford") -> "Clifford":
-        return self._plus(other, False)
+        return self._plus(other, ONE)
 
     def __sub__(self, other: "Clifford") -> "Clifford":
-        return self._plus(other, True)
+        return self._plus(other, MINUS_ONE)
 
-    def _plus(self, other: "Clifford", negate: bool) -> "Clifford":
+    def _plus(self, other: "Clifford", c: Scalar) -> "Clifford":
+        """self + c*other."""
         self._check_like(other)
-        terms = dict(self.terms)
-        for key, v in other.terms.items():
-            if negate:
-                v = -v
-            if key in terms:
-                v = terms[key] + v
-                if not v:
-                    del terms[key]
-                    continue
-            terms[key] = v
-        return _new(self.ngen, self.shift, terms)
+        return _new(self.ngen, self.shift, add_into(dict(self.terms), other.terms, c))
 
     def __neg__(self) -> "Clifford":
         return _new(self.ngen, self.shift, {key: -v for key, v in self.terms.items()})

@@ -171,11 +171,11 @@ class FormComplex(CochainComplex):
     def induced(self, op: Clifford) -> dict[int, tuple[Matrix, int]]:
         """The map an ambient operator commuting with d induces on this
         complex's cohomology, H^k -> H^{k + shift}, with its rank in each
-        degree; computed once per polynomial, like `restrict`."""
+        degree (`induced_map`); computed once per polynomial, like `restrict`."""
         key = ("induced", id(op))
         if key not in self._memo:
-            maps = induced_map(self.restrict(op), self, self, degree_offset=op.shift)
-            self._memo[key] = (op, {k: (m, rank(m)) for k, m in maps.items()})
+            self._memo[key] = (op, induced_map(self.restrict(op), self, self,
+                                               degree_offset=op.shift))
         return self._memo[key][1]
 
     def _restrict(self, op: Clifford) -> dict[int, Matrix]:
@@ -230,20 +230,18 @@ def invariant_subcomplex(model: LieModel, pack: StructurePack) -> FormComplex:
     cone-side stand-in for C: Lie_r-invariant forms, which for a Vaisman
     pack are also basic for the Lee foliation (`contact_foliation`)."""
     pool = operator_pool(model, pack)
-    constraints = [pool.poly("Lie_r")]
-    lee = contact_foliation(pack)
-    if lee is not None:
-        constraints += [op for pair in _contractions(model, pack, lee) for op in pair]
+    constraints = [pool.poly("Lie_r")] + [
+        op for pair in _contractions(model, pack, contact_foliation(pack)) for op in pair]
     return FormComplex.from_constraints(model, pool.poly("d"), constraints)
 
 
-def contact_foliation(pack: StructurePack) -> Foliation | None:
+def contact_foliation(pack: StructurePack) -> Foliation:
     """The foliation whose basic complex is the contact-level complex C:
-    none for a Sasakian pack (C is the full complex), the Lee foliation for
-    a Vaisman pack."""
+    the empty one for a Sasakian pack (C is the full complex), the Lee
+    foliation for a Vaisman pack."""
     if pack.kind == "kahler":
         raise StructureError("cone", "cone package needs a reeb direction")
-    return lee_foliation(pack) if pack.kind == "vaisman" else None
+    return lee_foliation(pack) if pack.kind == "vaisman" else ()
 
 
 def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex, FormComplex]:
@@ -252,10 +250,11 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
     C is the contact-level complex: the full complex of a Sasakian pack,
     the Lee-basic complex of a Vaisman pack, which is itself a complex of
     Sasakian type (Ornea-Verbitsky 2003).  B is the basic complex of the
-    pack's canonical foliation.
+    pack's canonical foliation.  The empty foliation takes the full complex,
+    which `from_constraints` would only rebuild by elimination.
     """
     lee = contact_foliation(pack)
-    contact = full_complex(model, pack) if lee is None else basic_subcomplex(model, pack, lee)
+    contact = basic_subcomplex(model, pack, lee) if lee else full_complex(model, pack)
     return contact, basic_subcomplex(model, pack, pack.vertical_indices)
 
 
@@ -305,8 +304,9 @@ def _basic_adjoint(model, pack, sub: FormComplex) -> RelationEntry:
 
 
 def induced_map(blocks: dict[int, Matrix], src: CochainComplex, tgt: CochainComplex,
-                degree_offset: int = 0) -> dict[int, Matrix]:
-    """Map induced on cohomology by a chain map given in coordinates.
+                degree_offset: int = 0) -> dict[int, tuple[Matrix, int]]:
+    """Map induced on cohomology by a chain map given in coordinates, with
+    its rank: {k: (matrix, rank)}.
 
     blocks[k]: src degree k -> tgt degree k + degree_offset.  Classes are
     expressed in the representative bases by solving modulo exact vectors.
@@ -323,7 +323,8 @@ def induced_map(blocks: dict[int, Matrix], src: CochainComplex, tgt: CochainComp
         x = solve(reps_t.hstack(tgt.d(tk - 1)), image)
         if x is None:
             raise StructureError("chain_map", f"image class not closed at degree {k}")
-        out[k] = x.top(reps_t.ncols)
+        m = x.top(reps_t.ncols)
+        out[k] = (m, rank(m))
     return out
 
 

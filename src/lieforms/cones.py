@@ -51,19 +51,17 @@ def lefschetz_long_exact(basic: CochainComplex, lef: dict[int, tuple[Matrix, int
     """Exactness of ... -> H^{k-1}(B) -L-> H^{k+1}(B) -inc-> H^k(cone)
     -proj-> H^k(B) -L-> H^{k+2}(B) -> ... at every node, one row per cone
     degree k, via exact rank bookkeeping: consecutive maps compose to zero
-    and rank(in) + rank(out) = dim(middle).  lef is L on H(B) with its
-    ranks, as `FormComplex.induced` gives it (a degree it lacks is a zero
-    map); inc is (0, 1) and proj is (1, 0) on Cone_k = B_k (+) B_{k+1}.
+    and rank(in) + rank(out) = dim(middle).  Each map is read as
+    `induced_map` gives it, {k: (matrix, rank)}, and a degree it lacks is a
+    zero map: lef is L on H(B), as `FormComplex.induced` gives it, and inc
+    is (0, 1) and proj is (1, 0) on Cone_k = B_k (+) B_{k+1}.
     """
     inc_blocks = {j: Matrix.zero(basic.dim(j - 1), basic.dim(j)).vstack(
         Matrix.identity(basic.dim(j))) for j in basic.degrees}
     proj_blocks = {k: Matrix.identity(basic.dim(k)).hstack(
         Matrix.zero(basic.dim(k), basic.dim(k + 1))) for k in basic.degrees}
-    # each induced map with its rank, as it is the outgoing map of one node
-    # and the incoming map of the next
-    inc, proj = ({k: (m, rank(m)) for k, m in maps.items()} for maps in (
-        induced_map(inc_blocks, basic, cone, degree_offset=-1),
-        induced_map(proj_blocks, cone, basic)))
+    inc = induced_map(inc_blocks, basic, cone, degree_offset=-1)
+    proj = induced_map(proj_blocks, cone, basic)
     rows = []
     for k in cone.degrees:
         actual = cone.betti(k)
@@ -145,7 +143,7 @@ def lefschetz_cone_package(model: LieModel,
     # of C; each complex prints as its constraint set
     lee = contact_foliation(pack)
     invariant, contact = f"{model.name}:invariant", model.name
-    if lee is not None:
+    if lee:
         invariant, contact = f"{invariant}+basic{list(lee)}", f"{contact}:basic{list(lee)}"
     verdict.append(RelationEntry(
         "cone.invariant_proxy", f"H({invariant})", f"H({contact})",
@@ -162,6 +160,12 @@ def lefschetz_cone_package(model: LieModel,
 # -- decomposition of cohomology ---------------------------------------
 
 
+# per kind, the complex L acts on, the middle degree and how the headline
+# note names the proof sequences, in the three Lefschetz entries
+_LEFSCHETZ_TEXT = {"sasakian": ("bas", "n", " with the proof sequences"),
+                   "vaisman": ("kah", "n-1", "")}
+
+
 def _lefschetz_sequences(model: LieModel, pack: StructurePack):
     """The contact-level Betti numbers read off the basic cohomology
     through L, for i = 0..2n+1 with n = `pack.transversal_dim`.
@@ -169,8 +173,9 @@ def _lefschetz_sequences(model: LieModel, pack: StructurePack):
     Proof-sequence reading (normative): dim H^i(C) = coker(L: H^{i-2}(B)
     -> H^i(B)) for i <= n and ker(L: H^{i-1}(B) -> H^{i+1}(B)) for i > n.
     The headline ker/coker phrasing is evaluated alongside.  Returns one
-    row per degree, checked against H(C), and whether L is injective and
-    surjective where the proof sequences need it.
+    row per degree, checked against H(C), and the three entries on L's
+    injectivity and surjectivity where the proof sequences need them and
+    on the headline reading, worded per kind (`_LEFSCHETZ_TEXT`).
     """
     contact, basic = contact_complexes(model, pack)
     rk = {k: r for k, (_, r) in basic.induced(operator_pool(model, pack).poly("L")).items()}
@@ -190,7 +195,21 @@ def _lefschetz_sequences(model: LieModel, pack: StructurePack):
         rows.append(DegreeVerdict(
             degree=i, claimed=claimed, proof=proof, actual=have, ok=proof == have,
             headline_ok=claimed == have, branch="i<=n" if i <= n else "i>n"))
-    return rows, inj_ok, surj_ok
+    sub, mid, against = _LEFSCHETZ_TEXT[pack.kind]
+    bad = [r.degree for r in rows if not r.headline_ok]
+    entries = [
+        RelationEntry("decomposition.lefschetz_injective",
+                      f"L: H^{{i-2}}_{sub} -> H^i_{sub}, i <= {mid}",
+                      "injective", "pass" if inj_ok else "fail"),
+        RelationEntry("decomposition.lefschetz_surjective",
+                      f"L: H^{{i-1}}_{sub} -> H^{{i+1}}_{sub}, i > {mid}",
+                      "surjective", "pass" if surj_ok else "fail"),
+        RelationEntry("decomposition.headline_vs_proof", "headline ker/coker placement",
+                      "proof-sequence placement", "noted",
+                      failure=(f"headline reading disagrees{against} at degrees {bad}; "
+                               "the proof sequences are normative") if bad
+                      else "both readings agree on this model")]
+    return rows, entries
 
 
 def sasakian_decomposition(model: LieModel,
@@ -198,23 +217,8 @@ def sasakian_decomposition(model: LieModel,
     """Full Betti numbers from the basic ones through the Lefschetz map
     (`_lefschetz_sequences`).  The headline reading is flagged where it
     disagrees with the proof sequences (it does at degree 0)."""
-    verdict, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
-    headline_disagrees = [r.degree for r in verdict if not r.headline_ok]
-    verdict.append(RelationEntry(
-        "decomposition.lefschetz_injective", "L: H^{i-2}_bas -> H^i_bas, i <= n",
-        "injective", "pass" if inj_ok else "fail"))
-    verdict.append(RelationEntry(
-        "decomposition.lefschetz_surjective", "L: H^{i-1}_bas -> H^{i+1}_bas, i > n",
-        "surjective", "pass" if surj_ok else "fail"))
-    verdict.append(RelationEntry(
-        "decomposition.headline_vs_proof",
-        "headline ker/coker placement",
-        "proof-sequence placement",
-        "noted",
-        failure=("headline reading disagrees with the proof sequences at degrees "
-                 f"{headline_disagrees}; the proof sequences are normative")
-        if headline_disagrees else "both readings agree on this model"))
-    return verdict
+    rows, entries = _lefschetz_sequences(model, pack)
+    return rows + entries
 
 
 def _harmonic_branch_spaces(model, pack, basic):
@@ -241,28 +245,37 @@ def _harmonic_branch_spaces(model, pack, basic):
     return out
 
 
+def _branch_rows(model, pack, basic, n, fits, actual, notes=""):
+    """One row per degree i for the candidate space that holds there:
+    the stated branch (primitive forms for i <= n, eta-wedges above), or
+    the other one when only it fits.  `fits(i, space)` decides a
+    candidate and `actual(i)` is the dimension it is measured against;
+    the other candidate is tried only when the stated one fails.  Returns
+    the rows and the chosen space of each degree."""
+    rows, chosen = [], []
+    for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, basic)):
+        stated, other = (b1, b2) if i <= n else (b2, b1)
+        pick, branch, ok = stated, "stated", fits(i, stated)
+        if not ok and fits(i, other):
+            pick, branch, ok = other, "flipped", True
+        chosen.append(pick)
+        have = actual(i)
+        rows.append(DegreeVerdict(
+            degree=i, claimed=stated.ncols, proof=pick.ncols, actual=have,
+            ok=ok, headline_ok=stated.ncols == have, branch=branch, notes=notes,
+            witnesses=tuple(form_text(model.dim, i, col) for col in pick.columns())))
+    return rows, chosen
+
+
 def sasakian_harmonic_check(model: LieModel,
                             pack: StructurePack) -> list[DegreeVerdict | RelationEntry]:
     """Harmonic forms are primitive basic-harmonic ones below the middle
     and eta-wedges of co-primitive basic-harmonic ones above it."""
-    basic = contact_complexes(model, pack)[1]
-    n = pack.transversal_dim(model.dim)
-    verdict = []
     full = full_complex(model, pack)
-
-    for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, basic)):
-        target = full.harmonic_coords(i)
-        stated = b1 if i <= n else b2
-        other = b2 if i <= n else b1
-        ok = subspace_equal(stated, target)
-        chosen, branch = stated, "stated"
-        if not ok and subspace_equal(other, target):
-            chosen, branch, ok = other, "flipped", True
-        verdict.append(DegreeVerdict(
-            degree=i, claimed=stated.ncols, proof=chosen.ncols, actual=target.ncols,
-            ok=ok, headline_ok=stated.ncols == target.ncols,
-            branch=branch,
-            witnesses=tuple(form_text(model.dim, i, col) for col in chosen.columns())))
+    verdict = _branch_rows(
+        model, pack, contact_complexes(model, pack)[1], pack.transversal_dim(model.dim),
+        lambda i, space: subspace_equal(space, full.harmonic_coords(i)),
+        lambda i: full.harmonic_coords(i).ncols)[0]
 
     # star duality: *(gamma) = *_bas(gamma) ^ eta for each horizontal
     # monomial gamma, with the basic star oriented so that vol_bas ^ eta = vol
@@ -297,24 +310,11 @@ def vaisman_decomposition(model: LieModel,
             degree=i, claimed=None, proof=split_dim, actual=actual,
             ok=split_dim == actual, notes="H^i_sas + theta^H^{i-1}_sas"))
 
-    rows, inj_ok, surj_ok = _lefschetz_sequences(model, pack)
-    headline_bad = [r.degree for r in rows if not r.headline_ok]
+    rows, entries = _lefschetz_sequences(model, pack)
     verdict.append(RelationEntry(
         "decomposition.sas_from_kah", "H^i_sas", "proof sequences in H^*_kah",
         "pass" if all(r.ok for r in rows) else "fail"))
-    verdict.append(RelationEntry(
-        "decomposition.lefschetz_injective", "L: H^{i-2}_kah -> H^i_kah, i <= n-1",
-        "injective", "pass" if inj_ok else "fail"))
-    verdict.append(RelationEntry(
-        "decomposition.lefschetz_surjective", "L: H^{i-1}_kah -> H^{i+1}_kah, i > n-1",
-        "surjective", "pass" if surj_ok else "fail"))
-    verdict.append(RelationEntry(
-        "decomposition.headline_vs_proof", "headline ker/coker placement",
-        "proof-sequence placement", "noted",
-        failure=(f"headline reading disagrees at degrees {headline_bad}; "
-                 "the proof sequences are normative") if headline_bad
-        else "both readings agree on this model"))
-    return verdict
+    return verdict + entries
 
 
 def vaisman_harmonic_check(model: LieModel,
@@ -322,24 +322,9 @@ def vaisman_harmonic_check(model: LieModel,
     """Full harmonic space = H* (+) theta ^ H* with H* built from the
     transversal basic-harmonic forms."""
     sas, kah = contact_complexes(model, pack)
-    n = model.dim // 2
-    verdict = []
-
-    chosen: dict[int, Matrix] = {}
-    for i, (b1, b2) in enumerate(_harmonic_branch_spaces(model, pack, kah)):
-        stated = b1 if i <= n else b2
-        other = b2 if i <= n else b1
-        target_dim = sas.betti(i)
-        branch = "stated"
-        pick = stated
-        if stated.ncols != target_dim and other.ncols == target_dim:
-            pick, branch = other, "flipped"
-        chosen[i] = pick
-        verdict.append(DegreeVerdict(
-            degree=i, claimed=stated.ncols, proof=pick.ncols, actual=target_dim,
-            ok=pick.ncols == target_dim, headline_ok=stated.ncols == target_dim,
-            branch=branch, notes="dim H^i candidates vs dim H^i_sas",
-            witnesses=tuple(form_text(model.dim, i, col) for col in pick.columns())))
+    verdict, chosen = _branch_rows(
+        model, pack, kah, model.dim // 2, lambda i, space: space.ncols == sas.betti(i),
+        sas.betti, "dim H^i candidates vs dim H^i_sas")
 
     theta_ok = True
     assemble_ok = True

@@ -15,11 +15,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 Row = dict[int, Scalar]
-
-_MINUS_ONE = -ONE
 
 
 class Matrix:
@@ -89,7 +87,7 @@ class Matrix:
         return self._plus(other, ONE)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._plus(other, _MINUS_ONE)
+        return self._plus(other, MINUS_ONE)
 
     def _plus(self, other: "Matrix", c: Scalar) -> "Matrix":
         """self + c*other."""
@@ -97,7 +95,7 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         if not any(other._rows):
             return self
-        return _make(tuple(_add_into(dict(r1), r2, c) for r1, r2 in zip(self._rows, other._rows)),
+        return _make(tuple(add_into(dict(r1), r2, c) for r1, r2 in zip(self._rows, other._rows)),
                      self.ncols)
 
     def __neg__(self) -> "Matrix":
@@ -116,7 +114,7 @@ class Matrix:
         for r in self._rows:
             acc: Row = {}
             for k, a in r.items():
-                _add_into(acc, orows[k], a)
+                add_into(acc, orows[k], a)
             out.append(acc)
         return _make(tuple(out), other.ncols)
 
@@ -178,11 +176,13 @@ def _make(rows: tuple[Row, ...], ncols: int, m: Matrix | None = None) -> Matrix:
     return m
 
 
-def _add_into(acc: Row, y: Row, c: Scalar) -> Row:
-    """acc += c*y in place for a nonzero c, dropping the entries that cancel."""
+def add_into(acc: dict, y: dict, c: Scalar) -> dict:
+    """acc += c*y in place for a nonzero c, dropping the entries that
+    cancel: a sparse sum of {key: nonzero Scalar} dicts, the rows here and
+    the term dicts of `clifford`."""
     for j, b in y.items():
         if c is not ONE:
-            b = -b if c is _MINUS_ONE else b * c
+            b = -b if c is MINUS_ONE else b * c
         a = acc.get(j)
         if a is None:
             acc[j] = b
@@ -210,7 +210,7 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
         for i, row in enumerate(rows):
             f = row.get(col)
             if f is not None and i != r:
-                rows[i] = _add_into(dict(row), prow, -f)
+                rows[i] = add_into(dict(row), prow, -f)
         pivots.append(col)
         r += 1
         if r == len(rows):

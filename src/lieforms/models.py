@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .clifford import Clifford, supercommutator
 from .forms import form_text
-from .scalars import ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
 class ModelError(Exception):
@@ -178,10 +178,10 @@ def ce_differential(model: LieModel) -> Clifford:
 
 
 def fundamental_form(ngen: int, pack: StructurePack) -> Clifford:
-    """L = sum of e_a e_b over the transversal J pairs a -> b (a < b), the
+    """L = sum of e_a e_b over the transversal J pairs a -> b, the
     multiplication by omega0; built at shift 2 even when there are no
-    pairs."""
-    return Clifford(ngen, 2, {(1 << (a - 1) | 1 << (b - 1), 0): ONE
+    pairs.  A term is normal-ordered, so e_a e_b = -e_b e_a for a > b."""
+    return Clifford(ngen, 2, {(1 << (a - 1) | 1 << (b - 1), 0): ONE if a < b else MINUS_ONE
                               for a, b in pack.transversal_pairs()})
 
 
@@ -193,7 +193,7 @@ def validate_pack(model: LieModel, pack: StructurePack):
     d(eta) = omega0 reads {d, e_r} = L.  What holds by construction is not
     checked: eta and theta are unit coframe generators, omega is
     omega0 + theta ^ eta, L is built from the J pairs, `parse_model` has
-    checked the indices, sorted each pair and paired lee with reeb, and
+    checked the indices and paired lee with reeb, and
     d(eta) = omega0 with d(theta) = 0 leaves the leafwise volume closed.
     """
     n = model.dim
@@ -298,7 +298,14 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                 if "e" in coeff_text or "E" in coeff_text:
                     raise ModelSyntaxError(
                         line_no, f"coefficient {coeff_text!r} has an exponent; write it as a/b")
-                coeff = Scalar(Fraction(coeff_text))
+                # a printed mismatch multiplies up to four coefficients, so each
+                # is kept below 10^100, and a text longer than any such one needs
+                # is refused unread
+                value = Fraction(coeff_text) if len(coeff_text) <= 1000 else None
+                if value is None or max(abs(value.numerator), value.denominator) >= 10 ** 100:
+                    raise ModelSyntaxError(line_no, "coefficient too large: numerator and "
+                                                    "denominator must be below 10^100")
+                coeff = Scalar(value)
             except (ValueError, ZeroDivisionError):
                 raise ModelSyntaxError(line_no, f"expected `i j -> k : a/b`, got {line!r}")
             if "dim" not in settings:
@@ -308,6 +315,8 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
                 raise ModelSyntaxError(line_no, f"index out of range 1..{dim}")
             if i == j:
                 raise AntisymmetryError(f"line {line_no}: bracket [e_{i},e_{i}] must vanish")
+            if not coeff:
+                raise ModelSyntaxError(line_no, f"explicit zero bracket entry ({i},{j})->{k}")
             key = (min(i, j), max(i, j), k)
             val = coeff if i < j else -coeff
             if key in brackets:
@@ -377,7 +386,6 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
         j_pairs = _default_j_pairs(dim, kind, reeb, lee)
     elif kind == "vaisman" and not any(set(p) == {lee, reeb} for p in j_pairs):
         j_pairs = list(j_pairs) + [(min(lee, reeb), max(lee, reeb))]
-    j_pairs = [tuple(sorted(p)) for p in j_pairs]
 
     pack = StructurePack(kind, reeb, lee, tuple(j_pairs))
     validate_pack(model, pack)

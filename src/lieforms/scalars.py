@@ -151,6 +151,8 @@ def _complex(re: int | Fraction, im: int | Fraction) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+# the one -1 that `matrices.add_into`'s callers pass, tested by identity
+MINUS_ONE = -ONE
 I = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
 

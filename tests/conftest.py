@@ -1,4 +1,5 @@
 import functools
+import importlib
 import os
 from pathlib import Path
 
@@ -44,6 +45,22 @@ def record(records: list, key):
         if getattr(r, field, None) == key:
             return r
     raise KeyError(key)
+
+
+def plant(monkeypatch, model, pack, name, poly, layer="cohomology"):
+    """Make one layer's pool (`lieforms.<layer>.operator_pool`) hand out
+    the given polynomial for one name and the true pool's for every other."""
+    pool = operator_pool(model, pack)
+
+    class PlantedPool:
+        def poly(self, ref):
+            return poly if ref == name else pool.poly(ref)
+
+        def __getattr__(self, attr):
+            return getattr(pool, attr)
+
+    monkeypatch.setattr(importlib.import_module(f"lieforms.{layer}"), "operator_pool",
+                        lambda *_: PlantedPool())
 
 
 def child_env() -> dict[str, str]:

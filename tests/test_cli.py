@@ -95,6 +95,54 @@ def test_exponent_coefficient_is_input_error(tmp_path, capsys, coeff):
     assert f"line 4: coefficient {coeff!r} has an exponent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeff", ["9" * 101, "9" * 1500, "9" * 3000, "9" * 5000,
+                                   "1/1" + "0" * 100, "-" + "9" * 101],
+                         ids=["101-digits", "1500-digits", "3000-digits", "5000-digits",
+                              "denominator-10^100", "negative-101-digits"])
+def test_large_coefficient_is_input_error(tmp_path, capsys, coeff):
+    # a printed mismatch multiplies up to four coefficients, so from 10^100
+    # on one could pass Python's 4300-digit int-to-text limit; this dim-4
+    # Kahler model fails its tables and prints their mismatches
+    bad = tmp_path / "large.alg"
+    bad.write_text(f"[algebra]\ndim = 4\n[brackets]\n1 2 -> 3 : {coeff}\n"
+                   "[structure]\nkind = kahler\nJ: 1 -> 3\nJ: 2 -> 4\n")
+    for command in ("check", "all", "cohomology"):
+        assert run(RunConfig(command=command, model=str(bad))) == 2
+        assert "line 4: coefficient too large" in capsys.readouterr().err
+
+
+def test_coefficient_below_the_limit_prints_its_mismatches(tmp_path, capsys):
+    ok = tmp_path / "nines.alg"
+    ok.write_text(f"[algebra]\ndim = 4\n[brackets]\n1 2 -> 3 : {'9' * 100}\n"
+                  "[structure]\nkind = kahler\nJ: 1 -> 3\nJ: 2 -> 4\n")
+    assert run(RunConfig(command="check", model=str(ok))) == 1
+    assert capsys.readouterr().out.count("FAIL") == 15
+
+
+@pytest.mark.parametrize("coeff", ["0", "0/7", "-0"])
+def test_zero_coefficient_is_refused_with_its_line(tmp_path, capsys, coeff):
+    bad = tmp_path / "zero.alg"
+    bad.write_text(f"[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : {coeff}\n"
+                   "[structure]\nkind = sasakian\nreeb = 3\n")
+    assert run(RunConfig(command="check", model=str(bad))) == 2
+    assert "line 4: explicit zero bracket entry (1,2)->3" in capsys.readouterr().err
+
+
+def test_j_line_keeps_its_direction(tmp_path, capsys):
+    # `J: 2 -> 1` makes omega0 = theta^2 ^ theta^1: h3's d(eta) = theta^1 ^
+    # theta^2 is then its negative, and the opposite bracket sign matches it
+    path = tmp_path / "h3.alg"
+    structure = "[structure]\nkind = sasakian\nreeb = 3\nJ: 2 -> 1\n"
+    path.write_text(f"[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n{structure}")
+    assert run(RunConfig(command="check", model=str(path))) == 2
+    assert ("deta: d(eta) = (1)*t1^t2 incompatible with J pairs ((2, 1),)"
+            in capsys.readouterr().err)
+    path.write_text(f"[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : 1\n{structure}")
+    out = tmp_path / "all.txt"
+    assert run(RunConfig(command="all", model=str(path), output=str(out))) == 0
+    assert "FAIL" not in out.read_text()
+
+
 def test_broken_jacobi_file_reports_offending_triple(tmp_path, capsys):
     bad = tmp_path / "nonjacobi.alg"
     bad.write_text("[algebra]\ndim = 3\n[brackets]\n"

@@ -18,7 +18,7 @@ from lieforms.scalars import Scalar
 from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
 
 from block_reference import ODD
-from conftest import DATA, load, model_pack, ops_for, record
+from conftest import DATA, load, model_pack, ops_for, plant, record
 from form_reference import FormElement, column_forms, contract
 
 ORACLE_MODELS = {
@@ -175,23 +175,6 @@ def test_transversal_package_passes():
         assert record(rep, "split_laplacian.commutes_with_Pi_hor").verdict == "pass"
         # the i_v claim on the kernel is measured, not presumed
         assert record(rep, "split_laplacian.kernel_iv_vanishing").verdict == "noted"
-
-
-def plant(monkeypatch, model, pack, name, poly):
-    """Make the cohomology layer's pool hand out the given polynomial for
-    one name and the true pool's for every other."""
-    import lieforms.cohomology as co
-
-    pool = operator_pool(model, pack)
-
-    class PlantedPool:
-        def poly(self, ref):
-            return poly if ref == name else pool.poly(ref)
-
-        def __getattr__(self, attr):
-            return getattr(pool, attr)
-
-    monkeypatch.setattr(co, "operator_pool", lambda *_: PlantedPool())
 
 
 def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):

@@ -15,7 +15,7 @@ from lieforms.cones import (
 from lieforms.scalars import Scalar
 from lieforms.verdicts import DegreeVerdict
 
-from conftest import model_pack, ops_for, record
+from conftest import load, model_pack, ops_for, plant, record
 
 
 def degree_rows(verdict):
@@ -125,6 +125,28 @@ def test_sasakian_harmonic_check_takes_the_flipped_branch(monkeypatch):
                           "headline 0 (inconsistent); branch flipped")
     assert [r.line() for r in degree_rows(after) if r.degree != 1] == \
         [r.line() for r in degree_rows(before) if r.degree != 1]
+
+
+@pytest.mark.parametrize("name, decomposition, sub, mid", [
+    ("h5", sasakian_decomposition, "bas", "n"),
+    ("h5xr", vaisman_decomposition, "kah", "n-1"),
+])
+def test_lefschetz_entries_fail_when_l_is_not_injective_or_surjective(
+        monkeypatch, name, decomposition, sub, mid):
+    # with the zero polynomial planted as L, L kills H^0 of the basic
+    # complex and reaches no top class, so both entries fail, each worded
+    # with its kind's basic complex and middle degree
+    from lieforms.clifford import Clifford
+
+    model, pack = load(name)
+    plant(monkeypatch, model, pack, "L", Clifford.zero(model.dim, 2), layer="cones")
+    verdict = decomposition(model, pack)
+    assert record(verdict, "decomposition.lefschetz_injective").line() == (
+        f"FAIL  decomposition.lefschetz_injective: L: H^{{i-2}}_{sub} -> H^i_{sub}, "
+        f"i <= {mid} = injective")
+    assert record(verdict, "decomposition.lefschetz_surjective").line() == (
+        f"FAIL  decomposition.lefschetz_surjective: L: H^{{i-1}}_{sub} -> H^{{i+1}}_{sub}, "
+        f"i > {mid} = surjective")
 
 
 def test_sasakian_harmonic_star_duality_entry():

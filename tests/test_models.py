@@ -421,7 +421,7 @@ def test_parse_j_pair_error():
     cases = [
         ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n"
          "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\nJ: 2 -> 1\n",
-         "J: J pairs overlap: ((1, 2), (1, 2))"),
+         "J: J pairs overlap: ((1, 2), (2, 1))"),
         ("[algebra]\ndim = 5\n[brackets]\n1 2 -> 5 : -1\n"
          "[structure]\nkind = sasakian\nreeb = 5\nJ: 1 -> 2\n",
          "J: J pairs must cover the horizontal coframe"),
