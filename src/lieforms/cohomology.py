@@ -25,11 +25,10 @@ from .matrices import (
     rank,
     rational_eigenvalues,
     solve,
-    span_coordinates,
     subspace_equal,
 )
 from .models import LieModel, StructureError, StructurePack
-from .splitting import Foliation, check_integrable, lee_foliation, operator_pool, reeb_foliation
+from .splitting import Foliation, check_integrable, lee_foliation, operator_pool
 from .verdicts import RelationEntry
 
 
@@ -111,25 +110,27 @@ class CochainComplex:
 class FormComplex(CochainComplex):
     """A cochain complex of actual forms inside an ambient model algebra.
 
-    embed[k] has the ambient coordinates of the degree-k basis as columns;
-    the Gram matrices come from the ambient orthonormal metric.
+    embed[k] has the ambient coordinates of the degree-k basis as columns,
+    and holds the identity at its free rows, the last nonzero row of each
+    column; the coordinates of a form of the complex are its entries at
+    those rows (`coordinates`).  d is restricted to the complex, and the
+    Gram matrices come from the ambient orthonormal metric.
     """
 
-    __slots__ = ("embed",)
+    __slots__ = ("embed", "_select")
 
-    def __init__(self, degrees: tuple[int, ...], dims: dict[int, int],
-                 diff: dict[int, Matrix], gram: dict[int, Matrix], embed: dict[int, Matrix]):
-        super().__init__(degrees, dims, diff, gram)
-        self.embed = embed
+    def __init__(self, embed: dict[int, Matrix], select: dict[int, Matrix], d: Clifford,
+                 gram: dict[int, Matrix]):
+        # select[k] picks the free rows of embed[k]
+        self.embed, self._select = embed, select
+        super().__init__(tuple(embed), {k: m.ncols for k, m in embed.items()},
+                         self._restrict(d, "d fails to preserve the subspace"), gram)
 
     @staticmethod
     def full(model: LieModel, d: Clifford) -> "FormComplex":
-        n = model.dim
-        degrees = tuple(range(n + 1))
-        dims = {k: basis_dim(n, k) for k in degrees}
-        diff = {k: d.block(k) for k in range(n)}
-        embed = {k: Matrix.identity(dims[k]) for k in degrees}
-        return FormComplex(degrees, dims, diff, {}, embed)
+        # every row of the identity is free
+        embed = {k: Matrix.identity(basis_dim(model.dim, k)) for k in range(model.dim + 1)}
+        return FormComplex(embed, embed, d, {})
 
     @staticmethod
     def from_constraints(
@@ -142,22 +143,29 @@ class FormComplex(CochainComplex):
         Raises StructureError when d fails to preserve the subspace.
         """
         n = model.dim
-        degrees = tuple(range(n + 1))
         embed: dict[int, Matrix] = {}
-        dims: dict[int, int] = {}
-        for k in degrees:
+        select: dict[int, Matrix] = {}
+        for k in range(n + 1):
             stacked = functools.reduce(Matrix.vstack, [op.block(k) for op in constraints],
                                        Matrix.zero(0, basis_dim(n, k)))
-            embed[k] = nullspace(stacked)
-            dims[k] = embed[k].ncols
-        diff: dict[int, Matrix] = {}
-        for k in range(n):
-            diff[k] = _restrict_block(d.block(k), embed[k], embed[k + 1],
-                                      "d fails to preserve the subspace")
+            basis = embed[k] = nullspace(stacked)
+            # a nullspace basis is 1 at the free coordinate of each column,
+            # which is the column's last nonzero row, and 0 at the others
+            rows = select[k] = Matrix.unit_rows([max(col, default=0) for col in basis.columns()],
+                                                basis.nrows)
+            if rows @ basis != Matrix.identity(basis.ncols):
+                raise ValueError("basis has no identity at the last nonzero row of its columns")
         # a degree spanning a coordinate subspace has an orthonormal basis
-        gram = {k: g for k in degrees
-                if (g := embed[k].conj_transpose() @ embed[k]) != Matrix.identity(dims[k])}
-        return FormComplex(degrees, dims, diff, gram, embed)
+        gram = {k: g for k, m in embed.items()
+                if (g := m.conj_transpose() @ m) != Matrix.identity(m.ncols)}
+        return FormComplex(embed, select, d, gram)
+
+    def coordinates(self, k: int, v: Matrix) -> Matrix | None:
+        """The x with embed[k] @ x == v, or None when some column of v is not
+        a degree-k form of the complex.  x is v at the free rows, so one
+        product decides membership, with no elimination."""
+        x = self._select[k] @ v
+        return x if self.embed[k] @ x == v else None
 
     def restrict(self, op: Clifford) -> dict[int, Matrix]:
         """Coordinate blocks of an ambient operator preserving the subcomplex,
@@ -165,7 +173,7 @@ class FormComplex(CochainComplex):
         keyed by the polynomial's id and keeps the polynomial alive."""
         key = ("restrict", id(op))
         if key not in self._memo:
-            self._memo[key] = (op, self._restrict(op))
+            self._memo[key] = (op, self._restrict(op, "operator fails to preserve the subspace"))
         return self._memo[key][1]
 
     def induced(self, op: Clifford) -> dict[int, tuple[Matrix, int]]:
@@ -178,23 +186,17 @@ class FormComplex(CochainComplex):
                                                degree_offset=op.shift))
         return self._memo[key][1]
 
-    def _restrict(self, op: Clifford) -> dict[int, Matrix]:
-        pairs = [(k, k + op.shift) for k in self.degrees if k + op.shift in self.dims]
-        # the zero polynomial restricts to zero blocks, with no product
-        if op.is_zero():
-            return {k: Matrix.zero(self.dim(t), self.dim(k)) for k, t in pairs}
-        return {k: _restrict_block(op.block(k), self.embed[k], self.embed[t],
-                                   "operator fails to preserve the subspace")
-                for k, t in pairs}
-
-
-def _restrict_block(block: Matrix, src_embed: Matrix, tgt_embed: Matrix, msg: str) -> Matrix:
-    # every embed is an identity or a nullspace basis, so the coordinates of
-    # an image are its entries at the embed's free rows
-    x = span_coordinates(tgt_embed, block @ src_embed)
-    if x is None:
-        raise StructureError("subcomplex", msg)
-    return x
+    def _restrict(self, op: Clifford, msg: str) -> dict[int, Matrix]:
+        """Per degree k, the coordinates of op's image of the degree-k basis,
+        from k to k + shift; StructureError(msg) when one leaves the complex."""
+        out = {}
+        for k, basis in self.embed.items():
+            if k + op.shift in self.embed:
+                x = self.coordinates(k + op.shift, op.block(k) @ basis)
+                if x is None:
+                    raise StructureError("subcomplex", msg)
+                out[k] = x
+        return out
 
 
 # -- spec-level operations ----------------------------------------------
@@ -262,12 +264,9 @@ def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: Foliation)
     """Delta_s, its {d1, d1*} term, Lie_v = {d, i_v} for each spanning v,
     and Pi_hor = prod_v i_v e_v, as polynomials."""
     pool = operator_pool(model, pack)
-    if fol == reeb_foliation(pack):
-        box = pool.poly("Delta1")  # {d1, d1*} of the Reeb split, shared with the tables
-    else:
-        d1 = pool.split(fol)[1]
-        box = supercommutator(d1, d1.adjoint())
-    lies = [pool.poly(("d", f"i_{v}")) for v in fol]
+    d1 = pool.split(fol)[1]
+    box = supercommutator(d1, d1.adjoint())
+    lies = [lie for _, lie in _contractions(model, pack, fol)]
     pi_hor = functools.reduce(matmul, (pool.poly(f"i_{v}") @ pool.poly(f"e_{v}")
                                        for v in fol), pool.poly("Id"))
     return op_sum([box] + [-(lie @ lie) for lie in lies]), box, lies, pi_hor

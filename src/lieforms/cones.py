@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .forms import form_text, perm_sign, star
-from .matrices import Matrix, nullspace, rank, solve, span_coordinates, subspace_equal
+from .matrices import Matrix, nullspace, rank, solve, subspace_equal
 from .models import LieModel, StructureError, StructurePack
 from .cohomology import (
     CochainComplex,
@@ -111,10 +111,10 @@ def lefschetz_cone_package(model: LieModel,
         if i >= 1:
             # beta = i_r(x); alpha = x - eta ^ beta
             beta = pool.poly("i_r").block(i) @ x
-            bcoords = span_coordinates(basic.embed[i - 1], beta)
-            acoords = span_coordinates(basic.embed[i], x - pool.poly("e_r").block(i - 1) @ beta)
+            bcoords = basic.coordinates(i - 1, beta)
+            acoords = basic.coordinates(i, x - pool.poly("e_r").block(i - 1) @ beta)
         else:
-            bcoords, acoords = Matrix.zero(0, x.ncols), span_coordinates(basic.embed[i], x)
+            bcoords, acoords = Matrix.zero(0, x.ncols), basic.coordinates(i, x)
         if bcoords is None or acoords is None:
             raise StructureError("cone", "invariant form is not basic + eta^basic")
         iso_blocks[i] = bcoords.vstack(acoords)

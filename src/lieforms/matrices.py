@@ -257,26 +257,6 @@ def solve(mat: Matrix, rhs: Matrix) -> Matrix | None:
     return _make(tuple(out), rhs.ncols)
 
 
-def span_coordinates(basis: Matrix, v: Matrix) -> Matrix | None:
-    """The X with basis @ X == v, or None when some column of v is not in
-    the span of the columns of basis.
-
-    The basis must hold the identity at the last nonzero row of each of its
-    columns, as an identity matrix and a `nullspace` basis do (there those
-    rows are the free coordinates).  X is then those rows of v, so one
-    product decides membership, with no elimination.
-    """
-    last = [0] * basis.ncols
-    for i, r in enumerate(basis._rows):
-        for j in r:
-            last[j] = i
-    select = Matrix.unit_rows(last, basis.nrows)
-    if select @ basis != Matrix.identity(basis.ncols):
-        raise ValueError("basis has no identity at the last nonzero row of its columns")
-    x = select @ v
-    return x if basis @ x == v else None
-
-
 def subspace_equal(a: Matrix, b: Matrix) -> bool:
     """Whether the columns of a and of b span the same subspace."""
     ra = rank(a)

@@ -224,6 +224,11 @@ def validate_pack(model: LieModel, pack: StructurePack):
     hor = pack.horizontal_indices(n)
     if set(k for p in pack.transversal_pairs() for k in p) != set(hor):
         raise StructureError("J", "J pairs must cover the horizontal coframe")
+    # the Reeb field is Killing: Lie_r = {d, i_r} is skew-adjoint, so it
+    # keeps the metric, eta and omega0, and with them J
+    lie_r = supercommutator(d, Clifford.contraction(n, r))
+    if lie_r.adjoint() != -lie_r:
+        raise StructureError("contact", "the Reeb field is not Killing: Lie_r* != -Lie_r")
 
     lee = pack.lee_index
     if pack.kind == "vaisman" and not supercommutator(d, Clifford.wedge(n, lee)).is_zero():
@@ -454,6 +459,10 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
         Clifford(n, 0, {(1 << (m - 1), 1 << (k - 1)): x for k, (m, x) in J.items()}),
         J)
     _check_i_against_w(ops.W, J, pack.vertical_indices)
+    # a Kahler J is integrable exactly when d has components only in
+    # bidegrees (1,0) and (0,1): the certificate of `splitting._hodge_split`
+    if pack.kind == "kahler" and supercommutator(ops.W, ops.d) != ops.d.substitute(J):
+        raise StructureError("J", "J is not integrable: {W, d} != I d I^-1")
     return ops
 
 

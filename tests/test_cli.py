@@ -23,7 +23,7 @@ def _run_to_file(tmp_path, command, model, fmt="text", degree=None, name="out"):
 
 
 def test_exit_zero_on_clean_models(tmp_path):
-    for model in ("torus2", "su2", "h3xr"):
+    for model in ("torus2", "torus4", "su2", "h3xr"):
         for command in ("check", "cohomology", "harmonic"):
             code, _ = _run_to_file(tmp_path, command, model)
             assert code == 0, (command, model)
@@ -102,21 +102,68 @@ def test_exponent_coefficient_is_input_error(tmp_path, capsys, coeff):
 def test_large_coefficient_is_input_error(tmp_path, capsys, coeff):
     # a printed mismatch multiplies up to four coefficients, so from 10^100
     # on one could pass Python's 4300-digit int-to-text limit; this dim-4
-    # Kahler model fails its tables and prints their mismatches
+    # Kahler model, aff(R) x aff(R), fails its tables and prints their
+    # mismatches
     bad = tmp_path / "large.alg"
-    bad.write_text(f"[algebra]\ndim = 4\n[brackets]\n1 2 -> 3 : {coeff}\n"
-                   "[structure]\nkind = kahler\nJ: 1 -> 3\nJ: 2 -> 4\n")
+    bad.write_text(AFF_AFF.format(coeff))
     for command in ("check", "all", "cohomology"):
         assert run(RunConfig(command=command, model=str(bad))) == 2
         assert "line 4: coefficient too large" in capsys.readouterr().err
 
 
+# aff(R) x aff(R) with an integrable J: Kahler, but not unimodular, so the
+# finite metric adjoint is not the formal one and the Kahler table fails
+AFF_AFF = ("[algebra]\ndim = 4\n[brackets]\n1 2 -> 2 : {}\n3 4 -> 4 : 1\n"
+           "[structure]\nkind = kahler\nJ: 1 -> 2\nJ: 3 -> 4\n")
+
+
 def test_coefficient_below_the_limit_prints_its_mismatches(tmp_path, capsys):
     ok = tmp_path / "nines.alg"
+    ok.write_text(AFF_AFF.format("9" * 100))
+    assert run(RunConfig(command="check", model=str(ok))) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL") == 14 and f"lhs=-{'9' * 100}, rhs=0" in out
+    # the model this test once read has a non-integrable J, refused at load
     ok.write_text(f"[algebra]\ndim = 4\n[brackets]\n1 2 -> 3 : {'9' * 100}\n"
                   "[structure]\nkind = kahler\nJ: 1 -> 3\nJ: 2 -> 4\n")
-    assert run(RunConfig(command="check", model=str(ok))) == 1
-    assert capsys.readouterr().out.count("FAIL") == 15
+    assert run(RunConfig(command="check", model=str(ok))) == 2
+    assert "J: J is not integrable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[algebra]\ndim = 4\n[brackets]\n1 3 -> 4 : -1\n[structure]\nkind = kahler\n",
+    "[algebra]\ndim = 4\n[brackets]\n1 2 -> 3 : 7\n"
+    "[structure]\nkind = kahler\nJ: 1 -> 3\nJ: 2 -> 4\n",
+], ids=["default-J", "J-lines"])
+def test_non_integrable_kahler_j_is_input_error(tmp_path, capsys, text):
+    # on the first, N(e1, e3) = e4: d has a component of bidegree (2,-1) or
+    # (-1,2), which {W, .} scales by +-3i and conjugation by I by -+i
+    path = tmp_path / "nonintegrable.alg"
+    path.write_text(text)
+    for command in ("check", "cohomology", "harmonic", "all"):
+        assert run(RunConfig(command=command, model=str(path))) == 2, command
+        assert capsys.readouterr().err == "error: J: J is not integrable: {W, d} != I d I^-1\n"
+
+
+def test_contact_pack_with_a_reeb_field_that_is_not_killing_is_input_error(tmp_path, capsys):
+    # d(eta) = t1^t2 as on h3, but [e2, e3] = e1 makes ad(e3) not
+    # skew-symmetric: the Reeb flow moves the metric, and no operator of the
+    # tables can be composed with Lie_r
+    path = tmp_path / "not-killing.alg"
+    path.write_text("[algebra]\ndim = 3\n[brackets]\n1 2 -> 1 : 1\n1 2 -> 3 : -1\n"
+                    "2 3 -> 1 : 1\n[structure]\nkind = sasakian\nreeb = 3\n")
+    for command in ("check", "cohomology", "harmonic", "cone", "all"):
+        assert run(RunConfig(command=command, model=str(path))) == 2, command
+        assert capsys.readouterr().err == (
+            "error: contact: the Reeb field is not Killing: Lie_r* != -Lie_r\n")
+
+
+def test_integrable_non_unimodular_kahler_model_loads(tmp_path):
+    # its tables fail (exit 1) and its complexes report (exit 0)
+    path = tmp_path / "aff-aff.alg"
+    path.write_text(AFF_AFF.format(1))
+    for command, code in (("check", 1), ("cohomology", 0), ("harmonic", 0), ("all", 1)):
+        assert _run_to_file(tmp_path, command, str(path))[0] == code, command
 
 
 @pytest.mark.parametrize("coeff", ["0", "0/7", "-0"])
@@ -512,3 +559,56 @@ def test_json_text_refuses_other_types(bad):
 def test_json_text_rerenders_every_golden_snapshot(snapshot):
     text = (GOLDEN / snapshot).read_text(encoding="utf-8")
     assert json_text(json.loads(text)) + "\n" == text
+
+
+@st.composite
+def model_texts(draw):
+    """A model file of dim <= 4: a random kind with its reeb and lee lines
+    and a dimension of the kind's parity, often brackets that make d(eta)
+    the form of the default J pairs, then random brackets.  One text in
+    five is noisy: an index may fall outside
+    1..dim, the dimension may have either parity, lee may equal reeb, a
+    reeb or lee line may be missing or extra, a bracket may pair a
+    generator with itself, and J lines are added."""
+    noisy = draw(st.integers(0, 4)) == 0
+    kind = draw(st.sampled_from(["kahler", "sasakian", "vaisman"]))
+    # a Kahler or Vaisman dimension is even and a Sasakian one odd
+    dim = draw(st.integers(1, 4) if noisy else st.sampled_from([1, 3] if kind == "sasakian"
+                                                              else [2, 4]))
+    index = st.integers(0, dim + 1) if noisy else st.integers(1, dim)
+    coeff = st.sampled_from(["1", "-1", "2", "1/2"]) | st.fractions(-3, 3, max_denominator=3)
+    reeb = draw(index)
+    lee = draw(index.filter(lambda k: noisy or k != reeb))
+    brackets = []
+    if draw(st.booleans()):
+        free = [k for k in range(1, dim + 1) if k not in (reeb, lee)]
+        brackets += [(a, b, reeb, "-1") for a, b in zip(free[::2], free[1::2])]
+    brackets += draw(st.lists(st.tuples(index, index, index, coeff).filter(
+        lambda b: noisy or b[0] != b[1]), max_size=3))
+    lines = ["[algebra]", f"dim = {dim}", "[brackets]"]
+    lines += [f"{i} {j} -> {k} : {c}" for i, j, k, c in brackets]
+    lines += ["[structure]", f"kind = {kind}"]
+    for key, value, needed in (("reeb", reeb, kind != "kahler"), ("lee", lee, kind == "vaisman")):
+        if draw(st.booleans()) if noisy else needed:
+            lines.append(f"{key} = {value}")
+    if noisy:
+        lines += [f"J: {a} -> {b}" for a, b in draw(st.lists(st.tuples(index, index), max_size=2))]
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=100)
+@given(model_texts())
+def test_every_command_ends_with_an_exit_status_on_generated_models(text):
+    # each command either reports (0 or 1) or refuses the input (2); none raises
+    import contextlib
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.alg")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        with contextlib.redirect_stderr(io.StringIO()):
+            for command in ("check", "cohomology", "harmonic", "cone", "all"):
+                config = RunConfig(command=command, model=path, output=os.devnull)
+                assert run(config) in (0, 1, 2), (command, text)

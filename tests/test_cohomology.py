@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import block_reference as ref
 import oracle
@@ -109,6 +110,52 @@ def test_restriction_guard_on_an_operator_leaving_the_subcomplex():
     assert info.value.check == "subcomplex"
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_coordinates_match_solve_on_random_constraint_complexes(data):
+    # random constraints on an abelian model, whose d = 0 keeps every
+    # subspace: sums of e_a i_b (shift 0) and sums of i_b (shift -1)
+    from lieforms.clifford import Clifford
+    from lieforms.matrices import Matrix, solve
+    from lieforms.models import LieModel, ce_differential
+
+    n = data.draw(st.integers(1, 4))
+    letter, coeff = st.integers(1, n), st.integers(-2, 2).map(Scalar.of)
+    constraints = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        shift = data.draw(st.sampled_from([0, -1]))
+        op = Clifford.zero(n, shift)
+        for _ in range(data.draw(st.integers(1, 3))):
+            term = Clifford.contraction(n, data.draw(letter))
+            if shift == 0:
+                term = Clifford.wedge(n, data.draw(letter)) @ term
+            op = op + term.scale(data.draw(coeff))
+        constraints.append(op)
+    model = LieModel("abelian", n, ())
+    sub = FormComplex.from_constraints(model, ce_differential(model), constraints)
+
+    def matrix(nrows, ncols):
+        return Matrix([[data.draw(coeff) for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+    for k, basis in sub.embed.items():
+        x0 = matrix(basis.ncols, 2)
+        assert sub.coordinates(k, basis @ x0) == x0
+        # a random right-hand side is in the span or not, as solve decides
+        v = matrix(basis.nrows, 2)
+        assert sub.coordinates(k, v) == solve(basis, v)
+
+
+def test_from_constraints_refuses_a_basis_without_identity_rows(monkeypatch):
+    # 2 I in place of a nullspace basis: its last nonzero rows hold 2, not 1
+    import lieforms.cohomology as co
+    from lieforms.matrices import Matrix
+
+    model, _ = model_pack("h3")
+    monkeypatch.setattr(co, "nullspace", lambda m: Matrix.identity(m.ncols).scale(Scalar.of(2)))
+    with pytest.raises(ValueError, match="no identity at the last nonzero row"):
+        FormComplex.from_constraints(model, ops_for("h3").d, [])
+
+
 def test_equal_reeb_specs_share_one_basic_complex():
     model, pack = model_pack("h5")
     # a foliation is its index tuple, so equal tuples name one complex
@@ -186,6 +233,33 @@ def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
           poly("W") + poly(f"e_{pack.reeb_index}") @ poly("i_1"))
     rep = transversal_package(model, pack, reeb_foliation(pack))
     assert [e.name for e in rep if not e.ok] == ["transversal.pq_stability"]
+
+
+def test_harmonic_vs_representatives_fails_on_representatives_off_the_harmonic_forms(
+        monkeypatch):
+    # su2_aff is the one fixture whose basic complex has exact forms, at
+    # degree 2.  Its degree-2 representative moved by an exact form keeps
+    # its class, so the Lefschetz ranks and Betti numbers stay, but it is no
+    # longer orthogonal to the exact forms: only that row turns to FAIL
+    import lieforms.cohomology as co
+    from lieforms.matrices import Matrix
+
+    model, pack = load("su2_aff")
+    fol = reeb_foliation(pack)
+    before = transversal_package(model, pack, fol)
+    sub = co.basic_subcomplex.__wrapped__(model, pack, fol)
+    reps = sub.cohomology()
+    assert reps[2].ncols == 1
+    exact = next(e for e in (sub.d(1) @ Matrix.unit_rows([j], sub.dim(1)).conj_transpose()
+                             for j in range(sub.dim(1))) if not e.is_zero())
+    reps[2] = reps[2] + exact
+    monkeypatch.setattr(co, "basic_subcomplex", lambda *_: sub)
+    after = transversal_package(model, pack, fol)
+    assert [a.name for a, b in zip(after, before) if a.line() != b.line()] == [
+        "transversal.harmonic_vs_representatives"]
+    assert record(after, "transversal.harmonic_vs_representatives").line() == (
+        "FAIL  transversal.harmonic_vs_representatives: ker Delta_bas deg 2 = "
+        "closed & orthogonal to exact")
 
 
 def test_kernel_iv_claim_fails_where_predicted():
@@ -349,9 +423,9 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
     # each restriction as (complex, polynomial), both held by the list
     restricted, restrict = [], FormComplex._restrict
 
-    def counted_restrict(sub, op):
+    def counted_restrict(sub, op, *msg):
         restricted.append((sub, op))
-        return restrict(sub, op)
+        return restrict(sub, op, *msg)
 
     monkeypatch.setattr(FormComplex, "_restrict", counted_restrict)
     assert cli.main(["all", name]) == 0

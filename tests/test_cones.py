@@ -13,9 +13,9 @@ from lieforms.cones import (
     vaisman_harmonic_check,
 )
 from lieforms.scalars import Scalar
-from lieforms.verdicts import DegreeVerdict
+from lieforms.verdicts import DegreeVerdict, RelationEntry
 
-from conftest import load, model_pack, ops_for, plant, record
+from conftest import load, model_pack, ops_for, plant, pool_for, record
 
 
 def degree_rows(verdict):
@@ -245,3 +245,97 @@ def test_relabelled_h5_passes_all(tmp_path, reeb):
     want = oracle.basic_betti_table(5, table, (reeb,))
     got = basic_subcomplex(model, pack, reeb_foliation(pack)).betti_list()
     assert got[:len(want)] == want and not any(got[len(want):])
+
+
+def changed_rows(before, after):
+    """The rows of a check whose printed line differs after a planted fault,
+    by name or degree."""
+    assert len(before) == len(after)
+    return [getattr(a, "name", None) or a.degree
+            for a, b in zip(after, before) if a.line() != b.line()]
+
+
+def test_long_exact_rows_fail_when_the_cone_is_not_the_cone_of_the_map():
+    # on h3's basic complex L: H^0 -> H^2 is an isomorphism.  Against the
+    # split cone of the zero map it composes to nonzero with the inclusion
+    # and the projection; the zero map against the true cone leaves both
+    # nodes with too small a rank
+    from lieforms.cohomology import basic_subcomplex
+    from lieforms.splitting import reeb_foliation
+
+    model, pack = model_pack("h3")
+    basic = basic_subcomplex(model, pack, reeb_foliation(pack))
+    L = ops_for("h3").L
+    for lef, cone, note in (
+            (basic.induced(L), lefschetz_cone(basic, {}),
+             "composition of consecutive maps nonzero"),
+            ({}, lefschetz_cone(basic, basic.restrict(L)), "rank 0+0 != dim 1")):
+        rows = lefschetz_long_exact(basic, lef, cone)
+        assert [(r.degree, r.notes) for r in rows if not r.ok] == [(0, note), (1, note)]
+
+
+def test_cone_isomorphism_fails_when_the_cone_takes_another_l(monkeypatch):
+    # the cone of 2L: alpha + eta^beta -> (beta, alpha) no longer
+    # intertwines d (d(eta^beta) carries L beta once), but 2L is a chain map
+    # with the ranks of L, so the sequence and the cohomology rows hold
+    for name in ("h3", "su2", "h3xr"):
+        model, pack = model_pack(name)
+        before = lefschetz_cone_package(model, pack)
+        plant(monkeypatch, model, pack, "L", ops_for(name).L.scale(Scalar.of(2)), layer="cones")
+        after = lefschetz_cone_package(model, pack)
+        monkeypatch.undo()
+        assert changed_rows(before, after) == ["cone.isomorphism"], name
+        assert record(after, "cone.isomorphism").verdict == "fail"
+
+
+def test_cone_bijective_fails_when_the_invariant_complex_misses_forms(monkeypatch):
+    # h3's invariant complex is its full complex; without the acyclic pair
+    # eta = t3, d eta = t1^t2 it keeps its cohomology and is still carried
+    # into the cone, but not onto it
+    import lieforms.cones as cones
+    from lieforms.cohomology import FormComplex
+    from lieforms.forms import monomial_basis
+    from lieforms.matrices import Matrix
+
+    model, pack = model_pack("h3")
+    before = lefschetz_cone_package(model, pack)
+    missing = {1: (3,), 2: (1, 2)}
+    select = {k: Matrix.unit_rows([i for i, m in enumerate(monomial_basis(3, k))
+                                   if m != missing.get(k)], len(monomial_basis(3, k)))
+              for k in range(4)}
+    embed = {k: m.conj_transpose() for k, m in select.items()}
+    monkeypatch.setattr(cones, "invariant_subcomplex",
+                        lambda *_: FormComplex(embed, select, ops_for("h3").d, {}))
+    after = lefschetz_cone_package(model, pack)
+    assert changed_rows(before, after) == ["cone.bijective"]
+    assert record(after, "cone.bijective").verdict == "fail"
+
+
+def test_star_duality_fails_with_the_basic_star_oppositely_oriented(monkeypatch):
+    import lieforms.cones as cones
+    from lieforms.forms import star
+
+    model, pack = model_pack("h5")
+    before = sasakian_harmonic_check(model, pack)
+    frame = tuple(range(1, model.dim + 1))
+
+    def flipped(coframe, m):
+        comp, sign = star(coframe, m)
+        return (comp, sign) if coframe == frame else (comp, -sign)
+
+    monkeypatch.setattr(cones, "star", flipped)
+    after = sasakian_harmonic_check(model, pack)
+    assert changed_rows(before, after) == ["harmonic.star_duality"]
+    assert record(after, "harmonic.star_duality").verdict == "fail"
+
+
+@pytest.mark.parametrize("name", ["su2xr", "h3xr"])
+def test_assembly_rows_fail_when_eta_stands_in_for_theta(monkeypatch, name):
+    # eta wedged onto the harmonic forms is not harmonic, so both rows that
+    # wedge with theta fail, and the branch rows, which never do, hold
+    model, pack = model_pack(name)
+    before = vaisman_harmonic_check(model, pack)
+    plant(monkeypatch, model, pack, "e_th", pool_for(name).poly("e_r"), layer="cones")
+    after = vaisman_harmonic_check(model, pack)
+    assert changed_rows(before, after) == ["harmonic.assembly", "harmonic.theta_wedge"]
+    assert all(not r.ok for r in after if isinstance(r, RelationEntry))

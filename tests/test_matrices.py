@@ -13,7 +13,6 @@ from lieforms.matrices import (
     rational_eigenvalues,
     rref,
     solve,
-    span_coordinates,
     subspace_equal,
 )
 from lieforms.scalars import ONE, Scalar, ZERO
@@ -251,21 +250,13 @@ def test_nullspace_matches_dense_reference(ops, data):
 
 
 @settings(deadline=None, max_examples=80)
-@given(systems(), st.data())
-def test_span_coordinates_match_solve_on_nullspace_bases(system, data):
-    a, _ = system
-    basis = nullspace(a)
-    x0 = data.draw(matrices(basis.ncols, 2))
-    assert span_coordinates(basis, basis @ x0) == x0
-    # a random right-hand side is in the span or not, as solve decides
-    v = data.draw(matrices(a.ncols, 2))
-    assert span_coordinates(basis, v) == solve(basis, v)
-    assert span_coordinates(Matrix.identity(a.ncols), v) == v
-
-
-def test_span_coordinates_refuse_a_basis_without_identity_rows():
-    with pytest.raises(ValueError):
-        span_coordinates(Matrix([[Scalar.of(2)]]), Matrix.identity(1))
+@given(systems())
+def test_nullspace_basis_holds_the_identity_at_the_last_nonzero_row_of_each_column(system):
+    # the rule `FormComplex` reads coordinates by: those rows are the free
+    # coordinates, 1 in their own column and 0 in the others
+    basis = nullspace(system[0])
+    last = [max(col) for col in basis.columns()]
+    assert Matrix.unit_rows(last, basis.nrows) @ basis == Matrix.identity(basis.ncols)
 
 
 @st.composite

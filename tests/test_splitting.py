@@ -21,7 +21,7 @@ from lieforms.splitting import (
 )
 
 import block_reference as ref
-from conftest import model_pack, ops_for, pool_for, record
+from conftest import model_pack, ops_for, plant, pool_for, record
 from pq_reference import reference_i, reference_projectors
 
 
@@ -174,6 +174,35 @@ def test_sasakian_first_order_determinacy_entry():
     entry = record(rep, "aux.first_order.{L,d*}")
     assert entry.verdict == "pass"
     assert not entry.vacuous
+
+
+def test_first_order_entry_fails_on_a_term_with_two_contractions(monkeypatch):
+    # e1 e2 e3 i1 i2 added to {L,d*}: a term with two contractions, so the
+    # operator is not determined by its values on 1 and the coframe
+    from lieforms.clifford import Clifford
+
+    model, pack = model_pack("h3")
+    before = sasakian_relations(model, pack)
+    planted = pool_for("h3").poly(("L", "d*")) + Clifford(3, 1, {(0b111, 0b011): ONE})
+    plant(monkeypatch, model, pack, ("L", "d*"), planted, layer="splitting")
+    rep = sasakian_relations(model, pack)
+    assert [e.name for e in rep if not e.ok] == ["aux.first_order.{L,d*}"]
+    assert [e.line() for e in rep if e.ok] == [e.line() for e in before if e.name != (
+        "aux.first_order.{L,d*}")]
+    assert record(rep, "aux.first_order.{L,d*}").failure == (
+        "operator is not determined by its generator values")
+
+
+def test_antisymmetry_guard_fails_on_a_pair_that_is_not_graded_antisymmetric(monkeypatch):
+    # {L,Lam} planted as H + Id, while {Lam,L} stays -H: the guard names the
+    # pair.  Id is central, so every Jacobi triple still holds
+    model, pack = model_pack("h3")
+    pool = pool_for("h3")
+    plant(monkeypatch, model, pack, ("L", "Lam"), pool.poly("H") + pool.poly("Id"),
+          layer="splitting")
+    entry = antisymmetry_report(model, pack)
+    assert (entry.verdict, entry.failure) == ("fail", "pair (L,Lam)")
+    assert jacobi_report(model, pack, exhaustive=True).verdict == "pass"
 
 
 def test_vaisman_structure_report():
