@@ -137,12 +137,9 @@ class StructurePack:
 
     @property
     def vertical_indices(self) -> tuple[int, ...]:
-        """Vertical coframe for the pack's canonical foliation."""
-        if self.kind == "kahler":
-            return ()
-        if self.kind == "sasakian":
-            return (self.reeb_index,)
-        return tuple(sorted((self.lee_index, self.reeb_index)))
+        """Vertical coframe for the pack's canonical foliation: the Reeb and
+        Lee generators the pack has."""
+        return tuple(sorted(k for k in (self.reeb_index, self.lee_index) if k is not None))
 
     def horizontal_indices(self, ngen: int) -> tuple[int, ...]:
         vert = set(self.vertical_indices)
@@ -189,6 +186,11 @@ def validate_pack(model: LieModel, pack: StructurePack):
     """Assert the pack invariants that a model file can break, each an
     identity of polynomials; raise StructureError otherwise.
 
+    Two rules read the same for every kind: the J pairs cover the
+    horizontal coframe (every generator of a Kahler pack), and every
+    vertical field (the Reeb and Lee fields) is Killing.  The third, that
+    J is integrable, is certified on d1 of the split along the Reeb
+    foliation, where the pool splits d (`splitting.OperatorPool`).
     A form a is its multiplication e_a, so da = 0 reads {d, e_a} = 0 and
     d(eta) = omega0 reads {d, e_r} = L.  What holds by construction is not
     checked: eta and theta are unit coframe generators, omega is
@@ -202,33 +204,32 @@ def validate_pack(model: LieModel, pack: StructurePack):
     used = [k for p in pack.j_pairs for k in p]
     if len(used) != len(set(used)):
         raise StructureError("J", f"J pairs overlap: {pack.j_pairs}")
+    # pairs that do not overlap and cover the coframe make its dimension even
+    if {k for p in pack.transversal_pairs() for k in p} != set(pack.horizontal_indices(n)):
+        raise StructureError("J", "J pairs must cover the horizontal coframe")
     L = fundamental_form(n, pack)
 
     if pack.kind == "kahler":
-        if n % 2:
-            raise StructureError("J", "kahler kind needs even dimension")
-        if set(used) != set(range(1, n + 1)):
-            raise StructureError("J", "J pairs must cover every generator")
         if not supercommutator(d, L).is_zero():
             raise StructureError("deta", "fundamental form is not closed")
-        return
+    else:
+        r = pack.reeb_index
+        deta = supercommutator(d, Clifford.wedge(n, r))
+        if not supercommutator(Clifford.contraction(n, r), deta).is_zero():
+            raise StructureError("contact", "i_r d eta != 0")
+        if deta != L:
+            # e_{d eta}'s block from degree 0 is d(eta)'s coordinate column
+            text = form_text(n, 2, deta.block(0).columns()[0])
+            raise StructureError("deta", f"d(eta) = {text} incompatible with J pairs {pack.j_pairs}")
 
-    r = pack.reeb_index
-    deta = supercommutator(d, Clifford.wedge(n, r))
-    if not supercommutator(Clifford.contraction(n, r), deta).is_zero():
-        raise StructureError("contact", "i_r d eta != 0")
-    if deta != L:
-        # e_{d eta}'s block from degree 0 is d(eta)'s coordinate column
-        text = form_text(n, 2, deta.block(0).columns()[0])
-        raise StructureError("deta", f"d(eta) = {text} incompatible with J pairs {pack.j_pairs}")
-    hor = pack.horizontal_indices(n)
-    if set(k for p in pack.transversal_pairs() for k in p) != set(hor):
-        raise StructureError("J", "J pairs must cover the horizontal coframe")
-    # the Reeb field is Killing: Lie_r = {d, i_r} is skew-adjoint, so it
-    # keeps the metric, eta and omega0, and with them J
-    lie_r = supercommutator(d, Clifford.contraction(n, r))
-    if lie_r.adjoint() != -lie_r:
-        raise StructureError("contact", "the Reeb field is not Killing: Lie_r* != -Lie_r")
+    # a vertical field k is Killing when Lie_k = {d, i_k} is skew-adjoint;
+    # the Reeb flow then keeps the metric, eta and omega0, and with them J
+    for k in pack.vertical_indices:
+        lie = supercommutator(d, Clifford.contraction(n, k))
+        if lie.adjoint() != -lie:
+            check, field, sub = (("contact", "Reeb", "r") if k == pack.reeb_index
+                                 else ("vaisman", "Lee", "th"))
+            raise StructureError(check, f"the {field} field is not Killing: Lie_{sub}* != -Lie_{sub}")
 
     lee = pack.lee_index
     if pack.kind == "vaisman" and not supercommutator(d, Clifford.wedge(n, lee)).is_zero():
@@ -438,8 +439,10 @@ class StructureOperators:
     Clifford polynomials, and J, the signed relabelling of the coframe
     that W is built from (`j_images`).  I = i^{p-q} is the algebra
     automorphism extending J and the identity on the vertical coframe, so
-    conjugation by I is `substitute(J)` and I is never built.  Every other
-    named operator is derived from these in `splitting.OperatorPool`."""
+    conjugation by I is `substitute(J)` and I is never built.  Building
+    them asserts that I and W agree on the coframe; that J is integrable
+    is certified, for every kind, where `splitting.OperatorPool` splits d.
+    Every other named operator is derived from these in the pool."""
 
     def __init__(self, d: Clifford, L: Clifford, W: Clifford, J: dict[int, tuple[int, Scalar]]):
         vars(self).update(d=d, L=L, W=W, J=J)
@@ -459,10 +462,6 @@ def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperat
         Clifford(n, 0, {(1 << (m - 1), 1 << (k - 1)): x for k, (m, x) in J.items()}),
         J)
     _check_i_against_w(ops.W, J, pack.vertical_indices)
-    # a Kahler J is integrable exactly when d has components only in
-    # bidegrees (1,0) and (0,1): the certificate of `splitting._hodge_split`
-    if pack.kind == "kahler" and supercommutator(ops.W, ops.d) != ops.d.substitute(J):
-        raise StructureError("J", "J is not integrable: {W, d} != I d I^-1")
     return ops
 
 

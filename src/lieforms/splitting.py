@@ -61,7 +61,8 @@ def check_integrable(model: LieModel, fol: Foliation):
 
 
 def reeb_foliation(pack: StructurePack) -> Foliation:
-    return (pack.reeb_index,)
+    """The Reeb direction, or () for a pack with none, whose split has d1 = d."""
+    return () if pack.reeb_index is None else (pack.reeb_index,)
 
 
 def lee_foliation(pack: StructurePack) -> Foliation:
@@ -100,12 +101,14 @@ def hodge_split_d1(ops: StructureOperators,
 
 
 def _hodge_split(ops: StructureOperators, d1: Clifford) -> tuple[Clifford, ...]:
-    """d1^{1,0}, d1^{0,1}, d1c and the bracket {W, d1} that certifies them.
+    """d1^{1,0}, d1^{0,1}, d1c and the bracket {W, d1} that certifies them:
+    the one test that J is integrable, for every pack kind.
 
     I d1 I^-1 is a relabelling of d1's letters: I is the algebra
     automorphism extending J, so it conjugates e_k to e_{J theta^k} and i_k
     to i_{J theta^k}.  d1 must have components only in bidegrees (1,0) and
-    (0,1); anything else signals a broken transversal complex structure.
+    (0,1); anything else means that J is not integrable.  Along the empty
+    foliation of a Kahler pack d1 is d.
     A component moving (p,q) by (a,b) is scaled by i(a-b) under [W, .] and
     by i^{a-b} under conjugation by I, so {W, d1} = d1c exactly when every
     component has a - b = +-1.  d1 is a derivation that keeps the Reeb
@@ -116,10 +119,7 @@ def _hodge_split(ops: StructureOperators, d1: Clifford) -> tuple[Clifford, ...]:
     d1c = d1.substitute(ops.J)
     w_d1 = supercommutator(ops.W, d1)
     if w_d1 != d1c:
-        raise StructureError(
-            "hodge", "d1 has components outside bidegrees (1,0) and (0,1): "
-            "broken transversal complex structure"
-        )
+        raise StructureError("J", "J is not integrable: {W, d1} != I d1 I^-1")
     i_d1c = d1c.scale(IUNIT)
     return (d1 - i_d1c).scale(HALF), (d1 + i_d1c).scale(HALF), d1c, w_d1
 
@@ -196,8 +196,11 @@ class OperatorPool:
     polynomial from its recipe; `pool.poly((a, b))` is the supercommutator
     {a, b}, memoised by name pair (the pair {W, d1} is the one that
     certified the Hodge split); `split(fol)` is the split of d along a
-    foliation, memoised per foliation.  The relation tables and the guards
-    decide on the polynomials, and the complexes ask a polynomial for its
+    foliation, memoised per foliation.  Building the pool splits d along
+    the Reeb foliation and certifies that J is integrable (`hodge`), so
+    every command refuses a non-integrable J before it reports.  The
+    relation tables and the guards decide on the polynomials, and the
+    complexes ask a polynomial for its
     blocks (`Clifford.block`), so names that share a polynomial share its
     blocks.  d, L and W are the polynomials of `structure_operators`.  The
     names are the operators' only labels: reports print them, never read
@@ -214,6 +217,8 @@ class OperatorPool:
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
         self._splits: dict[Foliation, tuple[Clifford, ...]] = {}
+        # d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split
+        self.hodge = _hodge_split(self.ops, self.split(reeb_foliation(pack))[1])
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
@@ -230,11 +235,6 @@ class OperatorPool:
         if fol not in self._splits:
             self._splits[fol] = foliation_split(self.poly("d"), self.model, fol)
         return self._splits[fol]
-
-    @functools.cached_property
-    def hodge(self) -> tuple[Clifford, ...]:
-        """d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split."""
-        return _hodge_split(self.ops, self.split(reeb_foliation(self.pack))[1])
 
 
 @functools.lru_cache(maxsize=None)

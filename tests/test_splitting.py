@@ -110,7 +110,7 @@ def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
     bad = (split[0], split[1] + planted, split[2])
     with pytest.raises(StructureError) as err:
         hodge_split_d1(ops, bad)
-    assert err.value.check == "hodge"
+    assert err.value.check == "J"
 
 
 def test_hodge_split_without_transversal_directions():
