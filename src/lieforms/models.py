@@ -186,11 +186,10 @@ def validate_pack(model: LieModel, pack: StructurePack):
     """Assert the pack invariants that a model file can break, each an
     identity of polynomials; raise StructureError otherwise.
 
-    Two rules read the same for every kind: the J pairs cover the
-    horizontal coframe (every generator of a Kahler pack), and every
-    vertical field (the Reeb and Lee fields) is Killing.  The third, that
-    J is integrable, is certified on d1 of the split along the Reeb
-    foliation, where the pool splits d (`splitting.OperatorPool`).
+    No check reads the kind, only the Reeb and Lee fields the pack has:
+    the J pairs cover the horizontal coframe (every generator of a Kahler
+    pack), and every vertical field is Killing.  That J is integrable is
+    certified where the pool splits d (`splitting.OperatorPool`).
     A form a is its multiplication e_a, so da = 0 reads {d, e_a} = 0 and
     d(eta) = omega0 reads {d, e_r} = L.  What holds by construction is not
     checked: eta and theta are unit coframe generators, omega is
@@ -204,16 +203,10 @@ def validate_pack(model: LieModel, pack: StructurePack):
     used = [k for p in pack.j_pairs for k in p]
     if len(used) != len(set(used)):
         raise StructureError("J", f"J pairs overlap: {pack.j_pairs}")
-    # pairs that do not overlap and cover the coframe make its dimension even
-    if {k for p in pack.transversal_pairs() for k in p} != set(pack.horizontal_indices(n)):
-        raise StructureError("J", "J pairs must cover the horizontal coframe")
     L = fundamental_form(n, pack)
 
-    if pack.kind == "kahler":
-        if not supercommutator(d, L).is_zero():
-            raise StructureError("deta", "fundamental form is not closed")
-    else:
-        r = pack.reeb_index
+    r = pack.reeb_index
+    if r is not None:
         deta = supercommutator(d, Clifford.wedge(n, r))
         if not supercommutator(Clifford.contraction(n, r), deta).is_zero():
             raise StructureError("contact", "i_r d eta != 0")
@@ -221,18 +214,23 @@ def validate_pack(model: LieModel, pack: StructurePack):
             # e_{d eta}'s block from degree 0 is d(eta)'s coordinate column
             text = form_text(n, 2, deta.block(0).columns()[0])
             raise StructureError("deta", f"d(eta) = {text} incompatible with J pairs {pack.j_pairs}")
+    # pairs that do not overlap and cover the coframe make its dimension even
+    if {k for p in pack.transversal_pairs() for k in p} != set(pack.horizontal_indices(n)):
+        raise StructureError("J", "J pairs must cover the horizontal coframe")
+    # d(eta) = omega0 makes omega0 exact, so only a Kahler form can fail here
+    if not supercommutator(d, L).is_zero():
+        raise StructureError("deta", "fundamental form is not closed")
 
     # a vertical field k is Killing when Lie_k = {d, i_k} is skew-adjoint;
-    # the Reeb flow then keeps the metric, eta and omega0, and with them J
+    # its flow then keeps the metric, eta and omega0, and with them J
     for k in pack.vertical_indices:
         lie = supercommutator(d, Clifford.contraction(n, k))
         if lie.adjoint() != -lie:
-            check, field, sub = (("contact", "Reeb", "r") if k == pack.reeb_index
-                                 else ("vaisman", "Lee", "th"))
+            check, field, sub = ("contact", "Reeb", "r") if k == r else ("vaisman", "Lee", "th")
             raise StructureError(check, f"the {field} field is not Killing: Lie_{sub}* != -Lie_{sub}")
 
     lee = pack.lee_index
-    if pack.kind == "vaisman" and not supercommutator(d, Clifford.wedge(n, lee)).is_zero():
+    if lee is not None and not supercommutator(d, Clifford.wedge(n, lee)).is_zero():
         raise StructureError("vaisman", "lee form is not closed")
 
 

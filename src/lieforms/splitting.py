@@ -61,8 +61,7 @@ def check_integrable(model: LieModel, fol: Foliation):
 
 
 def reeb_foliation(pack: StructurePack) -> Foliation:
-    """The Reeb direction, or () for a pack with none, whose split has d1 = d."""
-    return () if pack.reeb_index is None else (pack.reeb_index,)
+    return (pack.reeb_index,)
 
 
 def lee_foliation(pack: StructurePack) -> Foliation:
@@ -107,14 +106,14 @@ def _hodge_split(ops: StructureOperators, d1: Clifford) -> tuple[Clifford, ...]:
     I d1 I^-1 is a relabelling of d1's letters: I is the algebra
     automorphism extending J, so it conjugates e_k to e_{J theta^k} and i_k
     to i_{J theta^k}.  d1 must have components only in bidegrees (1,0) and
-    (0,1); anything else means that J is not integrable.  Along the empty
-    foliation of a Kahler pack d1 is d.
-    A component moving (p,q) by (a,b) is scaled by i(a-b) under [W, .] and
-    by i^{a-b} under conjugation by I, so {W, d1} = d1c exactly when every
-    component has a - b = +-1.  d1 is a derivation that keeps the Reeb
-    degree, so it moves the vertical degree by c in {-1, 0, 1} (the Lee
-    degree of a Vaisman pack), and a + b + c = 1; a - b odd then forces
-    c = 0 and (a,b) in {(1,0), (0,1)}.  The components are (d1 -+ i d1c)/2.
+    (0,1); anything else means that J is not integrable.  The pool splits
+    d along the pack's vertical fields, so d1 moves the transversal degree
+    p + q by 1: it is d itself for a Kahler pack, and a Lee field that
+    rotates the transversal coframe moves only d0.
+    A component moving (p,q) by (a,b), a + b = 1, is scaled by i(a-b) under
+    [W, .] and by i^{a-b} under conjugation by I, so {W, d1} = d1c exactly
+    when every component has a - b = +-1, that is (a,b) in {(1,0), (0,1)}.
+    The components are (d1 -+ i d1c)/2.
     """
     d1c = d1.substitute(ops.J)
     w_d1 = supercommutator(ops.W, d1)
@@ -158,8 +157,9 @@ _RECIPES = {
                                     for a, b in p.pack.transversal_pairs()),
     "sum i_a i_b": lambda p: op_sum(p.poly(f"i_{a}") @ p.poly(f"i_{b}")
                                     for a, b in p.pack.transversal_pairs()),
-    # contact: the Reeb splitting, its Hodge components and Reeb powers
-    **{f"d{i}": (lambda p, i=i: p.split(reeb_foliation(p.pack))[i]) for i in range(3)},
+    # contact: the split along the vertical fields (the Reeb split of a
+    # Sasakian pack), its Hodge components and Reeb powers
+    **{f"d{i}": (lambda p, i=i: p.split(p.pack.vertical_indices)[i]) for i in range(3)},
     "d1^{1,0}": lambda p: p.hodge[0],
     "d1^{0,1}": lambda p: p.hodge[1],
     "d1c": lambda p: p.hodge[2],
@@ -197,14 +197,14 @@ class OperatorPool:
     {a, b}, memoised by name pair (the pair {W, d1} is the one that
     certified the Hodge split); `split(fol)` is the split of d along a
     foliation, memoised per foliation.  Building the pool splits d along
-    the Reeb foliation and certifies that J is integrable (`hodge`), so
-    every command refuses a non-integrable J before it reports.  The
-    relation tables and the guards decide on the polynomials, and the
-    complexes ask a polynomial for its
-    blocks (`Clifford.block`), so names that share a polynomial share its
-    blocks.  d, L and W are the polynomials of `structure_operators`.  The
-    names are the operators' only labels: reports print them, never read
-    them off an operator.
+    the pack's vertical fields and certifies on its d1 that J is
+    integrable (`hodge`), so every command refuses a non-integrable J
+    before it reports.  The relation tables and the guards decide on the
+    polynomials, and the complexes ask a polynomial for its blocks
+    (`Clifford.block`), so names that share a polynomial share its blocks.
+    d, L and W are the polynomials of `structure_operators`.  The names
+    are the operators' only labels: reports print them, never read them
+    off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
@@ -217,8 +217,8 @@ class OperatorPool:
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
         self._splits: dict[Foliation, tuple[Clifford, ...]] = {}
-        # d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the Reeb split
-        self.hodge = _hodge_split(self.ops, self.split(reeb_foliation(pack))[1])
+        # d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the pool's d1
+        self.hodge = _hodge_split(self.ops, self.poly("d1"))
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
