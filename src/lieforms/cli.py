@@ -17,7 +17,13 @@ import io
 import os
 import sys
 
-from .cohomology import basic_subcomplex, full_complex, harmonic_space, transversal_package
+from .cohomology import (
+    basic_subcomplex,
+    contact_foliation,
+    full_complex,
+    harmonic_space,
+    transversal_package,
+)
 from .cones import (
     lefschetz_cone_package,
     sasakian_decomposition,
@@ -31,10 +37,7 @@ from .splitting import (
     antisymmetry_report,
     jacobi_report,
     kahler_relations,
-    lee_foliation,
-    reeb_foliation,
     sasakian_relations,
-    sigma_foliation,
     vaisman_structure_relations,
 )
 
@@ -216,14 +219,14 @@ def _run_check(report: Report, model, pack):
     elif pack.kind == "sasakian":
         report.add_checks("relation table", sasakian_relations(model, pack))
         report.add_checks("transversal package (reeb foliation)",
-                          transversal_package(model, pack, reeb_foliation(pack)))
+                          transversal_package(model, pack))
     else:
         report.add_checks("structure table", vaisman_structure_relations(model, pack))
         report.add_checks("transversal package (canonical foliation)",
-                          transversal_package(model, pack, sigma_foliation(pack)))
+                          transversal_package(model, pack))
         from .cohomology import basic_adjoint_check
         report.add_checks("basic adjoint identity (lee foliation)",
-                          basic_adjoint_check(model, pack, lee_foliation(pack)))
+                          basic_adjoint_check(model, pack))
     report.add_checks("superalgebra guards", [
         antisymmetry_report(model, pack),
         jacobi_report(model, pack, exhaustive=model.dim <= 3)])
@@ -233,11 +236,11 @@ def _run_cohomology(report: Report, model, pack):
     full = full_complex(model, pack)
     rows = _betti_rows("full", full)
     if pack.kind == "sasakian":
-        rows += _betti_rows("basic", basic_subcomplex(model, pack, reeb_foliation(pack)))
+        rows += _betti_rows("basic", basic_subcomplex(model, pack, pack.vertical_indices))
     elif pack.kind == "vaisman":
-        sas = basic_subcomplex(model, pack, lee_foliation(pack))
+        sas = basic_subcomplex(model, pack, contact_foliation(pack))
         rows += _betti_rows("sas", sas)
-        rows += _betti_rows("kah", basic_subcomplex(model, pack, sigma_foliation(pack)))
+        rows += _betti_rows("kah", basic_subcomplex(model, pack, pack.vertical_indices))
         rows += [["theta-splitting", k, f"{sas.betti(k)}+{sas.betti(k - 1)}"]
                  for k in full.degrees]
     report.add_table("betti numbers", ["complex", "degree", "betti"], rows)

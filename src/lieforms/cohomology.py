@@ -16,7 +16,6 @@ two complexes behind every contact-type check.
 from __future__ import annotations
 
 import functools
-from operator import matmul
 
 from .clifford import Clifford, basis_dim, op_sum, supercommutator
 from .matrices import (
@@ -28,7 +27,7 @@ from .matrices import (
     subspace_equal,
 )
 from .models import LieModel, StructureError, StructurePack
-from .splitting import Foliation, check_integrable, lee_foliation, operator_pool
+from .splitting import Foliation, operator_pool
 from .verdicts import RelationEntry
 
 
@@ -215,8 +214,9 @@ def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> Matrix:
 
 @functools.lru_cache(maxsize=None)
 def basic_subcomplex(model: LieModel, pack: StructurePack, fol: Foliation) -> FormComplex:
-    """Forms killed by i_v and Lie_v for every v spanning the foliation."""
-    check_integrable(model, fol)
+    """Forms killed by i_v and Lie_v for every v spanning the foliation: a
+    span of rank at most 1, or the pack's vertical fields, whose
+    integrability the pool certifies when it splits d along them."""
     constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
     return FormComplex.from_constraints(model, operator_pool(model, pack).poly("d"), constraints)
 
@@ -242,8 +242,8 @@ def contact_foliation(pack: StructurePack) -> Foliation:
     the empty one for a Sasakian pack (C is the full complex), the Lee
     foliation for a Vaisman pack."""
     if pack.kind == "kahler":
-        raise StructureError("cone", "cone package needs a reeb direction")
-    return lee_foliation(pack) if pack.kind == "vaisman" else ()
+        raise StructureError("contact", "a Kahler pack has no Reeb field")
+    return (pack.lee_index,) if pack.kind == "vaisman" else ()
 
 
 def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex, FormComplex]:
@@ -260,22 +260,10 @@ def contact_complexes(model: LieModel, pack: StructurePack) -> tuple[FormComplex
     return contact, basic_subcomplex(model, pack, pack.vertical_indices)
 
 
-def _split_laplacian_parts(model: LieModel, pack: StructurePack, fol: Foliation):
-    """Delta_s, its {d1, d1*} term, Lie_v = {d, i_v} for each spanning v,
-    and Pi_hor = prod_v i_v e_v, as polynomials."""
-    pool = operator_pool(model, pack)
-    d1 = pool.split(fol)[1]
-    box = supercommutator(d1, d1.adjoint())
-    lies = [lie for _, lie in _contractions(model, pack, fol)]
-    pi_hor = functools.reduce(matmul, (pool.poly(f"i_{v}") @ pool.poly(f"e_{v}")
-                                       for v in fol), pool.poly("Id"))
-    return op_sum([box] + [-(lie @ lie) for lie in lies]), box, lies, pi_hor
-
-
-def basic_adjoint_check(model: LieModel, pack: StructurePack,
-                        fol: Foliation) -> list[RelationEntry]:
-    """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basic basis forms."""
-    return [_basic_adjoint(model, pack, basic_subcomplex(model, pack, fol))]
+def basic_adjoint_check(model: LieModel, pack: StructurePack) -> list[RelationEntry]:
+    """g(d*_h a, b) = g(d*_bas a, b) over all pairs of basis forms of the
+    contact-level complex C."""
+    return [_basic_adjoint(model, pack, contact_complexes(model, pack)[0])]
 
 
 def _basic_adjoint(model, pack, sub: FormComplex) -> RelationEntry:
@@ -327,18 +315,17 @@ def induced_map(blocks: dict[int, Matrix], src: CochainComplex, tgt: CochainComp
     return out
 
 
-def transversal_package(model: LieModel, pack: StructurePack,
-                        fol: Foliation) -> list[RelationEntry]:
-    """Transversal Hodge package on the basic complex of a foliation.
+def transversal_package(model: LieModel, pack: StructurePack) -> list[RelationEntry]:
+    """Transversal Hodge package on the basic complex B.
 
     Hard Lefschetz, bigraded stability of harmonic classes, the basic
     adjoint identity, positivity and commutation of the split Laplacian,
     and the eigenvector-exactness argument at desk scale.
     """
     pool = operator_pool(model, pack)
-    sub = basic_subcomplex(model, pack, fol)
+    sub = contact_complexes(model, pack)[1]
     report = []
-    n_t = (model.dim - len(fol)) // 2
+    n_t = pack.transversal_dim(model.dim)
 
     # hard Lefschetz: (L^e)_* = (L_*)^e, so L^(n-k) on H^k composes the
     # map L induces on basic cohomology
@@ -359,8 +346,8 @@ def transversal_package(model: LieModel, pack: StructurePack,
                                 "; ".join(detail) or "no middle degrees", "bijective",
                                 "pass" if ok else "fail"))
 
-    # (p,q)-stability of basic harmonic classes.  Every caller passes the
-    # pack's canonical foliation, whose basic k-forms are horizontal of
+    # (p,q)-stability of basic harmonic classes.  B is the basic complex of
+    # the pack's canonical foliation, whose basic k-forms are horizontal of
     # bidegree (h, v) = (k, 0).  There W is diagonalisable with eigenvalue
     # i(p-q) on the (p,q) part, so each Pi^{p,q} is a polynomial in W, and a
     # space is stable under every Pi^{p,q} exactly when it is stable under W.
@@ -376,7 +363,9 @@ def transversal_package(model: LieModel, pack: StructurePack,
     report.append(_basic_adjoint(model, pack, sub))
 
     # split Laplacian, decided on polynomials
-    ds, box, lies, pi_hor = _split_laplacian_parts(model, pack, fol)
+    ds, box, pi_hor = pool.poly("Delta_s"), pool.poly("Delta1"), pool.poly("Pi_hor")
+    pairs = _contractions(model, pack, pack.vertical_indices)
+    lies = [lie for _, lie in pairs]
     report.append(RelationEntry("split_laplacian.self_adjoint", "Delta_s*", "Delta_s",
                                 "pass" if ds.adjoint() == ds else "fail"))
     psd = op_sum([box] + [lie @ lie.adjoint() for lie in lies])
@@ -397,7 +386,6 @@ def transversal_package(model: LieModel, pack: StructurePack,
 
     # kernel conditions: Lie_v always vanishes; i_v is reported per model
     lie_ok, iv_ok = True, True
-    pairs = _contractions(model, pack, fol)
     for k, block in enumerate(ds_blocks):
         ker = nullspace(block)
         for iv, lie in pairs:

@@ -64,14 +64,6 @@ def reeb_foliation(pack: StructurePack) -> Foliation:
     return (pack.reeb_index,)
 
 
-def lee_foliation(pack: StructurePack) -> Foliation:
-    return (pack.lee_index,)
-
-
-def sigma_foliation(pack: StructurePack) -> Foliation:
-    return tuple(sorted((pack.lee_index, pack.reeb_index)))
-
-
 def foliation_split(d: Clifford, model: LieModel, fol: Foliation) -> tuple[Clifford, ...]:
     """Split the polynomial d by bidegree into d_0, ..., d_{r+1} for a rank-r
     foliation, d_i : (h, v) -> (h+i, v+1-i).
@@ -159,13 +151,20 @@ _RECIPES = {
                                     for a, b in p.pack.transversal_pairs()),
     # contact: the split along the vertical fields (the Reeb split of a
     # Sasakian pack), its Hodge components and Reeb powers
-    **{f"d{i}": (lambda p, i=i: p.split(p.pack.vertical_indices)[i]) for i in range(3)},
+    **{f"d{i}": (lambda p, i=i: p.split[i]) for i in range(3)},
     "d1^{1,0}": lambda p: p.hodge[0],
     "d1^{0,1}": lambda p: p.hodge[1],
     "d1c": lambda p: p.hodge[2],
     ("W", "d1"): lambda p: p.hodge[3],  # built to certify the Hodge split
     "Delta0": lambda p: p.poly(("d0", "d0*")),
     "Delta1": lambda p: p.poly(("d1", "d1*")),
+    # the transversal package: the split Laplacian {d1, d1*} - sum_v Lie_v^2
+    # and the horizontal projector prod_v i_v e_v, over the vertical fields
+    "Delta_s": lambda p: op_sum([p.poly("Delta1")] + [
+        -(p.poly(("d", f"i_{v}")) @ p.poly(("d", f"i_{v}"))) for v in p.pack.vertical_indices]),
+    "Pi_hor": lambda p: functools.reduce(
+        Clifford.__matmul__, (p.poly(f"i_{v}") @ p.poly(f"e_{v}") for v in p.pack.vertical_indices),
+        p.poly("Id")),
     **{f"{x}(1)": (lambda p, x=x: reeb_power(p.poly(x), p.poly("Lie_r")))
        for x in ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")},
     "d0+d1+d2": lambda p: op_sum((p.poly("d0"), p.poly("d1"), p.poly("d2"))),
@@ -195,16 +194,15 @@ class OperatorPool:
     `pool.poly(name)` builds an operator's normal-ordered Clifford
     polynomial from its recipe; `pool.poly((a, b))` is the supercommutator
     {a, b}, memoised by name pair (the pair {W, d1} is the one that
-    certified the Hodge split); `split(fol)` is the split of d along a
-    foliation, memoised per foliation.  Building the pool splits d along
-    the pack's vertical fields and certifies on its d1 that J is
-    integrable (`hodge`), so every command refuses a non-integrable J
-    before it reports.  The relation tables and the guards decide on the
-    polynomials, and the complexes ask a polynomial for its blocks
-    (`Clifford.block`), so names that share a polynomial share its blocks.
-    d, L and W are the polynomials of `structure_operators`.  The names
-    are the operators' only labels: reports print them, never read them
-    off an operator.
+    certified the Hodge split).  Building the pool splits d along the
+    pack's vertical fields (`split`, which refuses fields that do not span
+    a foliation) and certifies on its d1 that J is integrable (`hodge`),
+    so every command refuses such a pack before it reports.  The relation
+    tables and the guards decide on the polynomials, and the complexes ask
+    a polynomial for its blocks (`Clifford.block`), so names that share a
+    polynomial share its blocks.  d, L and W are the polynomials of
+    `structure_operators`.  The names are the operators' only labels:
+    reports print them, never read them off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
@@ -216,8 +214,9 @@ class OperatorPool:
             self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
-        self._splits: dict[Foliation, tuple[Clifford, ...]] = {}
-        # d1^{1,0}, d1^{0,1}, d1c and {W, d1} of the pool's d1
+        # d0, ..., d_{r+1} along the vertical fields, and d1^{1,0}, d1^{0,1},
+        # d1c and {W, d1} of its d1
+        self.split = foliation_split(self.ops.d, model, pack.vertical_indices)
         self.hodge = _hodge_split(self.ops, self.poly("d1"))
 
     def poly(self, ref) -> Clifford:
@@ -229,12 +228,6 @@ class OperatorPool:
                 op = self._recipes[ref](self)
             self._polys[ref] = op
         return op
-
-    def split(self, fol: Foliation) -> tuple[Clifford, ...]:
-        """The split of d's polynomial along a foliation."""
-        if fol not in self._splits:
-            self._splits[fol] = foliation_split(self.poly("d"), self.model, fol)
-        return self._splits[fol]
 
 
 @functools.lru_cache(maxsize=None)

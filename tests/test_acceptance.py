@@ -31,7 +31,6 @@ from lieforms.splitting import (
     operator_pool,
     reeb_foliation,
     sasakian_relations,
-    sigma_foliation,
 )
 
 from conftest import model_pack, pool_for, record, record_criterion
@@ -200,11 +199,11 @@ def test_criterion_5_betti_tables_against_oracle():
             failures.append((name, got, want, oracle_says))
     for (name, span), want in EXPECTED_BASIC.items():
         model, pack = model_pack(name)
-        fol = (sigma_foliation(pack) if len(span) == 2 else reeb_foliation(pack))
-        got = basic_subcomplex(model, pack, fol).betti_list()
+        got = basic_subcomplex(model, pack, pack.vertical_indices).betti_list()
         oracle_says = oracle.basic_betti_table(*ORACLE_MODELS[name], span)
         top = len(want)
-        if not (got[:top] == want == oracle_says and all(b == 0 for b in got[top:])):
+        if not (span == pack.vertical_indices and got[:top] == want == oracle_says
+                and all(b == 0 for b in got[top:])):
             failures.append((name, span, got, want, oracle_says))
     ok = record_criterion(5, "Betti tables equal the frozen values and the "
                              "independent row-reduction oracle", not failures)
@@ -268,11 +267,8 @@ def test_criterion_8_vaisman_theorems():
 
 def test_criterion_9_transversal_hodge_package():
     failures = []
-    cases = [(name, reeb_foliation) for name in SASAKIAN]
-    cases += [(name, sigma_foliation) for name in VAISMAN]
-    for name, folf in cases:
-        model, pack = model_pack(name)
-        rep = transversal_package(model, pack, folf(pack))
+    for name in SASAKIAN + VAISMAN:
+        rep = transversal_package(*model_pack(name))
         for key in ("transversal.hard_lefschetz", "transversal.pq_stability",
                     "basic_adjoint.pairing", "split_laplacian.self_adjoint",
                     "split_laplacian.psd_decomposition",

@@ -5,9 +5,9 @@ import block_reference as ref
 import oracle
 from lieforms.cohomology import (
     FormComplex,
-    _split_laplacian_parts,
     basic_adjoint_check,
     basic_subcomplex,
+    contact_foliation,
     full_complex,
     harmonic_space,
     invariant_subcomplex,
@@ -16,7 +16,7 @@ from lieforms.cohomology import (
 from lieforms.matrices import nullspace, subspace_equal
 from lieforms.models import BUILTIN_NAMES, StructureError
 from lieforms.scalars import Scalar
-from lieforms.splitting import lee_foliation, operator_pool, reeb_foliation, sigma_foliation
+from lieforms.splitting import operator_pool, reeb_foliation
 
 from block_reference import ODD
 from conftest import DATA, load, model_pack, ops_for, plant, record
@@ -39,21 +39,22 @@ def test_betti_tables_match_oracle():
         assert got == oracle.betti_table(dim, brackets), name
 
 
+def own_span(pack, span):
+    """A span the pack's own complexes are basic for: its vertical fields
+    (B), or the Lee field of a Vaisman pack (C)."""
+    assert span in (pack.vertical_indices, contact_foliation(pack)), span
+    return span
+
+
 def test_basic_betti_match_oracle():
-    cases = [
-        ("su2", reeb_foliation, (3,)),
-        ("h3", reeb_foliation, (3,)),
-        ("h5", reeb_foliation, (5,)),
-        ("su2xr", sigma_foliation, (1, 4)),
-        ("h3xr", sigma_foliation, (1, 4)),
-        ("su2xr", lee_foliation, (1,)),
-        ("h3xr", lee_foliation, (1,)),
-    ]
-    for name, folf, span in cases:
+    # B of every contact builtin, and C of the Vaisman ones
+    cases = [("su2", (3,)), ("h3", (3,)), ("h5", (5,)), ("su2xr", (1, 4)),
+             ("h3xr", (1, 4)), ("su2xr", (1,)), ("h3xr", (1,))]
+    for name, span in cases:
         model, pack = model_pack(name)
         dim, brackets = ORACLE_MODELS[name]
         want = oracle.basic_betti_table(dim, brackets, span)
-        got = basic_subcomplex(model, pack, folf(pack)).betti_list()
+        got = basic_subcomplex(model, pack, own_span(pack, span)).betti_list()
         top = len(want)
         assert got[:top] == want and all(b == 0 for b in got[top:]), (name, span)
 
@@ -79,7 +80,7 @@ def test_harmonic_spaces():
 
 def test_basic_subcomplex_h3_contents():
     model, pack = model_pack("h3")
-    sub = basic_subcomplex(model, pack, reeb_foliation(pack))
+    sub = basic_subcomplex(model, pack, pack.vertical_indices)
     assert [sub.dim(k) for k in range(4)] == [1, 2, 1, 0]
     assert column_forms(3, 1, sub.embed[1]) == [t(3, 1), t(3, 2)]
     assert all(m.is_zero() for m in sub.diff.values())
@@ -102,7 +103,7 @@ def test_subcomplex_closure_guard():
 def test_restriction_guard_on_an_operator_leaving_the_subcomplex():
     # e_r wedges the basic 1-form t1 of h3 into t1^t3, which has a reeb leg
     model, pack = model_pack("h3")
-    sub = basic_subcomplex(model, pack, reeb_foliation(pack))
+    sub = basic_subcomplex(model, pack, pack.vertical_indices)
     pool = operator_pool(model, pack)
     assert sub.restrict(pool.poly("L"))  # L = e_{omega0} keeps basic forms basic
     with pytest.raises(StructureError, match="operator fails to preserve the subspace") as info:
@@ -174,10 +175,8 @@ def test_invariant_subcomplex_su2():
 
 
 def test_split_laplacian_properties():
-    for name, folf in (("su2", reeb_foliation), ("h3", reeb_foliation),
-                       ("su2xr", sigma_foliation)):
-        model, pack = model_pack(name)
-        ds = _split_laplacian_parts(model, pack, folf(pack))[0]
+    for name in ("su2", "h3", "su2xr"):
+        ds = operator_pool(*model_pack(name)).poly("Delta_s")
         assert ds.adjoint() == ds
         for block in ref.blocks(ds).blocks:
             for i in range(block.nrows):
@@ -188,8 +187,7 @@ def test_split_laplacian_properties():
 def test_split_laplacian_h3_kernel():
     # d1 = 0 and Lie_r = 0 on the Heisenberg model, so Delta_s vanishes and
     # its degree-1 kernel is everything, including the vertical covector
-    model, pack = model_pack("h3")
-    ds = _split_laplacian_parts(model, pack, reeb_foliation(pack))[0]
+    ds = operator_pool(*model_pack("h3")).poly("Delta_s")
     assert ds.is_zero()
     ker = nullspace(ds.block(1))
     assert ker.ncols == 3
@@ -197,25 +195,23 @@ def test_split_laplacian_h3_kernel():
 
 def test_split_laplacian_su2_kernel_contains_eta():
     model, pack = model_pack("su2")
-    ds = _split_laplacian_parts(model, pack, reeb_foliation(pack))[0]
+    ds = operator_pool(model, pack).poly("Delta_s")
     assert ref.apply(ref.blocks(ds), t(3, pack.reeb_index)).is_zero()
 
 
 def test_basic_adjoint_identity():
-    for name, folf in (("h3", reeb_foliation), ("su2", reeb_foliation),
-                       ("h5", reeb_foliation), ("su2xr", sigma_foliation),
-                       ("su2xr", lee_foliation), ("h3xr", lee_foliation)):
+    # on C by itself, and on B inside the transversal package
+    for name in BUILTIN_NAMES[2:]:
         model, pack = model_pack(name)
-        rep = basic_adjoint_check(model, pack, folf(pack))
+        rep = basic_adjoint_check(model, pack)
         assert all(r.ok for r in rep), (name, [e.line() for e in rep])
+        entry = record(transversal_package(model, pack), "basic_adjoint.pairing")
+        assert entry.ok, (name, entry.line())
 
 
 def test_transversal_package_passes():
-    for name, folf in (("su2", reeb_foliation), ("h3", reeb_foliation),
-                       ("h5", reeb_foliation), ("su2xr", sigma_foliation),
-                       ("h3xr", sigma_foliation)):
-        model, pack = model_pack(name)
-        rep = transversal_package(model, pack, folf(pack))
+    for name in BUILTIN_NAMES[2:]:
+        rep = transversal_package(*model_pack(name))
         assert all(r.ok for r in rep), (name, [e.line() for e in rep if not e.ok])
         assert record(rep, "transversal.hard_lefschetz").verdict == "pass"
         assert record(rep, "transversal.pq_stability").verdict == "pass"
@@ -231,7 +227,7 @@ def test_pq_stability_fails_when_w_moves_a_harmonic_class(monkeypatch):
     poly = operator_pool(model, pack).poly
     plant(monkeypatch, model, pack, "W",
           poly("W") + poly(f"e_{pack.reeb_index}") @ poly("i_1"))
-    rep = transversal_package(model, pack, reeb_foliation(pack))
+    rep = transversal_package(model, pack)
     assert [e.name for e in rep if not e.ok] == ["transversal.pq_stability"]
 
 
@@ -245,16 +241,15 @@ def test_harmonic_vs_representatives_fails_on_representatives_off_the_harmonic_f
     from lieforms.matrices import Matrix
 
     model, pack = load("su2_aff")
-    fol = reeb_foliation(pack)
-    before = transversal_package(model, pack, fol)
-    sub = co.basic_subcomplex.__wrapped__(model, pack, fol)
+    before = transversal_package(model, pack)
+    sub = co.basic_subcomplex.__wrapped__(model, pack, pack.vertical_indices)
     reps = sub.cohomology()
     assert reps[2].ncols == 1
     exact = next(e for e in (sub.d(1) @ Matrix.unit_rows([j], sub.dim(1)).conj_transpose()
                              for j in range(sub.dim(1))) if not e.is_zero())
     reps[2] = reps[2] + exact
     monkeypatch.setattr(co, "basic_subcomplex", lambda *_: sub)
-    after = transversal_package(model, pack, fol)
+    after = transversal_package(model, pack)
     assert [a.name for a, b in zip(after, before) if a.line() != b.line()] == [
         "transversal.harmonic_vs_representatives"]
     assert record(after, "transversal.harmonic_vs_representatives").line() == (
@@ -264,7 +259,7 @@ def test_harmonic_vs_representatives_fails_on_representatives_off_the_harmonic_f
 
 def test_kernel_iv_claim_fails_where_predicted():
     model, pack = model_pack("su2")
-    rep = transversal_package(model, pack, reeb_foliation(pack))
+    rep = transversal_package(model, pack)
     assert "fails" in record(rep, "split_laplacian.kernel_iv_vanishing").failure
 
 
@@ -289,10 +284,10 @@ def test_poincare_duality_and_euler_characteristic():
 # have shift 2 there, or Lam, H and every cone and induced map go wrong
 TRANSVERSAL_FREE = {
     "contact1": ("[algebra]\ndim = 1\n[structure]\nkind = sasakian\nreeb = 1\n",
-                 [("basic", reeb_foliation, (1,))]),
+                 [("basic", (1,))]),
     "vaisman2": ("[algebra]\ndim = 2\n[structure]\nkind = vaisman\nreeb = 2\nlee = 1\n"
                  "J: 1 -> 2\n",
-                 [("sas", lee_foliation, (1,)), ("kah", sigma_foliation, (1, 2))]),
+                 [("sas", (1,)), ("kah", (1, 2))]),
 }
 
 
@@ -301,7 +296,7 @@ def test_models_without_transversal_directions(tmp_path, name):
     from lieforms.cli import COMMANDS, RunConfig, run
     from lieforms.models import parse_model
 
-    text, foliations = TRANSVERSAL_FREE[name]
+    text, spans = TRANSVERSAL_FREE[name]
     path = tmp_path / f"{name}.alg"
     path.write_text(text)
     for command in COMMANDS:
@@ -313,9 +308,9 @@ def test_models_without_transversal_directions(tmp_path, name):
     assert model.brackets == ()
     assert full_complex(model, pack).betti_list() == \
         oracle.betti_table(model.dim, {})
-    for label, folf, span in foliations:
+    for label, span in spans:
         want = oracle.basic_betti_table(model.dim, {}, span)
-        got = basic_subcomplex(model, pack, folf(pack)).betti_list()
+        got = basic_subcomplex(model, pack, own_span(pack, span)).betti_list()
         assert got[:len(want)] == want and not any(got[len(want):]), label
 
 
@@ -383,7 +378,7 @@ def test_all_induces_each_map_once(monkeypatch, capsys, name):
 
 @pytest.mark.parametrize("name", ["h5", "su2", "su2xr", "h3xr"])
 def test_all_builds_each_operator_once(monkeypatch, capsys, name):
-    # the split of d along each foliation and each block of each polynomial
+    # the split of d along the vertical fields and each block of each polynomial
     # (the pool's, the coframe operators e_k, i_k and the Reeb and Lee
     # operators among them, and Delta_s and L^e of the transversal package)
     # are built once, however many layers read them, and each polynomial is
@@ -441,24 +436,15 @@ def test_all_builds_each_operator_once(monkeypatch, capsys, name):
 CONTACT_MODELS = [*BUILTIN_NAMES[2:], *(p.stem for p in sorted(DATA.glob("*.alg")))]
 
 
-def foliations(pack):
-    """The Reeb foliation, and the Lee and sigma foliations of a Vaisman pack."""
-    fols = [reeb_foliation]
-    if pack.kind == "vaisman":
-        fols += [lee_foliation, sigma_foliation]
-    return [fol(pack) for fol in fols]
-
-
 def test_horizontal_projector_is_the_vertical_degree_zero_projector():
     # Pi_hor = prod_v i_v e_v of the transversal package against the sum of
     # the reference bidegree projectors with vertical degree 0
     for name in CONTACT_MODELS:
         model, pack = load(name)
-        for fol in foliations(pack):
-            pi = ref.bidegree_projectors(model.dim, fol)
-            expected = ref.add(*(p for (h, v), p in pi.items() if v == 0))
-            pi_hor = _split_laplacian_parts(model, pack, fol)[3]
-            assert ref.blocks(pi_hor) == expected, (name, fol)
+        pi = ref.bidegree_projectors(model.dim, pack.vertical_indices)
+        expected = ref.add(*(p for (h, v), p in pi.items() if v == 0))
+        pi_hor = operator_pool(model, pack).poly("Pi_hor")
+        assert ref.blocks(pi_hor) == expected, name
 
 
 @pytest.mark.parametrize("name", CONTACT_MODELS)
@@ -473,18 +459,17 @@ def test_transversal_polynomials_match_the_block_reference(monkeypatch, name):
     restricted, restrict = [], FormComplex.restrict
     monkeypatch.setattr(FormComplex, "restrict",
                         lambda sub, op: restricted.append(op) or restrict(sub, op))
-    for fol in foliations(pack):
-        d1 = ref.d1_reference(d, fol)
-        lies = [ref.supercommutator(d, ref.from_action(n, -1, ODD, lambda x, v=v: contract(v, x)))
-                for v in fol]
-        ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
-                     *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
-        assert ref.blocks(_split_laplacian_parts(model, pack, fol)[0]) == ds, fol
-        # a fresh basic complex, so that L's induced map is not already memoised
-        basic_subcomplex.cache_clear()
-        restricted.clear()
-        transversal_package(model, pack, fol)
-        assert [ref.blocks(op) for op in restricted] == [reference["L"], ds], fol
+    fol = pack.vertical_indices
+    d1 = ref.d1_reference(d, fol)
+    lies = [ref.supercommutator(d, ref.from_action(n, -1, ODD, lambda x, v=v: contract(v, x)))
+            for v in fol]
+    ds = ref.add(ref.supercommutator(d1, ref.adjoint(d1)),
+                 *(ref.scale(ref.compose(lie, lie), Scalar.of(-1)) for lie in lies))
+    assert ref.blocks(operator_pool(model, pack).poly("Delta_s")) == ds
+    # a fresh basic complex, so that L's induced map is not already memoised
+    basic_subcomplex.cache_clear()
+    transversal_package(model, pack)
+    assert [ref.blocks(op) for op in restricted] == [reference["L"], ds]
 
 
 def planted_complex():
@@ -529,13 +514,22 @@ def test_basic_adjoint_reports_the_first_failing_pair(monkeypatch, name):
     # with d* doubled in the pool the left side doubles, so the first basis
     # pair with a nonzero pairing is reported, in row-major (j, b) order
     model, pack = model_pack(name)
-    fol = lee_foliation(pack)
     plant(monkeypatch, model, pack, "d*",
           operator_pool(model, pack).poly("d*").scale(Scalar.of(2)))
-    [entry] = basic_adjoint_check(model, pack, fol)
+    [entry] = basic_adjoint_check(model, pack)
     assert entry.verdict == "fail"
     assert entry.line().startswith("FAIL  basic_adjoint.pairing: ")
     assert entry.line().endswith("[degree 2, basis pair (0,2): 2 vs 1]")
+
+
+def test_contact_checks_refuse_a_kahler_pack():
+    # a Kahler pack has no Reeb field, so it has no contact-level complex C
+    # and no transversal package
+    model, pack = model_pack("torus4")
+    for check in (lambda: contact_foliation(pack), lambda: transversal_package(model, pack),
+                  lambda: basic_adjoint_check(model, pack)):
+        with pytest.raises(StructureError, match="^contact: a Kahler pack has no Reeb field$"):
+            check()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -597,7 +591,7 @@ def test_eigen_exactness_prints_the_spectrum_in_numeric_order():
         assert a in text
         text = text.replace(a, b)
     model, pack = parse_model(text, "e9_rotation_3")
-    entry = record(transversal_package(model, pack, reeb_foliation(pack)),
+    entry = record(transversal_package(model, pack),
                    "split_laplacian.eigen_exactness")
     assert entry.verdict == "pass"
     assert entry.lhs.endswith("(rational spectrum seen: ['9', '18'])")

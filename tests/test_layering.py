@@ -109,3 +109,21 @@ def test_arithmetic_modules_do_not_reach_presentation(module):
     imported = {a.asname or a.name for n in ast.walk(tree)
                 if isinstance(n, ast.ImportFrom) for a in n.names}
     assert not (defined | imported) & RECORDS, module
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    # a name a module imports and never reads is a leftover of a deleted
+    # caller; `from __future__` imports bind no name
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert imported <= read, (module, sorted(imported - read))

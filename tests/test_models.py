@@ -29,7 +29,6 @@ from lieforms.splitting import (
     hodge_split_d1,
     operator_pool,
     reeb_foliation,
-    sigma_foliation,
 )
 
 import block_reference as ref
@@ -261,9 +260,8 @@ def test_closed_forms_match_the_lagrange_reference(name):
     assert tuple(ref.blocks(p) for p in hodge_split_d1(ops, split)[:2]) == (d1_10, d1_01)
     # the pool's polynomials, certified by {W, d1} = I d1 I^-1 on the letters
     assert (ref.blocks(pool.poly("d1^{1,0}")), ref.blocks(pool.poly("d1^{0,1}"))) == (d1_10, d1_01)
-    fol = reeb_foliation(pack) if pack.kind == "sasakian" else sigma_foliation(pack)
-    stable = reference_pq_stable(pi, basic_subcomplex(model, pack, fol))
-    entry = record(transversal_package(model, pack, fol), "transversal.pq_stability")
+    stable = reference_pq_stable(pi, basic_subcomplex(model, pack, pack.vertical_indices))
+    entry = record(transversal_package(model, pack), "transversal.pq_stability")
     assert entry.verdict == ("pass" if stable else "fail")
 
 
@@ -302,8 +300,11 @@ def test_loading_builds_no_block(monkeypatch, tmp_path, name):
     structure_operators.cache_clear()
     ops = structure_operators(model, pack)
     split = foliation_split(ops.d, model, reeb_foliation(pack))
-    assert split == operator_pool(model, pack).split(reeb_foliation(pack))
-    assert hodge_split_d1(ops, split) == operator_pool(model, pack).hodge[:3]
+    pool = operator_pool(model, pack)
+    # the probes split along the Reeb field and the pool along every
+    # vertical field; h5xr's Lee field is in no letter of d, so they agree
+    assert split == pool.split[:3] and all(p.is_zero() for p in pool.split[3:])
+    assert hodge_split_d1(ops, split) == pool.hodge[:3]
 
 
 def w_of(n, J):
@@ -507,11 +508,11 @@ _H7_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from lieforms.models import load_model_file
-from lieforms.splitting import operator_pool, reeb_foliation, sasakian_relations
+from lieforms.splitting import operator_pool, sasakian_relations
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
 named = [pool.poly(x) for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
-named += [*pool.split(reeb_foliation(pack)), *pool.hodge]
+named += [*pool.split, *pool.hodge]
 sasakian_relations(model, pack)  # builds the table's whole pool
 named += pool._polys.values()
 blocks = [p.block(k) for p in named for k in range(model.dim + 1)]

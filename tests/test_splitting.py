@@ -16,7 +16,6 @@ from lieforms.splitting import (
     operator_pool,
     reeb_foliation,
     sasakian_relations,
-    sigma_foliation,
     vaisman_structure_relations,
 )
 
@@ -66,7 +65,7 @@ def test_h3_central_reeb_kills_d0():
 def test_rank2_split_has_four_components():
     model, pack = model_pack("su2xr")
     ops = ops_for("su2xr")
-    split = foliation_split(ops.d, model, sigma_foliation(pack))
+    split = foliation_split(ops.d, model, pack.vertical_indices)
     assert len(split) == 4
     total = split[0]
     for c in split[1:]:
@@ -252,21 +251,25 @@ def test_relation_table_on_deformed_round_model():
 
 
 SU2_AFF = Path(__file__).parent / "data" / "su2_aff.alg"
-NON_INTEGRABLE_PROBE = (
+NON_UNIMODULAR_PROBE = (
     "[algebra]\ndim = 5\n[brackets]\n"
     "1 2 -> 2 : -1\n1 2 -> 5 : -1\n3 4 -> 5 : -1\n"
     "[structure]\nkind = sasakian\nreeb = 5\nJ: 1 -> 2\nJ: 3 -> 4\n"
 )
 
 
-def test_verifier_detects_non_integrable_transversal_structure():
-    # a structurally valid pack whose transversal almost-complex structure
-    # is not integrable: d1 != 0 here (unlike on every builtin), so the
-    # sign adjudications acquire nonzero witnesses, while the identities
-    # whose proofs need the transversal Kahler hypothesis genuinely fail
+def test_kahler_identity_sector_fails_on_a_non_unimodular_contact_model():
+    # a valid pack whose J passes the integrability certificate, on an
+    # algebra that is not unimodular ([e1,e2] = -e2 - e5, so tr ad e1 = -1),
+    # as su(2) x aff(R) is not: d1 != 0 here (unlike on every builtin), so
+    # the sign adjudications acquire nonzero witnesses, while the identities
+    # of the Kahler-identity sector fail
     from lieforms.models import parse_model, structure_operators
 
-    model, pack = parse_model(NON_INTEGRABLE_PROBE, "probe")
+    model, pack = parse_model(NON_UNIMODULAR_PROBE, "probe")
+    trace = sum((model.bracket(1, k).get(k, Scalar.of(0)) for k in range(1, model.dim + 1)),
+                Scalar.of(0))
+    assert trace == Scalar.of(-1)
     ops = structure_operators(model, pack)
     assert not foliation_split(ops.d, model, reeb_foliation(pack))[1].is_zero()
 
@@ -322,7 +325,7 @@ def test_cli_exits_one_on_failed_verification(tmp_path):
     from lieforms.cli import RunConfig, run
 
     path = tmp_path / "probe.alg"
-    path.write_text(NON_INTEGRABLE_PROBE)
+    path.write_text(NON_UNIMODULAR_PROBE)
     assert run(RunConfig(command="check", model=str(path),
                          output=str(tmp_path / "out.txt"))) == 1
 
@@ -387,18 +390,18 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
                            ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")}
 
 
-def test_pool_holds_polynomials_and_memoises_splits_by_index_tuple():
-    # splits live apart from the named polynomials, keyed by the foliation's
-    # index tuple, so a tuple written out finds the split the tables built
+def test_pool_holds_polynomials_and_splits_d_once_along_the_vertical_fields():
+    # the split lives apart from the named polynomials: the pool splits d
+    # along the pack's vertical fields when it is built, and the tables'
+    # d0, d1 and d2 are its components
     from lieforms.clifford import Clifford
 
     model, pack = model_pack("h5")
     sasakian_relations(model, pack)
     pool = operator_pool(model, pack)
     assert pool._polys and all(isinstance(p, Clifford) for p in pool._polys.values())
-    split = pool.split((pack.reeb_index,))
-    assert split is pool.split(reeb_foliation(pack))
-    assert split[1] is pool.poly("d1")
+    assert pool.split == foliation_split(pool.poly("d"), model, pack.vertical_indices)
+    assert all(pool.split[i] is pool.poly(f"d{i}") for i in range(3))
 
 
 @pytest.mark.parametrize("name, bound", [("su2", 400), ("torus2", 200)], ids=["su2", "torus2"])
