@@ -10,8 +10,11 @@ Lefschetz sequences reach past degree 1, and on `tests/data/h7.alg`, the
 dim-7 contact model at the dimension frontier; and `lieforms all --format
 json` on `tests/data/h9.alg`, the dim-9 contact model with transversal
 dimension 4, and on `tests/data/e9.alg`, the dim-9 contact model whose
-split Laplacian has a nonzero spectrum.  `tests/test_golden.py` compares each
-format's report with its snapshot byte for byte.  Rewrite them only for
+split Laplacian has a nonzero spectrum; and `lieforms all` on
+`tests/data/rxe2.alg`, the Kahler model R x e(2) with d != 0, and on
+`tests/data/e5.alg`, its central extension to a dim-5 contact model.
+`tests/test_golden.py` compares each format's report with its snapshot
+byte for byte.  Rewrite them only for
 an intended output change, and name that change in CHANGES.md.
 """
 
@@ -30,6 +33,8 @@ H5XR = "tests/data/h5xr.alg"
 H7 = "tests/data/h7.alg"
 H9 = "tests/data/h9.alg"
 E9 = "tests/data/e9.alg"
+RXE2 = "tests/data/rxe2.alg"
+E5 = "tests/data/e5.alg"
 
 
 def snapshot_path(stem: str, fmt: str) -> Path:
@@ -43,6 +48,8 @@ def main():
     runs.append(("all", SU2_AFF, "su2_aff.all"))
     runs.append(("all", H5XR, "h5xr.all"))
     runs.append(("all", H7, "h7.all"))
+    runs.append(("all", RXE2, "rxe2.all"))
+    runs.append(("all", E5, "e5.all"))
     for command, model, stem in runs:
         for fmt in FORMATS:
             path = snapshot_path(stem, fmt)

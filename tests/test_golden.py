@@ -1,8 +1,8 @@
 """Byte-equality gate against the snapshots in tests/golden (rewritten by
 tests/golden/update.py): `lieforms all` on every builtin, `lieforms check`
 and `lieforms all` on the su(2)xaff(R) fixture, and `lieforms all` on the
-dim-6 h5xR and dim-7 h7 fixtures, in every format, and on the dim-9 h9
-and e9 fixtures in json."""
+dim-6 h5xR, dim-7 h7, R x e(2) and e5 fixtures, in every format, and on
+the dim-9 h9 and e9 fixtures in json."""
 
 from pathlib import Path
 
@@ -37,11 +37,14 @@ def test_check_matches_snapshot_on_su2_aff(tmp_path, monkeypatch, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("model, code", [("su2_aff", 1), ("h5xr", 0), ("h7", 0)])
+@pytest.mark.parametrize("model, code", [("su2_aff", 1), ("h5xr", 0), ("h7", 0),
+                                         ("rxe2", 0), ("e5", 0)])
 def test_all_matches_snapshot_on_file_models(tmp_path, monkeypatch, model, code, fmt):
     # su2_aff has nonzero cohomology, harmonic and cone sections besides its
     # failing table; h5xr is the Vaisman model with transversal dimension 2;
-    # h7 is the largest contact model the suite runs
+    # h7 is the largest contact model the suite runs; rxe2 and e5 are the
+    # Kahler and contact models whose integrability certificate runs on a
+    # nonzero d1 with components of both bidegrees (1,0) and (0,1)
     monkeypatch.chdir(ROOT)
     out = tmp_path / "report"
     assert run(RunConfig(command="all", model=f"tests/data/{model}.alg", format=fmt,
