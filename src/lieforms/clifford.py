@@ -48,10 +48,6 @@ def generator_mask(monomial) -> int:
     return sum(1 << (k - 1) for k in monomial)
 
 
-def _monomial(mask: int) -> tuple[int, ...]:
-    return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
-
-
 @functools.lru_cache(maxsize=None)
 def _positions(ngen: int) -> dict[int, int]:
     """The position of each basis monomial's mask in its degree, in the
@@ -68,19 +64,6 @@ def _inversions(a: int, b: int) -> int:
         n += (a & -(low << 1)).bit_count()
         b ^= low
     return n & 1
-
-
-def _relabel(mask: int, images: Mapping[int, tuple[int, Scalar]]) -> tuple[int, Scalar]:
-    """e_S under theta^k -> x theta^m for images[k] = (m, x) (generators not
-    in images stay): the mask of the image monomial and its coefficient,
-    which carries the sign of sorting the image letters."""
-    out, factor = 0, ONE
-    for k in _monomial(mask):
-        m, x = images.get(k, (k, ONE))
-        # the letter m passes the letters already placed above it
-        factor = -factor * x if (out >> m).bit_count() & 1 else factor * x
-        out |= 1 << (m - 1)
-    return out, factor
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,19 +176,6 @@ class Clifford:
     def adjoint(self) -> "Clifford":
         """Metric adjoint: (c e_W i_C)* = conj(c) e_C i_W."""
         return _new(self.ngen, -self.shift, {(c, w): v.conj() for (w, c), v in self.terms.items()})
-
-    def substitute(self, images: Mapping[int, tuple[int, Scalar]]) -> "Clifford":
-        """The image under the automorphism e_k -> x e_m, i_k -> conj(x) i_m
-        for images[k] = (m, x), a unitary relabelling of the generators
-        (generators not in images stay).  For an algebra automorphism U
-        sending theta^k to x theta^m this is conjugation by U."""
-        conj = {k: (m, x.conj()) for k, (m, x) in images.items()}
-        terms = {}
-        for (w, c), v in self.terms.items():
-            nw, fw = _relabel(w, images)
-            nc, fc = _relabel(c, conj)
-            terms[nw, nc] = v * fw * fc
-        return Clifford(self.ngen, self.shift, terms)
 
     def is_zero(self) -> bool:
         return not self.terms

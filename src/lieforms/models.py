@@ -434,16 +434,13 @@ def builtin_file_text(name: str) -> str:
 
 class StructureOperators:
     """The operators built from the pack's data, immutable: d, L and W as
-    Clifford polynomials, and J, the signed relabelling of the coframe
-    that W is built from (`j_images`).  I = i^{p-q} is the algebra
-    automorphism extending J and the identity on the vertical coframe, so
-    conjugation by I is `substitute(J)` and I is never built.  Building
-    them asserts that I and W agree on the coframe; that J is integrable
-    is certified, for every kind, where `splitting.OperatorPool` splits d.
-    Every other named operator is derived from these in the pool."""
+    Clifford polynomials.  J enters only as W; that it is integrable is
+    certified on W alone, for every kind, where `splitting.OperatorPool`
+    splits d.  Every other named operator is derived from these in the
+    pool."""
 
-    def __init__(self, d: Clifford, L: Clifford, W: Clifford, J: dict[int, tuple[int, Scalar]]):
-        vars(self).update(d=d, L=L, W=W, J=J)
+    def __init__(self, d: Clifford, L: Clifford, W: Clifford):
+        vars(self).update(d=d, L=L, W=W)
 
     def __setattr__(self, *_):
         raise AttributeError("StructureOperators is immutable")
@@ -451,48 +448,13 @@ class StructureOperators:
 
 @functools.lru_cache(maxsize=None)
 def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperators:
-    n = model.dim
-    J = j_images(pack)
-    ops = StructureOperators(
-        ce_differential(model), fundamental_form(n, pack),
-        # W = sum_k e_{J theta^k} i_k, the even derivation extending J on
-        # the transversal coframe
-        Clifford(n, 0, {(1 << (m - 1), 1 << (k - 1)): x for k, (m, x) in J.items()}),
-        J)
-    _check_i_against_w(ops.W, J, pack.vertical_indices)
-    return ops
-
-
-def j_images(pack: StructurePack) -> dict[int, tuple[int, Scalar]]:
-    """J on the transversal coframe as a signed relabelling k -> (m, x) of
-    theta^k to x theta^m: theta^a -> theta^b, theta^b -> -theta^a."""
-    images = {}
+    # W = sum_k e_{J theta^k} i_k, the even derivation extending J on the
+    # transversal coframe: theta^a -> theta^b and theta^b -> -theta^a for
+    # each pair a -> b
+    terms = {}
     for a, b in pack.transversal_pairs():
-        images[a], images[b] = (b, ONE), (a, -ONE)
-    return images
-
-
-def _check_i_against_w(W: Clifford, J: dict[int, tuple[int, Scalar]], vertical: tuple[int, ...]):
-    """Assert, on the letters, that conjugation by I (the relabelling J) is
-    i^{p-q} of the bigrading of W.  I is an algebra automorphism and W a
-    derivation, so each is determined by its values on the coframe, where
-    I = W + the vertical identity: I e_k I^-1 = e_{I theta^k} must be
-    {W, e_k} = e_{W theta^k} on the transversal coframe, and e_k with
-    {W, e_k} = 0 on the vertical one.  The relabelled letters must keep
-    {i_a, e_b} = delta_ab, so that I is unitary and I^-1 is its adjoint."""
-    n = W.ngen
-    images = [Clifford.wedge(n, k).substitute(J) for k in range(1, n + 1)]
-    for k, image in enumerate(images, start=1):
-        e_k = Clifford.wedge(n, k)
-        w_e = supercommutator(W, e_k)
-        if k in vertical:
-            if image != e_k or not w_e.is_zero():
-                raise StructureError("J", f"I or W moves the vertical generator theta^{k}")
-        elif image != w_e:
-            raise StructureError("J", f"I e_{k} I^-1 is not {{W, e_{k}}}")
-    identity, zero = Clifford.identity(n), Clifford.zero(n, 0)
-    for a in range(1, n + 1):
-        i_a = Clifford.contraction(n, a).substitute(J)
-        for b, image in enumerate(images, start=1):
-            if supercommutator(i_a, image) != (identity if a == b else zero):
-                raise StructureError("J", f"I does not keep {{i_{a}, e_{b}}}: it is not unitary")
+        ma, mb = 1 << (a - 1), 1 << (b - 1)
+        terms[mb, ma], terms[ma, mb] = ONE, MINUS_ONE
+    n = model.dim
+    return StructureOperators(ce_differential(model), fundamental_form(n, pack),
+                              Clifford(n, 0, terms))

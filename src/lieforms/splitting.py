@@ -86,33 +86,33 @@ def foliation_split(d: Clifford, model: LieModel, fol: Foliation) -> tuple[Cliff
 def hodge_split_d1(ops: StructureOperators,
                    split: tuple[Clifford, ...]) -> tuple[Clifford, Clifford, Clifford]:
     """Transversal Hodge components of d_1 and the twisted differential
-    d1c := I d1 I^{-1}, whose printed alternatives are adjudicated in the
+    d1c := {W, d1}, whose printed alternatives are adjudicated in the
     relation tables."""
     return _hodge_split(ops, split[1])[:3]
 
 
 def _hodge_split(ops: StructureOperators, d1: Clifford) -> tuple[Clifford, ...]:
-    """d1^{1,0}, d1^{0,1}, d1c and the bracket {W, d1} that certifies them:
-    the one test that J is integrable, for every pack kind.
+    """d1^{1,0}, d1^{0,1}, d1c := {W, d1} and the bracket {W, d1c} that
+    certifies them: the one test that J is integrable, for every pack kind.
 
-    I d1 I^-1 is a relabelling of d1's letters: I is the algebra
-    automorphism extending J, so it conjugates e_k to e_{J theta^k} and i_k
-    to i_{J theta^k}.  d1 must have components only in bidegrees (1,0) and
-    (0,1); anything else means that J is not integrable.  The pool splits
-    d along the pack's vertical fields, so d1 moves the transversal degree
-    p + q by 1: it is d itself for a Kahler pack, and a Lee field that
-    rotates the transversal coframe moves only d0.
+    d1 must have components only in bidegrees (1,0) and (0,1); anything
+    else means that J is not integrable.  The pool splits d along the
+    pack's vertical fields, so d1 moves the transversal degree p + q by 1:
+    it is d itself for a Kahler pack, and a Lee field that rotates the
+    transversal coframe moves only d0.
     A component moving (p,q) by (a,b), a + b = 1, is scaled by i(a-b) under
-    [W, .] and by i^{a-b} under conjugation by I, so {W, d1} = d1c exactly
-    when every component has a - b = +-1, that is (a,b) in {(1,0), (0,1)}.
-    The components are (d1 -+ i d1c)/2.
+    [W, .], so {W, {W, d1}} = -d1 exactly when every component has
+    a - b = +-1, that is (a,b) in {(1,0), (0,1)}.  Conjugation by
+    I = i^{p-q} scales the component by i^{a-b}, which is i(a-b) only for
+    a - b = +-1, so the same test reads {W, d1} = I d1 I^-1 and d1c is the
+    twisted differential of the tables.  The components are (d1 -+ i d1c)/2.
     """
-    d1c = d1.substitute(ops.J)
-    w_d1 = supercommutator(ops.W, d1)
-    if w_d1 != d1c:
+    d1c = supercommutator(ops.W, d1)
+    w_d1c = supercommutator(ops.W, d1c)
+    if w_d1c != -d1:
         raise StructureError("J", "J is not integrable: {W, d1} != I d1 I^-1")
     i_d1c = d1c.scale(IUNIT)
-    return (d1 - i_d1c).scale(HALF), (d1 + i_d1c).scale(HALF), d1c, w_d1
+    return (d1 - i_d1c).scale(HALF), (d1 + i_d1c).scale(HALF), d1c, w_d1c
 
 
 # -- the named operator pool --------------------------------------------
@@ -155,7 +155,9 @@ _RECIPES = {
     "d1^{1,0}": lambda p: p.hodge[0],
     "d1^{0,1}": lambda p: p.hodge[1],
     "d1c": lambda p: p.hodge[2],
-    ("W", "d1"): lambda p: p.hodge[3],  # built to certify the Hodge split
+    # the brackets the Hodge split is certified with: d1c is {W, d1}
+    ("W", "d1"): lambda p: p.hodge[2],
+    ("W", "d1c"): lambda p: p.hodge[3],
     "Delta0": lambda p: p.poly(("d0", "d0*")),
     "Delta1": lambda p: p.poly(("d1", "d1*")),
     # the transversal package: the split Laplacian {d1, d1*} - sum_v Lie_v^2
@@ -173,7 +175,7 @@ _RECIPES = {
     "d0*d0": lambda p: p.poly("d0") @ p.poly("d0"),
     "d2*d2": lambda p: p.poly("d2") @ p.poly("d2"),
     "Lie_r^2": lambda p: p.poly("Lie_r") @ p.poly("Lie_r"),
-    "I d1 I^-1": lambda p: p.poly("d1c"),  # d1c is certified to be I d1 I^-1
+    "I d1 I^-1": lambda p: p.poly("d1c"),  # {W, d1} is I d1 I^-1 once certified
     "d1^{0,1}-d1^{1,0}": lambda p: p.poly("d1^{0,1}") - p.poly("d1^{1,0}"),
     "(d1+i d1c)/2": lambda p: (p.poly("d1") + p.poly("d1c").scale(IUNIT)).scale(HALF),
     "(d1-i d1c)/2": lambda p: (p.poly("d1") - p.poly("d1c").scale(IUNIT)).scale(HALF),
@@ -193,11 +195,11 @@ class OperatorPool:
 
     `pool.poly(name)` builds an operator's normal-ordered Clifford
     polynomial from its recipe; `pool.poly((a, b))` is the supercommutator
-    {a, b}, memoised by name pair (the pair {W, d1} is the one that
-    certified the Hodge split).  Building the pool splits d along the
-    pack's vertical fields (`split`, which refuses fields that do not span
-    a foliation) and certifies on its d1 that J is integrable (`hodge`),
-    so every command refuses such a pack before it reports.  The relation
+    {a, b}, memoised by name pair (the pairs {W, d1} and {W, d1c} are the
+    ones that certified the Hodge split).  Building the pool splits d
+    along the pack's vertical fields (`split`, which refuses fields that do
+    not span a foliation) and certifies on its d1 that J is integrable
+    (`hodge`), so every command refuses such a pack before it reports.  The relation
     tables and the guards decide on the polynomials, and the complexes ask
     a polynomial for its blocks (`Clifford.block`), so names that share a
     polynomial share its blocks.  d, L and W are the polynomials of
@@ -215,7 +217,7 @@ class OperatorPool:
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
         # d0, ..., d_{r+1} along the vertical fields, and d1^{1,0}, d1^{0,1},
-        # d1c and {W, d1} of its d1
+        # d1c = {W, d1} and {W, d1c} of its d1
         self.split = foliation_split(self.ops.d, model, pack.vertical_indices)
         self.hodge = _hodge_split(self.ops, self.poly("d1"))
 

@@ -2,7 +2,7 @@
 
 The engine decides every operator identity on normal-ordered Clifford
 polynomials, writes a polynomial's blocks straight from its terms, and
-conjugates by I as a relabelling of the letters.  This module keeps the
+never builds I.  This module keeps the
 constructions and the block arithmetic those replaced, which go through
 `form_reference.wedge` and matrix products alone, as an independent
 reference:

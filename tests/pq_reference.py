@@ -1,12 +1,12 @@
 """Reference (p,q) bigrading by Lagrange interpolation in W.
 
-The engine conjugates by I = i^{p-q}, the algebra automorphism induced by
-J, as a relabelling of the letters, and decides the Hodge split of d1 and
-(p,q)-stability through W alone.  This module keeps the spectral
-construction those replaced, as an independent reference: on each
-(horizontal, vertical) degree block W acts on the (p,q) part as i(p-q), the
-candidate eigenvalues are finite, so each Pi^{p,q,v} is an explicit
-polynomial in W there.  I, the Hodge components of d1 and (p,q)-stability
+The engine never builds I = i^{p-q}, the algebra automorphism induced by
+J: it certifies the Hodge split of d1 as {W, {W, d1}} = -d1, takes
+I d1 I^-1 to be {W, d1}, and decides (p,q)-stability, all through W alone.
+This module keeps the spectral construction those replaced, as an
+independent reference: on each (horizontal, vertical) degree block W acts
+on the (p,q) part as i(p-q), the candidate eigenvalues are finite, so each
+Pi^{p,q,v} is an explicit polynomial in W there.  I, the Hodge components of d1 and (p,q)-stability
 are then read off the projectors.
 """
 

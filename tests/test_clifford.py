@@ -15,14 +15,14 @@ from hypothesis import given, settings, strategies as st
 
 from lieforms.clifford import Clifford
 from lieforms.forms import monomial_basis
-from lieforms.models import BUILTIN_NAMES, j_images
+from lieforms.models import BUILTIN_NAMES
 from lieforms.clifford import supercommutator
 from lieforms.scalars import Scalar
 from lieforms.splitting import guard_names, operator_pool
 
 import block_reference as ref
 from block_reference import ODD, Blocks, from_action, reference_operators
-from conftest import load, model_pack
+from conftest import load
 from form_reference import FormElement, contract, derivation, multiplication, wedge
 
 @functools.lru_cache(maxsize=None)
@@ -112,19 +112,6 @@ def test_apply_matches_blocks(data):
     column, = (p @ multiplication(a, k)).block(0).columns()
     assert (FormElement(n, {target[i]: c for i, c in column.items()})
             == ref.apply(reference_blocks(p), a))
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.data())
-def test_letter_relabelling_is_conjugation_by_i(data):
-    # I of each builtin is an algebra automorphism that permutes the coframe
-    # up to sign, so conjugating by it relabels the letters
-    name = data.draw(st.sampled_from(BUILTIN_NAMES))
-    model, pack = model_pack(name)
-    ops = reference_ops(name)
-    p = data.draw(polynomials(model.dim, data.draw(st.integers(-1, 1))))
-    assert (ref.blocks(p.substitute(j_images(pack)))
-            == ref.compose(ops["I_aut"], ref.blocks(p), ops["I_inv"]))
 
 
 def test_first_order_criterion():

@@ -127,3 +127,31 @@ def test_every_imported_name_is_used(module):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert imported <= read, (module, sorted(imported - read))
+
+
+# top-level names that no package module reads and the benchmark worker
+# does not call, kept on purpose: the tests read printed scalars back with
+# `parse_scalar`
+PINNED = {("scalars", "parse_scalar")}
+
+
+def test_every_top_level_definition_has_a_caller():
+    # a top-level function or class that no package module reads, that the
+    # benchmark worker does not call and that is not pinned is left over
+    # from a deleted caller
+    trees = {m: ast.parse((PACKAGE / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    layers, direct = worker_names()
+    called = {id(getattr(importlib.import_module(f"lieforms.{m}"), path.split(".")[0], None))
+              for m, path in [*layers, *direct]}
+    unread = [(m, node.name) for m, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in read
+              and id(getattr(importlib.import_module(f"lieforms.{m}"), node.name)) not in called
+              and (m, node.name) not in PINNED]
+    assert not unread, unread

@@ -21,7 +21,6 @@ from lieforms.models import (
     parse_model,
     structure_operators,
     validate_pack,
-    _check_i_against_w,
 )
 from lieforms.scalars import I, ONE, Scalar, ZERO
 from lieforms.splitting import (
@@ -34,7 +33,7 @@ from lieforms.splitting import (
 import block_reference as ref
 from block_reference import bidegree_projectors, reference_operators
 from conftest import DATA, child_env, load, model_pack, ops_for, pool_for, record
-from form_reference import FormElement, derivation, multiplication, wedge
+from form_reference import FormElement, multiplication, wedge
 from pq_reference import reference_hodge, reference_i, reference_pq_stable, reference_projectors
 
 def t(n, *ix):
@@ -182,8 +181,12 @@ def test_structure_operator_examples():
     # W and Lie_r are even derivations, so [D, e_a] = e_{Da}
     e_w10 = multiplication(w10, 1)
     assert supercommutator(ops.W, e_w10) == e_w10.scale(I)
-    # I e_w I^-1 = e_{I w}, and I w = i w on the (1,0)-form w
-    assert e_w10.substitute(ops.J) == e_w10.scale(I)
+    # I e_w I^-1 = e_{I w}, and I w = i w on the (1,0)-form w, with I the
+    # Lagrange reference's; on the letters it is {W, .}
+    model, pack = model_pack("h3")
+    i_aut, i_inv = reference_i(reference_projectors(model, pack))
+    assert ref.compose(i_aut, ref.blocks(e_w10), i_inv) == ref.blocks(e_w10.scale(I))
+    assert_w_conjugates_by(ops.W, pack.vertical_indices, i_aut, i_inv)
     su2 = pool_for("su2")
     assert supercommutator(su2.poly("Lie_r"), Clifford.wedge(3, 1)) == -Clifford.wedge(3, 2)
     assert pool_for("h3").poly("Lie_r").is_zero()
@@ -200,8 +203,6 @@ def test_lie_r_skew_adjoint_and_central():
             polys += [pool.poly(x) for x in ("e_th", "i_th", "Lie_th")]
         for op in polys:
             assert supercommutator(lie_r, op).is_zero()
-        # Lie_r commutes with I: conjugation by I fixes it
-        assert lie_r.substitute(pool.ops.J) == lie_r
         blocks = list(reference_projectors(model, pack).values())
         blocks += list(bidegree_projectors(model.dim, pack.vertical_indices).values())
         for op in blocks:
@@ -231,25 +232,30 @@ def test_bigrading_projectors_resolve_identity():
 REFERENCE_MODELS = [*BUILTIN_NAMES, "su2_aff", "h5xr", "h7"]
 
 
-def assert_relabelling_conjugates_by(J, I_aut, I_inv):
-    """p.substitute(J) is I p I^-1 on every letter e_k and i_k, and the
-    letters generate every operator."""
-    n = I_aut.ngen
+def assert_w_conjugates_by(W, vertical, I_aut, I_inv):
+    """{W, p} is I p I^-1 on every transversal letter p = e_k, i_k, and W and
+    I fix the vertical ones.  I is an algebra automorphism and W a
+    derivation, so each is determined by its values on the letters."""
+    n = W.ngen
     for k in range(1, n + 1):
         for p in (Clifford.wedge(n, k), Clifford.contraction(n, k)):
-            assert ref.blocks(p.substitute(J)) == ref.compose(I_aut, ref.blocks(p), I_inv), k
+            conjugate = ref.compose(I_aut, ref.blocks(p), I_inv)
+            if k in vertical:
+                assert supercommutator(W, p).is_zero() and conjugate == ref.blocks(p), k
+            else:
+                assert ref.blocks(supercommutator(W, p)) == conjugate, k
 
 
 @pytest.mark.parametrize("name", REFERENCE_MODELS)
 def test_closed_forms_match_the_lagrange_reference(name):
-    # conjugation by I as the relabelling J, the Hodge components
-    # (d1 -+ i d1c)/2 certified by {W, d1} = d1c, and (p,q)-stability decided
-    # through W and the bidegree projectors agree with the spectral
-    # projectors of W
+    # {W, .} as conjugation by I on the transversal letters, the Hodge
+    # components (d1 -+ i d1c)/2 with d1c = {W, d1} certified by
+    # {W, {W, d1}} = -d1, and (p,q)-stability decided through W and the
+    # bidegree projectors agree with the spectral projectors of W
     model, pack = load(name)
     ops = structure_operators(model, pack)
     pi = reference_projectors(model, pack)
-    assert_relabelling_conjugates_by(ops.J, *reference_i(pi))
+    assert_w_conjugates_by(ops.W, pack.vertical_indices, *reference_i(pi))
     if pack.kind == "kahler":
         return
     pool = operator_pool(model, pack)
@@ -258,7 +264,7 @@ def test_closed_forms_match_the_lagrange_reference(name):
     assert ref.add(d1_10, d1_01) == d1  # the reference's own bidegree check
     split = foliation_split(ops.d, model, reeb_foliation(pack))
     assert tuple(ref.blocks(p) for p in hodge_split_d1(ops, split)[:2]) == (d1_10, d1_01)
-    # the pool's polynomials, certified by {W, d1} = I d1 I^-1 on the letters
+    # the pool's polynomials, certified by {W, {W, d1}} = -d1
     assert (ref.blocks(pool.poly("d1^{1,0}")), ref.blocks(pool.poly("d1^{0,1}"))) == (d1_10, d1_01)
     stable = reference_pq_stable(pi, basic_subcomplex(model, pack, pack.vertical_indices))
     entry = record(transversal_package(model, pack), "transversal.pq_stability")
@@ -267,24 +273,23 @@ def test_closed_forms_match_the_lagrange_reference(name):
 
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, *(p.stem for p in sorted(DATA.glob("*.alg")))])
 def test_structure_operators_match_the_block_reference(name):
-    # d, L and W are Clifford polynomials and conjugation by I the
-    # relabelling J of the letters; the reference builds d, L, W and I
-    # through FormElement wedges (tests/block_reference.py)
+    # d, L and W are Clifford polynomials, and {W, .} is conjugation by I on
+    # the transversal letters; the reference builds d, L, W and I through
+    # FormElement wedges (tests/block_reference.py)
     model, pack = load(name)
     ops = structure_operators(model, pack)
     reference = reference_operators(model, pack)
     for key in ("d", "L", "W"):
         assert ref.blocks(getattr(ops, key)) == reference[key], key
-    assert_relabelling_conjugates_by(ops.J, reference["I_aut"], reference["I_inv"])
+    assert_w_conjugates_by(ops.W, pack.vertical_indices, reference["I_aut"], reference["I_inv"])
     assert operator_pool(model, pack).poly("d") is ops.d is ce_differential(model)
 
 
 @pytest.mark.parametrize("name", ["h5xr", "h9", "h21"])
 def test_loading_builds_no_block(monkeypatch, tmp_path, name):
     # loading and structure_operators build no matrix at all: d, L and W stay
-    # polynomials until a matrix consumer asks for their blocks, and I is
-    # checked on the letters; the split and the Hodge components of the
-    # probes are those of the pool
+    # polynomials until a matrix consumer asks for their blocks; the split and
+    # the Hodge components of the probes are those of the pool
     import lieforms.matrices
 
     def no_matrix(*_):
@@ -305,38 +310,6 @@ def test_loading_builds_no_block(monkeypatch, tmp_path, name):
     # vertical field; h5xr's Lee field is in no letter of d, so they agree
     assert split == pool.split[:3] and all(p.is_zero() for p in pool.split[3:])
     assert hodge_split_d1(ops, split) == pool.hodge[:3]
-
-
-def w_of(n, J):
-    """The even derivation extending the relabelling J, as structure_operators
-    builds W."""
-    return derivation(n, 0, {k: FormElement.monomial(n, (m,), x) for k, (m, x) in J.items()})
-
-
-def test_i_check_fails_on_a_planted_fault():
-    # structure_operators asserts, on the letters, that conjugation by I is
-    # {W, .} on the transversal coframe and the identity on the vertical one,
-    # which W fixes, and that it keeps {i_a, e_b} = delta_ab; each planted
-    # fault breaks one
-    for name in ("torus4", "h5", "su2xr"):
-        model, pack = model_pack(name)
-        ops, n = ops_for(name), model.dim
-        vertical = pack.vertical_indices
-        assert w_of(n, ops.J) == ops.W
-        _check_i_against_w(ops.W, ops.J, vertical)
-        a, (b, _) = next(iter(ops.J.items()))
-        planted = [(-ops.W, ops.J, "is not {W"),  # the conjugate structure
-                   *((w_of(n, J), J, "not unitary") for J in (
-                       {**ops.J, a: (b, Scalar.of(2))},  # theta^a -> 2 theta^b
-                       {**ops.J, b: (b, ONE)}))]  # theta^a and theta^b -> theta^b
-        for r in vertical[:1]:
-            planted += [(ops.W, {**ops.J, r: (r, -ONE)}, "moves the vertical"),  # I moves eta
-                        (ops.W + Clifford.wedge(n, a) @ Clifford.contraction(n, r), ops.J,
-                         "moves the vertical")]  # W moves eta
-        for W, J, message in planted:
-            with pytest.raises(StructureError, match=message) as err:
-                _check_i_against_w(W, J, vertical)
-            assert err.value.check == "J"
 
 
 # -- model file parsing -------------------------------------------------

@@ -1,9 +1,11 @@
+import functools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lieforms.models import StructureError, parse_model, structure_operators
-from lieforms.clifford import supercommutator
+from lieforms.clifford import Clifford, generator_mask, supercommutator
 from lieforms.scalars import ONE, Scalar
 from lieforms.splitting import (
     antisymmetry_report,
@@ -17,11 +19,12 @@ from lieforms.splitting import (
     reeb_foliation,
     sasakian_relations,
     vaisman_structure_relations,
+    _hodge_split,
 )
 
 import block_reference as ref
 from conftest import model_pack, ops_for, plant, pool_for, record
-from pq_reference import reference_i, reference_projectors
+from pq_reference import reference_hodge, reference_i, reference_projectors
 
 
 def split_for(name):
@@ -79,12 +82,11 @@ def test_hodge_split_bidegrees():
         d1 = split[1]
         d1_10, d1_01, d1c = hodge_split_d1(ops, split)
         assert d1_10 + d1_01 == d1
-        # twisted differential consistency: [W, d1] = I d1 I^{-1}, with I the
-        # Lagrange reference's and I d1 I^{-1} the relabelling J of d1
+        # twisted differential consistency: d1c = [W, d1] = I d1 I^{-1}, with I
+        # the Lagrange reference's
         i_aut, i_inv = reference_i(reference_projectors(*model_pack(name)))
-        assert (ref.blocks(supercommutator(ops.W, d1))
-                == ref.blocks(d1.substitute(ops.J))
-                == ref.compose(i_aut, ref.blocks(d1), i_inv))
+        assert d1c == supercommutator(ops.W, d1)
+        assert ref.blocks(d1c) == ref.compose(i_aut, ref.blocks(d1), i_inv)
 
 
 def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
@@ -110,6 +112,44 @@ def test_hodge_split_fails_on_a_planted_bidegree_2_minus_1_component():
     with pytest.raises(StructureError) as err:
         hodge_split_d1(ops, bad)
     assert err.value.check == "J"
+
+
+@functools.lru_cache(maxsize=None)
+def certificate_reference(name):
+    """The horizontal term keys of shift +1, the Lagrange projectors and the
+    reference (I, I^-1) of a builtin."""
+    model, pack = model_pack(name)
+    hor = generator_mask(pack.horizontal_indices(model.dim))
+    subsets = [m for m in range(hor + 1) if m & ~hor == 0]
+    keys = [(w, c) for w in subsets for c in subsets if w.bit_count() - c.bit_count() == 1]
+    pi = reference_projectors(model, pack)
+    return keys, pi, reference_i(pi)
+
+
+gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_hodge_certificate_matches_the_lagrange_reference(data):
+    # a random shift +1 polynomial y in the horizontal letters moves (p,q)
+    # by some (a,b) with a + b = 1; the certificate {W, {W, y}} = -y refuses
+    # it exactly when the reference projectors find a component with
+    # |a - b| != 1, and otherwise its d1c is the reference I y I^-1
+    name = data.draw(st.sampled_from(("h5", "su2xr", "torus4")))
+    keys, pi, (i_aut, i_inv) = certificate_reference(name)
+    chosen = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3, unique=True))
+    y = Clifford(model_pack(name)[0].dim, 1, {key: data.draw(gaussian) for key in chosen})
+    blocks = ref.blocks(y)
+    hodge = reference_hodge(pi, blocks)
+    if ref.add(*hodge) == blocks:
+        d1_10, d1_01, d1c, _ = _hodge_split(ops_for(name), y)
+        assert (ref.blocks(d1_10), ref.blocks(d1_01)) == hodge
+        assert ref.blocks(d1c) == ref.compose(i_aut, blocks, i_inv)
+    else:
+        with pytest.raises(StructureError, match=r"\{W, d1\} != I d1 I\^-1") as err:
+            _hodge_split(ops_for(name), y)
+        assert err.value.check == "J"
 
 
 def test_hodge_split_without_transversal_directions():
