@@ -37,6 +37,7 @@ from .splitting import (
     antisymmetry_report,
     jacobi_report,
     kahler_relations,
+    operator_pool,
     sasakian_relations,
     vaisman_structure_relations,
 )
@@ -200,13 +201,18 @@ class Report:
 
 
 def _load(name: str):
+    """The model and pack a name gives, refused unless their operator pool,
+    which certifies the pack, can be built."""
     if name in BUILTIN_NAMES:
-        return builtin(name)
-    if os.path.exists(name):
-        return load_model_file(name)
-    raise ModelError(
-        f"unknown model {name!r}: not a builtin ({', '.join(BUILTIN_NAMES)}) "
-        "and no such file")
+        model, pack = builtin(name)
+    elif os.path.exists(name):
+        model, pack = load_model_file(name)
+    else:
+        raise ModelError(
+            f"unknown model {name!r}: not a builtin ({', '.join(BUILTIN_NAMES)}) "
+            "and no such file")
+    operator_pool(model, pack)
+    return model, pack
 
 
 def _betti_rows(name, cx):

@@ -215,8 +215,8 @@ def harmonic_space(model: LieModel, pack: StructurePack, k: int) -> Matrix:
 @functools.lru_cache(maxsize=None)
 def basic_subcomplex(model: LieModel, pack: StructurePack, fol: Foliation) -> FormComplex:
     """Forms killed by i_v and Lie_v for every v spanning the foliation: a
-    span of rank at most 1, or the pack's vertical fields, whose
-    integrability the pool certifies when it splits d along them."""
+    span of rank at most 1, or the pack's vertical fields, whose span the
+    pack rules close under the bracket (see `splitting.foliation_split`)."""
     constraints = [op for pair in _contractions(model, pack, fol) for op in pair]
     return FormComplex.from_constraints(model, operator_pool(model, pack).poly("d"), constraints)
 

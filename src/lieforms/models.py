@@ -12,8 +12,7 @@ import functools
 import os
 from fractions import Fraction
 
-from .clifford import Clifford, supercommutator
-from .forms import form_text
+from .clifford import Clifford
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
@@ -113,7 +112,9 @@ class StructurePack:
     kind is "kahler", "sasakian" or "vaisman".  j_pairs lists J(e_a) = e_b;
     for vaisman kind this includes the (lee, reeb) pair, which W and the
     bigrading ignore.  The forms of the pack are operators of the model's
-    pool: eta is e_r, theta is e_th and omega0 is L.
+    pool: eta is e_r, theta is e_th and omega0 is L.  `parse_model` checks
+    a pack's indices; the rules it must meet are certified where its
+    `splitting.OperatorPool` is built.
     """
 
     __slots__ = ("kind", "reeb_index", "lee_index", "j_pairs")
@@ -174,66 +175,6 @@ def ce_differential(model: LieModel) -> Clifford:
     return d
 
 
-def fundamental_form(ngen: int, pack: StructurePack) -> Clifford:
-    """L = sum of e_a e_b over the transversal J pairs a -> b, the
-    multiplication by omega0; built at shift 2 even when there are no
-    pairs.  A term is normal-ordered, so e_a e_b = -e_b e_a for a > b."""
-    return Clifford(ngen, 2, {(1 << (a - 1) | 1 << (b - 1), 0): ONE if a < b else MINUS_ONE
-                              for a, b in pack.transversal_pairs()})
-
-
-def validate_pack(model: LieModel, pack: StructurePack):
-    """Assert the pack invariants that a model file can break, each an
-    identity of polynomials; raise StructureError otherwise.
-
-    No check reads the kind, only the Reeb and Lee fields the pack has:
-    the J pairs cover the horizontal coframe (every generator of a Kahler
-    pack), and every vertical field is Killing.  That J is integrable is
-    certified where the pool splits d (`splitting.OperatorPool`).
-    A form a is its multiplication e_a, so da = 0 reads {d, e_a} = 0 and
-    d(eta) = omega0 reads {d, e_r} = L.  What holds by construction is not
-    checked: eta and theta are unit coframe generators, omega is
-    omega0 + theta ^ eta, L is built from the J pairs, `parse_model` has
-    checked the indices and paired lee with reeb, and
-    d(eta) = omega0 with d(theta) = 0 leaves the leafwise volume closed.
-    """
-    n = model.dim
-    d = ce_differential(model)
-
-    used = [k for p in pack.j_pairs for k in p]
-    if len(used) != len(set(used)):
-        raise StructureError("J", f"J pairs overlap: {pack.j_pairs}")
-    L = fundamental_form(n, pack)
-
-    r = pack.reeb_index
-    if r is not None:
-        deta = supercommutator(d, Clifford.wedge(n, r))
-        if not supercommutator(Clifford.contraction(n, r), deta).is_zero():
-            raise StructureError("contact", "i_r d eta != 0")
-        if deta != L:
-            # e_{d eta}'s block from degree 0 is d(eta)'s coordinate column
-            text = form_text(n, 2, deta.block(0).columns()[0])
-            raise StructureError("deta", f"d(eta) = {text} incompatible with J pairs {pack.j_pairs}")
-    # pairs that do not overlap and cover the coframe make its dimension even
-    if {k for p in pack.transversal_pairs() for k in p} != set(pack.horizontal_indices(n)):
-        raise StructureError("J", "J pairs must cover the horizontal coframe")
-    # d(eta) = omega0 makes omega0 exact, so only a Kahler form can fail here
-    if not supercommutator(d, L).is_zero():
-        raise StructureError("deta", "fundamental form is not closed")
-
-    # a vertical field k is Killing when Lie_k = {d, i_k} is skew-adjoint;
-    # its flow then keeps the metric, eta and omega0, and with them J
-    for k in pack.vertical_indices:
-        lie = supercommutator(d, Clifford.contraction(n, k))
-        if lie.adjoint() != -lie:
-            check, field, sub = ("contact", "Reeb", "r") if k == r else ("vaisman", "Lee", "th")
-            raise StructureError(check, f"the {field} field is not Killing: Lie_{sub}* != -Lie_{sub}")
-
-    lee = pack.lee_index
-    if lee is not None and not supercommutator(d, Clifford.wedge(n, lee)).is_zero():
-        raise StructureError("vaisman", "lee form is not closed")
-
-
 # -- built-in models ---------------------------------------------------
 
 
@@ -251,7 +192,9 @@ BUILTIN_NAMES = ("torus2", "torus4", "su2", "h3", "h5", "su2xr", "h3xr")
 
 
 def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]:
-    """Parse the line-oriented .alg format; every pack invariant asserted.
+    """Parse the line-oriented .alg format and check Jacobi and d^2 = 0
+    (`ce_differential`).  The pack rules are certified where the model's
+    `splitting.OperatorPool` is built, which the command line does on load.
 
     Sections: [algebra] with dim = N; [brackets] with lines
     `i j -> k : a/b`; [structure] with kind/reeb/lee assignments and
@@ -391,9 +334,8 @@ def parse_model(text: str, name: str = "file") -> tuple[LieModel, StructurePack]
     elif kind == "vaisman" and not any(set(p) == {lee, reeb} for p in j_pairs):
         j_pairs = list(j_pairs) + [(min(lee, reeb), max(lee, reeb))]
 
-    pack = StructurePack(kind, reeb, lee, tuple(j_pairs))
-    validate_pack(model, pack)
-    return model, pack
+    ce_differential(model)
+    return model, StructurePack(kind, reeb, lee, tuple(j_pairs))
 
 
 def _default_j_pairs(dim, kind, reeb, lee):
@@ -434,10 +376,10 @@ def builtin_file_text(name: str) -> str:
 
 class StructureOperators:
     """The operators built from the pack's data, immutable: d, L and W as
-    Clifford polynomials.  J enters only as W; that it is integrable is
-    certified on W alone, for every kind, where `splitting.OperatorPool`
-    splits d.  Every other named operator is derived from these in the
-    pool."""
+    Clifford polynomials, built as given, whether or not the pack meets
+    its rules.  J enters only as W.  `splitting.OperatorPool` certifies
+    the pack on these polynomials (its integrability on W alone, for every
+    kind) and derives every other named operator from them."""
 
     def __init__(self, d: Clifford, L: Clifford, W: Clifford):
         vars(self).update(d=d, L=L, W=W)
@@ -450,11 +392,14 @@ class StructureOperators:
 def structure_operators(model: LieModel, pack: StructurePack) -> StructureOperators:
     # W = sum_k e_{J theta^k} i_k, the even derivation extending J on the
     # transversal coframe: theta^a -> theta^b and theta^b -> -theta^a for
-    # each pair a -> b
-    terms = {}
+    # each pair a -> b.  L = sum of e_a e_b over the same pairs, the
+    # multiplication by omega0, is normal-ordered, so e_a e_b = -e_b e_a
+    # for a > b; both are built even when there are no pairs
+    w_terms, l_terms = {}, {}
     for a, b in pack.transversal_pairs():
         ma, mb = 1 << (a - 1), 1 << (b - 1)
-        terms[mb, ma], terms[ma, mb] = ONE, MINUS_ONE
+        w_terms[mb, ma], w_terms[ma, mb] = ONE, MINUS_ONE
+        l_terms[ma | mb, 0] = ONE if a < b else MINUS_ONE
     n = model.dim
-    return StructureOperators(ce_differential(model), fundamental_form(n, pack),
-                              Clifford(n, 0, terms))
+    return StructureOperators(ce_differential(model), Clifford(n, 2, l_terms),
+                              Clifford(n, 0, w_terms))

@@ -30,7 +30,7 @@ import functools
 import random
 
 from .clifford import Clifford, generator_mask, op_sum, reeb_power, supercommutator
-from .forms import monomial_basis, star
+from .forms import form_text, monomial_basis, star
 from .matrices import Matrix
 from .models import (
     LieModel,
@@ -48,18 +48,6 @@ NEG, TWO = Scalar.of(-1), Scalar.of(2)
 Foliation = tuple[int, ...]
 
 
-def check_integrable(model: LieModel, fol: Foliation):
-    """Refuse a span that is not closed under the bracket."""
-    span = set(fol)
-    for i in span:
-        for j in span:
-            if i < j:
-                for k, c in model.bracket(i, j).items():
-                    if k not in span and not c.is_zero():
-                        raise StructureError(
-                            "foliation", f"[e_{i},e_{j}] has component e_{k} outside the span")
-
-
 def reeb_foliation(pack: StructurePack) -> Foliation:
     return (pack.reeb_index,)
 
@@ -71,8 +59,15 @@ def foliation_split(d: Clifford, model: LieModel, fol: Foliation) -> tuple[Cliff
     A term e_W i_C moves the horizontal degree by |W_hor| - |C_hor|, so
     d_i is the sum of the terms of d that move it by i; a term that fits no
     component means the components cannot reconstruct d.
+
+    The model is not read.  The pool splits along the pack's vertical
+    fields, whose span the pack rules it checks first close under the
+    bracket.  A rank-1 span is closed.  For the Reeb and Lee fields r and
+    l of a Vaisman pack, [e_r, e_l] = 0: its e_r component is 0, since
+    d(eta) = omega0 has no vertical letter; its e_l component is 0, since
+    d(theta) = 0; and a horizontal component c^h_rl is -c^l_rh, since a
+    Killing Lie_r is skew on 1-forms, and c^l_rh = 0 since d(theta) = 0.
     """
-    check_integrable(model, fol)
     hor = ~generator_mask(fol)
     parts = [{} for _ in range(len(fol) + 2)]
     for (w, c), v in d.terms.items():
@@ -140,7 +135,7 @@ _RECIPES = {
     "Id": lambda p: Clifford.identity(p.model.dim),
     "(p-n)Id": _p_minus_n,
     **{f"{x}*": (lambda p, x=x: p.poly(x).adjoint())
-       for x in ("d", "d*", "dc", "d0", "d1", "d1c", "e_r", "Lie_r", "L")},
+       for x in ("d", "d*", "dc", "d0", "d1", "d1c", "e_r", "Lie_r", "Lie_th", "L")},
     # Kahler
     "dc": lambda p: p.poly(("W", "d")),
     "Delta": lambda p: p.poly(("d", "d*")),
@@ -196,10 +191,11 @@ class OperatorPool:
     `pool.poly(name)` builds an operator's normal-ordered Clifford
     polynomial from its recipe; `pool.poly((a, b))` is the supercommutator
     {a, b}, memoised by name pair (the pairs {W, d1} and {W, d1c} are the
-    ones that certified the Hodge split).  Building the pool splits d
-    along the pack's vertical fields (`split`, which refuses fields that do
-    not span a foliation) and certifies on its d1 that J is integrable
-    (`hodge`), so every command refuses such a pack before it reports.  The relation
+    ones that certified the Hodge split).  Building the pool certifies the
+    pack on its polynomials (`_certify`), then splits d along the pack's
+    vertical fields (`split`) and certifies on its d1 that J is integrable
+    (`hodge`); the command line builds it on load, so every command
+    refuses a pack that breaks a rule before it reports.  The relation
     tables and the guards decide on the polynomials, and the complexes ask
     a polynomial for its blocks (`Clifford.block`), so names that share a
     polynomial share its blocks.  d, L and W are the polynomials of
@@ -216,10 +212,47 @@ class OperatorPool:
             self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
             self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
         self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
+        self._certify()
         # d0, ..., d_{r+1} along the vertical fields, and d1^{1,0}, d1^{0,1},
         # d1c = {W, d1} and {W, d1c} of its d1
         self.split = foliation_split(self.ops.d, model, pack.vertical_indices)
         self.hodge = _hodge_split(self.ops, self.poly("d1"))
+
+    def _certify(self):
+        """Refuse, with StructureError, a pack that breaks a rule.  No rule
+        reads the kind, only the Reeb and Lee fields the pack has.  A form a
+        is its multiplication e_a, so da = 0 reads {d, e_a} = 0 and
+        d(eta) = omega0 reads {d, e_r} = L, which also gives i_r d(eta) = 0,
+        as L has no vertical letter.  What holds by construction is not
+        checked: eta and theta are unit coframe generators, omega is
+        omega0 + theta ^ eta, L is built from the J pairs, and
+        d(eta) = omega0 with d(theta) = 0 leaves the leafwise volume closed.
+        """
+        pack, poly, n = self.pack, self.poly, self.model.dim
+        used = [k for p in pack.j_pairs for k in p]
+        if len(used) != len(set(used)):
+            raise StructureError("J", f"J pairs overlap: {pack.j_pairs}")
+        if pack.reeb_index is not None and poly("d(I theta)") != poly("L"):
+            # e_{d eta}'s block from degree 0 is d(eta)'s coordinate column
+            text = form_text(n, 2, poly("d(I theta)").block(0).columns()[0])
+            raise StructureError(
+                "deta", f"d(eta) = {text} incompatible with J pairs {pack.j_pairs}")
+        # pairs that do not overlap and cover the coframe make its dimension even
+        if {k for p in pack.transversal_pairs() for k in p} != set(pack.horizontal_indices(n)):
+            raise StructureError("J", "J pairs must cover the horizontal coframe")
+        # d(eta) = omega0 makes omega0 exact, so only a Kahler form can fail here
+        if not poly(("d", "L")).is_zero():
+            raise StructureError("deta", "fundamental form is not closed")
+        # a vertical field is Killing when its Lie derivative is skew-adjoint;
+        # its flow then keeps the metric, eta and omega0, and with them J
+        for k in pack.vertical_indices:
+            check, field, sub = (("contact", "Reeb", "r") if k == pack.reeb_index
+                                 else ("vaisman", "Lee", "th"))
+            if poly(f"Lie_{sub}*") != -poly(f"Lie_{sub}"):
+                raise StructureError(
+                    check, f"the {field} field is not Killing: Lie_{sub}* != -Lie_{sub}")
+        if pack.lee_index is not None and not poly("d(theta)").is_zero():
+            raise StructureError("vaisman", "lee form is not closed")
 
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)

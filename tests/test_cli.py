@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lieforms.cli import RunConfig, json_text, parse_args, run
-from lieforms.models import builtin_file_text
+from lieforms.models import builtin_file_text, parse_model
 
 from conftest import DATA, child_env
 
@@ -149,10 +149,9 @@ def test_non_integrable_j_is_input_error(tmp_path, capsys, text):
     path.write_text(text)
     for command in ("check", "cohomology", "harmonic", "cone", "all"):
         assert run(RunConfig(command=command, model=str(path))) == 2, command
-        err = capsys.readouterr().err
-        # cone refuses a Kahler pack by its kind first
-        if not (command == "cone" and "kahler" in text):
-            assert err == "error: J: J is not integrable: {W, d1} != I d1 I^-1\n", command
+        # cone refuses a Kahler pack by its kind only once the pack is certified
+        assert capsys.readouterr().err == \
+            "error: J: J is not integrable: {W, d1} != I d1 I^-1\n", command
 
 
 # a Vaisman pack whose Lee field is not Killing, and whose J is not
@@ -170,8 +169,34 @@ VAISMAN_LEE_NOT_KILLING = ("[algebra]\ndim = 4\n[brackets]\n1 2 -> 3 : -1\n4 1 -
      "contact: the Reeb field is not Killing: Lie_r* != -Lie_r"),
     # [e4, e1] = e2 makes ad(e4) not skew-symmetric
     (VAISMAN_LEE_NOT_KILLING, "vaisman: the Lee field is not Killing: Lie_th* != -Lie_th"),
-], ids=["reeb", "lee"])
+    # every other pack rule, in the order the pool certifies them
+    ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n"
+     "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\nJ: 2 -> 1\n",
+     "J: J pairs overlap: ((1, 2), (2, 1))"),
+    ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1/2\n"
+     "[structure]\nkind = sasakian\nreeb = 3\nJ: 1 -> 2\n",
+     "deta: d(eta) = (1/2)*t1^t2 incompatible with J pairs ((1, 2),)"),
+    # i_r d(eta) != 0: the e_r letter of d(eta) already breaks d(eta) = L
+    ("[algebra]\ndim = 3\n[brackets]\n1 2 -> 3 : -1\n1 3 -> 3 : 1\n"
+     "[structure]\nkind = sasakian\nreeb = 3\n",
+     "deta: d(eta) = (1)*t1^t2 + (-1)*t1^t3 incompatible with J pairs ((1, 2),)"),
+    ("[algebra]\ndim = 5\n[brackets]\n1 2 -> 5 : -1\n"
+     "[structure]\nkind = sasakian\nreeb = 5\nJ: 1 -> 2\n",
+     "J: J pairs must cover the horizontal coframe"),
+    # a Kahler pack: cone refuses it by this rule before its kind
+    ("[algebra]\ndim = 4\n[brackets]\n1 2 -> 4 : -1\n1 3 -> 4 : 1\n"
+     "[structure]\nkind = kahler\n",
+     "deta: fundamental form is not closed"),
+    ("[algebra]\ndim = 4\n[brackets]\n2 3 -> 4 : -1\n2 3 -> 1 : -1\n"
+     "[structure]\nkind = vaisman\nreeb = 4\nlee = 1\n",
+     "vaisman: lee form is not closed"),
+    # the parser cannot pair three horizontal generators by default
+    ("[algebra]\ndim = 4\n[structure]\nkind = sasakian\nreeb = 4\n",
+     "J: odd number of horizontal generators"),
+], ids=["reeb", "lee", "overlap", "deta", "contact", "cover", "omega0-closed", "lee-closed",
+        "odd-coframe"])
 def test_vertical_field_that_is_not_killing_is_input_error(tmp_path, capsys, text, message):
+    # named for its first two cases; the others break the other pack rules
     path = tmp_path / "not-killing.alg"
     path.write_text(text)
     for command in ("check", "cohomology", "harmonic", "cone", "all"):
@@ -661,3 +686,7 @@ def test_every_command_ends_with_an_exit_status_on_generated_models(text):
     refused = {command for command, code in codes.items() if code == 2}
     alone = {"cone"} if "kind = kahler" in text else set()
     assert refused in (alone, set(codes)), (codes, text)
+    # the pack rules close the vertical span (see `foliation_split`)
+    if not refused and "kind = vaisman" in text:
+        model, pack = parse_model(text)
+        assert model.bracket(pack.reeb_index, pack.lee_index) == {}, text

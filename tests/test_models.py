@@ -20,10 +20,10 @@ from lieforms.models import (
     load_model_file,
     parse_model,
     structure_operators,
-    validate_pack,
 )
 from lieforms.scalars import I, ONE, Scalar, ZERO
 from lieforms.splitting import (
+    OperatorPool,
     foliation_split,
     hodge_split_d1,
     operator_pool,
@@ -45,9 +45,9 @@ def test_builtin_list_is_complete():
 
 
 def test_packs_validate_on_construction():
+    # OperatorPool, not the cached operator_pool, so the rules run here
     for name in BUILTIN_NAMES:
-        model, pack = model_pack(name)
-        validate_pack(model, pack)  # must not raise
+        OperatorPool(*parse_model(builtin_file_text(name), name))  # must not raise
 
 
 def test_ce_differential_examples():
@@ -385,7 +385,7 @@ def test_parse_deta_mismatch_error():
     ]
     for text, message in cases:
         with pytest.raises(StructureError) as err:
-            parse_model(text)
+            operator_pool(*parse_model(text))
         assert err.value.check == "deta" and str(err.value) == message
 
 
@@ -402,7 +402,7 @@ def test_parse_j_pair_error():
     ]
     for text, message in cases:
         with pytest.raises(StructureError) as err:
-            parse_model(text)
+            operator_pool(*parse_model(text))
         assert err.value.check == "J" and str(err.value) == message
 
 
@@ -411,12 +411,12 @@ def test_parse_vaisman_equation_failure():
     text = ("[algebra]\ndim = 4\n[brackets]\n2 3 -> 4 : -1\n"
             "[structure]\nkind = vaisman\nreeb = 4\nlee = 2\nJ: 3 -> 1\n")
     with pytest.raises(StructureError):
-        parse_model(text)
+        operator_pool(*parse_model(text))
     # d(eta) = omega0 holds, but {d, e_th} != 0: d theta = theta^2 ^ theta^3
     text = ("[algebra]\ndim = 4\n[brackets]\n2 3 -> 4 : -1\n2 3 -> 1 : -1\n"
             "[structure]\nkind = vaisman\nreeb = 4\nlee = 1\n")
     with pytest.raises(StructureError) as err:
-        parse_model(text)
+        operator_pool(*parse_model(text))
     assert err.value.check == "vaisman" and str(err.value) == "vaisman: lee form is not closed"
 
 
@@ -510,7 +510,9 @@ _H21_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from lieforms.models import parse_model
+from lieforms.splitting import operator_pool
 model, pack = parse_model(sys.stdin.read(), name="h21")
+operator_pool(model, pack)
 print(model.dim, pack.kind)
 """
 
@@ -526,10 +528,10 @@ def heisenberg_text(n: int) -> str:
 
 
 def test_h21_loads_under_one_gib():
-    """Loading checks Jacobi, d^2 = 0 and every pack invariant on the
-    polynomial d and builds no block, so the dim-21 contact model loads in a
-    child capped at 1 GiB of address space; its blocks would hold 2^21
-    columns."""
+    """Loading checks Jacobi and d^2 = 0, and building the operator pool
+    certifies every pack rule and splits d, all on polynomials and with no
+    block, so the dim-21 contact model loads and builds its pool in a child
+    capped at 1 GiB of address space; its blocks would hold 2^21 columns."""
     import subprocess
     import sys
 

@@ -9,7 +9,6 @@ from lieforms.clifford import Clifford, generator_mask, supercommutator
 from lieforms.scalars import ONE, Scalar
 from lieforms.splitting import (
     antisymmetry_report,
-    check_integrable,
     foliation_split,
     guard_names,
     hodge_split_d1,
@@ -31,14 +30,6 @@ def split_for(name):
     model, pack = model_pack(name)
     ops = ops_for(name)
     return ops, foliation_split(ops.d, model, reeb_foliation(pack))
-
-
-def test_foliation_integrability_guard():
-    model, _ = model_pack("su2")
-    with pytest.raises(StructureError):
-        check_integrable(model, (1, 2))  # [e1,e2] = -e3 leaves the span
-    check_integrable(model, (3,))
-    check_integrable(model, (1,))  # rank-1 spans are always integrable
 
 
 def test_split_reconstructs_d():
