@@ -11,6 +11,7 @@ orientation, which pins every Hodge-star sign.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from itertools import combinations
 
@@ -44,11 +45,16 @@ def star(frame: tuple[int, ...], m: Monomial) -> tuple[Monomial, int]:
     return comp, perm_sign([position[k] for k in m + comp])
 
 
+@functools.lru_cache(maxsize=None)
+def _monomial_texts(ngen: int, k: int) -> tuple[str, ...]:
+    """How each degree-k basis monomial prints, built once per degree."""
+    return tuple("^".join(f"t{j}" for j in m) or "1" for m in monomial_basis(ngen, k))
+
+
 def form_text(ngen: int, k: int, column: Mapping[int, Scalar]) -> str:
     """The degree-k form with the given coordinates, as `(c)*t1^t2 + ...`
     in basis order, or 0."""
     if not column:
         return "0"
-    basis = monomial_basis(ngen, k)
-    return " + ".join(f"({column[i]})*{'^'.join(f't{j}' for j in basis[i]) or '1'}"
-                      for i in sorted(column))
+    texts = _monomial_texts(ngen, k)
+    return " + ".join(f"({column[i]})*{texts[i]}" for i in sorted(column))

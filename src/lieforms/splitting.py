@@ -144,15 +144,8 @@ _RECIPES = {
                                     for a, b in p.pack.transversal_pairs()),
     "sum i_a i_b": lambda p: op_sum(p.poly(f"i_{a}") @ p.poly(f"i_{b}")
                                     for a, b in p.pack.transversal_pairs()),
-    # contact: the split along the vertical fields (the Reeb split of a
-    # Sasakian pack), its Hodge components and Reeb powers
-    **{f"d{i}": (lambda p, i=i: p.split[i]) for i in range(3)},
-    "d1^{1,0}": lambda p: p.hodge[0],
-    "d1^{0,1}": lambda p: p.hodge[1],
-    "d1c": lambda p: p.hodge[2],
-    # the brackets the Hodge split is certified with: d1c is {W, d1}
-    ("W", "d1"): lambda p: p.hodge[2],
-    ("W", "d1c"): lambda p: p.hodge[3],
+    # contact: Laplacians and Reeb powers of the split along the vertical
+    # fields (the Reeb split of a Sasakian pack)
     "Delta0": lambda p: p.poly(("d0", "d0*")),
     "Delta1": lambda p: p.poly(("d1", "d1*")),
     # the transversal package: the split Laplacian {d1, d1*} - sum_v Lie_v^2
@@ -186,37 +179,38 @@ _RECIPES = {
 
 
 class OperatorPool:
-    """The named operators of one model, each built once, on first use.
+    """The named operators of one model, each built once.
 
-    `pool.poly(name)` builds an operator's normal-ordered Clifford
-    polynomial from its recipe; `pool.poly((a, b))` is the supercommutator
-    {a, b}, memoised by name pair (the pairs {W, d1} and {W, d1c} are the
-    ones that certified the Hodge split).  Building the pool certifies the
-    pack on its polynomials (`_certify`), then splits d along the pack's
-    vertical fields (`split`) and certifies on its d1 that J is integrable
-    (`hodge`); the command line builds it on load, so every command
-    refuses a pack that breaks a rule before it reports.  The relation
-    tables and the guards decide on the polynomials, and the complexes ask
-    a polynomial for its blocks (`Clifford.block`), so names that share a
-    polynomial share its blocks.  d, L and W are the polynomials of
-    `structure_operators`.  The names are the operators' only labels:
-    reports print them, never read them off an operator.
+    `pool.poly(name)` reads an operator's normal-ordered Clifford
+    polynomial from the one memo `_polys`, building it from its recipe on
+    first use; `pool.poly((a, b))` is the supercommutator {a, b}, memoised
+    by name pair, and the pair may nest.  Building the pool puts d, L and
+    W (the polynomials of `structure_operators`) and every coframe e_k and
+    i_k in the memo, certifies the pack on them (`_certify`), then adds the
+    split of d along the pack's vertical fields, d0, ..., d_{r+1}, and the
+    Hodge split of its d1, whose certificate that J is integrable leaves
+    d1^{1,0}, d1^{0,1}, d1c = {W, d1} and {W, d1c}; the command line builds
+    it on load, so every command refuses a pack that breaks a rule before
+    it reports.  The relation tables and the guards decide on the
+    polynomials, and the complexes ask a polynomial for its blocks
+    (`Clifford.block`), so names that share a polynomial share its blocks.
+    The names are the operators' only labels: reports print them, never
+    read them off an operator.
     """
 
     def __init__(self, model: LieModel, pack: StructurePack):
         self.model, self.pack = model, pack
-        self.ops = structure_operators(model, pack)
-        n = model.dim
-        self._recipes = dict(_RECIPES)
+        ops, n = structure_operators(model, pack), model.dim
+        self._polys: dict = {"d": ops.d, "L": ops.L, "W": ops.W}
         for k in range(1, n + 1):
-            self._recipes[f"e_{k}"] = lambda p, k=k: Clifford.wedge(n, k)
-            self._recipes[f"i_{k}"] = lambda p, k=k: Clifford.contraction(n, k)
-        self._polys: dict = {"d": self.ops.d, "L": self.ops.L, "W": self.ops.W}
+            self._polys[f"e_{k}"] = Clifford.wedge(n, k)
+            self._polys[f"i_{k}"] = Clifford.contraction(n, k)
         self._certify()
-        # d0, ..., d_{r+1} along the vertical fields, and d1^{1,0}, d1^{0,1},
-        # d1c = {W, d1} and {W, d1c} of its d1
-        self.split = foliation_split(self.ops.d, model, pack.vertical_indices)
-        self.hodge = _hodge_split(self.ops, self.poly("d1"))
+        split = foliation_split(ops.d, model, pack.vertical_indices)
+        self._polys.update((f"d{i}", part) for i, part in enumerate(split))
+        d1_10, d1_01, d1c, w_d1c = _hodge_split(ops, split[1])
+        self._polys.update({"d1^{1,0}": d1_10, "d1^{0,1}": d1_01, "d1c": d1c,
+                            ("W", "d1"): d1c, ("W", "d1c"): w_d1c})
 
     def _certify(self):
         """Refuse, with StructureError, a pack that breaks a rule.  No rule
@@ -257,10 +251,8 @@ class OperatorPool:
     def poly(self, ref) -> Clifford:
         op = self._polys.get(ref)
         if op is None:
-            if isinstance(ref, tuple) and ref not in self._recipes:
-                op = supercommutator(self.poly(ref[0]), self.poly(ref[1]))
-            else:
-                op = self._recipes[ref](self)
+            op = (supercommutator(self.poly(ref[0]), self.poly(ref[1])) if isinstance(ref, tuple)
+                  else _RECIPES[ref](self))
             self._polys[ref] = op
         return op
 
@@ -561,11 +553,11 @@ JACOBI_SAMPLE = 60
 def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool) -> RelationEntry:
     """Super Jacobi identity over guard triples, exhaustive or seeded sample.
 
-    Pairwise supercommutators come from the operator pool and are shared
-    with the antisymmetry guard and the relation tables.  A triple whose
-    three inner pairs are zero passes unbuilt: each of its terms brackets
-    a zero operand.  The nested brackets {g,{x,y}} of the other triples are
-    memoised for the call, so the memo is bounded by the live triples.
+    Every bracket comes from the operator pool: the pairs, shared with the
+    antisymmetry guard and the relation tables, and the nested brackets
+    {g,{x,y}} and {{a,b},c}, which the pool memoises like any other, so
+    a second report builds none.  A triple whose three inner pairs are zero
+    passes unbuilt: each of its terms brackets a zero operand.
     """
     names = guard_names(pack)
     triples = [(a, b, c) for a in names for b in names for c in names]
@@ -575,22 +567,11 @@ def jacobi_report(model: LieModel, pack: StructurePack, exhaustive: bool) -> Rel
         triples = rng.sample(triples, min(JACOBI_SAMPLE, len(triples)))
         label = f"seeded sample of {len(triples)} pool triples"
     poly = operator_pool(model, pack).poly
-
-    @functools.cache
-    def nonzero(x: str, y: str) -> bool:
-        return not poly((x, y)).is_zero()
-
-    @functools.cache
-    def nested(g: str, x: str, y: str) -> Clifford:
-        return supercommutator(poly(g), poly((x, y)))
-
     for (a, b, c) in triples:
-        if not (nonzero(b, c) or nonzero(a, b) or nonzero(a, c)):
+        if poly((b, c)).is_zero() and poly((a, b)).is_zero() and poly((a, c)).is_zero():
             continue
-        # {b,{a,c}} is the lhs of triple (b,a,c)
-        lhs = nested(a, b, c)
-        rhs1 = supercommutator(poly((a, b)), poly(c))
-        rhs2 = nested(b, a, c)
+        # {a,{b,c}} = {{a,b},c} + (-1)^{ab} {b,{a,c}}
+        lhs, rhs1, rhs2 = poly((a, (b, c))), poly(((a, b), c)), poly((b, (a, c)))
         rhs = rhs1 - rhs2 if poly(a).parity * poly(b).parity % 2 else rhs1 + rhs2
         if lhs != rhs:
             return RelationEntry("superalgebra.jacobi", f"triple ({a},{b},{c})",

@@ -121,10 +121,13 @@ def check_relation(
     recorded sign/argument variants in order; never hard-fails on a
     mismatch.  Each side is a (text, operator) pair and the texts are the
     entry's printed form and the operators are polynomials.  A pass with
-    both sides zero is marked vacuous."""
+    both sides zero is marked vacuous, and one whose printed side is the
+    lhs polynomial itself is noted as holding by definition: nothing was
+    computed twice to compare."""
     (ltext, left), (rtext, right) = lhs, printed
     if left == right:
-        return RelationEntry(name, ltext, rtext, "pass", vacuous=left.is_zero())
+        return RelationEntry(name, ltext, rtext, "pass", vacuous=left.is_zero(),
+                             failure="one operator: holds by definition" if left is right else None)
     for vtext, vop in variants:
         if left == vop:
             return RelationEntry(

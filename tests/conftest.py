@@ -4,7 +4,7 @@ import os
 from pathlib import Path
 
 from lieforms.models import BUILTIN_NAMES, builtin, load_model_file, structure_operators
-from lieforms.splitting import operator_pool
+from lieforms.splitting import OperatorPool, operator_pool
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -35,6 +35,16 @@ def ops_for(name: str):
 
 def pool_for(name: str):
     return operator_pool(*model_pack(name))
+
+
+def fresh_pool(monkeypatch, model, pack) -> OperatorPool:
+    """A newly built pool that `lieforms.splitting`'s checks read in place
+    of the cached one, so a test may plant into its memo or count what it
+    builds without another test's brackets already in it."""
+    pool = OperatorPool(model, pack)
+    monkeypatch.setattr(importlib.import_module("lieforms.splitting"), "operator_pool",
+                        lambda *_: pool)
+    return pool
 
 
 def record(records: list, key):

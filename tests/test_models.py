@@ -308,8 +308,10 @@ def test_loading_builds_no_block(monkeypatch, tmp_path, name):
     pool = operator_pool(model, pack)
     # the probes split along the Reeb field and the pool along every
     # vertical field; h5xr's Lee field is in no letter of d, so they agree
-    assert split == pool.split[:3] and all(p.is_zero() for p in pool.split[3:])
-    assert hodge_split_d1(ops, split) == pool.hodge[:3]
+    parts = [pool.poly(f"d{i}") for i in range(len(pack.vertical_indices) + 2)]
+    assert list(split) == parts[:3] and all(p.is_zero() for p in parts[3:])
+    hodge = tuple(pool.poly(x) for x in ("d1^{1,0}", "d1^{0,1}", "d1c"))
+    assert hodge_split_d1(ops, split) == hodge
 
 
 # -- model file parsing -------------------------------------------------
@@ -484,8 +486,8 @@ from lieforms.models import load_model_file
 from lieforms.splitting import operator_pool, sasakian_relations
 model, pack = load_model_file(sys.argv[1])
 pool = operator_pool(model, pack)
-named = [pool.poly(x) for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id")]
-named += [*pool.split, *pool.hodge]
+named = [pool.poly(x) for x in ("d", "L", "W", "e_r", "i_r", "Lie_r", "Lam", "H", "(p-n)Id",
+                                "d0", "d1", "d2", "d1^{1,0}", "d1^{0,1}", "d1c", ("W", "d1c"))]
 sasakian_relations(model, pack)  # builds the table's whole pool
 named += pool._polys.values()
 blocks = [p.block(k) for p in named for k in range(model.dim + 1)]

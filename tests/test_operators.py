@@ -254,6 +254,20 @@ def test_check_relation_shift_mismatch_reported():
     assert "shifts" in entry.failure
 
 
+def test_check_relation_notes_a_side_that_is_the_lhs_itself():
+    # a printed side that is the lhs polynomial decides nothing and says
+    # so in every format; an equal polynomial built apart is a real pass
+    poly = pool_for("su2").poly
+    same = check_relation("same", ("{L,Lam}", poly(("L", "Lam"))), ("H", poly("H")))
+    built = check_relation("built", ("{L,Lam}", poly(("L", "Lam"))),
+                           ("H", supercommutator(poly("L"), poly("Lam"))))
+    assert same.verdict == built.verdict == "pass"
+    assert same.line().endswith("[one operator: holds by definition]")
+    assert same.row()["detail"] == same.csv()[-1] == "one operator: holds by definition"
+    assert built.failure is None and built.line() == "PASS  built: {L,Lam} = H"
+    assert built.row()["detail"] is None and built.csv()[-1] == ""
+
+
 def test_op_sum_names_the_sum_once():
     ident = Clifford.identity(3)
     forty = op_sum([ident] * 40)

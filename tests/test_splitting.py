@@ -22,7 +22,7 @@ from lieforms.splitting import (
 )
 
 import block_reference as ref
-from conftest import model_pack, ops_for, plant, pool_for, record
+from conftest import fresh_pool, model_pack, ops_for, plant, pool_for, record
 from pq_reference import reference_hodge, reference_i, reference_projectors
 
 
@@ -421,18 +421,29 @@ def test_sasakian_table_builds_each_product_once(monkeypatch):
                            ("L", "Lam", "H", "e_r", "i_r", "d1", "d1*", "d1c", "d1c*")}
 
 
-def test_pool_holds_polynomials_and_splits_d_once_along_the_vertical_fields():
-    # the split lives apart from the named polynomials: the pool splits d
-    # along the pack's vertical fields when it is built, and the tables'
-    # d0, d1 and d2 are its components
-    from lieforms.clifford import Clifford
+@pytest.mark.parametrize("name", ["torus4", "h5", "su2xr"])
+def test_pool_is_the_one_memo_of_operators_and_brackets(monkeypatch, name):
+    # building the pool puts every coframe letter, the split of d along the
+    # vertical fields and the Hodge certificate's brackets in its memo, and
+    # the Jacobi guard's nested brackets land there too, so a second report
+    # builds no bracket
+    from lieforms import splitting
 
-    model, pack = model_pack("h5")
-    sasakian_relations(model, pack)
-    pool = operator_pool(model, pack)
-    assert pool._polys and all(isinstance(p, Clifford) for p in pool._polys.values())
-    assert pool.split == foliation_split(pool.poly("d"), model, pack.vertical_indices)
-    assert all(pool.split[i] is pool.poly(f"d{i}") for i in range(3))
+    model, pack = model_pack(name)
+    pool = fresh_pool(monkeypatch, model, pack)
+    assert all(isinstance(p, Clifford) for p in pool._polys.values())
+    assert all(f"{x}_{k}" in pool._polys for x in "ei" for k in range(1, model.dim + 1))
+    parts = [pool.poly(f"d{i}") for i in range(len(pack.vertical_indices) + 2)]
+    assert functools.reduce(Clifford.__add__, parts) == pool.poly("d")
+    assert parts == list(foliation_split(pool.poly("d"), model, pack.vertical_indices))
+    assert pool.poly("d1c") is pool.poly(("W", "d1"))
+    assert pool.poly(("W", "d1c")) == -pool.poly("d1")
+    assert jacobi_report(model, pack, exhaustive=True).ok
+    calls = []
+    monkeypatch.setattr(splitting, "supercommutator",
+                        lambda a, b: calls.append(1) or supercommutator(a, b))
+    assert jacobi_report(model, pack, exhaustive=True).ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, bound", [("su2", 400), ("torus2", 200)], ids=["su2", "torus2"])
@@ -443,7 +454,7 @@ def test_exhaustive_jacobi_skips_zero_products(monkeypatch, name, bound):
     from lieforms.clifford import Clifford
 
     model, pack = model_pack(name)
-    pool = operator_pool(model, pack)
+    pool = fresh_pool(monkeypatch, model, pack)
     names = guard_names(pack)
     for a in names:
         for b in names:
@@ -468,7 +479,7 @@ def test_exhaustive_jacobi_fails_on_a_planted_nonzero_bracket(monkeypatch):
     # {d1,L} vanishes on su2; planting the nonzero polynomial L e_r in its
     # place (same shift and parity) breaks the identity first at (Lam,d1,L)
     model, pack = model_pack("su2")
-    pool = operator_pool(model, pack)
+    pool = fresh_pool(monkeypatch, model, pack)
     assert pool.poly(("d1", "L")).is_zero()
     planted = pool.poly("L") @ pool.poly("e_r")
     assert not planted.is_zero()
@@ -486,7 +497,7 @@ def test_exhaustive_jacobi_builds_only_live_terms(monkeypatch):
     from lieforms import splitting
 
     model, pack = model_pack("su2")
-    pool = operator_pool(model, pack)
+    pool = fresh_pool(monkeypatch, model, pack)
     names = guard_names(pack)
     assert sum(not pool.poly((a, b)).is_zero() for a in names for b in names) == 8
     calls = []
